@@ -2,7 +2,7 @@
 
      dune exec bench/main.exe              # regenerate every figure/table
      dune exec bench/main.exe -- fig9      # a single experiment
-     dune exec bench/main.exe -- bechamel  # wall-clock harness benchmarks
+     dune exec bench/main.exe -- smoke     # interpreter wall-clock smoke
 
    Output is plain text, designed to be tee'd into bench_output.txt and
    compared against the paper's Section V (see EXPERIMENTS.md). *)
@@ -19,30 +19,29 @@ let banner () =
        Workloads.Registry.all)
     Common.hotness_threshold
 
-let run_named = function
-  | "fig5" -> Experiments.fig5 ()
-  | "fig6" -> Experiments.fig6 ()
-  | "fig7" -> Experiments.fig7 ()
-  | "fig8" -> Experiments.fig8 ()
-  | "fig9" -> Experiments.fig9 ()
-  | "fig10" -> ignore (Experiments.fig10 ())
-  | "table1" -> Experiments.table1 ()
-  | "warmup" -> Experiments.warmup ()
-  | "opts-ablation" -> Experiments.opts_ablation ()
-  | "scaling" -> Experiments.scaling ()
-  | "bechamel" -> Bechamel_suite.run ()
-  | "smoke" -> Smoke.run ()
-  | "all" ->
-      Experiments.all ();
-      Bechamel_suite.run ()
-  | other -> Fmt.failwith "unknown experiment %s" other
+let experiments =
+  [
+    ("fig5", Experiments.fig5);
+    ("fig6", Experiments.fig6);
+    ("fig7", Experiments.fig7);
+    ("fig8", Experiments.fig8);
+    ("fig9", Experiments.fig9);
+    ("fig10", fun () -> ignore (Experiments.fig10 ()));
+    ("table1", fun () -> Experiments.table1 ());
+    ("warmup", Experiments.warmup);
+    ("opts-ablation", Experiments.opts_ablation);
+    ("scaling", Experiments.scaling);
+    ("smoke", Smoke.run);
+    ("all", Experiments.all);
+  ]
 
 let experiment =
   let doc =
-    "Experiment to run: fig5, fig6, fig7, fig8, fig9, fig10, table1, warmup, \
-     opts-ablation, scaling, bechamel, smoke, or all (default)."
+    Printf.sprintf "Experiment to run: %s."
+      (Arg.doc_alts_enum experiments)
   in
-  Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
+  let names = List.map (fun (name, _) -> (name, name)) experiments in
+  Arg.(value & pos 0 (enum names) "all" & info [] ~docv:"EXPERIMENT" ~doc)
 
 let cmd =
   let doc = "regenerate the paper's evaluation figures and tables on SelVM" in
@@ -51,7 +50,7 @@ let cmd =
     Term.(
       const (fun name ->
           banner ();
-          run_named name)
+          (List.assoc name experiments) ())
       $ experiment)
 
 let () = exit (Cmd.eval cmd)

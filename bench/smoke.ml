@@ -1,13 +1,12 @@
 (* Interpreter-only wall-clock smoke benchmark.
 
    Runs every registered workload under the interpreter (no JIT compiler)
-   on three backends — the reference IR walker, the prepared dispatch-
-   match engine, and the closure-threaded engine with profile-guided
-   superinstructions — verifies per workload that the runs are
-   observationally identical (output, simulated cycles and steps), and
-   reports real steps/second for all three plus the per-workload and
-   aggregate speedup, the dispatch strategy, the mined superinstruction
-   counts and the inline-cache hit rates. Each workload's timed section
+   on both backends — the reference IR walker and the closure-threaded
+   engine with profile-guided superinstructions — verifies per workload
+   that the runs are observationally identical (output, simulated cycles
+   and steps), and reports real steps/second for both plus the
+   per-workload and aggregate speedup, the dispatch strategy, the mined
+   superinstruction counts and the inline-cache hit rates. Each workload's timed section
    is best-of-3 after one warmup pass, so a stray scheduler hiccup on one
    pass cannot sink the gate. A JIT'd run of one workload with an
    attached telemetry trace contributes compile-timeline data. Results
@@ -64,48 +63,42 @@ let run_workload (backend : Runtime.Interp.backend) (w : Workloads.Defs.t) :
   | Some (engine, run) -> (engine, run, !best)
   | None -> assert false
 
-(* Per-workload comparison of the three backends, checked for
+(* Per-workload comparison of the two backends, checked for
    observational equality on the spot. *)
 type comparison = {
   c_name : string;
   c_steps : int;
   c_cycles : int;
   c_ref_seconds : float;
-  c_prep_seconds : float;
   c_thr_seconds : float;
   c_thr_run : Jit.Harness.run;
 }
 
-let check_equal (w : Workloads.Defs.t) ~(what : string)
-    (ref_engine : Jit.Engine.t) (ref_run : Jit.Harness.run)
-    (engine : Jit.Engine.t) (run : Jit.Harness.run) : unit =
+let check_equal (w : Workloads.Defs.t) (ref_engine : Jit.Engine.t)
+    (ref_run : Jit.Harness.run) (engine : Jit.Engine.t) (run : Jit.Harness.run)
+    : unit =
   if ref_engine.vm.cycles <> engine.vm.cycles then
-    Fmt.failwith "%s: backend divergence: %d reference cycles vs %d %s" w.name
-      ref_engine.vm.cycles engine.vm.cycles what;
+    Fmt.failwith "%s: backend divergence: %d reference cycles vs %d threaded"
+      w.name ref_engine.vm.cycles engine.vm.cycles;
   if ref_run.output <> run.output then
-    Fmt.failwith "%s: backend divergence: outputs differ (%s)" w.name what;
+    Fmt.failwith "%s: backend divergence: outputs differ" w.name;
   if ref_engine.vm.steps <> engine.vm.steps then
-    Fmt.failwith "%s: backend divergence: %d reference steps vs %d %s" w.name
-      ref_engine.vm.steps engine.vm.steps what
+    Fmt.failwith "%s: backend divergence: %d reference steps vs %d threaded"
+      w.name ref_engine.vm.steps engine.vm.steps
 
 let compare_workload (w : Workloads.Defs.t) : comparison =
   let ref_engine, ref_run, ref_seconds =
     run_workload Runtime.Interp.Reference w
   in
-  let prep_engine, prep_run, prep_seconds =
-    run_workload Runtime.Interp.Prepared w
-  in
   let thr_engine, thr_run, thr_seconds =
     run_workload Runtime.Interp.Threaded w
   in
-  check_equal w ~what:"prepared" ref_engine ref_run prep_engine prep_run;
-  check_equal w ~what:"threaded" ref_engine ref_run thr_engine thr_run;
+  check_equal w ref_engine ref_run thr_engine thr_run;
   {
     c_name = w.name;
     c_steps = thr_engine.vm.steps;
     c_cycles = thr_engine.vm.cycles;
     c_ref_seconds = ref_seconds;
-    c_prep_seconds = prep_seconds;
     c_thr_seconds = thr_seconds;
     c_thr_run = thr_run;
   }
@@ -306,10 +299,8 @@ let run () =
   let sumf f = List.fold_left (fun acc c -> acc +. f c) 0.0 comparisons in
   let steps = sum (fun c -> c.c_steps) in
   let ref_seconds = sumf (fun c -> c.c_ref_seconds) in
-  let prep_seconds = sumf (fun c -> c.c_prep_seconds) in
   let thr_seconds = sumf (fun c -> c.c_thr_seconds) in
   let speedup = ref_seconds /. thr_seconds in
-  let speedup_match = ref_seconds /. prep_seconds in
   let ic_sites = sum (fun c -> c.c_thr_run.ic_sites) in
   let ic_hits = sum (fun c -> c.c_thr_run.ic_hits) in
   let ic_misses = sum (fun c -> c.c_thr_run.ic_misses) in
@@ -321,7 +312,7 @@ let run () =
   in
   Common.print_table
     ~columns:
-      [ "workload"; "steps"; "ref s"; "prep s"; "thr s"; "speedup"; "fused" ]
+      [ "workload"; "steps"; "ref s"; "thr s"; "speedup"; "fused" ]
     ~rows:
       (List.map
          (fun c ->
@@ -329,16 +320,15 @@ let run () =
              c.c_name;
              string_of_int c.c_steps;
              Printf.sprintf "%.3f" c.c_ref_seconds;
-             Printf.sprintf "%.3f" c.c_prep_seconds;
              Printf.sprintf "%.3f" c.c_thr_seconds;
              Printf.sprintf "%.2fx" (workload_speedup c);
              string_of_int (fused_sites c);
            ])
          comparisons);
   Common.note
-    "threaded engine speedup: %.2fx (dispatch-match: %.2fx; outputs, cycles \
-     and steps identical per workload)"
-    speedup speedup_match;
+    "threaded engine speedup: %.2fx (outputs, cycles and steps identical per \
+     workload)"
+    speedup;
   Common.note "inline caches: %d sites, %d dispatches, %.1f%% hit rate" ic_sites
     ic_dispatches
     (100.0 *. ic_hit_rate);
@@ -361,11 +351,8 @@ let run () =
                ("name", Support.Json.String c.c_name);
                ("steps", Support.Json.Int c.c_steps);
                ("reference_seconds", Support.Json.Float c.c_ref_seconds);
-               ("prepared_seconds", Support.Json.Float c.c_prep_seconds);
                ("threaded_seconds", Support.Json.Float c.c_thr_seconds);
                ("speedup", Support.Json.Float (workload_speedup c));
-               ( "speedup_match",
-                 Support.Json.Float (c.c_ref_seconds /. c.c_prep_seconds) );
                ("dispatch", Support.Json.String c.c_thr_run.dispatch);
                ("superinst", Jit.Harness.superinst_json c.c_thr_run);
                ("ic_sites", Support.Json.Int c.c_thr_run.ic_sites);
@@ -516,10 +503,8 @@ let run () =
         ("timed_passes", Support.Json.Int timed_passes);
         ("identical_output", Support.Json.Bool true);
         ("reference", backend_json "walker" ref_seconds);
-        ("prepared", backend_json "match" prep_seconds);
         ("threaded", backend_json "threaded" thr_seconds);
         ("speedup", Support.Json.Float speedup);
-        ("speedup_match", Support.Json.Float speedup_match);
         ( "ic",
           Support.Json.Obj
             [

@@ -60,25 +60,19 @@ let load_program ~(file : string option) ~(workload : string option) :
   | Some _, Some _ -> Error "pass either a file or --workload, not both"
   | None, None -> Error "pass a .sel file or --workload NAME"
 
-let make_engine ?compile_fuel ?(threaded = true) ?(osr = true) prog config
-    hotness verify =
+let make_engine ?compile_fuel ?(osr = true) prog config hotness verify =
   match compiler_of_config config with
   | Error e -> Error e
   | Ok compiler ->
-      let e =
-        Jit.Engine.create ?compile_fuel ~osr prog
-          {
-            name = config;
-            compiler;
-            hotness_threshold = hotness;
-            compile_cost_per_node = 50;
-            verify;
-          }
-      in
-      (* --no-threaded kill switch: drop the interpreted tier back to the
-         prepared dispatch-match engine (observably transparent) *)
-      if not threaded then e.vm.backend <- Runtime.Interp.Prepared;
-      Ok e
+      Ok
+        (Jit.Engine.create ?compile_fuel ~osr prog
+           {
+             name = config;
+             compiler;
+             hotness_threshold = hotness;
+             compile_cost_per_node = 50;
+             verify;
+           })
 
 let print_stats (e : Jit.Engine.t) =
   Printf.eprintf
@@ -180,15 +174,6 @@ let chaos_rate_arg =
            The same seed and rate replay the exact same fault sequence; program \
            output is unaffected — faulted methods degrade to the interpreter.")
 
-let no_threaded_arg =
-  Arg.(
-    value & flag
-    & info [ "no-threaded" ]
-        ~doc:
-          "Kill switch for the closure-threaded interpreted tier: fall back to \
-           the prepared dispatch-match engine. Output, simulated cycles, steps \
-           and profiles are identical either way; only wall-clock differs.")
-
 let no_osr_arg =
   Arg.(
     value & flag
@@ -284,7 +269,7 @@ let with_optional_chaos ~(seed : int) ~(rate : float) (f : unit -> 'a) : 'a =
 
 let run_cmd =
   let run file workload config hotness stats verify trace metrics chaos_seed
-      chaos_rate compile_fuel no_threaded no_osr timeline timeline_interval =
+      chaos_rate compile_fuel no_osr timeline timeline_interval =
     match load_program ~file ~workload with
     | Error e -> fail e
     | Ok (prog, label) -> (
@@ -299,9 +284,8 @@ let run_cmd =
                       with_optional_chaos ~seed:chaos_seed ~rate:chaos_rate
                         (fun () ->
                           match
-                            make_engine ?compile_fuel
-                              ~threaded:(not no_threaded) ~osr:(not no_osr)
-                              prog config hotness verify
+                            make_engine ?compile_fuel ~osr:(not no_osr) prog
+                              config hotness verify
                           with
                           | Error e -> Error e
                           | Ok e -> (
@@ -332,7 +316,7 @@ let run_cmd =
     Term.(
       const run $ file_arg $ workload_arg $ config_arg $ hotness_arg $ stats_arg
       $ verify_arg $ trace_arg $ metrics_arg $ chaos_seed_arg $ chaos_rate_arg
-      $ compile_fuel_arg $ no_threaded_arg $ no_osr_arg $ timeline_arg
+      $ compile_fuel_arg $ no_osr_arg $ timeline_arg
       $ timeline_interval_arg)
 
 (* ---- bench ---- *)
@@ -361,7 +345,7 @@ let bench_cmd =
                 timeline) to FILE as JSON.")
   in
   let bench file workload config hotness entry iters save_profiles json trace
-      chaos_seed chaos_rate compile_fuel no_threaded no_osr =
+      chaos_seed chaos_rate compile_fuel no_osr =
     match load_program ~file ~workload with
     | Error e -> fail e
     | Ok (prog, label) -> (
@@ -371,8 +355,8 @@ let bench_cmd =
           with_optional_trace trace (fun () ->
               with_optional_chaos ~seed:chaos_seed ~rate:chaos_rate (fun () ->
                   match
-                    make_engine ?compile_fuel ~threaded:(not no_threaded)
-                      ~osr:(not no_osr) prog config hotness false
+                    make_engine ?compile_fuel ~osr:(not no_osr) prog config
+                      hotness false
                   with
                   | Error e -> Error e
                   | Ok e -> (
@@ -432,7 +416,7 @@ let bench_cmd =
     Term.(
       const bench $ file_arg $ workload_arg $ config_arg $ hotness_arg $ entry_arg
       $ iters_arg $ save_profiles_arg $ json_arg $ trace_arg $ chaos_seed_arg
-      $ chaos_rate_arg $ compile_fuel_arg $ no_threaded_arg $ no_osr_arg)
+      $ chaos_rate_arg $ compile_fuel_arg $ no_osr_arg)
 
 (* ---- compile ---- *)
 

@@ -1056,12 +1056,10 @@ let superinst_stats (t : t) : Runtime.Interp.sstat list =
   Runtime.Interp.superinst_stats t.vm
 
 (* How the interpreted tier dispatches, for reports: the threaded tier's
-   closure chains, the prepared tier's dispatch match, or the reference
-   walker. *)
+   closure chains or the reference walker. *)
 let dispatch_label (t : t) : string =
   match t.vm.backend with
   | Runtime.Interp.Threaded -> "threaded"
-  | Runtime.Interp.Prepared -> "match"
   | Runtime.Interp.Reference -> "walker"
 
 (* Async-compilation accounting: a pending body whose method is never

@@ -223,12 +223,12 @@ val ic_stats : t -> Runtime.Interp.ic_stat list
 
 val superinst_stats : t -> Runtime.Interp.sstat list
 (** The threaded tier's mined superinstruction table, sorted by pattern
-    (see {!Runtime.Interp.superinst_stats}). Empty under the other
-    backends or before any method crossed the fusion threshold. *)
+    (see {!Runtime.Interp.superinst_stats}). Empty under the reference
+    backend or before any method crossed the fusion threshold. *)
 
 val dispatch_label : t -> string
-(** How the interpreted tier dispatches: ["threaded"], ["match"]
-    (prepared) or ["walker"] (reference). *)
+(** How the interpreted tier dispatches: ["threaded"] or ["walker"]
+    (reference). *)
 
 val pending_methods : t -> int
 (** Compilations produced but not yet installed (async mode). *)

@@ -29,7 +29,7 @@ type run = {
   ic_hits : int;
   ic_misses : int;
   ic_megamorphic : int;
-  dispatch : string;        (* interpreted-tier dispatch: threaded/match/walker *)
+  dispatch : string;        (* interpreted-tier dispatch: threaded/walker *)
   superinst : Runtime.Interp.sstat list;  (* mined fusion table at end of run *)
 }
 

@@ -35,7 +35,7 @@ type run = {
       (** dispatches taken by a megamorphic cache's fallback path *)
   dispatch : string;
       (** the interpreted tier's dispatch strategy for this run:
-          ["threaded"], ["match"] or ["walker"] *)
+          ["threaded"] or ["walker"] *)
   superinst : Runtime.Interp.sstat list;
       (** the mined superinstruction table at end of run *)
 }

@@ -8,12 +8,13 @@
 
    Two execution backends implement identical observable semantics:
 
-   - [Prepared] (default): bodies are translated once into dense
+   - [Threaded] (default): bodies are translated once into dense
      [Prepared.code] objects — flat register frames, edge-resolved phis,
-     pre-decoded instructions — and cached per (method, tier). This is the
-     production path; per-step work is a handful of array reads.
+     pre-decoded instructions — cached per (method, tier), and lowered
+     into direct-threaded handler closures with profile-guided
+     superinstruction fusion. This is the production path.
    - [Reference]: the original direct IR walker, kept as the executable
-     specification the differential suite checks the prepared engine
+     specification the differential suite checks the threaded engine
      against (test/test_differential.ml).
 
    Prepared-cache coherence: entries are keyed by method and tier and
@@ -33,7 +34,7 @@ open Values
 
 type mode = Interpreted | Compiled
 
-type backend = Threaded | Prepared | Reference
+type backend = Threaded | Reference
 
 (* On-stack replacement. The engine (not the runtime) owns the policy;
    the backends only provide checkpoints at loop headers:
@@ -161,7 +162,6 @@ type vm = {
      bounds-checked array read, not a hash probe *)
   mutable prepared_cache : prepared_entry option array;
   mutable code_epoch : int;      (* bumped by every [invalidate_code] *)
-  mutable ic_enabled : bool;     (* inline caches on virtual dispatch *)
   ic_retired : (site, ic_stat) Hashtbl.t;
       (* counters of ICs retired with their code objects *)
   mutable attrib : Attribution.t option;
@@ -197,7 +197,6 @@ let create ?(cost = Cost.default) ?(max_steps = 500_000_000)
     backend;
     prepared_cache = Array.make (max 16 (2 * Ir.Program.num_meths prog)) None;
     code_epoch = 0;
-    ic_enabled = true;
     ic_retired = Hashtbl.create 16;
     attrib = None;
     fusion = Prepared.default_fusion;
@@ -299,9 +298,6 @@ let entry_for (vm : vm) ~(mode : mode) (m : meth_id) (fn : fn) : prepared_entry 
       in
       cache_set vm key (Some e);
       e
-
-let prepared_for (vm : vm) ~(mode : mode) (m : meth_id) (fn : fn) : Prepared.code =
-  (entry_for vm ~mode m fn).pcode
 
 (* ---------- superinstruction bookkeeping ---------- *)
 
@@ -435,9 +431,8 @@ let rec invoke (vm : vm) (m : meth_id) (args : value array) : value =
               let tier =
                 match vm.backend with
                 | Reference -> Attribution.Interp
-                (* the threaded tier is the prepared representation with a
-                   different dispatch strategy; attribution buckets agree *)
-                | Prepared | Threaded -> Attribution.Prepared
+                (* the threaded tier runs the prepared representation *)
+                | Threaded -> Attribution.Prepared
               in
               Attribution.enter a ~meth:m ~tier ~now:vm.cycles;
               (match exec_interp vm m fn args with
@@ -477,29 +472,20 @@ and osr_call (vm : vm) ?(abort = false) (tr : osr_transfer)
 and exec_installed (vm : vm) (m : meth_id) (cfn : fn) (args : value array) : value =
   match vm.backend with
   | Reference -> exec_ref vm ~mode:Compiled ~meth:m cfn args
-  | Prepared ->
-      exec_code vm ~mode:Compiled ~meth:m ~src:cfn
-        (prepared_for vm ~mode:Compiled m cfn) args
   | Threaded -> exec_threaded vm (threaded_for vm ~mode:Compiled m cfn) args
 
 and exec_interp (vm : vm) (m : meth_id) (fn : fn) (args : value array) : value =
   match vm.backend with
   | Reference -> exec_ref vm ~mode:Interpreted ~meth:m fn args
-  | Prepared ->
-      exec_code vm ~mode:Interpreted ~meth:m ~src:fn
-        (prepared_for vm ~mode:Interpreted m fn) args
   | Threaded -> exec_threaded vm (threaded_for vm ~mode:Interpreted m fn) args
 
 and exec (vm : vm) ~(mode : mode) ~(meth : meth_id) (fn : fn) (args : value array) :
     value =
   match vm.backend with
   | Reference -> exec_ref vm ~mode ~meth fn args
-  | Prepared ->
-      (* one-shot bodies (tests pinning a tier on a synthetic fn) are
-         prepared per call; cached paths go through [invoke] *)
-      exec_code vm ~mode ~meth ~src:fn
-        (Prepared.prepare ~cost:vm.cost vm.prog fn) args
   | Threaded ->
+      (* one-shot bodies (tests pinning a tier on a synthetic fn) are
+         prepared and lowered per call; cached paths go through [invoke] *)
       let pcode = Prepared.prepare ~cost:vm.cost vm.prog fn in
       let t =
         lower_threaded vm ~mode ~meth ~src:fn pcode
@@ -526,206 +512,13 @@ and threaded_for (vm : vm) ~(mode : mode) (m : meth_id) (fn : fn) : tcode =
           entry.tcode <- Some t;
           t)
 
-(* ---------- prepared backend ---------- *)
-
-and exec_code (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
-    (code : Prepared.code) (args : value array) : value =
-  vm.depth <- vm.depth + 1;
-  if vm.depth > vm.max_depth then trap "call stack overflow in %s" code.fname;
-  let dispatch =
-    match mode with
-    | Interpreted -> vm.cost.interp_dispatch
-    | Compiled -> vm.cost.compiled_dispatch
-  in
-  let profiling = mode = Interpreted in
-  let phi_cost = dispatch + vm.cost.phi in
-  let frame = Array.make code.nregs Vunit in
-  let blocks = code.blocks in
-  (* OSR: compiled activations re-validate against the engine at loop
-     headers only after an invalidation moved the deopt epoch *)
-  let depoch = ref vm.deopt_epoch in
-  let rec run (bi : int) (edge : int) : value =
-    let b : Prepared.pblock = blocks.(bi) in
-    (* blocks count as steps too: an instruction-free cycle (possible after
-       aggressive DCE) must still exhaust the step budget *)
-    vm.steps <- vm.steps + 1;
-    if vm.steps > vm.max_steps then trap "step budget exceeded";
-    if profiling then begin
-      (* slot-indexed profiling: the counter cell is bound into the code
-         object on first record, making every later record one increment *)
-      match b.prof.cell with
-      | Some c -> incr c
-      | None ->
-          let c = Profile.block_cell vm.profiles meth b.src_bid in
-          b.prof.cell <- Some c;
-          incr c
-    end;
-    (* phis evaluate simultaneously with respect to the incoming edge *)
-    let nphis = Array.length b.phi_dests in
-    if nphis > 0 then begin
-      let srcs, prev =
-        if edge < 0 then (Array.make nphis (-1), -1)
-        else (b.phi_srcs.(edge), b.pred_bids.(edge))
-      in
-      if nphis = 1 then begin
-        vm.steps <- vm.steps + 1;
-        charge vm phi_cost;
-        let s = srcs.(0) in
-        if s < 0 then
-          trap "internal: phi v%d has no input for edge b%d" b.phi_vids.(0) prev;
-        frame.(b.phi_dests.(0)) <- frame.(s)
-      end
-      else begin
-        let tmp = Array.make nphis Vunit in
-        for i = 0 to nphis - 1 do
-          vm.steps <- vm.steps + 1;
-          charge vm phi_cost;
-          let s = srcs.(i) in
-          if s < 0 then
-            trap "internal: phi v%d has no input for edge b%d" b.phi_vids.(i) prev;
-          tmp.(i) <- frame.(s)
-        done;
-        for i = 0 to nphis - 1 do
-          frame.(b.phi_dests.(i)) <- tmp.(i)
-        done
-      end
-    end;
-    (* OSR checkpoints sit after the phi moves, so the loop-carried slots
-       hold the current iteration's values when a transfer reads them *)
-    if profiling then
-      if
-        (not b.osr_skip)
-        && (match b.prof.cell with
-           | Some c -> !c >= vm.osr_threshold
-           | None -> false)
-      then (
-        match vm.on_osr meth b.src_bid with
-        | Osr_no ->
-            b.osr_skip <- true;
-            finish b
-        | Osr_wait -> finish b
-        | Osr_enter tr -> osr_call vm ~abort:true tr (fun v -> frame.(v)))
-      else finish b
-    else if vm.deopt_epoch <> !depoch then (
-      match vm.on_osr_exit meth src b.src_bid with
-      | Exit_stay ->
-          depoch := vm.deopt_epoch;
-          finish b
-      | Exit_watch -> finish b
-      | Exit_to tr -> osr_call vm tr (fun v -> frame.(v)))
-    else finish b
-  and finish (b : Prepared.pblock) : value =
-    let body = b.body in
-    for i = 0 to Array.length body - 1 do
-      let pi = body.(i) in
-      vm.steps <- vm.steps + 1;
-      if vm.steps > vm.max_steps then trap "step budget exceeded";
-      charge vm (dispatch + pi.static_cost);
-      let result =
-        match pi.op with
-        | Pconst v -> v
-        | Pparam k ->
-            if k >= Array.length args then trap "internal: missing argument %d" k
-            else args.(k)
-        | Punop (op, a) -> eval_unop op frame.(a)
-        | Pbinop (op, a, b) -> eval_binop op frame.(a) frame.(b)
-        | Pcall { callee; cargs; site; ic } ->
-            let n = Array.length cargs in
-            let vals = Array.make n Vunit in
-            for j = 0 to n - 1 do
-              vals.(j) <- frame.(cargs.(j))
-            done;
-            do_call vm ?ic ~profiling ~meth ~callee ~site vals
-        | Pnew { cls; defaults } ->
-            Vobj { o_cls = cls; fields = Array.copy defaults }
-        | Pgetfield { obj; slot; fname } -> (
-            let o = as_obj frame.(obj) in
-            if slot >= Array.length o.fields then
-              trap "internal: bad field slot for %s" fname
-            else o.fields.(slot))
-        | Psetfield { obj; slot; fname; value } ->
-            let o = as_obj frame.(obj) in
-            if slot >= Array.length o.fields then
-              trap "internal: bad field slot for %s" fname;
-            o.fields.(slot) <- frame.(value);
-            Vunit
-        | Pnewarray { ety; len } ->
-            let n = as_int frame.(len) in
-            charge vm (Cost.alloc_fields_cost vm.cost n);
-            alloc_array ety n
-        | Parrayget { arr; idx } ->
-            let a = as_arr frame.(arr) in
-            let i = as_int frame.(idx) in
-            if i < 0 || i >= Array.length a.elems then
-              trap "array index %d out of bounds" i;
-            a.elems.(i)
-        | Parrayset { arr; idx; value } ->
-            let a = as_arr frame.(arr) in
-            let i = as_int frame.(idx) in
-            if i < 0 || i >= Array.length a.elems then
-              trap "array index %d out of bounds" i;
-            a.elems.(i) <- frame.(value);
-            Vunit
-        | Parraylen a -> Vint (Array.length (as_arr frame.(a)).elems)
-        | Ptypetest { obj; cls } -> (
-            match frame.(obj) with
-            | Vobj o -> Vbool (Ir.Program.is_subclass vm.prog ~sub:o.o_cls ~sup:cls)
-            | Vnull -> Vbool false
-            | _ -> trap "typetest on a non-object")
-        | Pintrinsic (intr, ia) -> (
-            let a k = frame.(ia.(k)) in
-            match intr with
-            | Iprint_int ->
-                Buffer.add_string vm.out (string_of_int (as_int (a 0)));
-                Vunit
-            | Iprint_bool ->
-                Buffer.add_string vm.out (string_of_bool (as_bool (a 0)));
-                Vunit
-            | Iprint_str ->
-                Buffer.add_string vm.out (as_str (a 0));
-                Vunit
-            | Istr_len -> Vint (String.length (as_str (a 0)))
-            | Istr_get ->
-                let s = as_str (a 0) and i = as_int (a 1) in
-                if i < 0 || i >= String.length s then
-                  trap "string index %d out of bounds" i;
-                Vint (Char.code s.[i])
-            | Istr_eq -> Vbool (as_str (a 0) = as_str (a 1))
-            | Iabs -> Vint (abs (as_int (a 0)))
-            | Imin -> Vint (min (as_int (a 0)) (as_int (a 1)))
-            | Imax -> Vint (max (as_int (a 0)) (as_int (a 1))))
-      in
-      frame.(pi.dest) <- result
-    done;
-    charge vm b.term_cost;
-    match b.term with
-    | Preturn r -> frame.(r)
-    | Pgoto { target; edge } -> run target edge
-    | Pif { cond; site; tb; tedge; fb; fedge; bprof } ->
-        let taken = as_bool frame.(cond) in
-        if profiling then
-          (match bprof.brec with
-          | Some br -> Profile.brec_record br ~taken
-          | None ->
-              let br = Profile.branch_cell vm.profiles site in
-              bprof.brec <- Some br;
-              Profile.brec_record br ~taken);
-        if taken then run tb tedge else run fb fedge
-    | Punreachable -> trap "reached an unreachable block in %s" code.fname
-    | Pdead b' ->
-        invalid_arg (Printf.sprintf "Fn.block: dead block b%d in %s" b' code.fname)
-  in
-  let result = run code.entry (-1) in
-  vm.depth <- vm.depth - 1;
-  result
-
 (* ---------- threaded backend: closures instead of a dispatch match ----
 
    [lower_threaded] turns a [Prepared.code] into a flat array of handler
    closures indexed by pc — one per block prologue, body segment and
    terminator. Each handler performs its instruction and tail-calls the
    successor handler directly (direct threading: control never returns
-   to a dispatch loop mid-method), with [exec_code]'s per-step
+   to a dispatch loop mid-method), with a dispatch loop's per-step
    [match pi.op], operand-field loads and cost additions all paid once
    at lowering: operands, the summed dispatch+static cost, the bound
    profile holders and jump-target handlers live in the closure
@@ -743,7 +536,7 @@ and exec_code (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
    otherwise observe the counters mid-segment ([Prepared.fusable]
    excludes calls), so batching is invisible on the non-trapping path —
    the totals at every call, profile record and method exit are
-   bit-identical to [exec_code] and [exec_ref]. On the trapping paths
+   bit-identical to [exec_ref]. On the trapping paths
    the handler re-aligns the counters to exactly the stepwise state
    before re-raising, and a step budget that would die mid-segment is
    replayed stepwise so the trap lands on the precise constituent. The
@@ -1492,7 +1285,7 @@ and do_call (vm : vm) ?ic ~profiling ~(meth : meth_id) ~(callee : callee)
       if Array.length args = 0 then trap "virtual call with no receiver";
       let o = as_obj args.(0) in
       match ic with
-      | Some ic when vm.ic_enabled -> (
+      | Some ic -> (
           (* synthetic sites are typeswitch fallbacks: reaching one in
              compiled code means the speculation missed — an IC-cached
              dispatch must report it exactly like the slow path does *)
@@ -1538,7 +1331,7 @@ and do_call (vm : vm) ?ic ~profiling ~(meth : meth_id) ~(callee : callee)
               | None ->
                   trap "class %s does not understand %s"
                     (Ir.Program.cls vm.prog o.o_cls).c_name sel))
-      | _ -> (
+      | None -> (
           if profiling then Profile.record_receiver vm.profiles site o.o_cls;
           (* synthetic sites are typeswitch fallbacks: reaching one in compiled
              code means the speculation missed *)

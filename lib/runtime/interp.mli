@@ -7,11 +7,12 @@
     Two execution backends implement identical observable semantics (see
     docs/ARCHITECTURE.md, "Prepared code & dispatch caching"):
 
-    - [Prepared] (the default): method bodies are translated once into
+    - [Threaded] (the default): method bodies are translated once into
       dense {!Prepared.code} objects — flat register frames, edge-resolved
-      phis, pre-decoded instructions — and cached per (method, tier).
+      phis, pre-decoded instructions — cached per (method, tier) and
+      lowered into direct-threaded handler closures.
     - [Reference]: the original direct IR walker, kept as the executable
-      specification that the differential suite checks the prepared engine
+      specification that the differential suite checks the threaded engine
       against.
 
     Two hooks connect the VM to a JIT engine without a dependency cycle:
@@ -23,12 +24,10 @@ open Values
 
 type mode = Interpreted | Compiled
 
-type backend = Threaded | Prepared | Reference
+type backend = Threaded | Reference
 (** [Threaded] (the default): subroutine-threaded closures over prepared
-    code, with profile-guided superinstruction fusion. [Prepared]: the
-    dispatch-match walker over the same pre-decoded form. [Reference]:
-    the direct IR walker. All three implement identical observable
-    semantics. *)
+    code, with profile-guided superinstruction fusion. [Reference]: the
+    direct IR walker. Both implement identical observable semantics. *)
 
 type osr_transfer = {
   osr_target : meth_id;
@@ -139,10 +138,6 @@ type vm = {
       [meth_id * 2 + tier] — this lookup sits on every invocation *)
   mutable code_epoch : int;
   (** bumped by every {!invalidate_code}; a cheap staleness witness *)
-  mutable ic_enabled : bool;
-  (** inline caches on prepared virtual dispatch (default [true]);
-      disabling is observably transparent — the differential suite
-      enforces identical output, cycles, steps and folded profiles *)
   ic_retired : (site, ic_stat) Hashtbl.t;
   (** counters of inline caches retired with their dropped code objects *)
   mutable attrib : Attribution.t option;
@@ -163,8 +158,8 @@ val enable_attribution : vm -> Attribution.t
 (** Installs (or returns the already-installed) per-method cycle
     attribution: every invocation is then bracketed with enter/leave on
     the simulated clock, split by tier — [Jit] for installed compiled
-    code, [Interp]/[Prepared] for the interpreted tier under the
-    respective backend. *)
+    code, [Prepared] for the threaded interpreted tier and [Interp] for
+    the reference one. *)
 
 val record_deopt : vm -> meth_id -> unit
 (** Counts a deoptimization against the method when attribution is
@@ -200,9 +195,9 @@ val invoke : vm -> meth_id -> value array -> value
     @raise Trap on runtime errors. *)
 
 val exec : vm -> mode:mode -> meth:meth_id -> fn -> value array -> value
-(** Executes a specific body in a specific tier; used by [invoke] and by
-    tests that want to pin the tier. Under the [Prepared] backend the body
-    is translated per call (uncached) — cached execution goes through
+(** Executes a specific body in a specific tier, for tests that want to
+    pin the tier. Under the [Threaded] backend the body is prepared and
+    lowered per call (uncached) — cached execution goes through
     [invoke]. *)
 
 val run_main : vm -> value

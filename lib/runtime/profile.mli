@@ -34,7 +34,7 @@ val record_block : t -> meth_id -> bid -> unit
 val record_receiver : t -> site -> class_id -> unit
 val record_branch : t -> site -> taken:bool -> unit
 
-(** {1 Counter cells (used by the prepared engine's baked profiling)}
+(** {1 Counter cells (used by prepared code's baked profiling)}
 
     Find-or-create accessors returning the underlying cell. Cells are
     valid for the profile's current {!generation} only. *)

@@ -1,13 +1,16 @@
-(* Differential tests for the prepared execution engine: the [Prepared]
+(* Differential tests for the production execution engine: the [Threaded]
    backend must be observationally identical to the [Reference] IR walker
    — same output, same results, same simulated cycles, same step counts,
    same recorded profiles — on every registered workload, on random
    programs, across the tiered engine (where compiled-code installation
-   exercises prepared-cache invalidation), and on trapping programs.
+   exercises prepared-cache invalidation), and on trapping programs. The
+   threaded runs use eager fusion thresholds, so both the cold (stage-0)
+   and the fused (stage-1) lowerings execute. The reference walker never
+   consults an inline cache, so these checks also pin IC transparency.
 
    The reference backend is the seed interpreter kept verbatim; these
-   tests are the proof that preparation changed *when* work happens, not
-   *what* the program observes. *)
+   tests are the proof that preparation and threading changed *when* work
+   happens, not *what* the program observes. *)
 
 open Util
 
@@ -24,14 +27,14 @@ type snap = {
   epoch : int;
 }
 
-let check_same what (ref_ : snap) (pre : snap) =
+let check_same what (ref_ : snap) (thr : snap) =
   let s = Alcotest.(check string) and i = Alcotest.(check int) in
-  s (what ^ ": output") ref_.output pre.output;
-  Alcotest.(check (list string)) (what ^ ": results") ref_.results pre.results;
-  i (what ^ ": cycles") ref_.cycles pre.cycles;
-  i (what ^ ": steps") ref_.steps pre.steps;
-  s (what ^ ": profiles") ref_.profile pre.profile;
-  i (what ^ ": installed methods") ref_.installed pre.installed
+  s (what ^ ": output") ref_.output thr.output;
+  Alcotest.(check (list string)) (what ^ ": results") ref_.results thr.results;
+  i (what ^ ": cycles") ref_.cycles thr.cycles;
+  i (what ^ ": steps") ref_.steps thr.steps;
+  s (what ^ ": profiles") ref_.profile thr.profile;
+  i (what ^ ": installed methods") ref_.installed thr.installed
 
 (* One engine run over a freshly compiled workload: main once, then the
    bench entry [iters] times. *)
@@ -49,6 +52,7 @@ let run_workload ?compiler ?spec_miss_threshold ~(hotness : int) ~(iters : int)
       }
   in
   engine.vm.backend <- backend;
+  engine.vm.fusion <- Util.eager;
   let results = ref [] in
   let record v = results := Runtime.Values.to_string v :: !results in
   record (Jit.Engine.run_main engine);
@@ -70,11 +74,12 @@ let run_workload ?compiler ?spec_miss_threshold ~(hotness : int) ~(iters : int)
 let test_workloads_interp () =
   List.iter
     (fun (w : Workloads.Defs.t) ->
-      let run b = run_workload ~hotness:max_int ~iters:2 b w in
+      (* enough bench invocations to cross [Util.eager.fuse_invocations] *)
+      let run b = run_workload ~hotness:max_int ~iters:6 b w in
       let ref_ = run Runtime.Interp.Reference in
-      let pre = run Runtime.Interp.Prepared in
-      check_same w.name ref_ pre;
-      Alcotest.(check int) (w.name ^ ": no installs, epoch stays 0") 0 pre.epoch)
+      let thr = run Runtime.Interp.Threaded in
+      check_same w.name ref_ thr;
+      Alcotest.(check int) (w.name ^ ": no installs, epoch stays 0") 0 thr.epoch)
     Workloads.Registry.all
 
 (* ---------- tiered engine: compile, install, invalidate ---------- *)
@@ -95,12 +100,12 @@ let test_workloads_tiered () =
           ~spec_miss_threshold:4 ~hotness:3 ~iters:(min w.iters 12) b w
       in
       let ref_ = run Runtime.Interp.Reference in
-      let pre = run Runtime.Interp.Prepared in
-      check_same (w.name ^ " (tiered)") ref_ pre;
-      if pre.installed > 0 then
+      let thr = run Runtime.Interp.Threaded in
+      check_same (w.name ^ " (tiered)") ref_ thr;
+      if thr.installed > 0 then
         Alcotest.(check bool)
           (w.name ^ ": installs bumped the code epoch")
-          true (pre.epoch > 0))
+          true (thr.epoch > 0))
     subset
 
 (* ---------- cache invalidation drops stale prepared code ---------- *)
@@ -301,6 +306,7 @@ let compile_ok src =
 let vm_snap (backend : Runtime.Interp.backend) (src : string) : snap =
   let prog = compile_ok src in
   let vm = Runtime.Interp.create ~backend prog in
+  vm.fusion <- Util.eager;
   let v = Runtime.Interp.run_main vm in
   {
     output = Runtime.Interp.output vm;
@@ -312,18 +318,18 @@ let vm_snap (backend : Runtime.Interp.backend) (src : string) : snap =
     epoch = vm.code_epoch;
   }
 
-let same what (ref_ : snap) (pre : snap) =
-  if ref_ <> pre then
+let same what (ref_ : snap) (thr : snap) =
+  if ref_ <> thr then
     QCheck.Test.fail_reportf
       "%s diverged:@.cycles %d vs %d, steps %d vs %d@.output %S vs %S" what
-      ref_.cycles pre.cycles ref_.steps pre.steps ref_.output pre.output;
+      ref_.cycles thr.cycles ref_.steps thr.steps ref_.output thr.output;
   true
 
 let prop_interp_differential =
-  QCheck.Test.make ~name:"prepared = reference on random programs (interp)"
+  QCheck.Test.make ~name:"threaded = reference on random programs (interp)"
     ~count:50 program_arbitrary (fun src ->
       same "interp" (vm_snap Runtime.Interp.Reference src)
-        (vm_snap Runtime.Interp.Prepared src))
+        (vm_snap Runtime.Interp.Threaded src))
 
 (* Tiered differential: hot methods compile mid-run under both backends. *)
 let engine_snap (backend : Runtime.Interp.backend) (src : string) : snap =
@@ -339,6 +345,7 @@ let engine_snap (backend : Runtime.Interp.backend) (src : string) : snap =
       }
   in
   engine.vm.backend <- backend;
+  engine.vm.fusion <- Util.eager;
   let v = Jit.Engine.run_main engine in
   {
     output = Jit.Engine.output engine;
@@ -351,63 +358,12 @@ let engine_snap (backend : Runtime.Interp.backend) (src : string) : snap =
   }
 
 let prop_tiered_differential =
-  QCheck.Test.make ~name:"prepared = reference on random programs (tiered)"
+  QCheck.Test.make ~name:"threaded = reference on random programs (tiered)"
     ~count:30 program_arbitrary (fun src ->
       same "tiered" (engine_snap Runtime.Interp.Reference src)
-        (engine_snap Runtime.Interp.Prepared src))
+        (engine_snap Runtime.Interp.Threaded src))
 
 (* ---------- inline caches ---------- *)
-
-(* Inline caches must be observably transparent: disabling them changes
-   nothing the program (or the profile fold) can see. *)
-let vm_snap_ic ~(ic : bool) (src : string) : snap =
-  let prog = compile_ok src in
-  let vm = Runtime.Interp.create ~backend:Runtime.Interp.Prepared prog in
-  vm.ic_enabled <- ic;
-  let v = Runtime.Interp.run_main vm in
-  {
-    output = Runtime.Interp.output vm;
-    results = [ Runtime.Values.to_string v ];
-    cycles = vm.cycles;
-    steps = vm.steps;
-    profile = Runtime.Profile.to_text vm.profiles;
-    installed = 0;
-    epoch = vm.code_epoch;
-  }
-
-let prop_ic_differential =
-  QCheck.Test.make ~name:"ic-enabled = ic-disabled on random programs (interp)"
-    ~count:40 program_arbitrary (fun src ->
-      same "ic" (vm_snap_ic ~ic:false src) (vm_snap_ic ~ic:true src))
-
-let engine_snap_ic ~(ic : bool) (src : string) : snap =
-  let prog = compile_ok src in
-  let engine =
-    Jit.Engine.create prog
-      {
-        name = "diff-ic";
-        compiler = Some (Util.incremental ());
-        hotness_threshold = 2;
-        compile_cost_per_node = 50;
-        verify = false;
-      }
-  in
-  engine.vm.ic_enabled <- ic;
-  let v = Jit.Engine.run_main engine in
-  {
-    output = Jit.Engine.output engine;
-    results = [ Runtime.Values.to_string v ];
-    cycles = engine.vm.cycles;
-    steps = engine.vm.steps;
-    profile = Runtime.Profile.to_text engine.vm.profiles;
-    installed = Jit.Engine.installed_methods engine;
-    epoch = 0;
-  }
-
-let prop_ic_tiered_differential =
-  QCheck.Test.make ~name:"ic-enabled = ic-disabled on random programs (tiered)"
-    ~count:20 program_arbitrary (fun src ->
-      same "ic tiered" (engine_snap_ic ~ic:false src) (engine_snap_ic ~ic:true src))
 
 let ic_src =
   {|abstract class A { def m(x: Int): Int }
@@ -506,14 +462,17 @@ def main(): Unit = {
 }|}
   in
   let prog = Util.compile src in
-  let vm = Runtime.Interp.create ~backend:Runtime.Interp.Prepared prog in
+  let vm = Runtime.Interp.create prog in
   ignore (Runtime.Interp.run_main vm);
-  let _, _, mega = ic_totals (Runtime.Interp.ic_stats vm) in
-  let hits, _, _ = ic_totals (Runtime.Interp.ic_stats vm) in
+  let hits, _, mega = ic_totals (Runtime.Interp.ic_stats vm) in
   Alcotest.(check bool) "megamorphic fallbacks counted" true (mega > 0);
   Alcotest.(check bool) "cached classes keep hitting" true (hits > 0);
-  (* and transparency still holds on the megamorphic program *)
-  ignore (same "megamorphic" (vm_snap_ic ~ic:false src) (vm_snap_ic ~ic:true src))
+  (* and the caches stay transparent on the megamorphic program: the
+     reference walker dispatches without them *)
+  ignore
+    (same "megamorphic"
+       (vm_snap Runtime.Interp.Reference src)
+       (vm_snap Runtime.Interp.Threaded src))
 
 (* ---------- traps ---------- *)
 
@@ -556,9 +515,9 @@ let test_traps () =
   List.iter
     (fun (name, max_steps, src) ->
       let rmsg, rsnap = trap_snap ?max_steps Runtime.Interp.Reference src in
-      let pmsg, psnap = trap_snap ?max_steps Runtime.Interp.Prepared src in
-      Alcotest.(check string) (name ^ ": message") rmsg pmsg;
-      check_same name rsnap psnap)
+      let tmsg, tsnap = trap_snap ?max_steps Runtime.Interp.Threaded src in
+      Alcotest.(check string) (name ^ ": message") rmsg tmsg;
+      check_same name rsnap tsnap)
     trap_cases
 
 let () =
@@ -577,8 +536,6 @@ let () =
         ] );
       ( "inline caches",
         [
-          QCheck_alcotest.to_alcotest prop_ic_differential;
-          QCheck_alcotest.to_alcotest prop_ic_tiered_differential;
           test "installs and invalidations retire ic counters" test_ic_flush;
           test "megamorphic sites fall back, cached classes hit" test_ic_megamorphic;
         ] );

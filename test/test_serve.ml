@@ -255,10 +255,7 @@ let eviction_exactness_prop =
       = w.Workloads.Defs.expected
       && List.for_all
            (fun backend -> cached_output w ~cap ~backend = unbounded)
-           [
-             Runtime.Interp.Threaded; Runtime.Interp.Prepared;
-             Runtime.Interp.Reference;
-           ])
+           [ Runtime.Interp.Threaded; Runtime.Interp.Reference ])
 
 let rehot_src =
   {|def work(n: Int): Int = { var i = 0; var s = 0; while (i < n) { s = s + i * i; i = i + 1 }; s }

@@ -1,12 +1,13 @@
 (* Differential tests for the threaded execution tier: the [Threaded]
    backend — subroutine-threaded handler closures with profile-guided
-   superinstruction fusion — must be observationally identical to both
-   the [Reference] IR walker and the [Prepared] dispatch-match walker:
-   same output, same results, same simulated cycles, same step counts,
-   same folded profiles. Fusion batches the bookkeeping of a linear run
-   of ops into one handler, so these tests deliberately push methods
-   across the fusion thresholds and then look for drift at every
-   observable point, including traps landing mid-segment. *)
+   superinstruction fusion — must be observationally identical to the
+   [Reference] IR walker: same output, same results, same simulated
+   cycles, same step counts, same folded profiles. Fusion batches the
+   bookkeeping of a linear run of ops into one handler, so these tests
+   deliberately push methods across the fusion thresholds and then look
+   for drift at every observable point, including traps landing
+   mid-segment. The every-workload differential lives in
+   test_differential.ml. *)
 
 open Util
 
@@ -18,85 +19,6 @@ type snap = {
   profile : string;
   installed : int;
 }
-
-let check_same what (ref_ : snap) (thr : snap) =
-  let s = Alcotest.(check string) and i = Alcotest.(check int) in
-  s (what ^ ": output") ref_.output thr.output;
-  Alcotest.(check (list string)) (what ^ ": results") ref_.results thr.results;
-  i (what ^ ": cycles") ref_.cycles thr.cycles;
-  i (what ^ ": steps") ref_.steps thr.steps;
-  s (what ^ ": profiles") ref_.profile thr.profile;
-  i (what ^ ": installed methods") ref_.installed thr.installed
-
-(* Aggressive thresholds: fuse after a handful of invocations so short
-   test runs exercise the stage-0 -> stage-1 re-lowering and the fused
-   fast path, not just the cold lowering. Fusion is threshold-transparent
-   by design, so any thresholds must produce identical observables. *)
-let eager : Runtime.Prepared.fusion_config =
-  { fuse_invocations = 3; min_block_count = 2; max_fused_len = 8 }
-
-let run_workload ?compiler ?spec_miss_threshold ?fusion ~(hotness : int)
-    ~(iters : int) (backend : Runtime.Interp.backend) (w : Workloads.Defs.t) :
-    snap =
-  let prog = Workloads.Registry.compile w in
-  let engine =
-    Jit.Engine.create ?spec_miss_threshold prog
-      {
-        name = "thr-diff";
-        compiler;
-        hotness_threshold = hotness;
-        compile_cost_per_node = 50;
-        verify = false;
-      }
-  in
-  engine.vm.backend <- backend;
-  (match fusion with Some f -> engine.vm.fusion <- f | None -> ());
-  let results = ref [] in
-  let record v = results := Runtime.Values.to_string v :: !results in
-  record (Jit.Engine.run_main engine);
-  for _ = 1 to iters do
-    record (Jit.Engine.run_meth engine "bench" [ Runtime.Values.Vunit ])
-  done;
-  {
-    output = Jit.Engine.output engine;
-    results = List.rev !results;
-    cycles = engine.vm.cycles;
-    steps = engine.vm.steps;
-    profile = Runtime.Profile.to_text engine.vm.profiles;
-    installed = Jit.Engine.installed_methods engine;
-  }
-
-(* ---------- every workload, three-way, interpreter only ---------- *)
-
-let test_workloads_threaded () =
-  List.iter
-    (fun (w : Workloads.Defs.t) ->
-      (* enough bench invocations to cross [eager.fuse_invocations] *)
-      let run ?fusion b = run_workload ?fusion ~hotness:max_int ~iters:6 b w in
-      let ref_ = run Runtime.Interp.Reference in
-      let pre = run Runtime.Interp.Prepared in
-      let thr = run ~fusion:eager Runtime.Interp.Threaded in
-      check_same (w.name ^ " ref=thr") ref_ thr;
-      check_same (w.name ^ " pre=thr") pre thr)
-    Workloads.Registry.all
-
-(* ---------- tiered: compile, install, invalidate under threading ---------- *)
-
-let test_workloads_tiered_threaded () =
-  let subset =
-    List.filteri (fun i _ -> i mod 3 = 0) Workloads.Registry.all
-  in
-  List.iter
-    (fun (w : Workloads.Defs.t) ->
-      let run ?fusion b =
-        run_workload ?fusion
-          ~compiler:(Util.incremental ())
-          ~spec_miss_threshold:4 ~hotness:3 ~iters:(min w.iters 12) b w
-      in
-      let ref_ = run Runtime.Interp.Reference in
-      let thr = run ~fusion:eager Runtime.Interp.Threaded in
-      check_same (w.name ^ " (tiered)") ref_ thr)
-    subset
 
 (* ---------- random programs ---------- *)
 
@@ -210,9 +132,9 @@ let same what (ref_ : snap) (thr : snap) =
 let prop_threaded_interp =
   QCheck.Test.make ~name:"threaded = reference on random programs (interp)"
     ~count:50 program_arbitrary (fun src ->
-      let thr = vm_snap ~fusion:eager Runtime.Interp.Threaded src in
-      ignore (same "thr=ref" (vm_snap Runtime.Interp.Reference src) thr);
-      same "thr=pre" (vm_snap Runtime.Interp.Prepared src) thr)
+      same "thr=ref"
+        (vm_snap Runtime.Interp.Reference src)
+        (vm_snap ~fusion:eager Runtime.Interp.Threaded src))
 
 let engine_snap ?fusion (backend : Runtime.Interp.backend) (src : string) : snap =
   let prog = compile_ok src in
@@ -418,12 +340,6 @@ let test_superinst_determinism () =
 let () =
   Alcotest.run "threaded"
     [
-      ( "workloads",
-        [
-          test "all workloads, three-way, interpreter only" test_workloads_threaded;
-          test "workload subset, tiered with invalidation"
-            test_workloads_tiered_threaded;
-        ] );
       ( "random",
         [
           QCheck_alcotest.to_alcotest prop_threaded_interp;
