@@ -24,10 +24,20 @@ type target = Known of meth_id | Unknown of string (* unresolved selector *)
 
 type kind =
   | Cutoff of target
-  | Expanded of { body : fn; n_opts : int }
+  | Expanded of { body : fn; size : int; n_opts : int }
+      (* [size] is [Ir.Fn.size body]: the body is never mutated *)
   | Poly of string                     (* selector; children carry targets *)
   | Generic of string                  (* reason it cannot be inlined *)
   | Deleted
+
+(* A node's subtree aggregates for one expansion step (see [summarize]). *)
+type summary = {
+  mutable s_ir : int;                  (* S_ir(n): attached and prospective size *)
+  mutable s_b : int;                   (* S_b(n): size of the cutoff frontier *)
+  mutable n_c : int;                   (* N_c(n): cutoffs in the subtree *)
+  mutable candidate : bool;            (* holds a cutoff not declined this phase *)
+  mutable p_i : float;                 (* P_I(n), Eq. 5 *)
+}
 
 type node = {
   nid : int;
@@ -50,6 +60,16 @@ type node = {
   mutable front : node list;
   (* expansion bookkeeping *)
   mutable declined : bool;             (* failed the expansion threshold this phase *)
+  mutable unknown_size : int option;   (* memoized |ir(n)| of an Unknown cutoff *)
+  sum : summary;
+}
+
+(* Tree-level aggregates, shared by copies of [t]; [stale] is set by every
+   change to the tree and cleared by [summarize]. *)
+type totals = {
+  mutable stale : bool;
+  mutable tree_s_ir : int;             (* |ir(root)| + S_ir over the root's children *)
+  mutable tree_n_c : int;
 }
 
 type t = {
@@ -62,6 +82,8 @@ type t = {
   mutable next_id : int;
   mutable next_syn_site : int;         (* synthetic (negative) site ids *)
   trial_cache : Trial_cache.t option;  (* cross-compilation trial memoization *)
+  body_sizes : (meth_id, int option) Hashtbl.t;  (* prepared body sizes *)
+  totals : totals;
 }
 
 let fresh_id t =
@@ -79,56 +101,48 @@ let prepared_body (t : t) (m : meth_id) : fn option = (Ir.Program.meth t.prog m)
 
 let default_unknown_size = 25
 
+(* Size of a method's prepared body, memoized per method: prepared bodies
+   do not change while a method compiles. [None] for abstract methods. *)
+let body_size (t : t) (m : meth_id) : int option =
+  match Hashtbl.find_opt t.body_sizes m with
+  | Some size -> size
+  | None ->
+      let size = Option.map Ir.Fn.size (prepared_body t m) in
+      Hashtbl.replace t.body_sizes m size;
+      size
+
+(* The receiver-profile estimate of an Unknown cutoff's size. *)
+let estimate_unknown_size (t : t) (n : node) (sel : string) : int =
+  match Runtime.Profile.receiver_profile t.profiles n.site with
+  | [] -> default_unknown_size
+  | profile ->
+      let sizes =
+        List.filter_map
+          (fun (c, p) ->
+            match Ir.Program.resolve t.prog c sel with
+            | Some m -> Option.map (fun size -> float_of_int size *. p) (body_size t m)
+            | None -> None)
+          profile
+      in
+      if sizes = [] then default_unknown_size
+      else int_of_float (List.fold_left ( +. ) 0.0 sizes)
+
 (* |ir(n)|: the size of what inlining this node would add. *)
 let node_size (t : t) (n : node) : int =
   match n.kind with
-  | Expanded { body; _ } -> Ir.Fn.size body
-  | Cutoff (Known m) -> (
-      match prepared_body t m with Some fn -> Ir.Fn.size fn | None -> default_unknown_size)
+  | Expanded { size; _ } -> size
+  | Cutoff (Known m) -> Option.value (body_size t m) ~default:default_unknown_size
   | Cutoff (Unknown sel) -> (
-      (* estimate from the receiver profile when available *)
-      match Runtime.Profile.receiver_profile t.profiles n.site with
-      | [] -> default_unknown_size
-      | profile ->
-          let sizes =
-            List.filter_map
-              (fun (c, p) ->
-                match Ir.Program.resolve t.prog c sel with
-                | Some m -> (
-                    match prepared_body t m with
-                    | Some fn -> Some (float_of_int (Ir.Fn.size fn) *. p)
-                    | None -> None)
-                | None -> None)
-              profile
-          in
-          if sizes = [] then default_unknown_size
-          else int_of_float (List.fold_left ( +. ) 0.0 sizes))
+      match n.unknown_size with
+      | Some size -> size
+      | None ->
+          (* a node's site and selector never change, nor does the profile
+             during a compilation *)
+          let size = estimate_unknown_size t n sel in
+          n.unknown_size <- Some size;
+          size)
   | Poly _ -> 2 * max 1 (List.length n.children)  (* the typeswitch cascade *)
   | Generic _ | Deleted -> 0
-
-let rec s_ir (t : t) (n : node) : int =
-  match n.kind with
-  | Deleted | Generic _ -> 0
-  | _ -> node_size t n + List.fold_left (fun acc c -> acc + s_ir t c) 0 n.children
-
-let rec s_b (t : t) (n : node) : int =
-  match n.kind with
-  | Deleted | Generic _ -> 0
-  | Cutoff _ -> node_size t n
-  | _ -> List.fold_left (fun acc c -> acc + s_b t c) 0 n.children
-
-let rec n_c (n : node) : int =
-  match n.kind with
-  | Deleted | Generic _ -> 0
-  | Cutoff _ -> 1
-  | _ -> List.fold_left (fun acc c -> acc + n_c c) 0 n.children
-
-(* Tree-level aggregates treat the root as an expanded node over the
-   working root IR. *)
-let tree_s_ir (t : t) : int =
-  Ir.Fn.size t.root_fn + List.fold_left (fun acc c -> acc + s_ir t c) 0 t.children
-
-let tree_n_c (t : t) : int = List.fold_left (fun acc c -> acc + n_c c) 0 t.children
 
 (* B_L(n), Eq. 4 / Eq. 13. *)
 let rec local_benefit (t : t) (n : node) : float =
@@ -145,6 +159,73 @@ let rec_depth (n : node) : int =
   match n.kind with
   | Cutoff (Known m) -> List.length (List.filter (( = ) m) n.ancestors)
   | _ -> 0
+
+(* ψ_r(n), Eq. 14: pressure against monopolizing exploration with
+   recursion. d(n)=1 (first recursive occurrence) is free. *)
+let psi_r (n : node) : float =
+  let d = rec_depth n in
+  max 1.0 n.freq *. max 0.0 ((2.0 ** float_of_int d) -. 2.0)
+
+(* ---------- the expansion summary ---------- *)
+
+(* One bottom-up pass fills every node's [sum]: S_ir, S_b, N_c, whether
+   the subtree holds a cutoff still worth visiting this phase, and P_I
+   (Eq. 5) — benefit per node less ψ_r for a cutoff, the maximum over the
+   candidate children for an expanded or poly node. Nodes below a Deleted
+   or Generic node are summarized too, though their parent ignores them. *)
+let rec summarize_node (t : t) (n : node) : unit =
+  List.iter (summarize_node t) n.children;
+  let s = n.sum in
+  let sum f = List.fold_left (fun acc c -> acc + f c.sum) 0 n.children in
+  match n.kind with
+  | Deleted | Generic _ ->
+      s.s_ir <- 0;
+      s.s_b <- 0;
+      s.n_c <- 0;
+      s.candidate <- false;
+      s.p_i <- neg_infinity
+  | Cutoff _ ->
+      let size = node_size t n in
+      s.s_ir <- size + sum (fun c -> c.s_ir);
+      s.s_b <- size;
+      s.n_c <- 1;
+      s.candidate <- not n.declined;
+      s.p_i <- (local_benefit t n /. float_of_int (max 1 size)) -. psi_r n
+  | Expanded _ | Poly _ ->
+      s.s_ir <- node_size t n + sum (fun c -> c.s_ir);
+      s.s_b <- sum (fun c -> c.s_b);
+      s.n_c <- sum (fun c -> c.n_c);
+      s.candidate <- List.exists (fun c -> c.sum.candidate) n.children;
+      s.p_i <-
+        List.fold_left
+          (fun acc c -> if c.sum.candidate then max acc c.sum.p_i else acc)
+          neg_infinity n.children
+
+(* Tree-level aggregates treat the root as an expanded node over the
+   working root IR. *)
+let summarize (t : t) : unit =
+  List.iter (summarize_node t) t.children;
+  let totals = t.totals in
+  totals.tree_s_ir <-
+    Ir.Fn.size t.root_fn + List.fold_left (fun acc c -> acc + c.sum.s_ir) 0 t.children;
+  totals.tree_n_c <- List.fold_left (fun acc c -> acc + c.sum.n_c) 0 t.children;
+  totals.stale <- false
+
+let touch (t : t) : unit = t.totals.stale <- true
+
+let totals (t : t) : totals =
+  if t.totals.stale then summarize t;
+  t.totals
+
+let summary (t : t) (n : node) : summary =
+  ignore (totals t);
+  n.sum
+
+let s_ir (t : t) (n : node) : int = (summary t n).s_ir
+let s_b (t : t) (n : node) : int = (summary t n).s_b
+let n_c (t : t) (n : node) : int = (summary t n).n_c
+let tree_s_ir (t : t) : int = (totals t).tree_s_ir
+let tree_n_c (t : t) : int = (totals t).tree_n_c
 
 (* ---------- frequencies ---------- *)
 
@@ -289,6 +370,8 @@ let make_node (t : t) ~pnid ~tname ~kind ~call_vid ~owner ~site ~freq ~prob ~rec
     in_parent_cluster = false;
     front = [];
     declined = false;
+    unknown_size = None;
+    sum = { s_ir = 0; s_b = 0; n_c = 0; candidate = false; p_i = neg_infinity };
   }
 
 (* Creates cutoff children for every call in [body] (the specialized copy
@@ -343,6 +426,8 @@ let create ?trial_cache (prog : program) (profiles : Runtime.Profile.t)
       next_id = 0;
       next_syn_site = -1;
       trial_cache;
+      body_sizes = Hashtbl.create 16;
+      totals = { stale = true; tree_s_ir = 0; tree_n_c = 0 };
     }
   in
   (* the root method itself is the first link of every call path, so a
@@ -384,6 +469,7 @@ let poly_targets (t : t) (n : node) (sel : string) : (class_id * meth_id * float
    it polymorphic (Poly) or marks it Generic. Returns true if the tree
    gained an expanded or poly node. *)
 let expand_cutoff (t : t) (n : node) : bool =
+  touch t;
   match n.kind with
   | Cutoff (Known m) ->
       let depth = List.length (List.filter (( = ) m) n.ancestors) in
@@ -408,7 +494,7 @@ let expand_cutoff (t : t) (n : node) : bool =
               t.params.deep_trials || List.length n.ancestors <= 1
             in
             let body, n_opts, n_a = specialize ~callee_m:m t ~enabled ~callee_body ~sg in
-            n.kind <- Expanded { body; n_opts };
+            n.kind <- Expanded { body; size = Ir.Fn.size body; n_opts };
             n.n_args_refined <- n_a;
             n.spec_sig <- sg;
             n.children <-
@@ -468,7 +554,7 @@ let rec refresh_node (t : t) (n : node) : unit =
             in
             if signature_improves t.prog ~old_sig:n.spec_sig ~new_sig:sg then begin
               let body, n_opts, n_a = specialize ~callee_m:m t ~enabled:true ~callee_body ~sg in
-              n.kind <- Expanded { body; n_opts };
+              n.kind <- Expanded { body; size = Ir.Fn.size body; n_opts };
               n.n_args_refined <- n_a;
               n.spec_sig <- sg;
               n.children <-
@@ -514,6 +600,7 @@ let scan_orphans (t : t) : unit =
     orphans
 
 let refresh (t : t) : unit =
+  touch t;
   List.iter (refresh_node t) t.children;
   scan_orphans t
 

@@ -14,10 +14,22 @@ type target = Known of meth_id | Unknown of string
 
 type kind =
   | Cutoff of target
-  | Expanded of { body : fn; n_opts : int }
+  | Expanded of { body : fn; size : int; n_opts : int }
+      (** [size] is [Ir.Fn.size body], taken when the body is attached: an
+          attached body is never mutated *)
   | Poly of string
   | Generic of string
   | Deleted
+
+(** A node's subtree aggregates, refreshed by one bottom-up pass per
+    expansion step. *)
+type summary = {
+  mutable s_ir : int;             (** S_ir(n): attached plus prospective size *)
+  mutable s_b : int;              (** S_b(n): size of the cutoff frontier *)
+  mutable n_c : int;              (** N_c(n): cutoffs in the subtree *)
+  mutable candidate : bool;       (** holds a cutoff not declined this phase *)
+  mutable p_i : float;            (** P_I(n), Eq. 5 *)
+}
 
 type node = {
   nid : int;
@@ -38,6 +50,15 @@ type node = {
   mutable in_parent_cluster : bool;
   mutable front : node list;
   mutable declined : bool;        (** failed the expansion threshold this phase *)
+  mutable unknown_size : int option;  (** memoized |ir(n)| of an Unknown cutoff *)
+  sum : summary;
+}
+
+(** Tree-level aggregates, shared by copies of a {!t}. *)
+type totals = {
+  mutable stale : bool;           (** the tree changed since the last summary *)
+  mutable tree_s_ir : int;
+  mutable tree_n_c : int;
 }
 
 type t = {
@@ -50,6 +71,8 @@ type t = {
   mutable next_id : int;
   mutable next_syn_site : int;
   trial_cache : Trial_cache.t option;
+  body_sizes : (meth_id, int option) Hashtbl.t;  (** prepared body sizes, per method *)
+  totals : totals;
 }
 
 val create :
@@ -74,19 +97,38 @@ val node_depth : node -> int
 (** {1 Metrics} *)
 
 val node_size : t -> node -> int
-(** |ir(n)|: the size inlining this node would add. *)
-
-val s_ir : t -> node -> int
-val s_b : t -> node -> int
-val n_c : node -> int
-val tree_s_ir : t -> int
-val tree_n_c : t -> int
+(** |ir(n)|: the size inlining this node would add. Memoized per method
+    for a Known cutoff and per node for an Unknown one. *)
 
 val local_benefit : t -> node -> float
 (** B_L(n), Eq. 4 (cutoff/expanded) and Eq. 13 (poly). *)
 
 val rec_depth : node -> int
 (** d(n) for the recursion penalty ψ_r (Eq. 14). *)
+
+val psi_r : node -> float
+(** Recursion penalty ψ_r (Eq. 14). *)
+
+(** {1 The expansion summary}
+
+    One bottom-up pass computes every node's {!summary} and the tree
+    totals. The readers below run it when the tree changed since the last
+    one, so the expansion phase pays one pass per step. *)
+
+val touch : t -> unit
+(** Marks the summary stale. Every change to the tree's shape, node kinds
+    or declined flags calls it. *)
+
+val summary : t -> node -> summary
+
+val s_ir : t -> node -> int
+val s_b : t -> node -> int
+val n_c : t -> node -> int
+
+val tree_s_ir : t -> int
+(** |ir(root)| plus S_ir over the root's children. *)
+
+val tree_n_c : t -> int
 
 (** {1 Deep inlining trials} *)
 

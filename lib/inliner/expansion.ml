@@ -13,80 +13,47 @@
    Expansion threshold (adaptive, Eq. 8):
      B_L(n)/|ir(n)| ≥ e^((S_ir(root) − r1)/r2)
    or, under the Fixed ablation policy, expansion continues while the total
-   call-tree size stays under T_e. *)
+   call-tree size stays under T_e.
+
+   The descent, the penalties, the threshold and the telemetry all read
+   the call tree's summary ({!Calltree.summary}), which one bottom-up pass
+   refreshes after each step changed the tree. *)
 
 open Calltree
 
-let neg_inf = neg_infinity
-
-(* ψ_r(n), Eq. 14: pressure against monopolizing exploration with
-   recursion. d(n)=1 (first recursive occurrence) is free. *)
-let psi_r (n : node) : float =
-  let d = rec_depth n in
-  max 1.0 n.freq *. max 0.0 ((2.0 ** float_of_int d) -. 2.0)
+let psi_r = Calltree.psi_r
 
 (* ψ(n), Eq. 7. *)
 let psi (t : t) (n : node) : float =
   let p = t.params in
-  let ncn = float_of_int (n_c n) in
+  let ncn = float_of_int (n_c t n) in
   (p.p1 *. float_of_int (s_ir t n))
   +. (p.p2 *. float_of_int (s_b t n))
   -. (p.b1 *. max 0.0 (p.b2 -. (ncn *. ncn)))
 
-(* Does the subtree contain a cutoff still worth visiting this phase? *)
-let rec has_candidate (n : node) : bool =
-  match n.kind with
-  | Cutoff _ -> not n.declined
-  | Expanded _ | Poly _ -> List.exists has_candidate n.children
-  | Generic _ | Deleted -> false
-
-let rec intrinsic_priority (t : t) (n : node) : float =
-  match n.kind with
-  | Cutoff _ ->
-      let size = max 1 (node_size t n) in
-      (local_benefit t n /. float_of_int size) -. psi_r n
-  | Expanded _ | Poly _ ->
-      List.fold_left
-        (fun acc c -> if has_candidate c then max acc (intrinsic_priority t c) else acc)
-        neg_inf n.children
-  | Generic _ | Deleted -> neg_inf
-
+let intrinsic_priority (t : t) (n : node) : float = (summary t n).p_i
 let priority (t : t) (n : node) : float = intrinsic_priority t n -. psi t n
+
+(* The highest-priority child whose subtree holds a candidate cutoff; the
+   first one wins ties. *)
+let best_child (t : t) (children : node list) : node option =
+  List.fold_left
+    (fun acc c ->
+      if not (summary t c).candidate then acc
+      else
+        match acc with
+        | None -> Some c
+        | Some b -> if priority t c > priority t b then Some c else acc)
+    None children
 
 (* Walks from the root to the most promising cutoff. *)
 let rec descend (t : t) (n : node) : node option =
   match n.kind with
   | Cutoff _ -> if n.declined then None else Some n
-  | Expanded _ | Poly _ -> (
-      let candidates = List.filter has_candidate n.children in
-      match candidates with
-      | [] -> None
-      | _ ->
-          let best =
-            List.fold_left
-              (fun acc c ->
-                match acc with
-                | None -> Some c
-                | Some b -> if priority t c > priority t b then Some c else acc)
-              None candidates
-          in
-          Option.bind best (descend t))
+  | Expanded _ | Poly _ -> Option.bind (best_child t n.children) (descend t)
   | Generic _ | Deleted -> None
 
-let best_cutoff (t : t) : node option =
-  let candidates = List.filter has_candidate t.children in
-  match candidates with
-  | [] -> None
-  | _ ->
-      let best =
-        List.fold_left
-          (fun acc c ->
-            match acc with
-            | None -> Some c
-            | Some b -> if priority t c > priority t b then Some c else acc)
-          None candidates
-      in
-      Option.bind best (descend t)
+let best_cutoff (t : t) : node option = Option.bind (best_child t t.children) (descend t)
 
 (* The expansion threshold for one cutoff. *)
 let may_expand (t : t) (n : node) : bool =
@@ -140,6 +107,7 @@ let run (t : t) : int =
     List.iter clear n.children
   in
   List.iter clear t.children;
+  touch t;
   let expanded = ref 0 in
   let continue_ = ref true in
   while !continue_ && !expanded < t.params.max_expansions_per_round do
@@ -163,7 +131,9 @@ let run (t : t) : int =
           | Params.Fixed _ ->
               (* the budget is global: once exceeded, the phase is over *)
               continue_ := false
-          | Params.Adaptive -> n.declined <- true
+          | Params.Adaptive ->
+              n.declined <- true;
+              touch t
         end
   done;
   !expanded

@@ -21,22 +21,23 @@ module Log = (val Logs.src_log log_src)
 
 (* The numeric gate [can_inline] compares against, for telemetry: the
    adaptive ratio bound (Eq. 12) or the fixed root-size budget T_i
-   (compared against the root size, not the ratio). *)
-let threshold_value (t : t) (n : node) : float =
+   (compared against the root size, not the ratio). [root_size] is
+   |ir(root)|, computed once by the caller. *)
+let threshold_value (t : t) (n : node) ~(root_size : int) : float =
   match t.params.threshold_policy with
   | Params.Fixed { ti; _ } -> float_of_int ti
   | Params.Adaptive ->
       let p = t.params in
-      let root_size = float_of_int (Ir.Fn.size t.root_fn) in
+      let root_size = float_of_int root_size in
       let _, cost = n.tuple in
       p.t1 *. (2.0 ** ((root_size +. cost -. p.t2) /. p.tscale))
 
-let can_inline (t : t) (n : node) : bool =
-  Ir.Fn.size t.root_fn < t.params.root_size_cap
+let can_inline (t : t) (n : node) ~(root_size : int) : bool =
+  root_size < t.params.root_size_cap
   &&
   match t.params.threshold_policy with
-  | Params.Fixed _ -> float_of_int (Ir.Fn.size t.root_fn) < threshold_value t n
-  | Params.Adaptive -> Analysis.ratio n.tuple >= threshold_value t n
+  | Params.Fixed _ -> float_of_int root_size < threshold_value t n ~root_size
+  | Params.Adaptive -> Analysis.ratio n.tuple >= threshold_value t n ~root_size
 
 let m_inlines = Obs.Metrics.counter "inliner.inlines"
 let m_inline_depth = Obs.Metrics.histogram "inliner.inline_depth"
@@ -47,6 +48,7 @@ let m_inline_depth = Obs.Metrics.histogram "inliner.inline_depth"
    [threshold] is informational. *)
 let trace_decision (t : t) (n : node) ~(verdict : string) ~(cluster : bool) : unit =
   Obs.Trace.emit "inline_decision" (fun () ->
+      let root_size = Ir.Fn.size t.root_fn in
       Support.Json.
         [
           ("root", Int t.root_meth);
@@ -60,8 +62,8 @@ let trace_decision (t : t) (n : node) ~(verdict : string) ~(cluster : bool) : un
           ("benefit", Float (fst n.tuple));
           ("cost", Float (snd n.tuple));
           ("priority", Float (Analysis.ratio n.tuple));
-          ("threshold", Float (threshold_value t n));
-          ("root_size", Int (Ir.Fn.size t.root_fn));
+          ("threshold", Float (threshold_value t n ~root_size));
+          ("root_size", Int root_size);
           ("cluster", Bool cluster);
           ("verdict", String verdict);
         ])
@@ -71,6 +73,7 @@ let trace_decision (t : t) (n : node) ~(verdict : string) ~(cluster : bool) : un
    inlined. *)
 let rec inline_node (t : t) (n : node) : int =
   assert (n.owner == t.root_fn);
+  touch t;
   let record () =
     Obs.Metrics.incr m_inlines;
     Obs.Metrics.observe m_inline_depth (node_depth n)
@@ -136,16 +139,15 @@ let run (t : t) : int =
     | None -> continue_ := false
     | Some n ->
         queue := List.filter (fun m -> m.nid <> n.nid) !queue;
+        let root_size = Ir.Fn.size t.root_fn in
+        let inline = can_inline t n ~root_size in
+        let verdict = if inline then "inline" else "skip" in
         Log.debug (fun m_ ->
             m_ "consider v%d tuple=%.2f|%.0f ratio=%.4f root=%d -> %s" n.call_vid
-              (fst n.tuple) (snd n.tuple) (Analysis.ratio n.tuple)
-              (Ir.Fn.size t.root_fn)
-              (if can_inline t n then "inline" else "skip"));
-        trace_decision t n
-          ~verdict:(if can_inline t n then "inline" else "skip")
-          ~cluster:false;
-        if Ir.Fn.size t.root_fn >= t.params.root_size_cap then continue_ := false
-        else if can_inline t n then begin
+              (fst n.tuple) (snd n.tuple) (Analysis.ratio n.tuple) root_size verdict);
+        trace_decision t n ~verdict ~cluster:false;
+        if root_size >= t.params.root_size_cap then continue_ := false
+        else if inline then begin
           let k = inline_node t n in
           inlined := !inlined + k;
           (* the cluster's front becomes direct children of the root *)

@@ -124,6 +124,7 @@ let build (prog : program) (fn : fn) ~(call_vid : vid)
 let materialize (t : Calltree.t) (n : Calltree.node) : bool =
   let open Calltree in
   let sel = match n.kind with Poly sel -> sel | _ -> invalid_arg "Typeswitch.materialize" in
+  touch t;
   let targets =
     List.filter_map
       (fun (c : node) ->

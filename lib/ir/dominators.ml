@@ -1,73 +1,84 @@
 (* Dominator tree via the Cooper–Harvey–Kennedy iterative algorithm.
-   Operates on reachable blocks only. *)
+   Operates on reachable blocks only.
+
+   Every table is a dense array indexed by block id, sized to the block
+   count when the tree was computed. The tree's children lists and a
+   pre/post numbering of its depth-first walk are built once, so
+   [children] and [dominates] answer in O(1). *)
 
 open Types
 
 type t = {
-  idom : (bid, bid) Hashtbl.t;  (* immediate dominator; entry maps to itself *)
-  order : bid list;             (* reverse postorder *)
-  index : (bid, int) Hashtbl.t; (* rpo index *)
+  idom : bid array;      (* immediate dominator; entry maps to itself, -1 unreachable *)
+  children : bid list array;  (* ascending *)
+  pre : int array;       (* dominator-tree preorder number; -1 unreachable *)
+  post : int array;      (* dominator-tree postorder number *)
+  order : bid list;      (* reverse postorder *)
 }
 
 let compute (fn : fn) : t =
+  let n = Support.Vec.length fn.blocks in
   let order = Fn.rpo fn in
-  let index = Hashtbl.create 16 in
-  List.iteri (fun i b -> Hashtbl.replace index b i) order;
-  let preds = Fn.preds fn in
-  let idom = Hashtbl.create 16 in
-  Hashtbl.replace idom fn.entry fn.entry;
-  let intersect b1 b2 =
-    let rec go f1 f2 =
-      if f1 = f2 then f1
-      else
-        let i1 = Hashtbl.find index f1 and i2 = Hashtbl.find index f2 in
-        if i1 > i2 then go (Hashtbl.find idom f1) f2
-        else go f1 (Hashtbl.find idom f2)
-    in
-    go b1 b2
+  let rpo = Array.of_list order in
+  let index = Array.make n (-1) in
+  Array.iteri (fun i b -> index.(b) <- i) rpo;
+  (* predecessors among reachable blocks *)
+  let preds = Array.make n [] in
+  Array.iter (fun b -> List.iter (fun s -> preds.(s) <- b :: preds.(s)) (Fn.succs fn b)) rpo;
+  let idom = Array.make n (-1) in
+  idom.(fn.entry) <- fn.entry;
+  let rec intersect f1 f2 =
+    if f1 = f2 then f1
+    else if index.(f1) > index.(f2) then intersect idom.(f1) f2
+    else intersect f1 idom.(f2)
   in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun b ->
-        if b <> fn.entry then begin
-          let ps =
-            (try Hashtbl.find preds b with Not_found -> [])
-            |> List.filter (fun x -> Hashtbl.mem index x)
-          in
-          let processed = List.filter (fun x -> Hashtbl.mem idom x) ps in
-          match processed with
-          | [] -> ()
-          | first :: rest ->
-              let new_idom = List.fold_left intersect first rest in
-              if Hashtbl.find_opt idom b <> Some new_idom then begin
-                Hashtbl.replace idom b new_idom;
-                changed := true
-              end
-        end)
-      order
+    for i = 1 to Array.length rpo - 1 do
+      let b = rpo.(i) in
+      let new_idom =
+        List.fold_left
+          (fun acc p ->
+            if idom.(p) < 0 then acc else if acc < 0 then p else intersect p acc)
+          (-1) preds.(b)
+      in
+      if new_idom >= 0 && idom.(b) <> new_idom then begin
+        idom.(b) <- new_idom;
+        changed := true
+      end
+    done
   done;
-  { idom; order; index }
-
-let idom t b = if b = -1 then None else Hashtbl.find_opt t.idom b
-
-(* Does [a] dominate [b]? Walks the idom chain from [b] to the entry. *)
-let dominates t ~(a : bid) ~(b : bid) : bool =
-  let rec up x =
-    if x = a then true
-    else
-      match Hashtbl.find_opt t.idom x with
-      | Some parent when parent <> x -> up parent
-      | _ -> false
+  let children = Array.make n [] in
+  for b = n - 1 downto 0 do
+    if idom.(b) >= 0 && b <> fn.entry then children.(idom.(b)) <- b :: children.(idom.(b))
+  done;
+  let pre = Array.make n (-1) and post = Array.make n (-1) in
+  let clock = ref 0 in
+  let rec walk b =
+    pre.(b) <- !clock;
+    incr clock;
+    List.iter walk children.(b);
+    post.(b) <- !clock;
+    incr clock
   in
-  up b
+  if n > 0 then walk fn.entry;
+  { idom; children; pre; post; order }
+
+let reachable t b = b >= 0 && b < Array.length t.idom && t.idom.(b) >= 0
+
+let idom t b = if reachable t b then Some t.idom.(b) else None
+
+(* Does [a] dominate [b]? [a] is an ancestor of [b] in the dominator tree
+   exactly when its preorder/postorder interval encloses [b]'s. *)
+let dominates t ~(a : bid) ~(b : bid) : bool =
+  a = b
+  || reachable t a
+     && reachable t b
+     && t.pre.(a) <= t.pre.(b)
+     && t.post.(b) <= t.post.(a)
 
 (* Children in the dominator tree. *)
-let children t (b : bid) : bid list =
-  Hashtbl.fold
-    (fun child parent acc -> if parent = b && child <> b then child :: acc else acc)
-    t.idom []
-  |> List.sort compare
+let children t (b : bid) : bid list = if reachable t b then t.children.(b) else []
 
 let rpo t = t.order

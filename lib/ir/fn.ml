@@ -105,6 +105,25 @@ let delete_instr fn (v : vid) =
     Vec.set fn.instrs v None
   end
 
+let delete_instrs fn (dead : vid -> bool) : int =
+  let n = ref 0 in
+  Vec.iter
+    (function
+      | Some (blk : block) ->
+          blk.instrs <-
+            List.filter
+              (fun v ->
+                if dead v then begin
+                  Vec.set fn.instrs v None;
+                  incr n;
+                  false
+                end
+                else true)
+              blk.instrs
+      | None -> ())
+    fn.blocks;
+  !n
+
 let delete_block fn (b : bid) =
   if block_live fn b then begin
     let blk = block fn b in

@@ -56,6 +56,11 @@ val delete_instr : fn -> vid -> unit
 (** Removes the instruction from its block and tombstones it. Uses are not
     rewritten — callers must have replaced them. *)
 
+val delete_instrs : fn -> (vid -> bool) -> int
+(** Removes and tombstones every placed instruction the predicate selects,
+    in one sweep over the blocks; returns how many. Uses are not
+    rewritten. *)
+
 val delete_block : fn -> bid -> unit
 (** Tombstones the block and every instruction it contains. *)
 

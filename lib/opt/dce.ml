@@ -29,9 +29,4 @@ let run (fn : fn) : int =
     if Ir.Fn.instr_live fn v then
       List.iter mark (Ir.Instr.operands (Ir.Fn.kind fn v))
   done;
-  let dead = ref [] in
-  Ir.Fn.iter_instrs
-    (fun i -> if not (Hashtbl.mem marked i.id) then dead := i.id :: !dead)
-    fn;
-  List.iter (fun v -> Ir.Fn.delete_instr fn v) !dead;
-  List.length !dead
+  Ir.Fn.delete_instrs fn (fun v -> not (Hashtbl.mem marked v))

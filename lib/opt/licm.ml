@@ -141,18 +141,23 @@ let hoist_loop (fn : fn) (l : Ir.Loops.loop) : int =
         Hashtbl.length moved
 
 let run (fn : fn) : int =
-  (* loop set is recomputed per hoisted loop: preheaders change the CFG *)
+  (* a loop that hoisted anything got a preheader, which changes the CFG:
+     only then is the loop set recomputed *)
   let total = ref 0 in
   let continue_ = ref true in
   let processed : (bid, unit) Hashtbl.t = Hashtbl.create 8 in
+  let loops = ref (Ir.Loops.compute fn).loops in
   while !continue_ do
-    let loops = (Ir.Loops.compute fn).loops in
     match
-      List.find_opt (fun (l : Ir.Loops.loop) -> not (Hashtbl.mem processed l.header)) loops
+      List.find_opt (fun (l : Ir.Loops.loop) -> not (Hashtbl.mem processed l.header)) !loops
     with
     | None -> continue_ := false
     | Some l ->
         Hashtbl.replace processed l.header ();
-        total := !total + hoist_loop fn l
+        let hoisted = hoist_loop fn l in
+        if hoisted > 0 then begin
+          total := !total + hoisted;
+          loops := (Ir.Loops.compute fn).loops
+        end
   done;
   !total

@@ -50,9 +50,9 @@ let eligible_loops (fn : fn) : loop_info list =
     loops
 
 (* Profitability per the paper: some header phi's entry-edge value type is
-   strictly more precise than the phi's merged type. *)
-let worth_peeling (prog : program) (fn : fn) (l : loop_info) : bool =
-  let env = Tyinfer.infer prog fn in
+   strictly more precise than the phi's merged type. [env] holds the type
+   facts of [fn] as it stands. *)
+let worth_peeling (prog : program) (env : Tyinfer.env) (fn : fn) (l : loop_info) : bool =
   let hdr = Ir.Fn.block fn l.header in
   List.exists
     (fun v ->
@@ -273,14 +273,26 @@ let peel (fn : fn) (l : loop_info) : unit =
         fn)
     !candidates
 
-(* Peels every profitable loop once; returns how many loops were peeled. *)
+(* Peels every profitable loop once; returns how many loops were peeled.
+   One type inference serves every profitability check until a loop is
+   actually peeled. *)
 let run (prog : program) (fn : fn) : int =
   let peeled = ref 0 in
+  let env = ref None in
+  let types () =
+    match !env with
+    | Some e -> e
+    | None ->
+        let e = Tyinfer.infer prog fn in
+        env := Some e;
+        e
+  in
   let ls = eligible_loops fn in
   List.iter
     (fun l ->
-      if Ir.Fn.block_live fn l.header && worth_peeling prog fn l then begin
+      if Ir.Fn.block_live fn l.header && worth_peeling prog (types ()) fn l then begin
         peel fn l;
+        env := None;
         incr peeled
       end)
     ls;

@@ -15,7 +15,10 @@ type loop_info = {
 }
 
 val eligible_loops : fn -> loop_info list
-val worth_peeling : program -> fn -> loop_info -> bool
+val worth_peeling : program -> Tyinfer.env -> fn -> loop_info -> bool
+(** Some header phi's entry-edge type is strictly more precise than its
+    merged type, by the type facts [env] of the function as it stands. *)
+
 val peel : fn -> loop_info -> unit
 
 val run : program -> fn -> int

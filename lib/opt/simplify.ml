@@ -72,27 +72,17 @@ let remove_trivial_phis (fn : fn) : bool =
 
 (* Merges a block with its unique successor when that successor has no
    other predecessor. Phis in the successor are trivial in that situation
-   and must have been removed first. Returns true when anything changed. *)
+   and must have been removed first. One sweep collapses each chain into
+   its head, keeping the predecessor map current as blocks merge; the
+   result is the same whichever link of a chain merges first. Returns true
+   when anything changed. *)
 let merge_blocks (fn : fn) : bool =
   let changed = ref false in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    let preds = Ir.Fn.preds fn in
-    let candidates = ref [] in
-    Ir.Fn.iter_blocks
-      (fun blk ->
-        match blk.term with
-        | Goto s when s <> fn.entry && s <> blk.b_id -> (
-            match Hashtbl.find_opt preds s with
-            | Some [ p ] when p = blk.b_id -> candidates := (blk.b_id, s) :: !candidates
-            | _ -> ())
-        | _ -> ())
-      fn;
-    (* apply non-overlapping merges; recompute preds between rounds *)
-    (match !candidates with
-    | (b, s) :: _ when Ir.Fn.block_live fn b && Ir.Fn.block_live fn s ->
-        let blk = Ir.Fn.block fn b in
+  let preds = Ir.Fn.preds fn in
+  let rec absorb (b : bid) =
+    let blk = Ir.Fn.block fn b in
+    match blk.term with
+    | Goto s when s <> fn.entry && s <> b && Hashtbl.find_opt preds s = Some [ b ] ->
         let sblk = Ir.Fn.block fn s in
         (* any phi here must be single-input; resolve it *)
         List.iter
@@ -106,24 +96,28 @@ let merge_blocks (fn : fn) : bool =
           sblk.instrs;
         blk.instrs <- blk.instrs @ sblk.instrs;
         blk.term <- sblk.term;
-        (* successors' phis must now name [b] as the predecessor *)
+        (* successors' phis and predecessor lists must now name [b] *)
+        let rename pb = if pb = s then b else pb in
         List.iter
           (fun succ ->
+            Hashtbl.replace preds succ (List.map rename (Hashtbl.find preds succ));
             List.iter
               (fun v ->
                 match Ir.Fn.kind fn v with
-                | Phi p ->
-                    p.inputs <-
-                      List.map (fun (pb, pv) -> if pb = s then (b, pv) else (pb, pv)) p.inputs
+                | Phi p -> p.inputs <- List.map (fun (pb, pv) -> (rename pb, pv)) p.inputs
                 | _ -> ())
               (Ir.Fn.block fn succ).instrs)
           (Ir.Fn.succs_of_term sblk.term);
         sblk.instrs <- [];
         Ir.Fn.delete_block fn s;
-        progress := true;
-        changed := true
-    | _ -> ())
-  done;
+        Hashtbl.remove preds s;
+        changed := true;
+        absorb b
+    | _ -> ()
+  in
+  (* highest id first: in a cycle of single-predecessor blocks, which only
+     an unreachable region can form, the highest id survives *)
+  List.iter (fun b -> if Ir.Fn.block_live fn b then absorb b) (List.rev (Ir.Fn.block_ids fn));
   !changed
 
 let cleanup (fn : fn) : bool =

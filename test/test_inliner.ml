@@ -764,9 +764,265 @@ let cache_tests =
           (Ir.Printer.fn_to_string r2.body));
   ]
 
+(* ---------- expansion summary oracle ---------- *)
+
+(* The recursive definitions of the call-tree metrics, recomputed from
+   scratch on every query: |ir(n)| straight from the IR, S_ir, S_b, N_c,
+   candidacy, P_I (Eq. 5), ψ (Eq. 7) and the descent to the best cutoff.
+   The inliner reads all of them from one summary per expansion step;
+   this is what that summary must equal. *)
+module Oracle = struct
+  open Calltree
+
+  let node_size (t : t) (n : node) : int =
+    let prepared m = Option.map Ir.Fn.size (prepared_body t m) in
+    match n.kind with
+    | Expanded { body; _ } -> Ir.Fn.size body
+    | Cutoff (Known m) -> Option.value (prepared m) ~default:25
+    | Cutoff (Unknown sel) -> (
+        let sizes =
+          List.filter_map
+            (fun (c, p) ->
+              Option.bind (Ir.Program.resolve t.prog c sel) (fun m ->
+                  Option.map (fun size -> float_of_int size *. p) (prepared m)))
+            (Runtime.Profile.receiver_profile t.profiles n.site)
+        in
+        match sizes with
+        | [] -> 25
+        | _ -> int_of_float (List.fold_left ( +. ) 0.0 sizes))
+    | Poly _ -> 2 * max 1 (List.length n.children)
+    | Generic _ | Deleted -> 0
+
+  let rec s_ir t n =
+    match n.kind with
+    | Deleted | Generic _ -> 0
+    | _ -> node_size t n + List.fold_left (fun acc c -> acc + s_ir t c) 0 n.children
+
+  let rec s_b t n =
+    match n.kind with
+    | Deleted | Generic _ -> 0
+    | Cutoff _ -> node_size t n
+    | _ -> List.fold_left (fun acc c -> acc + s_b t c) 0 n.children
+
+  let rec n_c n =
+    match n.kind with
+    | Deleted | Generic _ -> 0
+    | Cutoff _ -> 1
+    | _ -> List.fold_left (fun acc c -> acc + n_c c) 0 n.children
+
+  let rec has_candidate n =
+    match n.kind with
+    | Cutoff _ -> not n.declined
+    | Expanded _ | Poly _ -> List.exists has_candidate n.children
+    | Generic _ | Deleted -> false
+
+  let rec intrinsic_priority t n =
+    match n.kind with
+    | Cutoff _ ->
+        let size = max 1 (node_size t n) in
+        (local_benefit t n /. float_of_int size) -. Expansion.psi_r n
+    | Expanded _ | Poly _ ->
+        List.fold_left
+          (fun acc c -> if has_candidate c then max acc (intrinsic_priority t c) else acc)
+          neg_infinity n.children
+    | Generic _ | Deleted -> neg_infinity
+
+  let psi t n =
+    let p = t.params in
+    let ncn = float_of_int (n_c n) in
+    (p.p1 *. float_of_int (s_ir t n))
+    +. (p.p2 *. float_of_int (s_b t n))
+    -. (p.b1 *. max 0.0 (p.b2 -. (ncn *. ncn)))
+
+  let priority t n = intrinsic_priority t n -. psi t n
+
+  let best t children =
+    List.fold_left
+      (fun acc c ->
+        match acc with
+        | None -> Some c
+        | Some b -> if priority t c > priority t b then Some c else acc)
+      None
+      (List.filter has_candidate children)
+
+  let rec descend t n =
+    match n.kind with
+    | Cutoff _ -> if n.declined then None else Some n
+    | Expanded _ | Poly _ -> Option.bind (best t n.children) (descend t)
+    | Generic _ | Deleted -> None
+
+  let best_cutoff t = Option.bind (best t t.children) (descend t)
+  let tree_s_ir t = Ir.Fn.size t.root_fn + List.fold_left (fun a c -> a + s_ir t c) 0 t.children
+  let tree_n_c t = List.fold_left (fun a c -> a + n_c c) 0 t.children
+end
+
+(* Every node of the tree, below Deleted and Generic nodes too. *)
+let rec all_nodes (ns : Calltree.node list) : Calltree.node list =
+  List.concat_map (fun (n : Calltree.node) -> n :: all_nodes n.children) ns
+
+let check_summary (what : string) (t : Calltree.t) : unit =
+  let nid = function Some (n : Calltree.node) -> n.nid | None -> -1 in
+  Alcotest.(check int) (what ^ " tree S_ir") (Oracle.tree_s_ir t) (Calltree.tree_s_ir t);
+  Alcotest.(check int) (what ^ " tree N_c") (Oracle.tree_n_c t) (Calltree.tree_n_c t);
+  Alcotest.(check int) (what ^ " best cutoff") (nid (Oracle.best_cutoff t))
+    (nid (Expansion.best_cutoff t));
+  List.iter
+    (fun (n : Calltree.node) ->
+      let at = Printf.sprintf "%s node %d" what n.nid in
+      let same_float name expected actual =
+        if not (expected = actual) then
+          Alcotest.failf "%s %s: expected %h, got %h" at name expected actual
+      in
+      Alcotest.(check int) (at ^ " |ir|") (Oracle.node_size t n) (Calltree.node_size t n);
+      Alcotest.(check int) (at ^ " S_ir") (Oracle.s_ir t n) (Calltree.s_ir t n);
+      Alcotest.(check int) (at ^ " S_b") (Oracle.s_b t n) (Calltree.s_b t n);
+      Alcotest.(check int) (at ^ " N_c") (Oracle.n_c n) (Calltree.n_c t n);
+      Alcotest.(check bool) (at ^ " candidate") (Oracle.has_candidate n)
+        (Calltree.summary t n).candidate;
+      same_float "P_I" (Oracle.intrinsic_priority t n) (Expansion.intrinsic_priority t n);
+      same_float "psi" (Oracle.psi t n) (Expansion.psi t n);
+      same_float "P" (Oracle.priority t n) (Expansion.priority t n))
+    (all_nodes t.children)
+
+(* The rounds of [Algorithm.compile], checking the summary around every
+   expansion phase: before it, with the declined flags cleared as the
+   phase starts (every undeclined cutoff is a candidate), and after it. *)
+let compile_checking_summary (prog : Ir.Types.program) profiles (m : Ir.Types.meth) : unit =
+  let params = Params.default in
+  let t = Calltree.create prog profiles params m.m_id in
+  let rec round k =
+    if k <= params.max_rounds && Ir.Fn.size t.root_fn < params.root_size_cap then begin
+      List.iter (fun (n : Calltree.node) -> n.declined <- false) (all_nodes t.children);
+      Calltree.touch t;
+      check_summary (Printf.sprintf "%s before round %d" m.m_name k) t;
+      let expanded = Expansion.run t in
+      check_summary (Printf.sprintf "%s after round %d" m.m_name k) t;
+      Analysis.run t;
+      let inlined = Inline_phase.run t in
+      ignore
+        (Opt.Driver.round_root_opts ~rwelim:params.opt_rwelim ~scalar:params.opt_scalar
+           ~licm:params.opt_licm ~peel:params.opt_peel prog t.root_fn);
+      Calltree.refresh t;
+      if expanded > 0 || inlined > 0 then round (k + 1)
+    end
+  in
+  round 1
+
+let summary_tests =
+  [
+    test "the expansion summary equals the recursive definitions" (fun () ->
+        List.iter
+          (fun (w : Workloads.Defs.t) ->
+            let prog = Workloads.Registry.compile w in
+            Opt.Driver.prepare_program prog;
+            let vm = Runtime.Interp.create prog in
+            ignore (Runtime.Interp.run_main vm);
+            Ir.Program.iter_meths
+              (fun (m : Ir.Types.meth) ->
+                if m.body <> None && Runtime.Profile.invocation_count vm.profiles m.m_id >= 2
+                then compile_checking_summary prog vm.profiles m)
+              prog)
+          Workloads.Registry.all);
+  ]
+
+(* ---------- golden compile identity ---------- *)
+
+(* Every compile the tiered engine's incremental compiler performs on the
+   registry programs and on compile-replay's two synthetic call graphs.
+   One line per compile — program/method, the MD5 of the printed body, and
+   rounds expanded inlined opt_events — then one MD5 per program over its
+   inliner and optimizer decision trace. Pins the compiler's output byte
+   for byte, so a change meant to make compilation cheaper cannot change
+   what it produces. *)
+let golden_programs () : Workloads.Defs.t list =
+  Workloads.Registry.all
+  @ List.map
+      (fun seed ->
+        Workloads.Synth.generate
+          { Workloads.Synth.default with seed; depth = 4; fanout = 3; poly_degree = 4 })
+      [ 1; 2 ]
+
+let decision_events = [ "expand_decision"; "inline_decision"; "inline_round"; "opt_round" ]
+
+let is_decision_event (line : string) : bool =
+  match Support.Json.of_string line with
+  | Ok j -> (
+      match Option.bind (Support.Json.member "ev" j) Support.Json.to_string_opt with
+      | Some ev -> List.mem ev decision_events
+      | None -> false)
+  | Error _ -> false
+
+let md5 (s : string) : string = Digest.to_hex (Digest.string s)
+
+let compiled_lines (w : Workloads.Defs.t) : string list =
+  let prog = Workloads.Registry.compile w in
+  Opt.Driver.prepare_program prog;
+  let trial_cache = Trial_cache.create () in
+  let lines = ref [] in
+  let compiler prog profiles m =
+    let r = Algorithm.compile ~trial_cache prog profiles Params.default m in
+    let s = r.stats in
+    lines :=
+      Printf.sprintf "%s/%s %s %d %d %d %d" w.name (Ir.Program.meth prog m).m_name
+        (md5 (Ir.Printer.fn_to_string r.body))
+        s.rounds s.expanded s.inlined s.opt_events
+      :: !lines;
+    r.body
+  in
+  let sink, read = Obs.Trace.memory_sink () in
+  Obs.Trace.scoped sink (fun () ->
+      let e =
+        Jit.Engine.create prog
+          {
+            name = "incremental";
+            compiler = Some compiler;
+            hotness_threshold = 8;
+            compile_cost_per_node = 50;
+            verify = false;
+          }
+      in
+      for _ = 1 to w.iters do
+        ignore (Jit.Engine.run_meth e "bench" [ Runtime.Values.Vunit ])
+      done;
+      ignore (Jit.Engine.flush_pending e));
+  let decisions = List.filter is_decision_event (read ()) in
+  List.rev !lines
+  @ [ Printf.sprintf "%s trace %s" w.name (md5 (String.concat "\n" decisions)) ]
+
+let golden_tests =
+  [
+    test "compiled bodies and decision traces match the golden file" (fun () ->
+        let actual = List.concat_map compiled_lines (golden_programs ()) in
+        let golden_path = "golden/compiled.golden" in
+        let golden =
+          match In_channel.with_open_text golden_path In_channel.input_all with
+          | s -> String.split_on_char '\n' s |> List.filter (( <> ) "")
+          | exception Sys_error _ -> []
+        in
+        if actual <> golden then begin
+          Out_channel.with_open_text "compiled.golden.actual" (fun oc ->
+              List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+          let rec first_diff i = function
+            | g :: gs, a :: as_ when g = a -> first_diff (i + 1) (gs, as_)
+            | g :: _, a :: _ -> Printf.sprintf "line %d: expected %S, got %S" i g a
+            | [], a :: _ -> Printf.sprintf "line %d: unexpected %S" i a
+            | g :: _, [] -> Printf.sprintf "line %d: missing %S" i g
+            | [], [] -> "identical"
+          in
+          Alcotest.failf
+            "compiler output drifted from %s (%d lines expected, %d actual); %s.\n\
+             The full actual file is compiled.golden.actual in the test's working \
+             directory."
+            golden_path (List.length golden) (List.length actual)
+            (first_diff 1 (golden, actual))
+        end);
+  ]
+
 let () =
   Alcotest.run "inliner"
     [
+      ("golden", golden_tests);
+      ("summary", summary_tests);
       ("cache", cache_tests);
       ("calltree", calltree_tests);
       ("analysis", analysis_tests);

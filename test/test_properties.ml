@@ -521,36 +521,104 @@ let prop_licm_random_cfg =
   preserves_outcome "LICM preserves outcomes on random CFGs" (fun fn ->
       ignore (Opt.Licm.run fn))
 
-(* brute-force dominance: a dominates b iff every entry->b path hits a *)
+(* Bare CFGs for the dominator tree: random terminators only, with
+   self-loops, irreducible shapes and unreachable blocks, some of them
+   deleted (the generator above deletes them all). *)
+let gen_cfg : Ir.Types.fn Gen.t =
+  let open Gen in
+  let open Ir.Types in
+  let* nblocks = int_range 1 10 in
+  let* seed = int_range 0 1_000_000 in
+  return
+    (let rng = Support.Rng.create seed in
+     let fn = Ir.Fn.create ~fname:"cfg" ~param_tys:[||] ~rty:Tint in
+     let blocks = Array.init nblocks (fun _ -> Ir.Fn.add_block fn) in
+     fn.entry <- blocks.(0);
+     Array.iteri
+       (fun i b ->
+         let target () = blocks.(Support.Rng.int rng nblocks) in
+         Ir.Fn.set_term fn b
+           (match Support.Rng.int rng 5 with
+           | 0 -> Return (-1)
+           | 1 -> Goto b
+           | 2 -> Goto (target ())
+           | _ -> If { cond = -1; site = { sm = 0; sidx = i }; tb = target (); fb = target () }))
+       blocks;
+     let reachable = Ir.Fn.reachable fn in
+     Array.iter
+       (fun b ->
+         if (not (Hashtbl.mem reachable b)) && Support.Rng.bool rng then Ir.Fn.delete_block fn b)
+       blocks;
+     fn)
+
+(* [idom], [dominates] and [children] against brute force: among reachable
+   blocks, a dominates b iff b is unreachable from the entry once a is
+   removed; an unreachable or deleted block has no idom, no children, and
+   is dominated only by itself. Block ids at or past the block count (which
+   [Peel.peel] creates after computing dominators) are unknown to the
+   tree. *)
 let prop_dominators_brute_force =
-  Test.make ~name:"dominators agree with brute force" ~count:120 ir_fn_arbitrary
+  Test.make ~name:"dominators agree with brute force" ~count:300
+    (QCheck.make ~print:Ir.Printer.fn_to_string gen_cfg)
     (fun fn ->
       let doms = Ir.Dominators.compute fn in
-      let reachable_avoiding avoid =
-        let seen = Hashtbl.create 8 in
+      let n = Support.Vec.length fn.blocks in
+      let ids = List.init n Fun.id in
+      let reach ~avoid =
+        let seen = Array.make n false in
         let rec go b =
-          if b <> avoid && not (Hashtbl.mem seen b) then begin
-            Hashtbl.add seen b ();
+          if b <> avoid && not seen.(b) then begin
+            seen.(b) <- true;
             List.iter go (Ir.Fn.succs fn b)
           end
         in
-        if fn.entry <> avoid then go fn.entry;
+        go fn.entry;
         seen
       in
-      let blocks = Ir.Fn.rpo fn in
-      List.for_all
+      let reachable = reach ~avoid:(-1) in
+      let dom =
+        Array.init n (fun a ->
+            let without_a = reach ~avoid:a in
+            Array.init n (fun b -> a = b || (reachable.(b) && not without_a.(b))))
+      in
+      let idom b =
+        if not reachable.(b) then None
+        else if b = fn.entry then Some b
+        else
+          (* the strict dominator every other strict dominator dominates *)
+          List.find_opt
+            (fun d ->
+              d <> b
+              && dom.(d).(b)
+              && List.for_all (fun e -> e = b || (not dom.(e).(b)) || dom.(e).(d)) ids)
+            ids
+      in
+      List.iter
         (fun a ->
-          let unavoidable = reachable_avoiding a in
-          List.for_all
+          List.iter
             (fun b ->
-              let brute = (not (Hashtbl.mem unavoidable b)) || a = b in
               let fast = Ir.Dominators.dominates doms ~a ~b in
-              if brute <> fast then
-                Test.fail_reportf "dominates %d %d: brute=%b fast=%b@.%s" a b brute fast
-                  (Ir.Printer.fn_to_string fn)
-              else true)
-            blocks)
-        blocks)
+              if fast <> dom.(a).(b) then
+                Test.fail_reportf "dominates %d %d: brute=%b fast=%b" a b dom.(a).(b) fast)
+            ids)
+        ids;
+      List.iter
+        (fun b ->
+          if Ir.Dominators.idom doms b <> idom b then Test.fail_reportf "idom of b%d" b;
+          let kids = List.filter (fun c -> c <> b && idom c = Some b) ids in
+          if Ir.Dominators.children doms b <> kids then Test.fail_reportf "children of b%d" b)
+        ids;
+      List.iter
+        (fun o ->
+          if Ir.Dominators.idom doms o <> None then Test.fail_reportf "idom of new b%d" o;
+          if Ir.Dominators.children doms o <> [] then Test.fail_reportf "children of new b%d" o;
+          List.iter
+            (fun x ->
+              if Ir.Dominators.dominates doms ~a:o ~b:x || Ir.Dominators.dominates doms ~a:x ~b:o
+              then Test.fail_reportf "new b%d related to b%d" o x)
+            ids)
+        [ n; n + 1 ];
+      true)
 
 (* tuple algebra laws *)
 let tuple_gen =
