@@ -272,10 +272,7 @@ let fleet_soak () :
     (fun (f : Jit.Serve.tenant_report) tn ->
       match Jit.Serve.run ~limits [ tn ] with
       | [ s ] ->
-          if
-            f.tr_output <> s.tr_output || f.tr_steps <> s.tr_steps
-            || f.tr_cycles <> s.tr_cycles || f.tr_checksum <> s.tr_checksum
-          then
+          if f <> s then
             Fmt.failwith
               "fleet soak: tenant %s diverges from its solo run (fleet \
                steps=%d cycles=%d vs solo steps=%d cycles=%d)"

@@ -75,18 +75,15 @@ let make_engine ?compile_fuel ?(osr = true) prog config hotness verify =
            })
 
 let print_stats (e : Jit.Engine.t) =
+  let s = Jit.Engine.stats e in
   Printf.eprintf
     "-- %s: %d cycles executed, %d methods compiled (%d IR nodes installed, %d \
      compile cycles)\n"
-    e.config.name e.vm.cycles
-    (Jit.Engine.installed_methods e)
-    (Jit.Engine.installed_code_size e)
-    e.compile_cycles;
-  let bs = Jit.Engine.bailout_stats e in
-  if bs.failed_attempts > 0 then
+    e.config.name s.cycles s.compiled s.code_size s.compile_cycles;
+  if s.failed_attempts > 0 then
     Printf.eprintf "-- bailouts: %d failed attempts over %d methods, %d blacklisted\n"
-      bs.failed_attempts bs.failed_methods
-      (List.length bs.blacklisted_methods);
+      s.failed_attempts s.failed_methods
+      (List.length s.blacklisted_methods);
   (match Jit.Engine.superinst_stats e with
   | [] -> ()
   | ss ->

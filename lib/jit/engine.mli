@@ -35,12 +35,6 @@ type bailout = {
     instead of producing an installable body; the method kept
     interpreting. *)
 
-type bailout_stats = {
-  failed_attempts : int;  (** bailouts recorded over the run *)
-  failed_methods : int;   (** distinct methods with at least one failure *)
-  blacklisted_methods : meth_id list;  (** ascending *)
-}
-
 val containable : exn -> bool
 (** Which exceptions a compiler invocation may fail with and be contained
     (all but host-process conditions: [Out_of_memory], [Sys.Break]). *)
@@ -50,6 +44,14 @@ val backoff_cooldown : hotness:int -> failures:int -> int
     attempts: [hotness * 2^(failures-1)], saturating at a large positive
     value instead of overflowing to a negative one (which would un-gate
     recompilation of a method that should be backing off). *)
+
+val max_recompiles : int
+(** Invalidations a method may take — speculation misses or chaos
+    invalidation storms, not cache evictions — before its code stays
+    installed for good: 2. *)
+
+val max_compile_failures : int
+(** Failed compile attempts before a method is blacklisted: 3. *)
 
 type osr_origin = { od_src : meth_id; od_bid : bid; od_depth : int }
 (** Provenance of a synthetic OSR continuation: source method, the loop
@@ -67,23 +69,18 @@ type t = {
   pending : (meth_id, fn * int) Hashtbl.t;
   (** compiled but not yet installed (body, ready-at cycles) *)
   spec_miss_threshold : int;
-  max_recompiles : int;
   miss_counts : (meth_id, int ref) Hashtbl.t;
   recompile_counts : (meth_id, int) Hashtbl.t;
   cooldown : (meth_id, int) Hashtbl.t;
   mutable invalidations : (meth_id * int) list;  (** method, at_cycles *)
   mutable bailouts : bailout list;
   (** contained compile failures, most recent first; see {!containable} *)
-  max_compile_failures : int;
   failure_counts : (meth_id, int) Hashtbl.t;
   blacklist : (meth_id, unit) Hashtbl.t;
   (** methods permanently retired to the interpreter after
-      [max_compile_failures] failed compilation attempts *)
+      {!max_compile_failures} failed compilation attempts *)
   compile_fuel : int option;
   (** per-compilation watchdog budget in {!Support.Fuel} checkpoints *)
-  mutable install_pending : meth_id -> fn -> unit;
-  (** installs a pending body through the normal install path; wired by
-      {!create} when a compiler is configured, used by {!flush_pending} *)
   osr : bool;
   (** loop-entry OSR armed (a compiler is configured and the kill switch
       was not thrown) *)
@@ -111,11 +108,7 @@ type t = {
       compile inline at the trigger, exactly the pre-serve engine *)
   serve_cache : meth_id Codecache.t option;
   (** bounded code-cache residency; [None] (default): unbounded *)
-  compile_deadline : int option;
-  (** per-compile deadline in {!Support.Fuel} checkpoints; [min]s with
-      [compile_fuel] at every attempt *)
-  mutable evictions : (meth_id * int) list;
-  (** cache evictions (method, at_cycles), most recent first *)
+  mutable evictions : int;  (** cache evictions over the run *)
   evict_counts : (meth_id, int) Hashtbl.t;
   (** evictions per method — drives the re-hot backoff gate *)
   mutable sheds : int;
@@ -140,73 +133,68 @@ and timeline = {
 }
 
 val create :
-  ?cost:Runtime.Cost.t -> ?spec_miss_threshold:int -> ?max_recompiles:int ->
-  ?async_compile:bool -> ?max_compile_failures:int -> ?compile_fuel:int ->
+  ?spec_miss_threshold:int -> ?async_compile:bool -> ?compile_fuel:int ->
   ?osr:bool -> ?osr_threshold:int -> ?queue_capacity:int ->
-  ?queue_age_unit:int -> ?cache_capacity:int -> ?compile_deadline:int ->
-  program -> config -> t
-(** Also runs {!Opt.Driver.prepare_program} so profiles are collected
-    against prepared IR.
+  ?queue_age_unit:int -> ?cache_capacity:int -> program -> config -> t
+(** Allocates the engine and wires the VM hooks; also runs
+    {!Opt.Driver.prepare_program} so profiles are collected against
+    prepared IR. Programs run under {!Runtime.Cost.default}. The
+    options, all off or at their default when absent:
+
+    - [compile_fuel]: a {!Support.Fuel} watchdog budget around every
+      compile attempt (`selvm run --compile-fuel`, or a serve deadline).
+      Exhaustion mid-compile returns the inliner's best completed round,
+      or fails the attempt when not even one round finished.
+    - [spec_miss_threshold] (speculation management; tests and examples):
+      when a compiled method's typeswitch fallback executes that many
+      times — a receiver distribution the speculation never saw, e.g.
+      after a phase shift — its code is invalidated, the interpreter
+      re-profiles it for [hotness_threshold] further invocations, and it
+      recompiles against the new profile, at most {!max_recompiles}
+      times per method.
+    - [async_compile] (tests and examples): models a background compiler
+      thread (the paper's Section II.2 "compilation impact"): produced
+      code installs only once its simulated compile latency (size ×
+      [compile_cost_per_node]) has elapsed on the execution clock; the
+      method keeps interpreting — and profiling — in the meantime.
+    - [osr] (default true; only meaningful with a compiler): when an
+      interpreted frame's block counter crosses [osr_threshold] (default
+      [hotness_threshold * 64]; tests set it) at a loop header, the
+      engine extracts the loop continuation ({!Ir.Osr}), compiles it
+      through the normal pipeline and transfers the frame into it
+      mid-invocation; invalidations bump a deopt epoch that makes running
+      compiled frames OSR-exit into interpreted continuations at their
+      next loop header. Program outputs are bit-identical with OSR on,
+      off, and under the reference interpreter. [osr:false] is the kill
+      switch: no checkpoints fire and no epoch moves, but the
+      backedge-driven [on_entry] trigger (a bugfix, not a speculation)
+      stays active.
+    - [queue_capacity] / [queue_age_unit] (serving; default age unit
+      1024 cycles): hot methods enqueue a prioritized compile request
+      ({!Scheduler}: hotness × queue-age score, saturating) instead of
+      compiling inline; the one simulated background compiler services
+      the highest-score request at method entries, and admission control
+      sheds the lowest-score request when the queue is full.
+    - [cache_capacity] (serving, IR nodes): installed code is bounded
+      ({!Codecache}): installs evict lowest-retention residents, which
+      fall back to the prepared tier through the same deopt-epoch path as
+      invalidations — without consuming {!max_recompiles}; instead an
+      evicted method's recompilation backs off per eviction.
 
     Failure handling: an exception escaping the compiler or verifier (any
     {!containable} one) is a bailout — the method keeps interpreting, the
     compile cycles already spent are charged, and retries back off
     exponentially (the cooldown gate doubles per failure). After
-    [max_compile_failures] (default 3) failures the method is blacklisted:
-    permanently interpreted, never re-entering compilation. [compile_fuel]
-    installs a {!Support.Fuel} watchdog budget around every compilation;
-    exhaustion mid-compile returns the inliner's best completed round, or
-    fails the attempt (feeding the same backoff path) when not even one
-    round finished. When a {!Support.Chaos} plan is ambient, the engine
-    additionally injects deterministic compiler crashes, verifier rejects,
-    starved fuel budgets and invalidation storms at these same points.
+    {!max_compile_failures} failures the method is blacklisted:
+    permanently interpreted, never re-entering compilation. When a
+    {!Support.Chaos} plan is ambient, the engine additionally injects
+    deterministic compiler crashes, verifier rejects, starved fuel
+    budgets and invalidation storms at these same points. Synthetic
+    OSR/deopt continuations inherit their parent method's failure count
+    and blacklist entry at extraction time.
 
-    Speculation management (off unless [spec_miss_threshold] is given):
-    when a compiled method's typeswitch fallback executes that many times —
-    a receiver distribution the speculation never saw, e.g. after a phase
-    shift — the method's code is invalidated, the interpreter re-profiles
-    it for [hotness_threshold] further invocations, and it recompiles
-    against the new profile, at most [max_recompiles] times per method.
-
-    [async_compile] (default false) models a background compiler thread
-    (the paper's Section II.2 "compilation impact"): produced code installs
-    only once its simulated compile latency (size × [compile_cost_per_node])
-    has elapsed on the execution clock; the method keeps interpreting — and
-    profiling — in the meantime.
-
-    On-stack replacement ([osr], default true; only meaningful with a
-    compiler): when an interpreted frame's block counter crosses
-    [osr_threshold] (default [hotness_threshold * 64]) at a loop header,
-    the engine extracts the loop continuation ({!Ir.Osr}), compiles it
-    through the normal pipeline and transfers the frame into it
-    mid-invocation; invalidations bump a deopt epoch that makes running
-    compiled frames OSR-exit into interpreted continuations at their next
-    loop header. Program outputs are bit-identical with OSR on, off, and
-    under the reference interpreter. [osr:false] is the kill switch: no
-    checkpoints fire and no epoch moves, but the backedge-driven
-    [on_entry] trigger (a bugfix, not a speculation) stays active.
-
-    Serving ([queue_capacity] / [cache_capacity] / [compile_deadline],
-    all off by default and only meaningful with a compiler): with
-    [queue_capacity] set, hot methods enqueue a prioritized compile
-    request ({!Scheduler}: hotness × queue-age score, saturating) instead
-    of compiling inline; the one simulated background compiler services
-    the highest-score request at method entries, and admission control
-    sheds the lowest-score request when the queue is full. With
-    [cache_capacity] set (IR nodes), installed code is bounded
-    ({!Codecache}): installs evict lowest-retention residents, which fall
-    back to the prepared tier through the same deopt-epoch path as
-    invalidations — without consuming [max_recompiles]; instead an
-    evicted method's recompilation backs off per eviction. A
-    [compile_deadline] caps every attempt with a {!Support.Fuel} budget;
-    misses are ordinary bailouts. All serving decisions are functions of
-    this engine's own state, so a tenant behaves byte-identically solo or
-    multiplexed by {!Serve}.
-
-    Synthetic OSR/deopt continuations inherit their parent method's
-    failure count and blacklist entry at extraction time — a method that
-    exhausted its compile-failure budget cannot keep burning compile
-    cycles through fresh continuations. *)
+    All decisions are functions of this engine's own state, so a tenant
+    behaves byte-identically solo or multiplexed by {!Serve}. *)
 
 val run_main : t -> Runtime.Values.value
 val run_meth : t -> string -> Runtime.Values.value list -> Runtime.Values.value
@@ -230,13 +218,6 @@ val dispatch_label : t -> string
 (** How the interpreted tier dispatches: ["threaded"] or ["walker"]
     (reference). *)
 
-val pending_methods : t -> int
-(** Compilations produced but not yet installed (async mode). *)
-
-val pending_code_size : t -> int
-(** Total size of produced-but-pending bodies — code the compiler paid
-    for that {!installed_code_size} cannot see yet. *)
-
 val flush_pending : ?force:bool -> t -> int
 (** Installs every pending compilation whose simulated latency has
     elapsed (all of them with [force]), in ascending method order, and
@@ -248,49 +229,61 @@ val compiled_body : t -> string -> fn option
 
 val blacklisted : t -> meth_id -> bool
 
+type stats = {
+  steps : int;                (** interpreter steps *)
+  cycles : int;               (** execution clock *)
+  compile_cycles : int;       (** compile clock *)
+  installs : int;             (** bodies installed over the run *)
+  compiled : int;             (** methods with installed code now *)
+  code_size : int;            (** {!installed_code_size} *)
+  pending : int;              (** produced but not yet installed (async) *)
+  pending_code_size : int;    (** their size: paid for, not yet visible *)
+  invalidations : int;
+  failed_attempts : int;      (** contained compile bailouts *)
+  failed_methods : int;       (** distinct methods with at least one failure *)
+  blacklisted_methods : meth_id list;  (** ascending *)
+  osr_enters : int;
+  osr_exits : int;            (** invalidation transfers + trap unwinds *)
+  osr_methods : int;          (** registered OSR continuations *)
+  sheds : int;                (** requests shed by admission control *)
+  evictions : int;
+  evict_max : int;            (** highest per-method eviction count *)
+  queue_depth : int;          (** requests waiting (0 without a queue) *)
+  cache_used : int;           (** resident code; installed code when unbounded *)
+  cache_resident : int;       (** resident methods; installed ones when unbounded *)
+  queue_waits : int list;     (** serviced requests' queue waits, ascending *)
+  ttp : int list;             (** per-method time-to-peak, ascending *)
+}
+(** The one snapshot every engine report renders from: timeline samples,
+    {!snapshot_metrics}, the serve tenant report and fleet rows, the
+    harness run and `selvm --stats`. The latency lists are sorted so
+    exact percentile extraction is an index. *)
+
+val stats : t -> stats
+
+val bailout_stats : t -> stats
+(** {!stats}, under the name older callers use for the failure fields. *)
+
 val snapshot_metrics : t -> unit
 (** Publishes end-of-run state into {!Obs.Metrics} gauges (installed code
     size and method count, compile cycles, VM cycles/steps, aggregate IC
     counters, the mined superinstruction table as [superinst.*] gauges,
-    the registered OSR continuation count as [osr.methods])
-    and the per-site IC hit-rate histogram. Event-shaped
-    counters (compiles, installs, invalidations, bailouts, osr
-    enters/exits, …) accrue live; this snapshot covers the point-in-time
-    values only. A no-op while metrics are disabled. *)
-
-val bailout_stats : t -> bailout_stats
-(** Aggregate failure picture of the run: how many compilation attempts
-    bailed out, over how many methods, and which methods are permanently
-    blacklisted to the interpreter. *)
-
-type serve_stats = {
-  sv_sheds : int;            (** requests shed by admission control *)
-  sv_evictions : int;        (** cache evictions over the run *)
-  sv_queue_depth : int;      (** requests still waiting at end of run *)
-  sv_cache_used : int;       (** resident code size (installed size when unbounded) *)
-  sv_cache_resident : int;   (** resident methods (installed count when unbounded) *)
-  sv_queue_waits : int list; (** serviced requests' queue waits, ascending *)
-  sv_ttp : int list;         (** per-method time-to-peak, ascending *)
-}
-
-val serve_stats : t -> serve_stats
-(** End-of-run serving picture. The two latency lists are sorted
-    ascending so exact percentile extraction is an index. Meaningful
-    with serving off too (zero churn, empty waits, inline-trigger
-    time-to-peak). *)
-
-val timeline_fields : t -> (string * Support.Json.t) list
-(** The flat gauge snapshot a timeline sample carries: tier residency
-    ([compiled]/[pending]/[blacklisted], [code_size]), compile/deopt/OSR
-    churn ([compiles], [invalidations], [bailouts], [osr_enters],
-    [osr_exits]) and serving pressure ([queue_depth], [cache_used],
-    [cache_resident], [sheds], [evictions], [evict_max] — the highest
-    per-method eviction count, which the cache-thrash SLO keys on).
-    Documented in docs/OBSERVABILITY.md. *)
+    the registered OSR continuation count as [osr.methods], and the
+    [serve.*] queue and cache gauges when those are bounded) and the
+    per-site IC hit-rate histogram. Event-shaped counters (compiles,
+    installs, invalidations, bailouts, osr enters/exits, …) accrue live;
+    this snapshot covers the point-in-time values only. A no-op while
+    metrics are disabled. *)
 
 val sample_timeline : ?force:bool -> t -> unit
 (** Emits a sample if one is due on this engine's clock ([force]
     bypasses the cadence — callers use it for a final end-of-run row).
+    The row carries {!stats} under the timeline schema of
+    docs/OBSERVABILITY.md: tier residency ([compiled], [pending],
+    [blacklisted], [code_size]), churn ([compiles], [invalidations],
+    [bailouts], [osr_enters], [osr_exits]) and serving pressure
+    ([queue_depth], [cache_used], [cache_resident], [sheds],
+    [evictions], [evict_max]).
     Feeds the attached {!Obs.Slo} monitor, emitting each rising-edge
     firing as a structured [slo_violation] trace event. A single [None]
     match when no timeline is attached. *)

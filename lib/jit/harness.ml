@@ -97,15 +97,16 @@ let run_benchmark ?(setup : string option) ~(iters : int) (engine : Engine.t)
             ]))
     ics;
   let sum f = List.fold_left (fun acc st -> acc + f st) 0 ics in
+  let s = Engine.stats engine in
   {
     name = label;
     iterations;
     peak_cycles = Support.Stats.mean window;
     peak_stddev = Support.Stats.stddev window;
-    code_size = Engine.installed_code_size engine;
-    compile_cycles = engine.compile_cycles;
-    pending_methods = Engine.pending_methods engine;
-    pending_code_size = Engine.pending_code_size engine;
+    code_size = s.code_size;
+    compile_cycles = s.compile_cycles;
+    pending_methods = s.pending;
+    pending_code_size = s.pending_code_size;
     timeline =
       List.rev_map
         (fun (c : Engine.compilation) -> (meth_name c.cm, c.size, c.at_cycles))
@@ -116,7 +117,7 @@ let run_benchmark ?(setup : string option) ~(iters : int) (engine : Engine.t)
       List.rev_map
         (fun (b : Engine.bailout) -> (meth_name b.bm, b.reason, b.at_cycles))
         engine.bailouts;
-    blacklisted = List.map meth_name (Engine.bailout_stats engine).blacklisted_methods;
+    blacklisted = List.map meth_name s.blacklisted_methods;
     output = Engine.output engine;
     ic_sites = List.length ics;
     ic_hits = sum (fun st -> st.Runtime.Interp.st_hits);

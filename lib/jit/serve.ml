@@ -87,10 +87,6 @@ type tenant_report = {
   tr_ttp_max : int;
 }
 
-(* Exact rank percentile of an ascending list — the shared
-   [Support.Stats.percentile], re-exported for the bench smoke. *)
-let percentile = Support.Stats.percentile
-
 type live = {
   lv_tenant : tenant;
   lv_engine : Engine.t;
@@ -130,8 +126,9 @@ let finish (lv : live) : tenant_report =
       (* one final row per tenant so the timeline's last sample reflects
          end-of-run state (the cadence may have left it mid-interval) *)
       Engine.sample_timeline ~force:true e;
-      let st = Engine.serve_stats e in
-      let bs = Engine.bailout_stats e in
+      let s = Engine.stats e in
+      let w50, w90, w99, wmax = Support.Stats.percentiles s.queue_waits in
+      let t50, t90, t99, tmax = Support.Stats.percentiles s.ttp in
       let r =
         {
           tr_id = lv.lv_tenant.tn_id;
@@ -139,25 +136,25 @@ let finish (lv : live) : tenant_report =
           tr_iters = lv.lv_done;
           tr_checksum = lv.lv_checksum;
           tr_output = Engine.output e;
-          tr_steps = vm.Runtime.Interp.steps;
-          tr_cycles = vm.Runtime.Interp.cycles;
-          tr_compile_cycles = e.Engine.compile_cycles;
-          tr_installs = List.length e.Engine.compilations;
-          tr_invalidations = List.length e.Engine.invalidations;
-          tr_evictions = st.Engine.sv_evictions;
-          tr_sheds = st.Engine.sv_sheds;
-          tr_bailouts = bs.Engine.failed_attempts;
-          tr_blacklisted = List.length bs.Engine.blacklisted_methods;
-          tr_cache_used = st.Engine.sv_cache_used;
-          tr_queue_depth = st.Engine.sv_queue_depth;
-          tr_queue_wait_p50 = percentile st.Engine.sv_queue_waits 0.50;
-          tr_queue_wait_p90 = percentile st.Engine.sv_queue_waits 0.90;
-          tr_queue_wait_p99 = percentile st.Engine.sv_queue_waits 0.99;
-          tr_queue_wait_max = percentile st.Engine.sv_queue_waits 1.0;
-          tr_ttp_p50 = percentile st.Engine.sv_ttp 0.50;
-          tr_ttp_p90 = percentile st.Engine.sv_ttp 0.90;
-          tr_ttp_p99 = percentile st.Engine.sv_ttp 0.99;
-          tr_ttp_max = percentile st.Engine.sv_ttp 1.0;
+          tr_steps = s.steps;
+          tr_cycles = s.cycles;
+          tr_compile_cycles = s.compile_cycles;
+          tr_installs = s.installs;
+          tr_invalidations = s.invalidations;
+          tr_evictions = s.evictions;
+          tr_sheds = s.sheds;
+          tr_bailouts = s.failed_attempts;
+          tr_blacklisted = List.length s.blacklisted_methods;
+          tr_cache_used = s.cache_used;
+          tr_queue_depth = s.queue_depth;
+          tr_queue_wait_p50 = w50;
+          tr_queue_wait_p90 = w90;
+          tr_queue_wait_p99 = w99;
+          tr_queue_wait_max = wmax;
+          tr_ttp_p50 = t50;
+          tr_ttp_p90 = t90;
+          tr_ttp_p99 = t99;
+          tr_ttp_max = tmax;
         }
       in
       Obs.Trace.emit "serve_tenant_done" (fun () ->
@@ -194,7 +191,7 @@ let run ?(limits = default_limits) ?timeline ?slo (tenants : tenant list) :
           Engine.create ?queue_capacity:limits.queue_capacity
             ~queue_age_unit:limits.queue_age_unit
             ?cache_capacity:limits.cache_capacity
-            ?compile_deadline:limits.compile_deadline prog config
+            ?compile_fuel:limits.compile_deadline prog config
         in
         let seed = seed_for ~base:limits.chaos_seed tn.tn_id in
         let plan =
@@ -226,45 +223,29 @@ let run ?(limits = default_limits) ?timeline ?slo (tenants : tenant list) :
             0 lives
         in
         if force || now >= !fleet_due then begin
-          let sum f = List.fold_left (fun acc lv -> acc + f lv.lv_engine) 0 lives in
+          let stats = List.map (fun lv -> Engine.stats lv.lv_engine) lives in
+          let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
+          let merged f = List.concat_map f stats |> List.sort compare in
           let active =
             List.length
               (List.filter (fun lv -> lv.lv_done < lv.lv_tenant.tn_iters) lives)
           in
-          let waits =
-            List.concat_map (fun lv -> lv.lv_engine.Engine.queue_waits) lives
-            |> List.sort compare
+          let w50, w90, w99, wmax =
+            Support.Stats.percentiles (merged (fun s -> s.Engine.queue_waits))
           in
-          let ttp =
-            List.concat_map
-              (fun lv -> List.map snd lv.lv_engine.Engine.ttp)
-              lives
-            |> List.sort compare
+          let t50, t90, t99, tmax =
+            Support.Stats.percentiles (merged (fun s -> s.Engine.ttp))
           in
-          let w50, w90, w99, wmax = Support.Stats.percentiles waits in
-          let t50, t90, t99, tmax = Support.Stats.percentiles ttp in
           Obs.Timeline.fleet tl ~cycles:now
             Support.Json.
               [
                 ("tenants", Int (List.length lives));
                 ("active", Int active);
-                ( "queue_depth",
-                  Int
-                    (sum (fun e ->
-                         match e.Engine.serve_queue with
-                         | Some q -> Scheduler.length q
-                         | None -> 0)) );
-                ( "cache_used",
-                  Int
-                    (sum (fun e ->
-                         match e.Engine.serve_cache with
-                         | Some c -> Codecache.used c
-                         | None -> 0)) );
-                ("sheds", Int (sum (fun e -> e.Engine.sheds)));
-                ( "evictions",
-                  Int (sum (fun e -> List.length e.Engine.evictions)) );
-                ( "invalidations",
-                  Int (sum (fun e -> List.length e.Engine.invalidations)) );
+                ("queue_depth", Int (sum (fun s -> s.Engine.queue_depth)));
+                ("cache_used", Int (sum (fun s -> s.Engine.cache_used)));
+                ("sheds", Int (sum (fun s -> s.Engine.sheds)));
+                ("evictions", Int (sum (fun s -> s.Engine.evictions)));
+                ("invalidations", Int (sum (fun s -> s.Engine.invalidations)));
                 ("queue_wait_p50", Int w50);
                 ("queue_wait_p90", Int w90);
                 ("queue_wait_p99", Int w99);

@@ -82,11 +82,6 @@ type tenant_report = {
   tr_ttp_max : int;
 }
 
-val percentile : int list -> float -> int
-(** Exact rank percentile of an ascending list (0 when empty) — the
-    shared {!Support.Stats.percentile}, re-exported for the fleet
-    sections of the bench smoke. *)
-
 val run :
   ?limits:limits -> ?timeline:Obs.Timeline.t -> ?slo:Obs.Slo.monitor ->
   tenant list -> tenant_report list

@@ -20,10 +20,10 @@ def main(): Unit = {
   println(acc);
 }|}
 
-let make ?(hotness = 4) ?max_compile_failures ?compile_fuel ?spec_miss_threshold
+let make ?(hotness = 4) ?compile_fuel ?spec_miss_threshold
     (src : string) (compiler : Jit.Engine.compiler option) : Jit.Engine.t =
   let prog = Util.compile src in
-  Jit.Engine.create ?max_compile_failures ?compile_fuel ?spec_miss_threshold prog
+  Jit.Engine.create ?compile_fuel ?spec_miss_threshold prog
     {
       name = "chaos-test";
       compiler;
@@ -83,18 +83,19 @@ let test_backoff_doubling () =
 let test_blacklist_converges () =
   let calls = ref 0 in
   let crashing : Jit.Engine.compiler = fun _ _ _ -> incr calls; failwith "boom" in
-  let e = make ~hotness:2 ~max_compile_failures:2 hot_src (Some crashing) in
+  let cap = Jit.Engine.max_compile_failures in
+  let e = make ~hotness:2 hot_src (Some crashing) in
   ignore (Jit.Engine.run_main e);
-  Alcotest.(check bool) "attempts capped" true (!calls <= 4);
+  Alcotest.(check bool) "attempts capped" true (!calls <= 2 * cap);
   (* keep invoking until every hot method has exhausted its cap; the
-     bound covers three compile subjects, two attempts each: main, f,
+     bound covers three compile subjects, [cap] attempts each: main, f,
      and the OSR continuation of main's loop (its header crosses the
      backedge threshold across these invocations) *)
   for _ = 1 to 10 do
     ignore (Jit.Engine.run_meth e "main" [ Runtime.Values.Vunit ])
   done;
   let after_loop = !calls in
-  Alcotest.(check bool) "attempts capped after cooldowns" true (after_loop <= 6);
+  Alcotest.(check bool) "attempts capped after cooldowns" true (after_loop <= 3 * cap);
   (* ... then nothing may ever re-enter compilation *)
   for _ = 1 to 5 do
     ignore (Jit.Engine.run_meth e "main" [ Runtime.Values.Vunit ])
@@ -270,7 +271,7 @@ let test_invalidation_storm_bounded () =
   Hashtbl.iter
     (fun _ n ->
       Alcotest.(check bool) "invalidations bounded by max_recompiles" true
-        (n <= e.max_recompiles))
+        (n <= Jit.Engine.max_recompiles))
     per_meth
 
 (* ---------- chaos: the differential property ---------- *)
@@ -347,9 +348,9 @@ let prop_chaos_differential =
          method's failure count is exactly the cap *)
       Hashtbl.iter
         (fun m n ->
-          if n > e.max_compile_failures then
+          if n > Jit.Engine.max_compile_failures then
             QCheck.Test.fail_reportf "method %d failed %d > cap" m n;
-          if Jit.Engine.blacklisted e m && n <> e.max_compile_failures then
+          if Jit.Engine.blacklisted e m && n <> Jit.Engine.max_compile_failures then
             QCheck.Test.fail_reportf "method %d blacklisted at %d failures" m n)
         e.failure_counts;
       true)

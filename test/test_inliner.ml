@@ -952,8 +952,6 @@ let is_decision_event (line : string) : bool =
       | None -> false)
   | Error _ -> false
 
-let md5 (s : string) : string = Digest.to_hex (Digest.string s)
-
 let compiled_lines (w : Workloads.Defs.t) : string list =
   let prog = Workloads.Registry.compile w in
   Opt.Driver.prepare_program prog;
@@ -992,30 +990,8 @@ let compiled_lines (w : Workloads.Defs.t) : string list =
 let golden_tests =
   [
     test "compiled bodies and decision traces match the golden file" (fun () ->
-        let actual = List.concat_map compiled_lines (golden_programs ()) in
-        let golden_path = "golden/compiled.golden" in
-        let golden =
-          match In_channel.with_open_text golden_path In_channel.input_all with
-          | s -> String.split_on_char '\n' s |> List.filter (( <> ) "")
-          | exception Sys_error _ -> []
-        in
-        if actual <> golden then begin
-          Out_channel.with_open_text "compiled.golden.actual" (fun oc ->
-              List.iter (fun l -> output_string oc (l ^ "\n")) actual);
-          let rec first_diff i = function
-            | g :: gs, a :: as_ when g = a -> first_diff (i + 1) (gs, as_)
-            | g :: _, a :: _ -> Printf.sprintf "line %d: expected %S, got %S" i g a
-            | [], a :: _ -> Printf.sprintf "line %d: unexpected %S" i a
-            | g :: _, [] -> Printf.sprintf "line %d: missing %S" i g
-            | [], [] -> "identical"
-          in
-          Alcotest.failf
-            "compiler output drifted from %s (%d lines expected, %d actual); %s.\n\
-             The full actual file is compiled.golden.actual in the test's working \
-             directory."
-            golden_path (List.length golden) (List.length actual)
-            (first_diff 1 (golden, actual))
-        end);
+        check_golden "compiled.golden"
+          (List.concat_map compiled_lines (golden_programs ())));
   ]
 
 let () =

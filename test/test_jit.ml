@@ -254,7 +254,8 @@ let speculation_tests =
           ignore (drive e c 3);
           ignore (drive e b 3)
         done;
-        Alcotest.(check bool) "bounded" true (List.length e.invalidations <= 2));
+        Alcotest.(check bool) "bounded" true
+          (List.length e.invalidations <= Jit.Engine.max_recompiles));
     test "disabled by default" (fun () ->
         let e, b, c = spec_engine () in
         ignore (drive e b 30);
@@ -359,12 +360,12 @@ let async_tests =
         done;
         (* bench and work both became hot on the final iteration *)
         Alcotest.(check int) "nothing installed" 0 (Jit.Engine.installed_methods e);
-        Alcotest.(check bool) "pending visible" true (Jit.Engine.pending_methods e > 0);
+        Alcotest.(check bool) "pending visible" true ((Jit.Engine.stats e).pending > 0);
         Alcotest.(check bool) "pending size visible" true
-          (Jit.Engine.pending_code_size e > 0);
+          ((Jit.Engine.stats e).pending_code_size > 0);
         let n = Jit.Engine.flush_pending ~force:true e in
         Alcotest.(check bool) "flush installed them" true (n > 0);
-        Alcotest.(check int) "pending drained" 0 (Jit.Engine.pending_methods e);
+        Alcotest.(check int) "pending drained" 0 ((Jit.Engine.stats e).pending);
         Alcotest.(check int) "accounted" n (Jit.Engine.installed_methods e);
         Alcotest.(check bool) "code size now visible" true
           (Jit.Engine.installed_code_size e > 0);
@@ -380,10 +381,10 @@ let async_tests =
         for _ = 1 to 3 do
           ignore (Jit.Engine.run_meth e "bench" [ Runtime.Values.Vunit ])
         done;
-        Alcotest.(check bool) "pending" true (Jit.Engine.pending_methods e > 0);
+        Alcotest.(check bool) "pending" true ((Jit.Engine.stats e).pending > 0);
         Alcotest.(check int) "latency not elapsed: nothing installs" 0
           (Jit.Engine.flush_pending e);
-        Alcotest.(check bool) "still pending" true (Jit.Engine.pending_methods e > 0));
+        Alcotest.(check bool) "still pending" true ((Jit.Engine.stats e).pending > 0));
     test "harness end-of-run accounting includes elapsed pending code" (fun () ->
         (* same scenario through the harness: with a tiny per-node cost the
            latency elapses during the final iteration, so the end-of-run
@@ -399,12 +400,162 @@ let async_tests =
         Alcotest.(check bool) "timeline non-empty" true (run.timeline <> []);
         (* anything still latent is reported separately, never dropped *)
         Alcotest.(check int) "nothing left behind" 0
-          (Jit.Engine.pending_methods e - run.pending_methods));
+          ((Jit.Engine.stats e).pending - run.pending_methods));
+  ]
+
+(* ---------- golden engine identity ---------- *)
+
+(* Every observable output of a fixed set of engine runs, pinned byte for
+   byte. One line per run: the MD5 of its trace lines, of its metrics
+   export (registry reset before the run), of its timeline rows, and of
+   its report JSON — [Jit.Harness.run_json] for one engine,
+   [Jit.Serve.report_json] for a fleet. A change meant only to restructure
+   the engine must leave this file identical. *)
+
+let observed (label : string) (run : Obs.Timeline.t -> Support.Json.t) : string =
+  let sink, trace = Obs.Trace.memory_sink () in
+  let tl, timeline = Obs.Timeline.memory () in
+  Obs.Metrics.reset ();
+  let report = Obs.Trace.scoped sink (fun () -> Obs.Metrics.scoped (fun () -> run tl)) in
+  Printf.sprintf "%s trace=%s metrics=%s timeline=%s report=%s" label
+    (md5 (String.concat "\n" (trace ())))
+    (md5 (Support.Json.to_string (Obs.Metrics.to_json ())))
+    (md5 (String.concat "\n" (timeline ())))
+    (md5 (Support.Json.to_string report))
+
+let incremental_config ?(hotness = 8) () : Jit.Engine.config =
+  {
+    name = "incremental";
+    compiler = Some (incremental ());
+    hotness_threshold = hotness;
+    compile_cost_per_node = 50;
+    verify = false;
+  }
+
+let registry name =
+  match Workloads.Registry.find name with
+  | Some w -> w
+  | None -> Alcotest.failf "no workload %s" name
+
+(* One engine as `selvm run --timeline` arms it, driven by the harness. *)
+let golden_engine label ~entry ~iters (make : unit -> Jit.Engine.t * (unit -> unit)) =
+  observed label (fun tl ->
+      let e, warm = make () in
+      Jit.Engine.attach_timeline ~monitor:(Obs.Slo.monitor Obs.Slo.default_specs) e
+        ~source:label tl;
+      warm ();
+      let run = Jit.Harness.run_benchmark ~iters e ~entry ~label in
+      Jit.Engine.sample_timeline ~force:true e;
+      Jit.Engine.snapshot_metrics e;
+      Jit.Harness.run_json run)
+
+let golden_workload ?async_compile ?compile_fuel label name =
+  let w = registry name in
+  golden_engine label ~entry:"bench" ~iters:w.iters (fun () ->
+      ( Jit.Engine.create ?async_compile ?compile_fuel (Workloads.Registry.compile w)
+          (incremental_config ()),
+        ignore ))
+
+(* OSR exits: a receiver shift mid-loop invalidates the running
+   continuation, and a trap unwinds out of one. *)
+let osr_shift_src =
+  {|abstract class A { def m(x: Int): Int }
+    class B() extends A { def m(x: Int): Int = x + 1 }
+    class C() extends A { def m(x: Int): Int = x * 2 }
+    def pick(i: Int, k: Int): A = if (i < k) { new B() } else { new C() }
+    def bench(n: Int, k: Int): Int = {
+      var s = 0;
+      var i = 0;
+      while (i < n) { s = s + pick(i, k).m(i); i = i + 1 };
+      s
+    }
+    def main(): Unit = println(bench(4000, 2000))|}
+
+let osr_trap_src =
+  {|def bench(n: Int): Int = {
+      var s = 0;
+      var i = 0 - 400;
+      while (i < n) { s = s + 1000 / i; i = i + 1 };
+      s
+    }
+    def safe(): Int = bench(0 - 1)
+    def main(): Unit = println(bench(100))|}
+
+(* The CI serve soak's fleet: 8 tenants, queue 2, cache 400, deadline 64. *)
+let golden_fleet label ~chaos_rate =
+  observed label (fun tl ->
+      let tenants =
+        List.concat_map
+          (fun (name, count) ->
+            let w = registry name in
+            List.init count (fun k ->
+                {
+                  Jit.Serve.tn_id = Printf.sprintf "%s#%d" name k;
+                  tn_make =
+                    (fun () -> (Workloads.Registry.compile w, incremental_config ()));
+                  tn_iters = w.iters;
+                }))
+          [ ("gauss-mix", 3); ("long-loop", 3); ("nested-loop", 2) ]
+      in
+      let limits =
+        {
+          Jit.Serve.queue_capacity = Some 2;
+          queue_age_unit = 1024;
+          cache_capacity = Some 400;
+          compile_deadline = Some 64;
+          chaos_rate;
+          chaos_seed = 7;
+        }
+      in
+      let slo = Obs.Slo.monitor Obs.Slo.default_specs in
+      Jit.Serve.report_json (Jit.Serve.run ~limits ~timeline:tl ~slo tenants))
+
+(* In order: [snapshot_metrics] registers per-pattern gauges that later
+   exports list (at zero), so each line depends on the runs before it. *)
+let golden_lines () : string list =
+  List.map
+    (fun run -> run ())
+    [
+      (fun () -> golden_workload "gauss-mix" "gauss-mix");
+      (fun () -> golden_workload "long-loop" "long-loop");
+      (fun () -> golden_workload "nested-loop" "nested-loop");
+      (fun () ->
+        Support.Chaos.scoped ~seed:7 ~rate:0.8 (fun () ->
+            golden_workload "gauss-mix/chaos-0.8" "gauss-mix"));
+      (fun () -> golden_workload ~compile_fuel:2 "gauss-mix/fuel-2" "gauss-mix");
+      (fun () -> golden_workload ~async_compile:true "long-loop/async" "long-loop");
+      (* train [call] on B receivers, then shift to C: invalidate, recompile *)
+      (fun () ->
+        golden_engine "phase-shift/spec-miss-50" ~entry:"main" ~iters:3 (fun () ->
+            let e, b, c = spec_engine ~spec_miss_threshold:50 () in
+            (e, fun () -> ignore (drive e b 30); ignore (drive e c 60))));
+      (fun () ->
+        golden_engine "osr-shift/spec-miss-50" ~entry:"main" ~iters:2 (fun () ->
+            ( Jit.Engine.create ~spec_miss_threshold:50 (compile osr_shift_src)
+                (incremental_config ~hotness:4 ()),
+              ignore )));
+      (fun () ->
+        golden_engine "osr-trap" ~entry:"safe" ~iters:3 (fun () ->
+            let e =
+              Jit.Engine.create (compile osr_trap_src) (incremental_config ~hotness:3 ())
+            in
+            ( e,
+              fun () ->
+                try ignore (Jit.Engine.run_main e) with Runtime.Values.Trap _ -> () )));
+      (fun () -> golden_fleet "fleet/chaos-0.0" ~chaos_rate:0.0);
+      (fun () -> golden_fleet "fleet/chaos-0.2" ~chaos_rate:0.2);
+    ]
+
+let golden_tests =
+  [
+    test "engine traces, metrics, timelines and reports match the golden file"
+      (fun () -> check_golden "engine.golden" (golden_lines ()));
   ]
 
 let () =
   Alcotest.run "jit"
     [
+      ("golden", golden_tests);
       ("engine", engine_tests);
       ("bailout", bailout_tests);
       ("harness", harness_tests);

@@ -1167,34 +1167,11 @@ let all_kind_lines () : string list =
 let schema_tests =
   [
     test "trace event schema matches the golden file" (fun () ->
-        let actual = schema_of_lines (all_kind_lines ()) in
-        let golden_path = "golden/trace_schema.golden" in
-        let golden =
-          match open_in golden_path with
-          | ic ->
-              Fun.protect
-                ~finally:(fun () -> close_in_noerr ic)
-                (fun () ->
-                  let lines = ref [] in
-                  (try
-                     while true do
-                       lines := input_line ic :: !lines
-                     done
-                   with End_of_file -> ());
-                  List.rev !lines)
-          | exception Sys_error _ ->
-              Alcotest.failf
-                "missing %s — expected schema:\n%s" golden_path
-                (String.concat "\n" actual)
-        in
-        if actual <> golden then
-          Alcotest.failf
-            "trace schema drifted from %s.\n\n--- expected ---\n%s\n\n--- actual \
-             ---\n%s\n\nIf the change is intentional, update the golden file and \
-             document it in docs/OBSERVABILITY.md."
-            golden_path
-            (String.concat "\n" golden)
-            (String.concat "\n" actual));
+        check_golden "trace_schema.golden"
+          ~hint:
+            "\nIf the change is intentional, update the golden file and document \
+             it in docs/OBSERVABILITY.md."
+          (schema_of_lines (all_kind_lines ())));
   ]
 
 let () =

@@ -285,14 +285,10 @@ let engine_tests =
         in
         Alcotest.(check bool) "work re-installed after eviction" true
           (installs_of "work" >= 2);
-        Alcotest.(check bool) "evictions recorded" true
-          (List.length e.evictions >= 2);
-        Alcotest.(check int) "serve_stats agrees"
-          (List.length e.evictions)
-          (Jit.Engine.serve_stats e).Jit.Engine.sv_evictions;
+        let st = Jit.Engine.stats e in
+        Alcotest.(check bool) "evictions recorded" true (st.evictions >= 2);
         (* eviction consumed no failure budget: nothing blacklisted *)
-        Alcotest.(check int) "no blacklist" 0
-          (List.length (Jit.Engine.bailout_stats e).blacklisted_methods);
+        Alcotest.(check int) "no blacklist" 0 (List.length st.blacklisted_methods);
         (* and the churn was semantically invisible *)
         let r =
           Jit.Engine.create (compile rehot_src) (jit_config "rehot-ref" None)
@@ -322,7 +318,7 @@ let engine_tests =
         Alcotest.(check int) "nothing ever installs" 0
           (List.length shed.compilations);
         Alcotest.(check bool) "sheds counted" true
-          ((Jit.Engine.serve_stats shed).sv_sheds > 0);
+          ((Jit.Engine.stats shed).sheds > 0);
         Alcotest.(check string) "output unchanged" (Jit.Engine.output direct)
           (Jit.Engine.output shed));
     test "a working queue compiles in the background and records waits"
@@ -337,31 +333,36 @@ let engine_tests =
         done;
         Alcotest.(check bool) "installs happened" true
           (List.length e.compilations > 0);
-        let st = Jit.Engine.serve_stats e in
-        Alcotest.(check bool) "queue waits recorded" true
-          (st.sv_queue_waits <> []);
+        let st = Jit.Engine.stats e in
+        Alcotest.(check bool) "queue waits recorded" true (st.queue_waits <> []);
         Alcotest.(check bool) "waits are sorted ascending" true
-          (List.sort compare st.sv_queue_waits = st.sv_queue_waits);
-        Alcotest.(check bool) "time-to-peak recorded" true (st.sv_ttp <> []));
+          (List.sort compare st.queue_waits = st.queue_waits);
+        Alcotest.(check bool) "time-to-peak recorded" true (st.ttp <> []));
     test "a starved compile deadline bails out but stays exact" (fun () ->
-        let run deadline =
-          let e =
-            Jit.Engine.create ?compile_deadline:deadline (compile rehot_src)
-              (jit_config "deadline" (Some (incremental ())))
+        (* the serve deadline reaches the engine as its per-attempt fuel *)
+        let run compile_deadline =
+          let tn =
+            {
+              Jit.Serve.tn_id = "deadline#0";
+              tn_make =
+                (fun () ->
+                  (compile rehot_src, jit_config "deadline" (Some (incremental ()))));
+              tn_iters = 30;
+            }
           in
-          ignore (Jit.Engine.run_main e);
-          for _ = 1 to 30 do
-            ignore (Jit.Engine.run_meth e "bench" [ Runtime.Values.Vunit ])
-          done;
-          e
+          match
+            Jit.Serve.run ~limits:{ Jit.Serve.default_limits with compile_deadline } [ tn ]
+          with
+          | [ r ] -> r
+          | rs -> Alcotest.failf "served %d reports" (List.length rs)
         in
         let starved = run (Some 1) and free = run None in
         Alcotest.(check bool) "deadline misses are contained bailouts" true
-          ((Jit.Engine.bailout_stats starved).failed_attempts > 0);
+          (starved.tr_bailouts > 0);
         Alcotest.(check int) "nothing installed under a 1-credit deadline" 0
-          (List.length starved.compilations);
-        Alcotest.(check string) "output unchanged" (Jit.Engine.output free)
-          (Jit.Engine.output starved));
+          starved.tr_installs;
+        Alcotest.(check bool) "installs without a deadline" true (free.tr_installs > 0);
+        Alcotest.(check int) "results unchanged" free.tr_checksum starved.tr_checksum);
   ]
 
 (* ---------- multi-tenant driver ---------- *)
@@ -396,12 +397,14 @@ let soak_limits : Jit.Serve.limits =
     chaos_seed = 11;
   }
 
+(* The whole report: output, clocks and checksum, and the churn counters
+   and latency percentiles [Engine.stats] feeds it. *)
 let check_tenant_equal what (f : Jit.Serve.tenant_report)
     (s : Jit.Serve.tenant_report) =
-  Alcotest.(check string) (what ^ ": output") s.tr_output f.tr_output;
-  Alcotest.(check int) (what ^ ": steps") s.tr_steps f.tr_steps;
-  Alcotest.(check int) (what ^ ": cycles") s.tr_cycles f.tr_cycles;
-  Alcotest.(check int) (what ^ ": checksum") s.tr_checksum f.tr_checksum
+  Alcotest.(check string) (what ^ ": report")
+    (Support.Json.to_string (Jit.Serve.report_json [ s ]))
+    (Support.Json.to_string (Jit.Serve.report_json [ f ]));
+  Alcotest.(check string) (what ^ ": output") s.tr_output f.tr_output
 
 let serve_tests =
   [
@@ -435,14 +438,14 @@ let serve_tests =
         Alcotest.(check bool) "non-negative" true
           (Jit.Serve.seed_for ~base:min_int "x" >= 0));
     test "percentile: exact ranks on ascending lists" (fun () ->
-        Alcotest.(check int) "empty" 0 (Jit.Serve.percentile [] 0.5);
-        Alcotest.(check int) "singleton" 5 (Jit.Serve.percentile [ 5 ] 0.99);
+        Alcotest.(check int) "empty" 0 (Support.Stats.percentile [] 0.5);
+        Alcotest.(check int) "singleton" 5 (Support.Stats.percentile [ 5 ] 0.99);
         Alcotest.(check int) "p50 of 4" 2
-          (Jit.Serve.percentile [ 1; 2; 3; 4 ] 0.5);
+          (Support.Stats.percentile [ 1; 2; 3; 4 ] 0.5);
         Alcotest.(check int) "p99 of 4" 4
-          (Jit.Serve.percentile [ 1; 2; 3; 4 ] 0.99);
+          (Support.Stats.percentile [ 1; 2; 3; 4 ] 0.99);
         Alcotest.(check int) "p100 is max" 4
-          (Jit.Serve.percentile [ 1; 2; 3; 4 ] 1.0));
+          (Support.Stats.percentile [ 1; 2; 3; 4 ] 1.0));
     test "fleet = solo, byte for byte, under pressure and chaos" (fun () ->
         let tenants =
           [
@@ -612,6 +615,31 @@ let timeline_tests =
         | Ok offline ->
             Alcotest.(check bool) "same violations" true
               (offline = Obs.Slo.violations mon));
+    test "unbounded fleet rows sum the tenants' resident code" (fun () ->
+        (* with no cache bound a tenant's residency is its installed code,
+           and the fleet row totals exactly what the tenants report *)
+        let tl, read = Obs.Timeline.memory ~interval:50 () in
+        let reports =
+          Jit.Serve.run ~timeline:tl
+            [ tenant "a#0" tenant_a_src; tenant "b#0" tenant_b_src ]
+        in
+        match Obs.Timeline.rows_of_lines (read ()) with
+        | Error e -> Alcotest.fail e
+        | Ok rows ->
+            let fleets =
+              List.filter
+                (fun (r : Obs.Timeline.row) -> r.r_kind = "timeline_fleet")
+                rows
+            in
+            let last = List.nth fleets (List.length fleets - 1) in
+            let used =
+              List.fold_left
+                (fun acc (r : Jit.Serve.tenant_report) -> acc + r.tr_cache_used)
+                0 reports
+            in
+            Alcotest.(check bool) "tenants hold code" true (used > 0);
+            Alcotest.(check (option int)) "fleet cache_used" (Some used)
+              (Obs.Timeline.field last "cache_used"));
     test "p90 and max percentiles are exact ranks" (fun () ->
         let xs = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] in
         let p50, p90, p99, pmax = Support.Stats.percentiles xs in

@@ -57,6 +57,36 @@ let count_virtual_calls fn =
 
 let test name f = Alcotest.test_case name `Quick f
 
+let md5 (s : string) : string = Digest.to_hex (Digest.string s)
+
+(* Compares [actual] with golden/[name] line for line. On drift it writes
+   [name].actual to the test's working directory (_build/default/test)
+   and fails at the first differing line. *)
+let check_golden ?(hint = "") (name : string) (actual : string list) : unit =
+  let path = "golden/" ^ name in
+  let golden =
+    match In_channel.with_open_text path In_channel.input_all with
+    | s -> String.split_on_char '\n' s |> List.filter (( <> ) "")
+    | exception Sys_error _ -> []
+  in
+  if actual <> golden then begin
+    Out_channel.with_open_text (name ^ ".actual") (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    let rec first_diff i = function
+      | g :: gs, a :: as_ when g = a -> first_diff (i + 1) (gs, as_)
+      | g :: _, a :: _ -> Printf.sprintf "line %d: expected %S, got %S" i g a
+      | [], a :: _ -> Printf.sprintf "line %d: unexpected %S" i a
+      | g :: _, [] -> Printf.sprintf "line %d: missing %S" i g
+      | [], [] -> "identical"
+    in
+    Alcotest.failf
+      "%s drifted (%d lines expected, %d actual); %s.\nThe full actual file is \
+       %s.actual in the test's working directory.%s"
+      path (List.length golden) (List.length actual)
+      (first_diff 1 (golden, actual))
+      name hint
+  end
+
 let contains_substring ~needle haystack =
   let n = String.length needle and h = String.length haystack in
   n = 0
