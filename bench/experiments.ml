@@ -317,16 +317,13 @@ let opts_ablation () =
   print_header
     "Opts ablation — per-round root optimizations, each disabled in turn (peak cycles)";
   let p = Inliner.Params.default in
+  let keeping label keep =
+    cfg_params label { p with root_passes = List.filter (fun (n, _) -> keep n) p.root_passes }
+  in
   let configs =
-    [
-      cfg_incremental;
-      cfg_params "-rwelim" { p with opt_rwelim = false };
-      cfg_params "-scalar" { p with opt_scalar = false };
-      cfg_params "-licm" { p with opt_licm = false };
-      cfg_params "-peel" { p with opt_peel = false };
-      cfg_params "-all4"
-        { p with opt_rwelim = false; opt_scalar = false; opt_licm = false; opt_peel = false };
-    ]
+    (cfg_incremental
+    :: List.map (fun (name, _) -> keeping ("-" ^ name) (( <> ) name)) p.root_passes)
+    @ [ keeping "-all" (fun _ -> false) ]
   in
   let columns = "workload" :: List.map (fun (c : config) -> c.label) configs in
   let rows =
@@ -340,7 +337,7 @@ let opts_ablation () =
     "Reading: 'incremental' runs the full per-round pipeline; each column drops one\n\
      pass. Scalar replacement carries lambda-heavy workloads (it is what makes\n\
      cluster inlining pay, the Graal-EE partial-escape-analysis effect); read-write\n\
-     elimination and LICM contribute broadly smaller amounts; peeling is niche."
+     elimination and LICM contribute broadly smaller amounts."
 
 (* ---------- scaling: compile effort vs. call-graph size (Synth) ------- *)
 

@@ -343,6 +343,7 @@ let bench_cmd =
   in
   let bench file workload config hotness entry iters save_profiles json trace
       chaos_seed chaos_rate compile_fuel no_osr =
+    if iters < 1 then fail "--iters must be at least 1";
     match load_program ~file ~workload with
     | Error e -> fail e
     | Ok (prog, label) -> (
@@ -626,6 +627,7 @@ let report_cmd =
              line per calling context) to FILE.")
   in
   let report file workload config hotness entry iters top folded =
+    if iters < 1 then fail "--iters must be at least 1";
     match load_program ~file ~workload with
     | Error e -> fail e
     | Ok (prog, label) -> (

@@ -4,10 +4,10 @@
      while !detectTermination(root):
        expand(root); analyze(root); inline(root)
 
-   plus the per-round root optimizations of Section IV: canonicalization,
-   read-write elimination and first-iteration loop peeling on the root
-   method, followed by a call-tree refresh (deleted callsites, devirtualized
-   targets, re-specialization, new callsites from peeling).
+   plus the per-round root optimizations of Section IV on the root method
+   (canonicalization, then [Opt.Driver.root_passes]), followed by a
+   call-tree refresh (deleted callsites, devirtualized targets,
+   re-specialization, orphan callsites).
 
    Termination (paper): no cutoff nodes left, or no change during the last
    round, or the root IR size exceeding the cap. *)
@@ -72,8 +72,7 @@ let compile ?trial_cache (prog : Ir.Types.program) (profiles : Runtime.Profile.t
        Analysis.run t;
        let inlined = Inline_phase.run t in
        let opt_stats =
-         Opt.Driver.round_root_opts ~rwelim:params.opt_rwelim ~scalar:params.opt_scalar
-           ~licm:params.opt_licm ~peel:params.opt_peel prog t.root_fn
+         Opt.Driver.round_root_opts ~passes:params.root_passes prog t.root_fn
        in
        stats.expanded <- stats.expanded + expanded;
        stats.inlined <- stats.inlined + inlined;

@@ -1,6 +1,6 @@
 (** The top-level incremental inlining algorithm (paper, Listing 1):
     alternate expand / analyze / inline, re-optimize the root
-    (canonicalization, read-write elimination, loop peeling) and refresh
+    ({!Opt.Driver.round_root_opts} over [params.root_passes]) and refresh
     the call tree each round, until nothing changes, the round budget is
     spent, or the root hits the size cap. *)
 

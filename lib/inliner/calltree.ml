@@ -525,8 +525,9 @@ let expand_cutoff (t : t) (n : node) : bool =
    - virtual callsites devirtualized in the owner IR update their target;
    - expanded nodes whose callsite arguments got *better* since their last
      specialization are re-specialized (children rebuilt);
-   - new callsites in the root IR (e.g. duplicated by loop peeling) become
-     fresh cutoff children of the root. *)
+   - new callsites in the root IR (those of a cutoff inlined without
+     expansion, whose body was spliced in with no children scanned)
+     become fresh cutoff children of the root. *)
 let rec refresh_node (t : t) (n : node) : unit =
   if not (Ir.Fn.instr_live n.owner n.call_vid) then begin
     n.kind <- Deleted;

@@ -170,7 +170,8 @@ val refresh : t -> unit
 (** Re-synchronizes with the owner IRs after a round: deleted callsites
     become D, devirtualized sites update their target, expanded nodes with
     improved argument signatures re-specialize (deep trials only), and new
-    root callsites (e.g. duplicated by peeling) join as fresh cutoffs. *)
+    root callsites (those of cutoffs inlined without expansion) join as
+    fresh cutoffs. *)
 
 val prepared_body : t -> meth_id -> fn option
 

@@ -44,11 +44,8 @@ type t = {
   threshold_policy : threshold_policy;
   clustering : bool;        (* false = each node is its own cluster (1-by-1) *)
   deep_trials : bool;       (* false = no argument specialization below the root *)
-  (* per-round root-optimization toggles (the substrate's own ablation) *)
-  opt_rwelim : bool;
-  opt_scalar : bool;
-  opt_licm : bool;
-  opt_peel : bool;
+  (* the per-round root pipeline; opts-ablation drops passes from it *)
+  root_passes : Opt.Driver.pass list;
 }
 
 let default =
@@ -71,10 +68,7 @@ let default =
     threshold_policy = Adaptive;
     clustering = true;
     deep_trials = true;
-    opt_rwelim = true;
-    opt_scalar = true;
-    opt_licm = true;
-    opt_peel = true;
+    root_passes = Opt.Driver.root_passes;
   }
 
 let with_fixed ~te ~ti p = { p with threshold_policy = Fixed { te; ti } }

@@ -3,7 +3,7 @@
    A back edge is an edge b -> h where h dominates b. The loop body of h is
    everything that reaches b without passing through h. Loop nesting depth
    per block feeds static frequency estimation and the inliner's loop-aware
-   priorities; headers feed first-iteration peeling. *)
+   priorities; headers feed loop-invariant hoisting and OSR entry. *)
 
 open Types
 

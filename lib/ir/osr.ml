@@ -27,11 +27,11 @@
      definition are rerouted to that phi. The phi is the only merge point
      iff every path that re-executes the definition re-crosses the header
      before the next rerouted read — true for the structured flow the
-     lowerer emits, but not necessarily after loop peeling or inlining
-     has reshaped the CFG. The repair therefore *checks* it: if any
-     rerouted reader is reachable from the definition without passing
-     the header, the value would be stale there and extraction refuses
-     ([Not_extractable]) instead of producing wrong code.
+     lowerer emits, but not necessarily after inlining has reshaped the
+     CFG. The repair therefore *checks* it: if any rerouted reader is
+     reachable from the definition without passing the header, the value
+     would be stale there and extraction refuses ([Not_extractable])
+     instead of producing wrong code.
    - One per *header phi*: the loop-carried values. At a backedge the
      interpreter has just evaluated the header's phis, so their slots hold
      the current iteration's values; they seed the extracted phis through

@@ -5,38 +5,10 @@
 
    Rewrites happen in place. Replacing an instruction with a constant
    mutates its kind (uses stay valid); replacing it with an existing value
-   rewrites the uses and deletes the instruction. The returned [stats]
-   counts each category of applied rewrite — the inliner's N_s metric. *)
+   rewrites the uses and deletes the instruction. [run_once] returns the
+   number of applied rewrites — the inliner's N_s metric. *)
 
 open Ir.Types
-
-type stats = {
-  mutable const_folds : int;
-  mutable algebraic : int;
-  mutable strength : int;
-  mutable branch_prunes : int;
-  mutable devirts : int;
-  mutable typetest_folds : int;
-}
-
-let empty_stats () =
-  { const_folds = 0; algebraic = 0; strength = 0; branch_prunes = 0; devirts = 0;
-    typetest_folds = 0 }
-
-let total (s : stats) =
-  s.const_folds + s.algebraic + s.strength + s.branch_prunes + s.devirts + s.typetest_folds
-
-let add_into ~(into : stats) (s : stats) =
-  into.const_folds <- into.const_folds + s.const_folds;
-  into.algebraic <- into.algebraic + s.algebraic;
-  into.strength <- into.strength + s.strength;
-  into.branch_prunes <- into.branch_prunes + s.branch_prunes;
-  into.devirts <- into.devirts + s.devirts;
-  into.typetest_folds <- into.typetest_folds + s.typetest_folds
-
-let pp_stats ppf (s : stats) =
-  Fmt.pf ppf "folds=%d algebraic=%d strength=%d branches=%d devirt=%d typetest=%d"
-    s.const_folds s.algebraic s.strength s.branch_prunes s.devirts s.typetest_folds
 
 let is_pow2 n = n > 1 && n land (n - 1) = 0
 
@@ -87,23 +59,19 @@ let fold_intrinsic (intr : intrinsic) (args : const option list) : const option 
   | Imax, [ Some (Cint a); Some (Cint b) ] -> Some (Cint (max a b))
   | _ -> None
 
-(* One canonicalization sweep; true when anything changed. *)
-let run_once (prog : program) (fn : fn) (stats : stats) : bool =
-  let changed = ref false in
+(* One canonicalization sweep; returns the number of rewrites. *)
+let run_once (prog : program) (fn : fn) : int =
+  let rewrites = ref 0 in
   let env = Tyinfer.infer prog fn in
   let const_of v = match Ir.Fn.kind fn v with Const c -> Some c | _ -> None in
-  let count_fold () = stats.const_folds <- stats.const_folds + 1 in
-  let count_alg () = stats.algebraic <- stats.algebraic + 1 in
-  let to_const (i : instr) (c : const) counter =
+  let to_const (i : instr) (c : const) =
     i.kind <- Const c;
-    counter ();
-    changed := true
+    incr rewrites
   in
-  let to_value (i : instr) (v : vid) counter =
+  let to_value (i : instr) (v : vid) =
     Ir.Fn.replace_uses fn ~old_v:i.id ~new_v:v;
     Ir.Fn.delete_instr fn i.id;
-    counter ();
-    changed := true
+    incr rewrites
   in
   let instrs = ref [] in
   Ir.Fn.iter_instrs (fun i -> instrs := i :: !instrs) fn;
@@ -115,70 +83,64 @@ let run_once (prog : program) (fn : fn) (stats : stats) : bool =
             match (const_of a, const_of b) with
             | Some ca, Some cb -> (
                 match fold_binop op ca cb with
-                | Some c -> to_const i c count_fold
+                | Some c -> to_const i c
                 | None -> ())
             | ca, cb -> (
                 match (op, ca, cb) with
-                | Add, Some (Cint 0), _ -> to_value i b count_alg
-                | Add, _, Some (Cint 0) -> to_value i a count_alg
-                | Sub, _, Some (Cint 0) -> to_value i a count_alg
-                | Mul, Some (Cint 1), _ -> to_value i b count_alg
-                | Mul, _, Some (Cint 1) -> to_value i a count_alg
-                | (Mul, Some (Cint 0), _ | Mul, _, Some (Cint 0)) ->
-                    to_const i (Cint 0) count_alg
-                | Div, _, Some (Cint 1) -> to_value i a count_alg
-                | (Band, Some (Cint 0), _ | Band, _, Some (Cint 0)) ->
-                    to_const i (Cint 0) count_alg
-                | Bor, Some (Cint 0), _ -> to_value i b count_alg
-                | Bor, _, Some (Cint 0) -> to_value i a count_alg
-                | Bxor, _, Some (Cint 0) -> to_value i a count_alg
-                | (Shl, _, Some (Cint 0) | Shr, _, Some (Cint 0)) -> to_value i a count_alg
-                | Andb, Some (Cbool true), _ -> to_value i b count_alg
-                | Andb, _, Some (Cbool true) -> to_value i a count_alg
+                | Add, Some (Cint 0), _ -> to_value i b
+                | Add, _, Some (Cint 0) -> to_value i a
+                | Sub, _, Some (Cint 0) -> to_value i a
+                | Mul, Some (Cint 1), _ -> to_value i b
+                | Mul, _, Some (Cint 1) -> to_value i a
+                | (Mul, Some (Cint 0), _ | Mul, _, Some (Cint 0)) -> to_const i (Cint 0)
+                | Div, _, Some (Cint 1) -> to_value i a
+                | (Band, Some (Cint 0), _ | Band, _, Some (Cint 0)) -> to_const i (Cint 0)
+                | Bor, Some (Cint 0), _ -> to_value i b
+                | Bor, _, Some (Cint 0) -> to_value i a
+                | Bxor, _, Some (Cint 0) -> to_value i a
+                | (Shl, _, Some (Cint 0) | Shr, _, Some (Cint 0)) -> to_value i a
+                | Andb, Some (Cbool true), _ -> to_value i b
+                | Andb, _, Some (Cbool true) -> to_value i a
                 | (Andb, Some (Cbool false), _ | Andb, _, Some (Cbool false)) ->
-                    to_const i (Cbool false) count_alg
-                | Orb, Some (Cbool false), _ -> to_value i b count_alg
-                | Orb, _, Some (Cbool false) -> to_value i a count_alg
+                    to_const i (Cbool false)
+                | Orb, Some (Cbool false), _ -> to_value i b
+                | Orb, _, Some (Cbool false) -> to_value i a
                 | (Orb, Some (Cbool true), _ | Orb, _, Some (Cbool true)) ->
-                    to_const i (Cbool true) count_alg
+                    to_const i (Cbool true)
                 | Mul, _, Some (Cint n) when is_pow2 n ->
                     (* strength reduction: x * 2^k  ->  x << k *)
                     let sh = Ir.Fn.insert_before fn ~before:i.id (Const (Cint (log2 n))) in
                     i.kind <- Binop (Shl, a, sh);
-                    stats.strength <- stats.strength + 1;
-                    changed := true
+                    incr rewrites
                 | Mul, Some (Cint n), _ when is_pow2 n ->
                     let sh = Ir.Fn.insert_before fn ~before:i.id (Const (Cint (log2 n))) in
                     i.kind <- Binop (Shl, b, sh);
-                    stats.strength <- stats.strength + 1;
-                    changed := true
+                    incr rewrites
                 | (Eq, _, _ | Le, _, _ | Ge, _, _ | Eqb, _, _) when a = b ->
                     (* the same SSA value compares equal to itself *)
-                    to_const i (Cbool true) count_alg
+                    to_const i (Cbool true)
                 | (Ne, _, _ | Lt, _, _ | Gt, _, _ | Xorb, _, _) when a = b ->
-                    to_const i (Cbool false) count_alg
-                | Sub, _, _ when a = b -> to_const i (Cint 0) count_alg
+                    to_const i (Cbool false)
+                | Sub, _, _ when a = b -> to_const i (Cint 0)
                 | _ -> ()))
         | Unop (op, a) -> (
             match const_of a with
             | Some ca -> (
                 match fold_unop op ca with
-                | Some c -> to_const i c count_fold
+                | Some c -> to_const i c
                 | None -> ())
             | None -> (
                 (* double negation *)
                 match (op, Ir.Fn.kind fn a) with
-                | Neg, Unop (Neg, inner) | Not, Unop (Not, inner) -> to_value i inner count_alg
+                | Neg, Unop (Neg, inner) | Not, Unop (Not, inner) -> to_value i inner
                 | _ -> ()))
         | Intrinsic (intr, args) -> (
             match fold_intrinsic intr (List.map const_of args) with
-            | Some c -> to_const i c count_fold
+            | Some c -> to_const i c
             | None -> ())
         | TypeTest { obj; cls } -> (
             match Tyinfer.typetest_result prog env obj cls with
-            | Some b ->
-                to_const i (Cbool b) (fun () ->
-                    stats.typetest_folds <- stats.typetest_folds + 1)
+            | Some b -> to_const i (Cbool b)
             | None -> ())
         | Call ({ callee = Virtual sel; args; _ } as call) -> (
             match args with
@@ -186,8 +148,7 @@ let run_once (prog : program) (fn : fn) (stats : stats) : bool =
                 match Tyinfer.devirt_target prog env recv sel with
                 | Some m ->
                     call.callee <- Direct m;
-                    stats.devirts <- stats.devirts + 1;
-                    changed := true
+                    incr rewrites
                 | None -> ())
             | [] -> ())
         | _ -> ())
@@ -199,8 +160,7 @@ let run_once (prog : program) (fn : fn) (stats : stats) : bool =
       | If { cond; tb; fb; _ } -> (
           if tb = fb then begin
             blk.term <- Goto tb;
-            stats.branch_prunes <- stats.branch_prunes + 1;
-            changed := true
+            incr rewrites
           end
           else
             match const_of cond with
@@ -216,9 +176,8 @@ let run_once (prog : program) (fn : fn) (stats : stats) : bool =
                     | _ -> ())
                   (Ir.Fn.block fn dead).instrs;
                 blk.term <- Goto live;
-                stats.branch_prunes <- stats.branch_prunes + 1;
-                changed := true
+                incr rewrites
             | _ -> ())
       | _ -> ())
     fn;
-  !changed
+  !rewrites

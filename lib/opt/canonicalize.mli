@@ -1,24 +1,10 @@
 (** Canonicalization: the "simple optimizations" counted by deep inlining
     trials — constant folding, algebraic simplification, strength
     reduction, branch pruning, type-check folding and type-driven
-    devirtualization. Rewrites in place; [stats] counts applied rewrites
-    per category (the inliner's N_s input). *)
+    devirtualization. Rewrites in place; the count of applied rewrites is
+    the inliner's N_s input. *)
 
 open Ir.Types
-
-type stats = {
-  mutable const_folds : int;
-  mutable algebraic : int;
-  mutable strength : int;
-  mutable branch_prunes : int;
-  mutable devirts : int;
-  mutable typetest_folds : int;
-}
-
-val empty_stats : unit -> stats
-val total : stats -> int
-val add_into : into:stats -> stats -> unit
-val pp_stats : Format.formatter -> stats -> unit
 
 val fold_binop : binop -> const -> const -> const option
 (** Pure constant folding; [None] when not foldable (e.g. division by a
@@ -27,6 +13,7 @@ val fold_binop : binop -> const -> const -> const option
 val fold_unop : unop -> const -> const option
 val fold_intrinsic : intrinsic -> const option list -> const option
 
-val run_once : program -> fn -> stats -> bool
-(** One sweep over all instructions plus branch pruning; true when
-    anything changed. Drive to a fixpoint via {!Driver.simplify}. *)
+val run_once : program -> fn -> int
+(** One sweep over all instructions plus branch pruning; returns the
+    number of rewrites (0 when nothing changed). Drive to a fixpoint via
+    {!Driver.simplify}. *)

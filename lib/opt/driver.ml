@@ -4,107 +4,73 @@
    baseline preparation of freshly lowered methods (Graal's parse-time
    canonicalization), by deep inlining trials on specialized callee copies
    (where its event count is the paper's N_s), and on the root method
-   between inlining rounds. [round_root_opts] additionally runs read-write
-   elimination and first-iteration peeling, which the paper applies to the
-   root at the end of every round. *)
+   between inlining rounds. [round_root_opts] additionally runs the
+   [root_passes] list, which the paper applies to the root at the end of
+   every round. *)
 
 open Ir.Types
 
-type stats = {
-  canon : Canonicalize.stats;
-  mutable gvn_hits : int;
-  mutable dce_removed : int;
-  mutable rw_eliminated : int;
-  mutable loops_peeled : int;
-  mutable scalar_replaced : int;
-  mutable licm_hoisted : int;
-}
-
-let empty_stats () =
-  {
-    canon = Canonicalize.empty_stats ();
-    gvn_hits = 0;
-    dce_removed = 0;
-    rw_eliminated = 0;
-    loops_peeled = 0;
-    scalar_replaced = 0;
-    licm_hoisted = 0;
-  }
+type stats = { mutable canon : int; mutable gvn : int; mutable dce : int }
 
 (* The paper's "simple optimizations" count: canonicalization events plus
    value-numbering hits (Section IV lists global value numbering among
    them). Code-removal bookkeeping (DCE) is not itself an optimization
    event. *)
-let simple_opt_count (s : stats) = Canonicalize.total s.canon + s.gvn_hits
+let simple_opt_count (s : stats) = s.canon + s.gvn
 
-let pp_stats ppf (s : stats) =
-  Fmt.pf ppf "%a gvn=%d dce=%d rw=%d peel=%d scalar=%d licm=%d" Canonicalize.pp_stats
-    s.canon s.gvn_hits s.dce_removed s.rw_eliminated s.loops_peeled s.scalar_replaced
-    s.licm_hoisted
+let max_simplify_rounds = 10
 
 (* Canonicalize + GVN + DCE + CFG cleanup to a fixpoint (bounded). *)
-let simplify ?(max_rounds = 10) (prog : program) (fn : fn) : stats =
-  let stats = empty_stats () in
+let simplify (prog : program) (fn : fn) : stats =
+  let stats = { canon = 0; gvn = 0; dce = 0 } in
   let rec go round =
-    if round < max_rounds then begin
+    if round < max_simplify_rounds then begin
       (* watchdog checkpoint: a fixpoint round is the unit of work; the
          fn is always structurally consistent here *)
       Support.Fuel.spend 1;
-      let changed = ref false in
-      let cstats = Canonicalize.empty_stats () in
-      if Canonicalize.run_once prog fn cstats then changed := true;
-      Canonicalize.add_into ~into:stats.canon cstats;
+      let c = Canonicalize.run_once prog fn in
+      stats.canon <- stats.canon + c;
       let g = Gvn.run fn in
-      stats.gvn_hits <- stats.gvn_hits + g;
-      if g > 0 then changed := true;
+      stats.gvn <- stats.gvn + g;
       let d = Dce.run fn in
-      stats.dce_removed <- stats.dce_removed + d;
-      if d > 0 then changed := true;
-      if Simplify.cleanup fn then changed := true;
-      if !changed then go (round + 1)
+      stats.dce <- stats.dce + d;
+      let cleaned = Simplify.cleanup fn in
+      if c > 0 || g > 0 || d > 0 || cleaned then go (round + 1)
     end
   in
   go 0;
   stats
 
+type pass = string * (program -> fn -> int)
+
+(* The per-round root pipeline, in order: read-write elimination, scalar
+   replacement of allocations whose constructors were just inlined, and
+   loop-invariant hoisting. Each pass returns how many rewrites it made;
+   its name is its key in the [opt_round] trace event. *)
+let root_passes : pass list =
+  [ ("rwelim", Rwelim.run); ("scalar", Scalarrepl.run); ("licm", fun _ fn -> Licm.run fn) ]
+
 (* Root-method optimizations at the end of an inlining round: simplify,
-   then read-write elimination, scalar replacement of allocations whose
-   constructors were just inlined, loop-invariant hoisting and profitable
-   first-iteration peeling, then simplify again to exploit what they
-   exposed. The flags exist for the ablation bench (`opts-ablation`). *)
-let round_root_opts ?(rwelim = true) ?(scalar = true) ?(licm = true) ?(peel = true)
-    (prog : program) (fn : fn) : stats =
+   then each of [passes], then simplify again to exploit what they
+   exposed. *)
+let round_root_opts ?(passes = root_passes) (prog : program) (fn : fn) : stats =
   let stats = simplify prog fn in
   (* watchdog checkpoint between the simplify fixpoint and the heavier
-     root passes; each pass below is atomic *)
+     root passes; each pass is atomic *)
   Support.Fuel.spend 1;
-  let rw = if rwelim then Rwelim.run prog fn else 0 in
-  stats.rw_eliminated <- stats.rw_eliminated + rw;
-  let scalar = if scalar then Scalarrepl.run prog fn else 0 in
-  stats.scalar_replaced <- stats.scalar_replaced + scalar;
-  let hoisted = if licm then Licm.run fn else 0 in
-  stats.licm_hoisted <- stats.licm_hoisted + hoisted;
-  let peeled = if peel then Peel.run prog fn else 0 in
-  stats.loops_peeled <- stats.loops_peeled + peeled;
-  if rw > 0 || scalar > 0 || hoisted > 0 || peeled > 0 then begin
+  let counts = List.map (fun (name, run) -> (name, run prog fn)) passes in
+  if List.exists (fun (_, n) -> n > 0) counts then begin
     let s2 = simplify prog fn in
-    Canonicalize.add_into ~into:stats.canon s2.canon;
-    stats.gvn_hits <- stats.gvn_hits + s2.gvn_hits;
-    stats.dce_removed <- stats.dce_removed + s2.dce_removed
+    stats.canon <- stats.canon + s2.canon;
+    stats.gvn <- stats.gvn + s2.gvn;
+    stats.dce <- stats.dce + s2.dce
   end;
   Obs.Trace.emit "opt_round" (fun () ->
-      Support.Json.
-        [
-          ("fn", String fn.fname);
-          ("canon", Int (Canonicalize.total stats.canon));
-          ("gvn", Int stats.gvn_hits);
-          ("dce", Int stats.dce_removed);
-          ("rwelim", Int stats.rw_eliminated);
-          ("scalar", Int stats.scalar_replaced);
-          ("licm", Int stats.licm_hoisted);
-          ("peel", Int stats.loops_peeled);
-          ("size", Int (Ir.Fn.size fn));
-        ]);
+      Support.Json.(
+        [ ("fn", String fn.fname); ("canon", Int stats.canon); ("gvn", Int stats.gvn);
+          ("dce", Int stats.dce) ]
+        @ List.map (fun (name, n) -> (name, Int n)) counts
+        @ [ ("size", Int (Ir.Fn.size fn)) ]));
   stats
 
 (* Baseline preparation of every method body right after lowering, before

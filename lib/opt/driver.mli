@@ -2,37 +2,33 @@
 
 open Ir.Types
 
-type stats = {
-  canon : Canonicalize.stats;
-  mutable gvn_hits : int;
-  mutable dce_removed : int;
-  mutable rw_eliminated : int;
-  mutable loops_peeled : int;
-  mutable scalar_replaced : int;
-  mutable licm_hoisted : int;
-}
-
-val empty_stats : unit -> stats
+type stats = { mutable canon : int; mutable gvn : int; mutable dce : int }
+(** Canonicalization rewrites, value-numbering hits and deleted
+    instructions. *)
 
 val simple_opt_count : stats -> int
 (** The paper's "simple optimizations triggered" metric N_s:
     canonicalization events plus value-numbering hits. *)
 
-val pp_stats : Format.formatter -> stats -> unit
+val simplify : program -> fn -> stats
+(** Canonicalize + GVN + DCE + CFG cleanup to a fixpoint, at most 10
+    rounds. Used to prepare freshly lowered bodies, inside deep inlining
+    trials, and on the root between rounds. *)
 
-val simplify : ?max_rounds:int -> program -> fn -> stats
-(** Canonicalize + GVN + DCE + CFG cleanup to a (bounded) fixpoint. Used
-    to prepare freshly lowered bodies, inside deep inlining trials, and on
-    the root between rounds. *)
+type pass = string * (program -> fn -> int)
+(** A named root pass returning how many rewrites it made. *)
 
-val round_root_opts :
-  ?rwelim:bool -> ?scalar:bool -> ?licm:bool -> ?peel:bool -> program -> fn -> stats
-(** The per-round root treatment: [simplify], then read-write elimination
-    (per the paper), scalar replacement of non-escaping allocations (per
-    the Graal EE context the paper's inliner ships in), loop-invariant
-    hoisting and profitable loop peeling (per the paper), then [simplify]
-    again. The flags (all default true) feed the optimization-ablation
-    bench. *)
+val root_passes : pass list
+(** The per-round root pipeline, in order: read-write elimination (per the
+    paper), scalar replacement of non-escaping allocations (per the Graal
+    EE context the paper's inliner ships in) and loop-invariant hoisting.
+    The one place that lists these passes. *)
+
+val round_root_opts : ?passes:pass list -> program -> fn -> stats
+(** The per-round root treatment: [simplify], then each of [passes]
+    (default {!root_passes}), then [simplify] again when any pass changed
+    something. Emits one [opt_round] trace event whose per-pass keys are
+    the pass names. *)
 
 val prepare_program : program -> unit
 (** Baseline (parse-time-style) canonicalization of every method body.

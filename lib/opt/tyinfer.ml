@@ -62,11 +62,6 @@ let join (prog : program) (a : vt) (b : vt) : vt =
       | None -> Vt_top)
   | _ -> Vt_top
 
-let leq prog a b = join prog a b = b
-
-(* Strictly more precise (used by loop peeling to decide profitability). *)
-let lt prog a b = a <> b && leq prog a b
-
 type env = (vid, vt) Hashtbl.t
 
 let transfer (prog : program) (fn : fn) (env : env) (i : instr) : vt =

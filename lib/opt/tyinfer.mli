@@ -1,8 +1,8 @@
 (** Value-type inference on SSA values: static types refined with
-    exactness and non-nullness — the inputs of type-check folding,
-    devirtualization and peeling profitability. Parameter types are read
-    from [fn.spec_tys], so callsite specialization (deep inlining trials)
-    sharpens everything derived from parameters. *)
+    exactness and non-nullness — the inputs of type-check folding and
+    devirtualization. Parameter types are read from [fn.spec_tys], so
+    callsite specialization (deep inlining trials) sharpens everything
+    derived from parameters. *)
 
 open Ir.Types
 
@@ -16,9 +16,6 @@ type vt =
 
 val of_ty : ty -> vt
 val join : program -> vt -> vt -> vt
-val leq : program -> vt -> vt -> bool
-val lt : program -> vt -> vt -> bool
-(** Strictly more precise. *)
 
 type env = (vid, vt) Hashtbl.t
 

@@ -899,9 +899,7 @@ let compile_checking_summary (prog : Ir.Types.program) profiles (m : Ir.Types.me
       check_summary (Printf.sprintf "%s after round %d" m.m_name k) t;
       Analysis.run t;
       let inlined = Inline_phase.run t in
-      ignore
-        (Opt.Driver.round_root_opts ~rwelim:params.opt_rwelim ~scalar:params.opt_scalar
-           ~licm:params.opt_licm ~peel:params.opt_peel prog t.root_fn);
+      ignore (Opt.Driver.round_root_opts ~passes:params.root_passes prog t.root_fn);
       Calltree.refresh t;
       if expanded > 0 || inlined > 0 then round (k + 1)
     end

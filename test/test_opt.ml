@@ -1,7 +1,8 @@
 (* Tests for the optimizer: type inference, canonicalization rewrites,
-   GVN, DCE, CFG simplification, read-write elimination and loop peeling.
-   Each behavioural test also re-runs the program to confirm the transform
-   preserved semantics. *)
+   GVN, DCE, CFG simplification, read-write elimination, scalar
+   replacement and LICM. Each behavioural test also re-runs the program to
+   confirm the transform preserved semantics; the last group checks that
+   every per-round root pass pays for itself on some workload. *)
 
 open Util
 open Ir.Types
@@ -425,130 +426,6 @@ let rwelim_tests =
         Alcotest.(check string) "out" "3\n" (Runtime.Interp.output vm));
   ]
 
-let peel_tests =
-  [
-    test "peeling preserves semantics and SSA" (fun () ->
-        let src =
-          {|abstract class S { def v(): Int }
-            class A() extends S { def v(): Int = 1 }
-            class B() extends S { def v(): Int = 2 }
-            def f(n: Int): Int = {
-              var s: S = new A();
-              var acc = 0;
-              var i = 0;
-              while (i < n) {
-                acc = acc + s.v();
-                s = new B();
-                i = i + 1;
-              }
-              acc
-            }
-            def main(): Unit = println(f(5))|}
-        in
-        Alcotest.(check string) "baseline" "9\n" (output_of src);
-        let prog = compile src in
-        Opt.Driver.prepare_program prog;
-        let fn = body_of prog "f" in
-        let peeled = Opt.Peel.run prog fn in
-        Alcotest.(check int) "peeled one loop" 1 peeled;
-        check_verifies fn;
-        let vm = Runtime.Interp.create prog in
-        ignore (Runtime.Interp.run_main vm);
-        Alcotest.(check string) "out" "9\n" (Runtime.Interp.output vm));
-    test "peeling requires a type-improving phi" (fun () ->
-        let src =
-          {|def f(n: Int): Int = {
-              var acc = 0;
-              var i = 0;
-              while (i < n) { acc = acc + i; i = i + 1; }
-              acc
-            }
-            def main(): Unit = println(f(10))|}
-        in
-        let prog = compile src in
-        Opt.Driver.prepare_program prog;
-        let fn = body_of prog "f" in
-        Alcotest.(check int) "not peeled" 0 (Opt.Peel.run prog fn));
-    test "peeling then simplify devirtualizes the first iteration" (fun () ->
-        let src =
-          {|abstract class S { def v(): Int }
-            class A() extends S { def v(): Int = 10 }
-            class B() extends S { def v(): Int = 20 }
-            def f(n: Int): Int = {
-              var s: S = new A();
-              var acc = 0;
-              var i = 0;
-              while (i < n) { acc = acc + s.v(); s = new B(); i = i + 1; }
-              acc
-            }
-            def main(): Unit = println(f(4))|}
-        in
-        let prog = compile src in
-        Opt.Driver.prepare_program prog;
-        let fn = body_of prog "f" in
-        let virtual_before = count_virtual_calls fn in
-        ignore (Opt.Peel.run prog fn);
-        ignore (Opt.Driver.simplify prog fn);
-        check_verifies fn;
-        let vm = Runtime.Interp.create prog in
-        ignore (Runtime.Interp.run_main vm);
-        Alcotest.(check string) "out" "70\n" (Runtime.Interp.output vm);
-        Alcotest.(check bool) "no more virtuals than before" true
-          (count_virtual_calls fn <= virtual_before));
-    test "nested loop peeling stays well-formed" (fun () ->
-        let src =
-          {|abstract class S { def v(): Int }
-            class A() extends S { def v(): Int = 1 }
-            class B() extends S { def v(): Int = 3 }
-            def f(n: Int): Int = {
-              var acc = 0;
-              var i = 0;
-              var s: S = new A();
-              while (i < n) {
-                var j = 0;
-                while (j < n) { acc = acc + s.v(); j = j + 1; }
-                s = new B();
-                i = i + 1;
-              }
-              acc
-            }
-            def main(): Unit = println(f(4))|}
-        in
-        let before = output_of src in
-        let prog = compile src in
-        Opt.Driver.prepare_program prog;
-        let fn = body_of prog "f" in
-        ignore (Opt.Peel.run prog fn);
-        check_verifies fn;
-        let vm = Runtime.Interp.create prog in
-        ignore (Runtime.Interp.run_main vm);
-        Alcotest.(check string) "out" before (Runtime.Interp.output vm));
-    test "loop-carried value used after the loop gets an exit phi" (fun () ->
-        let src =
-          {|abstract class S { def v(): Int }
-            class A() extends S { def v(): Int = 2 }
-            class B() extends S { def v(): Int = 5 }
-            def f(n: Int): Int = {
-              var s: S = new A();
-              var last = 0;
-              var i = 0;
-              while (i < n) { last = s.v(); s = new B(); i = i + 1; }
-              last * 10
-            }
-            def main(): Unit = println(f(3))|}
-        in
-        let before = output_of src in
-        Alcotest.(check string) "baseline" "50\n" before;
-        let prog = compile src in
-        Opt.Driver.prepare_program prog;
-        let fn = body_of prog "f" in
-        ignore (Opt.Peel.run prog fn);
-        check_verifies fn;
-        let vm = Runtime.Interp.create prog in
-        ignore (Runtime.Interp.run_main vm);
-        Alcotest.(check string) "out" before (Runtime.Interp.output vm));
-  ]
-
 let scalarrepl_tests =
   [
     test "straight-line allocation dissolves" (fun () ->
@@ -895,6 +772,41 @@ let licm_tests =
         Alcotest.(check string) "out" "56\n" (Runtime.Interp.output vm));
   ]
 
+(* Each pass of [Opt.Driver.root_passes] names one registry workload whose
+   incremental peak, measured as bench's opts-ablation does, rises by at
+   least 1% when the pass is dropped from the pipeline. A pass without a
+   witness fails, so a new pass must show its benefit. *)
+let witnesses = [ ("rwelim", "stm-bench"); ("scalar", "jython-loop"); ("licm", "gauss-mix") ]
+
+let peak_cycles (w : Workloads.Defs.t) (params : Inliner.Params.t) : float =
+  let prog = Workloads.Registry.compile w in
+  let e =
+    Jit.Engine.create prog
+      { name = "ablation"; compiler = Some (incremental ~params ()); hotness_threshold = 8;
+        compile_cost_per_node = 50; verify = false }
+  in
+  (Jit.Harness.run_benchmark ~iters:w.iters e ~entry:"bench" ~label:"ablation").peak_cycles
+
+let pipeline_tests =
+  [
+    test "every root pass raises a witness's peak by 1% when dropped" (fun () ->
+        let p = Inliner.Params.default in
+        List.iter
+          (fun (name, _) ->
+            match Option.bind (List.assoc_opt name witnesses) Workloads.Registry.find with
+            | None -> Alcotest.failf "root pass %s has no witness workload" name
+            | Some w ->
+                let full = peak_cycles w p in
+                let without =
+                  peak_cycles w
+                    { p with root_passes = List.filter (fun (n, _) -> n <> name) p.root_passes }
+                in
+                if without < full *. 1.01 then
+                  Alcotest.failf "dropping %s moves %s's peak only %.0f -> %.0f" name w.name
+                    full without)
+          Opt.Driver.root_passes);
+  ]
+
 let () =
   Alcotest.run "opt"
     [
@@ -904,8 +816,8 @@ let () =
       ("dce", dce_tests);
       ("simplify", simplify_cfg_tests);
       ("rwelim", rwelim_tests);
-      ("peel", peel_tests);
       ("scalarrepl", scalarrepl_tests);
       ("licm", licm_tests);
       ("rules", rule_tests);
+      ("pipeline", pipeline_tests);
     ]

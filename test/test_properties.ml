@@ -555,8 +555,8 @@ let gen_cfg : Ir.Types.fn Gen.t =
    blocks, a dominates b iff b is unreachable from the entry once a is
    removed; an unreachable or deleted block has no idom, no children, and
    is dominated only by itself. Block ids at or past the block count (which
-   [Peel.peel] creates after computing dominators) are unknown to the
-   tree. *)
+   a pass creates when it adds blocks after computing dominators) are
+   unknown to the tree. *)
 let prop_dominators_brute_force =
   Test.make ~name:"dominators agree with brute force" ~count:300
     (QCheck.make ~print:Ir.Printer.fn_to_string gen_cfg)
