@@ -102,9 +102,7 @@ and read_var_recursive st slot b : vid =
 
 and add_phi_operands st slot phi ps : vid =
   let inputs = List.map (fun p -> (p, read_var_in st slot p)) ps in
-  (match Ir.Fn.kind st.fn phi with
-  | Phi p -> p.inputs <- inputs
-  | _ -> assert false);
+  Ir.Fn.set_phi_inputs st.fn phi inputs;
   try_remove_trivial st phi
 
 (* A phi whose operands are all equal (ignoring self-references) is a copy;

@@ -250,10 +250,11 @@ let vt_to_ty (vt : Opt.Tyinfer.vt) : ty option =
 let strictly_more_precise = Sigs.strictly_more_precise
 
 (* What would this callsite specialize its callee with? Returns, per
-   parameter: an optional constant and an optional refined type. *)
-let spec_signature (t : t) ~(owner : fn) ~(call_vid : vid) ~(recv_cls : class_id option)
-    ~(declared : ty array) : (const option * ty option) array =
-  let env = Opt.Tyinfer.infer t.prog owner in
+   parameter: an optional constant and an optional refined type. [env] is
+   the owner's inferred types: callers infer once per owner, not per
+   callsite. *)
+let spec_signature (t : t) ~(env : Opt.Tyinfer.env) ~(owner : fn) ~(call_vid : vid)
+    ~(recv_cls : class_id option) ~(declared : ty array) : (const option * ty option) array =
   let args =
     match Ir.Fn.kind owner call_vid with
     | Call { args; _ } -> Array.of_list args
@@ -310,7 +311,7 @@ let specialize_uncached (t : t) ~(enabled : bool) ~(callee_body : fn)
               (fun instr ->
                 match instr.kind with
                 | Param k when k = i ->
-                    instr.kind <- Const c;
+                    Ir.Fn.set_kind copy instr.id (Const c);
                     had_param := true
                 | _ -> ())
               copy;
@@ -379,6 +380,7 @@ let make_node (t : t) ~pnid ~tname ~kind ~call_vid ~owner ~site ~freq ~prob ~rec
 let scan_children (t : t) ~(pnid : int) ~(owner : fn) ~(owner_meth : meth_id)
     ~(parent_freq : float) ~(ancestors : meth_id list) : node list =
   let freqs = block_freqs t owner_meth owner in
+  let env = lazy (Opt.Tyinfer.infer t.prog owner) in
   List.map
     (fun (call : instr) ->
       match call.kind with
@@ -396,7 +398,8 @@ let scan_children (t : t) ~(pnid : int) ~(owner : fn) ~(owner_meth : meth_id)
           | Known m ->
               let declared = (Ir.Program.meth t.prog m).m_param_tys in
               let sg =
-                spec_signature t ~owner ~call_vid:call.id ~recv_cls:None ~declared
+                spec_signature t ~env:(Lazy.force env) ~owner ~call_vid:call.id
+                  ~recv_cls:None ~declared
               in
               n.n_args_refined <-
                 Array.fold_left
@@ -485,8 +488,8 @@ let expand_cutoff (t : t) (n : node) : bool =
         | Some callee_body ->
             let declared = (Ir.Program.meth t.prog m).m_param_tys in
             let sg =
-              spec_signature t ~owner:n.owner ~call_vid:n.call_vid ~recv_cls:n.recv_cls
-                ~declared
+              spec_signature t ~env:(Opt.Tyinfer.infer t.prog n.owner) ~owner:n.owner
+                ~call_vid:n.call_vid ~recv_cls:n.recv_cls ~declared
             in
             let enabled =
               (* shallow-trials ablation: specialize root-level callsites
@@ -527,8 +530,10 @@ let expand_cutoff (t : t) (n : node) : bool =
      specialization are re-specialized (children rebuilt);
    - new callsites in the root IR (those of a cutoff inlined without
      expansion, whose body was spliced in with no children scanned)
-     become fresh cutoff children of the root. *)
-let rec refresh_node (t : t) (n : node) : unit =
+     become fresh cutoff children of the root.
+   No owner IR changes during a refresh, so [env_of] infers each owner's
+   types at most once. *)
+let rec refresh_node (t : t) ~(env_of : fn -> Opt.Tyinfer.env) (n : node) : unit =
   if not (Ir.Fn.instr_live n.owner n.call_vid) then begin
     n.kind <- Deleted;
     n.children <- []
@@ -550,8 +555,8 @@ let rec refresh_node (t : t) (n : node) : unit =
         | Some callee_body ->
             let declared = (Ir.Program.meth t.prog m).m_param_tys in
             let sg =
-              spec_signature t ~owner:n.owner ~call_vid:n.call_vid ~recv_cls:n.recv_cls
-                ~declared
+              spec_signature t ~env:(env_of n.owner) ~owner:n.owner ~call_vid:n.call_vid
+                ~recv_cls:n.recv_cls ~declared
             in
             if signature_improves t.prog ~old_sig:n.spec_sig ~new_sig:sg then begin
               let body, n_opts, n_a = specialize ~callee_m:m t ~enabled:true ~callee_body ~sg in
@@ -564,7 +569,7 @@ let rec refresh_node (t : t) (n : node) : unit =
             end
         | None -> ())
     | _ -> ());
-    List.iter (refresh_node t) n.children
+    List.iter (refresh_node t ~env_of) n.children
   end
 
 (* All nodes anchored in the root IR (root children plus poly children that
@@ -602,7 +607,16 @@ let scan_orphans (t : t) : unit =
 
 let refresh (t : t) : unit =
   touch t;
-  List.iter (refresh_node t) t.children;
+  let envs = ref [] in
+  let env_of owner =
+    match List.assq_opt owner !envs with
+    | Some env -> env
+    | None ->
+        let env = Opt.Tyinfer.infer t.prog owner in
+        envs := (owner, env) :: !envs;
+        env
+  in
+  List.iter (refresh_node t ~env_of) t.children;
   scan_orphans t
 
 (* ---------- debugging ---------- *)

@@ -133,10 +133,11 @@ val tree_n_c : t -> int
 (** {1 Deep inlining trials} *)
 
 val spec_signature :
-  t -> owner:fn -> call_vid:vid -> recv_cls:class_id option -> declared:ty array ->
-  (const option * ty option) array
+  t -> env:Opt.Tyinfer.env -> owner:fn -> call_vid:vid -> recv_cls:class_id option ->
+  declared:ty array -> (const option * ty option) array
 (** Per-parameter (constant, refined type) a callsite would specialize its
-    callee with. *)
+    callee with; [env] is [Opt.Tyinfer.infer] of [owner], which callers
+    compute once per owner rather than once per callsite. *)
 
 val digest_of_signature : (const option * ty option) array -> string
 

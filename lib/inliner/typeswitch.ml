@@ -54,38 +54,9 @@ let build (prog : program) (fn : fn) ~(call_vid : vid)
     | _ -> invalid_arg "Typeswitch.build: not a call"
   in
   let recv = List.hd args in
-  (* split the containing block, as Splice does *)
-  let call_block =
-    let r = ref None in
-    Ir.Fn.iter_blocks (fun b -> if List.mem call_vid b.instrs then r := Some b) fn;
-    match !r with
-    | Some b -> b
-    | None -> invalid_arg "Typeswitch.build: call not found in any block"
-  in
-  let post = Ir.Fn.add_block fn in
-  let rec split acc = function
-    | [] -> invalid_arg "Typeswitch.build: call vanished"
-    | v :: rest when v = call_vid -> (List.rev acc, rest)
-    | v :: rest -> split (v :: acc) rest
-  in
-  let before, after = split [] call_block.instrs in
-  call_block.instrs <- before;
-  let post_block = Ir.Fn.block fn post in
-  post_block.instrs <- after;
-  post_block.term <- call_block.term;
-  List.iter
-    (fun s ->
-      List.iter
-        (fun v ->
-          match Ir.Fn.kind fn v with
-          | Phi p ->
-              p.inputs <-
-                List.map
-                  (fun (pb, pv) -> if pb = call_block.b_id then (post, pv) else (pb, pv))
-                  p.inputs
-          | _ -> ())
-        (Ir.Fn.block fn s).instrs)
-    (Ir.Fn.succs_of_term post_block.term);
+  (* split the containing block, as Splice does: the call heads [post] *)
+  let call_block = Ir.Fn.block_of fn call_vid in
+  let post = Ir.Fn.split_block fn call_vid in
   let phi_inputs = ref [] in
   let direct_calls = ref [] in
   let rec cascade (cur : bid) = function
@@ -112,9 +83,8 @@ let build (prog : program) (fn : fn) ~(call_vid : vid)
         direct_calls := (cls, dcall) :: !direct_calls;
         cascade next_block rest
   in
-  cascade call_block.b_id targets;
-  (Ir.Fn.instr fn call_vid).kind <- Phi { ty = rty; inputs = List.rev !phi_inputs };
-  post_block.instrs <- call_vid :: post_block.instrs;
+  cascade call_block targets;
+  Ir.Fn.set_kind fn call_vid (Phi { ty = rty; inputs = List.rev !phi_inputs });
   List.rev !direct_calls
 
 (* Applies [build] to a Poly call-tree node in the root IR and re-anchors

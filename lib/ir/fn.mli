@@ -2,7 +2,25 @@
 
     Blocks and instructions live in dense id-indexed stores; deleting an
     entity leaves a tombstone and ids are never reused within a function.
-    The SSA dominance invariant is checked by {!Verify}, not here. *)
+
+    This module is the only writer of the IR: instruction kinds, phi
+    inputs, block instruction lists and terminators change only through
+    the functions below, because each keeps an index over the function
+    current:
+    - {b users}: for every value, one entry per occurrence among the
+      operands of live instructions (placed or not), and one entry per
+      live block whose terminator reads it;
+    - {b placement}: for every instruction, the block that lists it.
+
+    The index lives in each instruction's [users], [term_users] and
+    [block] fields; see {!drop_users} for the lists' lifetime. So {!replace_uses} costs O(uses), and {!delete_instr}
+    and {!insert_before} cost O(block). An operand that names no live
+    instruction (a placeholder, or garbage in an unreachable block) is not
+    indexed: create instructions before setting kinds that refer to them.
+    {!Verify.check} recomputes the index and rejects a function whose
+    index disagrees, so a write behind this module's back fails
+    verification. The SSA dominance invariant is checked there too, not
+    here. *)
 
 open Types
 
@@ -23,6 +41,21 @@ val block_live : fn -> bid -> bool
 val instr_live : fn -> vid -> bool
 val term : fn -> bid -> terminator
 
+val users : fn -> vid -> vid list
+(** The instructions reading [v], ascending, one entry per operand
+    occurrence (an instruction reading [v] twice is listed twice). *)
+
+val term_users : fn -> vid -> bid list
+(** The blocks whose terminator reads [v], ascending. *)
+
+val drop_users : fn -> unit
+(** Empties the users lists, for a body that will only be read or copied
+    (prepared bodies); the next query, on it or on a copy, rebuilds them
+    in O(function). Placement is kept. *)
+
+val block_of : fn -> vid -> bid
+(** The block listing [v], or [-1] when [v] is dead or unplaced. *)
+
 (** {1 Construction and mutation} *)
 
 val add_block : fn -> bid
@@ -37,6 +70,21 @@ val add_instr_at : fn -> vid -> instr_kind -> unit
 (** Id-preserving instruction creation; the instruction is not placed in
     any block.
     @raise Invalid_argument when the id is already live. *)
+
+val set_kind : fn -> vid -> instr_kind -> unit
+(** Rewrites an instruction in place; its id, and so every use of it,
+    stays valid. *)
+
+val set_phi_inputs : fn -> vid -> (bid * vid) list -> unit
+(** @raise Invalid_argument when the instruction is not a phi. *)
+
+val place : fn -> bid -> vid list -> unit
+(** Appends live, unplaced instructions to the end of the block.
+    @raise Invalid_argument when one is dead or already placed. *)
+
+val unplace : fn -> vid -> unit
+(** Removes the instruction from its block; it stays live, so it can be
+    placed elsewhere. *)
 
 val append : fn -> bid -> instr_kind -> vid
 (** Appends a new instruction at the end of the block (before the
@@ -66,7 +114,18 @@ val delete_block : fn -> bid -> unit
 
 val replace_uses : fn -> old_v:vid -> new_v:vid -> unit
 (** Rewrites every use of [old_v] — instruction operands, phi inputs, If
-    conditions and Return values — to [new_v]. *)
+    conditions and Return values — to [new_v], in O(uses). *)
+
+val split_block : fn -> vid -> bid
+(** [split_block fn v] moves [v] and everything after it in its block,
+    plus the terminator, to a fresh block and returns it; the original
+    block ends in a goto to it, and successors' phi edges are renamed. *)
+
+val merge_blocks : fn -> pred:bid -> succ:bid -> unit
+(** Appends [succ]'s instructions and terminator to [pred], renames the
+    successors' phi edges from [succ] to [pred] and deletes [succ]. The
+    caller must have resolved [succ]'s phis and ensured [pred] is its only
+    predecessor. *)
 
 (** {1 Traversal} *)
 
@@ -83,7 +142,9 @@ val preds : fn -> (bid, bid list) Hashtbl.t
 val rpo : fn -> bid list
 (** Reverse postorder over blocks reachable from the entry. *)
 
-val reachable : fn -> (bid, unit) Hashtbl.t
+val reachable : fn -> bid -> bool
+(** [reachable fn] computes reachability once (a bitmap over block ids)
+    and answers membership in {!rpo}'s blocks. *)
 
 val calls : fn -> instr list
 (** Live call instructions, in block order. *)

@@ -76,10 +76,4 @@ let profiled (fn : fn) ~(counts : bid -> float) : (bid, float) Hashtbl.t =
 
 (* Convenience: frequency of the block containing instruction [v]. *)
 let of_instr (fn : fn) (freqs : (bid, float) Hashtbl.t) (v : vid) : float =
-  let result = ref 0.0 in
-  Fn.iter_blocks
-    (fun blk ->
-      if List.mem v blk.instrs then
-        result := (try Hashtbl.find freqs blk.b_id with Not_found -> 0.0))
-    fn;
-  !result
+  Option.value (Hashtbl.find_opt freqs (Fn.block_of fn v)) ~default:0.0

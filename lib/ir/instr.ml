@@ -18,6 +18,23 @@ let operands (k : instr_kind) : vid list =
   | TypeTest { obj; _ } -> [ obj ]
   | Intrinsic (_, args) -> args
 
+(* Calls [f] on each operand, in [operands] order, without allocating. *)
+let iter_operands (f : vid -> unit) (k : instr_kind) : unit =
+  match k with
+  | Const _ | Param _ | New _ -> ()
+  | Unop (_, a) | GetField { obj = a; _ } | NewArray { len = a; _ } | ArrayLen a
+  | TypeTest { obj = a; _ } ->
+      f a
+  | Binop (_, a, b) | SetField { obj = a; value = b; _ } | ArrayGet { arr = a; idx = b; _ } ->
+      f a;
+      f b
+  | ArraySet { arr; idx; value } ->
+      f arr;
+      f idx;
+      f value
+  | Phi { inputs; _ } -> List.iter (fun (_, v) -> f v) inputs
+  | Call { args; _ } | Intrinsic (_, args) -> List.iter f args
+
 (* Rewrites every operand through [f], preserving structure. *)
 let map_operands (f : vid -> vid) (k : instr_kind) : instr_kind =
   match k with

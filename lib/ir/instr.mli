@@ -5,9 +5,13 @@ open Types
 val operands : instr_kind -> vid list
 (** The value operands of an instruction, in a stable order. *)
 
+val iter_operands : (vid -> unit) -> instr_kind -> unit
+(** [iter_operands f k] calls [f] on each element of [operands k], in
+    order, without building the list. *)
+
 val map_operands : (vid -> vid) -> instr_kind -> instr_kind
 (** [map_operands f k] rewrites every operand through [f], preserving
-    structure. The result shares no mutable state with [k]. *)
+    structure. *)
 
 val is_pure : instr_kind -> bool
 (** Pure instructions depend only on their operands: eligible for value

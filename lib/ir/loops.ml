@@ -26,10 +26,10 @@ let compute (fn : fn) : t =
   let by_header : (bid, bid list) Hashtbl.t = Hashtbl.create 8 in
   Fn.iter_blocks
     (fun blk ->
-      if Hashtbl.mem reachable blk.b_id then
+      if reachable blk.b_id then
         List.iter
           (fun s ->
-            if Hashtbl.mem reachable s && Dominators.dominates doms ~a:s ~b:blk.b_id then
+            if reachable s && Dominators.dominates doms ~a:s ~b:blk.b_id then
               let old = try Hashtbl.find by_header s with Not_found -> [] in
               Hashtbl.replace by_header s (blk.b_id :: old))
           (Fn.succs fn blk.b_id))

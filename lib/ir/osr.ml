@@ -168,16 +168,14 @@ let extract_loop (fn0 : fn) ~(header : bid) : extraction =
         List.iter
           (fun v ->
             match Fn.kind f v with
-            | Phi phi ->
-                let kept =
-                  List.filter (fun (p, _) -> in_region p) phi.inputs
-                in
+            | Phi { inputs; _ } ->
+                let kept = List.filter (fun (p, _) -> in_region p) inputs in
                 let kept =
                   match List.assoc_opt v phi_params with
                   | Some p -> (e, p) :: kept
                   | None -> kept
                 in
-                phi.inputs <- kept
+                Fn.set_phi_inputs f v kept
             | _ -> ())
           b.instrs)
     f;
@@ -247,44 +245,38 @@ let extract_loop (fn0 : fn) ~(header : bid) : extraction =
                 end)
               f;
             let vphi = Fn.prepend f header (Phi { ty = ty_of v; inputs = [] }) in
-            (match Fn.kind f vphi with
-            | Phi r ->
-                r.inputs <-
-                  List.map
-                    (fun p ->
-                      if p = e then (p, pv)
-                      else if dominated p then (p, v)
-                      else (p, vphi))
-                    header_preds
-            | _ -> assert false);
+            Fn.set_phi_inputs f vphi
+              (List.map
+                 (fun p ->
+                   if p = e then (p, pv) else if dominated p then (p, v) else (p, vphi))
+                 header_preds);
             Fn.iter_blocks
               (fun b ->
                 if in_region b.b_id then begin
                   List.iter
                     (fun u ->
                       if u <> vphi then
-                        let i = Fn.instr f u in
-                        match i.kind with
-                        | Phi r ->
-                            r.inputs <-
-                              List.map
-                                (fun (p, src) ->
-                                  if src = v && p <> e && not (dominated p)
-                                  then (p, vphi)
-                                  else (p, src))
-                                r.inputs
+                        match Fn.kind f u with
+                        | Phi { inputs; _ } ->
+                            Fn.set_phi_inputs f u
+                              (List.map
+                                 (fun (p, src) ->
+                                   if src = v && p <> e && not (dominated p)
+                                   then (p, vphi)
+                                   else (p, src))
+                                 inputs)
                         | k ->
                             if not (dominated b.b_id) then
-                              i.kind <-
-                                Instr.map_operands
-                                  (fun s -> if s = v then vphi else s)
-                                  k)
+                              Fn.set_kind f u
+                                (Instr.map_operands
+                                   (fun s -> if s = v then vphi else s)
+                                   k))
                     b.instrs;
                   if not (dominated b.b_id) then
                     match b.term with
                     | If ({ cond; _ } as r) when cond = v ->
-                        b.term <- If { r with cond = vphi }
-                    | Return rv when rv = v -> b.term <- Return vphi
+                        Fn.set_term f b.b_id (If { r with cond = vphi })
+                    | Return rv when rv = v -> Fn.set_term f b.b_id (Return vphi)
                     | Goto _ | Unreachable | If _ | Return _ -> ()
                 end)
               f)

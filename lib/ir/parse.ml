@@ -372,22 +372,27 @@ let parse_fn (src : string) : fn =
   let entry = bref st in
   let fn = Fn.create ~fname ~param_tys:(Array.of_list (List.rev !params)) ~rty in
   fn.entry <- entry;
-  (* blocks *)
+  (* blocks; operands may name instructions defined further down, so
+     kinds and terminators are set once every instruction exists *)
+  let kinds = ref [] and terms = ref [] in
   while starts_block (peek st) do
     let b = bref st in
     expect_punct st ':';
     Fn.add_block_at fn b;
-    let blk = Fn.block fn b in
     let instrs = ref [] in
     while starts_instr (peek st) do
       let v = vref st in
       expect_punct st '=';
-      Fn.add_instr_at fn v (parse_kind st);
+      let k = parse_kind st in
+      Fn.add_instr_at fn v (Const Cunit);
+      kinds := (v, k) :: !kinds;
       instrs := v :: !instrs
     done;
-    blk.instrs <- List.rev !instrs;
-    blk.term <- parse_term st
+    Fn.place fn b (List.rev !instrs);
+    terms := (b, parse_term st) :: !terms
   done;
+  List.iter (fun (v, k) -> Fn.set_kind fn v k) (List.rev !kinds);
+  List.iter (fun (b, t) -> Fn.set_term fn b t) (List.rev !terms);
   (match peek st with
   | Teof -> ()
   | t -> fail "trailing input starting at '%s'" (token_str t));

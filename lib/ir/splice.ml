@@ -28,58 +28,27 @@ type remap = {
 }
 
 let inline_call ~(caller : fn) ~(call_vid : vid) ~(callee : fn) : remap =
-  let call_args, call_block =
-    let args = ref None and blk = ref None in
-    Fn.iter_blocks
-      (fun b -> if List.mem call_vid b.instrs then blk := Some b)
-      caller;
-    (match Fn.kind caller call_vid with
-    | Call { args = a; _ } -> args := Some a
-    | _ -> invalid_arg "Splice.inline_call: not a call instruction");
-    match (!args, !blk) with
-    | Some a, Some b -> (Array.of_list a, b)
-    | _ -> invalid_arg "Splice.inline_call: call instruction not found in any block"
+  let call_args, rty =
+    match Fn.kind caller call_vid with
+    | Call { args; rty; _ } -> (Array.of_list args, rty)
+    | _ -> invalid_arg "Splice.inline_call: not a call instruction"
   in
-  (* 1. Split the containing block. *)
-  let post = Fn.add_block caller in
-  let rec split acc = function
-    | [] -> invalid_arg "Splice.inline_call: call vanished during split"
-    | v :: rest when v = call_vid -> (List.rev acc, rest)
-    | v :: rest -> split (v :: acc) rest
-  in
-  let before, after = split [] call_block.instrs in
-  call_block.instrs <- before;
-  let post_block = Fn.block caller post in
-  post_block.instrs <- after;
-  post_block.term <- call_block.term;
-  (* successor phis now flow in via [post] *)
-  List.iter
-    (fun s ->
-      let sb = Fn.block caller s in
-      List.iter
-        (fun v ->
-          match Fn.kind caller v with
-          | Phi p ->
-              p.inputs <-
-                List.map
-                  (fun (pb, pv) -> if pb = call_block.b_id then (post, pv) else (pb, pv))
-                  p.inputs
-          | _ -> ())
-        sb.instrs)
-    (Fn.succs_of_term post_block.term);
+  (* 1. Split the containing block: the call heads [post]. *)
+  let call_block = Fn.block_of caller call_vid in
+  let post = Fn.split_block caller call_vid in
   (* 2. Copy callee blocks and instructions (reachable only). *)
   let reachable = Fn.reachable callee in
   let bmap = Hashtbl.create 16 in
   let vmap = Hashtbl.create 64 in
   Fn.iter_blocks
     (fun b ->
-      if Hashtbl.mem reachable b.b_id then
+      if reachable b.b_id then
         Hashtbl.replace bmap b.b_id (Fn.add_block caller))
     callee;
   (* pass 1: allocate ids; params map directly to arguments *)
   Fn.iter_blocks
     (fun b ->
-      if Hashtbl.mem reachable b.b_id then
+      if reachable b.b_id then
         List.iter
           (fun v ->
             match Fn.kind callee v with
@@ -87,8 +56,8 @@ let inline_call ~(caller : fn) ~(call_vid : vid) ~(callee : fn) : remap =
                 if i >= Array.length call_args then
                   invalid_arg "Splice.inline_call: arity mismatch";
                 Hashtbl.replace vmap v call_args.(i)
-            | k ->
-                let fresh = Fn.fresh_instr caller k (* placeholder kind *) in
+            | _ ->
+                let fresh = Fn.fresh_instr caller (Const Cunit) (* placeholder kind *) in
                 Hashtbl.replace vmap v fresh.id)
           b.instrs)
     callee;
@@ -106,49 +75,42 @@ let inline_call ~(caller : fn) ~(call_vid : vid) ~(callee : fn) : remap =
   let returns = ref [] in
   Fn.iter_blocks
     (fun b ->
-      if Hashtbl.mem reachable b.b_id then begin
-        let nb = Fn.block caller (mb b.b_id) in
-        nb.instrs <-
-          List.filter_map
-            (fun v ->
-              match Fn.kind callee v with
-              | Param _ -> None
-              | k ->
-                  let nk =
-                    match k with
-                    | Phi { ty; inputs } ->
-                        Phi
-                          {
-                            ty;
-                            inputs =
-                              List.filter_map
-                                (fun (pb, pv) ->
-                                  if Hashtbl.mem reachable pb then Some (mb pb, mv pv)
-                                  else None)
-                                inputs;
-                          }
-                    | k -> Instr.map_operands mv k
-                  in
-                  (Fn.instr caller (mv v)).kind <- nk;
-                  Some (mv v))
-            b.instrs;
-        nb.term <-
+      if reachable b.b_id then begin
+        let nb = mb b.b_id in
+        Fn.place caller nb
+          (List.filter_map
+             (fun v ->
+               match Fn.kind callee v with
+               | Param _ -> None
+               | k ->
+                   let nk =
+                     match k with
+                     | Phi { ty; inputs } ->
+                         Phi
+                           {
+                             ty;
+                             inputs =
+                               List.filter_map
+                                 (fun (pb, pv) ->
+                                   if reachable pb then Some (mb pb, mv pv) else None)
+                                 inputs;
+                           }
+                     | k -> Instr.map_operands mv k
+                   in
+                   Fn.set_kind caller (mv v) nk;
+                   Some (mv v))
+             b.instrs);
+        Fn.set_term caller nb
           (match b.term with
           | Goto t -> Goto (mb t)
           | If { cond; site; tb; fb } -> If { cond = mv cond; site; tb = mb tb; fb = mb fb }
           | Return v ->
-              returns := (nb.b_id, mv v) :: !returns;
+              returns := (nb, mv v) :: !returns;
               Goto post
           | Unreachable -> Unreachable)
       end)
     callee;
   (* 3. Wire control into the callee and materialize the join phi. *)
-  call_block.term <- Goto (mb callee.entry);
-  let rty =
-    match (Fn.instr caller call_vid).kind with
-    | Call { rty; _ } -> rty
-    | _ -> assert false
-  in
-  (Fn.instr caller call_vid).kind <- Phi { ty = rty; inputs = List.rev !returns };
-  post_block.instrs <- call_vid :: post_block.instrs;
+  Fn.set_term caller call_block (Goto (mb callee.entry));
+  Fn.set_kind caller call_vid (Phi { ty = rty; inputs = List.rev !returns });
   { vmap; bmap; post }

@@ -66,8 +66,8 @@ type instr_kind =
   | Param of int
   | Unop of unop * vid
   | Binop of binop * vid * vid
-  | Phi of { ty : ty; mutable inputs : (bid * vid) list }
-  | Call of { mutable callee : callee; args : vid list; site : site; rty : ty }
+  | Phi of { ty : ty; inputs : (bid * vid) list }
+  | Call of { callee : callee; args : vid list; site : site; rty : ty }
   | New of class_id
   | GetField of { obj : vid; slot : int; fname : string; fty : ty }
   | SetField of { obj : vid; slot : int; fname : string; value : vid }
@@ -78,7 +78,20 @@ type instr_kind =
   | TypeTest of { obj : vid; cls : class_id }  (* instance-of, subclass-aware *)
   | Intrinsic of intrinsic * vid list
 
-type instr = { id : vid; mutable kind : instr_kind }
+(* Kinds are immutable values; an instruction changes kind only through
+   [Fn], which also keeps the last three fields, an index over the
+   function checked by [Verify], current:
+   - [users]: one entry per occurrence of this value among the operands
+     of live instructions;
+   - [term_users]: one entry per live block whose terminator reads it;
+   - [block]: the block that lists it, or -1. *)
+type instr = {
+  id : vid;
+  mutable kind : instr_kind;
+  mutable users : vid list;
+  mutable term_users : bid list;
+  mutable block : bid;
+}
 
 type terminator =
   | Goto of bid
@@ -94,7 +107,9 @@ type block = {
 
 (* A function body. [param_tys] holds the *declared* parameter types;
    [spec_tys] holds callsite-refined types installed by deep inlining trials
-   (initially equal to [param_tys]). Type inference reads [spec_tys]. *)
+   (initially equal to [param_tys]). Type inference reads [spec_tys].
+   [has_users] says whether the instructions' [users]/[term_users] lists
+   are current; [Fn] rebuilds them on demand when not. *)
 type fn = {
   fname : string;
   mutable param_tys : ty array;
@@ -103,6 +118,7 @@ type fn = {
   mutable entry : bid;
   blocks : block option Support.Vec.t;
   instrs : instr option Support.Vec.t;
+  mutable has_users : bool;
 }
 
 (* Class metadata. [layout] is the full field layout including inherited

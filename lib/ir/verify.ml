@@ -8,13 +8,57 @@
    - phi shape: phis appear at the start of their block; their input edges
      exactly match the block's reachable predecessors.
    - SSA dominance: each non-phi use is dominated by its definition; a phi
-     input is dominated along its incoming edge. *)
+     input is dominated along its incoming edge.
+   - the index [Fn] maintains: recomputed users lists and placements must
+     equal the stored ones, so an IR write that bypassed [Fn] fails here. *)
 
 open Types
 
 exception Ill_formed of string
 
 let fail fmt = Fmt.kstr (fun s -> raise (Ill_formed s)) fmt
+
+let ids l = String.concat "," (List.map string_of_int l)
+
+(* Recomputes [Fn]'s def-use lists from the stores and compares them (when
+   [fn] keeps them), and the placements [placed] found in the block lists,
+   with what [fn]'s instructions hold, over every live instruction and
+   block, reachable or not. *)
+let check_index (fn : fn) ~(placed : vid -> bid) =
+  let module Vec = Support.Vec in
+  let n = Vec.length fn.instrs in
+  let users = Array.make n [] and term_users = Array.make n [] in
+  let add tbl u o = if Fn.instr_live fn o then tbl.(o) <- u :: tbl.(o) in
+  Vec.iter
+    (function Some (i : instr) -> Instr.iter_operands (add users i.id) i.kind | None -> ())
+    fn.instrs;
+  Fn.iter_blocks
+    (fun blk ->
+      match blk.term with
+      | If { cond = o; _ } | Return o -> add term_users blk.b_id o
+      | Goto _ | Unreachable -> ())
+    fn;
+  (* stored lists are ascending *)
+  let same stored expected =
+    match (stored, expected) with
+    | [], [] -> true
+    | [ x ], [ y ] -> x = y
+    | _ -> stored = List.sort compare expected
+  in
+  Vec.iter
+    (function
+      | Some (i : instr) ->
+          let v = i.id in
+          if fn.has_users && not (same i.users users.(v)) then
+            fail "users of v%d are recorded as {%s} but are {%s}" v (ids i.users)
+              (ids users.(v));
+          if fn.has_users && not (same i.term_users term_users.(v)) then
+            fail "terminators reading v%d are recorded as {%s} but are {%s}" v
+              (ids i.term_users) (ids term_users.(v));
+          if i.block <> placed v then
+            fail "v%d is recorded in block %d but placed in %d" v i.block (placed v)
+      | None -> ())
+    fn.instrs
 
 let check (fn : fn) : unit =
   if not (Fn.block_live fn fn.entry) then fail "entry block b%d is dead" fn.entry;
@@ -67,7 +111,7 @@ let check (fn : fn) : unit =
   in
   Fn.iter_blocks
     (fun blk ->
-      if Hashtbl.mem reachable blk.b_id then begin
+      if reachable blk.b_id then begin
         (* phis first *)
         let seen_non_phi = ref false in
         List.iteri
@@ -81,15 +125,14 @@ let check (fn : fn) : unit =
                   fail "phi v%d appears after a non-phi in b%d" v blk.b_id;
                 let ps =
                   (try Hashtbl.find preds blk.b_id with Not_found -> [])
-                  |> List.filter (fun p -> Hashtbl.mem reachable p)
+                  |> List.filter (fun p -> reachable p)
                   |> List.sort_uniq compare
                 in
                 let ins = List.map fst inputs |> List.sort_uniq compare in
                 if ins <> ps then
                   fail "phi v%d in b%d has edges {%s} but predecessors are {%s}"
                     v blk.b_id
-                    (String.concat "," (List.map string_of_int ins))
-                    (String.concat "," (List.map string_of_int ps));
+                    (ids ins) (ids ps);
                 List.iter
                   (fun (pred, pv) ->
                     if not (Fn.instr_live fn pv) then
@@ -98,7 +141,7 @@ let check (fn : fn) : unit =
                     | None -> fail "phi v%d input v%d unplaced" v pv
                     | Some db ->
                         if
-                          Hashtbl.mem reachable pred
+                          reachable pred
                           && not (Dominators.dominates doms ~a:db ~b:pred)
                         then
                           fail
@@ -132,7 +175,8 @@ let check (fn : fn) : unit =
               ~use_pos:(List.length blk.instrs)
         | Unreachable -> ())
       end)
-    fn
+    fn;
+  check_index fn ~placed:(fun v -> Option.value (Hashtbl.find_opt def_block v) ~default:(-1))
 
 let check_exn = check
 

@@ -6,11 +6,11 @@
 open Ir.Types
 
 let run (fn : fn) : int =
-  let marked : (vid, unit) Hashtbl.t = Hashtbl.create 64 in
+  let marked = Bytes.make (Support.Vec.length fn.instrs) '\000' in
   let work = Queue.create () in
   let mark v =
-    if not (Hashtbl.mem marked v) then begin
-      Hashtbl.replace marked v ();
+    if Ir.Fn.instr_live fn v && Bytes.get marked v = '\000' then begin
+      Bytes.set marked v '\001';
       Queue.add v work
     end
   in
@@ -25,8 +25,6 @@ let run (fn : fn) : int =
       | Goto _ | Unreachable -> ())
     fn;
   while not (Queue.is_empty work) do
-    let v = Queue.pop work in
-    if Ir.Fn.instr_live fn v then
-      List.iter mark (Ir.Instr.operands (Ir.Fn.kind fn v))
+    Ir.Instr.iter_operands mark (Ir.Fn.kind fn (Queue.pop work))
   done;
-  Ir.Fn.delete_instrs fn (fun v -> not (Hashtbl.mem marked v))
+  Ir.Fn.delete_instrs fn (fun v -> Bytes.get marked v = '\000')

@@ -43,10 +43,9 @@ let make_preheader (fn : fn) (l : Ir.Loops.loop) : bid option =
       (* redirect entry edges *)
       List.iter
         (fun p ->
-          let blk = Ir.Fn.block fn p in
           let redirect b = if b = l.header then ph else b in
-          blk.term <-
-            (match blk.term with
+          Ir.Fn.set_term fn p
+            (match Ir.Fn.term fn p with
             | Goto t -> Goto (redirect t)
             | If ({ tb; fb; _ } as r) -> If { r with tb = redirect tb; fb = redirect fb }
             | t -> t))
@@ -55,33 +54,23 @@ let make_preheader (fn : fn) (l : Ir.Loops.loop) : bid option =
       List.iter
         (fun v ->
           match Ir.Fn.kind fn v with
-          | Phi p -> (
+          | Phi { ty; inputs } -> (
               let entry_inputs, latch_inputs =
-                List.partition (fun (pb, _) -> List.mem pb entry_preds) p.inputs
+                List.partition (fun (pb, _) -> List.mem pb entry_preds) inputs
               in
               match entry_inputs with
               | [] -> ()
-              | [ (_, only) ] -> p.inputs <- (ph, only) :: latch_inputs
+              | [ (_, only) ] -> Ir.Fn.set_phi_inputs fn v ((ph, only) :: latch_inputs)
               | _ ->
-                  let ty =
-                    match Ir.Fn.kind fn v with
-                    | Phi { ty; _ } -> ty
-                    | _ -> assert false
-                  in
                   let merged = Ir.Fn.prepend fn ph (Phi { ty; inputs = entry_inputs }) in
-                  p.inputs <- (ph, merged) :: latch_inputs)
+                  Ir.Fn.set_phi_inputs fn v ((ph, merged) :: latch_inputs))
           | _ -> ())
         (Ir.Fn.block fn l.header).instrs;
       Some ph
 
 (* Hoists invariant instructions of one loop; returns how many moved. *)
 let hoist_loop (fn : fn) (l : Ir.Loops.loop) : int =
-  (* defined-in-loop set *)
-  let in_loop_def : (vid, unit) Hashtbl.t = Hashtbl.create 32 in
-  Hashtbl.iter
-    (fun b () ->
-      List.iter (fun v -> Hashtbl.replace in_loop_def v ()) (Ir.Fn.block fn b).instrs)
-    l.body;
+  let in_loop_def v = Hashtbl.mem l.body (Ir.Fn.block_of fn v) in
   (* fixpoint: invariant = hoistable and all operands defined outside or
      invariant *)
   let invariant : (vid, unit) Hashtbl.t = Hashtbl.create 8 in
@@ -97,7 +86,7 @@ let hoist_loop (fn : fn) (l : Ir.Loops.loop) : int =
               if
                 hoistable k
                 && List.for_all
-                     (fun o -> (not (Hashtbl.mem in_loop_def o)) || Hashtbl.mem invariant o)
+                     (fun o -> (not (in_loop_def o)) || Hashtbl.mem invariant o)
                      (Ir.Instr.operands k)
               then begin
                 Hashtbl.replace invariant v ();
@@ -114,13 +103,11 @@ let hoist_loop (fn : fn) (l : Ir.Loops.loop) : int =
         (* move in an order where operands precede users: repeatedly take
            instructions whose invariant operands have already moved *)
         let moved : (vid, unit) Hashtbl.t = Hashtbl.create 8 in
-        let ph_blk = Ir.Fn.block fn ph in
         let progress = ref true in
         while !progress do
           progress := false;
           Hashtbl.iter
             (fun b () ->
-              let blk = Ir.Fn.block fn b in
               List.iter
                 (fun v ->
                   if Hashtbl.mem invariant v && not (Hashtbl.mem moved v) then
@@ -130,12 +117,12 @@ let hoist_loop (fn : fn) (l : Ir.Loops.loop) : int =
                         (fun o -> (not (Hashtbl.mem invariant o)) || Hashtbl.mem moved o)
                         (Ir.Instr.operands k)
                     then begin
-                      blk.instrs <- List.filter (fun x -> x <> v) blk.instrs;
-                      ph_blk.instrs <- ph_blk.instrs @ [ v ];
+                      Ir.Fn.unplace fn v;
+                      Ir.Fn.place fn ph [ v ];
                       Hashtbl.replace moved v ();
                       progress := true
                     end)
-                blk.instrs)
+                (Ir.Fn.block fn b).instrs)
             l.body
         done;
         Hashtbl.length moved

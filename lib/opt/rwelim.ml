@@ -92,7 +92,7 @@ let run (prog : program) (fn : fn) : int =
                     | Some written when not (Hashtbl.mem written slot) -> (
                         match default_const fty with
                         | Some c ->
-                            i.kind <- Const c;
+                            Ir.Fn.set_kind fn v (Const c);
                             incr eliminated
                         | None -> ())
                     | _ ->

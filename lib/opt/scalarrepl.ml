@@ -32,24 +32,14 @@ let default_const (t : ty) : const =
 
 (* Does [obj] escape? Any use outside GetField/SetField receiver position. *)
 let escapes (fn : fn) (obj : vid) : bool =
-  let escaped = ref false in
-  Ir.Fn.iter_instrs
-    (fun i ->
-      if i.id <> obj then
-        match i.kind with
-        | GetField { obj = o; _ } when o = obj -> ()
-        | SetField { obj = o; value; _ } when o = obj ->
-            if value = obj then escaped := true
-        | k -> if List.mem obj (Ir.Instr.operands k) then escaped := true)
-    fn;
-  Ir.Fn.iter_blocks
-    (fun blk ->
-      match blk.term with
-      | If { cond; _ } when cond = obj -> escaped := true
-      | Return v when v = obj -> escaped := true
-      | _ -> ())
-    fn;
-  !escaped
+  Ir.Fn.term_users fn obj <> []
+  || List.exists
+       (fun u ->
+         match Ir.Fn.kind fn u with
+         | GetField { obj = o; _ } -> o <> obj
+         | SetField { obj = o; value; _ } -> o <> obj || value = obj
+         | _ -> true)
+       (Ir.Fn.users fn obj)
 
 (* Per-slot value resolution across blocks: Braun-style on-demand phi
    placement over a complete CFG. [exit_val] is pre-populated by the local
@@ -84,9 +74,7 @@ let rec entry_value (st : state) (slot : int) (b : bid) : vid =
           let phi = Ir.Fn.prepend st.fn b (Phi { ty = st.slot_ty slot; inputs = [] }) in
           Hashtbl.replace st.entry_val (slot, b) phi;
           let inputs = List.map (fun p -> (p, exit_value st slot p)) ps in
-          (match Ir.Fn.kind st.fn phi with
-          | Phi pr -> pr.inputs <- inputs
-          | _ -> assert false);
+          Ir.Fn.set_phi_inputs st.fn phi inputs;
           let ops =
             List.map snd inputs |> List.filter (fun v -> v <> phi) |> List.sort_uniq compare
           in

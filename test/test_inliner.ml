@@ -628,8 +628,8 @@ let math_tests =
         | Calltree.Cutoff (Calltree.Known m) ->
             let declared = (Ir.Program.meth t.prog m).m_param_tys in
             let sg =
-              Calltree.spec_signature t ~owner:n.owner ~call_vid:n.call_vid ~recv_cls:None
-                ~declared
+              Calltree.spec_signature t ~env:(Opt.Tyinfer.infer t.prog n.owner) ~owner:n.owner
+                ~call_vid:n.call_vid ~recv_cls:None ~declared
             in
             (* params: dummy unit (const), a (refined to B), k (const 7) *)
             (match sg.(0) with

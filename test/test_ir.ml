@@ -41,9 +41,7 @@ let make_loop () =
   let one = Ir.Fn.append fn b2 (Const (Cint 1)) in
   let inc = Ir.Fn.append fn b2 (Binop (Add, i, one)) in
   Ir.Fn.set_term fn b2 (Goto b1);
-  (match Ir.Fn.kind fn i with
-  | Phi p -> p.inputs <- [ (b0, zero); (b2, inc) ]
-  | _ -> assert false);
+  Ir.Fn.set_phi_inputs fn i [ (b0, zero); (b2, inc) ];
   Ir.Fn.set_term fn b3 (Return i);
   (fn, b0, b1, b2, b3)
 
@@ -88,6 +86,24 @@ let fn_tests =
         match Ir.Fn.term fn b3 with
         | Return v -> Alcotest.(check int) "return updated" fresh v
         | _ -> Alcotest.fail "not a return");
+    test "users lists follow every rewrite" (fun () ->
+        let fn, _, b1, _, b3, phi = make_diamond () in
+        let one = List.hd (Ir.Fn.block fn b1).instrs in
+        Alcotest.(check (list int)) "phi reads one" [ phi ] (Ir.Fn.users fn one);
+        Alcotest.(check (list int)) "b3 returns phi" [ b3 ] (Ir.Fn.term_users fn phi);
+        let fresh = Ir.Fn.append fn b1 (Const (Cint 42)) in
+        Ir.Fn.replace_uses fn ~old_v:one ~new_v:fresh;
+        Alcotest.(check (list int)) "one unused" [] (Ir.Fn.users fn one);
+        Alcotest.(check (list int)) "phi reads fresh" [ phi ] (Ir.Fn.users fn fresh);
+        let neg = Ir.Fn.append fn b3 (Unop (Neg, phi)) in
+        Ir.Fn.set_term fn b3 (Return neg);
+        Alcotest.(check (list int)) "b3 returns neg" [ b3 ] (Ir.Fn.term_users fn neg);
+        Alcotest.(check (list int)) "neg reads phi" [ neg ] (Ir.Fn.users fn phi);
+        Alcotest.(check (list int)) "term no longer reads phi" [] (Ir.Fn.term_users fn phi);
+        Ir.Fn.delete_instr fn one;
+        Alcotest.(check int) "one unplaced" (-1) (Ir.Fn.block_of fn one);
+        Alcotest.(check int) "neg in b3" b3 (Ir.Fn.block_of fn neg);
+        check_verifies fn);
     test "insert_before places instruction before target" (fun () ->
         let fn, b0, _, _, _, _ = make_diamond () in
         let target = List.nth (Ir.Fn.block fn b0).instrs 1 in
@@ -102,9 +118,7 @@ let fn_tests =
     test "copy is deep for mutable kinds" (fun () ->
         let fn, _, _, _, _, phi = make_diamond () in
         let copy = Ir.Fn.copy fn in
-        (match Ir.Fn.kind copy phi with
-        | Phi p -> p.inputs <- []
-        | _ -> Alcotest.fail "not a phi");
+        Ir.Fn.set_phi_inputs copy phi [];
         match Ir.Fn.kind fn phi with
         | Phi { inputs; _ } -> Alcotest.(check int) "original intact" 2 (List.length inputs)
         | _ -> Alcotest.fail "not a phi");
@@ -247,8 +261,9 @@ let verify_tests =
         let _ = Ir.Fn.append fn b0 (Const (Cint 0)) in
         (* add references the NEXT instruction's id: use before def... build
            it explicitly: swap the order *)
-        let blk = Ir.Fn.block fn b0 in
-        blk.instrs <- [ add; c; c + 2 ];
+        Ir.Fn.unplace fn c;
+        Ir.Fn.unplace fn (c + 2);
+        Ir.Fn.place fn b0 [ c; c + 2 ];
         Ir.Fn.set_term fn b0 (Return add);
         Alcotest.(check bool) "ill-formed" false (Ir.Verify.is_well_formed fn));
     test "branch to dead block fails" (fun () ->
@@ -258,7 +273,8 @@ let verify_tests =
     test "phi edges must match predecessors" (fun () ->
         let fn, _, b1, _, _, phi = make_diamond () in
         (match Ir.Fn.kind fn phi with
-        | Phi p -> p.inputs <- List.filter (fun (pb, _) -> pb <> b1) p.inputs
+        | Phi { inputs; _ } ->
+            Ir.Fn.set_phi_inputs fn phi (List.filter (fun (pb, _) -> pb <> b1) inputs)
         | _ -> assert false);
         Alcotest.(check bool) "ill-formed" false (Ir.Verify.is_well_formed fn));
     test "definition must dominate use across blocks" (fun () ->
@@ -270,10 +286,24 @@ let verify_tests =
         Alcotest.(check bool) "ill-formed" false (Ir.Verify.is_well_formed fn));
     test "phi after non-phi fails" (fun () ->
         let fn, _, _, _, b3, phi = make_diamond () in
-        let blk = Ir.Fn.block fn b3 in
         let c = Ir.Fn.fresh_instr fn (Const (Cint 0)) in
-        blk.instrs <- [ c.id; phi ];
+        Ir.Fn.unplace fn phi;
+        Ir.Fn.place fn b3 [ c.id; phi ];
         Alcotest.(check bool) "ill-formed" false (Ir.Verify.is_well_formed fn));
+    test "an operand written behind Fn's back fails" (fun () ->
+        let fn, b0, b1, _, _, _ = make_diamond () in
+        let p = List.hd (Ir.Fn.block fn b0).instrs in
+        let one = List.hd (Ir.Fn.block fn b1).instrs in
+        let neg = Ir.Fn.append fn b1 (Unop (Neg, one)) in
+        check_verifies fn;
+        (* still valid SSA ([p] dominates b1), but [one]'s users list now
+           names an instruction that no longer reads it *)
+        (Ir.Fn.instr fn neg).kind <- Unop (Neg, p);
+        match Ir.Verify.check fn with
+        | () -> Alcotest.fail "stale users list accepted"
+        | exception Ir.Verify.Ill_formed msg ->
+            Alcotest.(check bool) "names the users index" true
+              (String.starts_with ~prefix:"users of" msg));
     test "unreachable blocks are ignored" (fun () ->
         let fn, _, _, _, _, _ = make_diamond () in
         let dead = Ir.Fn.add_block fn in

@@ -388,7 +388,7 @@ let gen_ir_fn : Ir.Types.fn Gen.t =
      in
      let int_ops = [| Add; Sub; Mul; Shl; Band; Bor; Bxor |] in
      let rec fill b =
-       if Hashtbl.mem reachable b then begin
+       if reachable b then begin
          let local = ref (if b = fn.entry then !params else []) in
          let pool () = !local @ visible b in
          let n_instrs = Support.Rng.int rng 4 in
@@ -415,10 +415,10 @@ let gen_ir_fn : Ir.Types.fn Gen.t =
      let preds = Ir.Fn.preds fn in
      Array.iter
        (fun b ->
-         if Hashtbl.mem reachable b && b <> fn.entry then
+         if reachable b && b <> fn.entry then
            let ps =
              (try Hashtbl.find preds b with Not_found -> [])
-             |> List.filter (Hashtbl.mem reachable)
+             |> List.filter reachable
              |> List.sort_uniq compare
            in
            if List.length ps >= 2 && Support.Rng.bool rng then begin
@@ -441,7 +441,7 @@ let gen_ir_fn : Ir.Types.fn Gen.t =
      (* 4. patch terminator operands *)
      Array.iter
        (fun b ->
-         if Hashtbl.mem reachable b then
+         if reachable b then
            let value_for () =
              match end_visible b with
              | [] -> Ir.Fn.append fn b (Const (Cint 7))
@@ -459,7 +459,7 @@ let gen_ir_fn : Ir.Types.fn Gen.t =
         passes are entitled to assume live instructions are well-formed,
         so drop those blocks entirely *)
      Array.iter
-       (fun b -> if not (Hashtbl.mem reachable b) then Ir.Fn.delete_block fn b)
+       (fun b -> if not (reachable b) then Ir.Fn.delete_block fn b)
        blocks;
      fn)
 
@@ -547,7 +547,7 @@ let gen_cfg : Ir.Types.fn Gen.t =
      let reachable = Ir.Fn.reachable fn in
      Array.iter
        (fun b ->
-         if (not (Hashtbl.mem reachable b)) && Support.Rng.bool rng then Ir.Fn.delete_block fn b)
+         if (not (reachable b)) && Support.Rng.bool rng then Ir.Fn.delete_block fn b)
        blocks;
      fn)
 
