@@ -11,9 +11,13 @@ val simple_opt_count : stats -> int
     canonicalization events plus value-numbering hits. *)
 
 val simplify : program -> fn -> stats
-(** Canonicalize + GVN + DCE + CFG cleanup to a fixpoint, at most 10
-    rounds. Used to prepare freshly lowered bodies, inside deep inlining
-    trials, and on the root between rounds. *)
+(** Canonicalize + GVN + DCE + CFG cleanup to a fixpoint, from worklists:
+    every instruction is visited once in forward block order, then again
+    only when an operand was replaced, rewritten or re-typed, and each of
+    GVN, DCE and cleanup re-runs only after an edit that can enable it.
+    The result is a fixpoint: simplifying it again changes nothing. Used
+    to prepare freshly lowered bodies, inside deep inlining trials, and on
+    the root between rounds. *)
 
 type pass = string * (program -> fn -> int)
 (** A named root pass returning how many rewrites it made. *)

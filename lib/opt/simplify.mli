@@ -1,10 +1,19 @@
 (** CFG cleanup after transformations that rewrite terminators (branch
     pruning, inlining): unreachable-block removal with phi-edge pruning,
-    trivial-phi elimination, and straight-line block merging. *)
+    trivial-phi elimination, and straight-line block merging.
 
-val remove_unreachable : Ir.Types.fn -> bool
-val remove_trivial_phis : Ir.Types.fn -> bool
-val merge_blocks : Ir.Types.fn -> bool
+    The optional hooks report edits to a caller that tracks what changed:
+    [pruned] gets each phi that lost an input, and [replaced] is called
+    just before a phi's uses are redirected to another value. *)
 
-val cleanup : Ir.Types.fn -> bool
-(** All three, in order; true when anything changed. *)
+open Ir.Types
+
+type replaced = old_v:vid -> new_v:vid -> unit
+
+val remove_unreachable : ?pruned:(vid -> unit) -> fn -> bool
+val remove_trivial_phis : ?replaced:replaced -> fn -> bool
+val merge_blocks : ?replaced:replaced -> fn -> bool
+
+val cleanup : ?pruned:(vid -> unit) -> ?replaced:replaced -> fn -> bool
+(** All three, in order; true when anything changed. Running it again
+    right away changes nothing. *)
