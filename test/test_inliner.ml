@@ -979,8 +979,7 @@ let compiled_lines (w : Workloads.Defs.t) : string list =
       in
       for _ = 1 to w.iters do
         ignore (Jit.Engine.run_meth e "bench" [ Runtime.Values.Vunit ])
-      done;
-      ignore (Jit.Engine.flush_pending e));
+      done);
   let decisions = List.filter is_decision_event (read ()) in
   List.rev !lines
   @ [ Printf.sprintf "%s trace %s" w.name (md5 (String.concat "\n" decisions)) ]

@@ -284,125 +284,6 @@ let speculation_tests =
           (List.length e.invalidations >= 1));
   ]
 
-let async_tests =
-  [
-    test "async compilation delays installation by the compile latency" (fun () ->
-        let prog = compile hot_src in
-        let e =
-          Jit.Engine.create ~async_compile:true prog
-            { name = "async"; compiler = Some (incremental ()); hotness_threshold = 3;
-              compile_cost_per_node = 1000 (* long latency *); verify = true }
-        in
-        (* cross the threshold: code is produced but pending *)
-        for _ = 1 to 3 do
-          ignore (Jit.Engine.run_meth e "bench" [ Runtime.Values.Vunit ])
-        done;
-        Alcotest.(check bool) "pending" true (Hashtbl.length e.pending > 0);
-        Alcotest.(check int) "nothing installed yet" 0 (Jit.Engine.installed_methods e);
-        (* keep running: the simulated latency elapses and code installs *)
-        for _ = 1 to 200 do
-          ignore (Jit.Engine.run_meth e "bench" [ Runtime.Values.Vunit ])
-        done;
-        Alcotest.(check bool) "installed eventually" true
-          (Jit.Engine.installed_methods e > 0));
-    test "async and sync converge to the same steady state" (fun () ->
-        let peak async =
-          let prog = compile hot_src in
-          let e =
-            Jit.Engine.create ~async_compile:async prog
-              { name = "x"; compiler = Some (incremental ()); hotness_threshold = 3;
-                compile_cost_per_node = 50; verify = false }
-          in
-          let run = Jit.Harness.run_benchmark ~iters:60 e ~entry:"bench" ~label:"x" in
-          run.peak_cycles
-        in
-        Alcotest.(check (float 0.5)) "same peak" (peak false) (peak true));
-    test "async warmup is slower than sync warmup" (fun () ->
-        let cycles_first_k async =
-          let prog = compile hot_src in
-          let e =
-            Jit.Engine.create ~async_compile:async prog
-              { name = "x"; compiler = Some (incremental ()); hotness_threshold = 3;
-                compile_cost_per_node = 500; verify = false }
-          in
-          let run = Jit.Harness.run_benchmark ~iters:25 e ~entry:"bench" ~label:"x" in
-          List.fold_left (fun acc (it : Jit.Harness.iteration) -> acc + it.cycles) 0
-            run.iterations
-        in
-        Alcotest.(check bool) "async pays warmup" true
-          (cycles_first_k true >= cycles_first_k false));
-    test "pending code still profiles (interpreted meanwhile)" (fun () ->
-        let prog = compile hot_src in
-        let e =
-          Jit.Engine.create ~async_compile:true prog
-            { name = "async"; compiler = Some (incremental ()); hotness_threshold = 3;
-              compile_cost_per_node = 100000; verify = false }
-        in
-        for _ = 1 to 10 do
-          ignore (Jit.Engine.run_meth e "bench" [ Runtime.Values.Vunit ])
-        done;
-        let m = Option.get (Ir.Program.find_meth prog "bench") in
-        Alcotest.(check bool) "profile keeps growing" true
-          (Runtime.Profile.invocation_count e.vm.profiles m >= 10));
-    test "flush_pending surfaces never-re-entered compilations" (fun () ->
-        (* regression: a method that crosses the threshold on its *last*
-           entry compiles into [pending] and, with no further entries, the
-           install check never runs — the paid-for code was invisible to
-           installed_code_size and compilations. *)
-        let prog = compile hot_src in
-        let e =
-          Jit.Engine.create ~async_compile:true prog
-            { name = "async"; compiler = Some (incremental ()); hotness_threshold = 3;
-              compile_cost_per_node = 1; verify = true }
-        in
-        for _ = 1 to 3 do
-          ignore (Jit.Engine.run_meth e "bench" [ Runtime.Values.Vunit ])
-        done;
-        (* bench and work both became hot on the final iteration *)
-        Alcotest.(check int) "nothing installed" 0 (Jit.Engine.installed_methods e);
-        Alcotest.(check bool) "pending visible" true ((Jit.Engine.stats e).pending > 0);
-        Alcotest.(check bool) "pending size visible" true
-          ((Jit.Engine.stats e).pending_code_size > 0);
-        let n = Jit.Engine.flush_pending ~force:true e in
-        Alcotest.(check bool) "flush installed them" true (n > 0);
-        Alcotest.(check int) "pending drained" 0 ((Jit.Engine.stats e).pending);
-        Alcotest.(check int) "accounted" n (Jit.Engine.installed_methods e);
-        Alcotest.(check bool) "code size now visible" true
-          (Jit.Engine.installed_code_size e > 0);
-        Alcotest.(check int) "compilations recorded" n
-          (List.length e.compilations));
-    test "flush_pending without force honours the latency" (fun () ->
-        let prog = compile hot_src in
-        let e =
-          Jit.Engine.create ~async_compile:true prog
-            { name = "async"; compiler = Some (incremental ()); hotness_threshold = 3;
-              compile_cost_per_node = 1000000 (* never elapses *); verify = false }
-        in
-        for _ = 1 to 3 do
-          ignore (Jit.Engine.run_meth e "bench" [ Runtime.Values.Vunit ])
-        done;
-        Alcotest.(check bool) "pending" true ((Jit.Engine.stats e).pending > 0);
-        Alcotest.(check int) "latency not elapsed: nothing installs" 0
-          (Jit.Engine.flush_pending e);
-        Alcotest.(check bool) "still pending" true ((Jit.Engine.stats e).pending > 0));
-    test "harness end-of-run accounting includes elapsed pending code" (fun () ->
-        (* same scenario through the harness: with a tiny per-node cost the
-           latency elapses during the final iteration, so the end-of-run
-           flush installs the bodies and the run reports their size. *)
-        let prog = compile hot_src in
-        let e =
-          Jit.Engine.create ~async_compile:true prog
-            { name = "async"; compiler = Some (incremental ()); hotness_threshold = 3;
-              compile_cost_per_node = 1; verify = false }
-        in
-        let run = Jit.Harness.run_benchmark ~iters:3 e ~entry:"bench" ~label:"a" in
-        Alcotest.(check bool) "code size reported" true (run.code_size > 0);
-        Alcotest.(check bool) "timeline non-empty" true (run.timeline <> []);
-        (* anything still latent is reported separately, never dropped *)
-        Alcotest.(check int) "nothing left behind" 0
-          ((Jit.Engine.stats e).pending - run.pending_methods));
-  ]
-
 (* ---------- golden engine identity ---------- *)
 
 (* Every observable output of a fixed set of engine runs, pinned byte for
@@ -449,10 +330,10 @@ let golden_engine label ~entry ~iters (make : unit -> Jit.Engine.t * (unit -> un
       Jit.Engine.snapshot_metrics e;
       Jit.Harness.run_json run)
 
-let golden_workload ?async_compile ?compile_fuel label name =
+let golden_workload ?compile_fuel label name =
   let w = registry name in
   golden_engine label ~entry:"bench" ~iters:w.iters (fun () ->
-      ( Jit.Engine.create ?async_compile ?compile_fuel (Workloads.Registry.compile w)
+      ( Jit.Engine.create ?compile_fuel (Workloads.Registry.compile w)
           (incremental_config ()),
         ignore ))
 
@@ -523,7 +404,6 @@ let golden_lines () : string list =
         Support.Chaos.scoped ~seed:7 ~rate:0.8 (fun () ->
             golden_workload "gauss-mix/chaos-0.8" "gauss-mix"));
       (fun () -> golden_workload ~compile_fuel:2 "gauss-mix/fuel-2" "gauss-mix");
-      (fun () -> golden_workload ~async_compile:true "long-loop/async" "long-loop");
       (* train [call] on B receivers, then shift to C: invalidate, recompile *)
       (fun () ->
         golden_engine "phase-shift/spec-miss-50" ~entry:"main" ~iters:3 (fun () ->
@@ -560,5 +440,4 @@ let () =
       ("bailout", bailout_tests);
       ("harness", harness_tests);
       ("speculation", speculation_tests);
-      ("async", async_tests);
     ]

@@ -977,8 +977,7 @@ let schema_of_lines (lines : string list) : string list =
 (* Deterministically produces every event kind the tracer knows: a JIT'd
    harness run with virtual dispatch (run_start, ic_site, compile_start,
    compile_done, install, inline_round, expand_decision, inline_decision,
-   opt_round), an async engine (pending_install), a phase-shifted
-   speculation (invalidate), a crashing compiler (compile_bailout), a
+   opt_round), a phase-shifted speculation (invalidate), a crashing compiler (compile_bailout), a
    chaos-injected run (chaos), a long loop that OSR-enters compiled
    code and then traps (osr_enter, osr_exit), and a starved serve fleet
    with a timeline and zero-limit SLO monitors (serve_*, shed, evict,
@@ -1008,23 +1007,6 @@ let all_kind_lines () : string list =
             (Some (incremental ())) "schema"
         in
         ignore (Jit.Harness.run_benchmark ~iters:20 e ~entry:"bench" ~label:"schema"))
-  in
-  let async =
-    collect (fun () ->
-        let prog =
-          compile
-            {|def work(n: Int): Int = n + 1
-              def bench(): Int = work(20)
-              def main(): Unit = println(bench())|}
-        in
-        let e =
-          Jit.Engine.create ~async_compile:true prog
-            { name = "schema-async"; compiler = Some (incremental ());
-              hotness_threshold = 3; compile_cost_per_node = 50; verify = false }
-        in
-        for _ = 1 to 10 do
-          ignore (Jit.Engine.run_meth e "bench" [ Runtime.Values.Vunit ])
-        done)
   in
   let invalidation =
     collect (fun () ->
@@ -1161,7 +1143,7 @@ let all_kind_lines () : string list =
           Alcotest.fail "schema serve run fired no SLO violations";
         timeline_lines := read ())
   in
-  harness @ async @ invalidation @ bailouts @ chaos @ osr @ serve
+  harness @ invalidation @ bailouts @ chaos @ osr @ serve
   @ !timeline_lines
 
 let schema_tests =

@@ -394,8 +394,7 @@ let iter_compiled (w : Workloads.Defs.t) (prog : program) (f : meth -> fn -> uni
   in
   for _ = 1 to w.iters do
     ignore (Jit.Engine.run_meth e "bench" [ Runtime.Values.Vunit ])
-  done;
-  ignore (Jit.Engine.flush_pending e)
+  done
 
 (* A second [simplify] must neither rewrite nor change the printed body. *)
 let check_fixpoint (what : string) (prog : program) (fn : fn) =
