@@ -23,7 +23,6 @@ type 'k t = {
 
 let create ~capacity = { cap = max 0 capacity; entries = []; next_seq = 0; total = 0 }
 
-let capacity t = t.cap
 let used t = t.total
 let resident t = List.length t.entries
 let mem t meth = List.exists (fun e -> e.ce_meth = meth) t.entries

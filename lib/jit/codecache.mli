@@ -27,8 +27,6 @@ val create : capacity:int -> 'k t
 (** [capacity] is the total resident size budget in IR nodes, clamped to
     [>= 0]. Capacity 0 admits nothing: every install evicts itself. *)
 
-val capacity : 'k t -> int
-
 val used : 'k t -> int
 (** Total resident size. *)
 
@@ -39,7 +37,7 @@ val mem : 'k t -> 'k -> bool
 
 val retain_score : last_used:int -> uses:int -> size:int -> int
 (** [last_used + 64·uses − size], saturating and clamped to [>= 0].
-    Exposed for tests and evict-event diagnostics. *)
+    Exposed for tests. *)
 
 val install : 'k t -> meth:'k -> size:int -> now:int -> 'k list
 (** Admits [meth] (replacing any previous entry for it), then evicts
@@ -53,5 +51,4 @@ val touch : 'k t -> 'k -> now:int -> unit
 
 val remove : 'k t -> 'k -> unit
 (** Drops [meth]'s residency without an eviction decision (the method
-    was invalidated or blacklisted through the normal paths). A no-op
-    when absent. *)
+    was invalidated). A no-op when absent. *)

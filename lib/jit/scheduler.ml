@@ -11,7 +11,7 @@ open Support
 
 type 'k req = {
   rq_meth : 'k;
-  mutable rq_hotness : int;
+  rq_hotness : int;
   rq_enqueued_at : int;
   rq_seq : int;
 }
@@ -28,7 +28,6 @@ let create ~capacity ~age_unit =
   { cap = max 0 capacity; age_unit = max 1 age_unit;
     reqs = []; next_seq = 0; busy = 0 }
 
-let capacity t = t.cap
 let length t = List.length t.reqs
 
 let score ~hotness ~age ~age_unit =
@@ -41,7 +40,7 @@ let score_of t now r =
 
 type 'k admission =
   | Admitted
-  | Bumped
+  | Waiting
   | Displaced of 'k
   | Rejected
 
@@ -60,40 +59,31 @@ let cheapest t now =
            r0 rest)
 
 let enqueue t ~meth ~hotness ~now =
-  match List.find_opt (fun r -> r.rq_meth = meth) t.reqs with
-  | Some r ->
-      r.rq_hotness <- max r.rq_hotness hotness;
-      Bumped
-  | None ->
-      let admit () =
-        let r =
-          { rq_meth = meth; rq_hotness = hotness; rq_enqueued_at = now;
-            rq_seq = t.next_seq }
-        in
-        t.next_seq <- t.next_seq + 1;
-        t.reqs <- r :: t.reqs
+  if List.exists (fun r -> r.rq_meth = meth) t.reqs then Waiting
+  else
+    let admit () =
+      let r =
+        { rq_meth = meth; rq_hotness = hotness; rq_enqueued_at = now;
+          rq_seq = t.next_seq }
       in
-      if List.length t.reqs < t.cap then begin
-        admit ();
-        Admitted
-      end
-      else
-        match cheapest t now with
-        | None -> Rejected (* capacity 0 *)
-        | Some victim ->
-            let incoming = score ~hotness ~age:0 ~age_unit:t.age_unit in
-            if incoming <= score_of t now victim then Rejected
-            else begin
-              t.reqs <- List.filter (fun r -> r != victim) t.reqs;
-              admit ();
-              Displaced victim.rq_meth
-            end
-
-let mem t meth = List.exists (fun r -> r.rq_meth = meth) t.reqs
-
-let remove t meth = t.reqs <- List.filter (fun r -> r.rq_meth <> meth) t.reqs
-
-let busy_until t = t.busy
+      t.next_seq <- t.next_seq + 1;
+      t.reqs <- r :: t.reqs
+    in
+    if List.length t.reqs < t.cap then begin
+      admit ();
+      Admitted
+    end
+    else
+      match cheapest t now with
+      | None -> Rejected (* capacity 0 *)
+      | Some victim ->
+          let incoming = score ~hotness ~age:0 ~age_unit:t.age_unit in
+          if incoming <= score_of t now victim then Rejected
+          else begin
+            t.reqs <- List.filter (fun r -> r != victim) t.reqs;
+            admit ();
+            Displaced victim.rq_meth
+          end
 
 let occupy t ~until = if until > t.busy then t.busy <- until
 

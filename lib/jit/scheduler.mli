@@ -29,43 +29,39 @@ val create : capacity:int -> age_unit:int -> 'k t
     the caller's clock units) that adds one [hotness] worth of priority
     (clamped to [>= 1]). *)
 
-val capacity : 'k t -> int
 val length : 'k t -> int
 
 val score : hotness:int -> age:int -> age_unit:int -> int
 (** [hotness × (1 + age/age_unit)], saturating at [max_int]; negative
-    operands clamp to 0. Exposed for tests and for the shed diagnostics
-    in trace events. *)
+    operands clamp to 0. Exposed for tests. *)
 
 type 'k admission =
   | Admitted            (** queued; there was room *)
-  | Bumped              (** already queued; hotness refreshed upward *)
+  | Waiting             (** already queued; the request is left as it was
+                            admitted *)
   | Displaced of 'k     (** queued; the lowest-score request was shed *)
   | Rejected            (** shed on arrival: queue full and the incoming
                             request scores no higher than the cheapest
                             waiting one *)
 
 val enqueue : 'k t -> meth:'k -> hotness:int -> now:int -> 'k admission
-(** Offers a compile request. Ties on displacement keep the request that
-    has waited longest (the incoming request loses a tie). *)
-
-val mem : 'k t -> 'k -> bool
-val remove : 'k t -> 'k -> unit
-(** Drops a waiting request (blacklisted or invalidated methods). A
-    no-op when absent. *)
-
-val busy_until : 'k t -> int
-(** The caller-clock time until which the background compiler is
-    occupied by the last serviced request. Initially 0. *)
+(** Offers a compile request. This is the one place that decides whether
+    [meth] is already waiting: a repeated offer returns [Waiting] and
+    changes nothing, so a waiting request keeps the hotness it was
+    admitted with and gains priority by age only. Ties on displacement
+    keep the request that has waited longest (the incoming request loses
+    a tie). *)
 
 val occupy : 'k t -> until:int -> unit
 (** Marks the compiler busy until [until] (monotone: never moves the
-    horizon backward). The engine calls this after servicing a request —
-    including OSR compiles, which bypass the queue but still occupy the
-    one compiler. *)
+    horizon backward; initially 0). The engine calls this after
+    servicing a request — including OSR compiles, which bypass the queue
+    but still occupy the one compiler. *)
 
 val pop : 'k t -> now:int -> ('k * int) option
-(** The highest-score waiting request if the compiler is idle
-    ([now >= busy_until]) and the queue is nonempty; returns the method
-    and its queue wait ([now - enqueued_at], clamped to [>= 0]). Ties
-    pop the longest-waiting request. *)
+(** The highest-score waiting request if the compiler is idle ([now] at
+    or past the {!occupy} horizon) and the queue is nonempty; returns the
+    method and its queue wait ([now - enqueued_at], clamped to [>= 0]).
+    Ties pop the longest-waiting request. A request whose method was
+    installed or blacklisted while it waited is still returned: the
+    engine drops it without compiling. *)
