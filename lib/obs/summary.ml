@@ -13,7 +13,6 @@ type t = {
   mutable total : int;
   mutable kinds : (string * int) list;      (* per-kind counts, insertion order *)
   mutable installs : compile_event list;    (* chronological *)
-  mutable pending_installs : int;
   mutable invalidations : compile_event list;  (* size = misses at invalidation *)
   mutable bailouts : (string * string * int) list;  (* meth, reason, at_cycles *)
   mutable blacklisted : string list;  (* methods whose last bailout hit the cap *)
@@ -40,7 +39,6 @@ let empty () =
     total = 0;
     kinds = [];
     installs = [];
-    pending_installs = 0;
     invalidations = [];
     bailouts = [];
     blacklisted = [];
@@ -88,7 +86,6 @@ let add_event (s : t) (j : Support.Json.t) : unit =
   | "install" ->
       s.installs <-
         s.installs @ [ { meth = str_field j "meth"; size = int_field j "size"; at_cycles = cycles } ]
-  | "pending_install" -> s.pending_installs <- s.pending_installs + 1
   | "invalidate" ->
       s.invalidations <-
         s.invalidations
@@ -236,8 +233,6 @@ let render (s : t) : string =
         pf "  @%-10d install %-24s %d nodes\n" c.at_cycles c.meth c.size)
       s.installs
   end;
-  if s.pending_installs > 0 then
-    pf "\npending (async) compilations queued: %d\n" s.pending_installs;
   if s.invalidations <> [] then begin
     pf "\ninvalidations:\n";
     List.iter

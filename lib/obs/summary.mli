@@ -14,7 +14,6 @@ type t = {
   mutable total : int;
   mutable kinds : (string * int) list;  (** per-kind counts, first-seen order *)
   mutable installs : compile_event list;  (** chronological *)
-  mutable pending_installs : int;
   mutable invalidations : compile_event list;
   mutable bailouts : (string * string * int) list;
       (** contained compile failures as (method, reason, at_cycles) *)

@@ -5,8 +5,8 @@
     (one comparison when monomorphic) instead of a class-table walk.
 
     ICs cache {e resolution only} — the target still goes through the
-    interpreter's [invoke], so tier dispatch, hotness detection and
-    pending installs behave identically to the uncached path. Entries
+    interpreter's [invoke], so tier dispatch and hotness detection
+    behave identically to the uncached path. Entries
     carry the profile's receiver-histogram cell for their (site, class),
     making a cached profiled dispatch's receiver record a single
     increment. Coherence: {!Interp} drops a method's ICs (retiring their
