@@ -58,6 +58,10 @@ type tenant_report = {
   tr_iters : int;
   tr_checksum : int;           (** fold of the per-iteration bench checksums *)
   tr_output : string;          (** full program output *)
+  tr_digest : string;
+      (** MD5 hex over every iteration's [bench] result, in order, and
+          then {!tr_output}. The results are folded into a rolling digest
+          as they arrive, so serving keeps no per-iteration history. *)
   tr_steps : int;
   tr_cycles : int;
   tr_compile_cycles : int;
@@ -102,7 +106,7 @@ val run :
     holds with the timeline on. *)
 
 val report_json : tenant_report list -> Support.Json.t
-(** Deterministic fleet report: per-tenant outputs are digested (MD5
-    hex), latency percentiles and churn counters inline — byte-identical
-    across same-seed runs, and per-tenant entries identical between a
-    fleet run and the tenant's solo run. *)
+(** Deterministic fleet report: each tenant's {!tenant_report.tr_digest}
+    as [output_digest], latency percentiles and churn counters inline —
+    byte-identical across same-seed runs, and per-tenant entries
+    identical between a fleet run and the tenant's solo run. *)
