@@ -24,7 +24,7 @@ type brec = { mutable taken : int; mutable not_taken : int }
 val create : unit -> t
 
 val generation : t -> int
-(** Bumped by every {!clear}. Holders of baked cells compare generations
+(** Incremented by every {!clear}. Holders of baked cells compare generations
     to detect that their cells no longer belong to the profile. *)
 
 (** {1 Recording (used by the interpreter)} *)
