@@ -95,8 +95,54 @@ let extraction_tests =
 
 (* ---------- loop-entry OSR: enter + exactness ---------- *)
 
+(* The simulated cycle at which [bench] first runs compiled code in a full
+   benchmark run of [w] at the bench harness's thresholds. With OSR the
+   running invocation transfers at the loop header: the first
+   [osr_enter]. Without it the method runs compiled only from its next
+   invocation, once promoted: the first [install]. *)
+let time_to_peak (w : Workloads.Defs.t) ~(osr : bool) : int =
+  let sink, lines = Obs.Trace.memory_sink () in
+  Obs.Trace.scoped sink (fun () ->
+      let e =
+        Jit.Engine.create ~osr (Workloads.Registry.compile w)
+          {
+            name = "incremental";
+            compiler = Some (incremental ());
+            hotness_threshold = 8;
+            compile_cost_per_node = 50;
+            verify = false;
+          }
+      in
+      ignore
+        (Jit.Harness.run_benchmark ~iters:w.iters e ~entry:"bench" ~label:w.name));
+  let kind = if osr then "osr_enter" else "install" in
+  let mark l =
+    let j = Result.get_ok (Support.Json.of_string l) in
+    let str k = Option.bind (Support.Json.member k j) Support.Json.to_string_opt in
+    if str "ev" = Some kind && str "meth" = Some "bench" then
+      Option.bind (Support.Json.member "cycles" j) Support.Json.to_int_opt
+    else None
+  in
+  match List.find_map mark (lines ()) with
+  | Some cycles -> cycles
+  | None -> Alcotest.failf "%s: no %s event for bench" w.name kind
+
 let enter_tests =
   [
+    test "OSR collapses time-to-peak at least 10x on long-loop and nested-loop"
+      (fun () ->
+        List.iter
+          (fun name ->
+            let w = Option.get (Workloads.Registry.find name) in
+            let on = time_to_peak w ~osr:true in
+            let off = time_to_peak w ~osr:false in
+            let collapse = float_of_int off /. float_of_int on in
+            if collapse < 10.0 then
+              Alcotest.failf
+                "%s: bench runs compiled at cycle %d with OSR and %d without \
+                 (%.1fx, below 10x)"
+                name on off collapse)
+          [ "long-loop"; "nested-loop" ]);
     test "long-loop enters compiled code mid-invocation" (fun () ->
         let w = Option.get (Workloads.Registry.find "long-loop") in
         let e = osr_engine ~hotness:4 w.Workloads.Defs.source in
