@@ -117,8 +117,8 @@ let run_benchmark ?(setup : string option) ~(iters : int) (engine : Engine.t)
     superinst = Engine.superinst_stats engine;
   }
 
-(* The compile-timeline section of a BENCH_*.json result: when code was
-   installed and how big it was. *)
+(* The compile-timeline section of a run's JSON: when code was installed
+   and how big it was. *)
 let timeline_json (r : run) : Support.Json.t =
   Support.Json.Obj
     [
@@ -202,8 +202,7 @@ let superinst_json (r : run) : Support.Json.t =
              r.superinst) );
     ]
 
-(* The complete run as JSON — the shared emitter behind `selvm bench
-   --json` and the bench smoke's per-run sections. *)
+(* The complete run as JSON, as `selvm bench --json` writes it. *)
 let run_json (r : run) : Support.Json.t =
   Support.Json.Obj
     [

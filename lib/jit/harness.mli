@@ -49,19 +49,13 @@ val run_benchmark :
 (** Runs [entry] (a 0-argument function) [iters] times; [setup] runs once
     beforehand when given. *)
 
-val timeline_json : run -> Support.Json.t
-(** The compile-timeline section benches embed in BENCH_*.json: installs,
-    invalidations, bailouts, blacklist, code size, compile cycles. *)
-
-val ic_json : run -> Support.Json.t
-(** The run's inline-cache totals: sites, hits, misses, megamorphic
-    dispatches, hit rate (null when the run had no virtual dispatches). *)
-
 val superinst_json : run -> Support.Json.t
 (** The run's mined superinstruction table: pattern/site/weight rows plus
     aggregate fused-site and weight totals. *)
 
 val run_json : run -> Support.Json.t
-(** The complete run as JSON — shared by `selvm bench --json` and the
-    bench smoke's per-run sections: name, iteration summary and series,
-    dispatch strategy, {!ic_json}, {!superinst_json}, {!timeline_json}. *)
+(** The complete run as JSON, as `selvm bench --json` writes it: name,
+    iteration summary and series, dispatch strategy, inline-cache totals
+    (hit rate null when the run had no virtual dispatches),
+    {!superinst_json}, and the compile timeline (installs,
+    invalidations, bailouts, blacklist, code size, compile cycles). *)
