@@ -184,7 +184,6 @@ type t = {
 and timeline = {
   tl_sink : Obs.Timeline.t;
   tl_source : string;            (* tenant id, or a run label *)
-  tl_monitor : Obs.Slo.monitor option;
   mutable tl_due : int;          (* next sample at [vm.cycles >= tl_due] *)
 }
 
@@ -288,36 +287,23 @@ let timeline_fields (t : t) : (string * Support.Json.t) list =
     ]
 
 (* The per-entry sampling check: one [None] match while no timeline is
-   attached. When a sample is due, snapshot the gauges, stream the row,
-   and run the SLO monitor over it — each rising-edge firing becomes a
-   structured [slo_violation] trace event on the tenant's own clock. *)
+   attached. When a sample is due, snapshot the gauges and stream the
+   row; the SLO detectors read the rows offline ([Obs.Slo.check_rows]). *)
 let sample_timeline ?(force = false) (t : t) : unit =
   match t.timeline with
   | None -> ()
   | Some tl ->
       if force || t.vm.cycles >= tl.tl_due then begin
         let cycles = t.vm.cycles in
-        let fields = timeline_fields t in
-        Obs.Timeline.sample tl.tl_sink ~source:tl.tl_source ~cycles fields;
-        (match tl.tl_monitor with
-        | None -> ()
-        | Some mon ->
-            List.iter
-              (fun v ->
-                Obs.Trace.emit "slo_violation" (fun () ->
-                    Obs.Slo.violation_fields v))
-              (Obs.Slo.feed mon ~source:tl.tl_source ~cycles fields));
+        Obs.Timeline.sample tl.tl_sink ~source:tl.tl_source ~cycles
+          (timeline_fields t);
         tl.tl_due <- cycles + Obs.Timeline.interval tl.tl_sink
       end
 
 (* Arms sampling; the first sample lands at the next method entry (a
    baseline row), then every [Obs.Timeline.interval] cycles. *)
-let attach_timeline ?monitor (t : t) ~(source : string)
-    (sink : Obs.Timeline.t) : unit =
-  t.timeline <-
-    Some
-      { tl_sink = sink; tl_source = source; tl_monitor = monitor;
-        tl_due = t.vm.cycles }
+let attach_timeline (t : t) ~(source : string) (sink : Obs.Timeline.t) : unit =
+  t.timeline <- Some { tl_sink = sink; tl_source = source; tl_due = t.vm.cycles }
 
 (* ---------- shared reads ---------- *)
 

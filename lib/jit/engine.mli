@@ -128,7 +128,6 @@ type t = {
 and timeline = {
   tl_sink : Obs.Timeline.t;
   tl_source : string;  (** tenant id, or a run label *)
-  tl_monitor : Obs.Slo.monitor option;
   mutable tl_due : int;  (** next sample at [vm.cycles >= tl_due] *)
 }
 
@@ -278,13 +277,10 @@ val sample_timeline : ?force:bool -> t -> unit
     [code_size]), churn ([compiles], [invalidations],
     [bailouts], [osr_enters], [osr_exits]) and serving pressure
     ([queue_depth], [cache_used], [cache_resident], [sheds],
-    [evictions], [evict_max]).
-    Feeds the attached {!Obs.Slo} monitor, emitting each rising-edge
-    firing as a structured [slo_violation] trace event. A single [None]
-    match when no timeline is attached. *)
+    [evictions], [evict_max]), which the {!Obs.Slo} detectors read
+    offline. A single [None] match when no timeline is attached. *)
 
-val attach_timeline :
-  ?monitor:Obs.Slo.monitor -> t -> source:string -> Obs.Timeline.t -> unit
+val attach_timeline : t -> source:string -> Obs.Timeline.t -> unit
 (** Arms sampling on this engine: a baseline row at the next method
     entry, then one every [Obs.Timeline.interval] simulated cycles.
     Sampling only reads engine state — arming it cannot change program

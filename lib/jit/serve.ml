@@ -172,7 +172,7 @@ let finish (lv : live) : tenant_report =
             ]);
       r)
 
-let run ?(limits = default_limits) ?timeline ?slo (tenants : tenant list) :
+let run ?(limits = default_limits) ?timeline (tenants : tenant list) :
     tenant_report list =
   Obs.Trace.emit "serve_start" (fun () ->
       Support.Json.
@@ -203,7 +203,7 @@ let run ?(limits = default_limits) ?timeline ?slo (tenants : tenant list) :
           else None
         in
         (match timeline with
-        | Some tl -> Engine.attach_timeline ?monitor:slo engine ~source:tn.tn_id tl
+        | Some tl -> Engine.attach_timeline engine ~source:tn.tn_id tl
         | None -> ());
         { lv_tenant = tn; lv_engine = engine; lv_plan = plan; lv_seed = seed;
           lv_done = 0; lv_checksum = 0; lv_results = Digest.string "" })

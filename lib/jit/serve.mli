@@ -87,8 +87,8 @@ type tenant_report = {
 }
 
 val run :
-  ?limits:limits -> ?timeline:Obs.Timeline.t -> ?slo:Obs.Slo.monitor ->
-  tenant list -> tenant_report list
+  ?limits:limits -> ?timeline:Obs.Timeline.t -> tenant list ->
+  tenant_report list
 (** Serves the fleet to completion and reports per tenant, in input
     order. Emits [serve_start] / [serve_slice] / [serve_tenant_done]
     trace events (the per-engine [serve_*]/[evict]/[shed] events come
@@ -98,10 +98,9 @@ val run :
     With [timeline], every tenant's engine samples its gauges on its own
     clock ({!Engine.attach_timeline}) and the driver adds one
     [timeline_fleet] row per round-robin turn when due — queue/cache
-    totals plus p50/p90/p99/max latency percentiles across the fleet.
-    With [slo], the shared monitor runs over every tenant's samples
-    (per-tenant detector state) and firings become [slo_violation]
-    trace events. Sampling only reads engine state, so arming it never
+    totals plus p50/p90/p99/max latency percentiles across the fleet;
+    {!Obs.Slo.check_rows} reads those rows offline, with per-tenant
+    detector state. Sampling only reads engine state, so arming it never
     perturbs tenant behavior — the fleet-vs-solo isolation invariant
     holds with the timeline on. *)
 

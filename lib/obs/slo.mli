@@ -1,13 +1,11 @@
 (** Declarative SLO monitors over {!Timeline} samples.
 
-    A monitor holds a list of named detector specs and consumes
-    [timeline_sample] rows — live as the engine emits them (the engine
-    then emits each firing as a structured [slo_violation] trace event),
-    or offline from a timeline file ([selvm slo --check]). Detector
-    state is per (spec, source): tenants never share windows, mirroring
-    the serving layer's isolation invariant, and everything derives from
-    the simulated cycle stamps, so same-seed runs fire byte-identical
-    violations.
+    A list of named detector specs runs offline over the
+    [timeline_sample] rows of a recorded timeline ([selvm slo --check]).
+    Detector state is per (spec, source): tenants never share windows,
+    mirroring the serving layer's isolation invariant, and everything
+    derives from the simulated cycle stamps, so same-seed runs fire
+    byte-identical violations.
 
     Violations are {b edge-triggered}: one firing when a detector enters
     violation, re-armed only after the condition clears — a storm
@@ -53,24 +51,9 @@ type violation = {
   v_window : int;     (** 0 for level detectors *)
 }
 
-type monitor
-
-val monitor : spec list -> monitor
-
-val feed :
-  monitor -> source:string -> cycles:int ->
-  (string * Support.Json.t) list -> violation list
-(** Feeds one sample's flat gauge fields; returns the violations that
-    fired at this sample (rising edges only) and accumulates them. *)
-
-val violations : monitor -> violation list
-(** Everything fired so far, chronological. *)
-
-val violation_fields : violation -> (string * Support.Json.t) list
-(** The [slo_violation] trace-event fields (slo, tenant, field, value,
-    limit, window). *)
-
 val check_rows : ?specs:spec list -> Timeline.row list -> violation list
+(** Runs [specs] (default {!default_specs}) over the [timeline_sample]
+    rows in order, skipping fleet rows; the rising edges, chronological. *)
 
 val check_lines : ?specs:spec list -> string list -> (violation list, string) result
 

@@ -322,8 +322,7 @@ let registry name =
 let golden_engine label ~entry ~iters (make : unit -> Jit.Engine.t * (unit -> unit)) =
   observed label (fun tl ->
       let e, warm = make () in
-      Jit.Engine.attach_timeline ~monitor:(Obs.Slo.monitor Obs.Slo.default_specs) e
-        ~source:label tl;
+      Jit.Engine.attach_timeline e ~source:label tl;
       warm ();
       let run = Jit.Harness.run_benchmark ~iters e ~entry ~label in
       Jit.Engine.sample_timeline ~force:true e;
@@ -388,8 +387,7 @@ let golden_fleet label ~chaos_rate =
           chaos_seed = 7;
         }
       in
-      let slo = Obs.Slo.monitor Obs.Slo.default_specs in
-      Jit.Serve.report_json (Jit.Serve.run ~limits ~timeline:tl ~slo tenants))
+      Jit.Serve.report_json (Jit.Serve.run ~limits ~timeline:tl tenants))
 
 (* In order: [snapshot_metrics] registers per-pattern gauges that later
    exports list (at zero), so each line depends on the runs before it. *)
