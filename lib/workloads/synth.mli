@@ -4,7 +4,7 @@
 
 type config = {
   seed : int;
-  depth : int;          (** layers of functions above the Op dispatch *)
+  depth : int;          (** layers of functions above the Op dispatch (>= 1) *)
   fanout : int;         (** callees per layer function (>= 1) *)
   poly_degree : int;    (** concrete Op implementations (>= 1) *)
   leaf_work : int;      (** loop trips inside each Op implementation *)
