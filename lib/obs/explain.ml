@@ -218,17 +218,7 @@ let of_lines (lines : string list) : (compilation list, string) result =
   go 1 [] lines
 
 let of_file (path : string) : (compilation list, string) result =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      of_lines (List.rev !lines))
+  of_lines (In_channel.with_open_text path In_channel.input_lines)
 
 (* ---------- rendering ---------- *)
 

@@ -139,8 +139,7 @@ let add_event (s : t) (j : Support.Json.t) : unit =
 
 (* Tolerant line scan: well-formed events with their 1-based line numbers,
    plus the malformed lines as (lineno, error). Blank lines are skipped.
-   `selvm events` warns per error; [of_lines] stays strict for callers
-   that want a hard failure. *)
+   `selvm events` warns per error. *)
 let parse_lines (lines : string list) :
     (int * Support.Json.t) list * (int * string) list =
   let rec go lineno events errors = function
@@ -185,36 +184,6 @@ let split_runs (events : Support.Json.t list) : (string * t) list =
   match List.rev !runs with
   | [ ("(preamble)", _) ] -> []  (* no markers: nothing to split *)
   | runs -> runs
-
-(* Folds trace lines into a summary; the error names the first malformed
-   line (1-based). *)
-let of_lines (lines : string list) : (t, string) result =
-  let s = empty () in
-  let rec go lineno = function
-    | [] -> Ok s
-    | line :: rest ->
-        if String.trim line = "" then go (lineno + 1) rest
-        else (
-          match Support.Json.of_string line with
-          | Ok j ->
-              add_event s j;
-              go (lineno + 1) rest
-          | Error e -> Error (Printf.sprintf "line %d: %s" lineno e))
-  in
-  go 1 lines
-
-let of_file (path : string) : (t, string) result =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      of_lines (List.rev !lines))
 
 let installed_code_size (s : t) : int =
   List.fold_left (fun acc (c : compile_event) -> acc + c.size) 0 s.installs

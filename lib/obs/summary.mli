@@ -51,7 +51,7 @@ val add_event : t -> Support.Json.t -> unit
 val parse_lines : string list -> (int * Support.Json.t) list * (int * string) list
 (** Tolerant scan: the well-formed events with their 1-based line numbers,
     plus the malformed lines as (line, error). Blank lines are skipped.
-    [selvm events] warns per malformed line; {!of_lines} stays strict. *)
+    [selvm events] warns per malformed line. *)
 
 val of_events : Support.Json.t list -> t
 
@@ -60,11 +60,6 @@ val split_runs : Support.Json.t list -> (string * t) list
     benchmark harness emits and labelled by the marker's [label]. Events
     before the first marker fold into a ["(preamble)"] segment. Returns
     [[]] when the trace has no markers (single anonymous stream). *)
-
-val of_lines : string list -> (t, string) result
-(** Blank lines are skipped; the error names the first malformed line. *)
-
-val of_file : string -> (t, string) result
 
 val installed_code_size : t -> int
 (** Sum of installed sizes over the trace — the Table I metric as seen by
