@@ -10,8 +10,8 @@
 
     Export ({!to_json}) is deterministic: sections sort by name, values
     derive only from the simulated clocks. The JSON schema is documented
-    in docs/OBSERVABILITY.md and consumed by `selvm run --metrics FILE`
-    and the bench smoke. *)
+    in docs/OBSERVABILITY.md and written by `selvm run --metrics FILE`
+    and `selvm serve --metrics FILE`. *)
 
 type counter
 type gauge
