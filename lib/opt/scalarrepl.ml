@@ -44,18 +44,25 @@ let escapes (fn : fn) (obj : vid) : bool =
 (* Per-slot value resolution across blocks: Braun-style on-demand phi
    placement over a complete CFG. [exit_val] is pre-populated by the local
    scan for every block that defines a slot; [entry_val] memoizes (and
-   breaks cycles through placed-then-filled phis). *)
+   breaks cycles through placed-then-filled phis). A table value may be a
+   load of the object itself ([o.f = o.f] makes one a slot's exit value),
+   and loads are deleted as they are resolved, so every value read back
+   from the tables goes through [replaced]. *)
 type state = {
   fn : fn;
   preds : (bid, bid list) Hashtbl.t;
   entry_val : (int * bid, vid) Hashtbl.t;
   exit_val : (int * bid, vid) Hashtbl.t;
+  replaced : (vid, vid) Hashtbl.t;  (* deleted load -> its replacement *)
   slot_ty : int -> ty;
 }
 
+let rec resolve (st : state) (v : vid) : vid =
+  match Hashtbl.find_opt st.replaced v with Some w -> resolve st w | None -> v
+
 let rec entry_value (st : state) (slot : int) (b : bid) : vid =
   match Hashtbl.find_opt st.entry_val (slot, b) with
-  | Some v -> v
+  | Some v -> resolve st v
   | None -> (
       match (try Hashtbl.find st.preds b with Not_found -> []) with
       | [] ->
@@ -95,7 +102,7 @@ let rec entry_value (st : state) (slot : int) (b : bid) : vid =
 
 and exit_value (st : state) (slot : int) (b : bid) : vid =
   match Hashtbl.find_opt st.exit_val (slot, b) with
-  | Some v -> v
+  | Some v -> resolve st v
   | None -> entry_value st slot b
 
 (* Scalar-replaces one non-escaping allocation. *)
@@ -108,6 +115,7 @@ let replace_one (prog : program) (fn : fn) (obj : instr) : unit =
       preds = Ir.Fn.preds fn;
       entry_val = Hashtbl.create 16;
       exit_val = Hashtbl.create 16;
+      replaced = Hashtbl.create 16;
       slot_ty = (fun slot -> snd layout.(slot));
     }
   in
@@ -146,10 +154,11 @@ let replace_one (prog : program) (fn : fn) (obj : instr) : unit =
     (fun (load, source) ->
       let replacement =
         match source with
-        | `Value v -> v
+        | `Value v -> resolve st v
         | `Entry (slot, b) -> entry_value st slot b
       in
       Ir.Fn.replace_uses fn ~old_v:load ~new_v:replacement;
+      Hashtbl.replace st.replaced load replacement;
       Ir.Fn.delete_instr fn load)
     (List.rev !loads);
   List.iter (fun v -> Ir.Fn.delete_instr fn v) !deletions

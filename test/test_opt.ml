@@ -672,6 +672,38 @@ let scalarrepl_tests =
         Alcotest.(check bool) "escapes" true (Opt.Scalarrepl.escapes fn obj);
         Alcotest.(check int) "none replaced" 0 (Opt.Scalarrepl.run prog fn);
         ignore prog);
+    test "a self-store's load resolves before later loads use it" (fun () ->
+        (* [cell.v = cell.v] makes a load the slot's exit value of its
+           block; that load is replaced and deleted before the loads in
+           the [||] blocks resolve through it *)
+        let src =
+          {|class Cell(v: Int) {}
+            def f(a: Int): Int = {
+              var acc = 0;
+              val cell = new Cell(a);
+              var i = 0; while (i < 2) { acc = acc + i; i = i + 1; };
+              cell.v = cell.v;
+              if ((6 == cell.v) || (a <= cell.v)) { 11 } else { 6 };
+              acc
+            }
+            def main(): Unit = println(f(1))|}
+        in
+        let prog = compile src in
+        Opt.Driver.prepare_program prog;
+        let vm = Runtime.Interp.create prog in
+        ignore (Runtime.Interp.run_main vm);
+        let m = Option.get (Ir.Program.find_meth prog "f") in
+        List.iter
+          (fun (name, (compiler : Jit.Engine.compiler)) ->
+            let body = compiler prog vm.profiles m in
+            check_verifies body;
+            Alcotest.(check int) (name ^ ": no allocation") 0
+              (count_instrs body (function Ir.Types.New _ -> true | _ -> false));
+            let vm2 = Runtime.Interp.create prog in
+            vm2.code <- (fun m' -> if m' = m then Some body else None);
+            ignore (Runtime.Interp.run_main vm2);
+            Alcotest.(check string) (name ^ ": output") "1\n" (Runtime.Interp.output vm2))
+          [ ("greedy", greedy); ("c2", c2like); ("incremental", incremental ()) ]);
   ]
 
 (* Table-driven coverage of the individual algebraic rewrite rules: each
