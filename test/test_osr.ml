@@ -362,31 +362,6 @@ let inheritance_tests =
 
 (* ---------- differential properties (qcheck) ---------- *)
 
-(* Small synthetic call graphs with real loops: leaf work and hot
-   callsites both lower to whiles, so a low OSR threshold makes the
-   transfer fire constantly. *)
-let synth_config_gen : Workloads.Synth.config QCheck.Gen.t =
-  QCheck.Gen.(
-    let* seed = int_range 0 1000 in
-    let* depth = int_range 1 3 in
-    let* fanout = int_range 1 2 in
-    let* poly = int_range 1 3 in
-    let* leaf = int_range 4 40 in
-    return
-      {
-        Workloads.Synth.seed;
-        depth;
-        fanout;
-        poly_degree = poly;
-        leaf_work = leaf;
-        hot_fraction = 0.5;
-      })
-
-let synth_arbitrary =
-  QCheck.make
-    ~print:(fun c -> Workloads.Synth.source_of c)
-    synth_config_gen
-
 let engine_over (w : Workloads.Defs.t) ~osr ~backend =
   let prog = Workloads.Registry.compile w in
   let e =
@@ -409,7 +384,7 @@ let engine_over (w : Workloads.Defs.t) ~osr ~backend =
 let prop_tests =
   [
     QCheck.Test.make ~count:12 ~name:"random programs: OSR = no-OSR = pinned output"
-      synth_arbitrary (fun cfg ->
+      Sel_gen.synth (fun cfg ->
         let w = Workloads.Synth.generate cfg in
         let on = engine_over w ~osr:true ~backend:Runtime.Interp.Threaded in
         let off = engine_over w ~osr:false ~backend:Runtime.Interp.Threaded in
@@ -421,7 +396,7 @@ let prop_tests =
           (String.length w.Workloads.Defs.expected)
           = w.Workloads.Defs.expected);
     QCheck.Test.make ~count:8 ~name:"random programs: backends agree under OSR"
-      synth_arbitrary (fun cfg ->
+      Sel_gen.synth (fun cfg ->
         let w = Workloads.Synth.generate cfg in
         let t = engine_over w ~osr:true ~backend:Runtime.Interp.Threaded in
         let r = engine_over w ~osr:true ~backend:Runtime.Interp.Reference in

@@ -218,33 +218,13 @@ let cached_output (w : Workloads.Defs.t) ~(cap : int option)
   done;
   Jit.Engine.output e
 
-let synth_gen : (Workloads.Synth.config * int option) QCheck.Gen.t =
-  QCheck.Gen.(
-    let* seed = int_range 0 1000 in
-    let* depth = int_range 1 3 in
-    let* fanout = int_range 1 2 in
-    let* leaf = int_range 4 40 in
-    let* cap = oneof [ return 0; return 1; int_range 2 400 ] in
-    return
-      ( {
-          Workloads.Synth.seed;
-          depth;
-          fanout;
-          poly_degree = 2;
-          leaf_work = leaf;
-          hot_fraction = 0.5;
-        },
-        Some cap ))
-
 let eviction_exactness_prop =
   QCheck.Test.make ~count:10
     ~name:"eviction exactness: every backend = unbounded = reference"
-    (QCheck.make
-       ~print:(fun (c, cap) ->
-         Printf.sprintf "cap=%s\n%s"
-           (match cap with Some c -> string_of_int c | None -> "unbounded")
-           (Workloads.Synth.source_of c))
-       synth_gen)
+    QCheck.(
+      pair Sel_gen.synth
+        (make ~print:(Printf.sprintf "cap=%d")
+           Gen.(oneof [ return 0; return 1; int_range 2 400 ])))
     (fun (cfg, cap) ->
       let w = Workloads.Synth.generate cfg in
       let unbounded = cached_output w ~cap:None ~backend:Runtime.Interp.Threaded in
@@ -252,7 +232,7 @@ let eviction_exactness_prop =
       String.sub unbounded 0 (String.length w.Workloads.Defs.expected)
       = w.Workloads.Defs.expected
       && List.for_all
-           (fun backend -> cached_output w ~cap ~backend = unbounded)
+           (fun backend -> cached_output w ~cap:(Some cap) ~backend = unbounded)
            [ Runtime.Interp.Threaded; Runtime.Interp.Reference ])
 
 let rehot_src =
