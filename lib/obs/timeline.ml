@@ -55,14 +55,9 @@ let record (tl : t) ~(kind : string) ~(cycles : int)
   tl.tl_write (Support.Json.to_string j);
   tl.tl_rows <- tl.tl_rows + 1
 
-(* A per-source sample: the source's own gauges plus a snapshot of the
-   process-wide metrics registry (zeros while metrics recording is off —
-   still deterministic, and the row shape never varies). *)
 let sample (tl : t) ~(source : string) ~(cycles : int)
     (fields : (string * Support.Json.t) list) : unit =
-  record tl ~kind:"timeline_sample" ~cycles
-    (("tenant", Support.Json.String source)
-    :: (fields @ [ ("metrics", Metrics.to_json ()) ]))
+  record tl ~kind:"timeline_sample" ~cycles (("tenant", Support.Json.String source) :: fields)
 
 let fleet (tl : t) ~(cycles : int) (fields : (string * Support.Json.t) list) :
     unit =

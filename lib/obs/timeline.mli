@@ -38,10 +38,9 @@ val record : t -> kind:string -> cycles:int -> (string * Support.Json.t) list ->
     engine and fleet driver use. *)
 
 val sample : t -> source:string -> cycles:int -> (string * Support.Json.t) list -> unit
-(** One [timeline_sample] row: the source's gauge fields, ["tenant"]
-    set to [source], and a ["metrics"] snapshot of the full
-    {!Metrics} registry (zeros while metrics recording is off — the row
-    shape never varies). *)
+(** One [timeline_sample] row: ["tenant"] set to [source], then the
+    source's gauge fields. The {!Metrics} registry is process-wide, so
+    rows carry no snapshot of it; [--metrics] exports it once per run. *)
 
 val fleet : t -> cycles:int -> (string * Support.Json.t) list -> unit
 (** One [timeline_fleet] row — the fleet driver's cross-tenant snapshot

@@ -693,8 +693,8 @@ let timeline_tests =
             Alcotest.(check (option int))
               "gauge field" (Some 3)
               (Obs.Timeline.field a "steps");
-            Alcotest.(check bool) "metrics snapshot embedded" true
-              (Support.Json.member "metrics" a.Obs.Timeline.r_fields <> None);
+            Alcotest.(check bool) "no metrics snapshot" true
+              (Support.Json.member "metrics" a.Obs.Timeline.r_fields = None);
             Alcotest.(check string) "fleet kind" "timeline_fleet"
               b.Obs.Timeline.r_kind;
             Alcotest.(check string) "fleet rows have no tenant" ""
