@@ -217,6 +217,12 @@ let fail msg =
   Printf.eprintf "selvm: %s\n" msg;
   exit 1
 
+(* A budget or capacity option: absent, or a count of at least 0. *)
+let check_nonneg (flag : string) (v : int option) : unit =
+  match v with
+  | Some n when n < 0 -> fail (Printf.sprintf "--%s must be at least 0" flag)
+  | _ -> ()
+
 (* Runs [f] with a JSONL trace sink on [path] when --trace was given. The
    trace is written atomically; an unwritable path is a one-line
    diagnostic, not a backtrace. *)
@@ -266,6 +272,7 @@ let with_optional_chaos ~(seed : int) ~(rate : float) (f : unit -> 'a) : 'a =
 let run_cmd =
   let run file workload config hotness stats verify trace metrics chaos_seed
       chaos_rate compile_fuel no_osr timeline timeline_interval =
+    check_nonneg "compile-fuel" compile_fuel;
     match load_program ~file ~workload with
     | Error e -> fail e
     | Ok (prog, label) -> (
@@ -339,6 +346,7 @@ let bench_cmd =
   let bench file workload config hotness entry iters save_profiles json trace
       chaos_seed chaos_rate compile_fuel no_osr =
     if iters < 1 then fail "--iters must be at least 1";
+    check_nonneg "compile-fuel" compile_fuel;
     match load_program ~file ~workload with
     | Error e -> fail e
     | Ok (prog, label) -> (
@@ -773,6 +781,8 @@ let serve_cmd =
     if (not (Float.is_finite chaos_rate)) || chaos_rate < 0.0 || chaos_rate > 1.0
     then fail "--chaos-rate must be in [0, 1]";
     if iters < 0 then fail "--iters must be at least 0 (0: each workload's default)";
+    check_nonneg "cache-capacity" cache_cap;
+    check_nonneg "compile-deadline" deadline;
     (* validate the configuration up front, not inside a tenant thunk *)
     (match compiler_of_config config with Error e -> fail e | Ok _ -> ());
     match Jit.Serve.parse_tenants tenants_spec with

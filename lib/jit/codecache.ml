@@ -1,31 +1,46 @@
 (* Bounded code cache residency: see the interface for the policy.
 
-   A resident set is at most a few dozen entries, so a plain list with
-   linear victim scans is enough — and trivially deterministic. [seq]
-   numbers installs and breaks retention ties oldest-install-first. *)
+   A plain list is enough for installs: they are rare (a few hundred per
+   fleet pass), a resident set is at most a few dozen entries, and a
+   linear victim scan is trivially deterministic. It is not enough for
+   touches, which come once per entry of a resident method — millions
+   per fleet pass. So every resident entry is also indexed by method id
+   in a dense array: [touch], [mem] and [remove] find it with one array
+   read, no comparison of keys and no allocation. [seq] numbers installs
+   and breaks retention ties oldest-install-first. *)
 
 open Support
+open Ir.Types
 
-type 'k entry = {
-  ce_meth : 'k;
+type entry = {
+  ce_meth : meth_id;
   ce_size : int;
   ce_seq : int;
   mutable ce_last : int;  (* last-use time, caller's clock *)
   mutable ce_uses : int;
 }
 
-type 'k t = {
+(* The index's mark for a method with no resident entry; never mutated. *)
+let vacant = { ce_meth = -1; ce_size = 0; ce_seq = -1; ce_last = 0; ce_uses = 0 }
+
+type t = {
   cap : int;
-  mutable entries : 'k entry list;
+  mutable entries : entry list;  (* the resident entries, newest first *)
+  mutable index : entry array;   (* meth_id -> its resident entry, or [vacant] *)
   mutable next_seq : int;
-  mutable total : int;  (* sum of resident ce_size *)
+  mutable total : int;           (* sum of resident ce_size *)
 }
 
-let create ~capacity = { cap = max 0 capacity; entries = []; next_seq = 0; total = 0 }
+let create ~capacity =
+  { cap = max 0 capacity; entries = []; index = [||]; next_seq = 0; total = 0 }
 
 let used t = t.total
 let resident t = List.length t.entries
-let mem t meth = List.exists (fun e -> e.ce_meth = meth) t.entries
+
+let find t meth =
+  if meth >= 0 && meth < Array.length t.index then t.index.(meth) else vacant
+
+let mem t meth = find t meth != vacant
 
 let retain_score ~last_used ~uses ~size =
   Sat.sub (Sat.add last_used (Sat.mul 64 uses)) size
@@ -34,12 +49,12 @@ let score_of e = retain_score ~last_used:e.ce_last ~uses:e.ce_uses ~size:e.ce_si
 
 let drop t e =
   t.entries <- List.filter (fun e' -> e' != e) t.entries;
+  t.index.(e.ce_meth) <- vacant;
   t.total <- t.total - e.ce_size
 
 let remove t meth =
-  match List.find_opt (fun e -> e.ce_meth = meth) t.entries with
-  | Some e -> drop t e
-  | None -> ()
+  let e = find t meth in
+  if e != vacant then drop t e
 
 let install t ~meth ~size ~now =
   remove t meth;
@@ -48,6 +63,13 @@ let install t ~meth ~size ~now =
       ce_last = now; ce_uses = 0 }
   in
   t.next_seq <- t.next_seq + 1;
+  let n = Array.length t.index in
+  if meth >= n then begin
+    let index = Array.make (max (meth + 1) (2 * n)) vacant in
+    Array.blit t.index 0 index 0 n;
+    t.index <- index
+  end;
+  t.index.(meth) <- e;
   t.entries <- e :: t.entries;
   t.total <- t.total + e.ce_size;
   let victims = ref [] in
@@ -68,8 +90,8 @@ let install t ~meth ~size ~now =
   List.rev !victims
 
 let touch t meth ~now =
-  match List.find_opt (fun e -> e.ce_meth = meth) t.entries with
-  | Some e ->
-      e.ce_last <- now;
-      e.ce_uses <- e.ce_uses + 1
-  | None -> ()
+  let e = find t meth in
+  if e != vacant then begin
+    e.ce_last <- now;
+    e.ce_uses <- e.ce_uses + 1
+  end

@@ -5,8 +5,8 @@
    interpreted (collecting profiles); when a method's invocation count
    crosses the threshold it is handed to the configured [compiler] — the
    paper's algorithm, a baseline, or nothing — and the returned optimized
-   body is installed in the code cache, where the interpreter picks it up
-   at the next invocation.
+   body is written into the VM's installed-code slot for the method, where
+   the interpreter picks it up at the next invocation.
 
    Compilation is synchronous but its simulated cost is metered on a
    separate clock ([compile_cycles]), mirroring a background compiler
@@ -18,7 +18,9 @@
    [create] allocates it and wires the VM hooks ([on_entry],
    [on_spec_miss], [on_osr], [on_osr_exit], [on_osr_abort],
    [osr_headers]) to the functions below, and every report renders from
-   one [stats] snapshot. *)
+   one [stats] snapshot. Per-method state is one record per method in a
+   dense array ([meths]), so the entry hook — which runs at every
+   invocation — reads fields instead of probing hash tables. *)
 
 open Ir.Types
 
@@ -112,27 +114,35 @@ let m_ttp = Obs.Metrics.histogram "serve.time_to_peak_cycles"
    loop header it was extracted at, and its extraction generation. *)
 type osr_origin = { od_src : meth_id; od_bid : bid; od_depth : int }
 
+(* What the engine knows about one method beyond its installed code (which
+   lives in the VM's slot). Every count starts at 0. *)
+type meth_state = {
+  mutable blacklisted : bool;
+  (* permanently interpreted: [max_compile_failures] failed attempts *)
+  mutable failures : int;    (* failed compile attempts; backoff doubles per failure *)
+  mutable recompiles : int;  (* invalidations taken, capped by [max_recompiles] *)
+  mutable cooldown : int;    (* invocation count gating (re)compilation *)
+  mutable misses : int;
+  (* speculation misses (typeswitch fallbacks run in compiled code)
+     against the current code; past the threshold the code is thrown away
+     and the method re-profiles before recompiling *)
+  mutable evicts : int;
+  (* cache evictions: drives the re-hot backoff, so a cache-thrashing
+     method converges to the prepared tier instead of churning *)
+  mutable first_hot : int;   (* first hot trigger at [vm.cycles]; -1: never *)
+}
+
 type t = {
   vm : Runtime.Interp.vm;
   config : config;
-  code_cache : (meth_id, fn) Hashtbl.t;
+  mutable meths : meth_state array;
+  (* indexed by meth_id, grown on demand ([state]) *)
   mutable compiling : bool;
   mutable compile_cycles : int;
   mutable compilations : compilation list;  (* most recent first *)
-  (* speculation management (deopt-lite): typeswitch fallbacks executed in
-     compiled code count as misses; past the threshold the method's code
-     is thrown away and it re-profiles before recompiling *)
   spec_miss_threshold : int;
-  miss_counts : (meth_id, int ref) Hashtbl.t;
-  recompile_counts : (meth_id, int) Hashtbl.t;
-  cooldown : (meth_id, int) Hashtbl.t;      (* invocation count gating recompilation *)
   mutable invalidations : (meth_id * int) list;  (* method, at_cycles *)
   mutable bailouts : bailout list;          (* contained compile failures, most recent first *)
-  (* graceful-degradation machinery: a failed compile backs off
-     exponentially (cooldown doubling per failure); at
-     [max_compile_failures] the method is blacklisted *)
-  failure_counts : (meth_id, int) Hashtbl.t;
-  blacklist : (meth_id, unit) Hashtbl.t;
   (* optional per-compilation watchdog budget (Support.Fuel checkpoints);
      None: unlimited *)
   compile_fuel : int option;
@@ -166,14 +176,10 @@ type t = {
      which is what makes a tenant's run byte-identical solo or
      multiplexed. *)
   serve_queue : meth_id Scheduler.t option;
-  serve_cache : meth_id Codecache.t option;
+  serve_cache : Codecache.t option;
   mutable evictions : int;
-  evict_counts : (meth_id, int) Hashtbl.t;
-  (* evictions per method: drives the re-hot backoff, so a cache-thrashing
-     method converges to the prepared tier instead of churning *)
   mutable sheds : int;             (* compile requests shed by admission control *)
   mutable queue_waits : int list;  (* serviced requests' waits, most recent first *)
-  first_hot : (meth_id, int) Hashtbl.t;  (* first hot-trigger, at [vm.cycles] *)
   mutable ttp : (meth_id * int) list;
   (* time-to-peak per method: cycles from first hot-trigger to first
      install (includes queue wait) *)
@@ -195,13 +201,36 @@ let default_osr_threshold (config : config) : int =
   if config.hotness_threshold > max_int / 64 then max_int
   else max 1 (config.hotness_threshold * 64)
 
+let fresh_state () : meth_state =
+  { blacklisted = false; failures = 0; recompiles = 0; cooldown = 0; misses = 0;
+    evicts = 0; first_hot = -1 }
+
+(* [m]'s record. Methods can be added after the engine was created (OSR
+   continuations, tests), so the table grows on demand. *)
+let state (t : t) (m : meth_id) : meth_state =
+  let n = Array.length t.meths in
+  if m < n then t.meths.(m)
+  else begin
+    let grow i = if i < n then t.meths.(i) else fresh_state () in
+    let meths = Array.init (max (m + 1) (2 * n)) grow in
+    t.meths <- meths;
+    meths.(m)
+  end
+
+let installed (t : t) (m : meth_id) : bool =
+  Option.is_some (Runtime.Interp.installed t.vm m)
+
 (* ---------- the one stats view ---------- *)
 
 (* Total installed code size (the paper's Figure 10 / Table I metric). *)
 let installed_code_size (t : t) : int =
-  Hashtbl.fold (fun _ fn acc -> acc + Ir.Fn.size fn) t.code_cache 0
+  Array.fold_left
+    (fun acc code -> match code with Some fn -> acc + Ir.Fn.size fn | None -> acc)
+    0 t.vm.installed
 
-let installed_methods (t : t) : int = Hashtbl.length t.code_cache
+let installed_methods (t : t) : int =
+  Array.fold_left (fun acc code -> if Option.is_some code then acc + 1 else acc)
+    0 t.vm.installed
 
 type stats = {
   steps : int;
@@ -242,15 +271,16 @@ let stats (t : t) : stats =
     code_size;
     invalidations = List.length t.invalidations;
     failed_attempts = List.length t.bailouts;
-    failed_methods = Hashtbl.length t.failure_counts;
+    failed_methods =
+      Array.fold_left (fun acc st -> if st.failures > 0 then acc + 1 else acc) 0 t.meths;
     blacklisted_methods =
-      Hashtbl.fold (fun m () acc -> m :: acc) t.blacklist [] |> List.sort compare;
+      List.filter (fun m -> t.meths.(m).blacklisted) (List.init (Array.length t.meths) Fun.id);
     osr_enters = t.osr_enters;
     osr_exits = t.osr_exits;
     osr_methods = Hashtbl.length t.osr_meta;
     sheds = t.sheds;
     evictions = t.evictions;
-    evict_max = Hashtbl.fold (fun _ n acc -> max n acc) t.evict_counts 0;
+    evict_max = Array.fold_left (fun acc st -> max acc st.evicts) 0 t.meths;
     queue_depth = (match t.serve_queue with Some q -> Scheduler.length q | None -> 0);
     cache_used = (match t.serve_cache with Some c -> Codecache.used c | None -> code_size);
     cache_resident =
@@ -325,10 +355,6 @@ let emit_chaos (t : t) (m : meth_id) (fault : Support.Chaos.fault) : unit =
           ("meth", String (meth_name t m));
         ])
 
-(* A per-method counter table read: absent counts are zero. *)
-let count (tbl : ('k, int) Hashtbl.t) (k : 'k) : int =
-  match Hashtbl.find_opt tbl k with Some n -> n | None -> 0
-
 let invocations (t : t) (m : meth_id) : int =
   Runtime.Profile.invocation_count t.vm.profiles m
 
@@ -338,12 +364,11 @@ let block_count (t : t) (m : meth_id) (b : bid) : int =
 (* Whether [m] may still be invalidated: past [max_recompiles] its code
    stays installed, so speculation and chaos storms converge. *)
 let can_recompile (t : t) (m : meth_id) : bool =
-  count t.recompile_counts m < max_recompiles
+  (state t m).recompiles < max_recompiles
 
 (* Installed or never to compile again: a hot trigger or a queued
    request for [m] has nothing left to do. *)
-let settled (t : t) (m : meth_id) : bool =
-  Hashtbl.mem t.code_cache m || Hashtbl.mem t.blacklist m
+let settled (t : t) (m : meth_id) : bool = installed t m || (state t m).blacklisted
 
 (* ---------- install and retire ---------- *)
 
@@ -355,10 +380,10 @@ let settled (t : t) (m : meth_id) : bool =
    OSR-exit path); a synthetic continuation additionally backs its enter
    site off so the loop does not thrash re-entering. *)
 let retire (t : t) (m : meth_id) ~(cooldown : int) : unit =
-  Hashtbl.remove t.code_cache m;
-  Runtime.Interp.invalidate_code t.vm m;
-  (match Hashtbl.find_opt t.miss_counts m with Some r -> r := 0 | None -> ());
-  Hashtbl.replace t.cooldown m (Support.Sat.add (invocations t m) cooldown);
+  Runtime.Interp.set_installed t.vm m None;
+  let st = state t m in
+  st.misses <- 0;
+  st.cooldown <- Support.Sat.add (invocations t m) cooldown;
   if t.osr then begin
     t.vm.deopt_epoch <- t.vm.deopt_epoch + 1;
     match Hashtbl.find_opt t.osr_meta m with
@@ -374,10 +399,11 @@ let retire (t : t) (m : meth_id) ~(cooldown : int) : unit =
    cannot hold converges to the prepared tier instead of churning. *)
 let evict (t : t) (v : meth_id) : unit =
   let size =
-    match Hashtbl.find_opt t.code_cache v with Some fn -> Ir.Fn.size fn | None -> 0
+    match Runtime.Interp.installed t.vm v with Some fn -> Ir.Fn.size fn | None -> 0
   in
-  let evicted = count t.evict_counts v + 1 in
-  Hashtbl.replace t.evict_counts v evicted;
+  let st = state t v in
+  let evicted = st.evicts + 1 in
+  st.evicts <- evicted;
   retire t v
     ~cooldown:(backoff_cooldown ~hotness:t.config.hotness_threshold ~failures:evicted);
   t.evictions <- t.evictions + 1;
@@ -390,8 +416,9 @@ let evict (t : t) (v : meth_id) : unit =
    recompiles against the new profile. *)
 let invalidate (t : t) (m : meth_id) ~(misses : int) : unit =
   (match t.serve_cache with Some cache -> Codecache.remove cache m | None -> ());
-  let recompiles = count t.recompile_counts m + 1 in
-  Hashtbl.replace t.recompile_counts m recompiles;
+  let st = state t m in
+  let recompiles = st.recompiles + 1 in
+  st.recompiles <- recompiles;
   retire t m ~cooldown:t.config.hotness_threshold;
   t.invalidations <- (m, t.vm.cycles) :: t.invalidations;
   Obs.Metrics.incr m_invalidations;
@@ -401,22 +428,21 @@ let invalidate (t : t) (m : meth_id) ~(misses : int) : unit =
 
 let install (t : t) (m : meth_id) (body : fn) : unit =
   let size = Ir.Fn.size body in
-  Hashtbl.replace t.code_cache m body;
-  (* the tier for this method changed: drop its prepared code *)
-  Runtime.Interp.invalidate_code t.vm m;
+  (* the tier for this method changed: this also drops its prepared code *)
+  Runtime.Interp.set_installed t.vm m (Some body);
+  let st = state t m in
   (* a fresh body starts with a clean speculation slate: misses recorded
      against the previous code version must not count toward the new
      body's invalidation threshold *)
-  Hashtbl.remove t.miss_counts m;
+  st.misses <- 0;
   t.compilations <- { cm = m; size; at_cycles = t.vm.cycles } :: t.compilations;
   (* ramp accounting: cycles from the method's first hot-trigger to its
      first install (covers queue wait) *)
-  (match Hashtbl.find_opt t.first_hot m with
-  | Some hot_at when not (List.mem_assoc m t.ttp) ->
-      let d = Support.Sat.sub t.vm.cycles hot_at in
-      t.ttp <- (m, d) :: t.ttp;
-      Obs.Metrics.observe m_ttp d
-  | _ -> ());
+  if st.first_hot >= 0 && not (List.mem_assoc m t.ttp) then begin
+    let d = Support.Sat.sub t.vm.cycles st.first_hot in
+    t.ttp <- (m, d) :: t.ttp;
+    Obs.Metrics.observe m_ttp d
+  end;
   Obs.Metrics.incr m_installs;
   emit t "install" m (fun () -> Support.Json.[ ("size", Int size) ]);
   (* bounded cache: admit the fresh body, then retire whatever no longer
@@ -468,17 +494,18 @@ let bail_out (t : t) (m : meth_id) (reason : string) : unit =
   in
   let charged = input_size * t.config.compile_cost_per_node in
   t.compile_cycles <- t.compile_cycles + charged;
-  let failures = count t.failure_counts m + 1 in
-  Hashtbl.replace t.failure_counts m failures;
+  let st = state t m in
+  let failures = st.failures + 1 in
+  st.failures <- failures;
   let blacklisted = failures >= max_compile_failures in
-  if blacklisted then Hashtbl.replace t.blacklist m ()
+  if blacklisted then st.blacklisted <- true
   else
     (* exponential backoff: the retry gate doubles with every failure,
        measured in invocations past the current count (saturating — see
        [backoff_cooldown]) *)
-    Hashtbl.replace t.cooldown m
-      (Support.Sat.add (invocations t m)
-         (backoff_cooldown ~hotness:t.config.hotness_threshold ~failures));
+    st.cooldown <-
+      Support.Sat.add (invocations t m)
+        (backoff_cooldown ~hotness:t.config.hotness_threshold ~failures);
   t.bailouts <-
     { bm = m; reason; at_cycles = t.vm.cycles; failures; charged; blacklisted }
     :: t.bailouts;
@@ -581,10 +608,9 @@ let register_extraction (t : t) ~(src_m : meth_id) ~(header : bid) ~(depth : int
      is backing off or blacklisted must not get a fresh budget by way of
      extraction — before this, a blacklisted method could keep burning
      compile fuel through its synthetic continuations *)
-  (match Hashtbl.find_opt t.failure_counts src_m with
-  | Some n -> Hashtbl.replace t.failure_counts om n
-  | None -> ());
-  if Hashtbl.mem t.blacklist src_m then Hashtbl.replace t.blacklist om ();
+  let src = state t src_m and st = state t om in
+  st.failures <- src.failures;
+  st.blacklisted <- src.blacklisted;
   { osr_target = om; osr_live_ins = x.Ir.Osr.x_live_ins; osr_phis = x.Ir.Osr.x_phis }
 
 (* The continuation of [body]'s loop at header [b], extracted, verified
@@ -636,9 +662,9 @@ let compile_and_enter (t : t) ((m, b) as key : meth_id * bid)
     (tr : Runtime.Interp.osr_transfer) : Runtime.Interp.osr_verdict =
   let om = tr.osr_target in
   compile t om;
-  if Hashtbl.mem t.code_cache om then enter t key tr
+  if installed t om then enter t key tr
   else begin
-    let failures = max 1 (count t.failure_counts om) in
+    let failures = max 1 (state t om).failures in
     Hashtbl.replace t.osr_cooldown key
       (Support.Sat.add (block_count t m b)
          (backoff_cooldown ~hotness:t.osr_threshold ~failures));
@@ -660,8 +686,8 @@ let on_osr (t : t) (m : meth_id) (b : bid) : Runtime.Interp.osr_verdict =
         match Hashtbl.find_opt t.osr_sites key with
         | Some tr ->
             let om = tr.osr_target in
-            if Hashtbl.mem t.code_cache om then enter t key tr
-            else if Hashtbl.mem t.blacklist om || not (can_recompile t om) then refuse t key
+            if installed t om then enter t key tr
+            else if (state t om).blacklisted || not (can_recompile t om) then refuse t key
             else if below_cooldown t key then Osr_wait
             else compile_and_enter t key tr
         | None -> (
@@ -676,7 +702,7 @@ let on_osr (t : t) (m : meth_id) (b : bid) : Runtime.Interp.osr_verdict =
                   Hashtbl.replace t.osr_sites key tr;
                   (* the inherited budget can already be spent: a
                      blacklisted parent's continuation never compiles *)
-                  if Hashtbl.mem t.blacklist tr.osr_target then refuse t key
+                  if (state t tr.osr_target).blacklisted then refuse t key
                   else compile_and_enter t key tr))
     | _ -> refuse t key
 
@@ -698,7 +724,7 @@ let osr_exit (t : t) ~(src : meth_id) ~(header : bid) ~(reason : string) (om : m
    just stops being preferred. *)
 let on_osr_exit (t : t) (m : meth_id) (src : fn) (b : bid) :
     Runtime.Interp.osr_exit_verdict =
-  match Hashtbl.find_opt t.code_cache m with
+  match Runtime.Interp.installed t.vm m with
   | Some cur when cur == src -> Exit_stay
   | _ when not (osr_headers t m src b) -> Exit_watch
   | _ -> (
@@ -791,7 +817,7 @@ let wants_compile (t : t) (m : meth_id) : bool =
   (invocations >= t.config.hotness_threshold
   || (t.osr_threshold < max_int
      && Runtime.Profile.max_block_count t.vm.profiles m >= t.osr_threshold))
-  && invocations >= count t.cooldown m
+  && invocations >= (state t m).cooldown
 
 (* VM hook, at every method entry. *)
 let on_entry (t : t) (m : meth_id) : unit =
@@ -799,10 +825,11 @@ let on_entry (t : t) (m : meth_id) : unit =
   sample_timeline t;
   (match t.serve_queue with Some q when not t.compiling -> pump t q | _ -> ());
   (* bounded cache: every entry of a resident method refreshes its
-     retention (the LRU term of the eviction score) *)
+     retention (the LRU term of the eviction score); with a bounded cache
+     a method is resident exactly while it is installed *)
   (match t.serve_cache with
-  | Some cache when Hashtbl.mem t.code_cache m -> Codecache.touch cache m ~now:t.vm.cycles
-  | _ -> ());
+  | Some cache -> Codecache.touch cache m ~now:t.vm.cycles
+  | None -> ());
   (* chaos: an invalidation storm throws away installed code, as a burst
      of spec misses would. Bounded by [max_recompiles] like real
      invalidations, so the engine still converges under rate=1.0 — after
@@ -810,7 +837,7 @@ let on_entry (t : t) (m : meth_id) : unit =
   if
     Support.Chaos.enabled ()
     && (not t.compiling)
-    && Hashtbl.mem t.code_cache m
+    && installed t m
     && can_recompile t m
     && Support.Chaos.(roll Invalidation_storm)
   then begin
@@ -818,7 +845,8 @@ let on_entry (t : t) (m : meth_id) : unit =
     invalidate t m ~misses:0
   end;
   if wants_compile t m then begin
-    if not (Hashtbl.mem t.first_hot m) then Hashtbl.replace t.first_hot m t.vm.cycles;
+    let st = state t m in
+    if st.first_hot < 0 then st.first_hot <- t.vm.cycles;
     match t.serve_queue with None -> compile t m | Some q -> request t q m
   end
 
@@ -826,17 +854,11 @@ let on_entry (t : t) (m : meth_id) : unit =
    drop the code and let the interpreter re-profile the shifted receiver
    distribution; the method recompiles later. *)
 let on_spec_miss (t : t) (m : meth_id) (_ : site) : unit =
-  if t.spec_miss_threshold < max_int && Hashtbl.mem t.code_cache m then begin
-    let r =
-      match Hashtbl.find_opt t.miss_counts m with
-      | Some r -> r
-      | None ->
-          let r = ref 0 in
-          Hashtbl.replace t.miss_counts m r;
-          r
-    in
-    incr r;
-    if !r >= t.spec_miss_threshold && can_recompile t m then invalidate t m ~misses:!r
+  if t.spec_miss_threshold < max_int && installed t m then begin
+    let st = state t m in
+    let misses = st.misses + 1 in
+    st.misses <- misses;
+    if misses >= t.spec_miss_threshold && can_recompile t m then invalidate t m ~misses
   end
 
 (* The simulated clock that stamps the ambient trace sink's events. *)
@@ -856,12 +878,10 @@ let create ?(spec_miss_threshold = max_int) ?compile_fuel ?(osr = true) ?osr_thr
   in
   let compiles = config.compiler <> None in
   let t =
-    { vm; config; code_cache = Hashtbl.create 32; compiling = false;
-      compile_cycles = 0; compilations = []; spec_miss_threshold;
-      miss_counts = Hashtbl.create 8; recompile_counts = Hashtbl.create 8;
-      cooldown = Hashtbl.create 8; invalidations = []; bailouts = [];
-      failure_counts = Hashtbl.create 8; blacklist = Hashtbl.create 8;
-      compile_fuel;
+    { vm; config;
+      meths = Array.init (Ir.Program.num_meths prog) (fun _ -> fresh_state ());
+      compiling = false; compile_cycles = 0; compilations = [];
+      spec_miss_threshold; invalidations = []; bailouts = []; compile_fuel;
       osr = osr && compiles && osr_threshold < max_int;
       osr_threshold;
       osr_sites = Hashtbl.create 8; osr_meta = Hashtbl.create 8;
@@ -877,11 +897,8 @@ let create ?(spec_miss_threshold = max_int) ?compile_fuel ?(osr = true) ?osr_thr
         (match cache_capacity with
         | Some cap when compiles -> Some (Codecache.create ~capacity:cap)
         | _ -> None);
-      evictions = 0; evict_counts = Hashtbl.create 8; sheds = 0;
-      queue_waits = []; first_hot = Hashtbl.create 8; ttp = [];
-      timeline = None }
+      evictions = 0; sheds = 0; queue_waits = []; ttp = []; timeline = None }
   in
-  vm.code <- Hashtbl.find_opt t.code_cache;
   Obs.Trace.set_clock (trace_clock vm);
   if compiles then begin
     if t.osr then begin
@@ -925,10 +942,10 @@ let flush_pending ?force:_ (_ : t) : int = 0
 
 let compiled_body (t : t) (name : string) : fn option =
   match Ir.Program.find_meth t.vm.prog name with
-  | Some m -> Hashtbl.find_opt t.code_cache m
+  | Some m -> Runtime.Interp.installed t.vm m
   | None -> None
 
-let blacklisted (t : t) (m : meth_id) : bool = Hashtbl.mem t.blacklist m
+let blacklisted (t : t) (m : meth_id) : bool = (state t m).blacklisted
 
 (* End-of-run gauges: point-in-time state the counters above cannot carry.
    Split from the counters so the caller decides when the snapshot is

@@ -1,8 +1,9 @@
 (** The tiered execution engine: interpret, detect hotness, compile,
     install — the paper's online compilation-request environment. Compiled
     bodies are produced by a pluggable {!compiler} (the incremental
-    inliner, a baseline, or nothing) and installed in a code cache the
-    interpreter consults at every method entry. Compilation is synchronous
+    inliner, a baseline, or nothing) and installed in the VM's per-method
+    code slots ({!Runtime.Interp.set_installed}), which the interpreter
+    reads at every method entry. Compilation is synchronous
     but its simulated cost is metered on a separate clock; a produced body
     installs at once. The one model of a background compiler's occupancy
     is the serve queue's busy window ({!Scheduler}). *)
@@ -60,24 +61,36 @@ type osr_origin = { od_src : meth_id; od_bid : bid; od_depth : int }
     header it was extracted at, and its extraction generation (capped so
     invalidate/re-enter cycles cannot mint methods forever). *)
 
+type meth_state = {
+  mutable blacklisted : bool;
+  (** permanently retired to the interpreter after
+      {!max_compile_failures} failed compilation attempts *)
+  mutable failures : int;    (** failed compile attempts *)
+  mutable recompiles : int;  (** invalidations taken (at most {!max_recompiles}) *)
+  mutable cooldown : int;
+  (** invocation count below which the method does not (re)compile *)
+  mutable misses : int;
+  (** speculation misses against the installed code; reset by every
+      install and retirement *)
+  mutable evicts : int;      (** code-cache evictions *)
+  mutable first_hot : int;   (** [vm.cycles] at the first hot trigger; [-1]: never *)
+}
+(** The engine's state for one method. Its installed code is not here:
+    it lives in the VM's slot ({!Runtime.Interp.installed}). *)
+
 type t = {
   vm : Runtime.Interp.vm;
   config : config;
-  code_cache : (meth_id, fn) Hashtbl.t;
+  mutable meths : meth_state array;
+  (** per-method state indexed by [meth_id], grown on demand; read and
+      write it through {!state} *)
   mutable compiling : bool;
   mutable compile_cycles : int;
   mutable compilations : compilation list;  (** most recent first *)
   spec_miss_threshold : int;
-  miss_counts : (meth_id, int ref) Hashtbl.t;
-  recompile_counts : (meth_id, int) Hashtbl.t;
-  cooldown : (meth_id, int) Hashtbl.t;
   mutable invalidations : (meth_id * int) list;  (** method, at_cycles *)
   mutable bailouts : bailout list;
   (** contained compile failures, most recent first; see {!containable} *)
-  failure_counts : (meth_id, int) Hashtbl.t;
-  blacklist : (meth_id, unit) Hashtbl.t;
-  (** methods permanently retired to the interpreter after
-      {!max_compile_failures} failed compilation attempts *)
   compile_fuel : int option;
   (** per-compilation watchdog budget in {!Support.Fuel} checkpoints *)
   osr : bool;
@@ -105,17 +118,13 @@ type t = {
   serve_queue : meth_id Scheduler.t option;
   (** bounded background-compile queue; [None] (default): hot methods
       compile inline at the trigger, exactly the pre-serve engine *)
-  serve_cache : meth_id Codecache.t option;
+  serve_cache : Codecache.t option;
   (** bounded code-cache residency; [None] (default): unbounded *)
   mutable evictions : int;  (** cache evictions over the run *)
-  evict_counts : (meth_id, int) Hashtbl.t;
-  (** evictions per method — drives the re-hot backoff gate *)
   mutable sheds : int;
   (** compile requests shed by admission control *)
   mutable queue_waits : int list;
   (** queue waits of serviced requests, most recent first *)
-  first_hot : (meth_id, int) Hashtbl.t;
-  (** first hot-trigger time per method, at [vm.cycles] *)
   mutable ttp : (meth_id * int) list;
   (** time-to-peak per method: cycles from first hot-trigger to first
       install (includes queue wait only: a produced body installs at
@@ -224,6 +233,10 @@ val flush_pending : ?force:bool -> t -> int
 val compiled_body : t -> string -> fn option
 
 val blacklisted : t -> meth_id -> bool
+
+val state : t -> meth_id -> meth_state
+(** The method's record in [meths], growing the table when the method was
+    added after {!create}. *)
 
 type stats = {
   steps : int;                (** interpreter steps *)

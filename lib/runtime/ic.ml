@@ -51,16 +51,17 @@ let create ~(site : site) ~(selector : string) : t =
     mega = 0;
   }
 
-let probe (t : t) (c : class_id) : entry option =
-  let es = t.entries in
-  let n = Array.length es in
-  let rec go i =
-    if i >= n then None
-    else
-      let e = es.(i) in
-      if e.e_cls = c then Some e else go (i + 1)
-  in
-  go 0
+(* The entry {!probe} returns on a miss: shared, so a probe allocates
+   nothing, hit or miss. No class id is negative, so it matches nothing. *)
+let miss = { e_cls = -1; e_target = -1; e_count = ref 0 }
+
+let rec scan (es : entry array) (c : class_id) (i : int) : entry =
+  if i >= Array.length es then miss
+  else
+    let e = Array.unsafe_get es i in
+    if e.e_cls = c then e else scan es c (i + 1)
+
+let probe (t : t) (c : class_id) : entry = scan t.entries c 0
 
 (* Records a failed probe: a miss while the cache is still growing, a
    megamorphic dispatch once the depth is exhausted. Call before {!add}. *)

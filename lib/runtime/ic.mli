@@ -37,8 +37,12 @@ val depth : int
 
 val create : site:site -> selector:string -> t
 
-val probe : t -> class_id -> entry option
-(** Linear scan of the cached entries. *)
+val miss : entry
+(** The shared entry {!probe} returns when no cached entry matches. *)
+
+val probe : t -> class_id -> entry
+(** Linear scan of the cached entries: the one matching the class, or
+    {!miss} (compare with [==]). Allocates nothing. *)
 
 val note_miss : t -> unit
 (** Records a failed probe (a miss, or a megamorphic dispatch once the

@@ -20,14 +20,15 @@
    Prepared-cache coherence: entries are keyed by method and tier and
    remembered together with the physical [fn] they were translated from; a
    lookup that sees a different body (the JIT installed or replaced code)
-   re-prepares. [Jit.Engine] additionally calls [invalidate_code] on every
-   install and deoptimization, which drops the stale entries eagerly and
-   bumps [code_epoch] — the version counter tests observe.
+   re-prepares. [Jit.Engine] writes installed code through [set_installed]
+   on every install and deoptimization, which also drops the stale entries
+   eagerly and bumps [code_epoch] — the version counter tests observe.
 
-   Two hooks connect the VM to the JIT engine without a dependency cycle:
-   [code] looks up installed compiled code for a method, and [on_entry]
-   fires at every method entry so the engine can detect hotness and
-   trigger compilation. *)
+   The VM connects to the JIT engine without a dependency cycle through
+   one table and one hook: [installed] holds each method's compiled code
+   (a dense array the tier dispatch reads at every invocation), and
+   [on_entry] fires at every method entry so the engine can detect
+   hotness and trigger compilation. *)
 
 open Ir.Types
 open Values
@@ -130,7 +131,10 @@ type vm = {
   cost : Cost.t;
   out : Buffer.t;
   mutable cycles : int;          (* simulated execution clock *)
-  mutable code : meth_id -> fn option;
+  mutable installed : fn option array;
+      (* installed compiled code per method, a dense array indexed by
+         meth_id and written only by [set_installed]: [invoke] reads it at
+         every invocation, so it is an array read, not a hash probe *)
   mutable on_entry : meth_id -> unit;
   (* fired when compiled code reaches the residual virtual call of a
      typeswitch (a synthetic site): the speculation missed *)
@@ -161,7 +165,7 @@ type vm = {
      this lookup sits on every single method invocation, so it is a
      bounds-checked array read, not a hash probe *)
   mutable prepared_cache : prepared_entry option array;
-  mutable code_epoch : int;      (* bumped by every [invalidate_code] *)
+  mutable code_epoch : int;      (* bumped by every [set_installed] *)
   ic_retired : (site, ic_stat) Hashtbl.t;
       (* counters of ICs retired with their code objects *)
   mutable attrib : Attribution.t option;
@@ -180,7 +184,7 @@ let create ?(cost = Cost.default) ?(max_steps = 500_000_000)
     cost;
     out = Buffer.create 256;
     cycles = 0;
-    code = (fun _ -> None);
+    installed = Array.make (max 16 (Ir.Program.num_meths prog)) None;
     on_entry = (fun _ -> ());
     on_spec_miss = (fun _ _ -> ());
     osr_threshold = max_int;
@@ -266,7 +270,20 @@ let retire_ics (vm : vm) (pcode : Prepared.code) : unit =
       end)
     pcode.ics
 
-let invalidate_code (vm : vm) (m : meth_id) : unit =
+let installed (vm : vm) (m : meth_id) : fn option =
+  let c = vm.installed in
+  if m < Array.length c then c.(m) else None
+
+(* The one writer of installed code. The tier of [m] changed either way,
+   so its prepared code (both tiers) is dropped and its ICs retired. *)
+let set_installed (vm : vm) (m : meth_id) (code : fn option) : unit =
+  let n = Array.length vm.installed in
+  if m >= n then begin
+    let c' = Array.make (max (m + 1) (2 * n)) None in
+    Array.blit vm.installed 0 c' 0 n;
+    vm.installed <- c'
+  end;
+  vm.installed.(m) <- code;
   let drop key =
     match cache_slot vm key with
     | Some e ->
@@ -279,7 +296,7 @@ let invalidate_code (vm : vm) (m : meth_id) : unit =
   vm.code_epoch <- vm.code_epoch + 1
 
 (* Cache lookup guarded by physical identity of the source body (even if
-   an install slipped past [invalidate_code], a replaced body can never
+   an install slipped past [set_installed], a replaced body can never
    execute stale prepared code) and by profile identity + generation (a
    swapped or cleared profile invalidates the baked counter cells). *)
 let entry_for (vm : vm) ~(mode : mode) (m : meth_id) (fn : fn) : prepared_entry =
@@ -403,7 +420,7 @@ let eval_unop (op : unop) (a : value) : value =
 
 let rec invoke (vm : vm) (m : meth_id) (args : value array) : value =
   vm.on_entry m;
-  match vm.code m with
+  match installed vm m with
   | Some cfn -> (
       match vm.attrib with
       | None -> exec_installed vm m cfn args
@@ -1291,7 +1308,7 @@ and do_call (vm : vm) ?ic ~profiling ~(meth : meth_id) ~(callee : callee)
              dispatch must report it exactly like the slow path does *)
           if (not profiling) && site.sidx < 0 then vm.on_spec_miss meth site;
           match Ic.probe ic o.o_cls with
-          | Some e ->
+          | e when e != Ic.miss ->
               (* cached: the scan resolved the target. The entry's count
                  cell aliases the profile's receiver-histogram cell, so
                  recording the receiver is one increment. *)
@@ -1301,7 +1318,7 @@ and do_call (vm : vm) ?ic ~profiling ~(meth : meth_id) ~(callee : callee)
               charge vm
                 (Cost.call_overhead vm.cost ~virtual_:true ~targets:(max observed 1));
               invoke vm e.e_target args
-          | None -> (
+          | _ -> (
               Ic.note_miss ic;
               let cell =
                 if profiling then begin

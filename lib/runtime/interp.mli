@@ -15,9 +15,10 @@
       specification that the differential suite checks the threaded engine
       against.
 
-    Two hooks connect the VM to a JIT engine without a dependency cycle:
-    [code] looks up installed compiled code, [on_entry] fires at every
-    method entry (hotness detection). *)
+    A JIT engine drives the VM without a dependency cycle through one
+    table and one hook: {!set_installed} writes a method's compiled code
+    into the dense [installed] slots the tier dispatch reads, and
+    [on_entry] fires at every method entry (hotness detection). *)
 
 open Ir.Types
 open Values
@@ -108,8 +109,13 @@ type vm = {
   cost : Cost.t;
   out : Buffer.t;                          (** captured program output *)
   mutable cycles : int;                    (** the simulated clock *)
-  mutable code : meth_id -> fn option;
+  mutable installed : fn option array;
+  (** installed compiled code per method, a dense array indexed by
+      [meth_id] that grows on demand; read it with {!installed} and write
+      it only with {!set_installed}. [invoke] reads it at every
+      invocation. *)
   mutable on_entry : meth_id -> unit;
+  (** fired at every method entry, before the tier dispatch *)
   mutable on_spec_miss : meth_id -> site -> unit;
   (** fired when compiled code reaches a typeswitch's residual virtual
       call (a synthetic site): the speculation missed *)
@@ -137,7 +143,7 @@ type vm = {
   (** prepared code per method and tier, a dense array indexed by
       [meth_id * 2 + tier] — this lookup sits on every invocation *)
   mutable code_epoch : int;
-  (** bumped by every {!invalidate_code}; a cheap staleness witness *)
+  (** bumped by every {!set_installed}; a cheap staleness witness *)
   ic_retired : (site, ic_stat) Hashtbl.t;
   (** counters of inline caches retired with their dropped code objects *)
   mutable attrib : Attribution.t option;
@@ -172,11 +178,16 @@ val record_evict : vm -> meth_id -> unit
     retirement path — kept separate from {!record_deopt} so reports can
     tell capacity churn from speculation failure. *)
 
-val invalidate_code : vm -> meth_id -> unit
-(** Drops any prepared code cached for the method (both tiers) — retiring
-    the inline caches it contains into {!ic_stats} — and bumps
-    [code_epoch]. {!Jit.Engine} calls this whenever it installs, replaces
-    or removes compiled code for a method. *)
+val installed : vm -> meth_id -> fn option
+(** The method's installed compiled code, or [None] when it has none and
+    runs interpreted. Allocates nothing. *)
+
+val set_installed : vm -> meth_id -> fn option -> unit
+(** Writes the method's installed-code slot ([Some body] to install or
+    replace, [None] to remove), drops any prepared code cached for the
+    method (both tiers) — retiring the inline caches it contains into
+    {!ic_stats} — and bumps [code_epoch]. {!Jit.Engine} calls this
+    whenever it installs, replaces or removes compiled code. *)
 
 val ic_stats : vm -> ic_stat list
 (** Per-site inline-cache statistics: live caches merged with retired

@@ -346,13 +346,14 @@ let prop_chaos_differential =
         QCheck.Test.fail_reportf "results diverged under faults";
       (* convergence: nobody fails past the cap, and every blacklisted
          method's failure count is exactly the cap *)
-      Hashtbl.iter
-        (fun m n ->
+      Array.iteri
+        (fun m (st : Jit.Engine.meth_state) ->
+          let n = st.failures in
           if n > Jit.Engine.max_compile_failures then
             QCheck.Test.fail_reportf "method %d failed %d > cap" m n;
           if Jit.Engine.blacklisted e m && n <> Jit.Engine.max_compile_failures then
             QCheck.Test.fail_reportf "method %d blacklisted at %d failures" m n)
-        e.failure_counts;
+        e.meths;
       true)
 
 (* At rate 1.0 every compilation fails, so the faulted engine must match

@@ -140,12 +140,13 @@ def main(): Unit = {
       | Some (e : Runtime.Interp.prepared_entry) -> (
           let m = key / 2 in
           let current =
-            match Hashtbl.find_opt engine.code_cache m with
+            match Runtime.Interp.installed engine.vm m with
             | Some fn -> Some fn
             | None -> (Ir.Program.meth engine.vm.prog m).body
           in
           match current with
-          | Some fn when key mod 2 = 1 || not (Hashtbl.mem engine.code_cache m)
+          | Some fn
+            when key mod 2 = 1 || Option.is_none (Runtime.Interp.installed engine.vm m)
             ->
               Alcotest.(check bool) "cached entry matches live body" true
                 (e.src == fn)
@@ -242,7 +243,9 @@ let test_ic_flush () =
   (* flush everything: the prepared cache must empty and every live
      counter must survive into the retired table, exactly once *)
   Ir.Program.iter_meths
-    (fun (m : Ir.Types.meth) -> Runtime.Interp.invalidate_code engine.vm m.m_id)
+    (fun (m : Ir.Types.meth) ->
+      Runtime.Interp.set_installed engine.vm m.m_id
+        (Runtime.Interp.installed engine.vm m.m_id))
     engine.vm.prog;
   Alcotest.(check int) "prepared cache flushed" 0
     (Array.fold_left

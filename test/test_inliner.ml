@@ -45,7 +45,7 @@ let check_differential ?(params = Params.default) (src : string) (roots : string
       Hashtbl.replace cache m result.Algorithm.body)
     roots;
   let vm2 = Runtime.Interp.create prog in
-  vm2.code <- (fun m -> Hashtbl.find_opt cache m);
+  Hashtbl.iter (fun m body -> Runtime.Interp.set_installed vm2 m (Some body)) cache;
   ignore (Runtime.Interp.run_main vm2);
   Alcotest.(check string) "differential" reference (Runtime.Interp.output vm2)
 
@@ -422,7 +422,7 @@ let algorithm_tests =
         ignore (Runtime.Interp.run_meth vm "f" [ Runtime.Values.Vunit ]);
         let interp_cycles = vm.cycles - c0 in
         let vm2 = Runtime.Interp.create prog in
-        vm2.code <- (fun m' -> if m' = m then Some result.body else None);
+        Runtime.Interp.set_installed vm2 m (Some result.body);
         ignore (Runtime.Interp.run_meth vm2 "f" [ Runtime.Values.Vunit ]);
         Alcotest.(check bool) "faster" true (vm2.cycles < interp_cycles));
     test "cluster inlining beats partial inlining on foreach shape" (fun () ->
@@ -480,7 +480,7 @@ let algorithm_tests =
                 end)
               prog;
             let vm2 = Runtime.Interp.create prog in
-            vm2.code <- (fun m -> Hashtbl.find_opt cache m);
+            Hashtbl.iter (fun m body -> Runtime.Interp.set_installed vm2 m (Some body)) cache;
             ignore (Runtime.Interp.run_main vm2);
             Alcotest.(check string) (w.name ^ " compiled") w.expected
               (Runtime.Interp.output vm2))

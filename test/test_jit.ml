@@ -231,7 +231,7 @@ let speculation_tests =
         Alcotest.(check int) "phase 2 result" 6 (drive e c 60);
         Alcotest.(check bool) "call invalidated" true (List.length e.invalidations >= 1);
         let call_m = Option.get (Ir.Program.find_meth e.vm.prog "call") in
-        Alcotest.(check bool) "call recompiled" true (Hashtbl.mem e.code_cache call_m);
+        Alcotest.(check bool) "call recompiled" true (Option.is_some (Runtime.Interp.installed e.vm call_m));
         Alcotest.(check int) "still correct" 6 (drive e c 1));
     test "recompilation improves post-shift performance" (fun () ->
         let measure ?spec_miss_threshold () =
@@ -269,10 +269,10 @@ let speculation_tests =
            smaller than the threshold cannot invalidate. *)
         let e, b, c = spec_engine ~spec_miss_threshold:50 () in
         let call_m = Option.get (Ir.Program.find_meth e.vm.prog "call") in
-        Hashtbl.replace e.miss_counts call_m (ref 49);
+        (Jit.Engine.state e call_m).misses <- 49;
         (* train and install on B receivers *)
         Alcotest.(check int) "trained" 3 (drive e b 30);
-        Alcotest.(check bool) "installed" true (Hashtbl.mem e.code_cache call_m);
+        Alcotest.(check bool) "installed" true (Option.is_some (Runtime.Interp.installed e.vm call_m));
         (* 16 C calls -> 48 fresh misses: below threshold, so the stale 49
            is the only thing that could tip it over *)
         Alcotest.(check int) "shifted" 6 (drive e c 16);

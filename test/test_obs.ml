@@ -530,7 +530,7 @@ let explain_tests =
                 (* and the decision really happened: the installed body of
                    bench has no calls left *)
                 let m = Option.get (Ir.Program.find_meth e.vm.prog "bench") in
-                let body = Hashtbl.find e.code_cache m in
+                let body = Option.get (Runtime.Interp.installed e.vm m) in
                 Alcotest.(check int) "work was truly inlined" 0 (count_calls body)));
     test "render and render_why are deterministic and name the terms" (fun () ->
         let _, lines = traced_run () in

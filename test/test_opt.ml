@@ -615,7 +615,7 @@ let scalarrepl_tests =
         Alcotest.(check int) "no allocation" 0
           (count_instrs result.body (function Ir.Types.New _ -> true | _ -> false));
         let vm2 = Runtime.Interp.create prog in
-        vm2.code <- (fun m' -> if m' = m then Some result.Inliner.Algorithm.body else None);
+        Runtime.Interp.set_installed vm2 m (Some result.Inliner.Algorithm.body);
         ignore (Runtime.Interp.run_main vm2);
         Alcotest.(check string) "same output" expected (Runtime.Interp.output vm2));
     test "loop-carried field values get phis" (fun () ->
@@ -700,7 +700,7 @@ let scalarrepl_tests =
             Alcotest.(check int) (name ^ ": no allocation") 0
               (count_instrs body (function Ir.Types.New _ -> true | _ -> false));
             let vm2 = Runtime.Interp.create prog in
-            vm2.code <- (fun m' -> if m' = m then Some body else None);
+            Runtime.Interp.set_installed vm2 m (Some body);
             ignore (Runtime.Interp.run_main vm2);
             Alcotest.(check string) (name ^ ": output") "1\n" (Runtime.Interp.output vm2))
           [ ("greedy", greedy); ("c2", c2like); ("incremental", incremental ()) ]);

@@ -81,7 +81,7 @@ let differential_with (compiler : Jit.Engine.compiler) (src : string) : bool =
       end)
     prog;
   let vm2 = Runtime.Interp.create prog in
-  vm2.code <- (fun m -> Hashtbl.find_opt cache m);
+  Hashtbl.iter (fun m body -> Runtime.Interp.set_installed vm2 m (Some body)) cache;
   ignore (Runtime.Interp.run_main vm2);
   let got = Runtime.Interp.output vm2 in
   if got <> reference then

@@ -121,57 +121,57 @@ let codecache_tests =
           >= 0));
     test "capacity 0 evicts every install immediately" (fun () ->
         let c = Jit.Codecache.create ~capacity:0 in
-        Alcotest.(check (list string)) "self-eviction" [ "m" ]
-          (Jit.Codecache.install c ~meth:"m" ~size:5 ~now:0);
+        Alcotest.(check (list int)) "self-eviction" [ 0 ]
+          (Jit.Codecache.install c ~meth:0 ~size:5 ~now:0);
         Alcotest.(check int) "nothing resident" 0 (Jit.Codecache.resident c);
         Alcotest.(check int) "nothing used" 0 (Jit.Codecache.used c));
     test "capacity 1 with a bigger body behaves like capacity 0" (fun () ->
         let c = Jit.Codecache.create ~capacity:1 in
-        Alcotest.(check (list string)) "self-eviction" [ "m" ]
-          (Jit.Codecache.install c ~meth:"m" ~size:2 ~now:0);
+        Alcotest.(check (list int)) "self-eviction" [ 0 ]
+          (Jit.Codecache.install c ~meth:0 ~size:2 ~now:0);
         (* a body that fits stays *)
-        Alcotest.(check (list string)) "exact fit stays" []
-          (Jit.Codecache.install c ~meth:"tiny" ~size:1 ~now:1);
-        Alcotest.(check bool) "resident" true (Jit.Codecache.mem c "tiny"));
+        Alcotest.(check (list int)) "exact fit stays" []
+          (Jit.Codecache.install c ~meth:1 ~size:1 ~now:1);
+        Alcotest.(check bool) "resident" true (Jit.Codecache.mem c 1));
     test "install evicts the lowest-retention entry first" (fun () ->
         let c = Jit.Codecache.create ~capacity:10 in
-        Alcotest.(check (list string)) "a fits" []
-          (Jit.Codecache.install c ~meth:"a" ~size:6 ~now:0);
-        Alcotest.(check (list string)) "b fits" []
-          (Jit.Codecache.install c ~meth:"b" ~size:4 ~now:100);
+        Alcotest.(check (list int)) "a fits" []
+          (Jit.Codecache.install c ~meth:0 ~size:6 ~now:0);
+        Alcotest.(check (list int)) "b fits" []
+          (Jit.Codecache.install c ~meth:1 ~size:4 ~now:100);
         Alcotest.(check int) "full" 10 (Jit.Codecache.used c);
         (* a (stale, big) scores below b (fresh): a goes *)
-        Alcotest.(check (list string)) "a evicted" [ "a" ]
-          (Jit.Codecache.install c ~meth:"c" ~size:1 ~now:200);
-        Alcotest.(check bool) "b survived" true (Jit.Codecache.mem c "b");
+        Alcotest.(check (list int)) "a evicted" [ 0 ]
+          (Jit.Codecache.install c ~meth:2 ~size:1 ~now:200);
+        Alcotest.(check bool) "b survived" true (Jit.Codecache.mem c 1);
         Alcotest.(check int) "accounting" 5 (Jit.Codecache.used c));
     test "touch refreshes retention and protects hot code" (fun () ->
         let c = Jit.Codecache.create ~capacity:10 in
-        ignore (Jit.Codecache.install c ~meth:"a" ~size:5 ~now:0);
-        ignore (Jit.Codecache.install c ~meth:"b" ~size:5 ~now:10);
+        ignore (Jit.Codecache.install c ~meth:0 ~size:5 ~now:0);
+        ignore (Jit.Codecache.install c ~meth:1 ~size:5 ~now:10);
         (* without the touch, a (older) would be the victim *)
-        Jit.Codecache.touch c "a" ~now:500;
-        Alcotest.(check (list string)) "b evicted instead" [ "b" ]
-          (Jit.Codecache.install c ~meth:"d" ~size:5 ~now:600);
-        Alcotest.(check bool) "a survived" true (Jit.Codecache.mem c "a"));
+        Jit.Codecache.touch c 0 ~now:500;
+        Alcotest.(check (list int)) "b evicted instead" [ 1 ]
+          (Jit.Codecache.install c ~meth:3 ~size:5 ~now:600);
+        Alcotest.(check bool) "a survived" true (Jit.Codecache.mem c 0));
     test "reinstalling a method replaces, not double-counts" (fun () ->
         let c = Jit.Codecache.create ~capacity:10 in
-        ignore (Jit.Codecache.install c ~meth:"a" ~size:6 ~now:0);
-        Alcotest.(check (list string)) "no eviction" []
-          (Jit.Codecache.install c ~meth:"a" ~size:8 ~now:10);
+        ignore (Jit.Codecache.install c ~meth:0 ~size:6 ~now:0);
+        Alcotest.(check (list int)) "no eviction" []
+          (Jit.Codecache.install c ~meth:0 ~size:8 ~now:10);
         Alcotest.(check int) "new size only" 8 (Jit.Codecache.used c);
         Alcotest.(check int) "one entry" 1 (Jit.Codecache.resident c));
     test "retention ties evict the oldest install" (fun () ->
         let c = Jit.Codecache.create ~capacity:4 in
-        ignore (Jit.Codecache.install c ~meth:"a" ~size:2 ~now:0);
-        ignore (Jit.Codecache.install c ~meth:"b" ~size:2 ~now:0);
-        Alcotest.(check (list string)) "oldest goes" [ "a" ]
-          (Jit.Codecache.install c ~meth:"c" ~size:2 ~now:0));
+        ignore (Jit.Codecache.install c ~meth:0 ~size:2 ~now:0);
+        ignore (Jit.Codecache.install c ~meth:1 ~size:2 ~now:0);
+        Alcotest.(check (list int)) "oldest goes" [ 0 ]
+          (Jit.Codecache.install c ~meth:2 ~size:2 ~now:0));
     test "remove drops residency without an eviction" (fun () ->
         let c = Jit.Codecache.create ~capacity:10 in
-        ignore (Jit.Codecache.install c ~meth:"a" ~size:6 ~now:0);
-        Jit.Codecache.remove c "a";
-        Alcotest.(check bool) "gone" false (Jit.Codecache.mem c "a");
+        ignore (Jit.Codecache.install c ~meth:0 ~size:6 ~now:0);
+        Jit.Codecache.remove c 0;
+        Alcotest.(check bool) "gone" false (Jit.Codecache.mem c 0);
         Alcotest.(check int) "freed" 0 (Jit.Codecache.used c));
   ]
 
@@ -190,6 +190,122 @@ let cache_invariant_prop =
           Jit.Codecache.used c <= cap
           && List.for_all (fun v -> not (Jit.Codecache.mem c v)) victims)
         (List.mapi (fun i op -> (i, op)) ops))
+
+(* The list implementation that [Jit.Codecache] replaced with a dense
+   index, kept as the model the cache must agree with after every step:
+   every lookup is a scan of the resident list. *)
+module Cache_model = struct
+  type entry = {
+    meth : int;
+    size : int;
+    seq : int;
+    mutable last : int;
+    mutable uses : int;
+  }
+
+  type t = {
+    cap : int;
+    mutable entries : entry list;
+    mutable next_seq : int;
+    mutable total : int;
+  }
+
+  let create ~capacity = { cap = max 0 capacity; entries = []; next_seq = 0; total = 0 }
+  let used t = t.total
+  let resident t = List.length t.entries
+  let mem t meth = List.exists (fun e -> e.meth = meth) t.entries
+
+  let score e =
+    Jit.Codecache.retain_score ~last_used:e.last ~uses:e.uses ~size:e.size
+
+  let drop t e =
+    t.entries <- List.filter (fun e' -> e' != e) t.entries;
+    t.total <- t.total - e.size
+
+  let remove t meth =
+    match List.find_opt (fun e -> e.meth = meth) t.entries with
+    | Some e -> drop t e
+    | None -> ()
+
+  let install t ~meth ~size ~now =
+    remove t meth;
+    let e = { meth; size = max 0 size; seq = t.next_seq; last = now; uses = 0 } in
+    t.next_seq <- t.next_seq + 1;
+    t.entries <- e :: t.entries;
+    t.total <- t.total + e.size;
+    let victims = ref [] in
+    while t.total > t.cap do
+      match t.entries with
+      | [] -> t.total <- 0
+      | e0 :: rest ->
+          let victim =
+            List.fold_left
+              (fun best e' ->
+                let sb = score best and se = score e' in
+                if se < sb || (se = sb && e'.seq < best.seq) then e' else best)
+              e0 rest
+          in
+          drop t victim;
+          victims := victim.meth :: !victims
+    done;
+    List.rev !victims
+
+  let touch t meth ~now =
+    match List.find_opt (fun e -> e.meth = meth) t.entries with
+    | Some e ->
+        e.last <- now;
+        e.uses <- e.uses + 1
+    | None -> ()
+end
+
+type cache_op = Install of int * int | Touch of int | Remove of int
+
+let cache_op =
+  QCheck.make
+    ~print:(function
+      | Install (m, size) -> Printf.sprintf "install %d size %d" m size
+      | Touch m -> Printf.sprintf "touch %d" m
+      | Remove m -> Printf.sprintf "remove %d" m)
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun m size -> Install (m, size)) (int_range 0 7) (int_range 0 10));
+          (4, map (fun m -> Touch m) (int_range 0 7));
+          (1, map (fun m -> Remove m) (int_range 0 7));
+        ])
+
+(* Random install, touch and remove sequences through the cache and the
+   model: after every step both report the same victims in the same
+   order, the same residency and the same membership. *)
+let cache_model_prop =
+  QCheck.Test.make ~count:500 ~name:"code cache agrees with the list model"
+    QCheck.(pair (int_range 0 20) (small_list (pair cache_op (int_range 0 1000))))
+    (fun (cap, ops) ->
+      let c = Jit.Codecache.create ~capacity:cap in
+      let o = Cache_model.create ~capacity:cap in
+      List.for_all
+        (fun (op, now) ->
+          let same_victims =
+            match op with
+            | Install (meth, size) ->
+                Jit.Codecache.install c ~meth ~size ~now
+                = Cache_model.install o ~meth ~size ~now
+            | Touch m ->
+                Jit.Codecache.touch c m ~now;
+                Cache_model.touch o m ~now;
+                true
+            | Remove m ->
+                Jit.Codecache.remove c m;
+                Cache_model.remove o m;
+                true
+          in
+          same_victims
+          && Jit.Codecache.used c = Cache_model.used o
+          && Jit.Codecache.resident c = Cache_model.resident o
+          && List.for_all
+               (fun m -> Jit.Codecache.mem c m = Cache_model.mem o m)
+               (List.init 10 (fun m -> m - 1)))
+        ops)
 
 (* ---------- engine integration: eviction exactness ---------- *)
 
@@ -341,6 +457,38 @@ let engine_tests =
           starved.tr_installs;
         Alcotest.(check bool) "installs without a deadline" true (free.tr_installs > 0);
         Alcotest.(check int) "results unchanged" free.tr_checksum starved.tr_checksum);
+    test "an entry of resident code allocates nothing" (fun () ->
+        (* the entry hook runs at every invocation: with a queue and a
+           bounded cache armed, entering resident code (refreshing its
+           retention) and reading its installed body must not allocate *)
+        let e =
+          Jit.Engine.create ~queue_capacity:4 ~cache_capacity:100_000
+            (compile rehot_src)
+            (jit_config "entry-alloc" (Some (incremental ())))
+        in
+        ignore (Jit.Engine.run_main e);
+        for _ = 1 to 30 do
+          ignore (Jit.Engine.run_meth e "bench" [ Runtime.Values.Vunit ])
+        done;
+        let m = Option.get (Ir.Program.find_meth e.vm.prog "work") in
+        Alcotest.(check bool) "work is resident" true
+          (Jit.Codecache.mem (Option.get e.serve_cache) m);
+        let entries () =
+          for _ = 1 to 10_000 do
+            e.vm.on_entry m;
+            ignore (Sys.opaque_identity (Runtime.Interp.installed e.vm m))
+          done
+        in
+        (* a first round drains whatever the queue still holds *)
+        entries ();
+        let words f =
+          let before = Gc.minor_words () in
+          f ();
+          Gc.minor_words () -. before
+        in
+        let overhead = words (fun () -> ()) in
+        Alcotest.(check int) "minor words over 10,000 entries" 0
+          (int_of_float (words entries -. overhead)));
   ]
 
 (* ---------- multi-tenant driver ---------- *)
@@ -697,7 +845,7 @@ let () =
       ("scheduler", scheduler_tests);
       ("codecache", codecache_tests);
       ( "codecache-properties",
-        List.map QCheck_alcotest.to_alcotest [ cache_invariant_prop ] );
+        List.map QCheck_alcotest.to_alcotest [ cache_invariant_prop; cache_model_prop ] );
       ("engine", engine_tests);
       ( "engine-properties",
         List.map QCheck_alcotest.to_alcotest [ eviction_exactness_prop ] );
