@@ -2,7 +2,7 @@
 
    Runs every registered workload under the interpreter (no JIT compiler)
    on both backends — the reference IR walker and the closure-threaded
-   engine with profile-guided superinstructions — verifies per workload
+   engine with superinstructions — verifies per workload
    that the runs are observationally identical (output, simulated cycles
    and steps), and reports real steps/second for both plus the
    per-workload and aggregate speedup, the dispatch strategy, the mined

@@ -217,11 +217,13 @@ let fail msg =
   Printf.eprintf "selvm: %s\n" msg;
   exit 1
 
+(* A count option that must be at least [min]. *)
+let check_at_least (flag : string) (min : int) (n : int) : unit =
+  if n < min then fail (Printf.sprintf "--%s must be at least %d" flag min)
+
 (* A budget or capacity option: absent, or a count of at least 0. *)
 let check_nonneg (flag : string) (v : int option) : unit =
-  match v with
-  | Some n when n < 0 -> fail (Printf.sprintf "--%s must be at least 0" flag)
-  | _ -> ()
+  Option.iter (check_at_least flag 0) v
 
 (* Runs [f] with a JSONL trace sink on [path] when --trace was given. The
    trace is written atomically; an unwritable path is a one-line
@@ -272,6 +274,7 @@ let with_optional_chaos ~(seed : int) ~(rate : float) (f : unit -> 'a) : 'a =
 let run_cmd =
   let run file workload config hotness stats verify trace metrics chaos_seed
       chaos_rate compile_fuel no_osr timeline timeline_interval =
+    check_at_least "hotness" 1 hotness;
     check_nonneg "compile-fuel" compile_fuel;
     match load_program ~file ~workload with
     | Error e -> fail e
@@ -345,7 +348,8 @@ let bench_cmd =
   in
   let bench file workload config hotness entry iters save_profiles json trace
       chaos_seed chaos_rate compile_fuel no_osr =
-    if iters < 1 then fail "--iters must be at least 1";
+    check_at_least "hotness" 1 hotness;
+    check_at_least "iters" 1 iters;
     check_nonneg "compile-fuel" compile_fuel;
     match load_program ~file ~workload with
     | Error e -> fail e
@@ -437,6 +441,7 @@ let compile_cmd =
                 sources) instead of interpreting main for warmup.")
   in
   let compile file workload config meth_name warmup profiles =
+    check_at_least "warmup" 0 warmup;
     match load_program ~file ~workload with
     | Error e -> fail e
     | Ok (prog, _) -> (
@@ -634,8 +639,9 @@ let report_cmd =
              line per calling context) to FILE.")
   in
   let report file workload config hotness entry iters top folded =
-    if iters < 1 then fail "--iters must be at least 1";
-    if top < 0 then fail "--top must be at least 0";
+    check_at_least "hotness" 1 hotness;
+    check_at_least "iters" 1 iters;
+    check_at_least "top" 0 top;
     match load_program ~file ~workload with
     | Error e -> fail e
     | Ok (prog, label) -> (
@@ -663,22 +669,20 @@ let report_cmd =
                   config iters;
                 Printf.printf "# %d cycles attributed over %d methods\n\n" total_self
                   (List.length rows);
-                Printf.printf "%-24s %12s %6s %12s %9s %7s %7s %7s %7s %7s\n" "method"
-                  "self" "self%" "total" "invocs" "interp%" "prep%" "jit%" "deopts"
-                  "evicts";
+                Printf.printf "%-24s %12s %6s %12s %9s %7s %7s %7s %7s\n" "method"
+                  "self" "self%" "total" "invocs" "interp%" "jit%" "deopts" "evicts";
                 List.iteri
                   (fun i (r : Runtime.Attribution.row) ->
                     if i < top then begin
-                      let si, sp, sj = r.r_self_by_tier in
+                      let si, sj = r.r_self_by_tier in
                       let share part =
                         if r.r_self = 0 then 0.0
                         else 100.0 *. float_of_int part /. float_of_int r.r_self
                       in
                       Printf.printf
-                        "%-24s %12d %6.1f %12d %9d %7.1f %7.1f %7.1f %7d %7d\n"
+                        "%-24s %12d %6.1f %12d %9d %7.1f %7.1f %7d %7d\n"
                         (name r.r_meth) r.r_self (pct r.r_self) r.r_total
-                        r.r_invocations (share si) (share sp) (share sj) r.r_deopts
-                        r.r_evicts
+                        r.r_invocations (share si) (share sj) r.r_deopts r.r_evicts
                     end)
                   rows;
                 if List.length rows > top then
@@ -781,6 +785,7 @@ let serve_cmd =
     if (not (Float.is_finite chaos_rate)) || chaos_rate < 0.0 || chaos_rate > 1.0
     then fail "--chaos-rate must be in [0, 1]";
     if iters < 0 then fail "--iters must be at least 0 (0: each workload's default)";
+    check_at_least "hotness" 1 hotness;
     check_nonneg "cache-capacity" cache_cap;
     check_nonneg "compile-deadline" deadline;
     (* validate the configuration up front, not inside a tenant thunk *)
@@ -1230,10 +1235,12 @@ let synth_cmd =
                 printing its source.")
   in
   let synth depth fanout poly_degree seed leaf_work hot_fraction bench config =
-    List.iter
-      (fun (flag, n) ->
-        if n < 1 then fail (Printf.sprintf "--%s must be at least 1" flag))
-      [ ("depth", depth); ("fanout", fanout); ("poly", poly_degree) ];
+    check_at_least "depth" 1 depth;
+    check_at_least "fanout" 1 fanout;
+    check_at_least "poly" 1 poly_degree;
+    check_at_least "leaf-work" 0 leaf_work;
+    if not (hot_fraction >= 0.0 && hot_fraction <= 1.0) then
+      fail "--hot must be in [0, 1]";
     let cfg =
       { Workloads.Synth.seed; depth; fanout; poly_degree; leaf_work; hot_fraction }
     in

@@ -963,7 +963,6 @@ let m_ic_hit_rate = Obs.Metrics.histogram "ic.site_hit_rate_pct"
 let g_osr_methods = Obs.Metrics.gauge "osr.methods"
 let g_superinst_patterns = Obs.Metrics.gauge "superinst.patterns"
 let g_superinst_sites = Obs.Metrics.gauge "superinst.fused_sites"
-let g_superinst_weight = Obs.Metrics.gauge "superinst.fused_weight"
 let g_queue_depth = Obs.Metrics.gauge "serve.queue_depth"
 let g_cache_used = Obs.Metrics.gauge "serve.cache_used"
 let g_cache_resident = Obs.Metrics.gauge "serve.cache_resident"
@@ -995,17 +994,15 @@ let snapshot_metrics (t : t) : unit =
      export byte-compares across identical runs) *)
   let sstats = superinst_stats t in
   Obs.Metrics.set g_superinst_patterns (List.length sstats);
-  let sites = ref 0 and weight = ref 0 in
+  let sites = ref 0 in
   List.iter
     (fun (s : Runtime.Interp.sstat) ->
       sites := !sites + s.ss_sites;
-      weight := !weight + s.ss_weight;
       Obs.Metrics.set
         (Obs.Metrics.gauge ("superinst.pattern." ^ s.ss_pattern))
         s.ss_sites)
     sstats;
   Obs.Metrics.set g_superinst_sites !sites;
-  Obs.Metrics.set g_superinst_weight !weight;
   Obs.Metrics.set g_osr_methods s.osr_methods;
   (* the serve gauges describe a bounded queue and cache; an unarmed
      engine leaves them unset *)

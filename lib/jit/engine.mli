@@ -219,7 +219,7 @@ val ic_stats : t -> Runtime.Interp.ic_stat list
 val superinst_stats : t -> Runtime.Interp.sstat list
 (** The threaded tier's mined superinstruction table, sorted by pattern
     (see {!Runtime.Interp.superinst_stats}). Empty under the reference
-    backend or before any method crossed the fusion threshold. *)
+    backend or when no lowered body had a fusable run of two ops. *)
 
 val dispatch_label : t -> string
 (** How the interpreted tier dispatches: ["threaded"] or ["walker"]

@@ -176,7 +176,7 @@ let ic_json (r : run) : Support.Json.t =
     ]
 
 (* The mined superinstruction table of a run: which op sequences were
-   fused, at how many sites, over how much block hotness. *)
+   fused, and at how many sites. *)
 let superinst_json (r : run) : Support.Json.t =
   Support.Json.Obj
     [
@@ -184,10 +184,6 @@ let superinst_json (r : run) : Support.Json.t =
       ( "fused_sites",
         Support.Json.Int
           (List.fold_left (fun a (s : Runtime.Interp.sstat) -> a + s.ss_sites) 0
-             r.superinst) );
-      ( "fused_weight",
-        Support.Json.Int
-          (List.fold_left (fun a (s : Runtime.Interp.sstat) -> a + s.ss_weight) 0
              r.superinst) );
       ( "table",
         Support.Json.List
@@ -197,7 +193,6 @@ let superinst_json (r : run) : Support.Json.t =
                  [
                    ("pattern", Support.Json.String s.ss_pattern);
                    ("sites", Support.Json.Int s.ss_sites);
-                   ("weight", Support.Json.Int s.ss_weight);
                  ])
              r.superinst) );
     ]

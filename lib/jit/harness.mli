@@ -50,8 +50,8 @@ val run_benchmark :
     beforehand when given. *)
 
 val superinst_json : run -> Support.Json.t
-(** The run's mined superinstruction table: pattern/site/weight rows plus
-    aggregate fused-site and weight totals. *)
+(** The run's mined superinstruction table: pattern/site rows plus the
+    pattern count and the fused-site total. *)
 
 val run_json : run -> Support.Json.t
 (** The complete run as JSON, as `selvm bench --json` writes it: name,

@@ -4,7 +4,7 @@
    bracketed by [enter]/[leave] stamped with the simulated cycle clock.
    From those brackets we accrue, per method:
 
-   - self cycles, split by tier (interpreted / prepared / jit) — the
+   - self cycles, split by tier (interpreted / jit) — the
      elapsed cycles of the frame minus the cycles of its callees;
    - total cycles — elapsed cycles while the method is anywhere on the
      stack, counted once per method (a self-recursive method does not
@@ -27,10 +27,9 @@
    deliberately free of IR dependencies: methods are plain ids and the
    caller supplies a naming function at render time. *)
 
-type tier = Interp | Prepared | Jit
+type tier = Interp | Jit
 
-let tier_index = function Interp -> 0 | Prepared -> 1 | Jit -> 2
-let tier_name = function Interp -> "interp" | Prepared -> "prepared" | Jit -> "jit"
+let tier_index = function Interp -> 0 | Jit -> 1
 
 type mrec = {
   self : int array;              (* self cycles, indexed by tier *)
@@ -66,7 +65,7 @@ type t = {
 }
 
 let fresh_mrec () : mrec =
-  { self = Array.make 3 0; invocations = Array.make 3 0; total = 0; deopts = 0;
+  { self = Array.make 2 0; invocations = Array.make 2 0; total = 0; deopts = 0;
     evicts = 0; on_stack = 0; entered_total_at = 0 }
 
 let create () : t =
@@ -176,8 +175,8 @@ type row = {
   r_self : int;                  (* across tiers *)
   r_total : int;
   r_invocations : int;           (* across tiers *)
-  r_self_by_tier : int * int * int;
-  r_invocations_by_tier : int * int * int;
+  r_self_by_tier : int * int;
+  r_invocations_by_tier : int * int;
   r_deopts : int;
   r_evicts : int;
 }
@@ -191,12 +190,11 @@ let rows (t : t) : row list =
           acc :=
             {
               r_meth = meth;
-              r_self = r.self.(0) + r.self.(1) + r.self.(2);
+              r_self = r.self.(0) + r.self.(1);
               r_total = r.total;
-              r_invocations = r.invocations.(0) + r.invocations.(1) + r.invocations.(2);
-              r_self_by_tier = (r.self.(0), r.self.(1), r.self.(2));
-              r_invocations_by_tier =
-                (r.invocations.(0), r.invocations.(1), r.invocations.(2));
+              r_invocations = r.invocations.(0) + r.invocations.(1);
+              r_self_by_tier = (r.self.(0), r.self.(1));
+              r_invocations_by_tier = (r.invocations.(0), r.invocations.(1));
               r_deopts = r.deopts;
               r_evicts = r.evicts;
             }

@@ -13,11 +13,9 @@
     discipline: reports are byte-identical across same-seed runs.
     Methods are plain ids; the caller supplies names at render time. *)
 
-type tier = Interp | Prepared | Jit
-(** [Jit]: installed compiled code. [Prepared]/[Interp]: the interpreted
-    tier under the prepared and reference backends respectively. *)
-
-val tier_name : tier -> string
+type tier = Interp | Jit
+(** [Jit]: installed compiled code. [Interp]: the interpreted tier, under
+    either backend. *)
 
 type t
 
@@ -42,8 +40,8 @@ type row = {
   r_self : int;                  (** self cycles across tiers *)
   r_total : int;                 (** cycles with the method on the stack *)
   r_invocations : int;
-  r_self_by_tier : int * int * int;          (** interp, prepared, jit *)
-  r_invocations_by_tier : int * int * int;   (** interp, prepared, jit *)
+  r_self_by_tier : int * int;          (** interp, jit *)
+  r_invocations_by_tier : int * int;   (** interp, jit *)
   r_deopts : int;
   r_evicts : int;
 }

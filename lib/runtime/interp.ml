@@ -11,8 +11,8 @@
    - [Threaded] (default): bodies are translated once into dense
      [Prepared.code] objects — flat register frames, edge-resolved phis,
      pre-decoded instructions — cached per (method, tier), and lowered
-     into direct-threaded handler closures with profile-guided
-     superinstruction fusion. This is the production path.
+     once into direct-threaded handler closures with superinstruction
+     fusion. This is the production path.
    - [Reference]: the original direct IR walker, kept as the executable
      specification the differential suite checks the threaded engine
      against (test/test_differential.ml).
@@ -88,22 +88,21 @@ type tcode = {
   t_entry : int;
   t_nregs : int;
   t_fname : string;
-  t_stage : int;  (* 0 = lowered cold (no fusion), 1 = fusion planned *)
 }
 
 (* A cache entry remembers the physical body it was translated from plus
    the profile (identity and generation) its baked counter cells and IC
    receiver cells point into: a body replacement, a profile swap or a
    [Profile.clear] each invalidate the entry at the next lookup. The
-   threaded lowering of the same [pcode] is cached alongside it (sharing
-   its profile-cell holders and inline caches) and is re-derived when the
-   method crosses the fusion threshold. *)
+   entry is lowered once, when it is created, with fusion planned over
+   every block; its [tcode] shares the [pcode]'s profile-cell holders and
+   inline caches. *)
 type prepared_entry = {
   src : fn;
   prof : Profile.t;
   gen : int;
   pcode : Prepared.code;
-  mutable tcode : tcode option;
+  tcode : tcode;
 }
 
 (* Accumulated counters of inline caches whose code object was dropped
@@ -121,8 +120,7 @@ type ic_stat = {
    over every threaded lowering this VM performed. *)
 type sstat = {
   ss_pattern : string;
-  mutable ss_sites : int;   (* fused sites emitted *)
-  mutable ss_weight : int;  (* summed hotness of the owning blocks *)
+  mutable ss_sites : int;  (* fused sites emitted *)
 }
 
 type vm = {
@@ -170,18 +168,16 @@ type vm = {
       (* counters of ICs retired with their code objects *)
   mutable attrib : Attribution.t option;
       (* per-method cycle attribution; None (default) costs nothing *)
-  mutable fusion : Prepared.fusion_config;
-      (* superinstruction thresholds for the threaded tier *)
   superinst : (string, sstat) Hashtbl.t;
       (* mined pattern table, accumulated across threaded lowerings *)
 }
 
-let create ?(cost = Cost.default) ?(max_steps = 500_000_000)
-    ?(backend = Threaded) (prog : program) : vm =
+let create ?(max_steps = 500_000_000) ?(backend = Threaded) (prog : program) :
+    vm =
   {
     prog;
     profiles = Profile.create ();
-    cost;
+    cost = Cost.default;
     out = Buffer.create 256;
     cycles = 0;
     installed = Array.make (max 16 (Ir.Program.num_meths prog)) None;
@@ -203,7 +199,6 @@ let create ?(cost = Cost.default) ?(max_steps = 500_000_000)
     code_epoch = 0;
     ic_retired = Hashtbl.create 16;
     attrib = None;
-    fusion = Prepared.default_fusion;
     superinst = Hashtbl.create 16;
   }
 
@@ -295,56 +290,20 @@ let set_installed (vm : vm) (m : meth_id) (code : fn option) : unit =
   drop (cache_key m Compiled);
   vm.code_epoch <- vm.code_epoch + 1
 
-(* Cache lookup guarded by physical identity of the source body (even if
-   an install slipped past [set_installed], a replaced body can never
-   execute stale prepared code) and by profile identity + generation (a
-   swapped or cleared profile invalidates the baked counter cells). *)
-let entry_for (vm : vm) ~(mode : mode) (m : meth_id) (fn : fn) : prepared_entry =
-  let key = cache_key m mode in
-  match cache_slot vm key with
-  | Some e
-    when e.src == fn && e.prof == vm.profiles
-         && e.gen = Profile.generation vm.profiles ->
-      e
-  | stale ->
-      (match stale with Some e -> retire_ics vm e.pcode | None -> ());
-      let pcode = Prepared.prepare ~cost:vm.cost vm.prog fn in
-      let e =
-        { src = fn; prof = vm.profiles;
-          gen = Profile.generation vm.profiles; pcode; tcode = None }
-      in
-      cache_set vm key (Some e);
-      e
-
 (* ---------- superinstruction bookkeeping ---------- *)
 
-let note_superinst (vm : vm) (pattern : string) ~(sites : int) ~(weight : int) :
-    unit =
+let note_superinst (vm : vm) (pattern : string) ~(sites : int) : unit =
   match Hashtbl.find_opt vm.superinst pattern with
-  | Some s ->
-      s.ss_sites <- s.ss_sites + sites;
-      s.ss_weight <- s.ss_weight + weight
+  | Some s -> s.ss_sites <- s.ss_sites + sites
   | None ->
-      Hashtbl.replace vm.superinst pattern
-        { ss_pattern = pattern; ss_sites = sites; ss_weight = weight }
+      Hashtbl.replace vm.superinst pattern { ss_pattern = pattern; ss_sites = sites }
 
 (* The mined pattern table, sorted by pattern — a deterministic function
-   of the program, workload and thresholds (counts accumulate over every
-   threaded lowering, including re-lowerings after invalidation). *)
+   of the program and workload (counts accumulate over every threaded
+   lowering, including those of recompiled or invalidated methods). *)
 let superinst_stats (vm : vm) : sstat list =
   Hashtbl.fold (fun _ s acc -> s :: acc) vm.superinst []
   |> List.sort (fun a b -> compare a.ss_pattern b.ss_pattern)
-
-(* Lowering stage wanted for a method right now: fused once the method is
-   warm. Installed compiled code is hot by construction and always fuses
-   (it does not profile, so invocation counters have stopped moving). *)
-let stage_for (vm : vm) ~(mode : mode) (m : meth_id) : int =
-  match mode with
-  | Compiled -> 1
-  | Interpreted ->
-      if Profile.invocation_count vm.profiles m >= vm.fusion.fuse_invocations
-      then 1
-      else 0
 
 (* Shared Vbool results (structurally compared everywhere, so interning
    is unobservable); saves an allocation per comparison in the threaded
@@ -445,13 +404,7 @@ let rec invoke (vm : vm) (m : meth_id) (args : value array) : value =
           match vm.attrib with
           | None -> exec_interp vm m fn args
           | Some a ->
-              let tier =
-                match vm.backend with
-                | Reference -> Attribution.Interp
-                (* the threaded tier runs the prepared representation *)
-                | Threaded -> Attribution.Prepared
-              in
-              Attribution.enter a ~meth:m ~tier ~now:vm.cycles;
+              Attribution.enter a ~meth:m ~tier:Attribution.Interp ~now:vm.cycles;
               (match exec_interp vm m fn args with
               | v ->
                   Attribution.leave a ~now:vm.cycles;
@@ -504,30 +457,30 @@ and exec (vm : vm) ~(mode : mode) ~(meth : meth_id) (fn : fn) (args : value arra
       (* one-shot bodies (tests pinning a tier on a synthetic fn) are
          prepared and lowered per call; cached paths go through [invoke] *)
       let pcode = Prepared.prepare ~cost:vm.cost vm.prog fn in
-      let t =
-        lower_threaded vm ~mode ~meth ~src:fn pcode
-          ~stage:(stage_for vm ~mode meth)
-      in
-      exec_threaded vm t args
+      exec_threaded vm (lower_threaded vm ~mode ~meth ~src:fn pcode) args
 
-(* Cached threaded code for a method: shares the prepared-cache entry
-   (and hence the pcode's profile-cell holders and inline caches) and is
-   re-lowered when the wanted fusion stage changes — i.e. once, when the
-   invocation counter crosses [fusion.fuse_invocations]. *)
+(* Cached threaded code for a method. The lookup is guarded by physical
+   identity of the source body (even if an install slipped past
+   [set_installed], a replaced body can never execute stale prepared
+   code) and by profile identity + generation (a swapped or cleared
+   profile invalidates the baked counter cells). A miss prepares and
+   lowers the body once; the entry is never re-lowered. *)
 and threaded_for (vm : vm) ~(mode : mode) (m : meth_id) (fn : fn) : tcode =
-  let entry = entry_for vm ~mode m fn in
-  match entry.tcode with
-  (* stage 1 is terminal — no need to consult the invocation counter
-     again on the hot invocation path *)
-  | Some t when t.t_stage = 1 -> t
-  | cached -> (
-      let stage = stage_for vm ~mode m in
-      match cached with
-      | Some t when t.t_stage = stage -> t
-      | _ ->
-          let t = lower_threaded vm ~mode ~meth:m ~src:fn entry.pcode ~stage in
-          entry.tcode <- Some t;
-          t)
+  let key = cache_key m mode in
+  match cache_slot vm key with
+  | Some e
+    when e.src == fn && e.prof == vm.profiles
+         && e.gen = Profile.generation vm.profiles ->
+      e.tcode
+  | stale ->
+      (match stale with Some e -> retire_ics vm e.pcode | None -> ());
+      let pcode = Prepared.prepare ~cost:vm.cost vm.prog fn in
+      let tcode = lower_threaded vm ~mode ~meth:m ~src:fn pcode in
+      cache_set vm key
+        (Some
+           { src = fn; prof = vm.profiles;
+             gen = Profile.generation vm.profiles; pcode; tcode });
+      tcode
 
 (* ---------- threaded backend: closures instead of a dispatch match ----
 
@@ -560,36 +513,10 @@ and threaded_for (vm : vm) ~(mode : mode) (m : meth_id) (fn : fn) : tcode =
    differential suite pins all of this. *)
 
 and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
-    (pcode : Prepared.code) ~(stage : int) : tcode =
-  let cfg = vm.fusion in
+    (pcode : Prepared.code) : tcode =
   let profiling = mode = Interpreted in
-  let plan =
-    if stage = 0 then Prepared.trivial_plan pcode
-    else begin
-      let hotness =
-        match mode with
-        | Compiled ->
-            (* compiled code does not profile; treat every block as
-               exactly threshold-hot so optimized bodies fuse throughout *)
-            fun (_ : Prepared.pblock) -> cfg.Prepared.min_block_count
-        | Interpreted ->
-            let hot : (int, int) Hashtbl.t = Hashtbl.create 16 in
-            List.iter
-              (fun (b, c) -> Hashtbl.replace hot b c)
-              (Profile.hot_blocks vm.profiles meth
-                 ~threshold:cfg.Prepared.min_block_count);
-            fun (b : Prepared.pblock) -> (
-              match Hashtbl.find_opt hot b.Prepared.src_bid with
-              | Some c -> c
-              | None -> 0)
-      in
-      let plan = Prepared.plan_fusion cfg ~hotness pcode in
-      List.iter
-        (fun (p, sites, weight) -> note_superinst vm p ~sites ~weight)
-        plan.Prepared.fp_patterns;
-      plan
-    end
-  in
+  let plan = Prepared.plan_fusion pcode in
+  List.iter (fun (p, sites) -> note_superinst vm p ~sites) plan.Prepared.fp_patterns;
   let dispatch =
     match mode with
     | Interpreted -> vm.cost.interp_dispatch
@@ -1121,7 +1048,6 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
     t_entry = entry_pc;
     t_nregs = pcode.nregs;
     t_fname = pcode.fname;
-    t_stage = stage;
   }
 
 and exec_threaded (vm : vm) (t : tcode) (args : value array) : value =

@@ -10,7 +10,7 @@
     - [Threaded] (the default): method bodies are translated once into
       dense {!Prepared.code} objects — flat register frames, edge-resolved
       phis, pre-decoded instructions — cached per (method, tier) and
-      lowered into direct-threaded handler closures.
+      lowered once into direct-threaded handler closures.
     - [Reference]: the original direct IR walker, kept as the executable
       specification that the differential suite checks the threaded engine
       against.
@@ -27,8 +27,8 @@ type mode = Interpreted | Compiled
 
 type backend = Threaded | Reference
 (** [Threaded] (the default): subroutine-threaded closures over prepared
-    code, with profile-guided superinstruction fusion. [Reference]: the
-    direct IR walker. Both implement identical observable semantics. *)
+    code, with superinstruction fusion. [Reference]: the direct IR
+    walker. Both implement identical observable semantics. *)
 
 type osr_transfer = {
   osr_target : meth_id;
@@ -67,7 +67,6 @@ type tcode = {
   t_entry : int;
   t_nregs : int;
   t_fname : string;
-  t_stage : int;  (** 0 = lowered cold (no fusion), 1 = fusion planned *)
 }
 (** A method lowered for the threaded tier: a flat pc-indexed array of
     handler closures (block prologues, body segments, terminators). *)
@@ -77,14 +76,14 @@ type prepared_entry = {
   prof : Profile.t;
   gen : int;
   pcode : Prepared.code;
-  mutable tcode : tcode option;
+  tcode : tcode;
 }
 (** A cache entry remembers the physical body it was translated from and
     the profile (identity + generation) its baked counter cells point
     into; entries whose [src] is not the current body, or whose profile
     was swapped or cleared, are ignored and replaced. The threaded
-    lowering is cached alongside the pcode it was derived from and is
-    re-derived when the method crosses the fusion threshold. *)
+    lowering is made once, with the entry, from its pcode, with fusion
+    planned over every block. *)
 
 type ic_stat = {
   st_site : site;
@@ -97,8 +96,7 @@ type ic_stat = {
 
 type sstat = {
   ss_pattern : string;
-  mutable ss_sites : int;   (** fused sites emitted *)
-  mutable ss_weight : int;  (** summed hotness of the owning blocks *)
+  mutable ss_sites : int;  (** fused sites emitted *)
 }
 (** Accumulated mining results of one superinstruction pattern (see
     {!superinst_stats}). *)
@@ -149,14 +147,12 @@ type vm = {
   mutable attrib : Attribution.t option;
   (** per-method cycle attribution ({!enable_attribution}); [None] (the
       default) costs one option check per invocation *)
-  mutable fusion : Prepared.fusion_config;
-  (** superinstruction thresholds for the threaded tier *)
   superinst : (string, sstat) Hashtbl.t;
   (** mined pattern table, accumulated across threaded lowerings *)
 }
 
-val create : ?cost:Cost.t -> ?max_steps:int -> ?backend:backend -> program -> vm
-(** [backend] defaults to [Threaded]. *)
+val create : ?max_steps:int -> ?backend:backend -> program -> vm
+(** [backend] defaults to [Threaded]; [cost] is {!Cost.default}. *)
 
 val output : vm -> string
 
@@ -164,8 +160,7 @@ val enable_attribution : vm -> Attribution.t
 (** Installs (or returns the already-installed) per-method cycle
     attribution: every invocation is then bracketed with enter/leave on
     the simulated clock, split by tier — [Jit] for installed compiled
-    code, [Prepared] for the threaded interpreted tier and [Interp] for
-    the reference one. *)
+    code and [Interp] for interpreted frames under either backend. *)
 
 val record_deopt : vm -> meth_id -> unit
 (** Counts a deoptimization against the method when attribution is
@@ -196,9 +191,9 @@ val ic_stats : vm -> ic_stat list
 
 val superinst_stats : vm -> sstat list
 (** The mined superinstruction table, sorted by pattern — a
-    deterministic function of the program, workload and thresholds.
-    Counts accumulate over every threaded lowering, including
-    re-lowerings of recompiled or invalidated methods. *)
+    deterministic function of the program and workload. Counts
+    accumulate over every threaded lowering, including those of
+    recompiled or invalidated methods. *)
 
 val invoke : vm -> meth_id -> value array -> value
 (** Runs a method through the tier dispatch (compiled body if installed,

@@ -307,26 +307,18 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
     ics = Array.of_list (List.rev !ics);
   }
 
-(* ---------- profile-guided superinstruction fusion ----------
+(* ---------- superinstruction fusion ----------
 
    The threaded tier lowers each [pinstr] to one handler closure; a
-   fusion plan partitions every block body into segments so that hot
-   linear runs become a *single* fused handler (composed from the
-   constituents' closures — see Interp). Planning is pure bookkeeping
-   over the profile: which blocks are hot, where the fusable runs are,
-   and which op-sequence patterns were mined. Calls break a run (they
-   re-enter the dispatch machinery anyway), everything else fuses. *)
+   fusion plan partitions every block body into segments so that linear
+   runs become a *single* fused handler (composed from the constituents'
+   closures — see Interp). Planning is pure bookkeeping over the code:
+   where the fusable runs are, and which op-sequence patterns were mined.
+   Calls break a run (they re-enter the dispatch machinery anyway),
+   everything else fuses. *)
 
-type fusion_config = {
-  fuse_invocations : int;
-      (* invocations before a method is re-lowered with fusion planned *)
-  min_block_count : int;
-      (* execution count for a block to enter the mining frontier *)
-  max_fused_len : int;  (* cap on constituents per superinstruction *)
-}
-
-let default_fusion =
-  { fuse_invocations = 32; min_block_count = 16; max_fused_len = 8 }
+(* Cap on constituents per superinstruction. *)
+let max_fused_len = 8
 
 (* Stable op mnemonic; fused patterns are these joined with ";". *)
 let opkey (op : pop) : string =
@@ -363,76 +355,54 @@ type segment = { seg_start : int; seg_len : int }
 type fusion_plan = {
   fp_segments : segment array array;
       (* per dense block index: an in-order partition of the body *)
-  fp_patterns : (string * int * int) list;
-      (* mined pattern -> (fused sites, weight = summed block hotness),
-         sorted by pattern for deterministic reporting *)
+  fp_patterns : (string * int) list;
+      (* mined pattern -> fused sites, sorted by pattern for
+         deterministic reporting *)
 }
-
-let singleton_segments (body : pinstr array) : segment array =
-  Array.init (Array.length body) (fun i -> { seg_start = i; seg_len = 1 })
-
-(* The unfused plan: every op its own segment, nothing mined. *)
-let trivial_plan (c : code) : fusion_plan =
-  {
-    fp_segments = Array.map (fun b -> singleton_segments b.body) c.blocks;
-    fp_patterns = [];
-  }
 
 let pattern_of (body : pinstr array) (s : segment) : string =
   String.concat ";"
     (List.init s.seg_len (fun k -> opkey body.(s.seg_start + k).op))
 
-(* Plans fusion for one code object. [hotness] estimates a block's
-   execution count (the interpreted tier passes the profile's block
-   counter; the compiled tier, which does not profile, treats every
-   block as exactly threshold-hot); blocks below [min_block_count] keep
-   singleton segments. Hot blocks get their maximal fusable runs chunked
-   at [max_fused_len]; every chunk of length >= 2 is a fused site and is
-   mined into [fp_patterns]. *)
-let plan_fusion (cfg : fusion_config) ~(hotness : pblock -> int) (c : code) :
-    fusion_plan =
-  let patterns : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
+(* Plans fusion for one code object: every block gets its maximal
+   fusable runs chunked at [max_fused_len]; every chunk of length >= 2 is
+   a fused site and is mined into [fp_patterns]. *)
+let plan_fusion (c : code) : fusion_plan =
+  let patterns : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let plan_block (b : pblock) : segment array =
-    let count = hotness b in
-    if count < cfg.min_block_count then singleton_segments b.body
-    else begin
-      let body = b.body in
-      let n = Array.length body in
-      let segs = ref [] in
-      let i = ref 0 in
-      while !i < n do
-        if not (fusable body.(!i).op) then begin
-          segs := { seg_start = !i; seg_len = 1 } :: !segs;
-          incr i
-        end
-        else begin
-          (* maximal fusable run, then chunk it *)
-          let j = ref !i in
-          while !j < n && fusable body.(!j).op do incr j done;
-          let k = ref !i in
-          while !k < !j do
-            let len = min cfg.max_fused_len (!j - !k) in
-            let seg = { seg_start = !k; seg_len = len } in
-            if len >= 2 then begin
-              let p = pattern_of body seg in
-              let sites, weight =
-                Option.value ~default:(0, 0) (Hashtbl.find_opt patterns p)
-              in
-              Hashtbl.replace patterns p (sites + 1, weight + count)
-            end;
-            segs := seg :: !segs;
-            k := !k + len
-          done;
-          i := !j
-        end
-      done;
-      Array.of_list (List.rev !segs)
-    end
+    let body = b.body in
+    let n = Array.length body in
+    let segs = ref [] in
+    let i = ref 0 in
+    while !i < n do
+      if not (fusable body.(!i).op) then begin
+        segs := { seg_start = !i; seg_len = 1 } :: !segs;
+        incr i
+      end
+      else begin
+        (* maximal fusable run, then chunk it *)
+        let j = ref !i in
+        while !j < n && fusable body.(!j).op do incr j done;
+        let k = ref !i in
+        while !k < !j do
+          let len = min max_fused_len (!j - !k) in
+          let seg = { seg_start = !k; seg_len = len } in
+          if len >= 2 then begin
+            let p = pattern_of body seg in
+            Hashtbl.replace patterns p
+              (1 + Option.value ~default:0 (Hashtbl.find_opt patterns p))
+          end;
+          segs := seg :: !segs;
+          k := !k + len
+        done;
+        i := !j
+      end
+    done;
+    Array.of_list (List.rev !segs)
   in
   let fp_segments = Array.map plan_block c.blocks in
   {
     fp_segments;
     fp_patterns =
-      Hashtbl.fold (fun p (s, w) acc -> (p, s, w) :: acc) patterns []
-      |> List.sort compare;
+      Hashtbl.fold (fun p s acc -> (p, s) :: acc) patterns [] |> List.sort compare;
   }

@@ -96,25 +96,15 @@ val prepare : cost:Cost.t -> program -> fn -> code
 (** Translates one function. Costs are baked against [cost]; class field
     layouts referenced by [New] are snapshotted from the program. *)
 
-(** {1 Profile-guided superinstruction fusion}
+(** {1 Superinstruction fusion}
 
     A fusion plan partitions every block body into segments; the
-    threaded tier lowers each segment to one handler closure, so a hot
-    linear run of ops becomes a single fused superinstruction. Planning
-    never changes observable semantics — fused handlers are composed
-    from the constituents' closures and charge the same cycles/steps at
-    every observable point (see {!Cost.fused_cost}). *)
-
-type fusion_config = {
-  fuse_invocations : int;
-      (** invocations before a method is re-lowered with fusion planned *)
-  min_block_count : int;
-      (** execution count for a block to enter the mining frontier *)
-  max_fused_len : int;  (** cap on constituents per superinstruction *)
-}
-
-val default_fusion : fusion_config
-(** [{ fuse_invocations = 32; min_block_count = 16; max_fused_len = 8 }] *)
+    threaded tier lowers each segment to one handler closure, so a
+    linear run of ops becomes a single fused superinstruction. The plan
+    depends on the code alone. Planning never changes observable
+    semantics — fused handlers are composed from the constituents'
+    closures and charge the same cycles/steps at every observable point
+    (see {!Cost.fused_cost}). *)
 
 val opkey : pop -> string
 (** Stable op mnemonic ([add], [arrayget], …); fused patterns are
@@ -128,15 +118,10 @@ type segment = { seg_start : int; seg_len : int }
 type fusion_plan = {
   fp_segments : segment array array;
       (** per dense block index: an in-order partition of the body *)
-  fp_patterns : (string * int * int) list;
-      (** mined pattern -> (fused sites, weight = summed block hotness),
-          sorted by pattern *)
+  fp_patterns : (string * int) list;
+      (** mined pattern -> fused sites, sorted by pattern *)
 }
 
-val trivial_plan : code -> fusion_plan
-(** Every op its own segment; nothing mined. The stage-0 (cold) plan. *)
-
-val plan_fusion : fusion_config -> hotness:(pblock -> int) -> code -> fusion_plan
-(** Mines hot linear sequences: blocks whose [hotness] reaches
-    [min_block_count] get their maximal fusable runs chunked at
-    [max_fused_len]; every chunk of length >= 2 is a fused site. *)
+val plan_fusion : code -> fusion_plan
+(** Mines linear sequences: every block gets its maximal fusable runs
+    chunked at 8 ops; every chunk of length >= 2 is a fused site. *)

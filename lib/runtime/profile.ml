@@ -186,27 +186,10 @@ let block_count t m b =
     | _ -> 0
   else 0
 
-(* The mining frontier for superinstruction fusion: every block of the
-   method whose execution count has reached [threshold], with its count,
-   in block-id order. One pass over the method's dense block slots. *)
-let hot_blocks t m ~(threshold : int) : (bid * int) list =
-  if m >= 0 && m < Array.length t.mprofs then
-    match t.mprofs.(m) with
-    | Some mp ->
-        let acc = ref [] in
-        for b = Array.length mp.blocks - 1 downto 0 do
-          match mp.blocks.(b) with
-          | Some c when !c >= threshold -> acc := (b, !c) :: !acc
-          | _ -> ()
-        done;
-        !acc
-    | None -> []
-  else []
-
 (* The hottest block count of a method: the loop-hotness signal the engine
    folds into its compile trigger (a method whose invocation counter never
    moves can still be hot through its backedges). One pass over the dense
-   block slots, like [hot_blocks]. *)
+   block slots. *)
 let max_block_count t m : int =
   if m >= 0 && m < Array.length t.mprofs then
     match t.mprofs.(m) with

@@ -64,11 +64,6 @@ val max_block_count : t -> meth_id -> int
     signal folded into the engine's compile trigger. 0 when nothing was
     recorded. *)
 
-val hot_blocks : t -> meth_id -> threshold:int -> (bid * int) list
-(** The sequence-mining frontier for superinstruction fusion: blocks of
-    the method whose execution count is at least [threshold], with their
-    counts, in block-id order. *)
-
 val receiver_count : t -> site -> int
 (** Number of distinct receiver classes observed at a site, in O(1) —
     equal to [List.length (receiver_profile t site)] whenever the site has

@@ -5,9 +5,9 @@
    programs, across the tiered engine (where compiled-code installation
    exercises prepared-cache invalidation), and on trapping programs. The
    tiered random-program differential is in test_threaded.ml. The
-   threaded runs use eager fusion thresholds, so both the cold (stage-0)
-   and the fused (stage-1) lowerings execute. The reference walker never
-   consults an inline cache, so these checks also pin IC transparency.
+   threaded tier fuses every block at its first lowering, so every
+   threaded run executes fused code. The reference walker never consults
+   an inline cache, so these checks also pin IC transparency.
 
    The reference backend is the seed interpreter kept verbatim; these
    tests are the proof that preparation and threading changed *when* work
@@ -53,7 +53,6 @@ let run_workload ?compiler ?spec_miss_threshold ~(hotness : int) ~(iters : int)
       }
   in
   engine.vm.backend <- backend;
-  engine.vm.fusion <- Util.eager;
   let results = ref [] in
   let record v = results := Runtime.Values.to_string v :: !results in
   record (Jit.Engine.run_main engine);
@@ -75,7 +74,6 @@ let run_workload ?compiler ?spec_miss_threshold ~(hotness : int) ~(iters : int)
 let test_workloads_interp () =
   List.iter
     (fun (w : Workloads.Defs.t) ->
-      (* enough bench invocations to cross [Util.eager.fuse_invocations] *)
       let run b = run_workload ~hotness:max_int ~iters:6 b w in
       let ref_ = run Runtime.Interp.Reference in
       let thr = run Runtime.Interp.Threaded in
@@ -164,7 +162,6 @@ def main(): Unit = {
 let vm_snap (backend : Runtime.Interp.backend) (src : string) : snap =
   let prog = Util.compile src in
   let vm = Runtime.Interp.create ~backend prog in
-  vm.fusion <- Util.eager;
   let v = Runtime.Interp.run_main vm in
   {
     output = Runtime.Interp.output vm;

@@ -1,22 +1,22 @@
 (* Differential tests for the threaded execution tier: the [Threaded]
-   backend — subroutine-threaded handler closures with profile-guided
-   superinstruction fusion — must be observationally identical to the
-   [Reference] IR walker: same output, same results, same simulated
-   cycles, same step counts, same folded profiles. Fusion batches the
-   bookkeeping of a linear run of ops into one handler, so these tests
-   deliberately push methods across the fusion thresholds and then look
-   for drift at every observable point, including traps landing
-   mid-segment. The every-workload and interpreter-only random-program
-   differentials live in test_differential.ml. *)
+   backend — subroutine-threaded handler closures with superinstruction
+   fusion — must be observationally identical to the [Reference] IR
+   walker: same output, same results, same simulated cycles, same step
+   counts, same folded profiles. Fusion batches the bookkeeping of a
+   linear run of ops into one handler, and every block fuses at its
+   method's first lowering, so these tests look for drift at every
+   observable point of fused code, including traps landing mid-segment.
+   The every-workload and interpreter-only random-program differentials
+   live in test_differential.ml. *)
 
 open Util
 
 (* ---------- random programs, tiered ---------- *)
 
 (* Hot methods compile mid-run under both backends: the incremental
-   inliner at hotness 2 installs code while eager fusion re-lowers the
-   interpreted rest, so stale prepared code or accounting drift shows up
-   in the clock, the profiles or the installs. *)
+   inliner at hotness 2 installs code while the interpreted rest keeps
+   running fused, so stale prepared code or accounting drift shows up in
+   the clock, the profiles or the installs. *)
 type run = {
   output : string;
   result : string;
@@ -31,7 +31,6 @@ let engine_run (backend : Runtime.Interp.backend) (src : string) : run =
     Util.engine ~hotness:2 ~verify:false src (Some (Util.incremental ())) "diff"
   in
   engine.vm.backend <- backend;
-  engine.vm.fusion <- Util.eager;
   let v = Jit.Engine.run_main engine in
   {
     output = Jit.Engine.output engine;
@@ -55,13 +54,13 @@ let prop_tiered_differential =
 
 (* ---------- fusion regression: block-entry profile cells ---------- *)
 
-(* A hot loop whose body is one long fusable run. Once past the fusion
-   thresholds the whole run lowers to a single fused handler sitting
-   right behind the block-entry profile cell. The regression this pins:
-   the fused segment must still count every constituent op (steps), must
-   charge exactly [Cost.fused_cost] (= the unfused sum, so the clock
-   agrees with the reference at every call boundary), and the block
-   profile counts must keep ticking identically. *)
+(* A hot loop whose body is one long fusable run. The whole run lowers
+   to a single fused handler sitting right behind the block-entry
+   profile cell. The regression this pins: the fused segment must still
+   count every constituent op (steps), must charge exactly
+   [Cost.fused_cost] (= the unfused sum, so the clock agrees with the
+   reference at every call boundary), and the block profile counts must
+   keep ticking identically. *)
 
 let hot_src =
   {|def bench(): Int = {
@@ -90,15 +89,12 @@ let warm_vm (backend : Runtime.Interp.backend) ~(calls : int) :
   (vm, List.rev !deltas)
 
 let test_fused_block_profile () =
-  (* default thresholds: fuse_invocations = 32, so the first ~31 calls run
-     the cold (unfused) lowering and the rest run fused — the per-call
-     cycle delta must not move across that boundary, and must equal the
-     reference walker's delta for every call *)
+  (* every call runs the fused lowering: the per-call cycle delta must
+     equal the reference walker's delta for every call *)
   let calls = 50 in
   let rvm, rdeltas = warm_vm Runtime.Interp.Reference ~calls in
   let tvm, tdeltas = warm_vm Runtime.Interp.Threaded ~calls in
-  Alcotest.(check (list int))
-    "per-call cycle deltas identical across the fusion boundary" rdeltas tdeltas;
+  Alcotest.(check (list int)) "per-call cycle deltas identical" rdeltas tdeltas;
   Alcotest.(check int) "steps" rvm.steps tvm.steps;
   Alcotest.(check int) "cycles" rvm.cycles tvm.cycles;
   Alcotest.(check string) "folded profiles"
@@ -112,6 +108,24 @@ let test_fused_block_profile () =
        stats);
   Alcotest.(check bool) "reference mines nothing" true
     (Runtime.Interp.superinst_stats rvm = [])
+
+(* Fusion is planned when a method is first lowered, so a hot loop in a
+   method invoked once — [bench], called once from [main] — runs fused. *)
+let test_single_invocation_fused () =
+  let prog = Util.compile hot_src in
+  let rvm = Runtime.Interp.create ~backend:Runtime.Interp.Reference prog in
+  let tvm = Runtime.Interp.create prog in
+  ignore (Runtime.Interp.run_main rvm);
+  ignore (Runtime.Interp.run_main tvm);
+  Alcotest.(check bool) "superinstructions were mined" true
+    (Runtime.Interp.superinst_stats tvm <> []);
+  Alcotest.(check int) "steps" rvm.steps tvm.steps;
+  Alcotest.(check int) "cycles" rvm.cycles tvm.cycles;
+  Alcotest.(check string) "output" (Runtime.Interp.output rvm)
+    (Runtime.Interp.output tvm);
+  Alcotest.(check string) "folded profiles"
+    (Runtime.Profile.to_text rvm.profiles)
+    (Runtime.Profile.to_text tvm.profiles)
 
 (* The fused total is definitionally the unfused sum — pin the arithmetic
    the handler's trap fix-up path relies on (prefix sums over this). *)
@@ -132,10 +146,8 @@ let budget_snap (backend : Runtime.Interp.backend) (extra : int) :
     string * int * int * string =
   let prog = Util.compile hot_src in
   let vm = Runtime.Interp.create ~backend prog in
-  if backend = Runtime.Interp.Threaded then
-    vm.fusion <- { eager with fuse_invocations = 2 };
   ignore (Runtime.Interp.run_main vm);
-  (* warm past the (eager) threshold so the next call runs fused *)
+  (* a few warm calls first, so the trapping call starts mid-run *)
   for _ = 1 to 4 do
     ignore (Runtime.Interp.run_meth vm "bench" [ Runtime.Values.Vunit ])
   done;
@@ -178,8 +190,6 @@ def main(): Unit = { println(bench(100)) }|}
   let snap backend =
     let prog = Util.compile src in
     let vm = Runtime.Interp.create ~backend prog in
-    if backend = Runtime.Interp.Threaded then
-      vm.fusion <- { eager with fuse_invocations = 2 };
     ignore (Runtime.Interp.run_main vm);
     for _ = 1 to 4 do
       ignore
@@ -210,8 +220,7 @@ let table_text (stats : Runtime.Interp.sstat list) : string =
   String.concat "\n"
     (List.map
        (fun (s : Runtime.Interp.sstat) ->
-         Printf.sprintf "%s sites=%d weight=%d" s.ss_pattern s.ss_sites
-           s.ss_weight)
+         Printf.sprintf "%s sites=%d" s.ss_pattern s.ss_sites)
        stats)
 
 let test_superinst_determinism () =
@@ -232,6 +241,7 @@ let () =
           test "fused segments keep block profiles and costs exact"
             test_fused_block_profile;
           test "fused_cost is the unfused sum" test_fused_cost_identity;
+          test "a single-invocation hot loop runs fused" test_single_invocation_fused;
         ] );
       ( "traps",
         [

@@ -106,11 +106,3 @@ let incremental ?(params = Inliner.Params.default) () : Jit.Engine.compiler =
 
 let greedy : Jit.Engine.compiler = fun p pr m -> Baselines.Greedy.compile p pr m
 let c2like : Jit.Engine.compiler = fun p pr m -> Baselines.C2like.compile p pr m
-
-(* Aggressive fusion thresholds: fuse after a handful of invocations so
-   short test runs exercise the threaded tier's stage-0 -> stage-1
-   re-lowering and the fused fast path, not just the cold lowering.
-   Fusion is threshold-transparent by design, so any thresholds must
-   produce identical observables. *)
-let eager : Runtime.Prepared.fusion_config =
-  { fuse_invocations = 3; min_block_count = 2; max_fused_len = 8 }
