@@ -909,7 +909,9 @@ let create ?(spec_miss_threshold = max_int) ?compile_fuel ?(osr = true) ?osr_thr
       vm.on_osr_abort <- on_osr_abort t;
       vm.osr_headers <- osr_headers t
     end;
-    vm.on_entry <- on_entry t;
+    (* a closure that calls [on_entry] directly: the partial application
+       [on_entry t] would go through a currying stub at every entry *)
+    vm.on_entry <- (fun m -> on_entry t m);
     vm.on_spec_miss <- on_spec_miss t
   end;
   t

@@ -65,23 +65,24 @@ type osr_exit_verdict = Exit_stay | Exit_watch | Exit_to of osr_transfer
 
 (* Threaded-tier activation state: the only values a handler closure
    cannot capture at lowering time (they are per-call, the closures are
-   per-method). Everything else — operand registers, static costs, bound
+   per-method). Everything else — operand slots, static costs, bound
    profile cells, jump targets as pc indices — lives in the closure
    environments. *)
 type tstate = {
   t_frame : value array;
   t_args : value array;
-  mutable t_ret : value;
   mutable t_depoch : int;
       (* the deopt epoch this activation last validated against *)
 }
 
-type thandler = tstate -> unit
+type thandler = tstate -> value
 (* A handler executes one pre-decoded instruction (or one fused
    superinstruction) and tail-calls the next handler directly — the
    classic direct-threading transition, with OCaml's guaranteed tail-call
-   elimination standing in for computed goto. A method-return handler
-   simply returns, unwinding the whole (frameless) chain. *)
+   elimination standing in for computed goto — so every handler returns
+   the activation's value: the method-return handler returns its
+   operand, an OSR transfer the continuation's result, and the tail
+   calls carry it back through the (frameless) chain unchanged. *)
 
 type tcode = {
   t_handlers : thandler array;
@@ -96,11 +97,15 @@ type tcode = {
    [Profile.clear] each invalidate the entry at the next lookup. The
    entry is lowered once, when it is created, with fusion planned over
    every block; its [tcode] shares the [pcode]'s profile-cell holders and
-   inline caches. *)
+   inline caches. An interpreted entry also holds the method's invocation
+   counter cell, bound at creation under the same guard. *)
 type prepared_entry = {
   src : fn;
   prof : Profile.t;
   gen : int;
+  inv : int ref;
+      (* the method's invocation cell in [prof] (a private cell nothing
+         counts into for a compiled entry, which does not profile) *)
   pcode : Prepared.code;
   tcode : tcode;
 }
@@ -312,6 +317,33 @@ let vtrue = Vbool true
 let vfalse = Vbool false
 let vbool b = if b then vtrue else vfalse
 
+(* A fresh all-[Vunit] frame. Up to 16 slots it is an array literal,
+   which ocamlopt allocates inline on the minor heap; [Array.make] is a C
+   call ([caml_make_vect]) and this runs once per activation. The
+   literals name [u], not [Vunit]: a literal of more than four constants
+   compiles to a copy of a static array, another C call. *)
+let new_frame (n : int) : value array =
+  let u = Sys.opaque_identity Vunit in
+  match n with
+  | 0 -> [||]
+  | 1 -> [| u |]
+  | 2 -> [| u; u |]
+  | 3 -> [| u; u; u |]
+  | 4 -> [| u; u; u; u |]
+  | 5 -> [| u; u; u; u; u |]
+  | 6 -> [| u; u; u; u; u; u |]
+  | 7 -> [| u; u; u; u; u; u; u |]
+  | 8 -> [| u; u; u; u; u; u; u; u |]
+  | 9 -> [| u; u; u; u; u; u; u; u; u |]
+  | 10 -> [| u; u; u; u; u; u; u; u; u; u |]
+  | 11 -> [| u; u; u; u; u; u; u; u; u; u; u |]
+  | 12 -> [| u; u; u; u; u; u; u; u; u; u; u; u |]
+  | 13 -> [| u; u; u; u; u; u; u; u; u; u; u; u; u |]
+  | 14 -> [| u; u; u; u; u; u; u; u; u; u; u; u; u; u |]
+  | 15 -> [| u; u; u; u; u; u; u; u; u; u; u; u; u; u; u |]
+  | 16 -> [| u; u; u; u; u; u; u; u; u; u; u; u; u; u; u; u |]
+  | n -> Array.make n u
+
 (* Per-site IC statistics: live caches plus retired counters, merged by
    site, ordered by (method, site ordinal). A site can contribute from
    several live code objects once inlining copies it into other methods'
@@ -400,7 +432,6 @@ let rec invoke (vm : vm) (m : meth_id) (args : value array) : value =
       match mm.body with
       | None -> trap "abstract method %s invoked" mm.m_name
       | Some fn -> (
-          Profile.record_invocation vm.profiles m;
           match vm.attrib with
           | None -> exec_interp vm m fn args
           | Some a ->
@@ -442,45 +473,49 @@ and osr_call (vm : vm) ?(abort = false) (tr : osr_transfer)
 and exec_installed (vm : vm) (m : meth_id) (cfn : fn) (args : value array) : value =
   match vm.backend with
   | Reference -> exec_ref vm ~mode:Compiled ~meth:m cfn args
-  | Threaded -> exec_threaded vm (threaded_for vm ~mode:Compiled m cfn) args
+  | Threaded -> exec_threaded vm (threaded_for vm ~mode:Compiled m cfn).tcode args
 
+(* The interpreted tier counts the invocation: the threaded path through
+   the cell its cache entry baked, the reference walker by key. *)
 and exec_interp (vm : vm) (m : meth_id) (fn : fn) (args : value array) : value =
   match vm.backend with
-  | Reference -> exec_ref vm ~mode:Interpreted ~meth:m fn args
-  | Threaded -> exec_threaded vm (threaded_for vm ~mode:Interpreted m fn) args
-
-and exec (vm : vm) ~(mode : mode) ~(meth : meth_id) (fn : fn) (args : value array) :
-    value =
-  match vm.backend with
-  | Reference -> exec_ref vm ~mode ~meth fn args
+  | Reference ->
+      Profile.record_invocation vm.profiles m;
+      exec_ref vm ~mode:Interpreted ~meth:m fn args
   | Threaded ->
-      (* one-shot bodies (tests pinning a tier on a synthetic fn) are
-         prepared and lowered per call; cached paths go through [invoke] *)
-      let pcode = Prepared.prepare ~cost:vm.cost vm.prog fn in
-      exec_threaded vm (lower_threaded vm ~mode ~meth ~src:fn pcode) args
+      let e = threaded_for vm ~mode:Interpreted m fn in
+      incr e.inv;
+      exec_threaded vm e.tcode args
 
-(* Cached threaded code for a method. The lookup is guarded by physical
-   identity of the source body (even if an install slipped past
+(* The cache entry of a method's threaded code. The lookup is guarded by
+   physical identity of the source body (even if an install slipped past
    [set_installed], a replaced body can never execute stale prepared
    code) and by profile identity + generation (a swapped or cleared
    profile invalidates the baked counter cells). A miss prepares and
    lowers the body once; the entry is never re-lowered. *)
-and threaded_for (vm : vm) ~(mode : mode) (m : meth_id) (fn : fn) : tcode =
+and threaded_for (vm : vm) ~(mode : mode) (m : meth_id) (fn : fn) :
+    prepared_entry =
   let key = cache_key m mode in
   match cache_slot vm key with
   | Some e
     when e.src == fn && e.prof == vm.profiles
          && e.gen = Profile.generation vm.profiles ->
-      e.tcode
+      e
   | stale ->
       (match stale with Some e -> retire_ics vm e.pcode | None -> ());
       let pcode = Prepared.prepare ~cost:vm.cost vm.prog fn in
       let tcode = lower_threaded vm ~mode ~meth:m ~src:fn pcode in
-      cache_set vm key
-        (Some
-           { src = fn; prof = vm.profiles;
-             gen = Profile.generation vm.profiles; pcode; tcode });
-      tcode
+      let inv =
+        match mode with
+        | Interpreted -> Profile.invocation_cell vm.profiles m
+        | Compiled -> ref 0
+      in
+      let e =
+        { src = fn; prof = vm.profiles; gen = Profile.generation vm.profiles;
+          inv; pcode; tcode }
+      in
+      cache_set vm key (Some e);
+      e
 
 (* ---------- threaded backend: closures instead of a dispatch match ----
 
@@ -560,7 +595,7 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
     if !entry_prologue >= 0 then !entry_prologue
     else prologue_base.(pcode.entry)
   in
-  let handlers : thandler array = Array.make !npcs (fun _ -> ()) in
+  let handlers : thandler array = Array.make !npcs (fun _ -> Vunit) in
   (* one pre-decoded op -> its bare semantic action on the frame, no
      bookkeeping, no dispatch. The int/int binop fast paths fold the
      operator match into the closure; anything else falls back to
@@ -659,17 +694,37 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
               let f = st.t_frame in
               Array.unsafe_set f dest
                 (eval_binop op (Array.unsafe_get f a) (Array.unsafe_get f b)))
-    | Pcall { callee; cargs; site; ic } ->
-        let n = Array.length cargs in
-        fun st ->
-          let f = st.t_frame in
-          let vals = Array.make n Vunit in
-          for j = 0 to n - 1 do
-            Array.unsafe_set vals j
-              (Array.unsafe_get f (Array.unsafe_get cargs j))
-          done;
-          Array.unsafe_set f dest
-            (do_call vm ?ic ~profiling ~meth ~callee ~site vals)
+    | Pcall { callee; cargs; site; ic } -> (
+        let call f vals =
+          Array.unsafe_set f dest (do_call vm ?ic ~profiling ~meth ~callee ~site vals)
+        in
+        (* argument arrays of up to three values are literals, allocated
+           inline (see [new_frame]) *)
+        match cargs with
+        | [||] -> fun st -> call st.t_frame [||]
+        | [| a |] ->
+            fun st ->
+              let f = st.t_frame in
+              call f [| Array.unsafe_get f a |]
+        | [| a; b |] ->
+            fun st ->
+              let f = st.t_frame in
+              call f [| Array.unsafe_get f a; Array.unsafe_get f b |]
+        | [| a; b; c |] ->
+            fun st ->
+              let f = st.t_frame in
+              call f
+                [| Array.unsafe_get f a; Array.unsafe_get f b; Array.unsafe_get f c |]
+        | _ ->
+            let n = Array.length cargs in
+            fun st ->
+              let f = st.t_frame in
+              let vals = Array.make n Vunit in
+              for j = 0 to n - 1 do
+                Array.unsafe_set vals j
+                  (Array.unsafe_get f (Array.unsafe_get cargs j))
+              done;
+              call f vals)
     | Pnew { cls; defaults } ->
         fun st ->
           Array.unsafe_set st.t_frame dest
@@ -926,9 +981,10 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
   in
   (* OSR checkpoint guards, spliced between a block's prologue and its
      first body segment — but only for loop headers (the [osr_headers]
-     hook), so every other block's wiring is untouched. A transfer stores
-     the continuation's result in [t_ret] and does not call the next
-     handler: the tail-call chain simply unwinds to [exec_threaded]. *)
+     hook), so every other block's wiring is untouched. A transfer returns
+     the continuation's result instead of calling the next handler. Its
+     frame mapping names vids, read through the code's vid -> slot map. *)
+  let read_vid (st : tstate) (v : vid) : value = st.t_frame.(pcode.slots.(v)) in
   let enter_guard (b : Prepared.pblock) ~(nexth : thandler) : thandler =
     let holder = b.prof in
     fun st ->
@@ -939,9 +995,7 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
               b.osr_skip <- true;
               nexth st
           | Osr_wait -> nexth st
-          | Osr_enter tr ->
-              let f = st.t_frame in
-              st.t_ret <- osr_call vm ~abort:true tr (fun v -> f.(v)))
+          | Osr_enter tr -> osr_call vm ~abort:true tr (read_vid st))
       | _ -> nexth st
   in
   let exit_guard (b : Prepared.pblock) ~(nexth : thandler) : thandler =
@@ -952,9 +1006,7 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
             st.t_depoch <- vm.deopt_epoch;
             nexth st
         | Exit_watch -> nexth st
-        | Exit_to tr ->
-            let f = st.t_frame in
-            st.t_ret <- osr_call vm tr (fun v -> f.(v)))
+        | Exit_to tr -> osr_call vm tr (read_vid st))
       else nexth st
   in
   let term_handler (b : Prepared.pblock) : thandler =
@@ -963,7 +1015,7 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
     | Preturn r ->
         fun st ->
           vm.cycles <- vm.cycles + tc;
-          st.t_ret <- Array.unsafe_get st.t_frame r
+          Array.unsafe_get st.t_frame r
     | Pgoto { target; edge } ->
         let next = pc_of_edge target edge in
         fun st ->
@@ -1054,14 +1106,13 @@ and exec_threaded (vm : vm) (t : tcode) (args : value array) : value =
   vm.depth <- vm.depth + 1;
   if vm.depth > vm.max_depth then trap "call stack overflow in %s" t.t_fname;
   let st =
-    { t_frame = Array.make t.t_nregs Vunit; t_args = args; t_ret = Vunit;
-      t_depoch = vm.deopt_epoch }
+    { t_frame = new_frame t.t_nregs; t_args = args; t_depoch = vm.deopt_epoch }
   in
   (* one entry into the handler chain; every transition inside is a tail
-     call, and the return handler's plain return unwinds it *)
-  (Array.unsafe_get t.t_handlers t.t_entry) st;
+     call, and the return handler's value unwinds it *)
+  let v = (Array.unsafe_get t.t_handlers t.t_entry) st in
   vm.depth <- vm.depth - 1;
-  st.t_ret
+  v
 
 (* ---------- reference backend: the direct IR walker ---------- *)
 
@@ -1222,7 +1273,7 @@ and do_call (vm : vm) ?ic ~profiling ~(meth : meth_id) ~(callee : callee)
     ~(site : site) (args : value array) : value =
   match callee with
   | Direct m ->
-      charge vm (Cost.call_overhead vm.cost ~virtual_:false ~targets:1);
+      charge vm vm.cost.call_direct;
       invoke vm m args
   | Virtual sel -> (
       if Array.length args = 0 then trap "virtual call with no receiver";
@@ -1286,6 +1337,34 @@ and do_call (vm : vm) ?ic ~profiling ~(meth : meth_id) ~(callee : callee)
           | None ->
               trap "class %s does not understand %s"
                 (Ir.Program.cls vm.prog o.o_cls).c_name sel))
+
+(* The entry points from outside the VM. A trap unwinds past the depth
+   decrement of every activation it crosses (no activation installs a
+   handler for it), so each entry restores the depth it started at before
+   the exception escapes; a leaked depth would overflow the stack of
+   every later call on this VM. *)
+let invoke (vm : vm) (m : meth_id) (args : value array) : value =
+  let depth = vm.depth in
+  try invoke vm m args
+  with e ->
+    vm.depth <- depth;
+    raise e
+
+let exec (vm : vm) ~(mode : mode) ~(meth : meth_id) (fn : fn) (args : value array) :
+    value =
+  let depth = vm.depth in
+  try
+    match vm.backend with
+    | Reference -> exec_ref vm ~mode ~meth fn args
+    | Threaded ->
+        (* one-shot bodies (tests pinning a tier on a synthetic fn) are
+           prepared and lowered per call; cached paths go through
+           [invoke] *)
+        let pcode = Prepared.prepare ~cost:vm.cost vm.prog fn in
+        exec_threaded vm (lower_threaded vm ~mode ~meth ~src:fn pcode) args
+  with e ->
+    vm.depth <- depth;
+    raise e
 
 (* Runs a program's [main]; returns its result value. *)
 let run_main (vm : vm) : value =

@@ -54,18 +54,24 @@ type osr_exit_verdict = Exit_stay | Exit_watch | Exit_to of osr_transfer
     header / transfer into an interpreted continuation. *)
 
 type tstate
-(** Threaded-tier activation state (frame, arguments, return slot). *)
+(** Threaded-tier activation state (frame and arguments). *)
 
-type thandler = tstate -> unit
+type thandler = tstate -> value
 (** One handler closure: executes one pre-decoded instruction (or one
     fused superinstruction) and tail-calls the successor handler —
     direct threading, with OCaml's tail-call elimination standing in for
-    computed goto. The method-return handler simply returns. *)
+    computed goto. Every handler returns the activation's value: the
+    method-return handler returns its operand, an OSR transfer the
+    continuation's result. *)
 
 type tcode = {
   t_handlers : thandler array;
   t_entry : int;
   t_nregs : int;
+      (** frame size: one slot per value the body names
+          ({!Prepared.code.nregs}). Frames of up to 16 slots, and
+          argument arrays of up to 3 values, are array literals the
+          native compiler allocates inline, with no C call. *)
   t_fname : string;
 }
 (** A method lowered for the threaded tier: a flat pc-indexed array of
@@ -75,15 +81,19 @@ type prepared_entry = {
   src : fn;
   prof : Profile.t;
   gen : int;
+  inv : int ref;
+      (** the method's {!Profile.invocation_cell} in [prof], incremented
+          by every interpreted threaded activation; a private cell
+          nothing counts into for a compiled entry *)
   pcode : Prepared.code;
   tcode : tcode;
 }
 (** A cache entry remembers the physical body it was translated from and
-    the profile (identity + generation) its baked counter cells point
-    into; entries whose [src] is not the current body, or whose profile
-    was swapped or cleared, are ignored and replaced. The threaded
-    lowering is made once, with the entry, from its pcode, with fusion
-    planned over every block. *)
+    the profile (identity + generation) its baked counter cells — block,
+    branch and invocation — point into; entries whose [src] is not the
+    current body, or whose profile was swapped or cleared, are ignored
+    and replaced. The threaded lowering is made once, with the entry,
+    from its pcode, with fusion planned over every block. *)
 
 type ic_stat = {
   st_site : site;
@@ -194,6 +204,12 @@ val superinst_stats : vm -> sstat list
     deterministic function of the program and workload. Counts
     accumulate over every threaded lowering, including those of
     recompiled or invalidated methods. *)
+
+(** {1 Entry points}
+
+    Each restores [vm.depth] to its value at entry when an exception
+    escapes, so a trapped call leaves no depth behind for later calls on
+    the same VM. *)
 
 val invoke : vm -> meth_id -> value array -> value
 (** Runs a method through the tier dispatch (compiled body if installed,

@@ -7,7 +7,9 @@
    each block's instruction list, List.assoc phi-input resolution, and
    List.nth operand access. Preparation pays all of that once per function:
 
-   - registers become one flat [value array] per frame, indexed by vid;
+   - registers become one flat [value array] per frame with one slot per
+     value the body names, numbered densely (a compiled body's vid space
+     is mostly holes left by the optimizer; [slots] maps vids to slots);
    - each block's leading phis are split from its body at prepare time,
      with phi inputs resolved per predecessor *edge* (the jump carries a
      precomputed edge index, so phi evaluation is two array reads);
@@ -40,8 +42,7 @@ module Vec = Support.Vec
 type cell_holder = { mutable cell : int ref option }
 type brec_holder = { mutable brec : Profile.brec option }
 
-(* Pre-decoded instruction payload. Operands are register (= vid) indices
-   into the frame. *)
+(* Pre-decoded instruction payload. Operands are frame slot indices. *)
 type pop =
   | Pconst of value
   | Pparam of int
@@ -63,7 +64,7 @@ type pop =
   | Pintrinsic of intrinsic * int array
 
 type pinstr = {
-  dest : int;          (* frame register receiving the result *)
+  dest : int;          (* frame slot receiving the result *)
   static_cost : int;   (* cycles charged besides the dispatch penalty *)
   op : pop;
 }
@@ -89,9 +90,9 @@ type pterm =
 
 type pblock = {
   src_bid : bid;               (* original id, for profiles and messages *)
-  phi_dests : int array;       (* leading phis, in block order *)
+  phi_dests : int array;       (* leading phis' slots, in block order *)
   phi_vids : int array;        (* original vids, for trap messages *)
-  phi_srcs : int array array;  (* edge -> phi -> source register, -1 = no input *)
+  phi_srcs : int array array;  (* edge -> phi -> source slot, -1 = no input *)
   pred_bids : int array;       (* edge -> predecessor block id *)
   body : pinstr array;         (* non-phi instructions, in order *)
   term : pterm;
@@ -104,7 +105,8 @@ type pblock = {
 
 type code = {
   fname : string;
-  nregs : int;          (* frame size: the function's vid space *)
+  nregs : int;          (* frame size: the number of vids the body names *)
+  slots : int array;    (* vid -> frame slot, -1 for a vid the body never names *)
   entry : int;          (* dense index of the entry block *)
   blocks : pblock array;
   ics : Ic.t array;     (* every inline cache in [blocks], decode order *)
@@ -115,11 +117,11 @@ let num_blocks (c : code) = Array.length c.blocks
 
 (* ---------- translation ---------- *)
 
-let decode_instr ~(cost : Cost.t) ~(ics : Ic.t list ref) (prog : program)
-    (i : instr) : pinstr =
+let decode_instr ~(cost : Cost.t) ~(ics : Ic.t list ref) ~(slot : vid -> int)
+    (prog : program) (i : instr) : pinstr =
   let sc = Cost.instr_cost cost i.kind in
   let op, sc =
-    match i.kind with
+    match Ir.Instr.map_operands slot i.kind with
     | Const (Cint n) -> (Pconst (Vint n), sc)
     | Const (Cbool b) -> (Pconst (Vbool b), sc)
     | Const (Cstring s) -> (Pconst (Vstr s), sc)
@@ -155,13 +157,13 @@ let decode_instr ~(cost : Cost.t) ~(ics : Ic.t list ref) (prog : program)
     | TypeTest { obj; cls } -> (Ptypetest { obj; cls }, sc)
     | Intrinsic (intr, args) -> (Pintrinsic (intr, Array.of_list args), sc)
   in
-  { dest = i.id; static_cost = sc; op }
+  { dest = slot i.id; static_cost = sc; op }
 
 let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
   let ics : Ic.t list ref = ref [] in
-  let nslots = Vec.length fn.blocks in
+  let nbids = Vec.length fn.blocks in
   (* dense indices for live blocks, in id order *)
-  let index_of_bid = Array.make (max nslots 1) (-1) in
+  let index_of_bid = Array.make (max nbids 1) (-1) in
   let live = ref [] in
   Vec.iteri
     (fun b s -> match s with Some _ -> live := b :: !live | None -> ())
@@ -175,7 +177,7 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
   let stubs = ref [] in            (* (bid, dense index), appended after live *)
   let nstubs = ref 0 in
   let index_of_target (b : bid) : int =
-    if b >= 0 && b < nslots && index_of_bid.(b) >= 0 then index_of_bid.(b)
+    if b >= 0 && b < nbids && index_of_bid.(b) >= 0 then index_of_bid.(b)
     else
       match List.assoc_opt b !stubs with
       | Some i -> i
@@ -192,13 +194,37 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
       let blk = Ir.Fn.block fn b in
       List.iter
         (fun s ->
-          if s >= 0 && s < nslots && index_of_bid.(s) >= 0 then
+          if s >= 0 && s < nbids && index_of_bid.(s) >= 0 then
             preds.(index_of_bid.(s)) <- b :: preds.(index_of_bid.(s)))
         (Ir.Fn.succs_of_term blk.term))
     live;
   let pred_arrays = Array.map (fun l -> Array.of_list (List.rev l)) preds in
+  (* dense frame slots, in first-mention order over the live blocks: every
+     phi and instruction result, every operand (phi inputs included) and
+     every terminator operand *)
+  let slots = Array.make (Vec.length fn.instrs) (-1) in
+  let nregs = ref 0 in
+  let name v =
+    if slots.(v) < 0 then begin
+      slots.(v) <- !nregs;
+      incr nregs
+    end
+  in
+  List.iter
+    (fun b ->
+      let blk = Ir.Fn.block fn b in
+      List.iter
+        (fun v ->
+          name v;
+          Ir.Instr.iter_operands name (Ir.Fn.kind fn v))
+        blk.instrs;
+      match blk.term with
+      | If { cond = v; _ } | Return v -> name v
+      | Goto _ | Unreachable -> ())
+    live;
+  let slot v = slots.(v) in
   let edge_of ~(target : bid) ~(src : bid) : int =
-    if not (target >= 0 && target < nslots && index_of_bid.(target) >= 0) then 0
+    if not (target >= 0 && target < nbids && index_of_bid.(target) >= 0) then 0
     else
       let ps = pred_arrays.(index_of_bid.(target)) in
       let rec find i =
@@ -230,7 +256,7 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
     let phi_vids = Array.make nphis 0 in
     List.iteri
       (fun i (v, _) ->
-        phi_dests.(i) <- v;
+        phi_dests.(i) <- slot v;
         phi_vids.(i) <- v)
       phis;
     let phi_srcs =
@@ -240,7 +266,7 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
           List.iteri
             (fun i (_, inputs) ->
               match List.assoc_opt p inputs with
-              | Some pv -> row.(i) <- pv
+              | Some pv -> row.(i) <- slot pv
               | None -> ())
             phis;
           row)
@@ -254,7 +280,7 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
       | If { cond; site; tb; fb } ->
           ( Pif
               {
-                cond;
+                cond = slot cond;
                 site;
                 tb = index_of_target tb;
                 tedge = edge_of ~target:tb ~src:b;
@@ -263,7 +289,7 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
                 bprof = { brec = None };
               },
             Cost.term_cost cost blk.term )
-      | Return v -> (Preturn v, Cost.term_cost cost blk.term)
+      | Return v -> (Preturn (slot v), Cost.term_cost cost blk.term)
       | Unreachable -> (Punreachable, Cost.term_cost cost blk.term)
     in
     {
@@ -274,7 +300,9 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
       pred_bids = my_preds;
       body =
         Array.of_list
-          (List.map (fun v -> decode_instr ~cost ~ics prog (Ir.Fn.instr fn v)) non_phis);
+          (List.map
+             (fun v -> decode_instr ~cost ~ics ~slot prog (Ir.Fn.instr fn v))
+             non_phis);
       term;
       term_cost;
       prof = { cell = None };
@@ -301,7 +329,8 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
   let stub_blocks = List.rev_map (fun (b, _) -> stub_block b) !stubs in
   {
     fname = fn.fname;
-    nregs = max (Vec.length fn.instrs) 1;
+    nregs = !nregs;
+    slots;
     entry;
     blocks = Array.of_list (live_blocks @ stub_blocks);
     ics = Array.of_list (List.rev !ics);

@@ -1,9 +1,9 @@
 (** Prepared code objects: a function body pre-decoded, once, into the
     dense array form the execution engine runs — flat [value array]
-    register frames indexed by vid, each block's leading phis pre-split
-    from its body with inputs resolved per predecessor edge, instructions
-    decoded with operand registers and static cycle costs baked in, and
-    call arguments as arrays.
+    frames with one slot per value the body names, each block's leading
+    phis pre-split from its body with inputs resolved per predecessor
+    edge, instructions decoded with operand slots and static cycle costs
+    baked in, and call arguments as arrays.
 
     Preparation is observably transparent: output, result, simulated
     cycles, step counts and recorded profiles are identical to direct IR
@@ -43,8 +43,10 @@ type pop =
   | Ptypetest of { obj : int; cls : class_id }
   | Pintrinsic of intrinsic * int array
 
+(** Operands, destinations, phi moves and terminator operands are frame
+    slots, not vids (see {!code.slots}). *)
 type pinstr = {
-  dest : int;          (** frame register receiving the result *)
+  dest : int;          (** frame slot receiving the result *)
   static_cost : int;   (** cycles charged besides the dispatch penalty *)
   op : pop;
 }
@@ -69,8 +71,8 @@ type pterm =
 type pblock = {
   src_bid : bid;
   phi_dests : int array;
-  phi_vids : int array;
-  phi_srcs : int array array;  (** edge -> phi -> source register, -1 = none *)
+  phi_vids : int array;        (** the phis' vids, for trap messages *)
+  phi_srcs : int array array;  (** edge -> phi -> source slot, -1 = none *)
   pred_bids : int array;
   body : pinstr array;
   term : pterm;
@@ -84,6 +86,13 @@ type pblock = {
 type code = {
   fname : string;
   nregs : int;
+      (** frame size: the number of distinct vids the live blocks name —
+          phi and instruction results, operands (phi inputs included) and
+          terminator operands — not the function's vid space *)
+  slots : int array;
+      (** vid -> frame slot, [-1] for a vid the body never names. Readers
+          of a frame by vid (the OSR transfers, whose frame mappings are
+          vids) go through it. *)
   entry : int;
   blocks : pblock array;
   ics : Ic.t array;  (** every inline cache in [blocks], decode order *)

@@ -39,6 +39,11 @@ val record_branch : t -> site -> taken:bool -> unit
     Find-or-create accessors returning the underlying cell. Cells are
     valid for the profile's current {!generation} only. *)
 
+val invocation_cell : t -> meth_id -> int ref
+(** An increment through it is {!record_invocation}. The threaded tier
+    binds it once per interpreted cache entry and counts each activation
+    with one increment; the reference walker records by key. *)
+
 val block_cell : t -> meth_id -> bid -> int ref
 val branch_cell : t -> site -> brec
 

@@ -136,6 +136,28 @@ let trap_tests =
       {|def main(): Unit = println(strget("a", 3))|};
     traps "stack overflow" "stack overflow"
       "def loop(n: Int): Int = loop(n + 1)\ndef main(): Unit = println(loop(0))";
+    (* a trap unwinds past every activation's depth decrement; the entry
+       point must restore the depth, or 5,000 trapped two-frame calls
+       leave the VM at its 10,000-frame limit *)
+    test "trapped calls leave no depth behind" (fun () ->
+        let src =
+          "def g(x: Int): Int = 10 / x\ndef f(x: Int): Int = g(x) + 1\ndef main(): Unit = {}"
+        in
+        List.iter
+          (fun backend ->
+            let vm = Runtime.Interp.create ~backend (compile src) in
+            for i = 1 to 6_000 do
+              match Runtime.Interp.run_meth vm "f" Runtime.Values.[ Vunit; Vint 0 ] with
+              | _ -> Alcotest.failf "call %d did not trap" i
+              | exception Runtime.Values.Trap msg ->
+                  if not (contains_substring ~needle:"division by zero" msg) then
+                    Alcotest.failf "call %d trapped with %S" i msg
+            done;
+            Alcotest.(check int) "f(1) after the traps" 11
+              (Runtime.Values.as_int
+                 (Runtime.Interp.run_meth vm "f" Runtime.Values.[ Vunit; Vint 1 ]));
+            Alcotest.(check int) "depth" 0 vm.depth)
+          [ Runtime.Interp.Threaded; Runtime.Interp.Reference ]);
   ]
 
 let accounting_tests =

@@ -6,8 +6,9 @@
    linear run of ops into one handler, and every block fuses at its
    method's first lowering, so these tests look for drift at every
    observable point of fused code, including traps landing mid-segment.
-   The every-workload and interpreter-only random-program differentials
-   live in test_differential.ml. *)
+   The frames group pins the size of a threaded frame and what an
+   interpreted call allocates. The every-workload and interpreter-only
+   random-program differentials live in test_differential.ml. *)
 
 open Util
 
@@ -232,6 +233,84 @@ let test_superinst_determinism () =
   Alcotest.(check bool) "table nonempty" true (t1 <> "");
   Alcotest.(check string) "same run, same mined table" t1 t2
 
+(* ---------- frames and calls ---------- *)
+
+(* The distinct vids a body's live blocks name: phi and instruction
+   results, their operands (phi inputs included) and the terminators'
+   operands. *)
+let named_vids (fn : Ir.Types.fn) : int =
+  let seen = Hashtbl.create 64 in
+  let name v = Hashtbl.replace seen v () in
+  Ir.Fn.iter_blocks
+    (fun (blk : Ir.Types.block) ->
+      List.iter
+        (fun v ->
+          name v;
+          Ir.Instr.iter_operands name (Ir.Fn.kind fn v))
+        blk.instrs;
+      match blk.term with
+      | If { cond = v; _ } | Return v -> name v
+      | Goto _ | Unreachable -> ())
+    fn;
+  Hashtbl.length seen
+
+(* A frame has one slot per value the body names, not one per vid: the
+   optimizer leaves most of a compiled body's vid space as holes. *)
+let test_frame_slots () =
+  let below = ref 0 in
+  List.iter
+    (fun (w : Workloads.Defs.t) ->
+      let bodies = ref [] in
+      let compiler prog profiles m =
+        let body = (Util.incremental ()) prog profiles m in
+        bodies := ((Ir.Program.meth prog m).m_name, body) :: !bodies;
+        body
+      in
+      let e =
+        Jit.Engine.create (Workloads.Registry.compile w)
+          { name = "slots"; compiler = Some compiler; hotness_threshold = 8;
+            compile_cost_per_node = 50; verify = false }
+      in
+      ignore (Jit.Engine.run_main e);
+      List.iter
+        (fun (name, fn) ->
+          let pcode = Runtime.Prepared.prepare ~cost:Runtime.Cost.default e.vm.prog fn in
+          Alcotest.(check int)
+            (Printf.sprintf "%s/%s: frame slots" w.name name)
+            (named_vids fn) pcode.nregs;
+          if pcode.nregs < Support.Vec.length fn.instrs then incr below)
+        !bodies)
+    Workloads.Registry.all;
+  Alcotest.(check bool) "some frame is smaller than its body's vid space" true
+    (!below > 0)
+
+(* What an interpreted call allocates beyond the work it does: its
+   argument array (3 words for [step]'s receiver and [x]), activation
+   state (4) and frame (5: [step] names four values). All of it is small,
+   so [Gc.minor_words] sees every word. *)
+let test_call_allocation () =
+  let words body =
+    let src =
+      Printf.sprintf
+        {|def step(x: Int): Int = x + 1
+def main(): Unit = {
+  var i = 0;
+  var acc = 0;
+  while (i < 10000) { acc = acc + %s; i = i + 1 };
+  println(acc)
+}|}
+        body
+    in
+    let vm = Runtime.Interp.create (Util.compile src) in
+    let before = Gc.minor_words () in
+    ignore (Runtime.Interp.run_main vm);
+    Gc.minor_words () -. before
+  in
+  let per_call = (words "step(i)" -. words "(i + 1)") /. 10000. in
+  if per_call > 12.5 then
+    Alcotest.failf "a call allocates %.2f words beyond its inlined body (bound 12)"
+      per_call
+
 let () =
   Alcotest.run "threaded"
     [
@@ -250,4 +329,9 @@ let () =
         ] );
       ( "determinism",
         [ test "mined superinstruction table is deterministic" test_superinst_determinism ] );
+      ( "frames",
+        [
+          test "a frame has one slot per value the body names" test_frame_slots;
+          test "an interpreted call allocates at most 12 words" test_call_allocation;
+        ] );
     ]
