@@ -9,9 +9,10 @@
    Two execution backends implement identical observable semantics:
 
    - [Threaded] (default): bodies are translated once into dense
-     [Prepared.code] objects — flat register frames, edge-resolved phis,
-     pre-decoded instructions — cached per (method, tier), and lowered
-     once into direct-threaded handler closures with superinstruction
+     [Prepared.code] objects — flat register frames, Int and Bool values
+     unboxed in their own, edge-resolved phis, pre-decoded instructions —
+     cached per (method, tier), and lowered once into direct-threaded
+     handler closures specialized for those frames, with superinstruction
      fusion. This is the production path.
    - [Reference]: the original direct IR walker, kept as the executable
      specification the differential suite checks the threaded engine
@@ -67,10 +68,11 @@ type osr_exit_verdict = Exit_stay | Exit_watch | Exit_to of osr_transfer
    cannot capture at lowering time (they are per-call, the closures are
    per-method). Everything else — operand slots, static costs, bound
    profile cells, jump targets as pc indices — lives in the closure
-   environments. *)
+   environments. The two frames follow [Prepared]'s slot encoding: Int
+   and Bool values unboxed in [t_ints], the rest in [t_frame]. *)
 type tstate = {
   t_frame : value array;
-  t_args : value array;
+  t_ints : int array;
   mutable t_depoch : int;
       (* the deopt epoch this activation last validated against *)
 }
@@ -88,6 +90,8 @@ type tcode = {
   t_handlers : thandler array;
   t_entry : int;
   t_nregs : int;
+  t_nints : int;
+  t_params : int array;  (* [Prepared.code.params], flattened *)
   t_fname : string;
 }
 
@@ -317,6 +321,62 @@ let vtrue = Vbool true
 let vfalse = Vbool false
 let vbool b = if b then vtrue else vfalse
 
+(* Ints are boxed only where they leave the threaded frames (returns,
+   heap stores, intrinsic operands, OSR reads, reference-walker
+   arguments), and boxing shares one [Vint] per value in -128..1023,
+   the range most such Ints fall in. Ints compare structurally
+   everywhere ([value_eq]), so sharing is unobservable. *)
+let small_ints = Array.init 1152 (fun i -> Vint (i - 128))
+
+let box_int (n : int) : value =
+  let i = n + 128 in
+  if i >= 0 && i < 1152 then Array.unsafe_get small_ints i else Vint n
+
+(* Run-time access to a named slot. These decode [Prepared]'s slot
+   encoding inline — [s >= 0] is in the value frame, otherwise int-frame
+   slot [(lnot s) lsr 1], a Bool when [(lnot s) land 1 = 1] — rather than
+   through [Prepared.kind]/[index]: they run per operation, and a call
+   into another module is not inlined. *)
+
+(* A slot read as a value, boxing an int-frame slot. *)
+let get_slot (st : tstate) (s : int) : value =
+  if s >= 0 then Array.unsafe_get st.t_frame s
+  else
+    let n = Array.unsafe_get st.t_ints ((lnot s) lsr 1) in
+    if (lnot s) land 1 = 0 then box_int n else vbool (n <> 0)
+
+(* A value written to a slot, unboxed into the int frame: a value
+   whose dynamic type is not the slot's static type traps in
+   [as_int]/[as_bool] here. *)
+let set_slot (st : tstate) (s : int) (v : value) : unit =
+  if s >= 0 then Array.unsafe_set st.t_frame s v
+  else if (lnot s) land 1 = 0 then
+    Array.unsafe_set st.t_ints ((lnot s) lsr 1) (as_int v)
+  else Array.unsafe_set st.t_ints ((lnot s) lsr 1) (Bool.to_int (as_bool v))
+
+(* Copies slot [s] of one activation into slot [d] of another (or the
+   same): within a frame it is a plain copy, across frames it boxes and
+   unboxes. *)
+let move (src : tstate) (s : int) (dst : tstate) (d : int) : unit =
+  if s >= 0 && d >= 0 then
+    Array.unsafe_set dst.t_frame d (Array.unsafe_get src.t_frame s)
+  else if s < 0 && d < 0 && (s lxor d) land 1 = 0 then
+    Array.unsafe_set dst.t_ints ((lnot d) lsr 1)
+      (Array.unsafe_get src.t_ints ((lnot s) lsr 1))
+  else set_slot dst d (get_slot src s)
+
+(* A value array entering the VM from outside (an entry point, an OSR
+   transfer, a reference-walker call) is passed as a caller whose value
+   frame it is, with the identity argument slots. *)
+let entry_state (args : value array) : tstate =
+  { t_frame = args; t_ints = [||]; t_depoch = 0 }
+
+let identity_slots = Array.init 9 (fun n -> Array.init n Fun.id)
+
+let arg_slots (n : int) : int array =
+  if n < Array.length identity_slots then identity_slots.(n)
+  else Array.init n Fun.id
+
 (* A fresh all-[Vunit] frame. Up to 16 slots it is an array literal,
    which ocamlopt allocates inline on the minor heap; [Array.make] is a C
    call ([caml_make_vect]) and this runs once per activation. The
@@ -343,6 +403,29 @@ let new_frame (n : int) : value array =
   | 15 -> [| u; u; u; u; u; u; u; u; u; u; u; u; u; u; u |]
   | 16 -> [| u; u; u; u; u; u; u; u; u; u; u; u; u; u; u; u |]
   | n -> Array.make n u
+
+(* A fresh all-zero int frame, allocated inline the same way. *)
+let new_ints (n : int) : int array =
+  let z = Sys.opaque_identity 0 in
+  match n with
+  | 0 -> [||]
+  | 1 -> [| z |]
+  | 2 -> [| z; z |]
+  | 3 -> [| z; z; z |]
+  | 4 -> [| z; z; z; z |]
+  | 5 -> [| z; z; z; z; z |]
+  | 6 -> [| z; z; z; z; z; z |]
+  | 7 -> [| z; z; z; z; z; z; z |]
+  | 8 -> [| z; z; z; z; z; z; z; z |]
+  | 9 -> [| z; z; z; z; z; z; z; z; z |]
+  | 10 -> [| z; z; z; z; z; z; z; z; z; z |]
+  | 11 -> [| z; z; z; z; z; z; z; z; z; z; z |]
+  | 12 -> [| z; z; z; z; z; z; z; z; z; z; z; z |]
+  | 13 -> [| z; z; z; z; z; z; z; z; z; z; z; z; z |]
+  | 14 -> [| z; z; z; z; z; z; z; z; z; z; z; z; z; z |]
+  | 15 -> [| z; z; z; z; z; z; z; z; z; z; z; z; z; z; z |]
+  | 16 -> [| z; z; z; z; z; z; z; z; z; z; z; z; z; z; z; z |]
+  | n -> Array.make n 0
 
 (* Per-site IC statistics: live caches plus retired counters, merged by
    site, ordered by (method, site ordinal). A site can contribute from
@@ -409,18 +492,45 @@ let eval_binop (op : binop) (a : value) (b : value) : value =
 let eval_unop (op : unop) (a : value) : value =
   match op with Neg -> Vint (-as_int a) | Not -> Vbool (not (as_bool a))
 
-let rec invoke (vm : vm) (m : meth_id) (args : value array) : value =
+(* The threaded tier's intrinsics; [a k] is operand [k], boxed, and an
+   Int result is boxed with [box_int] for the slot it is unboxed into. *)
+let eval_intrinsic (vm : vm) (intr : intrinsic) (a : int -> value) : value =
+  match intr with
+  | Iprint_int ->
+      Buffer.add_string vm.out (string_of_int (as_int (a 0)));
+      Vunit
+  | Iprint_bool ->
+      Buffer.add_string vm.out (string_of_bool (as_bool (a 0)));
+      Vunit
+  | Iprint_str ->
+      Buffer.add_string vm.out (as_str (a 0));
+      Vunit
+  | Istr_len -> box_int (String.length (as_str (a 0)))
+  | Istr_get ->
+      let s = as_str (a 0) and i = as_int (a 1) in
+      if i < 0 || i >= String.length s then
+        trap "string index %d out of bounds" i;
+      box_int (Char.code s.[i])
+  | Istr_eq -> vbool (as_str (a 0) = as_str (a 1))
+  | Iabs -> box_int (abs (as_int (a 0)))
+  | Imin -> box_int (min (as_int (a 0)) (as_int (a 1)))
+  | Imax -> box_int (max (as_int (a 0)) (as_int (a 1)))
+
+(* A call passes the caller's activation state and the slots of its
+   arguments in it; the callee's frames are built from them directly
+   (see [exec_threaded]). *)
+let rec invoke (vm : vm) (m : meth_id) (st : tstate) (cargs : int array) : value =
   vm.on_entry m;
   match installed vm m with
   | Some cfn -> (
       match vm.attrib with
-      | None -> exec_installed vm m cfn args
+      | None -> exec_installed vm m cfn st cargs
       | Some a ->
           (* enter/leave bracket the activation by hand (no closures, no
              Fun.protect): this sits on the invocation path, and the
              disabled path must stay one option check *)
           Attribution.enter a ~meth:m ~tier:Attribution.Jit ~now:vm.cycles;
-          (match exec_installed vm m cfn args with
+          (match exec_installed vm m cfn st cargs with
           | v ->
               Attribution.leave a ~now:vm.cycles;
               v
@@ -433,10 +543,10 @@ let rec invoke (vm : vm) (m : meth_id) (args : value array) : value =
       | None -> trap "abstract method %s invoked" mm.m_name
       | Some fn -> (
           match vm.attrib with
-          | None -> exec_interp vm m fn args
+          | None -> exec_interp vm m fn st cargs
           | Some a ->
               Attribution.enter a ~meth:m ~tier:Attribution.Interp ~now:vm.cycles;
-              (match exec_interp vm m fn args with
+              (match exec_interp vm m fn st cargs with
               | v ->
                   Attribution.leave a ~now:vm.cycles;
                   v
@@ -463,29 +573,33 @@ and osr_call (vm : vm) ?(abort = false) (tr : osr_transfer)
   for i = 0 to np - 1 do
     cargs.(n + i) <- read tr.osr_phis.(i)
   done;
+  let st = entry_state cargs and slots = arg_slots (n + np) in
   if abort then (
-    try invoke vm tr.osr_target cargs
+    try invoke vm tr.osr_target st slots
     with e ->
       vm.on_osr_abort tr.osr_target;
       raise e)
-  else invoke vm tr.osr_target cargs
+  else invoke vm tr.osr_target st slots
 
-and exec_installed (vm : vm) (m : meth_id) (cfn : fn) (args : value array) : value =
+and exec_installed (vm : vm) (m : meth_id) (cfn : fn) (st : tstate)
+    (cargs : int array) : value =
   match vm.backend with
-  | Reference -> exec_ref vm ~mode:Compiled ~meth:m cfn args
-  | Threaded -> exec_threaded vm (threaded_for vm ~mode:Compiled m cfn).tcode args
+  | Reference -> exec_ref vm ~mode:Compiled ~meth:m cfn st cargs
+  | Threaded ->
+      exec_threaded vm (threaded_for vm ~mode:Compiled m cfn).tcode st cargs
 
 (* The interpreted tier counts the invocation: the threaded path through
    the cell its cache entry baked, the reference walker by key. *)
-and exec_interp (vm : vm) (m : meth_id) (fn : fn) (args : value array) : value =
+and exec_interp (vm : vm) (m : meth_id) (fn : fn) (st : tstate)
+    (cargs : int array) : value =
   match vm.backend with
   | Reference ->
       Profile.record_invocation vm.profiles m;
-      exec_ref vm ~mode:Interpreted ~meth:m fn args
+      exec_ref vm ~mode:Interpreted ~meth:m fn st cargs
   | Threaded ->
       let e = threaded_for vm ~mode:Interpreted m fn in
       incr e.inv;
-      exec_threaded vm e.tcode args
+      exec_threaded vm e.tcode st cargs
 
 (* The cache entry of a method's threaded code. The lookup is guarded by
    physical identity of the source body (even if an install slipped past
@@ -596,218 +710,257 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
     else prologue_base.(pcode.entry)
   in
   let handlers : thandler array = Array.make !npcs (fun _ -> Vunit) in
-  (* one pre-decoded op -> its bare semantic action on the frame, no
-     bookkeeping, no dispatch. The int/int binop fast paths fold the
-     operator match into the closure; anything else falls back to
-     [eval_binop], which reproduces the reference trap behavior
-     exactly. *)
-  let op_effect (pi : Prepared.pinstr) : tstate -> unit =
+  (* one pre-decoded op -> its bare semantic action on the frames, no
+     bookkeeping, no dispatch. [boxed_effect] handles every op on any
+     frames: it reads operands boxed, writes results through [set_slot]
+     and computes through [eval_binop]/[eval_unop], so its traps are the
+     reference walker's. [op_effect] picks, from the operands' frames, a
+     variant that reads and writes the frames directly — typechecked
+     code always gets one — and falls back to [boxed_effect]. *)
+  let boxed_effect (pi : Prepared.pinstr) : tstate -> unit =
     let dest = pi.dest in
     match pi.op with
-    | Pconst v -> fun st -> Array.unsafe_set st.t_frame dest v
-    | Pparam k ->
+    | Pconst v -> fun st -> set_slot st dest v
+    | Pparam _ -> fun _ -> ()
+    | Punop (op, a) -> fun st -> set_slot st dest (eval_unop op (get_slot st a))
+    | Pbinop (op, a, b) ->
+        fun st -> set_slot st dest (eval_binop op (get_slot st a) (get_slot st b))
+    | Pcall { callee; cargs; site; ic } ->
         fun st ->
-          let args = st.t_args in
-          if k >= Array.length args then trap "internal: missing argument %d" k;
-          Array.unsafe_set st.t_frame dest (Array.unsafe_get args k)
-    | Punop (Neg, a) ->
-        fun st ->
-          let f = st.t_frame in
-          Array.unsafe_set f dest (Vint (-as_int (Array.unsafe_get f a)))
-    | Punop (Not, a) ->
-        fun st ->
-          let f = st.t_frame in
-          Array.unsafe_set f dest (vbool (not (as_bool (Array.unsafe_get f a))))
-    | Pbinop (op, a, b) -> (
-        match op with
-        | Add ->
-            fun st ->
-              let f = st.t_frame in
-              (match (Array.unsafe_get f a, Array.unsafe_get f b) with
-              | Vint x, Vint y -> Array.unsafe_set f dest (Vint (x + y))
-              | va, vb -> Array.unsafe_set f dest (eval_binop Add va vb))
-        | Sub ->
-            fun st ->
-              let f = st.t_frame in
-              (match (Array.unsafe_get f a, Array.unsafe_get f b) with
-              | Vint x, Vint y -> Array.unsafe_set f dest (Vint (x - y))
-              | va, vb -> Array.unsafe_set f dest (eval_binop Sub va vb))
-        | Mul ->
-            fun st ->
-              let f = st.t_frame in
-              (match (Array.unsafe_get f a, Array.unsafe_get f b) with
-              | Vint x, Vint y -> Array.unsafe_set f dest (Vint (x * y))
-              | va, vb -> Array.unsafe_set f dest (eval_binop Mul va vb))
-        | Div ->
-            fun st ->
-              let f = st.t_frame in
-              (match (Array.unsafe_get f a, Array.unsafe_get f b) with
-              | Vint x, Vint y ->
-                  if y = 0 then trap "division by zero"
-                  else Array.unsafe_set f dest (Vint (x / y))
-              | va, vb -> Array.unsafe_set f dest (eval_binop Div va vb))
-        | Rem ->
-            fun st ->
-              let f = st.t_frame in
-              (match (Array.unsafe_get f a, Array.unsafe_get f b) with
-              | Vint x, Vint y ->
-                  if y = 0 then trap "remainder by zero"
-                  else Array.unsafe_set f dest (Vint (x mod y))
-              | va, vb -> Array.unsafe_set f dest (eval_binop Rem va vb))
-        | Lt ->
-            fun st ->
-              let f = st.t_frame in
-              (match (Array.unsafe_get f a, Array.unsafe_get f b) with
-              | Vint x, Vint y -> Array.unsafe_set f dest (vbool (x < y))
-              | va, vb -> Array.unsafe_set f dest (eval_binop Lt va vb))
-        | Le ->
-            fun st ->
-              let f = st.t_frame in
-              (match (Array.unsafe_get f a, Array.unsafe_get f b) with
-              | Vint x, Vint y -> Array.unsafe_set f dest (vbool (x <= y))
-              | va, vb -> Array.unsafe_set f dest (eval_binop Le va vb))
-        | Gt ->
-            fun st ->
-              let f = st.t_frame in
-              (match (Array.unsafe_get f a, Array.unsafe_get f b) with
-              | Vint x, Vint y -> Array.unsafe_set f dest (vbool (x > y))
-              | va, vb -> Array.unsafe_set f dest (eval_binop Gt va vb))
-        | Ge ->
-            fun st ->
-              let f = st.t_frame in
-              (match (Array.unsafe_get f a, Array.unsafe_get f b) with
-              | Vint x, Vint y -> Array.unsafe_set f dest (vbool (x >= y))
-              | va, vb -> Array.unsafe_set f dest (eval_binop Ge va vb))
-        | Eq ->
-            fun st ->
-              let f = st.t_frame in
-              Array.unsafe_set f dest
-                (vbool (value_eq (Array.unsafe_get f a) (Array.unsafe_get f b)))
-        | Ne ->
-            fun st ->
-              let f = st.t_frame in
-              Array.unsafe_set f dest
-                (vbool
-                   (not (value_eq (Array.unsafe_get f a) (Array.unsafe_get f b))))
-        | (Shl | Shr | Band | Bor | Bxor | Andb | Orb | Xorb | Eqb) as op ->
-            fun st ->
-              let f = st.t_frame in
-              Array.unsafe_set f dest
-                (eval_binop op (Array.unsafe_get f a) (Array.unsafe_get f b)))
-    | Pcall { callee; cargs; site; ic } -> (
-        let call f vals =
-          Array.unsafe_set f dest (do_call vm ?ic ~profiling ~meth ~callee ~site vals)
-        in
-        (* argument arrays of up to three values are literals, allocated
-           inline (see [new_frame]) *)
-        match cargs with
-        | [||] -> fun st -> call st.t_frame [||]
-        | [| a |] ->
-            fun st ->
-              let f = st.t_frame in
-              call f [| Array.unsafe_get f a |]
-        | [| a; b |] ->
-            fun st ->
-              let f = st.t_frame in
-              call f [| Array.unsafe_get f a; Array.unsafe_get f b |]
-        | [| a; b; c |] ->
-            fun st ->
-              let f = st.t_frame in
-              call f
-                [| Array.unsafe_get f a; Array.unsafe_get f b; Array.unsafe_get f c |]
-        | _ ->
-            let n = Array.length cargs in
-            fun st ->
-              let f = st.t_frame in
-              let vals = Array.make n Vunit in
-              for j = 0 to n - 1 do
-                Array.unsafe_set vals j
-                  (Array.unsafe_get f (Array.unsafe_get cargs j))
-              done;
-              call f vals)
+          set_slot st dest (do_call vm ?ic ~profiling ~meth ~callee ~site st cargs)
     | Pnew { cls; defaults } ->
-        fun st ->
-          Array.unsafe_set st.t_frame dest
-            (Vobj { o_cls = cls; fields = Array.copy defaults })
+        fun st -> set_slot st dest (Vobj { o_cls = cls; fields = Array.copy defaults })
     | Pgetfield { obj; slot; fname } ->
         fun st ->
-          let f = st.t_frame in
-          let o = as_obj (Array.unsafe_get f obj) in
+          let o = as_obj (get_slot st obj) in
           if slot >= Array.length o.fields then
             trap "internal: bad field slot for %s" fname;
-          Array.unsafe_set f dest o.fields.(slot)
+          set_slot st dest o.fields.(slot)
     | Psetfield { obj; slot; fname; value } ->
         fun st ->
-          let f = st.t_frame in
-          let o = as_obj (Array.unsafe_get f obj) in
+          let o = as_obj (get_slot st obj) in
           if slot >= Array.length o.fields then
             trap "internal: bad field slot for %s" fname;
-          o.fields.(slot) <- Array.unsafe_get f value;
-          Array.unsafe_set f dest Vunit
+          o.fields.(slot) <- get_slot st value;
+          set_slot st dest Vunit
     | Pnewarray { ety; len } ->
         fun st ->
-          let f = st.t_frame in
-          let n = as_int (Array.unsafe_get f len) in
+          let n = as_int (get_slot st len) in
           vm.cycles <- vm.cycles + Cost.alloc_fields_cost vm.cost n;
-          Array.unsafe_set f dest (alloc_array ety n)
+          set_slot st dest (alloc_array ety n)
     | Parrayget { arr; idx } ->
         fun st ->
-          let f = st.t_frame in
-          let a = as_arr (Array.unsafe_get f arr) in
-          let i = as_int (Array.unsafe_get f idx) in
+          let a = as_arr (get_slot st arr) in
+          let i = as_int (get_slot st idx) in
           if i < 0 || i >= Array.length a.elems then
             trap "array index %d out of bounds" i;
-          Array.unsafe_set f dest (Array.unsafe_get a.elems i)
+          set_slot st dest (Array.unsafe_get a.elems i)
     | Parrayset { arr; idx; value } ->
         fun st ->
-          let f = st.t_frame in
-          let a = as_arr (Array.unsafe_get f arr) in
-          let i = as_int (Array.unsafe_get f idx) in
+          let a = as_arr (get_slot st arr) in
+          let i = as_int (get_slot st idx) in
           if i < 0 || i >= Array.length a.elems then
             trap "array index %d out of bounds" i;
-          Array.unsafe_set a.elems i (Array.unsafe_get f value);
-          Array.unsafe_set f dest Vunit
+          Array.unsafe_set a.elems i (get_slot st value);
+          set_slot st dest Vunit
     | Parraylen a ->
-        fun st ->
-          let f = st.t_frame in
-          Array.unsafe_set f dest
-            (Vint (Array.length (as_arr (Array.unsafe_get f a)).elems))
+        fun st -> set_slot st dest (Vint (Array.length (as_arr (get_slot st a)).elems))
     | Ptypetest { obj; cls } ->
         fun st ->
-          let f = st.t_frame in
-          (match Array.unsafe_get f obj with
-          | Vobj o ->
-              Array.unsafe_set f dest
-                (vbool (Ir.Program.is_subclass vm.prog ~sub:o.o_cls ~sup:cls))
-          | Vnull -> Array.unsafe_set f dest vfalse
-          | _ -> trap "typetest on a non-object")
+          set_slot st dest
+            (match get_slot st obj with
+            | Vobj o -> vbool (Ir.Program.is_subclass vm.prog ~sub:o.o_cls ~sup:cls)
+            | Vnull -> vfalse
+            | _ -> trap "typetest on a non-object")
     | Pintrinsic (intr, ia) ->
+        fun st -> set_slot st dest (eval_intrinsic vm intr (fun k -> get_slot st ia.(k)))
+  in
+  let op_effect (pi : Prepared.pinstr) : tstate -> unit =
+    let open Prepared in
+    let d = index pi.dest in
+    match (pi.op, kind pi.dest) with
+    | Pconst (Vint n), Kint -> fun st -> Array.unsafe_set st.t_ints d n
+    | Pconst (Vbool b), Kbool ->
+        let n = Bool.to_int b in
+        fun st -> Array.unsafe_set st.t_ints d n
+    | Pconst ((Vunit | Vstr _ | Vnull | Vobj _ | Varr _) as v), Kval ->
+        fun st -> Array.unsafe_set st.t_frame d v
+    | Punop (Neg, a), Kint when kind a = Kint ->
+        let a = index a in
+        fun st -> Array.unsafe_set st.t_ints d (-Array.unsafe_get st.t_ints a)
+    | Punop (Not, a), Kbool when kind a = Kbool ->
+        let a = index a in
+        fun st -> Array.unsafe_set st.t_ints d (1 - Array.unsafe_get st.t_ints a)
+    | Pbinop (op, a, b), dk -> (
+        let x = index a and y = index b in
+        match (op, kind a, kind b, dk) with
+        | Add, Kint, Kint, Kint ->
+            fun st ->
+              let n = st.t_ints in
+              Array.unsafe_set n d (Array.unsafe_get n x + Array.unsafe_get n y)
+        | Sub, Kint, Kint, Kint ->
+            fun st ->
+              let n = st.t_ints in
+              Array.unsafe_set n d (Array.unsafe_get n x - Array.unsafe_get n y)
+        | Mul, Kint, Kint, Kint ->
+            fun st ->
+              let n = st.t_ints in
+              Array.unsafe_set n d (Array.unsafe_get n x * Array.unsafe_get n y)
+        | Div, Kint, Kint, Kint ->
+            fun st ->
+              let n = st.t_ints in
+              let q = Array.unsafe_get n y in
+              if q = 0 then trap "division by zero";
+              Array.unsafe_set n d (Array.unsafe_get n x / q)
+        | Rem, Kint, Kint, Kint ->
+            fun st ->
+              let n = st.t_ints in
+              let q = Array.unsafe_get n y in
+              if q = 0 then trap "remainder by zero";
+              Array.unsafe_set n d (Array.unsafe_get n x mod q)
+        | Shl, Kint, Kint, Kint ->
+            fun st ->
+              let n = st.t_ints in
+              Array.unsafe_set n d
+                (Array.unsafe_get n x lsl (Array.unsafe_get n y land 63))
+        | Shr, Kint, Kint, Kint ->
+            fun st ->
+              let n = st.t_ints in
+              Array.unsafe_set n d
+                (Array.unsafe_get n x asr (Array.unsafe_get n y land 63))
+        | Band, Kint, Kint, Kint | Andb, Kbool, Kbool, Kbool ->
+            fun st ->
+              let n = st.t_ints in
+              Array.unsafe_set n d (Array.unsafe_get n x land Array.unsafe_get n y)
+        | Bor, Kint, Kint, Kint | Orb, Kbool, Kbool, Kbool ->
+            fun st ->
+              let n = st.t_ints in
+              Array.unsafe_set n d (Array.unsafe_get n x lor Array.unsafe_get n y)
+        | Bxor, Kint, Kint, Kint ->
+            fun st ->
+              let n = st.t_ints in
+              Array.unsafe_set n d (Array.unsafe_get n x lxor Array.unsafe_get n y)
+        | Lt, Kint, Kint, Kbool ->
+            fun st ->
+              let n = st.t_ints in
+              Array.unsafe_set n d
+                (Bool.to_int (Array.unsafe_get n x < Array.unsafe_get n y))
+        | Le, Kint, Kint, Kbool ->
+            fun st ->
+              let n = st.t_ints in
+              Array.unsafe_set n d
+                (Bool.to_int (Array.unsafe_get n x <= Array.unsafe_get n y))
+        | Gt, Kint, Kint, Kbool ->
+            fun st ->
+              let n = st.t_ints in
+              Array.unsafe_set n d
+                (Bool.to_int (Array.unsafe_get n x > Array.unsafe_get n y))
+        | Ge, Kint, Kint, Kbool ->
+            fun st ->
+              let n = st.t_ints in
+              Array.unsafe_set n d
+                (Bool.to_int (Array.unsafe_get n x >= Array.unsafe_get n y))
+        | Eq, Kint, Kint, Kbool | (Eq | Eqb), Kbool, Kbool, Kbool ->
+            fun st ->
+              let n = st.t_ints in
+              Array.unsafe_set n d
+                (Bool.to_int (Array.unsafe_get n x = Array.unsafe_get n y))
+        | Ne, Kint, Kint, Kbool | (Ne | Xorb), Kbool, Kbool, Kbool ->
+            fun st ->
+              let n = st.t_ints in
+              Array.unsafe_set n d
+                (Bool.to_int (Array.unsafe_get n x <> Array.unsafe_get n y))
+        | Eq, Kval, Kval, Kbool ->
+            fun st ->
+              let f = st.t_frame in
+              Array.unsafe_set st.t_ints d
+                (Bool.to_int (value_eq (Array.unsafe_get f x) (Array.unsafe_get f y)))
+        | Ne, Kval, Kval, Kbool ->
+            fun st ->
+              let f = st.t_frame in
+              Array.unsafe_set st.t_ints d
+                (Bool.to_int
+                   (not (value_eq (Array.unsafe_get f x) (Array.unsafe_get f y))))
+        | _ -> boxed_effect pi)
+    | Pcall { callee; cargs; site; ic }, Kval ->
         fun st ->
-          let f = st.t_frame in
-          let a k = f.(ia.(k)) in
-          let result =
-            match intr with
-            | Iprint_int ->
-                Buffer.add_string vm.out (string_of_int (as_int (a 0)));
-                Vunit
-            | Iprint_bool ->
-                Buffer.add_string vm.out (string_of_bool (as_bool (a 0)));
-                Vunit
-            | Iprint_str ->
-                Buffer.add_string vm.out (as_str (a 0));
-                Vunit
-            | Istr_len -> Vint (String.length (as_str (a 0)))
-            | Istr_get ->
-                let s = as_str (a 0) and i = as_int (a 1) in
-                if i < 0 || i >= String.length s then
-                  trap "string index %d out of bounds" i;
-                Vint (Char.code s.[i])
-            | Istr_eq -> vbool (as_str (a 0) = as_str (a 1))
-            | Iabs -> Vint (abs (as_int (a 0)))
-            | Imin -> Vint (min (as_int (a 0)) (as_int (a 1)))
-            | Imax -> Vint (max (as_int (a 0)) (as_int (a 1)))
-          in
-          Array.unsafe_set f dest result
+          Array.unsafe_set st.t_frame d
+            (do_call vm ?ic ~profiling ~meth ~callee ~site st cargs)
+    | Pcall { callee; cargs; site; ic }, Kint ->
+        fun st ->
+          Array.unsafe_set st.t_ints d
+            (match do_call vm ?ic ~profiling ~meth ~callee ~site st cargs with
+            | Vint n -> n
+            | v -> as_int v)
+    | Pnew { cls; defaults }, Kval ->
+        fun st ->
+          Array.unsafe_set st.t_frame d
+            (Vobj { o_cls = cls; fields = Array.copy defaults })
+    | Pgetfield { obj; slot; fname }, Kval when kind obj = Kval ->
+        fun st ->
+          let o = as_obj (Array.unsafe_get st.t_frame obj) in
+          if slot >= Array.length o.fields then
+            trap "internal: bad field slot for %s" fname;
+          Array.unsafe_set st.t_frame d o.fields.(slot)
+    | Pgetfield { obj; slot; fname }, Kint when kind obj = Kval ->
+        fun st ->
+          let o = as_obj (Array.unsafe_get st.t_frame obj) in
+          if slot >= Array.length o.fields then
+            trap "internal: bad field slot for %s" fname;
+          Array.unsafe_set st.t_ints d
+            (match o.fields.(slot) with Vint n -> n | v -> as_int v)
+    | Psetfield { obj; slot; fname; value }, Kval when kind obj = Kval ->
+        fun st ->
+          let o = as_obj (Array.unsafe_get st.t_frame obj) in
+          if slot >= Array.length o.fields then
+            trap "internal: bad field slot for %s" fname;
+          o.fields.(slot) <- get_slot st value;
+          Array.unsafe_set st.t_frame d Vunit
+    | Pnewarray { ety; len }, Kval when kind len = Kint ->
+        let len = index len in
+        fun st ->
+          let n = Array.unsafe_get st.t_ints len in
+          vm.cycles <- vm.cycles + Cost.alloc_fields_cost vm.cost n;
+          Array.unsafe_set st.t_frame d (alloc_array ety n)
+    | Parrayget { arr; idx }, Kval when kind arr = Kval && kind idx = Kint ->
+        let idx = index idx in
+        fun st ->
+          let a = as_arr (Array.unsafe_get st.t_frame arr) in
+          let i = Array.unsafe_get st.t_ints idx in
+          if i < 0 || i >= Array.length a.elems then
+            trap "array index %d out of bounds" i;
+          Array.unsafe_set st.t_frame d (Array.unsafe_get a.elems i)
+    | Parrayget { arr; idx }, Kint when kind arr = Kval && kind idx = Kint ->
+        let idx = index idx in
+        fun st ->
+          let a = as_arr (Array.unsafe_get st.t_frame arr) in
+          let i = Array.unsafe_get st.t_ints idx in
+          if i < 0 || i >= Array.length a.elems then
+            trap "array index %d out of bounds" i;
+          Array.unsafe_set st.t_ints d
+            (match Array.unsafe_get a.elems i with Vint n -> n | v -> as_int v)
+    | Parrayset { arr; idx; value }, Kval when kind arr = Kval && kind idx = Kint ->
+        let idx = index idx in
+        fun st ->
+          let a = as_arr (Array.unsafe_get st.t_frame arr) in
+          let i = Array.unsafe_get st.t_ints idx in
+          if i < 0 || i >= Array.length a.elems then
+            trap "array index %d out of bounds" i;
+          Array.unsafe_set a.elems i (get_slot st value);
+          Array.unsafe_set st.t_frame d Vunit
+    | Parraylen a, Kint when kind a = Kval ->
+        fun st ->
+          Array.unsafe_set st.t_ints d
+            (Array.length (as_arr (Array.unsafe_get st.t_frame a)).elems)
+    | Ptypetest { obj; cls }, Kbool when kind obj = Kval ->
+        fun st ->
+          Array.unsafe_set st.t_ints d
+            (match Array.unsafe_get st.t_frame obj with
+            | Vobj o ->
+                Bool.to_int (Ir.Program.is_subclass vm.prog ~sub:o.o_cls ~sup:cls)
+            | Vnull -> 0
+            | _ -> trap "typetest on a non-object")
+    | _ -> boxed_effect pi
   in
   (* a singleton handler: step, budget check, charge, effect, fall
      through to the successor handler (a tail call — the dispatch loop
@@ -922,59 +1075,83 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
         nexth st
     else begin
       let srcs, prev =
-        if edge < 0 then (Array.make nphis (-1), -1)
+        if edge < 0 then (Array.make nphis Prepared.none, -1)
         else (b.phi_srcs.(edge), b.pred_bids.(edge))
       in
       let dests = b.phi_dests in
-      let clean = Array.for_all (fun s -> s >= 0) srcs in
+      (* every phi has an input on this edge, in the phi's own frame *)
+      let same_frame s d =
+        s <> Prepared.none && Prepared.kind s = Prepared.kind d
+      in
+      let clean = Array.for_all2 same_frame srcs dests in
       if clean && nphis = 1 then begin
-        let d0 = dests.(0) and s0 = srcs.(0) in
-        fun st ->
+        let d0 = Prepared.index dests.(0) and s0 = Prepared.index srcs.(0) in
+        if dests.(0) >= 0 then fun st ->
           tick_block ();
           vm.steps <- vm.steps + 1;
           vm.cycles <- vm.cycles + phi_cost;
           let f = st.t_frame in
           Array.unsafe_set f d0 (Array.unsafe_get f s0);
           nexth st
+        else fun st ->
+          tick_block ();
+          vm.steps <- vm.steps + 1;
+          vm.cycles <- vm.cycles + phi_cost;
+          let n = st.t_ints in
+          Array.unsafe_set n d0 (Array.unsafe_get n s0);
+          nexth st
       end
       else if clean then begin
-        (* simultaneous assignment through a scratch row; sharing the
-           scratch across activations is safe — nothing re-enters this
-           code object mid-move *)
-        let tmp = Array.make nphis Vunit in
+        (* simultaneous assignment through a scratch row per frame;
+           sharing the scratch across activations is safe — nothing
+           re-enters this code object mid-move *)
+        let moves in_ints =
+          let ks =
+            List.filter (fun i -> (dests.(i) < 0) = in_ints) (List.init nphis Fun.id)
+          in
+          let pick a = Array.of_list (List.map (fun i -> Prepared.index a.(i)) ks) in
+          (pick srcs, pick dests)
+        in
+        let vsrcs, vdests = moves false and isrcs, idests = moves true in
+        let nv = Array.length vsrcs and ni = Array.length isrcs in
+        let vtmp = Array.make nv Vunit and itmp = Array.make ni 0 in
         fun st ->
           tick_block ();
           vm.steps <- vm.steps + nphis;
           vm.cycles <- vm.cycles + (nphis * phi_cost);
-          let f = st.t_frame in
-          for i = 0 to nphis - 1 do
-            Array.unsafe_set tmp i
-              (Array.unsafe_get f (Array.unsafe_get srcs i))
+          let f = st.t_frame and n = st.t_ints in
+          for i = 0 to nv - 1 do
+            Array.unsafe_set vtmp i (Array.unsafe_get f (Array.unsafe_get vsrcs i))
           done;
-          for i = 0 to nphis - 1 do
-            Array.unsafe_set f (Array.unsafe_get dests i)
-              (Array.unsafe_get tmp i)
+          for i = 0 to ni - 1 do
+            Array.unsafe_set itmp i (Array.unsafe_get n (Array.unsafe_get isrcs i))
+          done;
+          for i = 0 to nv - 1 do
+            Array.unsafe_set f (Array.unsafe_get vdests i) (Array.unsafe_get vtmp i)
+          done;
+          for i = 0 to ni - 1 do
+            Array.unsafe_set n (Array.unsafe_get idests i) (Array.unsafe_get itmp i)
           done;
           nexth st
       end
       else
         (* a phi with no input for this edge (the edgeless initial entry,
-           or ill-formed SSA): replicate the stepwise trap *)
+           or ill-formed SSA) or one fed from the other frame: move
+           stepwise through boxed values, replicating the stepwise trap *)
         let vids = b.phi_vids in
         fun st ->
           tick_block ();
-          let f = st.t_frame in
           let tmp = Array.make nphis Vunit in
           for i = 0 to nphis - 1 do
             vm.steps <- vm.steps + 1;
             vm.cycles <- vm.cycles + phi_cost;
             let s = srcs.(i) in
-            if s < 0 then
+            if s = Prepared.none then
               trap "internal: phi v%d has no input for edge b%d" vids.(i) prev;
-            tmp.(i) <- f.(s)
+            tmp.(i) <- get_slot st s
           done;
           for i = 0 to nphis - 1 do
-            f.(dests.(i)) <- tmp.(i)
+            set_slot st dests.(i) tmp.(i)
           done;
           nexth st
     end
@@ -984,7 +1161,13 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
      hook), so every other block's wiring is untouched. A transfer returns
      the continuation's result instead of calling the next handler. Its
      frame mapping names vids, read through the code's vid -> slot map. *)
-  let read_vid (st : tstate) (v : vid) : value = st.t_frame.(pcode.slots.(v)) in
+  let read_vid (st : tstate) (v : vid) : value =
+    let s = pcode.slots.(v) in
+    if s >= 0 then st.t_frame.(s)
+    else
+      let n = st.t_ints.(Prepared.index s) in
+      if Prepared.kind s = Kint then box_int n else vbool (n <> 0)
+  in
   let enter_guard (b : Prepared.pblock) ~(nexth : thandler) : thandler =
     let holder = b.prof in
     fun st ->
@@ -1012,10 +1195,21 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
   let term_handler (b : Prepared.pblock) : thandler =
     let tc = b.term_cost in
     match b.term with
-    | Preturn r ->
-        fun st ->
-          vm.cycles <- vm.cycles + tc;
-          Array.unsafe_get st.t_frame r
+    | Preturn r -> (
+        let i = Prepared.index r in
+        match Prepared.kind r with
+        | Kval ->
+            fun st ->
+              vm.cycles <- vm.cycles + tc;
+              Array.unsafe_get st.t_frame i
+        | Kint ->
+            fun st ->
+              vm.cycles <- vm.cycles + tc;
+              box_int (Array.unsafe_get st.t_ints i)
+        | Kbool ->
+            fun st ->
+              vm.cycles <- vm.cycles + tc;
+              vbool (Array.unsafe_get st.t_ints i <> 0))
     | Pgoto { target; edge } ->
         let next = pc_of_edge target edge in
         fun st ->
@@ -1023,9 +1217,15 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
           (Array.unsafe_get handlers next) st
     | Pif { cond; site; tb; tedge; fb; fedge; bprof } ->
         let tpc = pc_of_edge tb tedge and fpc = pc_of_edge fb fedge in
+        (* a Bool condition is read from the int frame; any other is
+           read boxed, so [as_bool] traps as the reference walker does *)
+        let unboxed = Prepared.kind cond = Kbool and ci = Prepared.index cond in
         if profiling then fun st ->
           vm.cycles <- vm.cycles + tc;
-          let taken = as_bool (Array.unsafe_get st.t_frame cond) in
+          let taken =
+            if unboxed then Array.unsafe_get st.t_ints ci <> 0
+            else as_bool (get_slot st cond)
+          in
           (match bprof.brec with
           | Some br -> Profile.brec_record br ~taken
           | None ->
@@ -1034,10 +1234,14 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
               Profile.brec_record br ~taken);
           if taken then (Array.unsafe_get handlers tpc) st
           else (Array.unsafe_get handlers fpc) st
+        else if unboxed then fun st ->
+          vm.cycles <- vm.cycles + tc;
+          if Array.unsafe_get st.t_ints ci <> 0 then
+            (Array.unsafe_get handlers tpc) st
+          else (Array.unsafe_get handlers fpc) st
         else fun st ->
           vm.cycles <- vm.cycles + tc;
-          if as_bool (Array.unsafe_get st.t_frame cond) then
-            (Array.unsafe_get handlers tpc) st
+          if as_bool (get_slot st cond) then (Array.unsafe_get handlers tpc) st
           else (Array.unsafe_get handlers fpc) st
     | Punreachable ->
         fun _st ->
@@ -1099,15 +1303,30 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
     t_handlers = handlers;
     t_entry = entry_pc;
     t_nregs = pcode.nregs;
+    t_nints = pcode.nints;
+    t_params =
+      Array.concat (Array.to_list (Array.map (fun (k, s) -> [| k; s |]) pcode.params));
     t_fname = pcode.fname;
   }
 
-and exec_threaded (vm : vm) (t : tcode) (args : value array) : value =
+(* Builds the callee's frames and copies each argument, named by its slot
+   in the caller's activation, into its parameter's slot. *)
+and exec_threaded (vm : vm) (t : tcode) (caller : tstate) (cargs : int array) :
+    value =
   vm.depth <- vm.depth + 1;
   if vm.depth > vm.max_depth then trap "call stack overflow in %s" t.t_fname;
   let st =
-    { t_frame = new_frame t.t_nregs; t_args = args; t_depoch = vm.deopt_epoch }
+    { t_frame = new_frame t.t_nregs; t_ints = new_ints t.t_nints;
+      t_depoch = vm.deopt_epoch }
   in
+  let ps = t.t_params in
+  let i = ref 0 in
+  while !i < Array.length ps do
+    let k = Array.unsafe_get ps !i in
+    if k >= Array.length cargs then trap "internal: missing argument %d" k;
+    move caller cargs.(k) st (Array.unsafe_get ps (!i + 1));
+    i := !i + 2
+  done;
   (* one entry into the handler chain; every transition inside is a tail
      call, and the return handler's value unwinds it *)
   let v = (Array.unsafe_get t.t_handlers t.t_entry) st in
@@ -1116,8 +1335,11 @@ and exec_threaded (vm : vm) (t : tcode) (args : value array) : value =
 
 (* ---------- reference backend: the direct IR walker ---------- *)
 
-and exec_ref (vm : vm) ~(mode : mode) ~(meth : meth_id) (fn : fn) (args : value array) :
-    value =
+(* The walker reads each argument boxed, from its caller's slot, when its
+   [Param] executes; the caller is suspended until this activation
+   returns, so the slot still holds the argument. *)
+and exec_ref (vm : vm) ~(mode : mode) ~(meth : meth_id) (fn : fn) (caller : tstate)
+    (args : int array) : value =
   vm.depth <- vm.depth + 1;
   if vm.depth > vm.max_depth then trap "call stack overflow in %s" fn.fname;
   let dispatch =
@@ -1145,13 +1367,14 @@ and exec_ref (vm : vm) ~(mode : mode) ~(meth : meth_id) (fn : fn) (args : value 
       | Const Cnull -> Vnull
       | Param k ->
           if k >= Array.length args then trap "internal: missing argument %d" k
-          else args.(k)
+          else get_slot caller args.(k)
       | Unop (op, a) -> eval_unop op (get a)
       | Binop (op, a, b) -> eval_binop op (get a) (get b)
       | Phi _ -> assert false (* phis are evaluated by the block driver *)
       | Call { callee; args = cargs; site; _ } ->
-          do_call vm ~profiling ~meth ~callee ~site
-            (Array.of_list (List.map get cargs))
+          let vals = Array.of_list (List.map get cargs) in
+          do_call vm ~profiling ~meth ~callee ~site (entry_state vals)
+            (arg_slots (Array.length vals))
       | New c ->
           charge vm (Cost.alloc_fields_cost vm.cost (Array.length (Ir.Program.cls vm.prog c).layout));
           alloc_obj vm.prog c
@@ -1270,14 +1493,14 @@ and exec_ref (vm : vm) ~(mode : mode) ~(meth : meth_id) (fn : fn) (args : value 
   result
 
 and do_call (vm : vm) ?ic ~profiling ~(meth : meth_id) ~(callee : callee)
-    ~(site : site) (args : value array) : value =
+    ~(site : site) (st : tstate) (cargs : int array) : value =
   match callee with
   | Direct m ->
       charge vm vm.cost.call_direct;
-      invoke vm m args
+      invoke vm m st cargs
   | Virtual sel -> (
-      if Array.length args = 0 then trap "virtual call with no receiver";
-      let o = as_obj args.(0) in
+      if Array.length cargs = 0 then trap "virtual call with no receiver";
+      let o = as_obj (get_slot st cargs.(0)) in
       match ic with
       | Some ic -> (
           (* synthetic sites are typeswitch fallbacks: reaching one in
@@ -1294,7 +1517,7 @@ and do_call (vm : vm) ?ic ~profiling ~(meth : meth_id) ~(callee : callee)
               let observed = Profile.receiver_count vm.profiles site in
               charge vm
                 (Cost.call_overhead vm.cost ~virtual_:true ~targets:(max observed 1));
-              invoke vm e.e_target args
+              invoke vm e.e_target st cargs
           | _ -> (
               Ic.note_miss ic;
               let cell =
@@ -1321,7 +1544,7 @@ and do_call (vm : vm) ?ic ~profiling ~(meth : meth_id) ~(callee : callee)
                   Ic.add ic
                     { e_cls = o.o_cls; e_target = m;
                       e_count = (match cell with Some c -> c | None -> ref 0) };
-                  invoke vm m args
+                  invoke vm m st cargs
               | None ->
                   trap "class %s does not understand %s"
                     (Ir.Program.cls vm.prog o.o_cls).c_name sel))
@@ -1333,7 +1556,7 @@ and do_call (vm : vm) ?ic ~profiling ~(meth : meth_id) ~(callee : callee)
           let observed = Profile.receiver_count vm.profiles site in
           charge vm (Cost.call_overhead vm.cost ~virtual_:true ~targets:(max observed 1));
           match Ir.Program.resolve vm.prog o.o_cls sel with
-          | Some m -> invoke vm m args
+          | Some m -> invoke vm m st cargs
           | None ->
               trap "class %s does not understand %s"
                 (Ir.Program.cls vm.prog o.o_cls).c_name sel))
@@ -1345,7 +1568,7 @@ and do_call (vm : vm) ?ic ~profiling ~(meth : meth_id) ~(callee : callee)
    every later call on this VM. *)
 let invoke (vm : vm) (m : meth_id) (args : value array) : value =
   let depth = vm.depth in
-  try invoke vm m args
+  try invoke vm m (entry_state args) (arg_slots (Array.length args))
   with e ->
     vm.depth <- depth;
     raise e
@@ -1355,13 +1578,15 @@ let exec (vm : vm) ~(mode : mode) ~(meth : meth_id) (fn : fn) (args : value arra
   let depth = vm.depth in
   try
     match vm.backend with
-    | Reference -> exec_ref vm ~mode ~meth fn args
+    | Reference ->
+        exec_ref vm ~mode ~meth fn (entry_state args) (arg_slots (Array.length args))
     | Threaded ->
         (* one-shot bodies (tests pinning a tier on a synthetic fn) are
            prepared and lowered per call; cached paths go through
            [invoke] *)
         let pcode = Prepared.prepare ~cost:vm.cost vm.prog fn in
-        exec_threaded vm (lower_threaded vm ~mode ~meth ~src:fn pcode) args
+        exec_threaded vm (lower_threaded vm ~mode ~meth ~src:fn pcode)
+          (entry_state args) (arg_slots (Array.length args))
   with e ->
     vm.depth <- depth;
     raise e

@@ -8,9 +8,10 @@
     docs/ARCHITECTURE.md, "Prepared code & dispatch caching"):
 
     - [Threaded] (the default): method bodies are translated once into
-      dense {!Prepared.code} objects — flat register frames, edge-resolved
-      phis, pre-decoded instructions — cached per (method, tier) and
-      lowered once into direct-threaded handler closures.
+      dense {!Prepared.code} objects — flat register frames, Int and Bool
+      values unboxed in their own, edge-resolved phis, pre-decoded
+      instructions — cached per (method, tier) and lowered once into
+      direct-threaded handler closures specialized for those frames.
     - [Reference]: the original direct IR walker, kept as the executable
       specification that the differential suite checks the threaded engine
       against.
@@ -54,7 +55,12 @@ type osr_exit_verdict = Exit_stay | Exit_watch | Exit_to of osr_transfer
     header / transfer into an interpreted continuation. *)
 
 type tstate
-(** Threaded-tier activation state (frame and arguments). *)
+(** Threaded-tier activation state: the value frame, the int frame that
+    holds the activation's Int and Bool values unboxed, and the deopt
+    epoch it last validated against — 4 words. A call hands the callee
+    its caller's state and the slots of its arguments there; the callee
+    copies each argument into its parameter's slot as it builds its
+    frames, with no argument array. *)
 
 type thandler = tstate -> value
 (** One handler closure: executes one pre-decoded instruction (or one
@@ -68,14 +74,19 @@ type tcode = {
   t_handlers : thandler array;
   t_entry : int;
   t_nregs : int;
-      (** frame size: one slot per value the body names
-          ({!Prepared.code.nregs}). Frames of up to 16 slots, and
-          argument arrays of up to 3 values, are array literals the
-          native compiler allocates inline, with no C call. *)
+      (** value-frame size ({!Prepared.code.nregs}) *)
+  t_nints : int;
+      (** int-frame size ({!Prepared.code.nints}). Either frame of up to
+          16 slots is an array literal the native compiler allocates
+          inline, with no C call. *)
+  t_params : int array;
+      (** {!Prepared.code.params} flattened: parameter index, then the
+          slot the argument is copied into *)
   t_fname : string;
 }
 (** A method lowered for the threaded tier: a flat pc-indexed array of
-    handler closures (block prologues, body segments, terminators). *)
+    handler closures (block prologues, body segments, terminators), each
+    specialized at lowering for the frames its operands live in. *)
 
 type prepared_entry = {
   src : fn;

@@ -7,26 +7,30 @@
    each block's instruction list, List.assoc phi-input resolution, and
    List.nth operand access. Preparation pays all of that once per function:
 
-   - registers become one flat [value array] per frame with one slot per
-     value the body names, numbered densely (a compiled body's vid space
-     is mostly holes left by the optimizer; [slots] maps vids to slots);
+   - registers become two flat frames with one slot per value the body
+     names, numbered densely (a compiled body's vid space is mostly holes
+     left by the optimizer; [slots] maps vids to slots): Int and Bool
+     values, by static type, get a slot in an [int array] frame, every
+     other value one in a [value array] frame;
    - each block's leading phis are split from its body at prepare time,
      with phi inputs resolved per predecessor *edge* (the jump carries a
      precomputed edge index, so phi evaluation is two array reads);
    - instructions are decoded into flat arrays with operand registers,
      static cycle costs, and allocation shapes (field-default templates)
      baked in;
-   - call arguments are [int array]s, so frames are built without any
-     per-call list traversal.
+   - call arguments are [int array]s of the caller's slots, and [params]
+     lists where each parameter lands, so a call copies its arguments
+     straight into the callee's frames.
 
    Preparation changes *when* work happens, never *what* the program
    observes: output, result, simulated cycles, step counts and recorded
    profiles are identical to the direct interpreter (the differential
    suite in test/test_differential.ml enforces this). The one deliberate
    exception: internal-error paths that only ill-formed (non-verifier-
-   clean) SSA can reach — e.g. reading a never-evaluated vid — are not
-   reproduced bit-for-bit, because prepared frames have no notion of an
-   "unevaluated" register. *)
+   clean or ill-typed) IR can reach — reading a never-evaluated vid, a
+   call with fewer arguments than a [Param] index, a value whose dynamic
+   type is not its vid's static type — are not reproduced bit-for-bit
+   (see prepared.mli). *)
 
 open Ir.Types
 open Values
@@ -42,7 +46,22 @@ module Vec = Support.Vec
 type cell_holder = { mutable cell : int ref option }
 type brec_holder = { mutable brec : Profile.brec option }
 
-(* Pre-decoded instruction payload. Operands are frame slot indices. *)
+(* Frame slots. A named value lives in one of two frames, chosen by its
+   static type: Int and Bool values in the [int array] frame (a Bool as
+   0/1), every other value in the [value array] frame. A slot is one
+   [int]: [s >= 0] is value-frame slot [s]; int-frame slot [s] is encoded
+   [lnot (2s)] for an Int and [lnot (2s + 1)] for a Bool; [none] marks an
+   unnamed vid or a missing phi input. *)
+let none = min_int
+
+type kind = Kval | Kint | Kbool
+
+let kind (s : int) : kind =
+  if s >= 0 then Kval else if (lnot s) land 1 = 0 then Kint else Kbool
+
+let index (s : int) : int = if s >= 0 then s else (lnot s) lsr 1
+
+(* Pre-decoded instruction payload. Operands are encoded frame slots. *)
 type pop =
   | Pconst of value
   | Pparam of int
@@ -92,7 +111,7 @@ type pblock = {
   src_bid : bid;               (* original id, for profiles and messages *)
   phi_dests : int array;       (* leading phis' slots, in block order *)
   phi_vids : int array;        (* original vids, for trap messages *)
-  phi_srcs : int array array;  (* edge -> phi -> source slot, -1 = no input *)
+  phi_srcs : int array array;  (* edge -> phi -> source slot, [none] = no input *)
   pred_bids : int array;       (* edge -> predecessor block id *)
   body : pinstr array;         (* non-phi instructions, in order *)
   term : pterm;
@@ -105,8 +124,10 @@ type pblock = {
 
 type code = {
   fname : string;
-  nregs : int;          (* frame size: the number of vids the body names *)
-  slots : int array;    (* vid -> frame slot, -1 for a vid the body never names *)
+  nregs : int;          (* value-frame size *)
+  nints : int;          (* int-frame size; [nregs + nints] vids are named *)
+  slots : int array;    (* vid -> slot, [none] for a vid the body never names *)
+  params : (int * int) array;  (* (parameter index, slot) per [Param] *)
   entry : int;          (* dense index of the entry block *)
   blocks : pblock array;
   ics : Ic.t array;     (* every inline cache in [blocks], decode order *)
@@ -201,14 +222,26 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
   let pred_arrays = Array.map (fun l -> Array.of_list (List.rev l)) preds in
   (* dense frame slots, in first-mention order over the live blocks: every
      phi and instruction result, every operand (phi inputs included) and
-     every terminator operand *)
-  let slots = Array.make (Vec.length fn.instrs) (-1) in
-  let nregs = ref 0 in
+     every terminator operand, each numbered in the frame of its static
+     type (declared parameter types for [Param]; a vid whose instruction
+     was deleted goes to the value frame) *)
+  let slots = Array.make (Vec.length fn.instrs) none in
+  let nregs = ref 0 and nints = ref 0 in
+  let param_ty k = if k < Array.length fn.param_tys then fn.param_tys.(k) else Tunit in
   let name v =
-    if slots.(v) < 0 then begin
-      slots.(v) <- !nregs;
-      incr nregs
-    end
+    if slots.(v) = none then
+      let ty =
+        match Vec.get fn.instrs v with
+        | Some i -> Ir.Instr.result_ty ~param_ty i.kind
+        | None -> Tunit
+      in
+      match ty with
+      | Tint | Tbool ->
+          slots.(v) <- lnot ((2 * !nints) + if ty = Tbool then 1 else 0);
+          incr nints
+      | _ ->
+          slots.(v) <- !nregs;
+          incr nregs
   in
   List.iter
     (fun b ->
@@ -262,7 +295,7 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
     let phi_srcs =
       Array.map
         (fun p ->
-          let row = Array.make nphis (-1) in
+          let row = Array.make nphis none in
           List.iteri
             (fun i (_, inputs) ->
               match List.assoc_opt p inputs with
@@ -310,6 +343,14 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
     }
   in
   let live_blocks = List.map decode_block live in
+  let params =
+    List.concat_map
+      (fun (b : pblock) ->
+        Array.to_list b.body
+        |> List.filter_map (fun pi ->
+               match pi.op with Pparam k -> Some (k, pi.dest) | _ -> None))
+      live_blocks
+  in
   (* may itself allocate a stub, so resolve before materializing stubs *)
   let entry = index_of_target fn.entry in
   let stub_block (b : bid) : pblock =
@@ -330,7 +371,9 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
   {
     fname = fn.fname;
     nregs = !nregs;
+    nints = !nints;
     slots;
+    params = Array.of_list params;
     entry;
     blocks = Array.of_list (live_blocks @ stub_blocks);
     ics = Array.of_list (List.rev !ics);

@@ -1,15 +1,21 @@
 (** Prepared code objects: a function body pre-decoded, once, into the
-    dense array form the execution engine runs — flat [value array]
-    frames with one slot per value the body names, each block's leading
-    phis pre-split from its body with inputs resolved per predecessor
-    edge, instructions decoded with operand slots and static cycle costs
-    baked in, and call arguments as arrays.
+    dense array form the execution engine runs — two flat frames with
+    one slot per value the body names (Int and Bool values in an
+    [int array], the rest in a [value array]), each block's leading phis
+    pre-split from its body with inputs resolved per predecessor edge,
+    instructions decoded with operand slots and static cycle costs baked
+    in, and call arguments as arrays of the caller's slots.
 
     Preparation is observably transparent: output, result, simulated
     cycles, step counts and recorded profiles are identical to direct IR
-    interpretation on verifier-clean SSA (enforced by the differential
-    suite). Internal-error paths that only ill-formed IR can reach (use of
-    a never-evaluated vid) are not reproduced bit-for-bit.
+    interpretation on verifier-clean, typechecked IR (enforced by the
+    differential suite). Internal-error paths that only ill-formed IR can
+    reach are not reproduced bit-for-bit:
+    - use of a never-evaluated vid reads the frame's initial value;
+    - a call with fewer arguments than a [Param] index traps "missing
+      argument" when the callee's frame is built, not at the [Param];
+    - a value whose dynamic type is not its vid's static type traps in
+      [as_int]/[as_bool] where it enters the int frame.
 
     Prepared code snapshots the function *and* the class layouts its [New]
     instructions allocate, against a fixed cost table. It must be dropped
@@ -25,6 +31,26 @@ type cell_holder = { mutable cell : int ref option }
     profile's cell on first record, then records with one increment. *)
 
 type brec_holder = { mutable brec : Profile.brec option }
+
+(** {1 Frame slots}
+
+    A named value lives in one of two frames, chosen by its static type
+    ({!Ir.Instr.result_ty}, with the declared [fn.param_tys] for
+    parameters): Int and Bool values in the [int array] frame, a Bool as
+    0/1; every other value in the [value array] frame. A slot is one
+    [int]: [s >= 0] is value-frame slot [s]; int-frame slot [s] is
+    encoded [lnot (2s)] for an Int and [lnot (2s + 1)] for a Bool. *)
+
+val none : int
+(** [min_int]: an unnamed vid, or a phi with no input on an edge. *)
+
+type kind = Kval | Kint | Kbool
+
+val kind : int -> kind
+(** The frame, and for the int frame the type, of a named slot. *)
+
+val index : int -> int
+(** A named slot's position in its frame. *)
 
 type pop =
   | Pconst of value
@@ -43,8 +69,8 @@ type pop =
   | Ptypetest of { obj : int; cls : class_id }
   | Pintrinsic of intrinsic * int array
 
-(** Operands, destinations, phi moves and terminator operands are frame
-    slots, not vids (see {!code.slots}). *)
+(** Operands, destinations, phi moves and terminator operands are encoded
+    frame slots, not vids (see {!code.slots}). *)
 type pinstr = {
   dest : int;          (** frame slot receiving the result *)
   static_cost : int;   (** cycles charged besides the dispatch penalty *)
@@ -72,7 +98,7 @@ type pblock = {
   src_bid : bid;
   phi_dests : int array;
   phi_vids : int array;        (** the phis' vids, for trap messages *)
-  phi_srcs : int array array;  (** edge -> phi -> source slot, -1 = none *)
+  phi_srcs : int array array;  (** edge -> phi -> source slot, or {!none} *)
   pred_bids : int array;
   body : pinstr array;
   term : pterm;
@@ -85,14 +111,21 @@ type pblock = {
 
 type code = {
   fname : string;
-  nregs : int;
-      (** frame size: the number of distinct vids the live blocks name —
-          phi and instruction results, operands (phi inputs included) and
-          terminator operands — not the function's vid space *)
+  nregs : int;  (** value-frame size *)
+  nints : int;
+      (** int-frame size. [nregs + nints] is the number of distinct vids
+          the live blocks name — phi and instruction results, operands
+          (phi inputs included) and terminator operands — not the
+          function's vid space. *)
   slots : int array;
-      (** vid -> frame slot, [-1] for a vid the body never names. Readers
-          of a frame by vid (the OSR transfers, whose frame mappings are
-          vids) go through it. *)
+      (** vid -> encoded slot, {!none} for a vid the body never names.
+          Readers of a frame by vid (the OSR transfers, whose frame
+          mappings are vids) go through it. *)
+  params : (int * int) array;
+      (** (parameter index, slot) of every [Param] the live blocks list,
+          in decode order: a call writes each argument into its slot when
+          it builds the callee's frames, so [Pparam] itself does
+          nothing. *)
   entry : int;
   blocks : pblock array;
   ics : Ic.t array;  (** every inline cache in [blocks], decode order *)

@@ -186,6 +186,122 @@ let prop_interp_differential =
       same "interp" (vm_snap Runtime.Interp.Reference src)
         (vm_snap Runtime.Interp.Threaded src))
 
+(* ---------- Int and Bool values across frame boundaries ---------- *)
+
+(* The threaded tier keeps Int and Bool values unboxed in an int frame
+   and boxes them where they leave it. This program moves them through
+   every boundary: direct and virtual calls (one with five arguments),
+   returns, Int and Bool fields, Array[Int] and Array[Bool] elements,
+   phis of Int, Bool, String and object type, [==]/[!=] on each kind of
+   operand, and a hot loop whose Int and Bool live-ins an OSR transfer
+   carries into compiled code. The random generator emits no Bool
+   parameter, field or array, so nothing else covers these paths. *)
+let boundary_src =
+  {|abstract class Cell {
+  def bump(k: Int, up: Bool): Int
+  def flag(): Bool
+}
+class Small(v: Int, on: Bool) extends Cell {
+  def bump(k: Int, up: Bool): Int = {
+    if (up) { v = v + k } else { v = v - k };
+    on = !on;
+    v
+  }
+  def flag(): Bool = on
+}
+class Big(v: Int, on: Bool) extends Cell {
+  def bump(k: Int, up: Bool): Int = {
+    v = v * 3 + k;
+    if (v > 100000) { v = v % 9973 };
+    on = up != on;
+    v
+  }
+  def flag(): Bool = on & v > 500
+}
+def mix(a: Int, b: Bool, c: Int, d: Bool, s: String): Int = {
+  var r = a * 7 - c;
+  if (b == d) { r = r + s.length } else { r = r - 2000 };
+  if (b != (a > c)) { r = r + 1 };
+  r
+}
+def even(n: Int): Bool = n % 2 == 0
+def pick(i: Int, a: Cell, b: Cell): Cell = if (i % 3 == 0) { a } else { b }
+def main(): Int = {
+  val ints = new Array[Int](8);
+  val bools = new Array[Bool](8);
+  val a: Cell = new Small(5, true);
+  val b: Cell = new Big(1000, false);
+  val step = ints.length / 8;
+  val start = b.flag();
+  var acc = 0;
+  var seen = start;
+  var name = "x";
+  var last = a;
+  var i = 0;
+  while (i < 600) {
+    val c = pick(i, a, b);
+    val up = even(i) || c.flag();
+    val v = c.bump(i, up);
+    ints[i % 8] = v;
+    bools[i % 8] = up != start;
+    acc = acc + mix(v, up, ints[(i + 3) % 8], bools[(i + 5) % 8], name);
+    if (c == last) { seen = !seen } else { last = c };
+    if (seen) { name = "yy" } else { name = "x" };
+    if (name == "yy" && v != acc) { acc = acc + 3 };
+    if (seen != up) { acc = acc - 1 };
+    if (c != b) { acc = acc % 1000003 };
+    i = i + step
+  };
+  println(acc);
+  println(seen);
+  println(name);
+  println(ints[3]);
+  println(bools[2]);
+  acc
+}|}
+
+let test_boundaries () =
+  check_same "interpreter only"
+    (vm_snap Runtime.Interp.Reference boundary_src)
+    (vm_snap Runtime.Interp.Threaded boundary_src);
+  let tiered backend =
+    let e =
+      Jit.Engine.create ~osr_threshold:16 (Util.compile boundary_src)
+        { name = "boundaries"; compiler = Some (Util.incremental ());
+          hotness_threshold = 2; compile_cost_per_node = 50; verify = false }
+    in
+    e.vm.backend <- backend;
+    let v = Jit.Engine.run_main e in
+    ( e,
+      {
+        output = Jit.Engine.output e;
+        results = [ Runtime.Values.to_string v ];
+        cycles = e.vm.cycles;
+        steps = e.vm.steps;
+        profile = Runtime.Profile.to_text e.vm.profiles;
+        installed = Jit.Engine.installed_methods e;
+        epoch = e.vm.code_epoch;
+      } )
+  in
+  let _, ref_ = tiered Runtime.Interp.Reference in
+  let e, thr = tiered Runtime.Interp.Threaded in
+  check_same "tiered" ref_ thr;
+  (* main's loop transferred, and the transfer's live-ins include an Int
+     and a Bool *)
+  Alcotest.(check bool) "an OSR transfer was taken" true (e.osr_enters > 0);
+  let live_in_tys =
+    Hashtbl.fold
+      (fun _ (tr : Runtime.Interp.osr_transfer) acc ->
+        match (Ir.Program.meth e.vm.prog tr.osr_target).body with
+        | Some fn ->
+            Array.to_list (Array.sub fn.param_tys 0 (Array.length tr.osr_live_ins))
+            @ acc
+        | None -> acc)
+      e.osr_sites []
+  in
+  Alcotest.(check bool) "the transfer carries Int and Bool live-ins" true
+    (List.mem Ir.Types.Tint live_in_tys && List.mem Ir.Types.Tbool live_in_tys)
+
 (* ---------- inline caches ---------- *)
 
 let ic_src =
@@ -355,6 +471,8 @@ let () =
           test "installs drop stale prepared code" test_invalidation;
         ] );
       ("random", [ QCheck_alcotest.to_alcotest prop_interp_differential ]);
+      ( "frames",
+        [ test "Int and Bool values cross every frame boundary" test_boundaries ] );
       ( "inline caches",
         [
           test "installs and invalidations retire ic counters" test_ic_flush;

@@ -6,8 +6,9 @@
    linear run of ops into one handler, and every block fuses at its
    method's first lowering, so these tests look for drift at every
    observable point of fused code, including traps landing mid-segment.
-   The frames group pins the size of a threaded frame and what an
-   interpreted call allocates. The every-workload and interpreter-only
+   The frames group pins the size and layout of a threaded activation's
+   two frames, and what an interpreted call and Int and Bool arithmetic
+   allocate. The every-workload and interpreter-only
    random-program differentials live in test_differential.ml. *)
 
 open Util
@@ -254,8 +255,17 @@ let named_vids (fn : Ir.Types.fn) : int =
     fn;
   Hashtbl.length seen
 
-(* A frame has one slot per value the body names, not one per vid: the
-   optimizer leaves most of a compiled body's vid space as holes. *)
+(* The frame a vid's static type puts it in: Int and Bool values in the
+   int frame, every other value in the value frame. *)
+let static_kind (fn : Ir.Types.fn) (v : int) : Runtime.Prepared.kind =
+  match Ir.Instr.result_ty ~param_ty:(Array.get fn.param_tys) (Ir.Fn.kind fn v) with
+  | Tint -> Kint
+  | Tbool -> Kbool
+  | _ -> Kval
+
+(* The two frames have one slot per value the body names, not one per
+   vid: the optimizer leaves most of a compiled body's vid space as
+   holes. Each named vid's slot is in the frame of its static type. *)
 let test_frame_slots () =
   let below = ref 0 in
   List.iter
@@ -275,19 +285,28 @@ let test_frame_slots () =
       List.iter
         (fun (name, fn) ->
           let pcode = Runtime.Prepared.prepare ~cost:Runtime.Cost.default e.vm.prog fn in
-          Alcotest.(check int)
-            (Printf.sprintf "%s/%s: frame slots" w.name name)
-            (named_vids fn) pcode.nregs;
-          if pcode.nregs < Support.Vec.length fn.instrs then incr below)
+          let what = Printf.sprintf "%s/%s" w.name name in
+          Alcotest.(check int) (what ^ ": frame slots") (named_vids fn)
+            (pcode.nregs + pcode.nints);
+          Array.iteri
+            (fun v s ->
+              if s <> Runtime.Prepared.none
+                 && Runtime.Prepared.kind s <> static_kind fn v
+              then Alcotest.failf "%s: v%d is in the wrong frame" what v)
+            pcode.slots;
+          if pcode.nregs + pcode.nints < Support.Vec.length fn.instrs then
+            incr below)
         !bodies)
     Workloads.Registry.all;
   Alcotest.(check bool) "some frame is smaller than its body's vid space" true
     (!below > 0)
 
 (* What an interpreted call allocates beyond the work it does: its
-   argument array (3 words for [step]'s receiver and [x]), activation
-   state (4) and frame (5: [step] names four values). All of it is small,
-   so [Gc.minor_words] sees every word. *)
+   activation state (4 words), value frame (2: [step]'s receiver), int
+   frame (4: [x], the constant and the sum) and, when the result is at
+   least 1024, the box of the returned Int (2). The arguments are
+   written straight into [step]'s slots, with no argument array. All of
+   it is small, so [Gc.minor_words] sees every word. *)
 let test_call_allocation () =
   let words body =
     let src =
@@ -311,6 +330,38 @@ def main(): Unit = {
     Alcotest.failf "a call allocates %.2f words beyond its inlined body (bound 12)"
       per_call
 
+(* Int and Bool values live unboxed in the int frame, so a loop of Int
+   arithmetic, comparisons and branches allocates nothing per iteration:
+   the difference between 20,000 and 10,000 iterations cancels the
+   per-run costs (lowering, frames, output). *)
+let test_arith_allocation () =
+  let per_iteration body =
+    let words n =
+      let src =
+        Printf.sprintf
+          {|def main(): Unit = {
+  var i = 0;
+  var acc = 0;
+  while (i < %d) { %s; i = i + 1 };
+  println(acc)
+}|}
+          n body
+      in
+      let vm = Runtime.Interp.create (Util.compile src) in
+      let before = Gc.minor_words () in
+      ignore (Runtime.Interp.run_main vm);
+      Gc.minor_words () -. before
+    in
+    (words 20000 -. words 10000) /. 10000.
+  in
+  List.iter
+    (fun body ->
+      let w = per_iteration body in
+      if w >= 1. then
+        Alcotest.failf "%s allocates %.2f words per iteration (bound 1)" body w)
+    [ "acc = acc + i * 3";
+      "if (i % 3 == 0) { acc = acc + 1 } else { acc = acc - 1 }" ]
+
 let () =
   Alcotest.run "threaded"
     [
@@ -333,5 +384,6 @@ let () =
         [
           test "a frame has one slot per value the body names" test_frame_slots;
           test "an interpreted call allocates at most 12 words" test_call_allocation;
+          test "Int and Bool arithmetic allocates nothing" test_arith_allocation;
         ] );
     ]
