@@ -7,9 +7,11 @@
    and steps), and reports real steps/second for both plus the
    per-workload and aggregate speedup, the dispatch strategy, the mined
    superinstruction counts and the inline-cache hit rates. Each workload's timed section
-   is best-of-3 after one warmup pass, so a stray scheduler hiccup on one
-   pass cannot sink the gate. Results land in BENCH_interp.json in the
-   working directory.
+   is best-of-3 per backend after one warmup pass each, so a stray
+   scheduler hiccup on one pass cannot sink the gate, and the timed
+   passes alternate between the backends, so a host that speeds up or
+   slows down during the run moves both sides of the speedup alike.
+   Results land in BENCH_interp.json in the working directory.
 
    This measures the harness itself, not the simulation: simulated cycles
    are identical by construction; wall-clock throughput is the win. The
@@ -25,7 +27,7 @@ let interp_config : Jit.Engine.config =
     verify = false;
   }
 
-let timed_passes = 3 (* best-of, after one untimed warmup pass *)
+let timed_passes = 3 (* best-of per backend, after one untimed warmup pass each *)
 
 (* One full workload execution on one backend: a fresh engine every
    pass, so caches, profiles and the mined fusion table rebuild from
@@ -45,22 +47,6 @@ let one_pass (backend : Runtime.Interp.backend) (w : Workloads.Defs.t) :
   in
   let seconds = Unix.gettimeofday () -. t0 in
   (engine, run, seconds)
-
-(* Warmup + best-of-N timed section; keeps the last pass's engine and
-   run for equality checks and stats (all passes are deterministic, so
-   any pass would do). *)
-let run_workload (backend : Runtime.Interp.backend) (w : Workloads.Defs.t) :
-    Jit.Engine.t * Jit.Harness.run * float =
-  ignore (one_pass backend w);
-  let best = ref infinity and last = ref None in
-  for _ = 1 to timed_passes do
-    let engine, run, seconds = one_pass backend w in
-    if seconds < !best then best := seconds;
-    last := Some (engine, run)
-  done;
-  match !last with
-  | Some (engine, run) -> (engine, run, !best)
-  | None -> assert false
 
 (* Per-workload comparison of the two backends, checked for
    observational equality on the spot. *)
@@ -85,22 +71,34 @@ let check_equal (w : Workloads.Defs.t) (ref_engine : Jit.Engine.t)
     Fmt.failwith "%s: backend divergence: %d reference steps vs %d threaded"
       w.name ref_engine.vm.steps engine.vm.steps
 
+(* One warmup pass per backend, then [timed_passes] rounds of one
+   reference pass followed by one threaded pass, keeping each backend's
+   best time. The last round's engines and runs serve the equality check
+   and the stats (all passes are deterministic, so any round would do). *)
 let compare_workload (w : Workloads.Defs.t) : comparison =
-  let ref_engine, ref_run, ref_seconds =
-    run_workload Runtime.Interp.Reference w
-  in
-  let thr_engine, thr_run, thr_seconds =
-    run_workload Runtime.Interp.Threaded w
-  in
-  check_equal w ref_engine ref_run thr_engine thr_run;
-  {
-    c_name = w.name;
-    c_steps = thr_engine.vm.steps;
-    c_cycles = thr_engine.vm.cycles;
-    c_ref_seconds = ref_seconds;
-    c_thr_seconds = thr_seconds;
-    c_thr_run = thr_run;
-  }
+  ignore (one_pass Runtime.Interp.Reference w);
+  ignore (one_pass Runtime.Interp.Threaded w);
+  let ref_best = ref infinity and thr_best = ref infinity in
+  let last = ref None in
+  for _ = 1 to timed_passes do
+    let ref_engine, ref_run, ref_seconds = one_pass Runtime.Interp.Reference w in
+    let thr_engine, thr_run, thr_seconds = one_pass Runtime.Interp.Threaded w in
+    ref_best := Float.min !ref_best ref_seconds;
+    thr_best := Float.min !thr_best thr_seconds;
+    last := Some (ref_engine, ref_run, thr_engine, thr_run)
+  done;
+  match !last with
+  | None -> assert false
+  | Some (ref_engine, ref_run, thr_engine, thr_run) ->
+      check_equal w ref_engine ref_run thr_engine thr_run;
+      {
+        c_name = w.name;
+        c_steps = thr_engine.vm.steps;
+        c_cycles = thr_engine.vm.cycles;
+        c_ref_seconds = !ref_best;
+        c_thr_seconds = !thr_best;
+        c_thr_run = thr_run;
+      }
 
 let workload_speedup (c : comparison) : float = c.c_ref_seconds /. c.c_thr_seconds
 

@@ -78,8 +78,9 @@ and fnbase ctx (ptys : ty list) (rty : ty) : class_id =
   match Hashtbl.find_opt ctx.fnbases key with
   | Some c -> c
   | None ->
-      let c = Ir.Program.add_class ctx.prog ~name:key ~parent:None ~own_fields:[] in
-      (Ir.Program.cls ctx.prog c).is_abstract <- true;
+      let c =
+        Ir.Program.add_class ctx.prog ~name:key ~parent:None ~abstract:true ~own_fields:[]
+      in
       let apply =
         Ir.Program.add_meth ctx.prog
           ~name:(key ^ ".apply") ~selector:"apply" ~owner:(Some c)
@@ -596,7 +597,9 @@ and check_lambda ?expect mctx pos (params : (string * Ast.tyx) list) (body : Ast
      after the body is checked. *)
   let lam_name = Printf.sprintf "Lambda$%d" ctx.lambda_count in
   ctx.lambda_count <- ctx.lambda_count + 1;
-  let lam_cls = Ir.Program.add_class prog ~name:lam_name ~parent:None ~own_fields:[] in
+  let lam_cls =
+    Ir.Program.add_class prog ~name:lam_name ~parent:None ~abstract:false ~own_fields:[]
+  in
   let inner = { inner with this_cls = Some lam_cls } in
   let tbody = check_expr ?expect:expected_rty inner body in
   let rty =
@@ -609,10 +612,9 @@ and check_lambda ?expect mctx pos (params : (string * Ast.tyx) list) (body : Ast
   let fnb = fnbase ctx ptys rty in
   let caps = match inner.kind with Mlambda { caps; _ } -> caps | Mplain -> [] in
   (* finalize the class: parent = fnbase, fields = captures *)
-  let klass = Ir.Program.cls prog lam_cls in
-  let klass = { klass with parent = Some fnb } in
-  Support.Vec.set prog.classes lam_cls klass;
-  klass.layout <- Array.of_list (List.map (fun c -> (c.cap_name, c.cap_ty)) caps);
+  Ir.Program.set_parent prog lam_cls ~parent:(Some fnb);
+  (Ir.Program.cls prog lam_cls).layout <-
+    Array.of_list (List.map (fun c -> (c.cap_name, c.cap_ty)) caps);
   (* constructor: stores each capture *)
   let init =
     Ir.Program.add_meth prog ~name:(lam_name ^ ".<init>") ~selector:"<init>"
@@ -697,8 +699,9 @@ let check_program (prog_ast : Ast.prog) : program * Tast.tmethod list =
             | Some psrc -> Some (materialize psrc.decl)
             | None -> err c.cpos "unknown parent class %s" pname)
       in
-      let cid = Ir.Program.add_class prog ~name:c.cname ~parent ~own_fields:[] in
-      (Ir.Program.cls prog cid).is_abstract <- c.abstract;
+      let cid =
+        Ir.Program.add_class prog ~name:c.cname ~parent ~abstract:c.abstract ~own_fields:[]
+      in
       Hashtbl.replace ctx.cenv c.cname cid;
       src.cid <- cid;
       cid

@@ -65,9 +65,10 @@ type node = {
 }
 
 (* Tree-level aggregates, shared by copies of [t]; [stale] is set by every
-   change to the tree and cleared by [summarize]. *)
+   change to the tree and cleared by [summarize] and [summarize_path]. *)
 type totals = {
   mutable stale : bool;
+  mutable root_size : int;             (* |ir(root)| at the last full summary *)
   mutable tree_s_ir : int;             (* |ir(root)| + S_ir over the root's children *)
   mutable tree_n_c : int;
 }
@@ -168,13 +169,12 @@ let psi_r (n : node) : float =
 
 (* ---------- the expansion summary ---------- *)
 
-(* One bottom-up pass fills every node's [sum]: S_ir, S_b, N_c, whether
-   the subtree holds a cutoff still worth visiting this phase, and P_I
-   (Eq. 5) — benefit per node less ψ_r for a cutoff, the maximum over the
-   candidate children for an expanded or poly node. Nodes below a Deleted
-   or Generic node are summarized too, though their parent ignores them. *)
-let rec summarize_node (t : t) (n : node) : unit =
-  List.iter (summarize_node t) n.children;
+(* A node's summary from its own fields and its children's summaries:
+   S_ir, S_b, N_c, whether the subtree holds a cutoff still worth
+   visiting this phase, and P_I (Eq. 5) — benefit per node less ψ_r for
+   a cutoff, the maximum over the candidate children for an expanded or
+   poly node. *)
+let summarize_one (t : t) (n : node) : unit =
   let s = n.sum in
   let sum f = List.fold_left (fun acc c -> acc + f c.sum) 0 n.children in
   match n.kind with
@@ -201,15 +201,33 @@ let rec summarize_node (t : t) (n : node) : unit =
           (fun acc c -> if c.sum.candidate then max acc c.sum.p_i else acc)
           neg_infinity n.children
 
+(* Bottom-up over a subtree. Nodes below a Deleted or Generic node are
+   summarized too, though their parent ignores them. *)
+let rec summarize_node (t : t) (n : node) : unit =
+  List.iter (summarize_node t) n.children;
+  summarize_one t n
+
 (* Tree-level aggregates treat the root as an expanded node over the
-   working root IR. *)
-let summarize (t : t) : unit =
-  List.iter (summarize_node t) t.children;
+   working root IR, whose size [root_size] holds. *)
+let summarize_totals (t : t) : unit =
   let totals = t.totals in
-  totals.tree_s_ir <-
-    Ir.Fn.size t.root_fn + List.fold_left (fun acc c -> acc + c.sum.s_ir) 0 t.children;
+  totals.tree_s_ir <- List.fold_left (fun acc c -> acc + c.sum.s_ir) totals.root_size t.children;
   totals.tree_n_c <- List.fold_left (fun acc c -> acc + c.sum.n_c) 0 t.children;
   totals.stale <- false
+
+let summarize (t : t) : unit =
+  List.iter (summarize_node t) t.children;
+  t.totals.root_size <- Ir.Fn.size t.root_fn;
+  summarize_totals t
+
+(* A change confined to [n]'s subtree moves only the summaries of that
+   subtree and of [n]'s ancestors: a node's summary depends on nothing
+   but its own fields and its children's summaries, and |ir(root)| on
+   the root IR, which expansion never edits. *)
+let summarize_path (t : t) (n : node) ~(path : node list) : unit =
+  summarize_node t n;
+  List.iter (summarize_one t) path;
+  summarize_totals t
 
 let touch (t : t) : unit = t.totals.stale <- true
 
@@ -430,7 +448,7 @@ let create ?trial_cache (prog : program) (profiles : Runtime.Profile.t)
       next_syn_site = -1;
       trial_cache;
       body_sizes = Hashtbl.create 16;
-      totals = { stale = true; tree_s_ir = 0; tree_n_c = 0 };
+      totals = { stale = true; root_size = 0; tree_s_ir = 0; tree_n_c = 0 };
     }
   in
   (* the root method itself is the first link of every call path, so a

@@ -21,8 +21,8 @@ type kind =
   | Generic of string
   | Deleted
 
-(** A node's subtree aggregates, refreshed by one bottom-up pass per
-    expansion step. *)
+(** A node's subtree aggregates, refreshed bottom-up after each change to
+    the tree (see {!summarize_path}). *)
 type summary = {
   mutable s_ir : int;             (** S_ir(n): attached plus prospective size *)
   mutable s_b : int;              (** S_b(n): size of the cutoff frontier *)
@@ -57,6 +57,7 @@ type node = {
 (** Tree-level aggregates, shared by copies of a {!t}. *)
 type totals = {
   mutable stale : bool;           (** the tree changed since the last summary *)
+  mutable root_size : int;        (** |ir(root)| at the last full summary *)
   mutable tree_s_ir : int;
   mutable tree_n_c : int;
 }
@@ -113,11 +114,22 @@ val psi_r : node -> float
 
     One bottom-up pass computes every node's {!summary} and the tree
     totals. The readers below run it when the tree changed since the last
-    one, so the expansion phase pays one pass per step. *)
+    one. Within an expansion phase each step changes one cutoff's
+    subtree, and {!summarize_path} re-summarizes only that subtree and
+    the path above it. *)
 
 val touch : t -> unit
 (** Marks the summary stale. Every change to the tree's shape, node kinds
     or declined flags calls it. *)
+
+val summarize_path : t -> node -> path:node list -> unit
+(** [summarize_path t n ~path] re-summarizes [n]'s subtree, then [path]
+    ([n]'s ancestors, deepest first, up to a child of the root) each from
+    its children's summaries, then the tree totals with |ir(root)| as the
+    last full summary read it, and clears the stale mark. Exact when
+    nothing outside [n]'s subtree, the root IR included, changed since
+    the last summary: a node's summary depends only on its own fields and
+    its children's summaries. *)
 
 val summary : t -> node -> summary
 

@@ -16,8 +16,10 @@
    call-tree size stays under T_e.
 
    The descent, the penalties, the threshold and the telemetry all read
-   the call tree's summary ({!Calltree.summary}), which one bottom-up pass
-   refreshes after each step changed the tree. *)
+   the call tree's summary ({!Calltree.summary}). One bottom-up pass over
+   the whole tree computes it as the phase starts; after that, each step
+   changes only the chosen cutoff's subtree, so it re-summarizes that
+   subtree and the path the descent walked to it. *)
 
 open Calltree
 
@@ -46,14 +48,19 @@ let best_child (t : t) (children : node list) : node option =
         | Some b -> if priority t c > priority t b then Some c else acc)
     None children
 
-(* Walks from the root to the most promising cutoff. *)
-let rec descend (t : t) (n : node) : node option =
+(* Walks from [n] to the most promising cutoff below it, returning the
+   cutoff and the nodes passed on the way, deepest first, after [path]. *)
+let rec descend (t : t) (path : node list) (n : node) : (node * node list) option =
   match n.kind with
-  | Cutoff _ -> if n.declined then None else Some n
-  | Expanded _ | Poly _ -> Option.bind (best_child t n.children) (descend t)
+  | Cutoff _ -> if n.declined then None else Some (n, path)
+  | Expanded _ | Poly _ -> Option.bind (best_child t n.children) (descend t (n :: path))
   | Generic _ | Deleted -> None
 
-let best_cutoff (t : t) : node option = Option.bind (best_child t t.children) (descend t)
+(* The most promising cutoff and its ancestors, deepest first. *)
+let best_path (t : t) : (node * node list) option =
+  Option.bind (best_child t t.children) (descend t [])
+
+let best_cutoff (t : t) : node option = Option.map fst (best_path t)
 
 (* The expansion threshold for one cutoff. *)
 let may_expand (t : t) (n : node) : bool =
@@ -100,40 +107,60 @@ let trace_decision (t : t) (n : node) ~(verdict : string) : unit =
           ("verdict", String verdict);
         ])
 
-(* One expansion phase. Returns the number of nodes expanded. *)
-let run (t : t) : int =
+type step = Grew | Stuck | Declined | Finished
+
+(* Clears last phase's declined flags; the first read re-summarizes the
+   whole tree, which the inline phase and the refresh have changed. *)
+let start (t : t) : unit =
   let rec clear (n : node) =
     n.declined <- false;
     List.iter clear n.children
   in
   List.iter clear t.children;
-  touch t;
-  let expanded = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !expanded < t.params.max_expansions_per_round do
-    (* watchdog checkpoint: between expansions the tree and the root IR
-       are consistent, so a fuel abort here is clean *)
-    Support.Fuel.spend 1;
-    match best_cutoff t with
-    | None -> continue_ := false
-    | Some n ->
-        if may_expand t n then begin
-          trace_decision t n ~verdict:"expand";
-          if expand_cutoff t n then begin
-            incr expanded;
-            Obs.Metrics.incr m_expansions
-          end
-          (* Generic outcomes make no progress but also leave no cutoff *)
+  touch t
+
+(* One descent and its verdict. A step changes only the chosen cutoff, so
+   the summary is brought up to date along the descent's path. *)
+let step (t : t) : step =
+  match best_path t with
+  | None -> Finished
+  | Some (n, path) ->
+      if may_expand t n then begin
+        trace_decision t n ~verdict:"expand";
+        let grew = expand_cutoff t n in
+        summarize_path t n ~path;
+        if grew then begin
+          Obs.Metrics.incr m_expansions;
+          Grew
         end
-        else begin
-          trace_decision t n ~verdict:"decline";
-          match t.params.threshold_policy with
-          | Params.Fixed _ ->
-              (* the budget is global: once exceeded, the phase is over *)
-              continue_ := false
-          | Params.Adaptive ->
-              n.declined <- true;
-              touch t
-        end
-  done;
-  !expanded
+        else (* a Generic outcome makes no progress but leaves no cutoff *)
+          Stuck
+      end
+      else begin
+        trace_decision t n ~verdict:"decline";
+        match t.params.threshold_policy with
+        | Params.Fixed _ ->
+            (* the budget is global: once exceeded, the phase is over *)
+            Finished
+        | Params.Adaptive ->
+            n.declined <- true;
+            summarize_path t n ~path;
+            Declined
+      end
+
+(* One expansion phase. Returns the number of nodes expanded. *)
+let run (t : t) : int =
+  start t;
+  let rec loop expanded =
+    if expanded >= t.params.max_expansions_per_round then expanded
+    else begin
+      (* watchdog checkpoint: between expansions the tree and the root IR
+         are consistent, so a fuel abort here is clean *)
+      Support.Fuel.spend 1;
+      match step t with
+      | Finished -> expanded
+      | Grew -> loop (expanded + 1)
+      | Stuck | Declined -> loop expanded
+    end
+  in
+  loop 0

@@ -26,6 +26,23 @@ val may_expand : t -> node -> bool
 (** Adaptive: B_L/|ir| ≥ e^((S_ir(root) − r1)/r2) (Eq. 8). Fixed policy:
     the total call-tree size is still below T_e. *)
 
+(** What one expansion step did. *)
+type step =
+  | Grew      (** the cutoff became an Expanded or Poly node *)
+  | Stuck     (** the cutoff passed the threshold but became Generic *)
+  | Declined  (** the cutoff failed the adaptive threshold and sits out the phase *)
+  | Finished  (** no candidate cutoff is left, or the fixed budget T_e is spent *)
+
+val start : t -> unit
+(** Begins a phase: clears the declined flags and marks the summary
+    stale, so the first read re-summarizes the whole tree. *)
+
+val step : t -> step
+(** Descends to {!best_cutoff}, expands or declines it, and re-summarizes
+    the cutoff's subtree and the descent's path
+    ({!Calltree.summarize_path}). *)
+
 val run : t -> int
-(** One expansion phase; returns the number of nodes expanded. Bounded by
-    [max_expansions_per_round]. *)
+(** One expansion phase: {!start}, then {!step} until [Finished] or
+    [max_expansions_per_round] expansions; returns the number of nodes
+    expanded. *)

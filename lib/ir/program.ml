@@ -24,11 +24,15 @@ let create () =
     meth_by_name = Hashtbl.create 64;
     main = -1;
     resolve_memo = Hashtbl.create 128;
+    subtypes_memo = Hashtbl.create 32;
   }
 
 (* Any change to the class table or a vtable can change what a selector
-   resolves to anywhere down the hierarchy. *)
-let invalidate_dispatch p = Hashtbl.reset p.resolve_memo
+   resolves to anywhere down the hierarchy, and a new class or parent
+   link what lies below a class. *)
+let invalidate_dispatch p =
+  Hashtbl.reset p.resolve_memo;
+  Hashtbl.reset p.subtypes_memo
 
 let cls p (c : class_id) : cls =
   if c < 0 || c >= Vec.length p.classes then
@@ -46,7 +50,7 @@ let find_meth p name : meth_id option =
 let num_classes p = Vec.length p.classes
 let num_meths p = Vec.length p.meths
 
-let add_class p ~name ~parent ~own_fields : class_id =
+let add_class p ~name ~parent ~abstract ~own_fields : class_id =
   let c_id = Vec.length p.classes in
   let inherited =
     match parent with
@@ -55,9 +59,13 @@ let add_class p ~name ~parent ~own_fields : class_id =
   in
   let layout = Array.append inherited (Array.of_list own_fields) in
   Vec.push p.classes
-    { c_id; c_name = name; parent; layout; vtable = []; is_abstract = false };
+    { c_id; c_name = name; parent; layout; vtable = []; is_abstract = abstract };
   invalidate_dispatch p;
   c_id
+
+let set_parent p (c : class_id) ~(parent : class_id option) : unit =
+  Vec.set p.classes c { (cls p c) with parent };
+  invalidate_dispatch p
 
 let add_meth p ~name ~selector ~owner ~param_tys ~rty : meth_id =
   if Hashtbl.mem p.meth_by_name name then
@@ -116,16 +124,24 @@ let subclasses p (c : class_id) : class_id list =
     p.classes;
   List.rev !acc
 
-(* All concrete (non-abstract) classes at or below [c]. *)
+(* All concrete (non-abstract) classes at or below [c]. Each walk scans
+   the class table once per class it reaches, and the canonicalizer asks
+   at every virtual call and type test it visits, so the answer is
+   memoized per class until the class table changes. *)
 let concrete_subtypes p (c : class_id) : class_id list =
-  let acc = ref [] in
-  let rec go c =
-    let k = cls p c in
-    if not k.is_abstract then acc := c :: !acc;
-    List.iter go (subclasses p c)
-  in
-  go c;
-  List.rev !acc
+  match Hashtbl.find_opt p.subtypes_memo c with
+  | Some r -> r
+  | None ->
+      let acc = ref [] in
+      let rec go c =
+        let k = cls p c in
+        if not k.is_abstract then acc := c :: !acc;
+        List.iter go (subclasses p c)
+      in
+      go c;
+      let r = List.rev !acc in
+      Hashtbl.replace p.subtypes_memo c r;
+      r
 
 (* When a class hierarchy has exactly one concrete implementation below a
    static receiver type, virtual calls through it can be devirtualized

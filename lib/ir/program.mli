@@ -22,10 +22,14 @@ val num_meths : program -> int
 (** {1 Construction} *)
 
 val add_class :
-  program -> name:string -> parent:class_id option -> own_fields:(string * ty) list ->
-  class_id
+  program -> name:string -> parent:class_id option -> abstract:bool ->
+  own_fields:(string * ty) list -> class_id
 (** The new class's layout is its parent's layout followed by [own_fields];
     single inheritance keeps slot indices stable down the hierarchy. *)
+
+val set_parent : program -> class_id -> parent:class_id option -> unit
+(** Re-links a class under another parent, leaving its layout as it is.
+    The one way to change the hierarchy after {!add_class}. *)
 
 val add_meth :
   program -> name:string -> selector:string -> owner:class_id option ->
@@ -43,16 +47,20 @@ val register_in_vtable : program -> meth_id -> unit
 val resolve : program -> class_id -> string -> meth_id option
 (** Virtual dispatch. The hierarchy walk is memoized per (receiver class,
     selector) pair; construction-time mutations ({!add_class},
-    {!register_in_vtable}) invalidate the memo, so results are always
-    consistent with the current class table. *)
+    {!set_parent}, {!register_in_vtable}) invalidate the memo, so results
+    are always consistent with the current class table. *)
 
 val invalidate_dispatch : program -> unit
-(** Drops all memoized dispatch results. Called internally by the
-    construction API; exposed for callers that mutate vtables directly. *)
+(** Drops all memoized dispatch and hierarchy results. Called internally
+    by the construction API; exposed for callers that mutate vtables
+    directly. *)
 
 val is_subclass : program -> sub:class_id -> sup:class_id -> bool
 val subclasses : program -> class_id -> class_id list
+
 val concrete_subtypes : program -> class_id -> class_id list
+(** The non-abstract classes at or below a class, in preorder. Memoized
+    per class and invalidated with {!resolve}'s memo. *)
 
 val unique_concrete_subtype : program -> class_id -> class_id option
 (** Class-hierarchy analysis: the devirtualization opportunity when a

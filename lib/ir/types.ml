@@ -130,7 +130,7 @@ type cls = {
   parent : class_id option;
   mutable layout : (string * ty) array;
   mutable vtable : (string * meth_id) list;
-  mutable is_abstract : bool;
+  is_abstract : bool;
 }
 
 type meth = {
@@ -152,4 +152,7 @@ type program = {
      implementing method; cleared whenever the class table or a vtable
      changes so it is never stale during frontend construction *)
   resolve_memo : (class_id * string, meth_id option) Hashtbl.t;
+  (* memoized class-hierarchy answers, class -> its concrete subtypes;
+     cleared together with [resolve_memo] *)
+  subtypes_memo : (class_id, class_id list) Hashtbl.t;
 }

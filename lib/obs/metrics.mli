@@ -3,7 +3,8 @@
 
     Recording is zero-cost when disabled, like {!Trace}: sites hold a
     handle obtained once (typically at module initialization) and every
-    record call is one boolean check. Registration is idempotent — the
+    record call is one boolean check, which allocates nothing (test_obs,
+    "disabled hooks allocate nothing"). Registration is idempotent — the
     same name always returns the same handle — so libraries declare their
     instruments at top level and the exported name set is stable whether
     or not a run ever records.

@@ -2,7 +2,8 @@
 
     Emission sites in the engine, inliner, and optimizer driver call
     {!emit} with a field-building closure; with no sink installed the call
-    is one [None] check and the closure never runs. Events carry the
+    is one [None] check, allocates nothing and the closure never runs
+    (test_obs, "disabled hooks allocate nothing"). Events carry the
     simulated cycle clock (never wall time) so identical runs produce
     byte-identical JSONL traces.
 

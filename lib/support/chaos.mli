@@ -5,8 +5,9 @@
     draws from one seeded {!Rng}, so a (program, seed, rate) triple
     replays the exact same fault sequence every run — chaos traces stay
     byte-identical and any failure is bisectable by seed. Ambient and
-    zero-cost when disabled (one [None] check per point), mirroring
-    {!Obs.Trace}. Enabled from the CLI with
+    zero-cost when disabled (one [None] check per point, no allocation:
+    test_obs, "disabled hooks allocate nothing"), mirroring {!Obs.Trace}.
+    Enabled from the CLI with
     [selvm run|bench --chaos-seed N --chaos-rate R]. *)
 
 type fault =

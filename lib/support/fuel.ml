@@ -2,7 +2,8 @@
    compilations.
 
    Mirrors the [Obs.Trace] ambient-sink pattern: with no budget installed
-   every checkpoint is one [None] check, so the plumbing is zero-cost in
+   every checkpoint is one [None] check and allocates nothing (test_obs,
+   "disabled hooks allocate nothing"), so the plumbing is zero-cost in
    production. The optimizer driver and the inliner call [spend] at phase
    and fixpoint-round boundaries (never mid-transform), so [Exhausted]
    only ever fires between consistent IR states. *)

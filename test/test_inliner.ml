@@ -884,19 +884,29 @@ let check_summary (what : string) (t : Calltree.t) : unit =
       same_float "P" (Oracle.priority t n) (Expansion.priority t n))
     (all_nodes t.children)
 
-(* The rounds of [Algorithm.compile], checking the summary around every
-   expansion phase: before it, with the declined flags cleared as the
-   phase starts (every undeclined cutoff is a candidate), and after it. *)
+(* The rounds of [Algorithm.compile], checking the summary as each
+   expansion phase starts (the declined flags cleared, so every
+   undeclined cutoff is a candidate) and after every step of it: a step
+   re-summarizes only the path to the cutoff it chose, so a node it
+   missed reads stale here. *)
 let compile_checking_summary (prog : Ir.Types.program) profiles (m : Ir.Types.meth) : unit =
   let params = Params.default in
   let t = Calltree.create prog profiles params m.m_id in
   let rec round k =
     if k <= params.max_rounds && Ir.Fn.size t.root_fn < params.root_size_cap then begin
-      List.iter (fun (n : Calltree.node) -> n.declined <- false) (all_nodes t.children);
-      Calltree.touch t;
+      Expansion.start t;
       check_summary (Printf.sprintf "%s before round %d" m.m_name k) t;
-      let expanded = Expansion.run t in
-      check_summary (Printf.sprintf "%s after round %d" m.m_name k) t;
+      let rec steps expanded i =
+        if expanded >= params.max_expansions_per_round then expanded
+        else
+          let step = Expansion.step t in
+          check_summary (Printf.sprintf "%s round %d step %d" m.m_name k i) t;
+          match step with
+          | Expansion.Finished -> expanded
+          | Expansion.Grew -> steps (expanded + 1) (i + 1)
+          | Expansion.Stuck | Expansion.Declined -> steps expanded (i + 1)
+      in
+      let expanded = steps 0 1 in
       Analysis.run t;
       let inlined = Inline_phase.run t in
       ignore (Opt.Driver.round_root_opts ~passes:params.root_passes prog t.root_fn);

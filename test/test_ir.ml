@@ -1,5 +1,6 @@
 (* Tests for the IR layer: function/block manipulation, dominators, loop
-   discovery, frequency estimation, the verifier, and inline splicing. *)
+   discovery, frequency estimation, the verifier, inline splicing, and
+   the program's class-hierarchy queries. *)
 
 open Util
 open Ir.Types
@@ -559,6 +560,79 @@ let parse_tests =
         Alcotest.(check int) "f(21)" 42 (Runtime.Values.as_int v));
   ]
 
+(* ---------- class hierarchy ---------- *)
+
+(* The hierarchy queries by a fresh walk over the class table, with no
+   memo: the concrete classes at or below [c] in preorder, children in id
+   order, and dispatch up the parent chain. *)
+let walk_concrete (prog : program) (c : class_id) : class_id list =
+  let children c =
+    let acc = ref [] in
+    Ir.Program.iter_classes (fun k -> if k.parent = Some c then acc := k.c_id :: !acc) prog;
+    List.rev !acc
+  in
+  let rec go c =
+    let below = List.concat_map go (children c) in
+    if (Ir.Program.cls prog c).is_abstract then below else c :: below
+  in
+  go c
+
+let rec walk_resolve (prog : program) (c : class_id) (sel : string) : meth_id option =
+  let k = Ir.Program.cls prog c in
+  match List.assoc_opt sel k.vtable with
+  | Some m -> Some m
+  | None -> Option.bind k.parent (fun p -> walk_resolve prog p sel)
+
+(* Every class's memoized answers against the walk. Asking also fills the
+   memos, so the next edit must clear them. *)
+let check_hierarchy (what : string) (prog : program) : unit =
+  for c = 0 to Ir.Program.num_classes prog - 1 do
+    let at = Printf.sprintf "%s: class %d" what c in
+    let walk = walk_concrete prog c in
+    Alcotest.(check (list int)) (at ^ " concrete subtypes") walk
+      (Ir.Program.concrete_subtypes prog c);
+    Alcotest.(check (option int)) (at ^ " unique concrete subtype")
+      (match walk with [ only ] -> Some only | _ -> None)
+      (Ir.Program.unique_concrete_subtype prog c);
+    Alcotest.(check (option int)) (at ^ " resolves m") (walk_resolve prog c "m")
+      (Ir.Program.resolve prog c "m")
+  done
+
+let hierarchy_tests =
+  [
+    test "class-hierarchy answers follow class-table edits" (fun () ->
+        let prog = Ir.Program.create () in
+        let add ?parent ~abstract name =
+          let c = Ir.Program.add_class prog ~name ~parent ~abstract ~own_fields:[] in
+          check_hierarchy ("after adding " ^ name) prog;
+          c
+        in
+        let shape = add ~abstract:true "Shape" in
+        let m =
+          Ir.Program.add_meth prog ~name:"Shape.m" ~selector:"m" ~owner:(Some shape)
+            ~param_tys:[| Tobj shape |] ~rty:Tint
+        in
+        Ir.Program.register_in_vtable prog m;
+        let square = add ~parent:shape ~abstract:false "Square" in
+        let _circle = add ~parent:shape ~abstract:false "Circle" in
+        let fn_base = add ~abstract:true "Fn" in
+        let lambda = add ~abstract:false "Lambda" in
+        (* the frontend's lambda re-parenting: a unique implementation
+           appears below [fn_base] *)
+        Ir.Program.set_parent prog lambda ~parent:(Some fn_base);
+        check_hierarchy "after re-parenting Lambda" prog;
+        Alcotest.(check (option int)) "Lambda is Fn's one implementation" (Some lambda)
+          (Ir.Program.unique_concrete_subtype prog fn_base);
+        (* moving a class out of a hierarchy leaves Shape one implementation
+           and takes Square's inherited method away *)
+        Ir.Program.set_parent prog square ~parent:(Some fn_base);
+        check_hierarchy "after re-parenting Square" prog;
+        Alcotest.(check (option int)) "Square no longer resolves m" None
+          (Ir.Program.resolve prog square "m");
+        ignore (add ~parent:square ~abstract:true "Abstract square");
+        ignore (add ~parent:square ~abstract:false "Big square"));
+  ]
+
 let () =
   Alcotest.run "ir"
     [
@@ -569,4 +643,5 @@ let () =
       ("verify", verify_tests);
       ("splice", splice_tests);
       ("parse", parse_tests);
+      ("hierarchy", hierarchy_tests);
     ]

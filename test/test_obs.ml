@@ -668,6 +668,58 @@ let attribution_tests =
         Alcotest.(check int) "code size identical" z1 z2);
   ]
 
+(* ---------- disabled hooks ---------- *)
+
+(* Each hook the compiler and engine call on their hot paths is claimed to
+   cost one check when disabled: [Trace.emit] with no sink, the [Metrics]
+   recorders while recording is off, [Chaos.roll] with no plan and
+   [Fuel.spend] with no budget. 10,000 calls of each must allocate no
+   minor words. Every closure is built before the count starts, and the
+   field closure [emit] is handed must never run. *)
+let zero_cost_tests =
+  [
+    test "disabled hooks allocate nothing" (fun () ->
+        Alcotest.(check bool) "no trace sink" false (Obs.Trace.enabled ());
+        Alcotest.(check bool) "no chaos plan" false (Support.Chaos.enabled ());
+        Alcotest.(check bool) "no fuel budget" false (Support.Fuel.enabled ());
+        let was_enabled = Obs.Metrics.enabled () in
+        Obs.Metrics.set_enabled false;
+        let c = Obs.Metrics.counter "test.zero_cost_counter" in
+        let g = Obs.Metrics.gauge "test.zero_cost_gauge" in
+        let h = Obs.Metrics.histogram "test.zero_cost_hist" in
+        let forced = ref 0 in
+        let fields () =
+          incr forced;
+          [ ("forced", Support.Json.Int !forced) ]
+        in
+        let words f =
+          let before = Gc.minor_words () in
+          f ();
+          Gc.minor_words () -. before
+        in
+        let overhead = words (fun () -> ()) in
+        let check name hook =
+          let loop () =
+            for i = 1 to 10_000 do
+              hook i
+            done
+          in
+          Alcotest.(check int) (name ^ ": minor words over 10,000 calls") 0
+            (int_of_float (words loop -. overhead))
+        in
+        Fun.protect
+          ~finally:(fun () -> Obs.Metrics.set_enabled was_enabled)
+          (fun () ->
+            check "Trace.emit" (fun _ -> Obs.Trace.emit "zero_cost" fields);
+            check "Metrics.incr" (fun _ -> Obs.Metrics.incr c);
+            check "Metrics.add" (fun i -> Obs.Metrics.add c i);
+            check "Metrics.set" (fun i -> Obs.Metrics.set g i);
+            check "Metrics.observe" (fun i -> Obs.Metrics.observe h i);
+            check "Chaos.roll" (fun _ -> ignore (Support.Chaos.roll Support.Chaos.Compiler_crash));
+            check "Fuel.spend" (fun i -> Support.Fuel.spend i));
+        Alcotest.(check int) "the field closure never ran" 0 !forced);
+  ]
+
 (* ---------- golden trace-event schema ---------- *)
 
 (* The trace is a public interface ([selvm events]/[explain], CI jq
@@ -1138,4 +1190,5 @@ let () =
       ("slo", slo_tests);
       ("diff", diff_tests);
       ("schema", schema_tests);
+      ("zero_cost", zero_cost_tests);
     ]
