@@ -3,6 +3,7 @@
      dune exec bench/main.exe              # regenerate every figure/table
      dune exec bench/main.exe -- fig9      # a single experiment
      dune exec bench/main.exe -- smoke     # interpreter wall-clock smoke
+     dune exec bench/main.exe -- layout --workload W   # A/B under a layout control
 
    Output is plain text, designed to be tee'd into bench_output.txt and
    compared against the paper's Section V (see EXPERIMENTS.md). *)
@@ -35,22 +36,48 @@ let experiments =
     ("all", Experiments.all);
   ]
 
-let experiment =
+let experiment (name, run) =
+  Cmd.v (Cmd.info name) Term.(const (fun () -> banner (); run ()) $ const ())
+
+let layout =
   let doc =
-    Printf.sprintf "Experiment to run: %s."
-      (Arg.doc_alts_enum experiments)
+    "compare two revisions on one jitbench workload, each built in 3 code layouts"
   in
-  let names = List.map (fun (name, _) -> (name, name)) experiments in
-  Arg.(value & pos 0 (enum names) "all" & info [] ~docv:"EXPERIMENT" ~doc)
+  let parent =
+    Arg.(value & opt string "HEAD" & info [ "parent" ] ~docv:"REV" ~doc:"The parent revision.")
+  in
+  let change =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "change" ] ~docv:"REV"
+          ~doc:"The changed revision; by default the working tree's tracked files.")
+  in
+  let workload =
+    let names = [ "tiered"; "compile-replay"; "interp-only"; "fleet" ] in
+    Arg.(required & opt (some (enum (List.map (fun n -> (n, n)) names))) None
+         & info [ "workload" ] ~docv:"W" ~doc:"The jitbench workload.")
+  in
+  let rounds =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "--rounds must be an integer of at least 1, not %S" s))
+    in
+    Arg.(value & opt (conv (parse, Format.pp_print_int)) 10 & info [ "rounds" ] ~docv:"N"
+           ~doc:"Rounds over every binary; each round is one parent-change pair. \
+                 Fewer than 10 give no verdict.")
+  in
+  Cmd.v (Cmd.info "layout" ~doc)
+    Term.(
+      const (fun parent change workload rounds -> Layout.run ~parent ~change ~workload ~rounds)
+      $ parent $ change $ workload $ rounds)
 
 let cmd =
   let doc = "regenerate the paper's evaluation figures and tables on SelVM" in
-  Cmd.v
+  Cmd.group
+    ~default:Term.(const (fun () -> banner (); Experiments.all ()) $ const ())
     (Cmd.info "bench" ~doc)
-    Term.(
-      const (fun name ->
-          banner ();
-          (List.assoc name experiments) ())
-      $ experiment)
+    (layout :: List.map experiment experiments)
 
 let () = exit (Cmd.eval cmd)

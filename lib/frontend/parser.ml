@@ -1,7 +1,7 @@
 (* Recursive-descent parser for Sel with precedence climbing for binary
    operators. The grammar is LL(k) with one real ambiguity — `(` can open a
-   parenthesized expression or a lambda parameter list — resolved by
-   scanning ahead for `=>` after the matching `)`. *)
+   parenthesized expression or a lambda parameter list — resolved by at
+   most three tokens after the `(`. *)
 
 open Ast
 open Lexer
@@ -125,22 +125,18 @@ let prec = function
   | "*" | "/" | "%" -> 10
   | _ -> -1
 
-(* Is the `(` at index [k] the start of a lambda parameter list?
-   Scan to the matching `)` and look for `=>`. *)
+(* Is the `(` at the cursor the start of a lambda parameter list? No
+   parenthesized expression opens with `name :` or `name ,` (Sel has no
+   type ascription and no tuples), and none is `()` or `(name)` followed
+   by `=>`, so at most three tokens decide. An untyped `(x) =>` or
+   `(x, y)` thus goes to [parse_params], which asks for the type. *)
 let lambda_ahead st =
-  let n = Array.length st.toks in
-  let rec scan k depth =
-    if k >= n then false
-    else
-      match st.toks.(k).t with
-      | PUNCT "(" -> scan (k + 1) (depth + 1)
-      | PUNCT ")" ->
-          if depth = 1 then k + 1 < n && st.toks.(k + 1).t = PUNCT "=>"
-          else scan (k + 1) (depth - 1)
-      | EOF -> false
-      | _ -> scan (k + 1) depth
-  in
-  at_punct st "(" && scan st.k 0
+  at_punct st "("
+  &&
+  match (peek st 1, peek st 2) with
+  | IDENT _, PUNCT (":" | ",") | PUNCT ")", PUNCT "=>" -> true
+  | IDENT _, PUNCT ")" -> peek st 3 = PUNCT "=>"
+  | _ -> false
 
 let rec parse_expr st : expr = parse_assign st
 

@@ -112,9 +112,14 @@ let resolve p (c : class_id) (selector : string) : meth_id option =
       Hashtbl.replace p.resolve_memo key r;
       r
 
-let is_subclass p ~(sub : class_id) ~(sup : class_id) : bool =
-  let rec up c = c = sup || (match (cls p c).parent with Some parent -> up parent | None -> false) in
-  up sub
+(* A top-level walk rather than a local closure over [p] and [sup]: the
+   threaded tier asks at every type test a compiled typeswitch runs, and
+   a closure would be allocated per question. *)
+let rec is_subclass_walk p (c : class_id) (sup : class_id) : bool =
+  c = sup
+  || match (cls p c).parent with Some parent -> is_subclass_walk p parent sup | None -> false
+
+let is_subclass p ~(sub : class_id) ~(sup : class_id) : bool = is_subclass_walk p sub sup
 
 (* Direct subclasses of [c]. *)
 let subclasses p (c : class_id) : class_id list =

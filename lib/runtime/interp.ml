@@ -335,8 +335,13 @@ let box_int (n : int) : value =
 (* Run-time access to a named slot. These decode [Prepared]'s slot
    encoding inline — [s >= 0] is in the value frame, otherwise int-frame
    slot [(lnot s) lsr 1], a Bool when [(lnot s) land 1 = 1] — rather than
-   through [Prepared.kind]/[index]: they run per operation, and a call
-   into another module is not inlined. *)
+   by matching on [Prepared.kind]: even inlined, that match tests the
+   slot to build the constructor and then branches on the constructor,
+   and [Prepared.index] tests the sign again. These run at every
+   argument copy; decoded through [kind]/[index], interp-only's wall
+   time over layouts rose 5.0%, losing 10 of 10 rounds of
+   [bench/main.exe layout] by a gap wider than layout alone moved
+   either build (2-vCPU x86-64). *)
 
 (* A slot read as a value, boxing an int-frame slot. *)
 let get_slot (st : tstate) (s : int) : value =

@@ -631,6 +631,27 @@ let hierarchy_tests =
           (Ir.Program.resolve prog square "m");
         ignore (add ~parent:square ~abstract:true "Abstract square");
         ignore (add ~parent:square ~abstract:false "Big square"));
+    (* the threaded tier asks at every type test a compiled typeswitch
+       runs, so a question must not allocate *)
+    test "is_subclass allocates nothing" (fun () ->
+        let prog = Ir.Program.create () in
+        let add ~parent name =
+          Ir.Program.add_class prog ~name ~parent ~abstract:false ~own_fields:[]
+        in
+        let a = add ~parent:None "A" in
+        let b = add ~parent:(Some a) "B" in
+        let c = add ~parent:(Some b) "C" in
+        let other = add ~parent:None "Other" in
+        let hits = ref 0 in
+        let before = Gc.minor_words () in
+        for i = 1 to 10_000 do
+          let sup = if i land 1 = 0 then a else other in
+          if Ir.Program.is_subclass prog ~sub:c ~sup then incr hits
+        done;
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check int) "C is below A, not below Other" 5_000 !hits;
+        if words >= 100. then
+          Alcotest.failf "10,000 is_subclass calls allocated %.0f words" words);
   ]
 
 let () =

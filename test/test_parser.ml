@@ -161,11 +161,27 @@ let error_tests =
         ignore (parse_err "def f(): Unit = { 1 + 2 = 3 }"));
     test "tuple type rejected" (fun () -> ignore (parse_err "def f(x: (Int, Int)): Unit = {}"));
     test "unclosed block" (fun () -> ignore (parse_err "def f(): Int = { 1"));
+    test "an untyped lambda parameter asks for its type" (fun () ->
+        Alcotest.(check string) "one" "expected ':' but found ')'"
+          (parse_err "def f(): Int = ((x) => x)(1)");
+        Alcotest.(check string) "two" "expected ':' but found ','"
+          (parse_err "def f(): Int = ((x, y) => x)(1, 2)"));
     test "error carries position" (fun () ->
         match Frontend.Parser.parse_string "def f(): Int = }" with
         | _ -> Alcotest.fail "expected error"
         | exception Frontend.Parser.Parse_error (_, pos) ->
             Alcotest.(check int) "line" 1 pos.line);
+  ]
+
+(* [println] of 1 inside [depth] pairs of parentheses. *)
+let nested depth =
+  Printf.sprintf "def main(): Unit = println(%s1%s)" (String.make depth '(')
+    (String.make depth ')')
+
+let nesting_tests =
+  [
+    test "100,000-deep parentheses parse and print 1" (fun () ->
+        Alcotest.(check string) "output" "1\n" (output_of (nested 100_000)));
   ]
 
 let () =
@@ -176,4 +192,5 @@ let () =
       ("constructs", construct_tests);
       ("declarations", decl_tests);
       ("errors", error_tests);
+      ("nesting", nesting_tests);
     ]

@@ -157,6 +157,77 @@ let stats_tests =
     test "mean of empty raises" (fun () ->
         Alcotest.check_raises "empty" (Invalid_argument "Stats.mean: empty") (fun () ->
             ignore (Support.Stats.mean [])));
+    test "median of odd and even lists" (fun () ->
+        Alcotest.(check (float 0.0)) "odd" 2.0 (Support.Stats.median [ 3.0; 1.0; 2.0 ]);
+        Alcotest.(check (float 0.0)) "even" 2.5
+          (Support.Stats.median [ 4.0; 1.0; 3.0; 2.0 ]));
+  ]
+
+(* ---------- Stats.compare_layouts: the layout driver's verdict ---------- *)
+
+(* [rounds] (10 by default) rounds of each layout: [base] plus the
+   layout's offset, plus [bump r] in round [r]. *)
+let layouts ?(rounds = 10) ?(bump = fun _ -> 0.0) (base : float) (offsets : float list) :
+    float list list =
+  List.map (fun off -> List.init rounds (fun r -> base +. off +. bump r)) offsets
+
+let check_verdict what expected ~parent ~change =
+  let s = Support.Stats.compare_layouts ~parent ~change in
+  Alcotest.(check string) what expected (Support.Stats.verdict_to_string s.verdict);
+  s
+
+let layout_tests =
+  [
+    test "a gain beyond the layout spread is a gain" (fun () ->
+        let s =
+          check_verdict "verdict" "gain"
+            ~parent:(layouts 1.00 [ 0.0; 0.01; 0.02 ])
+            ~change:(layouts 0.90 [ 0.0; 0.01; 0.02 ])
+        in
+        Alcotest.(check int) "wins" 10 s.wins;
+        Alcotest.(check (float 1e-9)) "parent median" 1.01 s.parent_median;
+        Alcotest.(check (float 1e-9)) "change median" 0.91 s.change_median;
+        Alcotest.(check (float 1e-9)) "spread" 0.02 s.parent_spread);
+    test "a gain inside the layout spread is unattributed" (fun () ->
+        (* every pair wins, but layout alone moves the parent by 0.10 *)
+        let s =
+          check_verdict "verdict" "unattributed"
+            ~parent:(layouts 1.00 [ 0.0; 0.05; 0.10 ])
+            ~change:(layouts 0.97 [ 0.0; 0.05; 0.10 ])
+        in
+        Alcotest.(check int) "wins" 10 s.wins);
+    test "8 of 10 pair wins are rejected" (fun () ->
+        let s =
+          check_verdict "verdict" "rejected"
+            ~parent:(layouts 1.00 [ 0.0; 0.01; 0.02 ])
+            ~change:
+              (layouts 0.90 [ 0.0; 0.01; 0.02 ] ~bump:(fun r ->
+                   if r < 2 then 0.20 else 0.0))
+        in
+        Alcotest.(check (pair int int)) "wins, losses" (8, 2) (s.wins, s.losses);
+        Alcotest.(check bool) "the medians alone would call a gain" true
+          (s.parent_median -. s.change_median > s.parent_spread));
+    test "a slowdown beyond the layout spread is a regression" (fun () ->
+        let s =
+          check_verdict "verdict" "regression"
+            ~parent:(layouts 1.00 [ 0.0; 0.01; 0.02 ] ~bump:(fun r -> 0.001 *. float_of_int r))
+            ~change:(layouts 1.10 [ 0.0; 0.01; 0.02 ])
+        in
+        Alcotest.(check int) "losses" 10 s.losses);
+    test "3 of 3 pair wins are too few pairs" (fun () ->
+        (* the gap is ten times the spread, but 3 rounds credit nothing *)
+        let s =
+          check_verdict "verdict" "too few pairs"
+            ~parent:(layouts ~rounds:3 1.00 [ 0.0; 0.01; 0.02 ])
+            ~change:(layouts ~rounds:3 0.80 [ 0.0; 0.01; 0.02 ])
+        in
+        Alcotest.(check (pair int int)) "wins of pairs" (3, 3) (s.wins, s.pairs));
+    test "sides must run the same rounds" (fun () ->
+        Alcotest.check_raises "uneven"
+          (Invalid_argument "Stats.compare_layouts: sides ran different rounds")
+          (fun () ->
+            ignore
+              (Support.Stats.compare_layouts ~parent:[ [ 1.0; 1.0 ] ] ~change:[ [ 1.0 ] ])));
   ]
 
 (* ---------- Json: the emitter the trace sink depends on ---------- *)
@@ -364,7 +435,7 @@ let () =
     [
       ("vec", vec_tests);
       ("rng", rng_tests);
-      ("stats", stats_tests);
+      ("stats", stats_tests @ layout_tests);
       ("json", json_tests);
       ("fuel", fuel_tests);
       ("chaos", chaos_plan_tests);
