@@ -14,7 +14,6 @@ type state = {
 }
 
 val create : program -> Runtime.Profile.t -> meth_id -> state
-val fresh_site : state -> site
 val depth_of : state -> vid -> int
 
 val inline_at : state -> call_vid:vid -> callee:meth_id -> unit

@@ -5,7 +5,4 @@
 
     Assigns every Call and If its stable profile site key. *)
 
-val lower_method : Ir.Types.program -> Tast.tmethod -> unit
-(** Lowers one checked method and installs the body in the program. *)
-
 val lower_program : Ir.Types.program -> Tast.tmethod list -> unit

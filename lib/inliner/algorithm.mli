@@ -17,9 +17,6 @@ val pp_stats : Format.formatter -> stats -> unit
 
 type result = { body : Ir.Types.fn; stats : stats }
 
-val log_src : Logs.src
-(** Per-round debug logging ([Logs.Src.set_level]). *)
-
 val compile :
   ?trial_cache:Trial_cache.t -> Ir.Types.program -> Runtime.Profile.t -> Params.t ->
   Ir.Types.meth_id -> result

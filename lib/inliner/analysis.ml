@@ -29,6 +29,10 @@ let inlinable (n : node) : bool =
   | Expanded _ | Poly _ | Cutoff (Known _) -> true
   | Cutoff (Unknown _) | Generic _ | Deleted -> false
 
+(* Listing 6 for one node whose children were already analyzed: initial
+   benefit = B_L(n) − Σ B_L(children) (inlining alone forfeits the
+   children's optimizations), then greedy cluster merging over the
+   front. *)
 let analyze_node (t : t) (n : node) : unit =
   n.in_parent_cluster <- false;
   let children_benefit =

@@ -14,11 +14,5 @@ val inlinable : node -> bool
 (** Can the node ever be spliced? (Expanded, Poly, or a direct-target
     cutoff.) *)
 
-val analyze_node : t -> node -> unit
-(** Listing 6 for one node whose children were already analyzed: initial
-    benefit = B_L(n) − Σ B_L(children) (inlining alone forfeits the
-    children's optimizations), then greedy cluster merging over the
-    front. *)
-
 val run : t -> unit
 (** Bottom-up over the whole tree. *)

@@ -297,8 +297,6 @@ let spec_signature (t : t) ~(env : Opt.Tyinfer.env) ~(owner : fn) ~(call_vid : v
         (cst, refined))
     declared
 
-let digest_of_signature = Sigs.digest
-
 (* see {!Sigs.improves} *)
 let signature_improves (prog : program) ~old_sig ~new_sig : bool =
   Sigs.improves prog ~old_sig ~new_sig

@@ -87,11 +87,6 @@ val fresh_syn_site : t -> site
 (** A synthetic (negative) site key for compiler-introduced control flow;
     never re-speculated and never profiled. *)
 
-val meth_name : t -> meth_id -> string
-
-val target_label : t -> target -> string
-(** The method name, or the selector prefixed with [?] while unresolved. *)
-
 val node_depth : node -> int
 (** Call-path depth: 1 for direct children of the root. *)
 
@@ -151,22 +146,12 @@ val spec_signature :
     callee with; [env] is [Opt.Tyinfer.infer] of [owner], which callers
     compute once per owner rather than once per callsite. *)
 
-val digest_of_signature : (const option * ty option) array -> string
-
 val signature_improves :
   program -> old_sig:(const option * ty option) array ->
   new_sig:(const option * ty option) array -> bool
 (** Strictly better information: some parameter gained a constant or a
     more precise type, and none lost one. Guards re-specialization so
     oscillating signatures do not discard subtree exploration. *)
-
-val specialize :
-  ?callee_m:meth_id -> t -> enabled:bool -> callee_body:fn ->
-  sg:(const option * ty option) array -> fn * int * int
-(** Fresh copy with the specialization applied and canonicalized; returns
-    (copy, N_s, N_a). With [enabled:false] the copy is merely simplified —
-    the shallow-trials ablation. [callee_m] keys the trial cache when one
-    is installed. *)
 
 (** {1 Tree evolution} *)
 
@@ -176,8 +161,6 @@ val expand_cutoff : t -> node -> bool
     Poly (≤ [poly_max_targets] targets with probability ≥ [poly_min_prob])
     or Generic; recursion past the hard limit becomes Generic. True iff
     the tree gained an Expanded or Poly node. *)
-
-val poly_targets : t -> node -> string -> (class_id * meth_id * float) list
 
 val refresh : t -> unit
 (** Re-synchronizes with the owner IRs after a round: deleted callsites
@@ -190,5 +173,4 @@ val prepared_body : t -> meth_id -> fn option
 
 (** {1 Debugging} *)
 
-val pp_node : t -> Format.formatter -> node -> unit
 val pp : Format.formatter -> t -> unit

@@ -32,6 +32,8 @@ let threshold_value (t : t) (n : node) ~(root_size : int) : float =
       let _, cost = n.tuple in
       p.t1 *. (2.0 ** ((root_size +. cost -. p.t2) /. p.tscale))
 
+(* ⟨tuple(n)⟩ ≥ t1 · 2^((|ir(root)| + cost(n) − t2)/tscale), and the root
+   is below the hard size cap; [root_size] is |ir(root)|. *)
 let can_inline (t : t) (n : node) ~(root_size : int) : bool =
   root_size < t.params.root_size_cap
   &&

@@ -5,14 +5,11 @@
 
 open Ir.Types
 
-val order_targets : program -> (class_id * 'a) list -> (class_id * 'a) list
-(** Sorts so no class follows one of its subclasses. *)
-
 val build :
   program -> fn -> call_vid:vid -> targets:(class_id * meth_id) list ->
   fresh_site:(unit -> site) -> (class_id * vid) list
 (** Rewrites the callsite in place; returns the direct-call vid per target
-    class. The caller orders targets (see {!order_targets}).
+    class, ordered so that no class follows one of its subclasses.
     @raise Invalid_argument on an empty target list, a non-virtual or
     missing callsite. *)
 

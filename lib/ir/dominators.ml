@@ -80,5 +80,3 @@ let dominates t ~(a : bid) ~(b : bid) : bool =
 
 (* Children in the dominator tree. *)
 let children t (b : bid) : bid list = if reachable t b then t.children.(b) else []
-
-let rpo t = t.order

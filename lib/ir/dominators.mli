@@ -16,6 +16,3 @@ val dominates : t -> a:bid -> b:bid -> bool
 
 val children : t -> bid -> bid list
 (** Children in the dominator tree, ascending. *)
-
-val rpo : t -> bid list
-(** The reverse postorder the tree was computed over. *)

@@ -155,9 +155,6 @@ val size : fn -> int
 (** The paper's |ir| metric: live instructions plus one per block
     terminator. *)
 
-val param_ty : fn -> int -> ty
-(** The (possibly specialization-refined) type of parameter [i]. *)
-
 val result_ty : fn -> instr_kind -> ty
 
 val copy : fn -> fn

@@ -1,11 +1,9 @@
 (** Relative block-frequency estimation: the basis for the inliner's
     callsite frequency f(n). Profile-driven when execution counts exist,
-    otherwise a static estimate (branch probability 0.5, ×{!loop_multiplier}
-    per loop-nesting level). *)
+    otherwise a static estimate (branch probability 0.5, ×8 per
+    loop-nesting level). *)
 
 open Types
-
-val loop_multiplier : float
 
 val static : fn -> (bid, float) Hashtbl.t
 (** Entry-relative frequency per reachable block, structural estimate. *)

@@ -17,11 +17,6 @@ val is_pure : instr_kind -> bool
 (** Pure instructions depend only on their operands: eligible for value
     numbering. Loads are not pure (memory may change between them). *)
 
-val is_removable : instr_kind -> bool
-(** May the instruction be deleted when its result is unused? Pure
-    instructions, allocations, and loads (a dead load only drops a
-    potential trap). *)
-
 val has_side_effect : instr_kind -> bool
 (** [not is_removable]: calls, stores and observable intrinsics. *)
 

@@ -64,5 +64,3 @@ let compute (fn : fn) : t =
 let depth t b = try Hashtbl.find t.depth b with Not_found -> 0
 
 let is_header t b = List.exists (fun l -> l.header = b) t.loops
-
-let loop_of_header t b = List.find_opt (fun l -> l.header = b) t.loops

@@ -16,4 +16,3 @@ type t = {
 val compute : fn -> t
 val depth : t -> bid -> int
 val is_header : t -> bid -> bool
-val loop_of_header : t -> bid -> loop option

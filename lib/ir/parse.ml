@@ -1,4 +1,4 @@
-(* Textual IR parser: reads exactly what {!Printer.pp_fn} emits, so IR can
+(* Textual IR parser: reads exactly what [Printer.fn_to_string] emits, so IR can
    round-trip through text — for IR-level test cases, for diffing compiled
    code, and for replaying dumps from `selvm compile`.
 

@@ -1,4 +1,4 @@
-(** Textual IR parser: reads exactly what {!Printer.pp_fn} emits, so IR
+(** Textual IR parser: reads exactly what {!Printer.fn_to_string} emits, so IR
     round-trips through text — for IR-level test cases, for diffing
     compiled code, and for replaying `selvm compile` dumps. Instruction and
     block ids in the text are preserved. *)

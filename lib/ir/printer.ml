@@ -95,13 +95,3 @@ let pp_fn ppf (fn : fn) =
   Fmt.pf ppf "@]"
 
 let fn_to_string fn = Fmt.str "%a" pp_fn fn
-
-let pp_program ppf (p : program) =
-  Support.Vec.iter
-    (fun (m : meth) ->
-      match m.body with
-      | Some fn -> Fmt.pf ppf "; m%d = %s@.%a@." m.m_id m.m_name pp_fn fn
-      | None -> Fmt.pf ppf "; m%d = %s (abstract)@." m.m_id m.m_name)
-    p.meths
-
-let program_to_string p = Fmt.str "%a" pp_program p

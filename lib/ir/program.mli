@@ -50,13 +50,7 @@ val resolve : program -> class_id -> string -> meth_id option
     {!set_parent}, {!register_in_vtable}) invalidate the memo, so results
     are always consistent with the current class table. *)
 
-val invalidate_dispatch : program -> unit
-(** Drops all memoized dispatch and hierarchy results. Called internally
-    by the construction API; exposed for callers that mutate vtables
-    directly. *)
-
 val is_subclass : program -> sub:class_id -> sup:class_id -> bool
-val subclasses : program -> class_id -> class_id list
 
 val concrete_subtypes : program -> class_id -> class_id list
 (** The non-abstract classes at or below a class, in preorder. Memoized

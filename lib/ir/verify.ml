@@ -178,8 +178,6 @@ let check (fn : fn) : unit =
     fn;
   check_index fn ~placed:(fun v -> Option.value (Hashtbl.find_opt def_block v) ~default:(-1))
 
-let check_exn = check
-
 let is_well_formed fn =
   match check fn with () -> true | exception Ill_formed _ -> false
 

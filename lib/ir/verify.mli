@@ -8,9 +8,6 @@ exception Ill_formed of string
 val check : Types.fn -> unit
 (** @raise Ill_formed with a description of the first violation. *)
 
-val check_exn : Types.fn -> unit
-(** Alias of {!check}. *)
-
 val is_well_formed : Types.fn -> bool
 
 val check_program : Types.program -> (unit, string) result

@@ -318,7 +318,7 @@ let timeline_fields (t : t) : (string * Support.Json.t) list =
 
 (* The per-entry sampling check: one [None] match while no timeline is
    attached. When a sample is due, snapshot the gauges and stream the
-   row; the SLO detectors read the rows offline ([Obs.Slo.check_rows]). *)
+   row; the SLO detectors read the rows offline ([Obs.Slo.check_file]). *)
 let sample_timeline ?(force = false) (t : t) : unit =
   match t.timeline with
   | None -> ()

@@ -99,7 +99,7 @@ val run :
     clock ({!Engine.attach_timeline}) and the driver adds one
     [timeline_fleet] row per round-robin turn when due — queue/cache
     totals plus p50/p90/p99/max latency percentiles across the fleet;
-    {!Obs.Slo.check_rows} reads those rows offline, with per-tenant
+    {!Obs.Slo.check_file} reads those rows offline, with per-tenant
     detector state. Sampling only reads engine state, so arming it never
     perturbs tenant behavior — the fleet-vs-solo isolation invariant
     holds with the timeline on. *)

@@ -48,8 +48,6 @@ type compilation = {
   c_roots : cnode list;
 }
 
-val of_events : Support.Json.t list -> compilation list
-
 val of_lines : string list -> (compilation list, string) result
 (** Blank lines are skipped; the error names the first malformed line. *)
 

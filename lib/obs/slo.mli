@@ -51,10 +51,6 @@ type violation = {
   v_window : int;     (** 0 for level detectors *)
 }
 
-val check_rows : ?specs:spec list -> Timeline.row list -> violation list
-(** Runs [specs] (default {!default_specs}) over the [timeline_sample]
-    rows in order, skipping fleet rows; the rising edges, chronological. *)
-
 val check_lines : ?specs:spec list -> string list -> (violation list, string) result
 
 val check_file : ?specs:spec list -> string -> (violation list, string) result

@@ -42,12 +42,6 @@ type t = {
   mutable last_cycles : int;
 }
 
-val empty : unit -> t
-
-val add_event : t -> Support.Json.t -> unit
-(** Folds one parsed event into the summary. Unknown kinds still count
-    toward [total]/[kinds]. *)
-
 val parse_lines : string list -> (int * Support.Json.t) list * (int * string) list
 (** Tolerant scan: the well-formed events with their 1-based line numbers,
     plus the malformed lines as (line, error). Blank lines are skipped.

@@ -17,10 +17,6 @@ type t
 val default_interval : int
 (** Simulated cycles between samples of one source (20k). *)
 
-val make : ?interval:int -> (string -> unit) -> t
-(** [make write] builds a sampler around a line writer (no trailing
-    newline). [interval] is clamped to at least 1. *)
-
 val interval : t -> int
 
 val rows : t -> int
@@ -32,10 +28,6 @@ val memory : ?interval:int -> unit -> t * (unit -> string list)
 val with_file : ?interval:int -> string -> (t -> 'a) -> 'a
 (** [with_file path f] runs [f] with a timeline writing JSONL to [path]
     (atomic: temp sibling + rename, like {!Trace.with_file}). *)
-
-val record : t -> kind:string -> cycles:int -> (string * Support.Json.t) list -> unit
-(** Low-level row emission; {!sample} and {!fleet} are the two kinds the
-    engine and fleet driver use. *)
 
 val sample : t -> source:string -> cycles:int -> (string * Support.Json.t) list -> unit
 (** One [timeline_sample] row: ["tenant"] set to [source], then the
@@ -55,8 +47,6 @@ type row = {
   r_source : string;   (** the ["tenant"] field; [""] on fleet rows *)
   r_fields : Support.Json.t;  (** the whole row *)
 }
-
-val row_of_json : Support.Json.t -> row option
 
 val rows_of_lines : string list -> (row list, string) result
 (** Strict scan: the first malformed line is the error. Rows missing

@@ -21,10 +21,6 @@ let current : sink option ref = ref None
 
 let enabled () = !current <> None
 
-let install (s : sink) : unit = current := Some s
-
-let uninstall () : unit = current := None
-
 let set_clock (clock : unit -> int) : unit =
   match !current with None -> () | Some s -> s.clock <- clock
 

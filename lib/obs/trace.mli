@@ -22,12 +22,6 @@ val enabled : unit -> bool
 (** Is a sink installed? Emission sites may pre-check this to skip
     expensive derived metrics entirely. *)
 
-val install : sink -> unit
-(** Makes [sink] the ambient sink until {!uninstall} (or another
-    {!install}). The engine stamps it with its VM clock on creation. *)
-
-val uninstall : unit -> unit
-
 val set_clock : (unit -> int) -> unit
 (** Points the ambient sink's clock at a simulated cycle counter; no-op
     when tracing is disabled. *)
@@ -39,10 +33,6 @@ val emit : string -> (unit -> (string * Support.Json.t) list) -> unit
 val scoped : sink -> (unit -> 'a) -> 'a
 (** Installs the sink for the duration of the callback, then restores the
     previously ambient sink (exception-safe). *)
-
-val channel_sink : out_channel -> sink
-(** A sink appending one line per event to the channel. The caller owns
-    (and closes) the channel. *)
 
 val memory_sink : unit -> sink * (unit -> string list)
 (** An in-memory sink and a reader returning the lines collected so far

@@ -11,9 +11,6 @@ val fold_binop : binop -> const -> const -> const option
 (** Pure constant folding; [None] when not foldable (e.g. division by a
     zero constant, which must keep its runtime trap). *)
 
-val fold_unop : unop -> const -> const option
-val fold_intrinsic : intrinsic -> const option list -> const option
-
 type rewrite =
   | Value of vid  (** the instruction computes this existing value *)
   | Op of instr_kind  (** the instruction becomes this op; a [Const] for a fold *)

@@ -3,8 +3,6 @@
     into a freshly created preheader. The flagship case is the
     [i < arr.length] bound of every collection loop. *)
 
-val hoistable : Ir.Types.instr_kind -> bool
-
 val run : Ir.Types.fn -> int
 (** Processes every natural loop once; returns the number of instructions
     hoisted. Idempotent (a second run hoists nothing and creates no new

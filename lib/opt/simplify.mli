@@ -10,10 +10,6 @@ open Ir.Types
 
 type replaced = old_v:vid -> new_v:vid -> unit
 
-val remove_unreachable : ?pruned:(vid -> unit) -> fn -> bool
-val remove_trivial_phis : ?replaced:replaced -> fn -> bool
-val merge_blocks : ?replaced:replaced -> fn -> bool
-
 val cleanup : ?pruned:(vid -> unit) -> ?replaced:replaced -> fn -> bool
 (** All three, in order; true when anything changed. Running it again
     right away changes nothing. *)

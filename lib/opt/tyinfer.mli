@@ -14,9 +14,6 @@ type vt =
   | Vt_arr of ty
   | Vt_top                       (** unknown *)
 
-val of_ty : ty -> vt
-val join : program -> vt -> vt -> vt
-
 type env
 (** Value types of one function, a dense table over its vids. *)
 

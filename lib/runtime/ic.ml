@@ -76,11 +76,6 @@ let add (t : t) (e : entry) : unit =
 
 let dispatches (t : t) : int = t.hits + t.misses + t.mega
 
-(* Forgets the cached resolutions (not the counters). *)
-let reset (t : t) : unit =
-  t.entries <- [||];
-  t.megamorphic <- false
-
 (* Zeroes the counters — used after folding them into retired stats so a
    second retirement of the same code object cannot double-count. *)
 let reset_stats (t : t) : unit =

@@ -32,9 +32,6 @@ type t = {
   mutable mega : int;  (** slow-path dispatches while megamorphic *)
 }
 
-val depth : int
-(** Polymorphic degree before a site goes megamorphic (4). *)
-
 val create : site:site -> selector:string -> t
 
 val miss : entry
@@ -49,14 +46,11 @@ val note_miss : t -> unit
     depth is exhausted). Call before {!add}. *)
 
 val add : t -> entry -> unit
-(** Installs a freshly resolved entry; past {!depth} the site turns
+(** Installs a freshly resolved entry; past 4 entries the site turns
     megamorphic and keeps its existing entries. *)
 
 val dispatches : t -> int
 (** [hits + misses + mega]. *)
-
-val reset : t -> unit
-(** Forgets the cached resolutions (not the counters). *)
 
 val reset_stats : t -> unit
 (** Zeroes the counters (after folding them into retired stats). *)

@@ -13,10 +13,12 @@
      unboxed in their own, edge-resolved phis, pre-decoded instructions —
      cached per (method, tier), and lowered once into direct-threaded
      handler closures specialized for those frames, with superinstruction
-     fusion. This is the production path.
+     fusion. This is the production path. It runs verified, well-typed
+     IR only and refuses any other body before it runs (see prepared.mli).
    - [Reference]: the original direct IR walker, kept as the executable
      specification the differential suite checks the threaded engine
-     against (test/test_differential.ml).
+     against (test/test_differential.ml). It stays permissive: it runs
+     ill-typed IR up to the trap the ill-typed op raises.
 
    Prepared-cache coherence: entries are keyed by method and tier and
    remembered together with the physical [fn] they were translated from; a
@@ -322,10 +324,10 @@ let vfalse = Vbool false
 let vbool b = if b then vtrue else vfalse
 
 (* Ints are boxed only where they leave the threaded frames (returns,
-   heap stores, intrinsic operands, OSR reads, reference-walker
-   arguments), and boxing shares one [Vint] per value in -128..1023,
-   the range most such Ints fall in. Ints compare structurally
-   everywhere ([value_eq]), so sharing is unobservable. *)
+   heap stores, OSR reads, reference-walker arguments), and boxing
+   shares one [Vint] per value in -128..1023, the range most such Ints
+   fall in. Ints compare structurally everywhere ([value_eq]), so
+   sharing is unobservable. *)
 let small_ints = Array.init 1152 (fun i -> Vint (i - 128))
 
 let box_int (n : int) : value =
@@ -497,30 +499,6 @@ let eval_binop (op : binop) (a : value) (b : value) : value =
 let eval_unop (op : unop) (a : value) : value =
   match op with Neg -> Vint (-as_int a) | Not -> Vbool (not (as_bool a))
 
-(* The threaded tier's intrinsics; [a k] is operand [k], boxed, and an
-   Int result is boxed with [box_int] for the slot it is unboxed into. *)
-let eval_intrinsic (vm : vm) (intr : intrinsic) (a : int -> value) : value =
-  match intr with
-  | Iprint_int ->
-      Buffer.add_string vm.out (string_of_int (as_int (a 0)));
-      Vunit
-  | Iprint_bool ->
-      Buffer.add_string vm.out (string_of_bool (as_bool (a 0)));
-      Vunit
-  | Iprint_str ->
-      Buffer.add_string vm.out (as_str (a 0));
-      Vunit
-  | Istr_len -> box_int (String.length (as_str (a 0)))
-  | Istr_get ->
-      let s = as_str (a 0) and i = as_int (a 1) in
-      if i < 0 || i >= String.length s then
-        trap "string index %d out of bounds" i;
-      box_int (Char.code s.[i])
-  | Istr_eq -> vbool (as_str (a 0) = as_str (a 1))
-  | Iabs -> box_int (abs (as_int (a 0)))
-  | Imin -> box_int (min (as_int (a 0)) (as_int (a 1)))
-  | Imax -> box_int (max (as_int (a 0)) (as_int (a 1)))
-
 (* A call passes the caller's activation state and the slots of its
    arguments in it; the callee's frames are built from them directly
    (see [exec_threaded]). *)
@@ -657,9 +635,9 @@ and threaded_for (vm : vm) ~(mode : mode) (m : meth_id) (fn : fn) :
    per op.
 
    Observable equivalence: no fusable op can call out, profile or
-   otherwise observe the counters mid-segment ([Prepared.fusable]
-   excludes calls), so batching is invisible on the non-trapping path —
-   the totals at every call, profile record and method exit are
+   otherwise observe the counters mid-segment ([Prepared.plan_fusion]
+   breaks runs at calls), so batching is invisible on the non-trapping
+   path — the totals at every call, profile record and method exit are
    bit-identical to [exec_ref]. On the trapping paths
    the handler re-aligns the counters to exactly the stepwise state
    before re-raising, and a step budget that would die mid-segment is
@@ -670,7 +648,6 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
     (pcode : Prepared.code) : tcode =
   let profiling = mode = Interpreted in
   let plan = Prepared.plan_fusion pcode in
-  List.iter (fun (p, sites) -> note_superinst vm p ~sites) plan.Prepared.fp_patterns;
   let dispatch =
     match mode with
     | Interpreted -> vm.cost.interp_dispatch
@@ -682,107 +659,39 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
   (* pc layout per block: one prologue per incoming edge when the block
      has phis (the parallel move is specialized per edge), a single
      shared prologue otherwise; then one pc per body segment; then the
-     terminator. The entry block gets an extra prologue for the edgeless
-     initial entry when it has phis (reaching a phi with no input is the
-     same internal error the other backends report). *)
+     terminator. The entry block has no phis. *)
   let npcs = ref 0 in
   let alloc k =
     let p = !npcs in
     npcs := p + k;
     p
   in
+  let has_phis (b : Prepared.pblock) = Array.length b.phi_dests > 0 in
   let prologue_base = Array.make nb 0 in
-  let entry_prologue = ref (-1) in
   let seg_base = Array.make nb 0 in
   let term_pc = Array.make nb 0 in
   Array.iteri
     (fun bi (b : Prepared.pblock) ->
-      let nphis = Array.length b.phi_dests in
-      let nedges = Array.length b.pred_bids in
-      prologue_base.(bi) <- alloc (if nphis = 0 then 1 else max nedges 1);
-      if bi = pcode.entry && nphis > 0 then entry_prologue := alloc 1;
+      prologue_base.(bi) <- alloc (if has_phis b then Array.length b.pred_bids else 1);
       seg_base.(bi) <- alloc (Array.length plan.Prepared.fp_segments.(bi));
       term_pc.(bi) <- alloc 1)
     blocks;
   let pc_of_edge (target : int) (edge : int) : int =
-    let tb = blocks.(target) in
-    if Array.length tb.phi_dests = 0 || Array.length tb.pred_bids = 0 then
-      prologue_base.(target)
-    else prologue_base.(target) + edge
-  in
-  let entry_pc =
-    if !entry_prologue >= 0 then !entry_prologue
-    else prologue_base.(pcode.entry)
+    if has_phis blocks.(target) then prologue_base.(target) + edge
+    else prologue_base.(target)
   in
   let handlers : thandler array = Array.make !npcs (fun _ -> Vunit) in
   (* one pre-decoded op -> its bare semantic action on the frames, no
-     bookkeeping, no dispatch. [boxed_effect] handles every op on any
-     frames: it reads operands boxed, writes results through [set_slot]
-     and computes through [eval_binop]/[eval_unop], so its traps are the
-     reference walker's. [op_effect] picks, from the operands' frames, a
-     variant that reads and writes the frames directly — typechecked
-     code always gets one — and falls back to [boxed_effect]. *)
-  let boxed_effect (pi : Prepared.pinstr) : tstate -> unit =
-    let dest = pi.dest in
-    match pi.op with
-    | Pconst v -> fun st -> set_slot st dest v
-    | Pparam _ -> fun _ -> ()
-    | Punop (op, a) -> fun st -> set_slot st dest (eval_unop op (get_slot st a))
-    | Pbinop (op, a, b) ->
-        fun st -> set_slot st dest (eval_binop op (get_slot st a) (get_slot st b))
-    | Pcall { callee; cargs; site; ic } ->
-        fun st ->
-          set_slot st dest (do_call vm ?ic ~profiling ~meth ~callee ~site st cargs)
-    | Pnew { cls; defaults } ->
-        fun st -> set_slot st dest (Vobj { o_cls = cls; fields = Array.copy defaults })
-    | Pgetfield { obj; slot; fname } ->
-        fun st ->
-          let o = as_obj (get_slot st obj) in
-          if slot >= Array.length o.fields then
-            trap "internal: bad field slot for %s" fname;
-          set_slot st dest o.fields.(slot)
-    | Psetfield { obj; slot; fname; value } ->
-        fun st ->
-          let o = as_obj (get_slot st obj) in
-          if slot >= Array.length o.fields then
-            trap "internal: bad field slot for %s" fname;
-          o.fields.(slot) <- get_slot st value;
-          set_slot st dest Vunit
-    | Pnewarray { ety; len } ->
-        fun st ->
-          let n = as_int (get_slot st len) in
-          vm.cycles <- vm.cycles + Cost.alloc_fields_cost vm.cost n;
-          set_slot st dest (alloc_array ety n)
-    | Parrayget { arr; idx } ->
-        fun st ->
-          let a = as_arr (get_slot st arr) in
-          let i = as_int (get_slot st idx) in
-          if i < 0 || i >= Array.length a.elems then
-            trap "array index %d out of bounds" i;
-          set_slot st dest (Array.unsafe_get a.elems i)
-    | Parrayset { arr; idx; value } ->
-        fun st ->
-          let a = as_arr (get_slot st arr) in
-          let i = as_int (get_slot st idx) in
-          if i < 0 || i >= Array.length a.elems then
-            trap "array index %d out of bounds" i;
-          Array.unsafe_set a.elems i (get_slot st value);
-          set_slot st dest Vunit
-    | Parraylen a ->
-        fun st -> set_slot st dest (Vint (Array.length (as_arr (get_slot st a)).elems))
-    | Ptypetest { obj; cls } ->
-        fun st ->
-          set_slot st dest
-            (match get_slot st obj with
-            | Vobj o -> vbool (Ir.Program.is_subclass vm.prog ~sub:o.o_cls ~sup:cls)
-            | Vnull -> vfalse
-            | _ -> trap "typetest on a non-object")
-    | Pintrinsic (intr, ia) ->
-        fun st -> set_slot st dest (eval_intrinsic vm intr (fun k -> get_slot st ia.(k)))
-  in
+     bookkeeping, no dispatch: a variant per combination of op and frames
+     that well-typed IR can name, reading and writing the frames
+     directly. Any other combination is refused here, before the body
+     runs. *)
   let op_effect (pi : Prepared.pinstr) : tstate -> unit =
     let open Prepared in
     let d = index pi.dest in
+    let ill_typed () =
+      ill_formed pcode.fname "%s on ill-typed operands" (opkey pi.op)
+    in
     match (pi.op, kind pi.dest) with
     | Pconst (Vint n), Kint -> fun st -> Array.unsafe_set st.t_ints d n
     | Pconst (Vbool b), Kbool ->
@@ -796,6 +705,7 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
     | Punop (Not, a), Kbool when kind a = Kbool ->
         let a = index a in
         fun st -> Array.unsafe_set st.t_ints d (1 - Array.unsafe_get st.t_ints a)
+    | Pparam _, _ -> fun _ -> ()
     | Pbinop (op, a, b), dk -> (
         let x = index a and y = index b in
         match (op, kind a, kind b, dk) with
@@ -886,7 +796,7 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
               Array.unsafe_set st.t_ints d
                 (Bool.to_int
                    (not (value_eq (Array.unsafe_get f x) (Array.unsafe_get f y))))
-        | _ -> boxed_effect pi)
+        | _ -> ill_typed ())
     | Pcall { callee; cargs; site; ic }, Kval ->
         fun st ->
           Array.unsafe_set st.t_frame d
@@ -894,9 +804,11 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
     | Pcall { callee; cargs; site; ic }, Kint ->
         fun st ->
           Array.unsafe_set st.t_ints d
-            (match do_call vm ?ic ~profiling ~meth ~callee ~site st cargs with
-            | Vint n -> n
-            | v -> as_int v)
+            (as_int (do_call vm ?ic ~profiling ~meth ~callee ~site st cargs))
+    | Pcall { callee; cargs; site; ic }, Kbool ->
+        fun st ->
+          let b = as_bool (do_call vm ?ic ~profiling ~meth ~callee ~site st cargs) in
+          Array.unsafe_set st.t_ints d (Bool.to_int b)
     | Pnew { cls; defaults }, Kval ->
         fun st ->
           Array.unsafe_set st.t_frame d
@@ -912,8 +824,13 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
           let o = as_obj (Array.unsafe_get st.t_frame obj) in
           if slot >= Array.length o.fields then
             trap "internal: bad field slot for %s" fname;
-          Array.unsafe_set st.t_ints d
-            (match o.fields.(slot) with Vint n -> n | v -> as_int v)
+          Array.unsafe_set st.t_ints d (as_int o.fields.(slot))
+    | Pgetfield { obj; slot; fname }, Kbool when kind obj = Kval ->
+        fun st ->
+          let o = as_obj (Array.unsafe_get st.t_frame obj) in
+          if slot >= Array.length o.fields then
+            trap "internal: bad field slot for %s" fname;
+          Array.unsafe_set st.t_ints d (Bool.to_int (as_bool o.fields.(slot)))
     | Psetfield { obj; slot; fname; value }, Kval when kind obj = Kval ->
         fun st ->
           let o = as_obj (Array.unsafe_get st.t_frame obj) in
@@ -942,8 +859,16 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
           let i = Array.unsafe_get st.t_ints idx in
           if i < 0 || i >= Array.length a.elems then
             trap "array index %d out of bounds" i;
+          Array.unsafe_set st.t_ints d (as_int (Array.unsafe_get a.elems i))
+    | Parrayget { arr; idx }, Kbool when kind arr = Kval && kind idx = Kint ->
+        let idx = index idx in
+        fun st ->
+          let a = as_arr (Array.unsafe_get st.t_frame arr) in
+          let i = Array.unsafe_get st.t_ints idx in
+          if i < 0 || i >= Array.length a.elems then
+            trap "array index %d out of bounds" i;
           Array.unsafe_set st.t_ints d
-            (match Array.unsafe_get a.elems i with Vint n -> n | v -> as_int v)
+            (Bool.to_int (as_bool (Array.unsafe_get a.elems i)))
     | Parrayset { arr; idx; value }, Kval when kind arr = Kval && kind idx = Kint ->
         let idx = index idx in
         fun st ->
@@ -965,7 +890,50 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
                 Bool.to_int (Ir.Program.is_subclass vm.prog ~sub:o.o_cls ~sup:cls)
             | Vnull -> 0
             | _ -> trap "typetest on a non-object")
-    | _ -> boxed_effect pi
+    | Pintrinsic (Iprint_int, [| a |]), Kval when kind a = Kint ->
+        let a = index a in
+        fun st ->
+          Buffer.add_string vm.out (string_of_int (Array.unsafe_get st.t_ints a));
+          Array.unsafe_set st.t_frame d Vunit
+    | Pintrinsic (Iprint_bool, [| a |]), Kval when kind a = Kbool ->
+        let a = index a in
+        fun st ->
+          Buffer.add_string vm.out (string_of_bool (Array.unsafe_get st.t_ints a <> 0));
+          Array.unsafe_set st.t_frame d Vunit
+    | Pintrinsic (Iprint_str, [| a |]), Kval when kind a = Kval ->
+        fun st ->
+          Buffer.add_string vm.out (as_str (Array.unsafe_get st.t_frame a));
+          Array.unsafe_set st.t_frame d Vunit
+    | Pintrinsic (Istr_len, [| a |]), Kint when kind a = Kval ->
+        fun st ->
+          Array.unsafe_set st.t_ints d
+            (String.length (as_str (Array.unsafe_get st.t_frame a)))
+    | Pintrinsic (Istr_get, [| a; i |]), Kint when kind a = Kval && kind i = Kint ->
+        let i = index i in
+        fun st ->
+          let s = as_str (Array.unsafe_get st.t_frame a) in
+          let i = Array.unsafe_get st.t_ints i in
+          if i < 0 || i >= String.length s then trap "string index %d out of bounds" i;
+          Array.unsafe_set st.t_ints d (Char.code (String.unsafe_get s i))
+    | Pintrinsic (Istr_eq, [| a; b |]), Kbool when kind a = Kval && kind b = Kval ->
+        fun st ->
+          let f = st.t_frame in
+          let x = as_str (Array.unsafe_get f a) and y = as_str (Array.unsafe_get f b) in
+          Array.unsafe_set st.t_ints d (Bool.to_int (String.equal x y))
+    | Pintrinsic (Iabs, [| a |]), Kint when kind a = Kint ->
+        let a = index a in
+        fun st -> Array.unsafe_set st.t_ints d (abs (Array.unsafe_get st.t_ints a))
+    | Pintrinsic (Imin, [| a; b |]), Kint when kind a = Kint && kind b = Kint ->
+        let x = index a and y = index b in
+        fun st ->
+          let n = st.t_ints in
+          Array.unsafe_set n d (Int.min (Array.unsafe_get n x) (Array.unsafe_get n y))
+    | Pintrinsic (Imax, [| a; b |]), Kint when kind a = Kint && kind b = Kint ->
+        let x = index a and y = index b in
+        fun st ->
+          let n = st.t_ints in
+          Array.unsafe_set n d (Int.max (Array.unsafe_get n x) (Array.unsafe_get n y))
+    | _ -> ill_typed ()
   in
   (* a singleton handler: step, budget check, charge, effect, fall
      through to the successor handler (a tail call — the dispatch loop
@@ -986,13 +954,13 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
      composed from the constituents' effect closures — never hand-written
      per pattern — behind one batched step/budget/cycle preamble that
      charges [Cost.fused_cost] for the whole run. Nothing inside a
-     fusable run can observe the counters ([Prepared.fusable] excludes
-     calls, and profiling happens at block entries and branches), so the
-     only places the batching could show are the trapping paths, which
-     re-align the counters to the exact stepwise state: a budget that
-     would die mid-segment is replayed stepwise so the trap fires on the
-     precise constituent, and an effect trap un-charges the constituents
-     that never ran before re-raising. *)
+     fusable run can observe the counters ([Prepared.plan_fusion] breaks
+     runs at calls, and profiling happens at block entries and branches),
+     so the only places the batching could show are the trapping paths,
+     which re-align the counters to the exact stepwise state: a budget
+     that would die mid-segment is replayed stepwise so the trap fires on
+     the precise constituent, and an effect trap un-charges the
+     constituents that never ran before re-raising. *)
   let fused_handler ~(nexth : thandler) (pis : Prepared.pinstr array) : thandler =
     let n = Array.length pis in
     let effs = Array.map op_effect pis in
@@ -1044,7 +1012,10 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
   in
   (* block-entry prologue: the block step/budget tick, the profiling
      tier's lazily-bound block-counter tick, then the phi parallel move
-     specialized for one incoming edge *)
+     specialized for one incoming edge. Preparation puts each phi and its
+     inputs in one frame; an edge on which some phi has no input comes
+     from an unreachable predecessor and traps with the walker's
+     message. *)
   let prologue_handler (b : Prepared.pblock) ~(edge : int) ~(nexth : thandler) :
       thandler =
     let holder = b.prof in
@@ -1078,88 +1049,61 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
         vm.steps <- vm.steps + 1;
         if vm.steps > vm.max_steps then trap "step budget exceeded";
         nexth st
-    else begin
-      let srcs, prev =
-        if edge < 0 then (Array.make nphis Prepared.none, -1)
-        else (b.phi_srcs.(edge), b.pred_bids.(edge))
-      in
-      let dests = b.phi_dests in
-      (* every phi has an input on this edge, in the phi's own frame *)
-      let same_frame s d =
-        s <> Prepared.none && Prepared.kind s = Prepared.kind d
-      in
-      let clean = Array.for_all2 same_frame srcs dests in
-      if clean && nphis = 1 then begin
-        let d0 = Prepared.index dests.(0) and s0 = Prepared.index srcs.(0) in
-        if dests.(0) >= 0 then fun st ->
-          tick_block ();
-          vm.steps <- vm.steps + 1;
-          vm.cycles <- vm.cycles + phi_cost;
-          let f = st.t_frame in
-          Array.unsafe_set f d0 (Array.unsafe_get f s0);
-          nexth st
-        else fun st ->
-          tick_block ();
-          vm.steps <- vm.steps + 1;
-          vm.cycles <- vm.cycles + phi_cost;
-          let n = st.t_ints in
-          Array.unsafe_set n d0 (Array.unsafe_get n s0);
-          nexth st
-      end
-      else if clean then begin
-        (* simultaneous assignment through a scratch row per frame;
-           sharing the scratch across activations is safe — nothing
-           re-enters this code object mid-move *)
-        let moves in_ints =
-          let ks =
-            List.filter (fun i -> (dests.(i) < 0) = in_ints) (List.init nphis Fun.id)
-          in
-          let pick a = Array.of_list (List.map (fun i -> Prepared.index a.(i)) ks) in
-          (pick srcs, pick dests)
-        in
-        let vsrcs, vdests = moves false and isrcs, idests = moves true in
-        let nv = Array.length vsrcs and ni = Array.length isrcs in
-        let vtmp = Array.make nv Vunit and itmp = Array.make ni 0 in
-        fun st ->
-          tick_block ();
-          vm.steps <- vm.steps + nphis;
-          vm.cycles <- vm.cycles + (nphis * phi_cost);
-          let f = st.t_frame and n = st.t_ints in
-          for i = 0 to nv - 1 do
-            Array.unsafe_set vtmp i (Array.unsafe_get f (Array.unsafe_get vsrcs i))
-          done;
-          for i = 0 to ni - 1 do
-            Array.unsafe_set itmp i (Array.unsafe_get n (Array.unsafe_get isrcs i))
-          done;
-          for i = 0 to nv - 1 do
-            Array.unsafe_set f (Array.unsafe_get vdests i) (Array.unsafe_get vtmp i)
-          done;
-          for i = 0 to ni - 1 do
-            Array.unsafe_set n (Array.unsafe_get idests i) (Array.unsafe_get itmp i)
-          done;
-          nexth st
-      end
-      else
-        (* a phi with no input for this edge (the edgeless initial entry,
-           or ill-formed SSA) or one fed from the other frame: move
-           stepwise through boxed values, replicating the stepwise trap *)
-        let vids = b.phi_vids in
-        fun st ->
-          tick_block ();
-          let tmp = Array.make nphis Vunit in
-          for i = 0 to nphis - 1 do
+    else
+      let srcs = b.phi_srcs.(edge) and dests = b.phi_dests in
+      match Array.find_index (fun s -> s = Prepared.none) srcs with
+      | Some i ->
+          fun _ ->
+            trap "internal: phi v%d has no input for edge b%d" b.phi_vids.(i)
+              b.pred_bids.(edge)
+      | None when nphis = 1 ->
+          let d0 = Prepared.index dests.(0) and s0 = Prepared.index srcs.(0) in
+          if dests.(0) >= 0 then fun st ->
+            tick_block ();
             vm.steps <- vm.steps + 1;
             vm.cycles <- vm.cycles + phi_cost;
-            let s = srcs.(i) in
-            if s = Prepared.none then
-              trap "internal: phi v%d has no input for edge b%d" vids.(i) prev;
-            tmp.(i) <- get_slot st s
-          done;
-          for i = 0 to nphis - 1 do
-            set_slot st dests.(i) tmp.(i)
-          done;
-          nexth st
-    end
+            let f = st.t_frame in
+            Array.unsafe_set f d0 (Array.unsafe_get f s0);
+            nexth st
+          else fun st ->
+            tick_block ();
+            vm.steps <- vm.steps + 1;
+            vm.cycles <- vm.cycles + phi_cost;
+            let n = st.t_ints in
+            Array.unsafe_set n d0 (Array.unsafe_get n s0);
+            nexth st
+      | None ->
+          (* simultaneous assignment through a scratch row per frame;
+             sharing the scratch across activations is safe — nothing
+             re-enters this code object mid-move *)
+          let moves in_ints =
+            let ks =
+              List.filter (fun i -> (dests.(i) < 0) = in_ints) (List.init nphis Fun.id)
+            in
+            let pick a = Array.of_list (List.map (fun i -> Prepared.index a.(i)) ks) in
+            (pick srcs, pick dests)
+          in
+          let vsrcs, vdests = moves false and isrcs, idests = moves true in
+          let nv = Array.length vsrcs and ni = Array.length isrcs in
+          let vtmp = Array.make nv Vunit and itmp = Array.make ni 0 in
+          fun st ->
+            tick_block ();
+            vm.steps <- vm.steps + nphis;
+            vm.cycles <- vm.cycles + (nphis * phi_cost);
+            let f = st.t_frame and n = st.t_ints in
+            for i = 0 to nv - 1 do
+              Array.unsafe_set vtmp i (Array.unsafe_get f (Array.unsafe_get vsrcs i))
+            done;
+            for i = 0 to ni - 1 do
+              Array.unsafe_set itmp i (Array.unsafe_get n (Array.unsafe_get isrcs i))
+            done;
+            for i = 0 to nv - 1 do
+              Array.unsafe_set f (Array.unsafe_get vdests i) (Array.unsafe_get vtmp i)
+            done;
+            for i = 0 to ni - 1 do
+              Array.unsafe_set n (Array.unsafe_get idests i) (Array.unsafe_get itmp i)
+            done;
+            nexth st
   in
   (* OSR checkpoint guards, spliced between a block's prologue and its
      first body segment — but only for loop headers (the [osr_headers]
@@ -1222,15 +1166,13 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
           (Array.unsafe_get handlers next) st
     | Pif { cond; site; tb; tedge; fb; fedge; bprof } ->
         let tpc = pc_of_edge tb tedge and fpc = pc_of_edge fb fedge in
-        (* a Bool condition is read from the int frame; any other is
-           read boxed, so [as_bool] traps as the reference walker does *)
-        let unboxed = Prepared.kind cond = Kbool and ci = Prepared.index cond in
+        if Prepared.kind cond <> Kbool then
+          Prepared.ill_formed pcode.fname "branch on a non-Bool condition in b%d"
+            b.src_bid;
+        let ci = Prepared.index cond in
         if profiling then fun st ->
           vm.cycles <- vm.cycles + tc;
-          let taken =
-            if unboxed then Array.unsafe_get st.t_ints ci <> 0
-            else as_bool (get_slot st cond)
-          in
+          let taken = Array.unsafe_get st.t_ints ci <> 0 in
           (match bprof.brec with
           | Some br -> Profile.brec_record br ~taken
           | None ->
@@ -1239,24 +1181,15 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
               Profile.brec_record br ~taken);
           if taken then (Array.unsafe_get handlers tpc) st
           else (Array.unsafe_get handlers fpc) st
-        else if unboxed then fun st ->
+        else fun st ->
           vm.cycles <- vm.cycles + tc;
           if Array.unsafe_get st.t_ints ci <> 0 then
             (Array.unsafe_get handlers tpc) st
-          else (Array.unsafe_get handlers fpc) st
-        else fun st ->
-          vm.cycles <- vm.cycles + tc;
-          if as_bool (get_slot st cond) then (Array.unsafe_get handlers tpc) st
           else (Array.unsafe_get handlers fpc) st
     | Punreachable ->
         fun _st ->
           vm.cycles <- vm.cycles + tc;
           trap "reached an unreachable block in %s" pcode.fname
-    | Pdead b' ->
-        fun _st ->
-          vm.cycles <- vm.cycles + tc;
-          invalid_arg
-            (Printf.sprintf "Fn.block: dead block b%d in %s" b' pcode.fname)
   in
   (* wire each block bottom-up — terminator, then body segments in
      reverse, then the prologues — so every straight-line transition
@@ -1290,23 +1223,17 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
           exit_guard b ~nexth:firsth
         else firsth
       in
-      let nphis = Array.length b.phi_dests in
-      let nedges = Array.length b.pred_bids in
-      if nphis = 0 || nedges = 0 then
-        handlers.(prologue_base.(bi)) <-
-          prologue_handler b ~edge:(-1) ~nexth:firsth
-      else
-        for e = 0 to nedges - 1 do
-          handlers.(prologue_base.(bi) + e) <-
-            prologue_handler b ~edge:e ~nexth:firsth
-        done;
-      if bi = pcode.entry && nphis > 0 then
-        handlers.(!entry_prologue) <-
-          prologue_handler b ~edge:(-1) ~nexth:firsth)
+      if has_phis b then
+        Array.iteri
+          (fun e _ ->
+            handlers.(prologue_base.(bi) + e) <- prologue_handler b ~edge:e ~nexth:firsth)
+          b.pred_bids
+      else handlers.(prologue_base.(bi)) <- prologue_handler b ~edge:0 ~nexth:firsth)
     blocks;
+  List.iter (fun (p, sites) -> note_superinst vm p ~sites) plan.Prepared.fp_patterns;
   {
     t_handlers = handlers;
-    t_entry = entry_pc;
+    t_entry = prologue_base.(pcode.entry);
     t_nregs = pcode.nregs;
     t_nints = pcode.nints;
     t_params =

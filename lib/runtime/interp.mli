@@ -222,16 +222,13 @@ val superinst_stats : vm -> sstat list
     escapes, so a trapped call leaves no depth behind for later calls on
     the same VM. *)
 
-val invoke : vm -> meth_id -> value array -> value
-(** Runs a method through the tier dispatch (compiled body if installed,
-    interpreter otherwise).
-    @raise Trap on runtime errors. *)
-
 val exec : vm -> mode:mode -> meth:meth_id -> fn -> value array -> value
 (** Executes a specific body in a specific tier, for tests that want to
     pin the tier. Under the [Threaded] backend the body is prepared and
     lowered per call (uncached) — cached execution goes through
-    [invoke]. *)
+    {!run_meth} — and must be verified, well-typed IR: any other body
+    traps through {!Prepared.ill_formed} before it runs, while the
+    [Reference] backend runs it up to the trap its ill-typed op raises. *)
 
 val run_main : vm -> value
 (** @raise Trap if the program has no main or on runtime errors. *)

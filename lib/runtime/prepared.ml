@@ -25,12 +25,16 @@
    Preparation changes *when* work happens, never *what* the program
    observes: output, result, simulated cycles, step counts and recorded
    profiles are identical to the direct interpreter (the differential
-   suite in test/test_differential.ml enforces this). The one deliberate
-   exception: internal-error paths that only ill-formed (non-verifier-
-   clean or ill-typed) IR can reach — reading a never-evaluated vid, a
-   call with fewer arguments than a [Param] index, a value whose dynamic
-   type is not its vid's static type — are not reproduced bit-for-bit
-   (see prepared.mli). *)
+   suite in test/test_differential.ml enforces this).
+
+   Its input is verified ([Ir.Verify.check]), well-typed IR, as the
+   frontend and the compiler produce: preparation refuses an operand
+   that names no instruction, a phi in the entry block, a phi after a
+   non-phi, a phi whose input has another static type than the phi and
+   a jump to a dead block, and [Interp]'s
+   lowering refuses an op whose operands are in frames its type rules
+   out, each with the one [ill_formed] trap, before any of the body
+   runs. *)
 
 open Ir.Types
 open Values
@@ -103,9 +107,6 @@ type pterm =
     }
   | Preturn of int
   | Punreachable
-  | Pdead of bid
-      (* jump target was a deleted block: raises the same Invalid_argument
-         the direct interpreter's [Fn.block] would, at the same point *)
 
 type pblock = {
   src_bid : bid;               (* original id, for profiles and messages *)
@@ -134,12 +135,16 @@ type code = {
 }
 
 let fname (c : code) = c.fname
-let num_blocks (c : code) = Array.length c.blocks
+
+(* The one trap for IR that breaks the contract preparation and lowering
+   rely on (see the header), raised before any of the body runs. *)
+let ill_formed (fname : string) fmt =
+  Fmt.kstr (fun what -> trap "internal: ill-formed IR in %s: %s" fname what) fmt
 
 (* ---------- translation ---------- *)
 
 let decode_instr ~(cost : Cost.t) ~(ics : Ic.t list ref) ~(slot : vid -> int)
-    (prog : program) (i : instr) : pinstr =
+    (prog : program) (fn : fn) (i : instr) : pinstr =
   let sc = Cost.instr_cost cost i.kind in
   let op, sc =
     match Ir.Instr.map_operands slot i.kind with
@@ -151,7 +156,7 @@ let decode_instr ~(cost : Cost.t) ~(ics : Ic.t list ref) ~(slot : vid -> int)
     | Param k -> (Pparam k, sc)
     | Unop (op, a) -> (Punop (op, a), sc)
     | Binop (op, a, b) -> (Pbinop (op, a, b), sc)
-    | Phi _ -> invalid_arg "Prepared.decode_instr: phi in a block body"
+    | Phi _ -> ill_formed fn.fname "phi v%d after a non-phi" i.id
     | Call { callee; args; site; _ } ->
         let ic =
           match callee with
@@ -192,32 +197,19 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
   let live = List.rev !live in
   List.iteri (fun i b -> index_of_bid.(b) <- i) live;
   let nlive = List.length live in
-  (* jump targets that are dead or out of range get a stub block that
-     faithfully reproduces the direct interpreter's failure (profile tick,
-     then Invalid_argument) *)
-  let stubs = ref [] in            (* (bid, dense index), appended after live *)
-  let nstubs = ref 0 in
   let index_of_target (b : bid) : int =
     if b >= 0 && b < nbids && index_of_bid.(b) >= 0 then index_of_bid.(b)
-    else
-      match List.assoc_opt b !stubs with
-      | Some i -> i
-      | None ->
-          let i = nlive + !nstubs in
-          incr nstubs;
-          stubs := (b, i) :: !stubs;
-          i
+    else ill_formed fn.fname "jump to dead block b%d" b
   in
   (* predecessor edges per live block, in (source id, successor slot) order *)
   let preds = Array.make (max nlive 1) [] in
   List.iter
     (fun b ->
-      let blk = Ir.Fn.block fn b in
       List.iter
         (fun s ->
-          if s >= 0 && s < nbids && index_of_bid.(s) >= 0 then
-            preds.(index_of_bid.(s)) <- b :: preds.(index_of_bid.(s)))
-        (Ir.Fn.succs_of_term blk.term))
+          let i = index_of_target s in
+          preds.(i) <- b :: preds.(i))
+        (Ir.Fn.succs_of_term (Ir.Fn.block fn b).term))
     live;
   let pred_arrays = Array.map (fun l -> Array.of_list (List.rev l)) preds in
   (* dense frame slots, in first-mention order over the live blocks: every
@@ -229,6 +221,8 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
   let nregs = ref 0 and nints = ref 0 in
   let param_ty k = if k < Array.length fn.param_tys then fn.param_tys.(k) else Tunit in
   let name v =
+    if v < 0 || v >= Array.length slots then
+      ill_formed fn.fname "v%d names no instruction" v;
     if slots.(v) = none then
       let ty =
         match Vec.get fn.instrs v with
@@ -256,22 +250,14 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
       | Goto _ | Unreachable -> ())
     live;
   let slot v = slots.(v) in
+  (* [src] is a predecessor of the live block [target] *)
   let edge_of ~(target : bid) ~(src : bid) : int =
-    if not (target >= 0 && target < nbids && index_of_bid.(target) >= 0) then 0
-    else
-      let ps = pred_arrays.(index_of_bid.(target)) in
-      let rec find i =
-        if i >= Array.length ps then 0 (* unreachable: src is a predecessor *)
-        else if ps.(i) = src then i
-        else find (i + 1)
-      in
-      find 0
+    let ps = pred_arrays.(index_of_bid.(target)) in
+    let rec find i = if ps.(i) = src then i else find (i + 1) in
+    find 0
   in
   let decode_block (b : bid) : pblock =
     let blk = Ir.Fn.block fn b in
-    (* leading phis, exactly as the direct interpreter's block driver sees
-       them (a phi after a non-phi is skipped entirely there, so it is
-       dropped here too) *)
     let rec split_phis acc = function
       | v :: rest -> (
           match Ir.Fn.kind fn v with
@@ -279,11 +265,12 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
           | _ -> (List.rev acc, v :: rest))
       | [] -> (List.rev acc, [])
     in
-    let phis, rest = split_phis [] blk.instrs in
-    let non_phis = List.filter (fun v -> not (Ir.Instr.is_phi (Ir.Fn.kind fn v))) rest in
-    let my_preds =
-      if index_of_bid.(b) >= 0 then pred_arrays.(index_of_bid.(b)) else [||]
-    in
+    let phis, non_phis = split_phis [] blk.instrs in
+    (match phis with
+    | (v, _) :: _ when b = fn.entry ->
+        ill_formed fn.fname "phi v%d in the entry block" v
+    | _ -> ());
+    let my_preds = pred_arrays.(index_of_bid.(b)) in
     let nphis = List.length phis in
     let phi_dests = Array.make nphis 0 in
     let phi_vids = Array.make nphis 0 in
@@ -297,9 +284,12 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
         (fun p ->
           let row = Array.make nphis none in
           List.iteri
-            (fun i (_, inputs) ->
+            (fun i (v, inputs) ->
               match List.assoc_opt p inputs with
-              | Some pv -> row.(i) <- slot pv
+              | Some pv ->
+                  if kind (slot pv) <> kind (slot v) then
+                    ill_formed fn.fname "phi v%d and its input v%d differ in type" v pv;
+                  row.(i) <- slot pv
               | None -> ())
             phis;
           row)
@@ -334,7 +324,7 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
       body =
         Array.of_list
           (List.map
-             (fun v -> decode_instr ~cost ~ics ~slot prog (Ir.Fn.instr fn v))
+             (fun v -> decode_instr ~cost ~ics ~slot prog fn (Ir.Fn.instr fn v))
              non_phis);
       term;
       term_cost;
@@ -351,31 +341,14 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
                match pi.op with Pparam k -> Some (k, pi.dest) | _ -> None))
       live_blocks
   in
-  (* may itself allocate a stub, so resolve before materializing stubs *)
-  let entry = index_of_target fn.entry in
-  let stub_block (b : bid) : pblock =
-    {
-      src_bid = b;
-      phi_dests = [||];
-      phi_vids = [||];
-      phi_srcs = [||];
-      pred_bids = [||];
-      body = [||];
-      term = Pdead b;
-      term_cost = 0;
-      prof = { cell = None };
-      osr_skip = false;
-    }
-  in
-  let stub_blocks = List.rev_map (fun (b, _) -> stub_block b) !stubs in
   {
     fname = fn.fname;
     nregs = !nregs;
     nints = !nints;
     slots;
     params = Array.of_list params;
-    entry;
-    blocks = Array.of_list (live_blocks @ stub_blocks);
+    entry = index_of_target fn.entry;
+    blocks = Array.of_list live_blocks;
     ics = Array.of_list (List.rev !ics);
   }
 

@@ -8,14 +8,27 @@
 
     Preparation is observably transparent: output, result, simulated
     cycles, step counts and recorded profiles are identical to direct IR
-    interpretation on verifier-clean, typechecked IR (enforced by the
-    differential suite). Internal-error paths that only ill-formed IR can
-    reach are not reproduced bit-for-bit:
+    interpretation (enforced by the differential suite). Its input is
+    verified ({!Ir.Verify.check}), well-typed IR, as the frontend and the
+    compiler produce; the reference walker stays the permissive oracle.
+    IR that breaks that contract is refused with {!ill_formed}, before
+    any of the body runs:
+    - by {!prepare}: an operand that names no instruction (which
+      {!Ir.Verify.check} allows in an unreachable block), a phi in the
+      entry block, a phi after a non-phi, a phi whose input has another
+      static type than the phi, and a jump to (or an entry at) a dead
+      block;
+    - by {!Interp}'s lowering: an op or a branch whose operands are in
+      frames its type rules out.
+
+    Three internal errors that the walker reports are reported
+    differently:
     - use of a never-evaluated vid reads the frame's initial value;
     - a call with fewer arguments than a [Param] index traps "missing
       argument" when the callee's frame is built, not at the [Param];
-    - a value whose dynamic type is not its vid's static type traps in
-      [as_int]/[as_bool] where it enters the int frame.
+    - a phi with no input on an edge (in verified IR, only an edge from
+      an unreachable predecessor) traps when the edge is taken, before
+      the block's steps are charged.
 
     Prepared code snapshots the function *and* the class layouts its [New]
     instructions allocate, against a fixed cost table. It must be dropped
@@ -90,9 +103,6 @@ type pterm =
     }
   | Preturn of int
   | Punreachable
-  | Pdead of bid
-      (** the jump target was a deleted block; executing this raises the
-          same [Invalid_argument] direct interpretation would *)
 
 type pblock = {
   src_bid : bid;
@@ -132,11 +142,16 @@ type code = {
 }
 
 val fname : code -> string
-val num_blocks : code -> int
+
+val ill_formed : string -> ('a, Format.formatter, unit, 'b) format4 -> 'a
+(** [ill_formed fname fmt] raises the one trap for IR that breaks the
+    contract above, ["internal: ill-formed IR in <fname>: <what>"].
+    @raise Trap always. *)
 
 val prepare : cost:Cost.t -> program -> fn -> code
 (** Translates one function. Costs are baked against [cost]; class field
-    layouts referenced by [New] are snapshotted from the program. *)
+    layouts referenced by [New] are snapshotted from the program.
+    @raise Trap through {!ill_formed} on IR that breaks the contract. *)
 
 (** {1 Superinstruction fusion}
 
@@ -151,9 +166,6 @@ val prepare : cost:Cost.t -> program -> fn -> code
 val opkey : pop -> string
 (** Stable op mnemonic ([add], [arrayget], …); fused patterns are
     constituent mnemonics joined with [";"]. *)
-
-val fusable : pop -> bool
-(** Calls break a fusable run; everything else fuses. *)
 
 type segment = { seg_start : int; seg_len : int }
 

@@ -160,8 +160,6 @@ let rsite_cell (rs : rsite) (c : class_id) : int ref =
 let find_rsite_cell (rs : rsite) (c : class_id) : int ref option =
   Hashtbl.find_opt rs.hist c
 
-let rsite_distinct (rs : rsite) : int = Hashtbl.length rs.hist
-
 (* ---------- recording ---------- *)
 
 let record_invocation t m = incr (invocation_cell t m)

@@ -56,8 +56,6 @@ val find_receiver_site : t -> site -> rsite option
 
 val rsite_cell : rsite -> class_id -> int ref
 val find_rsite_cell : rsite -> class_id -> int ref option
-val rsite_distinct : rsite -> int
-(** Distinct receiver classes recorded in the histogram, in O(1). *)
 
 (** {1 Queries (used by the inliner and cost model)} *)
 

@@ -39,19 +39,31 @@ let alloc_array (ety : ty) (len : int) : value =
   if len < 0 then trap "negative array length %d" len;
   Varr { ety; elems = Array.make len (default_value ety) }
 
-let as_int = function Vint n -> n | v -> trap "expected Int, got %s" (match v with Vbool _ -> "Bool" | Vstr _ -> "String" | Vnull -> "null" | Vobj _ -> "object" | Varr _ -> "array" | Vunit -> "Unit" | Vint _ -> assert false)
-let as_bool = function Vbool b -> b | _ -> trap "expected Bool"
-let as_str = function Vstr s -> s | _ -> trap "expected String"
+(* The projections' failure arms are out of line, so that each projection
+   is small enough for ocamlopt to inline at its call sites; the
+   interpreters call them at nearly every heap access. *)
+let[@inline never] not_int v =
+  trap "expected Int, got %s"
+    (match v with
+    | Vbool _ -> "Bool" | Vstr _ -> "String" | Vnull -> "null" | Vobj _ -> "object"
+    | Varr _ -> "array" | Vunit -> "Unit" | Vint _ -> assert false)
 
-let as_obj = function
-  | Vobj o -> o
+let[@inline never] not_bool _ = trap "expected Bool"
+let[@inline never] not_str _ = trap "expected String"
+
+let[@inline never] not_obj = function
   | Vnull -> trap "null dereference"
   | _ -> trap "expected an object"
 
-let as_arr = function
-  | Varr a -> a
+let[@inline never] not_arr = function
   | Vnull -> trap "null array dereference"
   | _ -> trap "expected an array"
+
+let as_int = function Vint n -> n | v -> not_int v
+let as_bool = function Vbool b -> b | v -> not_bool v
+let as_str = function Vstr s -> s | v -> not_str v
+let as_obj = function Vobj o -> o | v -> not_obj v
+let as_arr = function Varr a -> a | v -> not_arr v
 
 (* Reference equality for heap values, structural for primitives. *)
 let value_eq (a : value) (b : value) : bool =

@@ -50,8 +50,6 @@ let make ~(seed : int) ~(rate : float) : plan =
 
 let install ~(seed : int) ~(rate : float) : unit = current := Some (make ~seed ~rate)
 
-let uninstall () : unit = current := None
-
 (* [scoped ~seed ~rate f] runs [f] under a fresh plan, restoring whatever
    plan (or none) was ambient before — exception-safe. *)
 let scoped ~(seed : int) ~(rate : float) (f : unit -> 'a) : 'a =

@@ -40,10 +40,8 @@ val make : seed:int -> rate:float -> plan
     @raise Invalid_argument unless [0 <= rate <= 1]. *)
 
 val install : seed:int -> rate:float -> unit
-(** Makes a fresh plan ambient until {!uninstall}.
+(** Makes a fresh plan ambient, replacing the previous one.
     @raise Invalid_argument unless [0 <= rate <= 1]. *)
-
-val uninstall : unit -> unit
 
 val scoped : seed:int -> rate:float -> (unit -> 'a) -> 'a
 (** Runs the callback under a fresh plan, restoring the previously

@@ -11,8 +11,6 @@ val create : int -> t
 
 val copy : t -> t
 
-val next_int64 : t -> int64
-
 val int : t -> int -> int
 (** [int t bound] draws from [0, bound).
     @raise Invalid_argument if [bound <= 0]. *)

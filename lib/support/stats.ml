@@ -44,8 +44,6 @@ let steady_state_window xs =
   in
   drop (n - k) xs
 
-let steady_state_mean xs = mean (steady_state_window xs)
-
 (* Exact rank percentile of an ascending int list: the smallest element
    whose rank reaches ceil(q * n); 0 on an empty list. The serving layer
    and the timeline's fleet snapshots share this so their percentile

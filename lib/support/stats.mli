@@ -19,8 +19,6 @@ val steady_state_window : float list -> float list
     repetitions").
     @raise Invalid_argument on an empty list. *)
 
-val steady_state_mean : float list -> float
-
 val percentile : int list -> float -> int
 (** Exact rank percentile of an {b ascending} int list: the smallest
     element whose rank reaches [ceil (q * n)]; 0 when the list is empty.

@@ -448,6 +448,8 @@ let trap_cases =
      "def main(): Unit = { var d = 0; println(1 % d) }");
     ("array index out of bounds", None,
      "def main(): Unit = { val a = new Array[Int](3); var i = 5; println(a[i]) }");
+    ("string index out of bounds", None,
+     "def main(): Unit = { println(strget(\"abc\", 5)) }");
     ("step budget exceeded", Some 100,
      "def main(): Unit = { var i = 0; while (i < 100000) { i = i + 1; }; println(i) }");
   ]

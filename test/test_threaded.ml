@@ -7,9 +7,10 @@
    method's first lowering, so these tests look for drift at every
    observable point of fused code, including traps landing mid-segment.
    The frames group pins the size and layout of a threaded activation's
-   two frames, and what an interpreted call and Int and Bool arithmetic
-   allocate. The every-workload and interpreter-only
-   random-program differentials live in test_differential.ml. *)
+   two frames, what an interpreted call and Int and Bool arithmetic
+   allocate, and that the tier refuses ill-formed or ill-typed IR before
+   running it. The every-workload and interpreter-only random-program
+   differentials live in test_differential.ml. *)
 
 open Util
 
@@ -331,9 +332,9 @@ def main(): Unit = {
       per_call
 
 (* Int and Bool values live unboxed in the int frame, so a loop of Int
-   arithmetic, comparisons and branches allocates nothing per iteration:
-   the difference between 20,000 and 10,000 iterations cancels the
-   per-run costs (lowering, frames, output). *)
+   arithmetic, comparisons, branches and Int intrinsics allocates
+   nothing per iteration: the difference between 20,000 and 10,000
+   iterations cancels the per-run costs (lowering, frames, output). *)
 let test_arith_allocation () =
   let per_iteration body =
     let words n =
@@ -360,7 +361,70 @@ let test_arith_allocation () =
       if w >= 1. then
         Alcotest.failf "%s allocates %.2f words per iteration (bound 1)" body w)
     [ "acc = acc + i * 3";
-      "if (i % 3 == 0) { acc = acc + 1 } else { acc = acc - 1 }" ]
+      "if (i % 3 == 0) { acc = acc + 1 } else { acc = acc - 1 }";
+      "acc = max(acc, i * 3) + abs(0 - i) - min(i, 5)" ]
+
+(* The threaded tier runs verified, well-typed IR only. A body that
+   breaks that contract is refused when it is prepared or lowered, with
+   one internal trap that names the function, before any of it runs;
+   the reference walker, the permissive oracle, still runs the
+   ill-typed body up to its own trap. *)
+let test_ill_formed_refused () =
+  let open Ir.Types in
+  let body fname param_tys build =
+    let fn = Ir.Fn.create ~fname ~param_tys ~rty:Tint in
+    let b0 = Ir.Fn.add_block fn in
+    fn.entry <- b0;
+    build fn b0;
+    fn
+  in
+  let ill_typed =
+    body "ill_typed" [| Tbool; Tint |] (fun fn b0 ->
+        let p = Ir.Fn.append fn b0 (Param 0) in
+        let q = Ir.Fn.append fn b0 (Param 1) in
+        Ir.Fn.set_term fn b0 (Return (Ir.Fn.append fn b0 (Binop (Add, p, q)))))
+  in
+  let entry_phi =
+    body "entry_phi" [||] (fun fn b0 ->
+        let x = Ir.Fn.append fn b0 (Phi { ty = Tint; inputs = [] }) in
+        let one = Ir.Fn.append fn b0 (Const (Cint 1)) in
+        Ir.Fn.set_phi_inputs fn x [ (b0, one) ];
+        Ir.Fn.set_term fn b0 (Goto b0))
+  in
+  let dead_target =
+    body "dead_target" [||] (fun fn b0 ->
+        let b1 = Ir.Fn.add_block fn in
+        Ir.Fn.set_term fn b1 (Return (Ir.Fn.append fn b1 (Const (Cint 1))));
+        Ir.Fn.set_term fn b0 (Goto b1);
+        Ir.Fn.delete_block fn b1)
+  in
+  (* verification ignores unreachable blocks, so this body passes it *)
+  let unreachable_garbage =
+    body "unreachable_garbage" [||] (fun fn b0 ->
+        Ir.Fn.set_term fn b0 (Return (Ir.Fn.append fn b0 (Const (Cint 1))));
+        ignore (Ir.Fn.append fn (Ir.Fn.add_block fn) (Binop (Add, 1000, 1001))))
+  in
+  Alcotest.(check bool) "garbage in an unreachable block verifies" true
+    (Ir.Verify.is_well_formed unreachable_garbage);
+  let args = [| Runtime.Values.Vbool true; Runtime.Values.Vint 1 |] in
+  let trap backend (fn : fn) =
+    let vm = Runtime.Interp.create ~backend (Util.compile "def main(): Unit = {}") in
+    match Runtime.Interp.exec vm ~mode:Runtime.Interp.Compiled ~meth:0 fn args with
+    | _ -> Alcotest.failf "%s ran" fn.fname
+    | exception Runtime.Values.Trap msg -> (msg, vm.steps)
+  in
+  List.iter
+    (fun (fn : fn) ->
+      let msg, steps = trap Runtime.Interp.Threaded fn in
+      Alcotest.(check bool) (fn.fname ^ ": an internal trap") true
+        (String.starts_with ~prefix:"internal:" msg);
+      Alcotest.(check bool) (fn.fname ^ ": names the function") true
+        (Util.contains_substring ~needle:fn.fname msg);
+      Alcotest.(check int) (fn.fname ^ ": nothing ran") 0 steps)
+    [ ill_typed; entry_phi; dead_target; unreachable_garbage ];
+  let msg, steps = trap Runtime.Interp.Reference ill_typed in
+  Alcotest.(check string) "the walker's own trap" "expected Int, got Bool" msg;
+  Alcotest.(check bool) "the walker ran the body" true (steps > 0)
 
 let () =
   Alcotest.run "threaded"
@@ -385,5 +449,7 @@ let () =
           test "a frame has one slot per value the body names" test_frame_slots;
           test "an interpreted call allocates at most 12 words" test_call_allocation;
           test "Int and Bool arithmetic allocates nothing" test_arith_allocation;
+          test "ill-formed or ill-typed IR is refused before it runs"
+            test_ill_formed_refused;
         ] );
     ]
