@@ -511,17 +511,22 @@ let parse_ir_cmd =
     in
     match Ir.Parse.parse_fn text with
     | fn -> (
-        match Ir.Verify.check fn with
+        (match Ir.Verify.check fn with
+        | () -> ()
+        | exception Ir.Verify.Ill_formed msg ->
+            fail (Printf.sprintf "parses but is ill-formed: %s" msg));
+        match Ir.Verify.check_types fn with
         | () ->
             Printf.printf "%s: well-formed, %d IR nodes, %d blocks\n" fn.fname
               (Ir.Fn.size fn)
               (List.length (Ir.Fn.block_ids fn))
         | exception Ir.Verify.Ill_formed msg ->
-            fail (Printf.sprintf "parses but is ill-formed: %s" msg))
+            fail (Printf.sprintf "parses but is ill-typed: %s" msg))
     | exception Ir.Parse.Ir_parse_error msg -> fail ("parse error: " ^ msg)
   in
   Cmd.v
-    (Cmd.info "parse-ir" ~doc:"Parse and verify a textual IR dump (round-trip check).")
+    (Cmd.info "parse-ir"
+       ~doc:"Parse, verify and typecheck a textual IR dump (round-trip check).")
     Term.(const parse_ir $ file_arg)
 
 (* ---- events ---- *)

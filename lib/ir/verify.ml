@@ -178,6 +178,89 @@ let check (fn : fn) : unit =
     fn;
   check_index fn ~placed:(fun v -> Option.value (Hashtbl.find_opt def_block v) ~default:(-1))
 
+(* The type rules the threaded tier relies on. It keeps Int and Bool
+   values unboxed in one frame and every other value boxed in another,
+   so an op may read an operand only of the kind (Int, Bool or boxed)
+   its handler takes, a phi and its inputs are of one kind and an [If]
+   branches on a Bool. Types come from [Instr.result_ty] and the
+   declared [param_tys]; the rules check the kind, so any boxed type
+   passes where an object, a string or an array is needed. Unlike
+   [check], this covers every live block, reachable or not, as
+   preparation and lowering do. *)
+let check_types (fn : fn) : unit =
+  let param_ty k = if k < Array.length fn.param_tys then fn.param_tys.(k) else Tunit in
+  let ty v = Instr.result_ty ~param_ty (Fn.kind fn v) in
+  let frame t = match t with Tint -> `Int | Tbool -> `Bool | _ -> `Boxed in
+  let name v = Printer.ty_to_string (ty v) in
+  Fn.iter_blocks
+    (fun blk ->
+      List.iter
+        (fun v ->
+          let k = Fn.kind fn v in
+          let bad fmt = Fmt.kstr (fun s -> fail "v%d = %a: %s" v Printer.pp_kind k s) fmt in
+          Instr.iter_operands
+            (fun o -> if not (Fn.instr_live fn o) then bad "v%d names no instruction" o)
+            k;
+          let need f what o =
+            if frame (ty o) <> f then bad "v%d is %s, not %s" o (name o) what
+          in
+          let int = need `Int "Int" and bool = need `Bool "Bool" in
+          match k with
+          | Unop (Neg, a) -> int a
+          | Unop (Not, a) -> bool a
+          | Binop ((Add | Sub | Mul | Div | Rem | Shl | Shr | Band | Bor | Bxor
+                   | Lt | Le | Gt | Ge), a, b) ->
+              int a;
+              int b
+          | Binop ((Andb | Orb | Xorb | Eqb), a, b) ->
+              bool a;
+              bool b
+          | Binop ((Eq | Ne), a, b) ->
+              if frame (ty a) <> frame (ty b) then
+                bad "v%d is %s and v%d is %s" a (name a) b (name b)
+          | Phi { ty = t; inputs } ->
+              List.iter
+                (fun (p, x) ->
+                  if frame (ty x) <> frame t then
+                    bad "the input from b%d, v%d, is %s" p x (name x))
+                inputs
+          | GetField { obj; _ } | SetField { obj; _ } | TypeTest { obj; _ } ->
+              need `Boxed "an object" obj
+          | ArrayLen a -> need `Boxed "an array" a
+          | NewArray { len; _ } -> int len
+          | ArrayGet { arr; idx; _ } | ArraySet { arr; idx; _ } ->
+              need `Boxed "an array" arr;
+              int idx
+          | Intrinsic (i, args) -> (
+              match (i, args) with
+              | (Iprint_int | Iabs), [ a ] -> int a
+              | (Imin | Imax), [ a; b ] ->
+                  int a;
+                  int b
+              | Iprint_bool, [ a ] -> bool a
+              | (Iprint_str | Istr_len), [ a ] -> need `Boxed "a String" a
+              | Istr_get, [ s; i ] ->
+                  need `Boxed "a String" s;
+                  int i
+              | Istr_eq, [ a; b ] ->
+                  need `Boxed "a String" a;
+                  need `Boxed "a String" b
+              | _ -> bad "%d arguments is the wrong number" (List.length args))
+          | Const _ | Param _ | Call _ | New _ -> ())
+        blk.instrs;
+      let operand what v =
+        if not (Fn.instr_live fn v) then
+          fail "%s in b%d: v%d names no instruction" what blk.b_id v
+      in
+      match blk.term with
+      | If { cond; _ } ->
+          operand "if" cond;
+          if frame (ty cond) <> `Bool then
+            fail "if in b%d: the condition v%d is %s, not Bool" blk.b_id cond (name cond)
+      | Return v -> operand "return" v
+      | Goto _ | Unreachable -> ())
+    fn
+
 let is_well_formed fn =
   match check fn with () -> true | exception Ill_formed _ -> false
 

@@ -1051,35 +1051,44 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
         nexth st
     else
       let srcs = b.phi_srcs.(edge) and dests = b.phi_dests in
-      match Array.find_index (fun s -> s = Prepared.none) srcs with
-      | Some i ->
+      (* every phi is a step and a charge, but only the copies between two
+         slots move anything: a phi that shares its slot with this edge's
+         input already holds its value *)
+      let charge = nphis * phi_cost in
+      let copies = List.filter (fun i -> srcs.(i) <> dests.(i)) (List.init nphis Fun.id) in
+      match (Array.find_index (fun s -> s = Prepared.none) srcs, copies) with
+      | Some i, _ ->
           fun _ ->
             trap "internal: phi v%d has no input for edge b%d" b.phi_vids.(i)
               b.pred_bids.(edge)
-      | None when nphis = 1 ->
-          let d0 = Prepared.index dests.(0) and s0 = Prepared.index srcs.(0) in
-          if dests.(0) >= 0 then fun st ->
+      | None, [] ->
+          fun st ->
             tick_block ();
-            vm.steps <- vm.steps + 1;
-            vm.cycles <- vm.cycles + phi_cost;
+            vm.steps <- vm.steps + nphis;
+            vm.cycles <- vm.cycles + charge;
+            nexth st
+      | None, [ i ] ->
+          let d0 = Prepared.index dests.(i) and s0 = Prepared.index srcs.(i) in
+          if dests.(i) >= 0 then fun st ->
+            tick_block ();
+            vm.steps <- vm.steps + nphis;
+            vm.cycles <- vm.cycles + charge;
             let f = st.t_frame in
             Array.unsafe_set f d0 (Array.unsafe_get f s0);
             nexth st
           else fun st ->
             tick_block ();
-            vm.steps <- vm.steps + 1;
-            vm.cycles <- vm.cycles + phi_cost;
+            vm.steps <- vm.steps + nphis;
+            vm.cycles <- vm.cycles + charge;
             let n = st.t_ints in
             Array.unsafe_set n d0 (Array.unsafe_get n s0);
             nexth st
-      | None ->
+      | None, _ ->
           (* simultaneous assignment through a scratch row per frame;
              sharing the scratch across activations is safe — nothing
              re-enters this code object mid-move *)
           let moves in_ints =
-            let ks =
-              List.filter (fun i -> (dests.(i) < 0) = in_ints) (List.init nphis Fun.id)
-            in
+            let ks = List.filter (fun i -> (dests.(i) < 0) = in_ints) copies in
             let pick a = Array.of_list (List.map (fun i -> Prepared.index a.(i)) ks) in
             (pick srcs, pick dests)
           in
@@ -1089,7 +1098,7 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
           fun st ->
             tick_block ();
             vm.steps <- vm.steps + nphis;
-            vm.cycles <- vm.cycles + (nphis * phi_cost);
+            vm.cycles <- vm.cycles + charge;
             let f = st.t_frame and n = st.t_ints in
             for i = 0 to nv - 1 do
               Array.unsafe_set vtmp i (Array.unsafe_get f (Array.unsafe_get vsrcs i))

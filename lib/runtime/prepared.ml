@@ -7,11 +7,11 @@
    each block's instruction list, List.assoc phi-input resolution, and
    List.nth operand access. Preparation pays all of that once per function:
 
-   - registers become two flat frames with one slot per value the body
-     names, numbered densely (a compiled body's vid space is mostly holes
-     left by the optimizer; [slots] maps vids to slots): Int and Bool
-     values, by static type, get a slot in an [int array] frame, every
-     other value one in a [value array] frame;
+   - registers become two flat frames, sized by liveness: Int and Bool
+     values, by static type, live in an [int array] frame, every other
+     value in a [value array] frame, and two values of one frame share a
+     slot when neither is live where the other is defined ([slots] maps
+     vids to slots; see "frame-slot allocation" below);
    - each block's leading phis are split from its body at prepare time,
      with phi inputs resolved per predecessor *edge* (the jump carries a
      precomputed edge index, so phi evaluation is two array reads);
@@ -125,8 +125,8 @@ type pblock = {
 
 type code = {
   fname : string;
-  nregs : int;          (* value-frame size *)
-  nints : int;          (* int-frame size; [nregs + nints] vids are named *)
+  nregs : int;          (* value-frame size: its most values live at once *)
+  nints : int;          (* int-frame size, likewise *)
   slots : int array;    (* vid -> slot, [none] for a vid the body never names *)
   params : (int * int) array;  (* (parameter index, slot) per [Param] *)
   entry : int;          (* dense index of the entry block *)
@@ -185,6 +185,261 @@ let decode_instr ~(cost : Cost.t) ~(ics : Ic.t list ref) ~(slot : vid -> int)
   in
   { dest = slot i.id; static_cost = sc; op }
 
+(* ---------- frame-slot allocation ----------
+
+   Two values of one frame share a slot when neither is live where the
+   other is defined. Liveness is the usual backward dataflow over bitsets
+   of value numbers, on the blocks a path from the entry reaches: a phi is
+   defined at its block's entry and its input is live out of the
+   predecessor the input comes from. One scan over the definitions in
+   reverse postorder then gives each value a slot of its frame that no
+   value live at its definition holds, the lowest one unless a phi
+   preference below applies. In strict SSA every value live at a
+   definition was defined on the way there, so the scan needs no
+   interference graph and uses as many slots per frame as the most values
+   of that frame live at one point (Hack, Grund & Goos, "Register
+   Allocation for Programs in SSA-Form", CC 2006).
+
+   - Parameters are written when the frame is built, before the entry
+     block, and a loop may come back into the entry block, where [Pparam]
+     does nothing. So a [Param] kills nothing: every parameter is defined
+     at the frame's build, with the other parameters, and lives up to its
+     last use on any path.
+   - A definition nobody reads still writes its slot: it takes a slot no
+     live value holds, free again right after.
+   - A phi prefers the slot of an input already placed, and a back edge's
+     input, placed after its phi, prefers the phi's slot; lowering drops
+     the copy of a slot onto itself.
+   - Blocks no path from the entry reaches never run: their values get
+     slot 0 of their frame after the scan, as does a value that IR which
+     is not strict SSA uses where it was never defined, so every slot is
+     inside its frame. *)
+
+(* [n] bitsets of [w] words each, flat: set [k] starts at word [k * w]. *)
+let bits = Sys.int_size
+
+let mem (s : int array) (base : int) (i : int) : bool =
+  (Array.unsafe_get s (base + (i / bits)) lsr (i mod bits)) land 1 <> 0
+
+let add (s : int array) (base : int) (i : int) : unit =
+  let j = base + (i / bits) in
+  Array.unsafe_set s j (Array.unsafe_get s j lor (1 lsl (i mod bits)))
+
+let remove (s : int array) (base : int) (i : int) : unit =
+  let j = base + (i / bits) in
+  Array.unsafe_set s j (Array.unsafe_get s j land lnot (1 lsl (i mod bits)))
+
+(* Calls [f] on every member of the set at [base], [w] words. *)
+let iter_set (f : int -> unit) (s : int array) (base : int) (w : int) : unit =
+  for j = 0 to w - 1 do
+    let x = ref (Array.unsafe_get s (base + j)) and i = ref (j * bits) in
+    while !x <> 0 do
+      if !x land 1 <> 0 then f !i;
+      x := !x lsr 1;
+      incr i
+    done
+  done
+
+(* The slot of every value number [n] in its frame [frame.(n)] (0 the
+   value frame, 1 the int frame), and the two frames' sizes. [num] maps a
+   vid to its value number; the arrays are indexed by dense block. *)
+let allocate (fn : fn) ~(num : int array) ~(frame : int array) ~(blocks : bid array)
+    ~(entry : int) ~(succs : int array array) ~(phis : vid array array)
+    ~(body : vid array array) : int array * int * int =
+  let nv = Array.length frame and nb = Array.length blocks in
+  let w = (nv + bits - 1) / bits in
+  (* postorder of the blocks the entry reaches *)
+  let post = Array.make nb 0 and npost = ref 0 and seen = Array.make nb false in
+  let rec dfs b =
+    seen.(b) <- true;
+    Array.iter (fun s -> if not seen.(s) then dfs s) succs.(b);
+    post.(!npost) <- b;
+    incr npost
+  in
+  dfs entry;
+  let npost = !npost in
+  let term_use b =
+    match (Ir.Fn.block fn blocks.(b)).term with
+    | If { cond = v; _ } | Return v -> num.(v)
+    | Goto _ | Unreachable -> -1
+  in
+  (* Walks block [b] backward from [cur] (what is live out of it) to what
+     is live into it. [dies n k]: [n] is dead after its use at body
+     position [k]; [dead n]: nobody reads the definition [n]. *)
+  let walk_back b cur base ~dies ~dead =
+    let is = body.(b) in
+    let k = ref 0 in
+    let use v =
+      let n = num.(v) in
+      if not (mem cur base n) then begin
+        dies n !k;
+        add cur base n
+      end
+    in
+    let def n = if mem cur base n then remove cur base n else dead n in
+    let t = term_use b in
+    if t >= 0 && not (mem cur base t) then add cur base t;
+    for i = Array.length is - 1 downto 0 do
+      let v = is.(i) in
+      match Ir.Fn.kind fn v with
+      | Param _ -> ()
+      | kd ->
+          def num.(v);
+          k := i;
+          Ir.Instr.iter_operands use kd
+    done;
+    let ps = phis.(b) in
+    for i = 0 to Array.length ps - 1 do
+      def num.(ps.(i))
+    done
+  in
+  let ignore2 _ _ = () in
+  (* gen (upward-exposed uses), kill (definitions) and the phi inputs
+     each block sends along its out-edges *)
+  let gen = Array.make (nb * w) 0 and kill = Array.make (nb * w) 0 in
+  let pout = Array.make (nb * w) 0 in
+  for i = 0 to npost - 1 do
+    let b = post.(i) in
+    let base = b * w in
+    walk_back b gen base ~dies:ignore2 ~dead:ignore;
+    Array.iter (fun p -> add kill base num.(p)) phis.(b);
+    Array.iter
+      (fun v ->
+        match Ir.Fn.kind fn v with Param _ -> () | _ -> add kill base num.(v))
+      body.(b);
+    Array.iter
+      (fun s ->
+        Array.iter
+          (fun p ->
+            match Ir.Fn.kind fn p with
+            | Phi { inputs; _ } -> (
+                match List.assoc_opt blocks.(b) inputs with
+                | Some x -> add pout base num.(x)
+                | None -> ())
+            | _ -> ())
+          phis.(s))
+      succs.(b)
+  done;
+  let lin = Array.make (nb * w) 0 and lout = Array.make (nb * w) 0 in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for i = 0 to npost - 1 do
+      let b = post.(i) in
+      let ss = succs.(b) in
+      for j = 0 to w - 1 do
+        let bj = (b * w) + j in
+        let o = ref pout.(bj) in
+        for k = 0 to Array.length ss - 1 do
+          o := !o lor lin.((ss.(k) * w) + j)
+        done;
+        lout.(bj) <- !o;
+        let x = gen.(bj) lor (!o land lnot kill.(bj)) in
+        if x <> lin.(bj) then begin
+          lin.(bj) <- x;
+          changed := true
+        end
+      done
+    done
+  done;
+  (* the scan *)
+  let color = Array.make nv (-1) in
+  let count = [| 0; 0 |] and busy = [| Array.make nv false; Array.make nv false |] in
+  (* a slot for [n]: [pref] if free, else the lowest free one *)
+  let place n ~pref =
+    let f = frame.(n) in
+    let bf = busy.(f) in
+    let s =
+      if pref >= 0 && not bf.(pref) then pref
+      else begin
+        let s = ref 0 in
+        while !s < count.(f) && bf.(!s) do incr s done;
+        !s
+      end
+    in
+    if s = count.(f) then count.(f) <- s + 1;
+    color.(n) <- s;
+    bf.(s) <- true
+  in
+  let hold n = if color.(n) >= 0 then busy.(frame.(n)).(color.(n)) <- true in
+  let free n = if color.(n) >= 0 then busy.(frame.(n)).(color.(n)) <- false in
+  (* [m]'s slot, when [m] is placed in [n]'s frame *)
+  let slot_for n m =
+    if m >= 0 && color.(m) >= 0 && frame.(m) = frame.(n) then color.(m) else -1
+  in
+  let hint = Array.make nv (-1) in
+  (* the frame's build *)
+  Array.iter
+    (fun is ->
+      Array.iter
+        (fun v -> match Ir.Fn.kind fn v with Param _ -> place num.(v) ~pref:(-1) | _ -> ())
+        is)
+    body;
+  (* where each value dies in the block being scanned: after its use at
+     body position [die_pos], or right after its definition (-1) *)
+  let cur = Array.make w 0 and blk = ref (-1) in
+  let die_blk = Array.make nv (-1) and die_pos = Array.make nv 0 in
+  let dies n k =
+    die_blk.(n) <- !blk;
+    die_pos.(n) <- k
+  and dead n =
+    die_blk.(n) <- !blk;
+    die_pos.(n) <- -1
+  in
+  for i = npost - 1 downto 0 do
+    let b = post.(i) in
+    blk := b;
+    Array.fill busy.(0) 0 count.(0) false;
+    Array.fill busy.(1) 0 count.(1) false;
+    iter_set hold lin (b * w) w;
+    Array.blit lout (b * w) cur 0 w;
+    walk_back b cur 0 ~dies ~dead;
+    Array.iter
+      (fun p ->
+        let n = num.(p) in
+        match Ir.Fn.kind fn p with
+        | Phi { inputs; _ } ->
+            place n
+              ~pref:
+                (List.fold_left
+                   (fun pref (_, x) ->
+                     let s = slot_for n num.(x) in
+                     if pref < 0 && s >= 0 && not busy.(frame.(n)).(s) then s else pref)
+                   (-1) inputs);
+            List.iter
+              (fun (_, x) ->
+                let m = num.(x) in
+                if color.(m) < 0 && hint.(m) < 0 then hint.(m) <- n)
+              inputs
+        | _ -> ())
+      phis.(b);
+    Array.iter
+      (fun p -> if die_blk.(num.(p)) = b && die_pos.(num.(p)) < 0 then free num.(p))
+      phis.(b);
+    Array.iteri
+      (fun k v ->
+        match Ir.Fn.kind fn v with
+        | Param _ -> ()
+        | kd ->
+            Ir.Instr.iter_operands
+              (fun u ->
+                let m = num.(u) in
+                if die_blk.(m) = b && die_pos.(m) = k then free m)
+              kd;
+            let n = num.(v) in
+            place n ~pref:(slot_for n hint.(n));
+            if die_blk.(n) = b && die_pos.(n) < 0 then free n)
+      body.(b)
+  done;
+  Array.iteri
+    (fun n c ->
+      if c < 0 then begin
+        color.(n) <- 0;
+        count.(frame.(n)) <- max 1 count.(frame.(n))
+      end)
+    color;
+  (color, count.(0), count.(1))
+
 let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
   let ics : Ic.t list ref = ref [] in
   let nbids = Vec.length fn.blocks in
@@ -194,61 +449,84 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
   Vec.iteri
     (fun b s -> match s with Some _ -> live := b :: !live | None -> ())
     fn.blocks;
-  let live = List.rev !live in
-  List.iteri (fun i b -> index_of_bid.(b) <- i) live;
-  let nlive = List.length live in
+  let live = Array.of_list (List.rev !live) in
+  Array.iteri (fun i b -> index_of_bid.(b) <- i) live;
+  let nlive = Array.length live in
   let index_of_target (b : bid) : int =
     if b >= 0 && b < nbids && index_of_bid.(b) >= 0 then index_of_bid.(b)
     else ill_formed fn.fname "jump to dead block b%d" b
   in
+  let succs =
+    Array.map
+      (fun b ->
+        Array.of_list
+          (List.map index_of_target (Ir.Fn.succs_of_term (Ir.Fn.block fn b).term)))
+      live
+  in
   (* predecessor edges per live block, in (source id, successor slot) order *)
   let preds = Array.make (max nlive 1) [] in
-  List.iter
-    (fun b ->
-      List.iter
-        (fun s ->
-          let i = index_of_target s in
-          preds.(i) <- b :: preds.(i))
-        (Ir.Fn.succs_of_term (Ir.Fn.block fn b).term))
-    live;
+  Array.iteri
+    (fun i ss -> Array.iter (fun s -> preds.(s) <- live.(i) :: preds.(s)) ss)
+    succs;
   let pred_arrays = Array.map (fun l -> Array.of_list (List.rev l)) preds in
-  (* dense frame slots, in first-mention order over the live blocks: every
+  (* each live block's leading phis, and the rest of its instructions *)
+  let phis = Array.make nlive [||] and body = Array.make nlive [||] in
+  Array.iteri
+    (fun i b ->
+      let rec split acc = function
+        | v :: rest when Ir.Instr.is_phi (Ir.Fn.kind fn v) -> split (v :: acc) rest
+        | rest -> (acc, rest)
+      in
+      let ps, rest = split [] (Ir.Fn.block fn b).instrs in
+      phis.(i) <- Array.of_list (List.rev ps);
+      body.(i) <- Array.of_list rest)
+    live;
+  (* value numbers, in first-mention order over the live blocks: every
      phi and instruction result, every operand (phi inputs included) and
-     every terminator operand, each numbered in the frame of its static
-     type (declared parameter types for [Param]; a vid whose instruction
-     was deleted goes to the value frame) *)
-  let slots = Array.make (Vec.length fn.instrs) none in
-  let nregs = ref 0 and nints = ref 0 in
+     every terminator operand, each with the frame of its static type
+     (declared parameter types for [Param]; a vid whose instruction was
+     deleted goes to the value frame) *)
+  let nvid = Vec.length fn.instrs in
+  let num = Array.make nvid (-1) in
+  let vid_of = Array.make nvid 0 and vty = Array.make nvid Kval and nv = ref 0 in
   let param_ty k = if k < Array.length fn.param_tys then fn.param_tys.(k) else Tunit in
   let name v =
-    if v < 0 || v >= Array.length slots then
-      ill_formed fn.fname "v%d names no instruction" v;
-    if slots.(v) = none then
+    if v < 0 || v >= nvid then ill_formed fn.fname "v%d names no instruction" v;
+    if num.(v) < 0 then begin
       let ty =
         match Vec.get fn.instrs v with
         | Some i -> Ir.Instr.result_ty ~param_ty i.kind
         | None -> Tunit
       in
-      match ty with
-      | Tint | Tbool ->
-          slots.(v) <- lnot ((2 * !nints) + if ty = Tbool then 1 else 0);
-          incr nints
-      | _ ->
-          slots.(v) <- !nregs;
-          incr nregs
+      num.(v) <- !nv;
+      vid_of.(!nv) <- v;
+      vty.(!nv) <- (match ty with Tint -> Kint | Tbool -> Kbool | _ -> Kval);
+      incr nv
+    end
   in
-  List.iter
-    (fun b ->
-      let blk = Ir.Fn.block fn b in
-      List.iter
-        (fun v ->
-          name v;
-          Ir.Instr.iter_operands name (Ir.Fn.kind fn v))
-        blk.instrs;
-      match blk.term with
+  Array.iteri
+    (fun i b ->
+      let name_instr v =
+        name v;
+        Ir.Instr.iter_operands name (Ir.Fn.kind fn v)
+      in
+      Array.iter name_instr phis.(i);
+      Array.iter name_instr body.(i);
+      match (Ir.Fn.block fn b).term with
       | If { cond = v; _ } | Return v -> name v
       | Goto _ | Unreachable -> ())
     live;
+  let entry = index_of_target fn.entry in
+  let frame = Array.init !nv (fun n -> if vty.(n) = Kval then 0 else 1) in
+  let color, nregs, nints =
+    allocate fn ~num ~frame ~blocks:live ~entry ~succs ~phis ~body
+  in
+  let slots = Array.make nvid none in
+  Array.iteri
+    (fun n c ->
+      slots.(vid_of.(n)) <-
+        (match vty.(n) with Kval -> c | Kint -> lnot (2 * c) | Kbool -> lnot ((2 * c) + 1)))
+    color;
   let slot v = slots.(v) in
   (* [src] is a predecessor of the live block [target] *)
   let edge_of ~(target : bid) ~(src : bid) : int =
@@ -256,41 +534,28 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
     let rec find i = if ps.(i) = src then i else find (i + 1) in
     find 0
   in
-  let decode_block (b : bid) : pblock =
+  let decode_block (bi : int) (b : bid) : pblock =
     let blk = Ir.Fn.block fn b in
-    let rec split_phis acc = function
-      | v :: rest -> (
-          match Ir.Fn.kind fn v with
-          | Phi { inputs; _ } -> split_phis ((v, inputs) :: acc) rest
-          | _ -> (List.rev acc, v :: rest))
-      | [] -> (List.rev acc, [])
-    in
-    let phis, non_phis = split_phis [] blk.instrs in
-    (match phis with
-    | (v, _) :: _ when b = fn.entry ->
-        ill_formed fn.fname "phi v%d in the entry block" v
-    | _ -> ());
-    let my_preds = pred_arrays.(index_of_bid.(b)) in
-    let nphis = List.length phis in
-    let phi_dests = Array.make nphis 0 in
-    let phi_vids = Array.make nphis 0 in
-    List.iteri
-      (fun i (v, _) ->
-        phi_dests.(i) <- slot v;
-        phi_vids.(i) <- v)
-      phis;
+    let phis = phis.(bi) in
+    if b = fn.entry && Array.length phis > 0 then
+      ill_formed fn.fname "phi v%d in the entry block" phis.(0);
+    let my_preds = pred_arrays.(bi) in
+    let nphis = Array.length phis in
     let phi_srcs =
       Array.map
         (fun p ->
           let row = Array.make nphis none in
-          List.iteri
-            (fun i (v, inputs) ->
-              match List.assoc_opt p inputs with
-              | Some pv ->
-                  if kind (slot pv) <> kind (slot v) then
-                    ill_formed fn.fname "phi v%d and its input v%d differ in type" v pv;
-                  row.(i) <- slot pv
-              | None -> ())
+          Array.iteri
+            (fun i v ->
+              match Ir.Fn.kind fn v with
+              | Phi { inputs; _ } -> (
+                  match List.assoc_opt p inputs with
+                  | Some pv ->
+                      if kind (slot pv) <> kind (slot v) then
+                        ill_formed fn.fname "phi v%d and its input v%d differ in type" v pv;
+                      row.(i) <- slot pv
+                  | None -> ())
+              | _ -> ())
             phis;
           row)
         my_preds
@@ -317,38 +582,37 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
     in
     {
       src_bid = b;
-      phi_dests;
-      phi_vids;
+      phi_dests = Array.map slot phis;
+      phi_vids = phis;
       phi_srcs;
       pred_bids = my_preds;
       body =
-        Array.of_list
-          (List.map
-             (fun v -> decode_instr ~cost ~ics ~slot prog fn (Ir.Fn.instr fn v))
-             non_phis);
+        Array.map
+          (fun v -> decode_instr ~cost ~ics ~slot prog fn (Ir.Fn.instr fn v))
+          body.(bi);
       term;
       term_cost;
       prof = { cell = None };
       osr_skip = false;
     }
   in
-  let live_blocks = List.map decode_block live in
+  let blocks = Array.mapi decode_block live in
   let params =
-    List.concat_map
-      (fun (b : pblock) ->
-        Array.to_list b.body
-        |> List.filter_map (fun pi ->
-               match pi.op with Pparam k -> Some (k, pi.dest) | _ -> None))
-      live_blocks
+    Array.fold_right
+      (fun (b : pblock) acc ->
+        Array.fold_right
+          (fun pi acc -> match pi.op with Pparam k -> (k, pi.dest) :: acc | _ -> acc)
+          b.body acc)
+      blocks []
   in
   {
     fname = fn.fname;
-    nregs = !nregs;
-    nints = !nints;
+    nregs;
+    nints;
     slots;
     params = Array.of_list params;
-    entry = index_of_target fn.entry;
-    blocks = Array.of_list live_blocks;
+    entry;
+    blocks;
     ics = Array.of_list (List.rev !ics);
   }
 

@@ -1,10 +1,11 @@
 (** Prepared code objects: a function body pre-decoded, once, into the
-    dense array form the execution engine runs — two flat frames with
-    one slot per value the body names (Int and Bool values in an
-    [int array], the rest in a [value array]), each block's leading phis
-    pre-split from its body with inputs resolved per predecessor edge,
-    instructions decoded with operand slots and static cycle costs baked
-    in, and call arguments as arrays of the caller's slots.
+    dense array form the execution engine runs — two flat frames (Int and
+    Bool values in an [int array], the rest in a [value array]) in which
+    values that are never live at the same time share a slot, each
+    block's leading phis pre-split from its body with inputs resolved per
+    predecessor edge, instructions decoded with operand slots and static
+    cycle costs baked in, and call arguments as arrays of the caller's
+    slots.
 
     Preparation is observably transparent: output, result, simulated
     cycles, step counts and recorded profiles are identical to direct IR
@@ -23,7 +24,8 @@
 
     Three internal errors that the walker reports are reported
     differently:
-    - use of a never-evaluated vid reads the frame's initial value;
+    - use of a never-evaluated vid (IR that is not strict SSA) reads
+      whatever its slot holds;
     - a call with fewer arguments than a [Param] index traps "missing
       argument" when the callee's frame is built, not at the [Param];
     - a phi with no input on an edge (in verified IR, only an edge from
@@ -52,7 +54,20 @@ type brec_holder = { mutable brec : Profile.brec option }
     parameters): Int and Bool values in the [int array] frame, a Bool as
     0/1; every other value in the [value array] frame. A slot is one
     [int]: [s >= 0] is value-frame slot [s]; int-frame slot [s] is
-    encoded [lnot (2s)] for an Int and [lnot (2s + 1)] for a Bool. *)
+    encoded [lnot (2s)] for an Int and [lnot (2s + 1)] for a Bool, so an
+    Int and a Bool may share an int-frame slot.
+
+    Within a frame, two values share a slot when neither is live where
+    the other is defined, on the blocks a path from the entry reaches: a
+    phi is defined at its block's entry and its input is live out of its
+    predecessor; every parameter is defined when a call builds the frame,
+    before the entry block, so a [Param] kills nothing and a parameter
+    lives to its last use on any path, around a loop back into the entry
+    block too; a definition nobody reads still takes a slot no live value
+    holds. A phi prefers the slot of an input already placed, and a back
+    edge's input the slot of its phi, so most phi copies move a slot onto
+    itself; lowering drops those copies but still charges each phi's step
+    and cycles. Values of blocks no path reaches get slot 0. *)
 
 val none : int
 (** [min_int]: an unnamed vid, or a phi with no input on an edge. *)
@@ -121,16 +136,26 @@ type pblock = {
 
 type code = {
   fname : string;
-  nregs : int;  (** value-frame size *)
-  nints : int;
-      (** int-frame size. [nregs + nints] is the number of distinct vids
-          the live blocks name — phi and instruction results, operands
-          (phi inputs included) and terminator operands — not the
-          function's vid space. *)
+  nregs : int;
+      (** value-frame size: the most value-frame values live at one
+          point — at the frame's build, at a block's entry after its phis,
+          or right after a definition (counted even when nobody reads it)
+          — or 1 when only unreachable blocks name such values *)
+  nints : int;  (** int-frame size, counted the same way over Int and Bool values *)
   slots : int array;
-      (** vid -> encoded slot, {!none} for a vid the body never names.
-          Readers of a frame by vid (the OSR transfers, whose frame
-          mappings are vids) go through it. *)
+      (** vid -> encoded slot, {!none} for a vid the live blocks never
+          name — phi and instruction results, operands (phi inputs
+          included) and terminator operands. A slot holds its vid's value
+          wherever the vid is live; elsewhere it may hold another value.
+          Readers of a frame by vid go through it: the OSR guards read a
+          transfer's live-ins and the loop header's phis right after the
+          header's prologue, where each live-in that is live at the header
+          and each phi, just written, still holds its value. A live-in
+          that is not live there (a value of an enclosing loop whose uses
+          all follow its definition) reads another value of its frame,
+          which the continuation never uses: {!Ir.Osr} reroutes to the
+          transferred value only uses that the header reaches without
+          passing the definition. *)
   params : (int * int) array;
       (** (parameter index, slot) of every [Param] the live blocks list,
           in decode order: a call writes each argument into its slot when

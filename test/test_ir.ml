@@ -245,8 +245,82 @@ let freq_tests =
         Alcotest.(check (float 1e-9)) "then static" 0.5 (Hashtbl.find f b1));
   ]
 
+(* Bodies that [Ir.Verify.check] passes and [check_types] refuses, with
+   its message: the threaded tier would refuse each before running it. *)
+let ill_typed_bodies =
+  [
+    ( {|fn f(Unit, Bool) : Int  entry=b0
+b0:
+  v0 = param 0
+  v1 = param 1
+  v2 = const 1
+  v3 = add v1, v2
+  return v3
+|},
+      "v3 = add v1, v2: v1 is Bool, not Int" );
+    ( {|fn f(Unit, Int) : Int  entry=b0
+b0:
+  v1 = param 1
+  if v1 then b1 else b2 @m0.0
+b1:
+  return v1
+b2:
+  return v1
+|},
+      "if in b0: the condition v1 is Int, not Bool" );
+    ( {|fn f(Unit, Int) : Int  entry=b0
+b0:
+  v1 = param 1
+  v2 = const true
+  v3 = eq v1, v2
+  return v1
+|},
+      "v3 = eq v1, v2: v1 is Int and v2 is Bool" );
+    ( {|fn f(Unit, Int) : Int  entry=b0
+b0:
+  v1 = param 1
+  goto b1
+b1:
+  v2 = phi:Bool [b0: v1]
+  return v1
+|},
+      "v2 = phi:Bool [b0: v1]: the input from b0, v1, is Int" );
+    ( {|fn f(Unit, Int) : Int  entry=b0
+b0:
+  v1 = param 1
+  return v1
+b1:
+  v2 = add v1, v9
+  return v2
+|},
+      "v2 = add v1, v9: v9 names no instruction" );
+  ]
+
 let verify_tests =
   [
+    test "ill-typed bodies fail the type check" (fun () ->
+        List.iter
+          (fun (text, expected) ->
+            let fn = Ir.Parse.parse_fn text in
+            check_verifies fn;
+            match Ir.Verify.check_types fn with
+            | () -> Alcotest.failf "passed: %s" expected
+            | exception Ir.Verify.Ill_formed msg ->
+                Alcotest.(check string) "message" expected msg)
+          ill_typed_bodies);
+    test "every registry method body typechecks" (fun () ->
+        List.iter
+          (fun (w : Workloads.Defs.t) ->
+            Ir.Program.iter_meths
+              (fun (m : meth) ->
+                match m.body with
+                | Some fn -> (
+                    try Ir.Verify.check_types fn
+                    with Ir.Verify.Ill_formed msg ->
+                      Alcotest.failf "%s/%s: %s" w.name m.m_name msg)
+                | None -> ())
+              (Workloads.Registry.compile w))
+          Workloads.Registry.all);
     test "well-formed diamond passes" (fun () ->
         let fn, _, _, _, _, _ = make_diamond () in
         check_verifies fn);

@@ -305,18 +305,38 @@ let gen_ir_fn : Ir.Types.fn Gen.t =
 let ir_fn_arbitrary =
   QCheck.make ~print:(fun fn -> Ir.Printer.fn_to_string fn) gen_ir_fn
 
-(* executes with fixed arguments, classifying the outcome *)
-let run_ir_fn (fn : Ir.Types.fn) : string =
+(* executes with fixed arguments, classifying the outcome; the VM is
+   returned for its step and cycle counts *)
+let exec_ir_fn ?backend (fn : Ir.Types.fn) : Runtime.Interp.vm * string =
   let prog = Util.compile "def main(): Unit = {}" in
-  let vm = Runtime.Interp.create ~max_steps:20_000 prog in
-  match
-    Runtime.Interp.exec vm ~mode:Runtime.Interp.Compiled ~meth:0 fn
-      [| Runtime.Values.Vint 13; Runtime.Values.Vint (-7) |]
-  with
-  | Runtime.Values.Vint n -> Printf.sprintf "int:%d" n
-  | v -> Printf.sprintf "other:%s" (Runtime.Values.to_string v)
-  | exception Runtime.Values.Trap msg ->
-      if Util.contains_substring ~needle:"step budget" msg then "diverges" else "trap:" ^ msg
+  let vm = Runtime.Interp.create ?backend ~max_steps:20_000 prog in
+  ( vm,
+    match
+      Runtime.Interp.exec vm ~mode:Runtime.Interp.Compiled ~meth:0 fn
+        [| Runtime.Values.Vint 13; Runtime.Values.Vint (-7) |]
+    with
+    | Runtime.Values.Vint n -> Printf.sprintf "int:%d" n
+    | v -> Printf.sprintf "other:%s" (Runtime.Values.to_string v)
+    | exception Runtime.Values.Trap msg ->
+        if Util.contains_substring ~needle:"step budget" msg then "diverges"
+        else "trap:" ^ msg )
+
+let run_ir_fn (fn : Ir.Types.fn) : string = snd (exec_ir_fn fn)
+
+(* The threaded tier's frames share a slot between values that are never
+   live at once, while the reference walker keeps every value by vid.
+   Random CFGs bring the shapes the frontend never emits: irreducible
+   loops, and loops back into the entry block, which re-enter its
+   [Param]s. *)
+let prop_threaded_random_cfg =
+  Test.make ~name:"threaded = reference on random CFGs" ~count:300 ir_fn_arbitrary
+    (fun fn ->
+      let rvm, r = exec_ir_fn ~backend:Runtime.Interp.Reference fn in
+      let tvm, t = exec_ir_fn ~backend:Runtime.Interp.Threaded fn in
+      if (r, rvm.steps, rvm.cycles) <> (t, tvm.steps, tvm.cycles) then
+        Test.fail_reportf "reference %s after %d steps, %d cycles; threaded %s after %d, %d"
+          r rvm.steps rvm.cycles t tvm.steps tvm.cycles;
+      true)
 
 let prop_ir_generator_valid =
   Test.make ~name:"random CFGs verify" ~count:120 ir_fn_arbitrary (fun fn ->
@@ -510,6 +530,7 @@ let () =
             prop_gvn_random_cfg;
             prop_dce_random_cfg;
             prop_licm_random_cfg;
+            prop_threaded_random_cfg;
             prop_dominators_brute_force;
           ] );
       ( "tuple-algebra",

@@ -237,24 +237,23 @@ let test_superinst_determinism () =
 
 (* ---------- frames and calls ---------- *)
 
+module Vids = Set.Make (Int)
+
 (* The distinct vids a body's live blocks name: phi and instruction
    results, their operands (phi inputs included) and the terminators'
    operands. *)
-let named_vids (fn : Ir.Types.fn) : int =
-  let seen = Hashtbl.create 64 in
-  let name v = Hashtbl.replace seen v () in
-  Ir.Fn.iter_blocks
-    (fun (blk : Ir.Types.block) ->
-      List.iter
-        (fun v ->
-          name v;
-          Ir.Instr.iter_operands name (Ir.Fn.kind fn v))
-        blk.instrs;
+let named_vids (fn : Ir.Types.fn) : Vids.t =
+  Ir.Fn.fold_blocks
+    (fun acc (blk : Ir.Types.block) ->
+      let acc =
+        List.fold_left
+          (fun acc v -> Vids.union acc (Vids.of_list (v :: Ir.Instr.operands (Ir.Fn.kind fn v))))
+          acc blk.instrs
+      in
       match blk.term with
-      | If { cond = v; _ } | Return v -> name v
-      | Goto _ | Unreachable -> ())
-    fn;
-  Hashtbl.length seen
+      | If { cond = v; _ } | Return v -> Vids.add v acc
+      | Goto _ | Unreachable -> acc)
+    Vids.empty fn
 
 (* The frame a vid's static type puts it in: Int and Bool values in the
    int frame, every other value in the value frame. *)
@@ -264,17 +263,132 @@ let static_kind (fn : Ir.Types.fn) (v : int) : Runtime.Prepared.kind =
   | Tbool -> Kbool
   | _ -> Kval
 
-(* The two frames have one slot per value the body names, not one per
-   vid: the optimizer leaves most of a compiled body's vid space as
-   holes. Each named vid's slot is in the frame of its static type. *)
+(* Liveness recomputed naively, as one vid set per program point, on
+   the blocks a path from the entry reaches. The points are where a
+   frame holds values at once: the frame's build, where a call writes
+   every [Param] before the entry block, with whatever is live into the
+   entry block; each block's entry, where its phis are written; and the
+   point right after every other definition, which counts the defined
+   value even when nobody reads it. A [Param] defines nothing where it
+   is listed, so a parameter is live from the build to its last use on
+   any path, around a loop back into the entry block too. A phi's input
+   is live out of its predecessor. *)
+let live_points (fn : Ir.Types.fn) : Vids.t list =
+  let open Ir.Types in
+  let reachable = Ir.Fn.reachable fn in
+  let is_phi v = Ir.Instr.is_phi (Ir.Fn.kind fn v) in
+  let is_param v = match Ir.Fn.kind fn v with Param _ -> true | _ -> false in
+  let blocks = List.filter reachable (Ir.Fn.block_ids fn) in
+  let phis b = List.filter is_phi (Ir.Fn.block fn b).instrs in
+  let live_in = Hashtbl.create 16 in
+  let get_in b = Option.value ~default:Vids.empty (Hashtbl.find_opt live_in b) in
+  let live_out b =
+    List.fold_left
+      (fun acc s ->
+        List.fold_left
+          (fun acc p ->
+            match Ir.Fn.kind fn p with
+            | Phi { inputs; _ } -> (
+                match List.assoc_opt b inputs with Some x -> Vids.add x acc | None -> acc)
+            | _ -> acc)
+          (Vids.union acc (get_in s))
+          (phis s))
+      Vids.empty (Ir.Fn.succs fn b)
+  in
+  (* the sets right after each non-phi instruction, and the set live
+     into the block *)
+  let walk b =
+    let blk = Ir.Fn.block fn b in
+    let live =
+      ref
+        (match blk.term with
+        | If { cond = v; _ } | Return v -> Vids.add v (live_out b)
+        | Goto _ | Unreachable -> live_out b)
+    in
+    let after =
+      List.fold_left
+        (fun acc v ->
+          let here = (v, !live) in
+          if not (is_param v) then live := Vids.remove v !live;
+          live := Vids.union !live (Vids.of_list (Ir.Instr.operands (Ir.Fn.kind fn v)));
+          here :: acc)
+        []
+        (List.rev (List.filter (fun v -> not (is_phi v)) blk.instrs))
+    in
+    (after, Vids.diff !live (Vids.of_list (phis b)))
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun b ->
+        let i = snd (walk b) in
+        if not (Vids.equal i (get_in b)) then begin
+          Hashtbl.replace live_in b i;
+          changed := true
+        end)
+      blocks
+  done;
+  let params =
+    Ir.Fn.fold_blocks
+      (fun acc (blk : block) -> acc @ List.filter is_param blk.instrs)
+      [] fn
+  in
+  Vids.union (get_in fn.entry) (Vids.of_list params)
+  :: List.concat_map
+       (fun b ->
+         Vids.union (get_in b) (Vids.of_list (phis b))
+         :: List.filter_map
+              (fun (v, s) -> if is_param v then None else Some (Vids.add v s))
+              (fst (walk b)))
+       blocks
+
+(* The slot allocator of [Prepared.prepare] against [live_points]: two
+   vids live at one point never share a slot, every named vid's slot is
+   in the frame of its static type, and each frame has exactly as many
+   slots as the most values of it live at one point (1 when only blocks
+   no path reaches name values of it: those values get slot 0). *)
+let check_frames (what : string) (fn : Ir.Types.fn) (pcode : Runtime.Prepared.code) =
+  let named = named_vids fn in
+  let frame v = if static_kind fn v = Kval then 0 else 1 in
+  Array.iteri
+    (fun v s ->
+      if Vids.mem v named <> (s <> Runtime.Prepared.none) then
+        Alcotest.failf "%s: v%d is named %b but has slot %d" what v (Vids.mem v named) s;
+      if Vids.mem v named && Runtime.Prepared.kind s <> static_kind fn v then
+        Alcotest.failf "%s: v%d is in the wrong frame" what v)
+    pcode.slots;
+  let most = [| 0; 0 |] and seen = ref Vids.empty in
+  List.iter
+    (fun live ->
+      let held = Hashtbl.create 16 and n = [| 0; 0 |] in
+      Vids.iter
+        (fun v ->
+          let key = (frame v, Runtime.Prepared.index pcode.slots.(v)) in
+          (match Hashtbl.find_opt held key with
+          | Some u -> Alcotest.failf "%s: v%d and v%d, live at one point, share a slot" what u v
+          | None -> Hashtbl.replace held key v);
+          n.(frame v) <- n.(frame v) + 1)
+        live;
+      most.(0) <- max most.(0) n.(0);
+      most.(1) <- max most.(1) n.(1);
+      seen := Vids.union !seen live)
+    (live_points fn);
+  Vids.iter (fun v -> most.(frame v) <- max 1 most.(frame v)) (Vids.diff named !seen);
+  Alcotest.(check int) (what ^ ": value frame") most.(0) pcode.nregs;
+  Alcotest.(check int) (what ^ ": int frame") most.(1) pcode.nints
+
+(* Every compiled body and every method body of a tiered run of each
+   workload, so interpreted frontend code and inlined, optimized code
+   both count. *)
 let test_frame_slots () =
-  let below = ref 0 in
+  let smaller = ref 0 in
   List.iter
     (fun (w : Workloads.Defs.t) ->
       let bodies = ref [] in
       let compiler prog profiles m =
         let body = (Util.incremental ()) prog profiles m in
-        bodies := ((Ir.Program.meth prog m).m_name, body) :: !bodies;
+        bodies := ((Ir.Program.meth prog m).m_name ^ " (compiled)", body) :: !bodies;
         body
       in
       let e =
@@ -283,31 +397,73 @@ let test_frame_slots () =
             compile_cost_per_node = 50; verify = false }
       in
       ignore (Jit.Engine.run_main e);
+      Ir.Program.iter_meths
+        (fun (m : Ir.Types.meth) ->
+          Option.iter (fun fn -> bodies := (m.m_name, fn) :: !bodies) m.body)
+        e.vm.prog;
       List.iter
         (fun (name, fn) ->
           let pcode = Runtime.Prepared.prepare ~cost:Runtime.Cost.default e.vm.prog fn in
-          let what = Printf.sprintf "%s/%s" w.name name in
-          Alcotest.(check int) (what ^ ": frame slots") (named_vids fn)
-            (pcode.nregs + pcode.nints);
-          Array.iteri
-            (fun v s ->
-              if s <> Runtime.Prepared.none
-                 && Runtime.Prepared.kind s <> static_kind fn v
-              then Alcotest.failf "%s: v%d is in the wrong frame" what v)
-            pcode.slots;
-          if pcode.nregs + pcode.nints < Support.Vec.length fn.instrs then
-            incr below)
+          check_frames (Printf.sprintf "%s/%s" w.name name) fn pcode;
+          if pcode.nregs + pcode.nints < Vids.cardinal (named_vids fn) then incr smaller)
         !bodies)
     Workloads.Registry.all;
-  Alcotest.(check bool) "some frame is smaller than its body's vid space" true
-    (!below > 0)
+  Alcotest.(check bool) "some frame is smaller than the values its body names" true
+    (!smaller > 0)
+
+(* A loop back into the entry block re-enters its [Param]s, which do
+   nothing in the threaded tier: the call wrote the arguments when it
+   built the frame. An allocator that took [v0 = param 0] for [v0]'s
+   definition gave [v0]'s slot to [v6] after [v4], [v0]'s last use in
+   b0, and its second pass multiplied by [v6]'s 0 or 1, returning
+   1259557135292 after 93 steps. The walker exhausts the step budget. *)
+let loop_into_entry =
+  {|fn rand(Int, Int) : Int  entry=b0
+b0:
+  v0 = param 0
+  v1 = param 1
+  v2 = const 97
+  v3 = shl v1, v2
+  v4 = mul v1, v0
+  v6 = lt v3, v4
+  if v6 then b0 else b3 @m0.0
+b3:
+  v5 = bxor v1, v4
+  return v5
+|}
+
+let test_loop_into_entry () =
+  let fn = Ir.Parse.parse_fn loop_into_entry in
+  Util.check_verifies fn;
+  let run backend =
+    let vm =
+      Runtime.Interp.create ~backend ~max_steps:20_000 (Util.compile "def main(): Unit = {}")
+    in
+    let outcome =
+      match
+        Runtime.Interp.exec vm ~mode:Runtime.Interp.Compiled ~meth:0 fn
+          [| Runtime.Values.Vint 13; Runtime.Values.Vint (-7) |]
+      with
+      | v -> Runtime.Values.to_string v
+      | exception Runtime.Values.Trap msg -> msg
+    in
+    (outcome, vm.steps, vm.cycles)
+  in
+  let r_out, r_steps, r_cycles = run Runtime.Interp.Reference in
+  let t_out, t_steps, t_cycles = run Runtime.Interp.Threaded in
+  Alcotest.(check string) "the walker runs out of steps" "step budget exceeded" r_out;
+  Alcotest.(check string) "outcome" r_out t_out;
+  Alcotest.(check int) "steps" r_steps t_steps;
+  Alcotest.(check int) "cycles" r_cycles t_cycles
 
 (* What an interpreted call allocates beyond the work it does: its
-   activation state (4 words), value frame (2: [step]'s receiver), int
-   frame (4: [x], the constant and the sum) and, when the result is at
-   least 1024, the box of the returned Int (2). The arguments are
-   written straight into [step]'s slots, with no argument array. All of
-   it is small, so [Gc.minor_words] sees every word. *)
+   activation state (4 words), value frame (2: [step]'s receiver, never
+   read but written when the frame is built), int frame (3: [x] and the
+   constant are live together, and the sum takes [x]'s slot) and, when
+   the result is at least 1024, the box of the returned Int (2): 10.90
+   words a call over this loop. The arguments are written straight into
+   [step]'s slots, with no argument array. All of it is small, so
+   [Gc.minor_words] sees every word. *)
 let test_call_allocation () =
   let words body =
     let src =
@@ -446,7 +602,9 @@ let () =
         [ test "mined superinstruction table is deterministic" test_superinst_determinism ] );
       ( "frames",
         [
-          test "a frame has one slot per value the body names" test_frame_slots;
+          test "a frame holds the most values live at one point" test_frame_slots;
+          test "a loop back into the entry block keeps its parameters"
+            test_loop_into_entry;
           test "an interpreted call allocates at most 12 words" test_call_allocation;
           test "Int and Bool arithmetic allocates nothing" test_arith_allocation;
           test "ill-formed or ill-typed IR is refused before it runs"
