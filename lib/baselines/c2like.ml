@@ -95,4 +95,5 @@ let compile ?(params = default) (prog : program) (profiles : Runtime.Profile.t)
   (* one full optimization pass after inlining, as with the other
      compilers — the comparison varies only the inlining decisions *)
   ignore (Opt.Driver.round_root_opts prog st.body);
+  Ir.Fn.drop_analyses st.body;
   st.body

@@ -73,4 +73,5 @@ let compile ?(params = default) (prog : program) (profiles : Runtime.Profile.t)
      the same compiler), but with no alternation between inlining and
      optimization. *)
   ignore (Opt.Driver.round_root_opts prog st.body);
+  Ir.Fn.drop_analyses st.body;
   st.body

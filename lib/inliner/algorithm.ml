@@ -103,6 +103,8 @@ let compile ?trial_cache (prog : Ir.Types.program) (profiles : Runtime.Profile.t
      done;
      stats.final_size <- Ir.Fn.size t.root_fn;
      Obs.Metrics.observe m_rounds stats.rounds;
+     (* the compiled body outlives the compilation *)
+     Ir.Fn.drop_analyses t.root_fn;
      { body = t.root_fn; stats }
    with Support.Fuel.Exhausted -> (
      match !best with

@@ -85,6 +85,7 @@ type t = {
   trial_cache : Trial_cache.t option;  (* cross-compilation trial memoization *)
   body_sizes : (meth_id, int option) Hashtbl.t;  (* prepared body sizes *)
   totals : totals;
+  mutable envs : (fn * Opt.Tyinfer.env) list;  (* owners' inferred types (see [env_of]) *)
 }
 
 let fresh_id t =
@@ -267,6 +268,19 @@ let vt_to_ty (vt : Opt.Tyinfer.vt) : ty option =
 
 let strictly_more_precise = Sigs.strictly_more_precise
 
+(* The owner's inferred types, inferred once per owner. An attached body
+   is never edited, and the root only by the inline phase and by the root
+   optimizations, which [refresh] follows; both drop the cache. *)
+let env_of (t : t) (owner : fn) : Opt.Tyinfer.env =
+  match List.assq_opt owner t.envs with
+  | Some env -> env
+  | None ->
+      let env = Opt.Tyinfer.infer t.prog owner in
+      t.envs <- (owner, env) :: t.envs;
+      env
+
+let forget_types (t : t) : unit = t.envs <- []
+
 (* What would this callsite specialize its callee with? Returns, per
    parameter: an optional constant and an optional refined type. [env] is
    the owner's inferred types: callers infer once per owner, not per
@@ -396,7 +410,7 @@ let make_node (t : t) ~pnid ~tname ~kind ~call_vid ~owner ~site ~freq ~prob ~rec
 let scan_children (t : t) ~(pnid : int) ~(owner : fn) ~(owner_meth : meth_id)
     ~(parent_freq : float) ~(ancestors : meth_id list) : node list =
   let freqs = block_freqs t owner_meth owner in
-  let env = lazy (Opt.Tyinfer.infer t.prog owner) in
+  let env = lazy (env_of t owner) in
   List.map
     (fun (call : instr) ->
       match call.kind with
@@ -447,6 +461,7 @@ let create ?trial_cache (prog : program) (profiles : Runtime.Profile.t)
       trial_cache;
       body_sizes = Hashtbl.create 16;
       totals = { stale = true; root_size = 0; tree_s_ir = 0; tree_n_c = 0 };
+      envs = [];
     }
   in
   (* the root method itself is the first link of every call path, so a
@@ -504,7 +519,7 @@ let expand_cutoff (t : t) (n : node) : bool =
         | Some callee_body ->
             let declared = (Ir.Program.meth t.prog m).m_param_tys in
             let sg =
-              spec_signature t ~env:(Opt.Tyinfer.infer t.prog n.owner) ~owner:n.owner
+              spec_signature t ~env:(env_of t n.owner) ~owner:n.owner
                 ~call_vid:n.call_vid ~recv_cls:n.recv_cls ~declared
             in
             let enabled =
@@ -549,7 +564,7 @@ let expand_cutoff (t : t) (n : node) : bool =
      become fresh cutoff children of the root.
    No owner IR changes during a refresh, so [env_of] infers each owner's
    types at most once. *)
-let rec refresh_node (t : t) ~(env_of : fn -> Opt.Tyinfer.env) (n : node) : unit =
+let rec refresh_node (t : t) (n : node) : unit =
   if not (Ir.Fn.instr_live n.owner n.call_vid) then begin
     n.kind <- Deleted;
     n.children <- []
@@ -571,7 +586,7 @@ let rec refresh_node (t : t) ~(env_of : fn -> Opt.Tyinfer.env) (n : node) : unit
         | Some callee_body ->
             let declared = (Ir.Program.meth t.prog m).m_param_tys in
             let sg =
-              spec_signature t ~env:(env_of n.owner) ~owner:n.owner ~call_vid:n.call_vid
+              spec_signature t ~env:(env_of t n.owner) ~owner:n.owner ~call_vid:n.call_vid
                 ~recv_cls:n.recv_cls ~declared
             in
             if signature_improves t.prog ~old_sig:n.spec_sig ~new_sig:sg then begin
@@ -585,7 +600,7 @@ let rec refresh_node (t : t) ~(env_of : fn -> Opt.Tyinfer.env) (n : node) : unit
             end
         | None -> ())
     | _ -> ());
-    List.iter (refresh_node t ~env_of) n.children
+    List.iter (refresh_node t) n.children
   end
 
 (* All nodes anchored in the root IR (root children plus poly children that
@@ -623,16 +638,9 @@ let scan_orphans (t : t) : unit =
 
 let refresh (t : t) : unit =
   touch t;
-  let envs = ref [] in
-  let env_of owner =
-    match List.assq_opt owner !envs with
-    | Some env -> env
-    | None ->
-        let env = Opt.Tyinfer.infer t.prog owner in
-        envs := (owner, env) :: !envs;
-        env
-  in
-  List.iter (refresh_node t ~env_of) t.children;
+  (* the root optimizations edited the root *)
+  forget_types t;
+  List.iter (refresh_node t) t.children;
   scan_orphans t
 
 (* ---------- debugging ---------- *)

@@ -74,6 +74,8 @@ type t = {
   trial_cache : Trial_cache.t option;
   body_sizes : (meth_id, int option) Hashtbl.t;  (** prepared body sizes, per method *)
   totals : totals;
+  mutable envs : (fn * Opt.Tyinfer.env) list;
+      (** owners' inferred types, see {!env_of} *)
 }
 
 val create :
@@ -145,6 +147,15 @@ val spec_signature :
 (** Per-parameter (constant, refined type) a callsite would specialize its
     callee with; [env] is [Opt.Tyinfer.infer] of [owner], which callers
     compute once per owner rather than once per callsite. *)
+
+val env_of : t -> fn -> Opt.Tyinfer.env
+(** [Opt.Tyinfer.infer] of an owner body, once per owner until
+    {!forget_types}: attached bodies are never edited, so expansion and
+    refresh share one inference per owner. *)
+
+val forget_types : t -> unit
+(** Drops every owner's inferred types; whatever edits the root calls it
+    ({!refresh} and the inline phase do). *)
 
 val signature_improves :
   program -> old_sig:(const option * ty option) array ->

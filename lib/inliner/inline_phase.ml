@@ -125,6 +125,8 @@ and inline_cluster_children (t : t) (n : node) : int =
 (* One inlining phase. Returns the number of callsites inlined into the
    root. *)
 let run (t : t) : int =
+  (* the phase edits the root *)
+  forget_types t;
   let queue = ref (List.filter Analysis.inlinable t.children) in
   let inlined = ref 0 in
   let continue_ = ref true in

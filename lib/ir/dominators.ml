@@ -13,20 +13,16 @@ type t = {
   children : bid list array;  (* ascending *)
   pre : int array;       (* dominator-tree preorder number; -1 unreachable *)
   post : int array;      (* dominator-tree postorder number *)
-  order : bid list;      (* reverse postorder *)
 }
 
-let compute (fn : fn) : t =
-  let n = Support.Vec.length fn.blocks in
-  let order = Fn.rpo fn in
-  let rpo = Array.of_list order in
+(* [rpo] is the reverse postorder from the entry, [rpo.(0)]; [preds.(b)]
+   lists [b]'s predecessors, of which the unreachable ones are ignored. *)
+let build ~(n : int) ~(rpo : bid array) ~(preds : bid list array) : t =
   let index = Array.make n (-1) in
   Array.iteri (fun i b -> index.(b) <- i) rpo;
-  (* predecessors among reachable blocks *)
-  let preds = Array.make n [] in
-  Array.iter (fun b -> List.iter (fun s -> preds.(s) <- b :: preds.(s)) (Fn.succs fn b)) rpo;
   let idom = Array.make n (-1) in
-  idom.(fn.entry) <- fn.entry;
+  let entry = if Array.length rpo > 0 then rpo.(0) else -1 in
+  if entry >= 0 then idom.(entry) <- entry;
   let rec intersect f1 f2 =
     if f1 = f2 then f1
     else if index.(f1) > index.(f2) then intersect idom.(f1) f2
@@ -51,7 +47,7 @@ let compute (fn : fn) : t =
   done;
   let children = Array.make n [] in
   for b = n - 1 downto 0 do
-    if idom.(b) >= 0 && b <> fn.entry then children.(idom.(b)) <- b :: children.(idom.(b))
+    if idom.(b) >= 0 && b <> entry then children.(idom.(b)) <- b :: children.(idom.(b))
   done;
   let pre = Array.make n (-1) and post = Array.make n (-1) in
   let clock = ref 0 in
@@ -62,8 +58,18 @@ let compute (fn : fn) : t =
     post.(b) <- !clock;
     incr clock
   in
-  if n > 0 then walk fn.entry;
-  { idom; children; pre; post; order }
+  if entry >= 0 then walk entry;
+  { idom; children; pre; post }
+
+type analysis += Doms of t
+
+let compute (fn : fn) : t =
+  Fn.cached fn
+    ~find:(function Doms t -> Some t | _ -> None)
+    ~wrap:(fun t -> Doms t)
+    (fun fn ->
+      build ~n:(Support.Vec.length fn.blocks) ~rpo:(Array.of_list (Fn.rpo fn))
+        ~preds:(Fn.preds fn))
 
 let reachable t b = b >= 0 && b < Array.length t.idom && t.idom.(b) >= 0
 

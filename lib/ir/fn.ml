@@ -13,6 +13,11 @@
      no live instruction (a placeholder, or garbage in an unreachable
      block) is not indexed. [drop_users] empties the lists of a body that
      will only be read or copied; the next query rebuilds them.
+   - [cfg] holds only analyses of the current control-flow graph: every
+     writer that adds or deletes a block or changes a block's successors
+     drops it ([cfg_edited]), and a record made for another entry block
+     is not read.
+   - Every writer clears [prepared] ([edited]).
    The SSA dominance invariant, and the index itself, are checked
    separately by [Verify]. *)
 
@@ -29,7 +34,17 @@ let create ~fname ~param_tys ~rty =
     blocks = Vec.create ~dummy:None;
     instrs = Vec.create ~dummy:None;
     has_users = true;
+    cfg = None;
+    prepared = false;
   }
+
+let edited fn = fn.prepared <- false
+
+let cfg_edited fn =
+  fn.prepared <- false;
+  fn.cfg <- None
+
+let drop_analyses fn = fn.cfg <- None
 
 let instr fn (v : vid) : instr =
   match Vec.get fn.instrs v with
@@ -99,7 +114,8 @@ let drop_users fn =
           i.term_users <- []
       | None -> ())
     fn.instrs;
-  fn.has_users <- false
+  fn.has_users <- false;
+  drop_analyses fn
 
 (* Rebuilds the lists in ascending order: users are registered by
    increasing id, and each list is built back to front. *)
@@ -138,6 +154,7 @@ let term_users fn (v : vid) : bid list =
 let new_block b = Some { b_id = b; instrs = []; term = Unreachable }
 
 let add_block fn : bid =
+  cfg_edited fn;
   let b = Vec.length fn.blocks in
   Vec.push fn.blocks (new_block b);
   b
@@ -145,6 +162,7 @@ let add_block fn : bid =
 let new_instr v k = { id = v; kind = k; users = []; term_users = []; block = -1 }
 
 let fresh_instr fn (k : instr_kind) : instr =
+  edited fn;
   let v = Vec.length fn.instrs in
   let i = new_instr v k in
   Vec.push fn.instrs (Some i);
@@ -156,6 +174,7 @@ let fresh_instr fn (k : instr_kind) : instr =
    is indexed only once that instruction exists, so the parser creates
    every instruction before it sets their kinds. *)
 let add_block_at fn (b : bid) : unit =
+  cfg_edited fn;
   while Vec.length fn.blocks <= b do
     Vec.push fn.blocks None
   done;
@@ -164,6 +183,7 @@ let add_block_at fn (b : bid) : unit =
   Vec.set fn.blocks b (new_block b)
 
 let add_instr_at fn (v : vid) (k : instr_kind) : unit =
+  edited fn;
   while Vec.length fn.instrs <= v do
     Vec.push fn.instrs None
   done;
@@ -173,6 +193,7 @@ let add_instr_at fn (v : vid) (k : instr_kind) : unit =
   Instr.iter_operands (add_user fn v) k
 
 let set_kind fn (v : vid) (k : instr_kind) =
+  edited fn;
   let i = instr fn v in
   Instr.iter_operands (remove_user fn v) i.kind;
   i.kind <- k;
@@ -183,8 +204,17 @@ let set_phi_inputs fn (v : vid) (inputs : (bid * vid) list) =
   | Phi { ty; _ } -> set_kind fn v (Phi { ty; inputs })
   | _ -> invalid_arg (Printf.sprintf "Fn.set_phi_inputs: v%d is not a phi" v)
 
+(* Do two terminators lead to the same successor list? *)
+let same_succs (a : terminator) (b : terminator) =
+  match (a, b) with
+  | Goto x, Goto y -> x = y
+  | If { tb; fb; _ }, If { tb = tb'; fb = fb'; _ } -> tb = tb' && fb = fb'
+  | (Return _ | Unreachable), (Return _ | Unreachable) -> true
+  | _ -> false
+
 let set_term fn (b : bid) (t : terminator) =
   let blk = block fn b in
+  if same_succs blk.term t then edited fn else cfg_edited fn;
   iter_term_operand (remove_term_user fn b) blk.term;
   blk.term <- t;
   iter_term_operand (add_term_user fn b) t
@@ -201,6 +231,7 @@ let succs fn b = succs_of_term (term fn b)
 (* ---------- placement ---------- *)
 
 let place fn (b : bid) (vs : vid list) =
+  edited fn;
   let blk = block fn b in
   List.iter
     (fun v ->
@@ -213,6 +244,7 @@ let place fn (b : bid) (vs : vid list) =
 let unplace fn (v : vid) =
   let i = instr fn v in
   if i.block >= 0 then begin
+    edited fn;
     let blk = block fn i.block in
     blk.instrs <- List.filter (fun x -> x <> v) blk.instrs;
     i.block <- -1
@@ -249,6 +281,7 @@ let insert_before fn ~(before : vid) (k : instr_kind) : vid =
 (* ---------- deletion ---------- *)
 
 let tombstone fn (v : vid) =
+  edited fn;
   let i = instr fn v in
   Instr.iter_operands (remove_user fn v) i.kind;
   i.block <- -1;
@@ -260,11 +293,12 @@ let delete_instr fn (v : vid) =
     tombstone fn v
   end
 
+(* Rebuilds only the lists of blocks that lose an instruction. *)
 let delete_instrs fn (dead : vid -> bool) : int =
   let n = ref 0 in
   Vec.iter
     (function
-      | Some (blk : block) ->
+      | Some (blk : block) when List.exists dead blk.instrs ->
           blk.instrs <-
             List.filter
               (fun v ->
@@ -275,12 +309,13 @@ let delete_instrs fn (dead : vid -> bool) : int =
                 end
                 else true)
               blk.instrs
-      | None -> ())
+      | _ -> ())
     fn.blocks;
   !n
 
 let delete_block fn (b : bid) =
   if block_live fn b then begin
+    cfg_edited fn;
     let blk = block fn b in
     List.iter (tombstone fn) blk.instrs;
     iter_term_operand (remove_term_user fn b) blk.term;
@@ -295,6 +330,7 @@ let replace_uses fn ~(old_v : vid) ~(new_v : vid) =
   ensure_users fn;
   match (live_instr fn old_v, live_instr fn new_v) with
   | Some o, Some n when old_v <> new_v ->
+      edited fn;
       let subst v = if v = old_v then new_v else v in
       (* an instruction reading [old_v] twice is listed twice, adjacently *)
       let prev = ref (-1) in
@@ -382,39 +418,68 @@ let fold_blocks f acc fn =
 
 let block_ids fn = fold_blocks (fun acc blk -> blk.b_id :: acc) [] fn |> List.rev
 
-(* Predecessor map, recomputed on demand. *)
-let preds fn : (bid, bid list) Hashtbl.t =
-  let t = Hashtbl.create 16 in
-  iter_blocks (fun blk -> Hashtbl.replace t blk.b_id []) fn;
-  iter_blocks
-    (fun blk ->
-      List.iter
-        (fun s ->
-          let old = try Hashtbl.find t s with Not_found -> [] in
-          Hashtbl.replace t s (blk.b_id :: old))
-        (succs_of_term blk.term))
-    fn;
-  Hashtbl.iter (fun k v -> Hashtbl.replace t k (List.rev v)) t;
-  t
+(* ---------- cached control-flow analyses ---------- *)
+
+(* The analyses of the current graph, from the current entry. *)
+let cfg fn =
+  match fn.cfg with
+  | Some c when c.cfg_entry = fn.entry -> c
+  | _ ->
+      let c = { cfg_entry = fn.entry; analyses = [] } in
+      fn.cfg <- Some c;
+      c
+
+let cached fn ~(find : analysis -> 'a option) ~(wrap : 'a -> analysis) (build : fn -> 'a) : 'a =
+  let c = cfg fn in
+  match List.find_map find c.analyses with
+  | Some a -> a
+  | None ->
+      let a = build fn in
+      c.analyses <- wrap a :: c.analyses;
+      a
+
+type analysis += Preds of bid list array | Rpo of bid list | Reachable of (bid -> bool)
+
+(* Predecessors by block id, ascending, one entry per edge. *)
+let preds fn : bid list array =
+  cached fn
+    ~find:(function Preds p -> Some p | _ -> None)
+    ~wrap:(fun p -> Preds p)
+    (fun fn ->
+      let p = Array.make (Vec.length fn.blocks) [] in
+      for b = Vec.length fn.blocks - 1 downto 0 do
+        match Vec.get fn.blocks b with
+        | Some blk -> List.iter (fun s -> p.(s) <- b :: p.(s)) (succs_of_term blk.term)
+        | None -> ()
+      done;
+      p)
 
 (* Reverse postorder over reachable blocks, entry first. *)
 let rpo fn : bid list =
-  let visited = Array.make (Vec.length fn.blocks) false in
-  let order = ref [] in
-  let rec go b =
-    if not visited.(b) then begin
-      visited.(b) <- true;
-      List.iter go (succs fn b);
-      order := b :: !order
-    end
-  in
-  go fn.entry;
-  !order
+  cached fn
+    ~find:(function Rpo l -> Some l | _ -> None)
+    ~wrap:(fun l -> Rpo l)
+    (fun fn ->
+      let visited = Array.make (Vec.length fn.blocks) false in
+      let order = ref [] in
+      let rec go b =
+        if not visited.(b) then begin
+          visited.(b) <- true;
+          List.iter go (succs fn b);
+          order := b :: !order
+        end
+      in
+      go fn.entry;
+      !order)
 
 let reachable fn : bid -> bool =
-  let r = Array.make (Vec.length fn.blocks) false in
-  List.iter (fun b -> r.(b) <- true) (rpo fn);
-  fun b -> b >= 0 && b < Array.length r && r.(b)
+  cached fn
+    ~find:(function Reachable r -> Some r | _ -> None)
+    ~wrap:(fun r -> Reachable r)
+    (fun fn ->
+      let r = Array.make (Vec.length fn.blocks) false in
+      List.iter (fun b -> r.(b) <- true) (rpo fn);
+      fun b -> b >= 0 && b < Array.length r && r.(b))
 
 (* Number of live instructions — the paper's |ir(n)| size metric. Block
    terminators count 1 each so that control flow is not free. *)
@@ -440,7 +505,8 @@ let result_ty fn (k : instr_kind) = Instr.result_ty ~param_ty:(param_ty fn) k
 
 (* Deep copy with fresh tables. Instruction and block ids are preserved
    (including dead slots), so site keys and operand references stay valid.
-   Kinds, terminators and the index's lists are immutable and shared. *)
+   Kinds, terminators and the index's lists are immutable and shared. The
+   copy starts with no cached analyses. *)
 let copy fn =
   let copy_store f src =
     let v = Vec.create ~dummy:None in
@@ -456,4 +522,6 @@ let copy fn =
     blocks = copy_store (fun (blk : block) -> { blk with instrs = blk.instrs }) fn.blocks;
     instrs = copy_store (fun (i : instr) -> { i with kind = i.kind }) fn.instrs;
     has_users = fn.has_users;
+    cfg = None;
+    prepared = fn.prepared;
   }

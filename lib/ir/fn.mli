@@ -20,7 +20,17 @@
     {!Verify.check} recomputes the index and rejects a function whose
     index disagrees, so a write behind this module's back fails
     verification. The SSA dominance invariant is checked there too, not
-    here. *)
+    here.
+
+    The control-flow analyses — {!preds}, {!rpo}, {!reachable},
+    [Dominators.compute] and [Loops.compute] — are cached on the body
+    and computed again only after its control-flow graph changes: the
+    writers that do that are {!add_block}, {!add_block_at},
+    {!delete_block}, a {!set_term} that changes the block's successor
+    list, and so {!split_block} and {!merge_blocks}; an assignment to
+    [entry] is noticed on the next query. A cached result is shared
+    between callers, who must not mutate it. {!Verify.check} reads none
+    of them. *)
 
 open Types
 
@@ -49,9 +59,14 @@ val term_users : fn -> vid -> bid list
 (** The blocks whose terminator reads [v], ascending. *)
 
 val drop_users : fn -> unit
-(** Empties the users lists, for a body that will only be read or copied
-    (prepared bodies); the next query, on it or on a copy, rebuilds them
-    in O(function). Placement is kept. *)
+(** Empties the users lists and drops the cached analyses, for a body
+    that will only be read or copied (prepared bodies); the next query,
+    on it or on a copy, rebuilds them in O(function). Placement is
+    kept. *)
+
+val drop_analyses : fn -> unit
+(** Drops the cached control-flow analyses, so a body that outlives its
+    compilation holds none. *)
 
 val block_of : fn -> vid -> bid
 (** The block listing [v], or [-1] when [v] is dead or unplaced. *)
@@ -99,6 +114,7 @@ val insert_before : fn -> before:vid -> instr_kind -> vid
     @raise Invalid_argument if [before] is not placed in any block. *)
 
 val set_term : fn -> bid -> terminator -> unit
+(** Drops the cached analyses when the successor list changes. *)
 
 val delete_instr : fn -> vid -> unit
 (** Removes the instruction from its block and tombstones it. Uses are not
@@ -136,15 +152,24 @@ val iter_instrs : (instr -> unit) -> fn -> unit
 val fold_blocks : ('acc -> block -> 'acc) -> 'acc -> fn -> 'acc
 val block_ids : fn -> bid list
 
-val preds : fn -> (bid, bid list) Hashtbl.t
-(** Predecessor map over live blocks, recomputed from terminators. *)
+val preds : fn -> bid list array
+(** Each block's predecessors, by block id: the live blocks with an edge
+    to it, ascending, one entry per edge ([] for a dead block). Cached. *)
 
 val rpo : fn -> bid list
-(** Reverse postorder over blocks reachable from the entry. *)
+(** Reverse postorder over blocks reachable from the entry. Cached. *)
 
 val reachable : fn -> bid -> bool
-(** [reachable fn] computes reachability once (a bitmap over block ids)
-    and answers membership in {!rpo}'s blocks. *)
+(** Membership in {!rpo}'s blocks, from a bitmap over block ids.
+    Cached. *)
+
+val cached :
+  fn -> find:(analysis -> 'a option) -> wrap:('a -> analysis) -> (fn -> 'a) -> 'a
+(** [cached fn ~find ~wrap build] is the analysis of [fn]'s current
+    control-flow graph that [find] picks out of the cache, or else
+    [build fn], stored with [wrap]. [build] may read other cached
+    analyses but must depend on nothing but the blocks' successors and
+    the entry block, and its result must never be mutated. *)
 
 val calls : fn -> instr list
 (** Live call instructions, in block order. *)
@@ -159,4 +184,5 @@ val result_ty : fn -> instr_kind -> ty
 
 val copy : fn -> fn
 (** Deep copy with fresh stores; instruction and block ids (and therefore
-    profile site keys) are preserved. *)
+    profile site keys) are preserved, and so is [prepared]. The copy has
+    no cached analyses. *)

@@ -32,7 +32,7 @@ let static (fn : fn) : (bid, float) Hashtbl.t =
       let f =
         if b = fn.entry then 1.0
         else
-          (try Hashtbl.find preds b with Not_found -> [])
+          preds.(b)
           |> List.filter (fun p -> Hashtbl.mem index p)
           |> List.fold_left
                (fun acc p ->

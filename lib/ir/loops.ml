@@ -15,10 +15,13 @@ type loop = {
 
 type t = {
   loops : loop list;
-  depth : (bid, int) Hashtbl.t;   (* 0 outside any loop *)
+  depth : int array;              (* by block id; 0 outside any loop *)
 }
 
-let compute (fn : fn) : t =
+(* Each block's depth is counted as the bodies are collected: it is the
+   number of bodies that take it in, so the forest costs the sum of the
+   body sizes, not the block count times the loop count. *)
+let build (fn : fn) : t =
   let doms = Dominators.compute fn in
   let preds = Fn.preds fn in
   let reachable = Fn.reachable fn in
@@ -34,33 +37,33 @@ let compute (fn : fn) : t =
               Hashtbl.replace by_header s (blk.b_id :: old))
           (Fn.succs fn blk.b_id))
     fn;
+  let depth = Array.make (Support.Vec.length fn.blocks) 0 in
   let loops =
     Hashtbl.fold
       (fun header sources acc ->
         let body = Hashtbl.create 8 in
-        Hashtbl.replace body header ();
+        let take b =
+          Hashtbl.replace body b ();
+          depth.(b) <- depth.(b) + 1
+        in
+        take header;
         let rec pull b =
           if not (Hashtbl.mem body b) then begin
-            Hashtbl.replace body b ();
-            List.iter pull (try Hashtbl.find preds b with Not_found -> [])
+            take b;
+            List.iter pull preds.(b)
           end
         in
         List.iter pull sources;
         { header; body; back_edges = sources } :: acc)
       by_header []
   in
-  let depth = Hashtbl.create 16 in
-  Fn.iter_blocks
-    (fun blk ->
-      let d =
-        List.fold_left
-          (fun acc l -> if Hashtbl.mem l.body blk.b_id then acc + 1 else acc)
-          0 loops
-      in
-      Hashtbl.replace depth blk.b_id d)
-    fn;
   { loops; depth }
 
-let depth t b = try Hashtbl.find t.depth b with Not_found -> 0
+type analysis += Forest of t
+
+let compute (fn : fn) : t =
+  Fn.cached fn ~find:(function Forest t -> Some t | _ -> None) ~wrap:(fun t -> Forest t) build
+
+let depth t b = if b >= 0 && b < Array.length t.depth then t.depth.(b) else 0
 
 let is_header t b = List.exists (fun l -> l.header = b) t.loops

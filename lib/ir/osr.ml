@@ -186,12 +186,7 @@ let extract_loop (fn0 : fn) ~(header : bid) : extraction =
      uses the definition no longer dominates read the phi instead. *)
   if Hashtbl.length pinned > 0 then begin
     let domx = Dominators.compute f in
-    let preds = Fn.preds f in
-    let header_preds =
-      List.filter
-        (fun p -> p = e || in_region p)
-        (Option.value ~default:[] (Hashtbl.find_opt preds header))
-    in
+    let header_preds = List.filter (fun p -> p = e || in_region p) (Fn.preds f).(header) in
     List.iter
       (fun (v, pv) ->
         match Hashtbl.find_opt pinned v with

@@ -76,7 +76,10 @@ let add_meth p ~name ~selector ~owner ~param_tys ~rty : meth_id =
   Hashtbl.replace p.meth_by_name name m_id;
   m_id
 
-let set_body p m fn = (meth p m).body <- Some fn
+(* A method's body holds no cached control-flow analyses. *)
+let set_body p m fn =
+  Fn.drop_analyses fn;
+  (meth p m).body <- Some fn
 
 (* Installs [m] in the vtable of its owner class, replacing any inherited
    entry for the same selector. Call after all classes exist. *)

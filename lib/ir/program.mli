@@ -37,6 +37,7 @@ val add_meth :
 (** @raise Invalid_argument on a duplicate qualified name. *)
 
 val set_body : program -> meth_id -> fn -> unit
+(** Also drops the body's cached control-flow analyses. *)
 
 val register_in_vtable : program -> meth_id -> unit
 (** Installs the method in its owner's vtable under its selector,

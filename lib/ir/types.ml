@@ -105,11 +105,24 @@ type block = {
   mutable term : terminator;
 }
 
+(* An analysis of a body's control-flow graph that [Fn] caches: reverse
+   postorder, reachability, predecessors, dominators, loops. The module
+   that computes an analysis adds its constructor. *)
+type analysis = ..
+
+(* The analyses computed for one state of a body's control-flow graph,
+   from entry block [cfg_entry]. A CFG writer of [Fn] drops the record,
+   so it never outlives the graph it describes; an analysis in it is
+   never mutated. *)
+type cfg = { cfg_entry : bid; mutable analyses : analysis list }
+
 (* A function body. [param_tys] holds the *declared* parameter types;
    [spec_tys] holds callsite-refined types installed by deep inlining trials
    (initially equal to [param_tys]). Type inference reads [spec_tys].
    [has_users] says whether the instructions' [users]/[term_users] lists
-   are current; [Fn] rebuilds them on demand when not. *)
+   are current; [Fn] rebuilds them on demand when not. [cfg] caches the
+   control-flow analyses. [prepared] says that baseline preparation ran
+   and no [Fn] writer has edited the body since. *)
 type fn = {
   fname : string;
   mutable param_tys : ty array;
@@ -119,6 +132,8 @@ type fn = {
   blocks : block option Support.Vec.t;
   instrs : instr option Support.Vec.t;
   mutable has_users : bool;
+  mutable cfg : cfg option;
+  mutable prepared : bool;
 }
 
 (* Class metadata. [layout] is the full field layout including inherited

@@ -10,7 +10,10 @@
    - SSA dominance: each non-phi use is dominated by its definition; a phi
      input is dominated along its incoming edge.
    - the index [Fn] maintains: recomputed users lists and placements must
-     equal the stored ones, so an IR write that bypassed [Fn] fails here. *)
+     equal the stored ones, so an IR write that bypassed [Fn] fails here.
+   It computes reachability, predecessors and dominators from the block
+   store itself and reads none of the analyses [Fn] caches, so it stays
+   an oracle for them. *)
 
 open Types
 
@@ -60,6 +63,26 @@ let check_index (fn : fn) ~(placed : vid -> bid) =
       | None -> ())
     fn.instrs
 
+(* The graph as the verifier sees it, computed from the block store with
+   no cached analysis: reachability from the entry, each reachable block's
+   reachable predecessors, and the dominator tree. [check] has tested that
+   every terminator target is live. *)
+let graph (fn : fn) : (bid -> bool) * bid list array * Dominators.t =
+  let n = Support.Vec.length fn.blocks in
+  let seen = Array.make n false and order = ref [] in
+  let rec visit b =
+    if not seen.(b) then begin
+      seen.(b) <- true;
+      List.iter visit (Fn.succs fn b);
+      order := b :: !order
+    end
+  in
+  visit fn.entry;
+  let rpo = Array.of_list !order in
+  let preds = Array.make n [] in
+  Array.iter (fun b -> List.iter (fun s -> preds.(s) <- b :: preds.(s)) (Fn.succs fn b)) rpo;
+  (Array.get seen, preds, Dominators.build ~n ~rpo ~preds)
+
 let check (fn : fn) : unit =
   if not (Fn.block_live fn fn.entry) then fail "entry block b%d is dead" fn.entry;
   (* validate all terminator targets up front: reachability and dominator
@@ -72,36 +95,34 @@ let check (fn : fn) : unit =
             fail "terminator of b%d targets dead block b%d" blk.b_id s)
         (Fn.succs_of_term blk.term))
     fn;
-  (* def_block: vid -> bid, and uniqueness of placement *)
-  let def_block = Hashtbl.create 64 in
+  (* def_block: vid -> bid (-1 unplaced), and uniqueness of placement *)
+  let def_block = Array.make (Support.Vec.length fn.instrs) (-1) in
   Fn.iter_blocks
     (fun blk ->
       List.iter
         (fun v ->
           if not (Fn.instr_live fn v) then
             fail "block b%d lists dead instruction v%d" blk.b_id v;
-          if Hashtbl.mem def_block v then
+          if def_block.(v) >= 0 then
             fail "instruction v%d appears in more than one block" v;
-          Hashtbl.replace def_block v blk.b_id)
+          def_block.(v) <- blk.b_id)
         blk.instrs)
     fn;
-  let reachable = Fn.reachable fn in
-  let preds = Fn.preds fn in
-  let doms = Dominators.compute fn in
+  let reachable, preds, doms = graph fn in
   (* instruction-position index within its block, for same-block dominance *)
-  let pos = Hashtbl.create 64 in
+  let pos = Array.make (Array.length def_block) 0 in
   Fn.iter_blocks
-    (fun blk -> List.iteri (fun i v -> Hashtbl.replace pos v i) blk.instrs)
+    (fun blk -> List.iteri (fun i v -> pos.(v) <- i) blk.instrs)
     fn;
   let check_target what b =
     if not (Fn.block_live fn b) then fail "%s targets dead block b%d" what b
   in
   let value_dominates_use ~(def : vid) ~(use_block : bid) ~(use_pos : int) =
-    match Hashtbl.find_opt def_block def with
-    | None -> fail "use of unplaced instruction v%d" def
-    | Some db ->
+    match def_block.(def) with
+    | -1 -> fail "use of unplaced instruction v%d" def
+    | db ->
         if db = use_block then begin
-          let dp = Hashtbl.find pos def in
+          let dp = pos.(def) in
           if dp >= use_pos then
             fail "v%d used at position %d of b%d before its definition at %d"
               def use_pos use_block dp
@@ -123,11 +144,7 @@ let check (fn : fn) : unit =
                   fail "phi v%d in the entry block (no incoming edge on first entry)" v;
                 if !seen_non_phi then
                   fail "phi v%d appears after a non-phi in b%d" v blk.b_id;
-                let ps =
-                  (try Hashtbl.find preds blk.b_id with Not_found -> [])
-                  |> List.filter (fun p -> reachable p)
-                  |> List.sort_uniq compare
-                in
+                let ps = List.sort_uniq compare preds.(blk.b_id) in
                 let ins = List.map fst inputs |> List.sort_uniq compare in
                 if ins <> ps then
                   fail "phi v%d in b%d has edges {%s} but predecessors are {%s}"
@@ -137,9 +154,9 @@ let check (fn : fn) : unit =
                   (fun (pred, pv) ->
                     if not (Fn.instr_live fn pv) then
                       fail "phi v%d input v%d is dead" v pv;
-                    match Hashtbl.find_opt def_block pv with
-                    | None -> fail "phi v%d input v%d unplaced" v pv
-                    | Some db ->
+                    match def_block.(pv) with
+                    | -1 -> fail "phi v%d input v%d unplaced" v pv
+                    | db ->
                         if
                           reachable pred
                           && not (Dominators.dominates doms ~a:db ~b:pred)
@@ -176,7 +193,7 @@ let check (fn : fn) : unit =
         | Unreachable -> ())
       end)
     fn;
-  check_index fn ~placed:(fun v -> Option.value (Hashtbl.find_opt def_block v) ~default:(-1))
+  check_index fn ~placed:(fun v -> def_block.(v))
 
 (* The type rules the threaded tier relies on. It keeps Int and Bool
    values unboxed in one frame and every other value boxed in another,

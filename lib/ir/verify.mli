@@ -1,7 +1,9 @@
 (** IR well-formedness checking: structural validity (live operands and
     targets, unique placement), phi shape (at block start, edges matching
     reachable predecessors), and the SSA dominance invariant. Unreachable
-    blocks are ignored. *)
+    blocks are ignored. It reads none of the control-flow analyses that
+    {!Fn} caches: it computes reachability, predecessors and dominators
+    from the blocks itself. *)
 
 exception Ill_formed of string
 

@@ -574,6 +574,8 @@ let loops_for (t : t) (m : meth_id) (body : fn) : Ir.Loops.t =
   | Some (_, li) -> li
   | None ->
       let li = Ir.Loops.compute body in
+      (* installed and prepared bodies keep no cached analyses *)
+      Ir.Fn.drop_analyses body;
       Hashtbl.replace t.loop_cache m ((body, li) :: List.filteri (fun i _ -> i < 3) cached);
       li
 
@@ -868,7 +870,7 @@ let create ?(spec_miss_threshold = max_int) ?compile_fuel ?(osr = true) ?osr_thr
     ?queue_capacity ?(queue_age_unit = 1024) ?cache_capacity (prog : program)
     (config : config) : t =
   (* parse-time canonicalization: prepared bodies are what gets profiled,
-     specialized and inlined (idempotent; safe if already prepared) *)
+     specialized and inlined; bodies already prepared are skipped *)
   Opt.Driver.prepare_program prog;
   let vm = Runtime.Interp.create prog in
   let osr_threshold =

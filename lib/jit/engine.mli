@@ -146,7 +146,7 @@ val create :
   ?cache_capacity:int -> program -> config -> t
 (** Allocates the engine and wires the VM hooks; also runs
     {!Opt.Driver.prepare_program} so profiles are collected against
-    prepared IR. Programs run under {!Runtime.Cost.default}. The seven
+    prepared IR (a body prepared before is not prepared again). Programs run under {!Runtime.Cost.default}. The seven
     options, all off or at their default when absent:
 
     - [compile_fuel]: a {!Support.Fuel} watchdog budget around every

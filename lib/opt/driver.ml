@@ -201,12 +201,14 @@ let round_root_opts ?(passes = root_passes) (prog : program) (fn : fn) : stats =
 (* Baseline preparation of every method body right after lowering, before
    any profiling: equivalent to parse-time canonicalization. Profiles are
    then collected against the prepared IR, so block ids referenced by
-   profiles match the IR every later consumer sees. *)
+   profiles match the IR every later consumer sees. A body is prepared
+   once: preparing it again would change nothing, so a body still marked
+   [prepared] (no [Fn] writer has touched it since) is skipped. *)
 let prepare_program (prog : program) : unit =
   Ir.Program.iter_meths
     (fun (m : meth) ->
       match m.body with
-      | Some fn ->
+      | Some fn when not fn.prepared ->
           ignore (simplify prog fn);
           (* hoist loop invariants once at parse time too, so interpreted
              code and every later IR copy profit; block ids referenced by
@@ -214,6 +216,7 @@ let prepare_program (prog : program) : unit =
              any interpretation *)
           if Licm.run fn > 0 then ignore (simplify prog fn);
           (* from here on the body is only read and copied *)
-          Ir.Fn.drop_users fn
-      | None -> ())
+          Ir.Fn.drop_users fn;
+          fn.prepared <- true
+      | Some _ | None -> ())
     prog

@@ -37,4 +37,7 @@ val round_root_opts : ?passes:pass list -> program -> fn -> stats
 val prepare_program : program -> unit
 (** Baseline (parse-time-style) canonicalization of every method body.
     Must run before profiling so profile block ids match the IR every
-    later consumer sees; idempotent. *)
+    later consumer sees. It marks each body it prepares ([prepared]) and
+    skips marked bodies, which is sound because preparation is
+    idempotent: a body added to the program, or edited through [Ir.Fn],
+    since the last call is prepared again. *)

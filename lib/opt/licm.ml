@@ -32,8 +32,7 @@ let hoistable (k : instr_kind) : bool =
    and the header. Returns its id, or None when the header has no entry
    predecessors (unreachable loop). *)
 let make_preheader (fn : fn) (l : Ir.Loops.loop) : bid option =
-  let preds = Ir.Fn.preds fn in
-  let header_preds = try Hashtbl.find preds l.header with Not_found -> [] in
+  let header_preds = (Ir.Fn.preds fn).(l.header) in
   let entry_preds = List.filter (fun p -> not (Hashtbl.mem l.body p)) header_preds in
   match entry_preds with
   | [] -> None

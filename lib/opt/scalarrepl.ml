@@ -50,7 +50,7 @@ let escapes (fn : fn) (obj : vid) : bool =
    from the tables goes through [replaced]. *)
 type state = {
   fn : fn;
-  preds : (bid, bid list) Hashtbl.t;
+  preds : bid list array;
   entry_val : (int * bid, vid) Hashtbl.t;
   exit_val : (int * bid, vid) Hashtbl.t;
   replaced : (vid, vid) Hashtbl.t;  (* deleted load -> its replacement *)
@@ -64,7 +64,7 @@ let rec entry_value (st : state) (slot : int) (b : bid) : vid =
   match Hashtbl.find_opt st.entry_val (slot, b) with
   | Some v -> resolve st v
   | None -> (
-      match (try Hashtbl.find st.preds b with Not_found -> []) with
+      match st.preds.(b) with
       | [] ->
           (* a path that does not pass the New: SSA dominance guarantees no
              real load observes this value, but a phi on a sibling path may

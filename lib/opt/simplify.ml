@@ -21,13 +21,10 @@ let remove_unreachable ?(pruned = ignore) (fn : fn) : bool =
         List.iter
           (fun v ->
             match Ir.Fn.kind fn v with
-            | Phi { inputs; _ } ->
-                let keep = List.filter (fun (pb, _) -> reachable pb) inputs in
-                if List.length keep <> List.length inputs then begin
-                  Ir.Fn.set_phi_inputs fn v keep;
-                  pruned v;
-                  changed := true
-                end
+            | Phi { inputs; _ } when not (List.for_all (fun (pb, _) -> reachable pb) inputs) ->
+                Ir.Fn.set_phi_inputs fn v (List.filter (fun (pb, _) -> reachable pb) inputs);
+                pruned v;
+                changed := true
             | _ -> ())
           blk.instrs)
     fn;
@@ -42,37 +39,48 @@ let remove_unreachable ?(pruned = ignore) (fn : fn) : bool =
     !dead;
   !changed
 
+(* The one value other than [self] among a phi's inputs: -1 when there is
+   none, -2 when there are several. *)
+let rec sole_input ~self acc = function
+  | [] -> acc
+  | (_, v) :: rest ->
+      if v = self || v = acc then sole_input ~self acc rest
+      else if acc = -1 then sole_input ~self v rest
+      else -2
+
 (* Replaces phis whose inputs are all the same value (ignoring self) with
-   that value. Returns true when anything changed. *)
+   that value. Phis head their blocks, so a sweep reads only the heads:
+   the last block's last phi first, each as it stands when its turn
+   comes. Returns true when anything changed. *)
 let remove_trivial_phis ?(replaced = no_hook) (fn : fn) : bool =
   let changed = ref false in
   let progress = ref true in
+  let visit v =
+    if Ir.Fn.instr_live fn v then
+      match Ir.Fn.kind fn v with
+      | Phi { inputs; _ } ->
+          let w = sole_input ~self:v (-1) inputs in
+          if w >= 0 then begin
+            replaced ~old_v:v ~new_v:w;
+            Ir.Fn.replace_uses fn ~old_v:v ~new_v:w;
+            Ir.Fn.delete_instr fn v;
+            progress := true;
+            changed := true
+          end
+      | _ -> ()
+  in
+  (* a block's phis, last first *)
+  let rec phis_backwards = function
+    | v :: rest when Ir.Instr.is_phi (Ir.Fn.kind fn v) ->
+        phis_backwards rest;
+        visit v
+    | _ -> ()
+  in
   while !progress do
     progress := false;
-    let phis = ref [] in
-    Ir.Fn.iter_instrs
-      (fun i -> match i.kind with Phi _ -> phis := i :: !phis | _ -> ())
-      fn;
-    List.iter
-      (fun (i : instr) ->
-        if Ir.Fn.instr_live fn i.id then
-          match i.kind with
-          | Phi { inputs; _ } -> (
-              let ops =
-                List.map snd inputs
-                |> List.filter (fun v -> v <> i.id)
-                |> List.sort_uniq compare
-              in
-              match ops with
-              | [ v ] ->
-                  replaced ~old_v:i.id ~new_v:v;
-                  Ir.Fn.replace_uses fn ~old_v:i.id ~new_v:v;
-                  Ir.Fn.delete_instr fn i.id;
-                  progress := true;
-                  changed := true
-              | _ -> ())
-          | _ -> ())
-      !phis
+    for b = Support.Vec.length fn.blocks - 1 downto 0 do
+      if Ir.Fn.block_live fn b then phis_backwards (Ir.Fn.block fn b).instrs
+    done
   done;
   !changed
 
@@ -83,15 +91,14 @@ let remove_trivial_phis ?(replaced = no_hook) (fn : fn) : bool =
    first. Returns true when anything changed. *)
 let merge_blocks ?(replaced = no_hook) (fn : fn) : bool =
   let changed = ref false in
-  (* predecessor edges per block; absorbing [s] hands its out-edges to
-     its only predecessor, so no other block's count changes *)
-  let npreds = Array.make (Support.Vec.length fn.blocks) 0 in
-  Ir.Fn.iter_blocks
-    (fun blk -> List.iter (fun s -> npreds.(s) <- npreds.(s) + 1) (Ir.Fn.succs_of_term blk.term))
-    fn;
+  (* predecessor edges per block, as the graph stood before the first
+     merge; absorbing [s] hands its out-edges to its only predecessor, so
+     no other block's count changes *)
+  let preds = Ir.Fn.preds fn in
+  let single_pred s = match preds.(s) with [ _ ] -> true | _ -> false in
   let rec absorb (b : bid) =
     match Ir.Fn.term fn b with
-    | Goto s when s <> fn.entry && s <> b && npreds.(s) = 1 ->
+    | Goto s when s <> fn.entry && s <> b && single_pred s ->
         (* any phi here must be single-input; resolve it *)
         List.iter
           (fun v ->

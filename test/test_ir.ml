@@ -55,9 +55,8 @@ let fn_tests =
     test "preds" (fun () ->
         let fn, b0, b1, b2, b3, _ = make_diamond () in
         let preds = Ir.Fn.preds fn in
-        Alcotest.(check (list int)) "b3 preds" [ b1; b2 ]
-          (List.sort compare (Hashtbl.find preds b3));
-        Alcotest.(check (list int)) "b0 preds" [] (Hashtbl.find preds b0));
+        Alcotest.(check (list int)) "b3 preds" [ b1; b2 ] preds.(b3);
+        Alcotest.(check (list int)) "b0 preds" [] preds.(b0));
     test "rpo starts at entry" (fun () ->
         let fn, b0, _, _, _, _ = make_diamond () in
         Alcotest.(check int) "first" b0 (List.hd (Ir.Fn.rpo fn)));
@@ -211,6 +210,67 @@ let loop_tests =
         in
         Alcotest.(check int) "two loops" 2 (List.length loops.loops);
         Alcotest.(check int) "max depth" 2 max_depth);
+  ]
+
+(* The cached analyses against fresh ones after each writer that changes
+   the control-flow graph. [check_cfg_cache] reads every analysis, so the
+   cache is full when the writer runs. *)
+let cache_tests =
+  let after what (build : unit -> fn * (fn -> unit)) =
+    test (what ^ ": cached analyses equal fresh ones") (fun () ->
+        let fn, edit = build () in
+        check_cfg_cache "before" fn;
+        edit fn;
+        check_cfg_cache what fn)
+  in
+  let diamond () =
+    let fn, b0, b1, b2, b3, _ = make_diamond () in
+    (fn, b0, b1, b2, b3)
+  in
+  let loop () = make_loop () in
+  [
+    after "set_term to new successors" (fun () ->
+        let fn, b0, b1, _, _ = diamond () in
+        (fn, fun fn -> Ir.Fn.set_term fn b0 (Goto b1)));
+    after "add_block" (fun () ->
+        let fn, _, _, _, _ = loop () in
+        (fn, fun fn -> ignore (Ir.Fn.add_block fn)));
+    after "add_block_at" (fun () ->
+        let fn, _, _, _, _ = loop () in
+        (fn, fun fn -> Ir.Fn.add_block_at fn 6));
+    after "delete_block" (fun () ->
+        let fn, b0, b1, b2, _ = diamond () in
+        Ir.Fn.set_term fn b0 (Goto b1);
+        (fn, fun fn -> Ir.Fn.delete_block fn b2));
+    after "split_block" (fun () ->
+        let fn, _, _, b2, _ = loop () in
+        (fn, fun fn -> ignore (Ir.Fn.split_block fn (List.nth (Ir.Fn.block fn b2).instrs 1))));
+    after "merge_blocks" (fun () ->
+        let fn, _, _, b2, _ = loop () in
+        let post = Ir.Fn.split_block fn (List.nth (Ir.Fn.block fn b2).instrs 1) in
+        (fn, fun fn -> Ir.Fn.merge_blocks fn ~pred:b2 ~succ:post));
+    after "a new entry" (fun () ->
+        let fn, b0, _, _, _ = loop () in
+        let e = Ir.Fn.add_block fn in
+        Ir.Fn.set_term fn e (Goto b0);
+        (fn, fun fn -> fn.entry <- e));
+    test "edits that keep the successors keep the cache" (fun () ->
+        let fn, b0, b1, b2, b3, phi = make_diamond () in
+        check_cfg_cache "before" fn;
+        let rpo = Ir.Fn.rpo fn and preds = Ir.Fn.preds fn in
+        let doms = Ir.Dominators.compute fn and loops = Ir.Loops.compute fn in
+        (* a new branch condition and return value, an instruction added
+           and one deleted *)
+        let c = Ir.Fn.append fn b0 (Const (Cbool true)) in
+        Ir.Fn.set_term fn b0 (If { cond = c; site = { sm = 0; sidx = 0 }; tb = b1; fb = b2 });
+        let v = Ir.Fn.append fn b3 (Binop (Add, phi, phi)) in
+        Ir.Fn.set_term fn b3 (Return v);
+        Ir.Fn.delete_instr fn (Ir.Fn.append fn b1 (Const (Cint 9)));
+        Alcotest.(check bool) "rpo" true (Ir.Fn.rpo fn == rpo);
+        Alcotest.(check bool) "preds" true (Ir.Fn.preds fn == preds);
+        Alcotest.(check bool) "dominators" true (Ir.Dominators.compute fn == doms);
+        Alcotest.(check bool) "loops" true (Ir.Loops.compute fn == loops);
+        check_cfg_cache "after" fn);
   ]
 
 let freq_tests =
@@ -734,6 +794,7 @@ let () =
       ("fn", fn_tests);
       ("dominators", dom_tests);
       ("loops", loop_tests);
+      ("cache", cache_tests);
       ("freq", freq_tests);
       ("verify", verify_tests);
       ("splice", splice_tests);

@@ -379,13 +379,17 @@ let xorshift_chain ~spread : fn =
   Ir.Fn.set_term fn blocks.(0) (Return eq);
   fn
 
+let algorithm_compile prog profiles m =
+  (Inliner.Algorithm.compile prog profiles Inliner.Params.default m).body
+
 (* Every compile the tiered engine performs on [w], as the golden test in
-   test_inliner drives it; [f] sees each compiled body. *)
-let iter_compiled (w : Workloads.Defs.t) (prog : program) (f : meth -> fn -> unit) =
+   test_inliner drives it, by [compile]; [f] sees each compiled body. *)
+let iter_compiled ?(compile = algorithm_compile) (w : Workloads.Defs.t) (prog : program)
+    (f : meth -> fn -> unit) =
   let compiler prog profiles m =
-    let r = Inliner.Algorithm.compile prog profiles Inliner.Params.default m in
-    f (Ir.Program.meth prog m) r.body;
-    r.body
+    let body = compile prog profiles m in
+    f (Ir.Program.meth prog m) body;
+    body
   in
   let e =
     Jit.Engine.create prog
@@ -927,6 +931,154 @@ let licm_tests =
         let vm = Runtime.Interp.create prog in
         ignore (Runtime.Interp.run_main vm);
         Alcotest.(check string) "out" "56\n" (Runtime.Interp.output vm));
+    (* One preheader per loop, and the loop forest recomputed after each:
+       with each block tested against every loop for its depth, this took
+       13 s. *)
+    test "500 sequential loops each hoist their invariant" (fun () ->
+        let loop = "i = 0; while (i < 3) { acc = acc + x * 3; i = i + 1; }" in
+        let src =
+          Printf.sprintf
+            "def f(x: Int): Int = { var acc = 0; var i = 0; %s acc }\n\
+             def main(): Unit = println(f(2))"
+            (String.concat " " (List.init 500 (fun _ -> loop)))
+        in
+        let prog = compile src in
+        Opt.Driver.prepare_program prog;
+        let fn = body_of prog "f" in
+        check_verifies fn;
+        let loops = Ir.Loops.compute fn in
+        Alcotest.(check int) "loops" 500 (List.length loops.loops);
+        Ir.Fn.iter_blocks
+          (fun blk ->
+            if Ir.Loops.depth loops blk.b_id > 0 then
+              List.iter
+                (fun v ->
+                  match Ir.Fn.kind fn v with
+                  | Binop (Mul, _, _) -> Alcotest.failf "a multiply stays in b%d" blk.b_id
+                  | _ -> ())
+                blk.instrs)
+          fn;
+        let vm = Runtime.Interp.create prog in
+        ignore (Runtime.Interp.run_main vm);
+        Alcotest.(check string) "out" "9000\n" (Runtime.Interp.output vm));
+  ]
+
+(* ---------- preparation ---------- *)
+
+(* Every method body, in method order. *)
+let bodies (prog : program) : (string * fn) list =
+  let acc = ref [] in
+  Ir.Program.iter_meths
+    (fun (m : meth) -> Option.iter (fun fn -> acc := (m.m_name, fn) :: !acc) m.body)
+    prog;
+  List.rev !acc
+
+let printed prog = List.map (fun (name, fn) -> (name, Ir.Printer.fn_to_string fn)) (bodies prog)
+
+let prepare_tests =
+  [
+    (* what lets [prepare_program] skip a body it prepared before *)
+    test "preparing a prepared body again changes nothing" (fun () ->
+        let synth seed =
+          Workloads.Synth.generate
+            { Workloads.Synth.default with seed; depth = 4; fanout = 3; poly_degree = 4 }
+        in
+        List.iter
+          (fun (w : Workloads.Defs.t) ->
+            let prog = Workloads.Registry.compile w in
+            Opt.Driver.prepare_program prog;
+            let once = printed prog in
+            List.iter (fun (_, (fn : fn)) -> fn.prepared <- false) (bodies prog);
+            Opt.Driver.prepare_program prog;
+            List.iter2
+              (fun (name, a) (_, b) ->
+                if a <> b then Alcotest.failf "%s/%s changed when prepared again" w.name name)
+              once (printed prog))
+          (Workloads.Registry.all @ [ synth 1; synth 2 ]));
+    test "only fresh, added and edited bodies are prepared" (fun () ->
+        let src =
+          {|def f(x: Int): Int = x * (2 + 3)
+            def main(): Unit = println(f(4))|}
+        in
+        let prog = compile src in
+        let marked () = List.map (fun (name, (fn : fn)) -> (name, fn.prepared)) (bodies prog) in
+        Alcotest.(check (list (pair string bool))) "fresh" [ ("f", false); ("main", false) ]
+          (marked ());
+        Opt.Driver.prepare_program prog;
+        Alcotest.(check (list (pair string bool))) "prepared" [ ("f", true); ("main", true) ]
+          (marked ());
+        (* a simplify spends fuel, so an empty budget proves nothing ran *)
+        Support.Fuel.with_budget 0 (fun () -> Opt.Driver.prepare_program prog);
+        let f = body_of prog "f" in
+        let prepared_f = Ir.Printer.fn_to_string f in
+        let x = List.hd (Ir.Fn.block f f.entry).instrs in
+        ignore (Ir.Fn.append f f.entry (Binop (Add, x, x)));
+        Alcotest.(check bool) "an edit clears the mark" false f.prepared;
+        let raw = body_of (compile src) "f" in
+        let g =
+          Ir.Program.add_meth prog ~name:"g" ~selector:"g" ~owner:None ~param_tys:[| Tint |]
+            ~rty:Tint
+        in
+        Ir.Program.set_body prog g raw;
+        Opt.Driver.prepare_program prog;
+        Alcotest.(check string) "the edit is prepared away" prepared_f (Ir.Printer.fn_to_string f);
+        Alcotest.(check string) "an added body is prepared" prepared_f
+          (Ir.Printer.fn_to_string raw);
+        Alcotest.(check bool) "marked" true (f.prepared && raw.prepared));
+  ]
+
+(* ---------- cached control-flow analyses ---------- *)
+
+(* [Opt.Driver.round_root_opts] with [check_cfg_cache] after its first
+   simplify, after each root pass and after its last simplify. A check
+   fills the cache, so a pass that edits the graph and keeps a stale
+   analysis fails the next check. *)
+let checked_root_opts (what : string) (prog : program) (fn : fn) : unit =
+  let check name fn = check_cfg_cache (Printf.sprintf "%s, after %s" what name) fn in
+  let passes =
+    ("check", fun _ fn -> check "simplify" fn; 0)
+    :: List.map
+         (fun (name, run) ->
+           (name, fun prog fn -> let n = run prog fn in check name fn; n))
+         Opt.Driver.root_passes
+  in
+  ignore (Opt.Driver.round_root_opts ~passes prog fn);
+  check "the round" fn
+
+(* [Inliner.Algorithm.compile]'s rounds, the cached analyses checked after
+   the inline phase and throughout the root optimizations. *)
+let compile_checking_cfg (prog : program) profiles (m : meth_id) : fn =
+  let params = Inliner.Params.default in
+  let t = Inliner.Calltree.create prog profiles params m in
+  let rec round k =
+    if k <= params.max_rounds && Ir.Fn.size t.root_fn < params.root_size_cap then begin
+      let what = Printf.sprintf "%s round %d" t.root_fn.fname k in
+      let expanded = Inliner.Expansion.run t in
+      Inliner.Analysis.run t;
+      let inlined = Inliner.Inline_phase.run t in
+      check_cfg_cache (what ^ ", after inlining") t.root_fn;
+      checked_root_opts what prog t.root_fn;
+      Inliner.Calltree.refresh t;
+      if expanded > 0 || inlined > 0 then round (k + 1)
+    end
+  in
+  round 1;
+  t.root_fn
+
+let cache_tests =
+  [
+    test "every tiered compile's rounds keep the cached analyses fresh" (fun () ->
+        List.iter
+          (fun (w : Workloads.Defs.t) ->
+            iter_compiled ~compile:compile_checking_cfg w (Workloads.Registry.compile w)
+              (fun _ _ -> ()))
+          Workloads.Registry.all);
+    (let prog = lazy (compile "def main(): Unit = {}") in
+     QCheck_alcotest.to_alcotest
+       (QCheck.Test.make ~name:"root optimizations keep the cached analyses of random bodies fresh"
+          ~count:300 Ir_gen.arbitrary (fun fn ->
+            checked_root_opts "random body" (Lazy.force prog) fn;
+            true)));
   ]
 
 (* Each pass of [Opt.Driver.root_passes] names one registry workload whose
@@ -976,6 +1128,8 @@ let () =
       ("rwelim", rwelim_tests);
       ("scalarrepl", scalarrepl_tests);
       ("licm", licm_tests);
+      ("cache", cache_tests);
+      ("prepare", prepare_tests);
       ("rules", rule_tests);
       ("pipeline", pipeline_tests);
     ]

@@ -106,3 +106,41 @@ let incremental ?(params = Inliner.Params.default) () : Jit.Engine.compiler =
 
 let greedy : Jit.Engine.compiler = fun p pr m -> Baselines.Greedy.compile p pr m
 let c2like : Jit.Engine.compiler = fun p pr m -> Baselines.C2like.compile p pr m
+
+(* Every control-flow analysis [Ir.Fn] caches for [fn] equals one computed
+   afresh on a copy, which starts with no cache: reverse postorder,
+   reachability, predecessors, the dominator tree, and the loop forest —
+   its loops, back edges and bodies in iteration order, which LICM's hoist
+   order follows, and every block's depth. Afterwards each analysis is
+   cached on [fn], so the next call catches a writer that left one
+   stale. *)
+let check_cfg_cache (what : string) (fn : Ir.Types.fn) : unit =
+  let fresh = Ir.Fn.copy fn in
+  let n = Support.Vec.length fn.blocks in
+  let differs fmt =
+    Fmt.kstr (fun s -> Alcotest.failf "%s: the cached %s differs from a fresh one" what s) fmt
+  in
+  if Ir.Fn.rpo fn <> Ir.Fn.rpo fresh then differs "reverse postorder";
+  let r = Ir.Fn.reachable fn and r' = Ir.Fn.reachable fresh in
+  for b = -1 to n do
+    if r b <> r' b then differs "reachability of b%d" b
+  done;
+  if Ir.Fn.preds fn <> Ir.Fn.preds fresh then differs "predecessor map";
+  let d = Ir.Dominators.compute fn and d' = Ir.Dominators.compute fresh in
+  for b = 0 to n - 1 do
+    if
+      Ir.Dominators.idom d b <> Ir.Dominators.idom d' b
+      || Ir.Dominators.children d b <> Ir.Dominators.children d' b
+    then differs "dominator tree at b%d" b
+  done;
+  let shape (t : Ir.Loops.t) =
+    List.map
+      (fun (l : Ir.Loops.loop) ->
+        (l.header, l.back_edges, Hashtbl.fold (fun b () acc -> b :: acc) l.body []))
+      t.loops
+  in
+  let l = Ir.Loops.compute fn and l' = Ir.Loops.compute fresh in
+  if shape l <> shape l' then differs "loop forest";
+  for b = 0 to n - 1 do
+    if Ir.Loops.depth l b <> Ir.Loops.depth l' b then differs "loop depth of b%d" b
+  done
