@@ -71,10 +71,12 @@ type osr_exit_verdict = Exit_stay | Exit_watch | Exit_to of osr_transfer
    per-method). Everything else — operand slots, static costs, bound
    profile cells, jump targets as pc indices — lives in the closure
    environments. The two frames follow [Prepared]'s slot encoding: Int
-   and Bool values unboxed in [t_ints], the rest in [t_frame]. *)
+   and Bool values unboxed in [t_ints], the rest in [t_frame]. A record
+   belongs to a call depth ([vm.frames]) and is reused by every threaded
+   activation at that depth; its frames grow, never shrink. *)
 type tstate = {
-  t_frame : value array;
-  t_ints : int array;
+  mutable t_frame : value array;
+  mutable t_ints : int array;
   mutable t_depoch : int;
       (* the deopt epoch this activation last validated against *)
 }
@@ -169,6 +171,12 @@ type vm = {
   mutable max_steps : int;
   mutable depth : int;
   max_depth : int;
+  mutable frames : tstate array;
+      (* the activation record of each call depth (index 0 unused): every
+         threaded activation at depth [d] runs in [frames.(d)] *)
+  mutable frames_used : int;
+      (* records 1 .. [frames_used] may hold values of the current run;
+         released when it returns to depth 0 *)
   mutable backend : backend;
   (* prepared-code cache, a dense array indexed by meth_id * 2 + tier —
      this lookup sits on every single method invocation, so it is a
@@ -205,6 +213,8 @@ let create ?(max_steps = 500_000_000) ?(backend = Threaded) (prog : program) :
     max_steps;
     depth = 0;
     max_depth = 10_000;
+    frames = [||];
+    frames_used = 0;
     backend;
     prepared_cache = Array.make (max 16 (2 * Ir.Program.num_meths prog)) None;
     code_epoch = 0;
@@ -384,55 +394,30 @@ let arg_slots (n : int) : int array =
   if n < Array.length identity_slots then identity_slots.(n)
   else Array.init n Fun.id
 
-(* A fresh all-[Vunit] frame. Up to 16 slots it is an array literal,
-   which ocamlopt allocates inline on the minor heap; [Array.make] is a C
-   call ([caml_make_vect]) and this runs once per activation. The
-   literals name [u], not [Vunit]: a literal of more than four constants
-   compiles to a copy of a static array, another C call. *)
-let new_frame (n : int) : value array =
-  let u = Sys.opaque_identity Vunit in
-  match n with
-  | 0 -> [||]
-  | 1 -> [| u |]
-  | 2 -> [| u; u |]
-  | 3 -> [| u; u; u |]
-  | 4 -> [| u; u; u; u |]
-  | 5 -> [| u; u; u; u; u |]
-  | 6 -> [| u; u; u; u; u; u |]
-  | 7 -> [| u; u; u; u; u; u; u |]
-  | 8 -> [| u; u; u; u; u; u; u; u |]
-  | 9 -> [| u; u; u; u; u; u; u; u; u |]
-  | 10 -> [| u; u; u; u; u; u; u; u; u; u |]
-  | 11 -> [| u; u; u; u; u; u; u; u; u; u; u |]
-  | 12 -> [| u; u; u; u; u; u; u; u; u; u; u; u |]
-  | 13 -> [| u; u; u; u; u; u; u; u; u; u; u; u; u |]
-  | 14 -> [| u; u; u; u; u; u; u; u; u; u; u; u; u; u |]
-  | 15 -> [| u; u; u; u; u; u; u; u; u; u; u; u; u; u; u |]
-  | 16 -> [| u; u; u; u; u; u; u; u; u; u; u; u; u; u; u; u |]
-  | n -> Array.make n u
+(* The record of depth [d] > [vm.frames_used], which the current run
+   has not used yet: grows [vm.frames] on demand with empty records,
+   whose frames the first activation at each depth sizes. *)
+let first_record (vm : vm) (d : int) : tstate =
+  let n = Array.length vm.frames in
+  if d >= n then
+    vm.frames <-
+      Array.init (max (d + 1) (2 * n)) (fun i ->
+          if i < n then vm.frames.(i) else { t_frame = [||]; t_ints = [||]; t_depoch = 0 });
+  vm.frames_used <- d;
+  vm.frames.(d)
 
-(* A fresh all-zero int frame, allocated inline the same way. *)
-let new_ints (n : int) : int array =
-  let z = Sys.opaque_identity 0 in
-  match n with
-  | 0 -> [||]
-  | 1 -> [| z |]
-  | 2 -> [| z; z |]
-  | 3 -> [| z; z; z |]
-  | 4 -> [| z; z; z; z |]
-  | 5 -> [| z; z; z; z; z |]
-  | 6 -> [| z; z; z; z; z; z |]
-  | 7 -> [| z; z; z; z; z; z; z |]
-  | 8 -> [| z; z; z; z; z; z; z; z |]
-  | 9 -> [| z; z; z; z; z; z; z; z; z |]
-  | 10 -> [| z; z; z; z; z; z; z; z; z; z |]
-  | 11 -> [| z; z; z; z; z; z; z; z; z; z; z |]
-  | 12 -> [| z; z; z; z; z; z; z; z; z; z; z; z |]
-  | 13 -> [| z; z; z; z; z; z; z; z; z; z; z; z; z |]
-  | 14 -> [| z; z; z; z; z; z; z; z; z; z; z; z; z; z |]
-  | 15 -> [| z; z; z; z; z; z; z; z; z; z; z; z; z; z; z |]
-  | 16 -> [| z; z; z; z; z; z; z; z; z; z; z; z; z; z; z; z |]
-  | n -> Array.make n 0
+(* Once a run is back at depth 0, nothing it computed stays reachable
+   from a record: the value frames it used are filled with [Vunit]. An
+   entry nested in a hook (a run that starts at depth > 0) leaves them
+   to the run around it. *)
+let release_frames (vm : vm) : unit =
+  if vm.depth = 0 then begin
+    for d = 1 to vm.frames_used do
+      let f = vm.frames.(d).t_frame in
+      Array.fill f 0 (Array.length f) Vunit
+    done;
+    vm.frames_used <- 0
+  end
 
 (* Per-site IC statistics: live caches plus retired counters, merged by
    site, ordered by (method, site ordinal). A site can contribute from
@@ -1250,16 +1235,20 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
     t_fname = pcode.fname;
   }
 
-(* Builds the callee's frames and copies each argument, named by its slot
-   in the caller's activation, into its parameter's slot. *)
+(* Runs the callee in its depth's record and copies each argument, named
+   by its slot in the caller's activation, into its parameter's slot. A
+   frame is replaced only when it is too small for the callee, and never
+   cleared: the tier runs verified SSA, which writes every slot before
+   reading it, and a stale slot holds a valid value. *)
 and exec_threaded (vm : vm) (t : tcode) (caller : tstate) (cargs : int array) :
     value =
-  vm.depth <- vm.depth + 1;
-  if vm.depth > vm.max_depth then trap "call stack overflow in %s" t.t_fname;
-  let st =
-    { t_frame = new_frame t.t_nregs; t_ints = new_ints t.t_nints;
-      t_depoch = vm.deopt_epoch }
-  in
+  let d = vm.depth + 1 in
+  vm.depth <- d;
+  if d > vm.max_depth then trap "call stack overflow in %s" t.t_fname;
+  let st = if d <= vm.frames_used then Array.unsafe_get vm.frames d else first_record vm d in
+  if Array.length st.t_frame < t.t_nregs then st.t_frame <- Array.make t.t_nregs Vunit;
+  if Array.length st.t_ints < t.t_nints then st.t_ints <- Array.make t.t_nints 0;
+  st.t_depoch <- vm.deopt_epoch;
   let ps = t.t_params in
   let i = ref 0 in
   while !i < Array.length ps do
@@ -1506,31 +1495,35 @@ and do_call (vm : vm) ?ic ~profiling ~(meth : meth_id) ~(callee : callee)
    decrement of every activation it crosses (no activation installs a
    handler for it), so each entry restores the depth it started at before
    the exception escapes; a leaked depth would overflow the stack of
-   every later call on this VM. *)
-let invoke (vm : vm) (m : meth_id) (args : value array) : value =
+   every later call on this VM. Returned or trapped back to depth 0, an
+   entry releases the records its run used. *)
+let entry (vm : vm) (run : unit -> value) : value =
   let depth = vm.depth in
-  try invoke vm m (entry_state args) (arg_slots (Array.length args))
-  with e ->
-    vm.depth <- depth;
-    raise e
+  match run () with
+  | v ->
+      release_frames vm;
+      v
+  | exception e ->
+      vm.depth <- depth;
+      release_frames vm;
+      raise e
+
+let invoke (vm : vm) (m : meth_id) (args : value array) : value =
+  entry vm (fun () -> invoke vm m (entry_state args) (arg_slots (Array.length args)))
 
 let exec (vm : vm) ~(mode : mode) ~(meth : meth_id) (fn : fn) (args : value array) :
     value =
-  let depth = vm.depth in
-  try
-    match vm.backend with
-    | Reference ->
-        exec_ref vm ~mode ~meth fn (entry_state args) (arg_slots (Array.length args))
-    | Threaded ->
-        (* one-shot bodies (tests pinning a tier on a synthetic fn) are
-           prepared and lowered per call; cached paths go through
-           [invoke] *)
-        let pcode = Prepared.prepare ~cost:vm.cost vm.prog fn in
-        exec_threaded vm (lower_threaded vm ~mode ~meth ~src:fn pcode)
-          (entry_state args) (arg_slots (Array.length args))
-  with e ->
-    vm.depth <- depth;
-    raise e
+  entry vm (fun () ->
+      match vm.backend with
+      | Reference ->
+          exec_ref vm ~mode ~meth fn (entry_state args) (arg_slots (Array.length args))
+      | Threaded ->
+          (* one-shot bodies (tests pinning a tier on a synthetic fn) are
+             prepared and lowered per call; cached paths go through
+             [invoke] *)
+          let pcode = Prepared.prepare ~cost:vm.cost vm.prog fn in
+          exec_threaded vm (lower_threaded vm ~mode ~meth ~src:fn pcode)
+            (entry_state args) (arg_slots (Array.length args)))
 
 (* Runs a program's [main]; returns its result value. *)
 let run_main (vm : vm) : value =

@@ -57,10 +57,13 @@ type osr_exit_verdict = Exit_stay | Exit_watch | Exit_to of osr_transfer
 type tstate
 (** Threaded-tier activation state: the value frame, the int frame that
     holds the activation's Int and Bool values unboxed, and the deopt
-    epoch it last validated against — 4 words. A call hands the callee
-    its caller's state and the slots of its arguments there; the callee
-    copies each argument into its parameter's slot as it builds its
-    frames, with no argument array. *)
+    epoch it last validated against. It is the record of one call depth
+    ([vm.frames]), which every threaded activation at that depth reuses:
+    a call allocates neither the record nor its frames, which are
+    replaced only by larger ones and never cleared between activations.
+    A call hands the callee its caller's state and the slots of its
+    arguments there; the callee copies each argument into its
+    parameter's slot, with no argument array. *)
 
 type thandler = tstate -> value
 (** One handler closure: executes one pre-decoded instruction (or one
@@ -76,9 +79,9 @@ type tcode = {
   t_nregs : int;
       (** value-frame size ({!Prepared.code.nregs}) *)
   t_nints : int;
-      (** int-frame size ({!Prepared.code.nints}). Either frame of up to
-          16 slots is an array literal the native compiler allocates
-          inline, with no C call. *)
+      (** int-frame size ({!Prepared.code.nints}). An activation runs in
+          its depth's record when the record's frames have at least
+          [t_nregs] and [t_nints] slots, and replaces a smaller one. *)
   t_params : int array;
       (** {!Prepared.code.params} flattened: parameter index, then the
           slot the argument is copied into *)
@@ -157,6 +160,14 @@ type vm = {
   mutable max_steps : int;
   mutable depth : int;
   max_depth : int;
+  mutable frames : tstate array;
+  (** the activation record of each call depth, grown on demand (index 0,
+      depth 0, is no activation's): a threaded activation at depth [d]
+      runs in [frames.(d)]. When an entry point returns or traps back to
+      depth 0 it fills the value frames its run used with [Vunit], so no
+      value of a finished run stays reachable from a record. *)
+  mutable frames_used : int;
+  (** records [1 .. frames_used] may hold values of the current run *)
   mutable backend : backend;
   mutable prepared_cache : prepared_entry option array;
   (** prepared code per method and tier, a dense array indexed by
@@ -220,7 +231,8 @@ val superinst_stats : vm -> sstat list
 
     Each restores [vm.depth] to its value at entry when an exception
     escapes, so a trapped call leaves no depth behind for later calls on
-    the same VM. *)
+    the same VM, and back at depth 0, returned or trapped, releases the
+    values its run left in [vm.frames]. *)
 
 val exec : vm -> mode:mode -> meth:meth_id -> fn -> value array -> value
 (** Executes a specific body in a specific tier, for tests that want to

@@ -188,17 +188,21 @@ let decode_instr ~(cost : Cost.t) ~(ics : Ic.t list ref) ~(slot : vid -> int)
 (* ---------- frame-slot allocation ----------
 
    Two values of one frame share a slot when neither is live where the
-   other is defined. Liveness is the usual backward dataflow over bitsets
-   of value numbers, on the blocks a path from the entry reaches: a phi is
-   defined at its block's entry and its input is live out of the
-   predecessor the input comes from. One scan over the definitions in
-   reverse postorder then gives each value a slot of its frame that no
-   value live at its definition holds, the lowest one unless a phi
-   preference below applies. In strict SSA every value live at a
-   definition was defined on the way there, so the scan needs no
-   interference graph and uses as many slots per frame as the most values
-   of that frame live at one point (Hack, Grund & Goos, "Register
-   Allocation for Programs in SSA-Form", CC 2006).
+   other is defined. Liveness is computed on the blocks a path from the
+   entry reaches, by path exploration as SSA allows (Brandner et al.,
+   "Computing Liveness Sets for SSA-Form Programs", INRIA RR-7503, 2011):
+   from each block that reads a value before defining it, and from each
+   predecessor a phi input comes from, walk back over the predecessors up
+   to the value's definition. A phi is defined at its block's entry and
+   its input is live out of the predecessor it comes from. The sets cost
+   memory in proportion to what is live, not to blocks times values. One
+   scan over the definitions in reverse postorder then gives each value a
+   slot of its frame that no value live at its definition holds, the
+   lowest one unless a phi preference below applies. In strict SSA every
+   value live at a definition was defined on the way there, so the scan
+   needs no interference graph and uses as many slots per frame as the
+   most values of that frame live at one point (Hack, Grund & Goos,
+   "Register Allocation for Programs in SSA-Form", CC 2006).
 
    - Parameters are written when the frame is built, before the entry
      block, and a loop may come back into the entry block, where [Pparam]
@@ -215,30 +219,36 @@ let decode_instr ~(cost : Cost.t) ~(ics : Ic.t list ref) ~(slot : vid -> int)
      is not strict SSA uses where it was never defined, so every slot is
      inside its frame. *)
 
-(* [n] bitsets of [w] words each, flat: set [k] starts at word [k * w]. *)
+(* A bitset of value numbers. *)
 let bits = Sys.int_size
 
-let mem (s : int array) (base : int) (i : int) : bool =
-  (Array.unsafe_get s (base + (i / bits)) lsr (i mod bits)) land 1 <> 0
+let mem (s : int array) (i : int) : bool =
+  (Array.unsafe_get s (i / bits) lsr (i mod bits)) land 1 <> 0
 
-let add (s : int array) (base : int) (i : int) : unit =
-  let j = base + (i / bits) in
+let add (s : int array) (i : int) : unit =
+  let j = i / bits in
   Array.unsafe_set s j (Array.unsafe_get s j lor (1 lsl (i mod bits)))
 
-let remove (s : int array) (base : int) (i : int) : unit =
-  let j = base + (i / bits) in
+let remove (s : int array) (i : int) : unit =
+  let j = i / bits in
   Array.unsafe_set s j (Array.unsafe_get s j land lnot (1 lsl (i mod bits)))
 
-(* Calls [f] on every member of the set at [base], [w] words. *)
-let iter_set (f : int -> unit) (s : int array) (base : int) (w : int) : unit =
-  for j = 0 to w - 1 do
-    let x = ref (Array.unsafe_get s (base + j)) and i = ref (j * bits) in
-    while !x <> 0 do
-      if !x land 1 <> 0 then f !i;
-      x := !x lsr 1;
-      incr i
-    done
-  done
+(* The (key, item) pairs [fill] passes to its argument, keys below [n],
+   grouped by key in one flat array: key [k]'s items are
+   [items.(start.(k)) .. items.(start.(k + 1) - 1)]. [fill] runs twice,
+   to count and then to place, and must pass the same pairs both times.
+   Returns [(start, items)]. *)
+let group (n : int) (fill : (int -> int -> unit) -> unit) : int array * int array =
+  let start = Array.make (n + 1) 0 in
+  fill (fun k _ -> start.(k) <- start.(k) + 1);
+  for k = 1 to n do
+    start.(k) <- start.(k) + start.(k - 1)
+  done;
+  let items = Array.make start.(n) 0 in
+  fill (fun k x ->
+      start.(k) <- start.(k) - 1;
+      items.(start.(k)) <- x);
+  (start, items)
 
 (* The slot of every value number [n] in its frame [frame.(n)] (0 the
    value frame, 1 the int frame), and the two frames' sizes. [num] maps a
@@ -248,11 +258,12 @@ let allocate (fn : fn) ~(num : int array) ~(frame : int array) ~(blocks : bid ar
     ~(body : vid array array) : int array * int * int =
   let nv = Array.length frame and nb = Array.length blocks in
   let w = (nv + bits - 1) / bits in
-  (* postorder of the blocks the entry reaches *)
-  let post = Array.make nb 0 and npost = ref 0 and seen = Array.make nb false in
+  (* postorder of the blocks the entry reaches; [mark.(b) = -2] says
+     [b] is reached, until the live-in walks below stamp it *)
+  let post = Array.make nb 0 and npost = ref 0 and mark = Array.make nb (-1) in
   let rec dfs b =
-    seen.(b) <- true;
-    Array.iter (fun s -> if not seen.(s) then dfs s) succs.(b);
+    mark.(b) <- -2;
+    Array.iter (fun s -> if mark.(s) <> -2 then dfs s) succs.(b);
     post.(!npost) <- b;
     incr npost
   in
@@ -263,22 +274,25 @@ let allocate (fn : fn) ~(num : int array) ~(frame : int array) ~(blocks : bid ar
     | If { cond = v; _ } | Return v -> num.(v)
     | Goto _ | Unreachable -> -1
   in
+  (* the one bitset of values the scan walks blocks with; every block
+     leaves it empty *)
+  let cur = Array.make w 0 in
   (* Walks block [b] backward from [cur] (what is live out of it) to what
      is live into it. [dies n k]: [n] is dead after its use at body
      position [k]; [dead n]: nobody reads the definition [n]. *)
-  let walk_back b cur base ~dies ~dead =
+  let walk_back b ~dies ~dead =
     let is = body.(b) in
     let k = ref 0 in
     let use v =
       let n = num.(v) in
-      if not (mem cur base n) then begin
+      if not (mem cur n) then begin
         dies n !k;
-        add cur base n
+        add cur n
       end
     in
-    let def n = if mem cur base n then remove cur base n else dead n in
+    let def n = if mem cur n then remove cur n else dead n in
     let t = term_use b in
-    if t >= 0 && not (mem cur base t) then add cur base t;
+    if t >= 0 && not (mem cur t) then add cur t;
     for i = Array.length is - 1 downto 0 do
       let v = is.(i) in
       match Ir.Fn.kind fn v with
@@ -293,55 +307,112 @@ let allocate (fn : fn) ~(num : int array) ~(frame : int array) ~(blocks : bid ar
       def num.(ps.(i))
     done
   in
-  let ignore2 _ _ = () in
-  (* gen (upward-exposed uses), kill (definitions) and the phi inputs
-     each block sends along its out-edges *)
-  let gen = Array.make (nb * w) 0 and kill = Array.make (nb * w) 0 in
-  let pout = Array.make (nb * w) 0 in
+  (* where each value is defined, -1 for a parameter (defined at the
+     frame's build) and for a value no reached block defines: at
+     [b * span] for a phi of block [b] and at [b * span + k + 1] for
+     body position [k], so [def_at.(n) / span] is the defining block *)
+  let span = 1 + Array.fold_left (fun m is -> max m (Array.length is)) 0 body in
+  let def_at = Array.make nv (-1) in
   for i = 0 to npost - 1 do
     let b = post.(i) in
-    let base = b * w in
-    walk_back b gen base ~dies:ignore2 ~dead:ignore;
-    Array.iter (fun p -> add kill base num.(p)) phis.(b);
-    Array.iter
-      (fun v ->
-        match Ir.Fn.kind fn v with Param _ -> () | _ -> add kill base num.(v))
-      body.(b);
-    Array.iter
-      (fun s ->
-        Array.iter
-          (fun p ->
-            match Ir.Fn.kind fn p with
-            | Phi { inputs; _ } -> (
-                match List.assoc_opt blocks.(b) inputs with
-                | Some x -> add pout base num.(x)
-                | None -> ())
-            | _ -> ())
-          phis.(s))
-      succs.(b)
-  done;
-  let lin = Array.make (nb * w) 0 and lout = Array.make (nb * w) 0 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = 0 to npost - 1 do
-      let b = post.(i) in
-      let ss = succs.(b) in
-      for j = 0 to w - 1 do
-        let bj = (b * w) + j in
-        let o = ref pout.(bj) in
-        for k = 0 to Array.length ss - 1 do
-          o := !o lor lin.((ss.(k) * w) + j)
-        done;
-        lout.(bj) <- !o;
-        let x = gen.(bj) lor (!o land lnot kill.(bj)) in
-        if x <> lin.(bj) then begin
-          lin.(bj) <- x;
-          changed := true
-        end
-      done
+    let ps = phis.(b) and is = body.(b) in
+    for k = 0 to Array.length ps - 1 do
+      def_at.(num.(ps.(k))) <- b * span
+    done;
+    for k = 0 to Array.length is - 1 do
+      match Ir.Fn.kind fn is.(k) with
+      | Param _ -> ()
+      | _ -> def_at.(num.(is.(k))) <- (b * span) + k + 1
     done
   done;
+  let defined_in n b = def_at.(n) >= b * span && def_at.(n) < (b + 1) * span in
+  (* [f x] on the input of each phi of [b]'s successors that comes from
+     [b], the values [b] sends along its out-edges *)
+  let iter_sent f b =
+    let ss = succs.(b) in
+    for j = 0 to Array.length ss - 1 do
+      let ps = phis.(ss.(j)) in
+      for k = 0 to Array.length ps - 1 do
+        match Ir.Fn.kind fn ps.(k) with
+        | Phi { inputs; _ } -> (
+            match List.assoc_opt blocks.(b) inputs with
+            | Some x -> f num.(x)
+            | None -> ())
+        | _ -> ()
+      done
+    done
+  in
+  (* the reached predecessors of each reached block *)
+  let pstart, pred =
+    group nb (fun f ->
+        for i = 0 to npost - 1 do
+          let ss = succs.(post.(i)) in
+          for j = 0 to Array.length ss - 1 do
+            f ss.(j) post.(i)
+          done
+        done)
+  in
+  (* where each value's walks start: [f n b] for each block [b] that
+     reads [n] before defining it, or sends it to a phi without defining
+     it *)
+  let emit = ref (fun _ _ -> ()) and blk = ref 0 and pos = ref 0 in
+  let on_use u =
+    let d = def_at.(num.(u)) and at = !blk * span in
+    if d < at || d > at + !pos then !emit num.(u) !blk
+  and on_sent n = if not (defined_in n !blk) then !emit n !blk in
+  let iter_seeds f =
+    emit := f;
+    for i = 0 to npost - 1 do
+      let b = post.(i) in
+      blk := b;
+      let is = body.(b) in
+      for k = 0 to Array.length is - 1 do
+        match Ir.Fn.kind fn is.(k) with
+        | Param _ -> ()
+        | kd ->
+            pos := k;
+            Ir.Instr.iter_operands on_use kd
+      done;
+      let t = term_use b in
+      if t >= 0 && not (defined_in t b) then f t b;
+      iter_sent on_sent b
+    done
+  in
+  let sstart, sblk = group nv iter_seeds in
+  (* [f b n] for each value [n] live into block [b]: one value at a
+     time, a walk back from its seeds over the reached predecessors that
+     stops at its definition; [mark.(b) = stamp + n] says [b] has it *)
+  let stack = Array.make nb 0 and stamp = ref 0 in
+  let iter_live_ins f =
+    let sp = ref 0 in
+    for n = 0 to nv - 1 do
+      let s = !stamp + n and d = if def_at.(n) < 0 then -1 else def_at.(n) / span in
+      for k = sstart.(n) to sstart.(n + 1) - 1 do
+        let b = sblk.(k) in
+        if mark.(b) <> s then begin
+          mark.(b) <- s;
+          f b n;
+          stack.(!sp) <- b;
+          incr sp
+        end
+      done;
+      while !sp > 0 do
+        decr sp;
+        let b = stack.(!sp) in
+        for j = pstart.(b) to pstart.(b + 1) - 1 do
+          let p = pred.(j) in
+          if p <> d && mark.(p) <> s then begin
+            mark.(p) <- s;
+            f p n;
+            stack.(!sp) <- p;
+            incr sp
+          end
+        done
+      done
+    done;
+    stamp := !stamp + nv
+  in
+  let lstart, lin = group nb iter_live_ins in
   (* the scan *)
   let color = Array.make nv (-1) in
   let count = [| 0; 0 |] and busy = [| Array.make nv false; Array.make nv false |] in
@@ -377,7 +448,6 @@ let allocate (fn : fn) ~(num : int array) ~(frame : int array) ~(blocks : bid ar
     body;
   (* where each value dies in the block being scanned: after its use at
      body position [die_pos], or right after its definition (-1) *)
-  let cur = Array.make w 0 and blk = ref (-1) in
   let die_blk = Array.make nv (-1) and die_pos = Array.make nv 0 in
   let dies n k =
     die_blk.(n) <- !blk;
@@ -386,14 +456,28 @@ let allocate (fn : fn) ~(num : int array) ~(frame : int array) ~(blocks : bid ar
     die_blk.(n) <- !blk;
     die_pos.(n) <- -1
   in
+  let live_out n = add cur n in
   for i = npost - 1 downto 0 do
     let b = post.(i) in
     blk := b;
     Array.fill busy.(0) 0 count.(0) false;
     Array.fill busy.(1) 0 count.(1) false;
-    iter_set hold lin (b * w) w;
-    Array.blit lout (b * w) cur 0 w;
-    walk_back b cur 0 ~dies ~dead;
+    for j = lstart.(b) to lstart.(b + 1) - 1 do
+      hold lin.(j)
+    done;
+    (* what is live out of [b]: into its successors, and its phi inputs *)
+    let ss = succs.(b) in
+    for k = 0 to Array.length ss - 1 do
+      for j = lstart.(ss.(k)) to lstart.(ss.(k) + 1) - 1 do
+        add cur lin.(j)
+      done
+    done;
+    iter_sent live_out b;
+    walk_back b ~dies ~dead;
+    (* [walk_back] left [cur] holding what is live into [b] *)
+    for j = lstart.(b) to lstart.(b + 1) - 1 do
+      remove cur lin.(j)
+    done;
     Array.iter
       (fun p ->
         let n = num.(p) in

@@ -25,7 +25,8 @@
     Three internal errors that the walker reports are reported
     differently:
     - use of a never-evaluated vid (IR that is not strict SSA) reads
-      whatever its slot holds;
+      whatever its slot holds, which may be a value an earlier
+      activation at the same call depth left there;
     - a call with fewer arguments than a [Param] index traps "missing
       argument" when the callee's frame is built, not at the [Param];
     - a phi with no input on an edge (in verified IR, only an edge from

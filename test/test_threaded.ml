@@ -411,6 +411,47 @@ let test_frame_slots () =
   Alcotest.(check bool) "some frame is smaller than the values its body names" true
     (!smaller > 0)
 
+(* Liveness costs memory in proportion to what is live, not to blocks
+   times values: one function of 8,000 [if]s that cannot fold (24,001
+   blocks, 48,001 values, at most three live at a time) prepares with
+   270 words a block, where bitsets of every value per block took
+   4,120. *)
+let test_prepare_memory () =
+  let open Ir.Types in
+  let n = 8_000 in
+  let fn = Ir.Fn.create ~fname:"ifs" ~param_tys:[| Tunit; Tint |] ~rty:Tint in
+  let b0 = Ir.Fn.add_block fn in
+  fn.entry <- b0;
+  let x = Ir.Fn.append fn b0 (Param 1) in
+  let a = ref x and join = ref b0 in
+  for i = 1 to n do
+    let k = Ir.Fn.append fn !join (Const (Cint i)) in
+    let c = Ir.Fn.append fn !join (Binop (Lt, !a, k)) in
+    let t = Ir.Fn.add_block fn and e = Ir.Fn.add_block fn and j = Ir.Fn.add_block fn in
+    Ir.Fn.set_term fn !join (If { cond = c; site = { sm = 0; sidx = i }; tb = t; fb = e });
+    let up = Ir.Fn.append fn t (Binop (Add, !a, Ir.Fn.append fn t (Const (Cint 1)))) in
+    Ir.Fn.set_term fn t (Goto j);
+    let down = Ir.Fn.append fn e (Binop (Sub, !a, x)) in
+    Ir.Fn.set_term fn e (Goto j);
+    let p = Ir.Fn.append fn j (Phi { ty = Tint; inputs = [] }) in
+    Ir.Fn.set_phi_inputs fn p [ (t, up); (e, down) ];
+    a := p;
+    join := j
+  done;
+  Ir.Fn.set_term fn !join (Return !a);
+  Util.check_verifies fn;
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  let code = Runtime.Prepared.prepare ~cost:Runtime.Cost.default (Ir.Program.create ()) fn in
+  let per_block = (words () -. before) /. float (Array.length code.blocks) in
+  Alcotest.(check int) "blocks" ((3 * n) + 1) (Array.length code.blocks);
+  Alcotest.(check int) "int frame" 3 code.nints;
+  if per_block >= 1000. then
+    Alcotest.failf "preparing %d ifs allocates %.0f words a block (bound 1,000)" n per_block
+
 (* A loop back into the entry block re-enters its [Param]s, which do
    nothing in the threaded tier: the call wrote the arguments when it
    built the frame. An allocator that took [v0 = param 0] for [v0]'s
@@ -456,14 +497,13 @@ let test_loop_into_entry () =
   Alcotest.(check int) "steps" r_steps t_steps;
   Alcotest.(check int) "cycles" r_cycles t_cycles
 
-(* What an interpreted call allocates beyond the work it does: its
-   activation state (4 words), value frame (2: [step]'s receiver, never
-   read but written when the frame is built), int frame (3: [x] and the
-   constant are live together, and the sum takes [x]'s slot) and, when
-   the result is at least 1024, the box of the returned Int (2): 10.90
-   words a call over this loop. The arguments are written straight into
-   [step]'s slots, with no argument array. All of it is small, so
-   [Gc.minor_words] sees every word. *)
+(* What an interpreted call allocates beyond the work it does: nothing
+   for its activation, which runs in the record of its call depth, with
+   [step]'s argument written straight into its slot. What remains is the
+   box of the returned Int when it is at least 1024 (2 words, 1.80 a
+   call over this loop) and, spread over the loop, [step]'s lowering and
+   the first record of its depth: 1.89 words a call. [Gc.minor_words]
+   sees every word, all of it small. *)
 let test_call_allocation () =
   let words body =
     let src =
@@ -483,9 +523,99 @@ def main(): Unit = {
     Gc.minor_words () -. before
   in
   let per_call = (words "step(i)" -. words "(i + 1)") /. 10000. in
-  if per_call > 12.5 then
-    Alcotest.failf "a call allocates %.2f words beyond its inlined body (bound 12)"
+  if per_call > 2.5 then
+    Alcotest.failf "a call allocates %.2f words beyond its inlined body (bound 2.5)"
       per_call
+
+(* Three methods with frames of different sizes call each other in a
+   cycle, small -> mid -> big -> small, so runs that start at different
+   ones put different methods at each depth: every record is reused by
+   activations whose frames are larger and smaller than its last one's,
+   including after a run that trapped halfway down. Records are never
+   cleared between activations, so a read of a slot no earlier op of the
+   activation wrote would show here as a result, step or cycle count
+   that differs from the walker's. [t = 1] divides by zero at the
+   bottom. *)
+let cycle_src =
+  {|class Box(v: Int, s: String) {}
+def small(n: Int, t: Int): Int = if (n == 0) 10 / (1 - t) else mid(n - 1, t) + 1
+def mid(n: Int, t: Int): Int =
+  if (n == 0) 10 / (1 - t)
+  else {
+    val b = new Box(n, "m");
+    big(n - 1, t) + b.v + n * 3 % 7
+  }
+def big(n: Int, t: Int): Int =
+  if (n == 0) 10 / (1 - t)
+  else {
+    val a = new Box(n, "a");
+    val b = new Box(n + 1, "bb");
+    val x = n * 2;
+    val y = x + 3;
+    val even = n % 2 == 0;
+    val r = small(n - 1, t);
+    if (even) r + x + y + a.s.length else r - x * y % 5 + b.v + b.s.length
+  }
+def main(): Unit = {}
+|}
+
+let test_records_reused () =
+  let run (vm : Runtime.Interp.vm) (name, n, t) =
+    let steps = vm.steps and cycles = vm.cycles in
+    let outcome =
+      match Runtime.Interp.run_meth vm name Runtime.Values.[ Vunit; Vint n; Vint t ] with
+      | v -> Runtime.Values.to_string v
+      | exception Runtime.Values.Trap msg -> "trap: " ^ msg
+    in
+    (outcome, vm.steps - steps, vm.cycles - cycles)
+  in
+  let vm = Runtime.Interp.create (Util.compile cycle_src) in
+  List.iter
+    (fun ((name, n, _) as call) ->
+      let what = Printf.sprintf "%s(%d)" name n in
+      let walker =
+        run (Runtime.Interp.create ~backend:Runtime.Interp.Reference (Util.compile cycle_src)) call
+      in
+      let r_out, r_steps, r_cycles = walker and t_out, t_steps, t_cycles = run vm call in
+      Alcotest.(check string) (what ^ ": outcome") r_out t_out;
+      Alcotest.(check int) (what ^ ": steps") r_steps t_steps;
+      Alcotest.(check int) (what ^ ": cycles") r_cycles t_cycles)
+    [ ("small", 4999, 0); ("big", 4999, 0); ("mid", 2999, 1); ("mid", 4999, 0) ];
+  Alcotest.(check int) "depth" 0 vm.depth
+
+(* Back at depth 0, returned or trapped, an entry point fills the value
+   frames its run used with [Vunit], so nothing the run computed stays
+   reachable from a record. [f] passes a box down to [g], so both
+   callees' value frames hold it; once the run is over only a weak
+   pointer names it, and a major collection frees it. *)
+let release_src =
+  {|class Box(v: Int) {}
+def g(b: Box, t: Int): Int = b.v / (1 - t)
+def f(b: Box, t: Int): Int = g(b, t) + 1
+def main(): Unit = {}
+|}
+
+let[@inline never] run_weakly (vm : Runtime.Interp.vm) (cls : Ir.Types.class_id) (t : int)
+    : Runtime.Values.value Weak.t =
+  let w = Weak.create 1 in
+  let o = Runtime.Values.alloc_obj vm.prog cls in
+  Weak.set w 0 (Some o);
+  (match Runtime.Interp.run_meth vm "f" Runtime.Values.[ Vunit; o; Vint t ] with
+  | _ -> ()
+  | exception Runtime.Values.Trap _ -> ());
+  w
+
+let test_records_released () =
+  let prog = Util.compile release_src in
+  let cls = ref (-1) in
+  Ir.Program.iter_classes (fun (c : Ir.Types.cls) -> if c.c_name = "Box" then cls := c.c_id) prog;
+  let vm = Runtime.Interp.create prog in
+  List.iter
+    (fun (what, t) ->
+      let w = run_weakly vm !cls t in
+      Gc.full_major ();
+      if Weak.check w 0 then Alcotest.failf "%s: its argument outlived the run" what)
+    [ ("a run that returned", 0); ("a run that trapped", 1) ]
 
 (* Int and Bool values live unboxed in the int frame, so a loop of Int
    arithmetic, comparisons, branches and Int intrinsics allocates
@@ -605,7 +735,11 @@ let () =
           test "a frame holds the most values live at one point" test_frame_slots;
           test "a loop back into the entry block keeps its parameters"
             test_loop_into_entry;
-          test "an interpreted call allocates at most 12 words" test_call_allocation;
+          test "liveness memory follows what is live" test_prepare_memory;
+          test "an interpreted call allocates at most 2.5 words" test_call_allocation;
+          test "records are reused across depths, sizes and traps" test_records_reused;
+          test "a finished run's values are not kept by the records"
+            test_records_released;
           test "Int and Bool arithmetic allocates nothing" test_arith_allocation;
           test "ill-formed or ill-typed IR is refused before it runs"
             test_ill_formed_refused;
