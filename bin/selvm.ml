@@ -446,22 +446,27 @@ let compile_cmd =
     | Error e -> fail e
     | Ok (prog, _) -> (
         Opt.Driver.prepare_program prog;
-        let vm = Runtime.Interp.create prog in
-        (match profiles with
-        | Some path -> (
-            match read_file path with
-            | exception Sys_error e -> fail e
-            | text -> (
-                match Runtime.Profile.of_text text with
-                | loaded -> vm.profiles <- loaded
-                | exception Runtime.Profile.Bad_profile msg ->
-                    fail ("bad profile file: " ^ msg)))
-        | None -> (
-            try
-              for _ = 1 to warmup do
-                ignore (Runtime.Interp.run_main vm)
-              done
-            with Runtime.Values.Trap msg -> fail ("runtime trap: " ^ msg)));
+        (* the profile the compiler reads: loaded, or collected by running
+           main [warmup] times *)
+        let profile =
+          match profiles with
+          | Some path -> (
+              match read_file path with
+              | exception Sys_error e -> fail e
+              | text -> (
+                  match Runtime.Profile.of_text text with
+                  | loaded -> loaded
+                  | exception Runtime.Profile.Bad_profile msg ->
+                      fail ("bad profile file: " ^ msg)))
+          | None -> (
+              let vm = Runtime.Interp.create prog in
+              try
+                for _ = 1 to warmup do
+                  ignore (Runtime.Interp.run_main vm)
+                done;
+                vm.profiles
+              with Runtime.Values.Trap msg -> fail ("runtime trap: " ^ msg))
+        in
         match Ir.Program.find_meth prog meth_name with
         | None -> fail (Printf.sprintf "no method named %s" meth_name)
         | Some m -> (
@@ -472,7 +477,7 @@ let compile_cmd =
                 (* interp: show the prepared body *)
                 print_string (Ir.Printer.fn_to_string body)
             | Some _, Ok (Some compiler) -> (
-                match compiler prog vm.profiles m with
+                match compiler prog profile m with
                 | exception e when Jit.Engine.containable e ->
                     fail
                       (Printf.sprintf "compiling %s failed: %s" meth_name

@@ -76,10 +76,15 @@ let add_meth p ~name ~selector ~owner ~param_tys ~rty : meth_id =
   Hashtbl.replace p.meth_by_name name m_id;
   m_id
 
-(* A method's body holds no cached control-flow analyses. *)
+(* A method's body holds no cached control-flow analyses. A body, once
+   set, is the method's for good: the threaded tier keeps code lowered
+   from it and never re-checks which body it was. *)
 let set_body p m fn =
+  let mm = meth p m in
+  if Option.is_some mm.body then
+    invalid_arg (Printf.sprintf "Program.set_body: %s already has a body" mm.m_name);
   Fn.drop_analyses fn;
-  (meth p m).body <- Some fn
+  mm.body <- Some fn
 
 (* Installs [m] in the vtable of its owner class, replacing any inherited
    entry for the same selector. Call after all classes exist. *)

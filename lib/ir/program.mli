@@ -37,7 +37,10 @@ val add_meth :
 (** @raise Invalid_argument on a duplicate qualified name. *)
 
 val set_body : program -> meth_id -> fn -> unit
-(** Also drops the body's cached control-flow analyses. *)
+(** Gives a method without a body its body, and drops the body's cached
+    control-flow analyses.
+    @raise Invalid_argument when the method already has a body: a body,
+    once set, is never replaced. *)
 
 val register_in_vtable : program -> meth_id -> unit
 (** Installs the method in its owner's vtable under its selector,

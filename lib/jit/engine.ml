@@ -905,7 +905,6 @@ let create ?(spec_miss_threshold = max_int) ?compile_fuel ?(osr = true) ?osr_thr
   if compiles then begin
     if t.osr then begin
       vm.osr_threshold <- t.osr_threshold;
-      vm.osr_exit_armed <- true;
       vm.on_osr <- on_osr t;
       vm.on_osr_exit <- on_osr_exit t;
       vm.on_osr_abort <- on_osr_abort t;

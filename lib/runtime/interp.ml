@@ -8,30 +8,32 @@
 
    Two execution backends implement identical observable semantics:
 
-   - [Threaded] (default): bodies are translated once into dense
-     [Prepared.code] objects — flat register frames, Int and Bool values
-     unboxed in their own, edge-resolved phis, pre-decoded instructions —
-     cached per (method, tier), and lowered once into direct-threaded
-     handler closures specialized for those frames, with superinstruction
-     fusion. This is the production path. It runs verified, well-typed
-     IR only and refuses any other body before it runs (see prepared.mli).
+   - [Threaded] (default): a method's current body is translated once
+     into a dense [Prepared.code] object — flat register frames, Int and
+     Bool values unboxed in their own, edge-resolved phis, pre-decoded
+     instructions — and lowered once, into the method's code slot, as
+     direct-threaded handler closures specialized for those frames, with
+     superinstruction fusion. This is the production path. It runs
+     verified, well-typed IR only and refuses any other body before it
+     runs (see prepared.mli).
    - [Reference]: the original direct IR walker, kept as the executable
      specification the differential suite checks the threaded engine
      against (test/test_differential.ml). It stays permissive: it runs
      ill-typed IR up to the trap the ill-typed op raises.
 
-   Prepared-cache coherence: entries are keyed by method and tier and
-   remembered together with the physical [fn] they were translated from; a
-   lookup that sees a different body (the JIT installed or replaced code)
-   re-prepares. [Jit.Engine] writes installed code through [set_installed]
-   on every install and deoptimization, which also drops the stale entries
-   eagerly and bumps [code_epoch] — the version counter tests observe.
+   Code-slot coherence: a slot holds the entry lowered from the body its
+   method's calls run now, and nothing re-checks that per call, because
+   nothing changes that body or the counters behind the slot without
+   emptying it: [set_installed] is the one writer of installed code and
+   empties the slot; [Ir.Program.set_body] only fills an empty body; and
+   [vm.profiles], whose counter cells an entry binds, is never replaced
+   or cleared. The next call fills an empty slot.
 
    The VM connects to the JIT engine without a dependency cycle through
    one table and one hook: [installed] holds each method's compiled code
-   (a dense array the tier dispatch reads at every invocation), and
-   [on_entry] fires at every method entry so the engine can detect
-   hotness and trigger compilation. *)
+   (written only by [set_installed]), and [on_entry] fires at every
+   method entry so the engine can detect hotness and trigger
+   compilation. *)
 
 open Ir.Types
 open Values
@@ -99,21 +101,15 @@ type tcode = {
   t_fname : string;
 }
 
-(* A cache entry remembers the physical body it was translated from plus
-   the profile (identity and generation) its baked counter cells and IC
-   receiver cells point into: a body replacement, a profile swap or a
-   [Profile.clear] each invalidate the entry at the next lookup. The
-   entry is lowered once, when it is created, with fusion planned over
-   every block; its [tcode] shares the [pcode]'s profile-cell holders and
-   inline caches. An interpreted entry also holds the method's invocation
-   counter cell, bound at creation under the same guard. *)
+(* The content of a method's code slot: the body it was lowered from
+   ([src]: the installed code, or the program body when there is none),
+   prepared, and lowered once, with fusion planned over every block; its
+   [tcode] shares the [pcode]'s profile-cell holders and inline caches. *)
 type prepared_entry = {
   src : fn;
-  prof : Profile.t;
-  gen : int;
   inv : int ref;
-      (* the method's invocation cell in [prof] (a private cell nothing
-         counts into for a compiled entry, which does not profile) *)
+      (* the method's invocation cell in [vm.profiles]; for a compiled
+         entry, which does not profile, a private cell nothing reads *)
   pcode : Prepared.code;
   tcode : tcode;
 }
@@ -138,14 +134,13 @@ type sstat = {
 
 type vm = {
   prog : program;
-  mutable profiles : Profile.t;
+  profiles : Profile.t;
   cost : Cost.t;
   out : Buffer.t;
   mutable cycles : int;          (* simulated execution clock *)
   mutable installed : fn option array;
       (* installed compiled code per method, a dense array indexed by
-         meth_id and written only by [set_installed]: [invoke] reads it at
-         every invocation, so it is an array read, not a hash probe *)
+         meth_id and written only by [set_installed] *)
   mutable on_entry : meth_id -> unit;
   (* fired when compiled code reaches the residual virtual call of a
      typeswitch (a synthetic site): the speculation missed *)
@@ -153,7 +148,8 @@ type vm = {
   (* --- on-stack replacement (policy lives in [Jit.Engine]) --- *)
   mutable osr_threshold : int;
       (* block count at which an interpreted frame consults [on_osr];
-         [max_int] (the default) disables the enter checkpoints *)
+         [max_int] (the default) disables the enter checkpoints and the
+         compiled tier's exit guards *)
   mutable on_osr : meth_id -> bid -> osr_verdict;
   mutable osr_headers : meth_id -> fn -> bid -> bool;
       (* lowering-time filter: which blocks get checkpoint guards in the
@@ -162,8 +158,6 @@ type vm = {
   mutable deopt_epoch : int;
       (* bumped by the engine on every invalidation while OSR is armed;
          compiled frames re-validate at loop headers when it moved *)
-  mutable osr_exit_armed : bool;
-      (* whether compiled threaded lowerings get OSR-exit guards *)
   mutable on_osr_exit : meth_id -> fn -> bid -> osr_exit_verdict;
   mutable on_osr_abort : meth_id -> unit;
       (* a trap is unwinding out of an entered OSR continuation *)
@@ -178,11 +172,11 @@ type vm = {
       (* records 1 .. [frames_used] may hold values of the current run;
          released when it returns to depth 0 *)
   mutable backend : backend;
-  (* prepared-code cache, a dense array indexed by meth_id * 2 + tier —
-     this lookup sits on every single method invocation, so it is a
-     bounds-checked array read, not a hash probe *)
-  mutable prepared_cache : prepared_entry option array;
-  mutable code_epoch : int;      (* bumped by every [set_installed] *)
+  mutable code : prepared_entry option array;
+      (* the code slot of each method, indexed by meth_id: the threaded
+         entry of the body a call runs now, or [None] until the next call
+         lowers it. A threaded call reads it once; [set_installed] empties
+         it. *)
   ic_retired : (site, ic_stat) Hashtbl.t;
       (* counters of ICs retired with their code objects *)
   mutable attrib : Attribution.t option;
@@ -206,7 +200,6 @@ let create ?(max_steps = 500_000_000) ?(backend = Threaded) (prog : program) :
     on_osr = (fun _ _ -> Osr_no);
     osr_headers = (fun _ _ _ -> false);
     deopt_epoch = 0;
-    osr_exit_armed = false;
     on_osr_exit = (fun _ _ _ -> Exit_stay);
     on_osr_abort = (fun _ -> ());
     steps = 0;
@@ -216,8 +209,7 @@ let create ?(max_steps = 500_000_000) ?(backend = Threaded) (prog : program) :
     frames = [||];
     frames_used = 0;
     backend;
-    prepared_cache = Array.make (max 16 (2 * Ir.Program.num_meths prog)) None;
-    code_epoch = 0;
+    code = Array.make (max 16 (Ir.Program.num_meths prog)) None;
     ic_retired = Hashtbl.create 16;
     attrib = None;
     superinst = Hashtbl.create 16;
@@ -241,23 +233,15 @@ let record_evict (vm : vm) (m : meth_id) : unit =
 
 let charge vm n = vm.cycles <- vm.cycles + n
 
-let cache_key (m : meth_id) (mode : mode) : int =
-  (m * 2) + match mode with Interpreted -> 0 | Compiled -> 1
-
-let cache_slot (vm : vm) (key : int) : prepared_entry option =
-  let c = vm.prepared_cache in
-  if key < Array.length c then Array.unsafe_get c key else None
-
-(* Methods can be added after the VM was created (tests do); the dense
-   cache grows on demand. *)
-let cache_set (vm : vm) (key : int) (e : prepared_entry option) : unit =
-  let n = Array.length vm.prepared_cache in
-  if key >= n then begin
-    let c' = Array.make (max (key + 1) (2 * n)) None in
-    Array.blit vm.prepared_cache 0 c' 0 n;
-    vm.prepared_cache <- c'
-  end;
-  vm.prepared_cache.(key) <- e
+(* [a] grown (doubling) so that index [m] is valid: methods can be added
+   after the VM was created (OSR continuations, tests). *)
+let grown (a : 'a option array) (m : meth_id) : 'a option array =
+  let n = Array.length a in
+  if m < n then a
+  else
+    let a' = Array.make (max (m + 1) (2 * n)) None in
+    Array.blit a 0 a' 0 n;
+    a'
 
 (* Folds a dropped code object's IC counters into [vm.ic_retired] so
    install/invalidate cannot erase the dispatch statistics, then zeroes
@@ -290,26 +274,17 @@ let installed (vm : vm) (m : meth_id) : fn option =
   let c = vm.installed in
   if m < Array.length c then c.(m) else None
 
-(* The one writer of installed code. The tier of [m] changed either way,
-   so its prepared code (both tiers) is dropped and its ICs retired. *)
+(* The one writer of installed code. The body a call of [m] runs changed,
+   so [m]'s code slot is emptied and the ICs of its entry retired. *)
 let set_installed (vm : vm) (m : meth_id) (code : fn option) : unit =
-  let n = Array.length vm.installed in
-  if m >= n then begin
-    let c' = Array.make (max (m + 1) (2 * n)) None in
-    Array.blit vm.installed 0 c' 0 n;
-    vm.installed <- c'
-  end;
+  vm.installed <- grown vm.installed m;
   vm.installed.(m) <- code;
-  let drop key =
-    match cache_slot vm key with
+  if m < Array.length vm.code then
+    match vm.code.(m) with
     | Some e ->
         retire_ics vm e.pcode;
-        cache_set vm key None
+        vm.code.(m) <- None
     | None -> ()
-  in
-  drop (cache_key m Interpreted);
-  drop (cache_key m Compiled);
-  vm.code_epoch <- vm.code_epoch + 1
 
 (* ---------- superinstruction bookkeeping ---------- *)
 
@@ -449,7 +424,7 @@ let ic_stats (vm : vm) : ic_stat list =
               fold ic.ic_site ic.selector ic.hits ic.misses ic.mega)
             e.pcode.ics
       | None -> ())
-    vm.prepared_cache;
+    vm.code;
   Hashtbl.fold (fun _ st acc -> st :: acc) acc []
   |> List.sort (fun a b ->
          compare (a.st_site.sm, a.st_site.sidx) (b.st_site.sm, b.st_site.sidx))
@@ -484,43 +459,65 @@ let eval_binop (op : binop) (a : value) (b : value) : value =
 let eval_unop (op : unop) (a : value) : value =
   match op with Neg -> Vint (-as_int a) | Not -> Vbool (not (as_bool a))
 
+(* The program body of [m]; an abstract method traps. *)
+let program_body (vm : vm) (m : meth_id) : fn =
+  let mm = Ir.Program.meth vm.prog m in
+  match mm.body with
+  | Some fn -> fn
+  | None -> trap "abstract method %s invoked" mm.m_name
+
 (* A call passes the caller's activation state and the slots of its
    arguments in it; the callee's frames are built from them directly
    (see [exec_threaded]). *)
 let rec invoke (vm : vm) (m : meth_id) (st : tstate) (cargs : int array) : value =
   vm.on_entry m;
-  match installed vm m with
-  | Some cfn -> (
-      match vm.attrib with
-      | None -> exec_installed vm m cfn st cargs
-      | Some a ->
-          (* enter/leave bracket the activation by hand (no closures, no
-             Fun.protect): this sits on the invocation path, and the
-             disabled path must stay one option check *)
-          Attribution.enter a ~meth:m ~tier:Attribution.Jit ~now:vm.cycles;
-          (match exec_installed vm m cfn st cargs with
-          | v ->
-              Attribution.leave a ~now:vm.cycles;
-              v
-          | exception e ->
-              Attribution.leave a ~now:vm.cycles;
-              raise e))
-  | None -> (
-      let mm = Ir.Program.meth vm.prog m in
-      match mm.body with
-      | None -> trap "abstract method %s invoked" mm.m_name
-      | Some fn -> (
-          match vm.attrib with
-          | None -> exec_interp vm m fn st cargs
-          | Some a ->
-              Attribution.enter a ~meth:m ~tier:Attribution.Interp ~now:vm.cycles;
-              (match exec_interp vm m fn st cargs with
-              | v ->
-                  Attribution.leave a ~now:vm.cycles;
-                  v
-              | exception e ->
-                  Attribution.leave a ~now:vm.cycles;
-                  raise e)))
+  match vm.attrib with
+  | None -> run vm m st cargs
+  | Some a -> (
+      (* enter/leave bracket the activation by hand (no closures, no
+         Fun.protect): this sits on the invocation path, and the
+         disabled path must stay one option check. The tier is read
+         first, so an abstract method traps before [enter]. *)
+      let tier =
+        match installed vm m with
+        | Some _ -> Attribution.Jit
+        | None ->
+            ignore (program_body vm m);
+            Attribution.Interp
+      in
+      Attribution.enter a ~meth:m ~tier ~now:vm.cycles;
+      match run vm m st cargs with
+      | v ->
+          Attribution.leave a ~now:vm.cycles;
+          v
+      | exception e ->
+          Attribution.leave a ~now:vm.cycles;
+          raise e)
+
+(* Runs [m]'s current body in its tier. The threaded tier runs the entry
+   in [m]'s code slot, lowering it first when the slot is empty: a filled
+   slot is the one thing a threaded call reads to find its code. An
+   interpreted entry's [inv] is the method's invocation counter, so the
+   increment counts the activation. The reference walker looks the body
+   up and records the invocation by key. *)
+and run (vm : vm) (m : meth_id) (st : tstate) (cargs : int array) : value =
+  match vm.backend with
+  | Threaded ->
+      let c = vm.code in
+      let e =
+        match if m < Array.length c then Array.unsafe_get c m else None with
+        | Some e -> e
+        | None -> lower_entry vm m
+      in
+      incr e.inv;
+      exec_threaded vm e.tcode st cargs
+  | Reference -> (
+      match installed vm m with
+      | Some cfn -> exec_ref vm ~mode:Compiled ~meth:m cfn st cargs
+      | None ->
+          let fn = program_body vm m in
+          Profile.record_invocation vm.profiles m;
+          exec_ref vm ~mode:Interpreted ~meth:m fn st cargs)
 
 (* One-way OSR transfer: charge like a direct call, marshal the frame
    mapping (live-ins, then the loop-carried phi values) out of the
@@ -549,55 +546,20 @@ and osr_call (vm : vm) ?(abort = false) (tr : osr_transfer)
       raise e)
   else invoke vm tr.osr_target st slots
 
-and exec_installed (vm : vm) (m : meth_id) (cfn : fn) (st : tstate)
-    (cargs : int array) : value =
-  match vm.backend with
-  | Reference -> exec_ref vm ~mode:Compiled ~meth:m cfn st cargs
-  | Threaded ->
-      exec_threaded vm (threaded_for vm ~mode:Compiled m cfn).tcode st cargs
-
-(* The interpreted tier counts the invocation: the threaded path through
-   the cell its cache entry baked, the reference walker by key. *)
-and exec_interp (vm : vm) (m : meth_id) (fn : fn) (st : tstate)
-    (cargs : int array) : value =
-  match vm.backend with
-  | Reference ->
-      Profile.record_invocation vm.profiles m;
-      exec_ref vm ~mode:Interpreted ~meth:m fn st cargs
-  | Threaded ->
-      let e = threaded_for vm ~mode:Interpreted m fn in
-      incr e.inv;
-      exec_threaded vm e.tcode st cargs
-
-(* The cache entry of a method's threaded code. The lookup is guarded by
-   physical identity of the source body (even if an install slipped past
-   [set_installed], a replaced body can never execute stale prepared
-   code) and by profile identity + generation (a swapped or cleared
-   profile invalidates the baked counter cells). A miss prepares and
-   lowers the body once; the entry is never re-lowered. *)
-and threaded_for (vm : vm) ~(mode : mode) (m : meth_id) (fn : fn) :
-    prepared_entry =
-  let key = cache_key m mode in
-  match cache_slot vm key with
-  | Some e
-    when e.src == fn && e.prof == vm.profiles
-         && e.gen = Profile.generation vm.profiles ->
-      e
-  | stale ->
-      (match stale with Some e -> retire_ics vm e.pcode | None -> ());
-      let pcode = Prepared.prepare ~cost:vm.cost vm.prog fn in
-      let tcode = lower_threaded vm ~mode ~meth:m ~src:fn pcode in
-      let inv =
-        match mode with
-        | Interpreted -> Profile.invocation_cell vm.profiles m
-        | Compiled -> ref 0
-      in
-      let e =
-        { src = fn; prof = vm.profiles; gen = Profile.generation vm.profiles;
-          inv; pcode; tcode }
-      in
-      cache_set vm key (Some e);
-      e
+(* Fills [m]'s empty code slot: prepares and lowers the body a call of
+   [m] runs now, its installed code or else its program body. The entry
+   is never lowered again; [set_installed] empties the slot. *)
+and lower_entry (vm : vm) (m : meth_id) : prepared_entry =
+  let mode, src, inv =
+    match installed vm m with
+    | Some cfn -> (Compiled, cfn, ref 0)
+    | None -> (Interpreted, program_body vm m, Profile.invocation_cell vm.profiles m)
+  in
+  let pcode = Prepared.prepare ~cost:vm.cost vm.prog src in
+  let e = { src; inv; pcode; tcode = lower_threaded vm ~mode ~meth:m ~src pcode } in
+  vm.code <- grown vm.code m;
+  vm.code.(m) <- Some e;
+  e
 
 (* ---------- threaded backend: closures instead of a dispatch match ----
 
@@ -1209,12 +1171,8 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
       done;
       let firsth = handlers.(first) in
       let firsth =
-        if profiling then
-          if vm.osr_threshold < max_int && vm.osr_headers meth src b.src_bid
-          then enter_guard b ~nexth:firsth
-          else firsth
-        else if vm.osr_exit_armed && vm.osr_headers meth src b.src_bid then
-          exit_guard b ~nexth:firsth
+        if vm.osr_threshold < max_int && vm.osr_headers meth src b.src_bid then
+          if profiling then enter_guard b ~nexth:firsth else exit_guard b ~nexth:firsth
         else firsth
       in
       if has_phis b then
@@ -1510,20 +1468,6 @@ let entry (vm : vm) (run : unit -> value) : value =
 
 let invoke (vm : vm) (m : meth_id) (args : value array) : value =
   entry vm (fun () -> invoke vm m (entry_state args) (arg_slots (Array.length args)))
-
-let exec (vm : vm) ~(mode : mode) ~(meth : meth_id) (fn : fn) (args : value array) :
-    value =
-  entry vm (fun () ->
-      match vm.backend with
-      | Reference ->
-          exec_ref vm ~mode ~meth fn (entry_state args) (arg_slots (Array.length args))
-      | Threaded ->
-          (* one-shot bodies (tests pinning a tier on a synthetic fn) are
-             prepared and lowered per call; cached paths go through
-             [invoke] *)
-          let pcode = Prepared.prepare ~cost:vm.cost vm.prog fn in
-          exec_threaded vm (lower_threaded vm ~mode ~meth ~src:fn pcode)
-            (entry_state args) (arg_slots (Array.length args)))
 
 (* Runs a program's [main]; returns its result value. *)
 let run_main (vm : vm) : value =

@@ -7,24 +7,29 @@
     Two execution backends implement identical observable semantics (see
     docs/ARCHITECTURE.md, "Prepared code & dispatch caching"):
 
-    - [Threaded] (the default): method bodies are translated once into
-      dense {!Prepared.code} objects — flat register frames, Int and Bool
-      values unboxed in their own, edge-resolved phis, pre-decoded
-      instructions — cached per (method, tier) and lowered once into
-      direct-threaded handler closures specialized for those frames.
+    - [Threaded] (the default): a method's current body is translated
+      once into a dense {!Prepared.code} object — flat register frames,
+      Int and Bool values unboxed in their own, edge-resolved phis,
+      pre-decoded instructions — and lowered once, into the method's code
+      slot ([vm.code]), as direct-threaded handler closures specialized
+      for those frames. A threaded call finds its code in the slot.
     - [Reference]: the original direct IR walker, kept as the executable
       specification that the differential suite checks the threaded engine
-      against.
+      against. It looks its body up at every call.
 
     A JIT engine drives the VM without a dependency cycle through one
     table and one hook: {!set_installed} writes a method's compiled code
-    into the dense [installed] slots the tier dispatch reads, and
-    [on_entry] fires at every method entry (hotness detection). *)
+    into the dense [installed] slots and empties its code slot, and
+    [on_entry] fires at every method entry (hotness detection).
+
+    Nothing re-checks a filled code slot per call, because nothing
+    changes what a method's calls run without emptying it:
+    {!set_installed} is the one writer of installed code,
+    {!Ir.Program.set_body} only fills an empty body, and [vm.profiles],
+    whose counter cells an entry binds, is never replaced or cleared. *)
 
 open Ir.Types
 open Values
-
-type mode = Interpreted | Compiled
 
 type backend = Threaded | Reference
 (** [Threaded] (the default): subroutine-threaded closures over prepared
@@ -93,21 +98,18 @@ type tcode = {
 
 type prepared_entry = {
   src : fn;
-  prof : Profile.t;
-  gen : int;
+      (** the body the entry was lowered from: the method's installed
+          code, or its program body when it has none *)
   inv : int ref;
-      (** the method's {!Profile.invocation_cell} in [prof], incremented
-          by every interpreted threaded activation; a private cell
-          nothing counts into for a compiled entry *)
+      (** every threaded activation increments it: the method's
+          {!Profile.invocation_cell} for an interpreted entry, a private
+          cell nothing reads for a compiled one *)
   pcode : Prepared.code;
   tcode : tcode;
 }
-(** A cache entry remembers the physical body it was translated from and
-    the profile (identity + generation) its baked counter cells — block,
-    branch and invocation — point into; entries whose [src] is not the
-    current body, or whose profile was swapped or cleared, are ignored
-    and replaced. The threaded lowering is made once, with the entry,
-    from its pcode, with fusion planned over every block. *)
+(** The content of a method's code slot, lowered once from its pcode,
+    with fusion planned over every block; its baked counter cells —
+    block, branch and invocation — point into [vm.profiles]. *)
 
 type ic_stat = {
   st_site : site;
@@ -127,15 +129,17 @@ type sstat = {
 
 type vm = {
   prog : program;
-  mutable profiles : Profile.t;
+  profiles : Profile.t;
+  (** the VM's one profile: never replaced, so the counter cells code
+      slots bind stay its cells *)
   cost : Cost.t;
   out : Buffer.t;                          (** captured program output *)
   mutable cycles : int;                    (** the simulated clock *)
   mutable installed : fn option array;
   (** installed compiled code per method, a dense array indexed by
       [meth_id] that grows on demand; read it with {!installed} and write
-      it only with {!set_installed}. [invoke] reads it at every
-      invocation. *)
+      it only with {!set_installed}. The threaded tier reads it when it
+      fills a code slot, the reference walker at every invocation. *)
   mutable on_entry : meth_id -> unit;
   (** fired at every method entry, before the tier dispatch *)
   mutable on_spec_miss : meth_id -> site -> unit;
@@ -143,7 +147,8 @@ type vm = {
       call (a synthetic site): the speculation missed *)
   mutable osr_threshold : int;
   (** block count at which an interpreted frame consults [on_osr] at a
-      loop header; [max_int] (the default) disables the checkpoints *)
+      loop header; [max_int] (the default) disables the checkpoints, and
+      any other value also gives compiled code its OSR-exit guards *)
   mutable on_osr : meth_id -> bid -> osr_verdict;
   mutable osr_headers : meth_id -> fn -> bid -> bool;
   (** lowering-time filter: which blocks of the given body get OSR
@@ -151,8 +156,6 @@ type vm = {
   mutable deopt_epoch : int;
   (** bumped by the engine on every invalidation while OSR is armed;
       compiled frames re-validate at loop headers when it moved *)
-  mutable osr_exit_armed : bool;
-  (** whether compiled threaded lowerings get OSR-exit guards *)
   mutable on_osr_exit : meth_id -> fn -> bid -> osr_exit_verdict;
   mutable on_osr_abort : meth_id -> unit;
   (** a trap is unwinding out of an entered OSR continuation *)
@@ -169,11 +172,11 @@ type vm = {
   mutable frames_used : int;
   (** records [1 .. frames_used] may hold values of the current run *)
   mutable backend : backend;
-  mutable prepared_cache : prepared_entry option array;
-  (** prepared code per method and tier, a dense array indexed by
-      [meth_id * 2 + tier] — this lookup sits on every invocation *)
-  mutable code_epoch : int;
-  (** bumped by every {!set_installed}; a cheap staleness witness *)
+  mutable code : prepared_entry option array;
+  (** the code slot of each method, a dense array indexed by [meth_id]
+      that grows on demand: the threaded entry of the body a call of the
+      method runs now, or [None] until the next threaded call lowers one.
+      A threaded call reads it once; {!set_installed} empties it. *)
   ic_retired : (site, ic_stat) Hashtbl.t;
   (** counters of inline caches retired with their dropped code objects *)
   mutable attrib : Attribution.t option;
@@ -211,10 +214,12 @@ val installed : vm -> meth_id -> fn option
 
 val set_installed : vm -> meth_id -> fn option -> unit
 (** Writes the method's installed-code slot ([Some body] to install or
-    replace, [None] to remove), drops any prepared code cached for the
-    method (both tiers) — retiring the inline caches it contains into
-    {!ic_stats} — and bumps [code_epoch]. {!Jit.Engine} calls this
-    whenever it installs, replaces or removes compiled code. *)
+    replace, [None] to remove) and empties its code slot, retiring the
+    inline caches of the entry there into {!ic_stats}; the method's next
+    call lowers the body of its new tier. The one writer of installed
+    code: {!Jit.Engine} calls this whenever it installs, replaces or
+    removes compiled code, and a test that runs a hand-built body
+    installs it this way. *)
 
 val ic_stats : vm -> ic_stat list
 (** Per-site inline-cache statistics: live caches merged with retired
@@ -234,16 +239,11 @@ val superinst_stats : vm -> sstat list
     the same VM, and back at depth 0, returned or trapped, releases the
     values its run left in [vm.frames]. *)
 
-val exec : vm -> mode:mode -> meth:meth_id -> fn -> value array -> value
-(** Executes a specific body in a specific tier, for tests that want to
-    pin the tier. Under the [Threaded] backend the body is prepared and
-    lowered per call (uncached) — cached execution goes through
-    {!run_meth} — and must be verified, well-typed IR: any other body
-    traps through {!Prepared.ill_formed} before it runs, while the
-    [Reference] backend runs it up to the trap its ill-typed op raises. *)
-
 val run_main : vm -> value
 (** @raise Trap if the program has no main or on runtime errors. *)
 
 val run_meth : vm -> string -> value list -> value
-(** Runs a method by qualified name. *)
+(** Runs a method by qualified name. Under the [Threaded] backend the
+    body must be verified, well-typed IR: any other body traps through
+    {!Prepared.ill_formed} before it runs, while the [Reference] backend
+    runs it up to the trap its ill-typed op raises. *)

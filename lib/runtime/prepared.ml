@@ -44,9 +44,9 @@ module Vec = Support.Vec
    profiled event site (block entry, branch); the executing engine binds
    the holder to the profile's counter cell on first use and then records
    with a plain increment — no per-event key lookup. Holders belong to
-   the code object, so they are dropped with it; [Interp] guards cached
-   code by profile identity and generation, which keeps a bound cell from
-   outliving the profile it counts into. *)
+   the code object, so they are dropped with it; the VM's profile is
+   never replaced or reset, so a bound cell stays the profile's for as
+   long as the code that holds it. *)
 type cell_holder = { mutable cell : int ref option }
 type brec_holder = { mutable brec : Profile.brec option }
 

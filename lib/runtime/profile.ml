@@ -41,7 +41,6 @@ type t = {
   mutable mprofs : mprof option array;         (* by meth_id *)
   synth_branches : (meth_id * int, brec) Hashtbl.t;
   synth_rsites : (meth_id * int, rsite) Hashtbl.t;
-  mutable generation : int;
 }
 
 let create () =
@@ -50,10 +49,7 @@ let create () =
     mprofs = [||];
     synth_branches = Hashtbl.create 8;
     synth_rsites = Hashtbl.create 8;
-    generation = 0;
   }
-
-let generation t = t.generation
 
 (* Returns [arr] grown (amortized doubling) so index [i] is valid. *)
 let grown : 'a. 'a option array -> int -> 'a option array =
@@ -239,16 +235,6 @@ let branch_prob t (site : site) : float option =
       let total = br.taken + br.not_taken in
       if total = 0 then None
       else Some (float_of_int br.taken /. float_of_int total)
-
-(* [clear] advances the generation: cells handed out before the bump no
-   longer belong to this profile, and holders of baked cells (the prepared
-   engine) must rebind. *)
-let clear t =
-  t.invocations <- [||];
-  t.mprofs <- [||];
-  Hashtbl.reset t.synth_branches;
-  Hashtbl.reset t.synth_rsites;
-  t.generation <- t.generation + 1
 
 (* ---------- text serialization ----------
 

@@ -23,10 +23,6 @@ type brec = { mutable taken : int; mutable not_taken : int }
 
 val create : unit -> t
 
-val generation : t -> int
-(** Incremented by every {!clear}. Holders of baked cells compare generations
-    to detect that their cells no longer belong to the profile. *)
-
 (** {1 Recording (used by the interpreter)} *)
 
 val record_invocation : t -> meth_id -> unit
@@ -36,13 +32,14 @@ val record_branch : t -> site -> taken:bool -> unit
 
 (** {1 Counter cells (used by prepared code's baked profiling)}
 
-    Find-or-create accessors returning the underlying cell. Cells are
-    valid for the profile's current {!generation} only. *)
+    Find-or-create accessors returning the underlying cell. A profile is
+    never reset, so a cell stays the profile's for its whole life. *)
 
 val invocation_cell : t -> meth_id -> int ref
 (** An increment through it is {!record_invocation}. The threaded tier
-    binds it once per interpreted cache entry and counts each activation
-    with one increment; the reference walker records by key. *)
+    binds it when it fills a method's code slot with interpreted code and
+    counts each activation with one increment; the reference walker
+    records by key. *)
 
 val block_cell : t -> meth_id -> bid -> int ref
 val branch_cell : t -> site -> brec
@@ -78,9 +75,6 @@ val receiver_profile : t -> site -> (class_id * float) list
 
 val branch_prob : t -> site -> float option
 (** Probability the branch was taken; [None] when never executed. *)
-
-val clear : t -> unit
-(** Resets every counter and advances the {!generation}. *)
 
 (** {1 Text serialization}
 

@@ -3,11 +3,12 @@
    — same output, same results, same simulated cycles, same step counts,
    same recorded profiles — on every registered workload, on random
    programs, across the tiered engine (where compiled-code installation
-   exercises prepared-cache invalidation), and on trapping programs. The
-   tiered random-program differential is in test_threaded.ml. The
-   threaded tier fuses every block at its first lowering, so every
-   threaded run executes fused code. The reference walker never consults
-   an inline cache, so these checks also pin IC transparency.
+   empties and refills the methods' code slots), and on trapping
+   programs. The tiered random-program differential is in
+   test_threaded.ml. The threaded tier fuses every block at its first
+   lowering, so every threaded run executes fused code. The reference
+   walker never consults an inline cache, so these checks also pin IC
+   transparency.
 
    The reference backend is the seed interpreter kept verbatim; these
    tests are the proof that preparation and threading changed *when* work
@@ -15,9 +16,7 @@
 
 open Util
 
-(* Everything one execution observes. [epoch] is the prepared-cache
-   version counter: it must advance on every code install/invalidation
-   and stay at zero interpreter-only. *)
+(* Everything one execution observes. *)
 type snap = {
   output : string;
   results : string list;  (* rendered values of each entry call *)
@@ -25,8 +24,46 @@ type snap = {
   steps : int;
   profile : string;
   installed : int;        (* compiled methods at the end *)
-  epoch : int;
 }
+
+(* Every filled code slot holds the entry lowered from the body a call of
+   its method runs now, for that body's tier: an interpreted entry counts
+   calls into the method's invocation counter, a compiled one into a
+   private cell. The walker fills no slot. Returns the number of filled
+   slots and of those holding compiled code. *)
+let check_slots (what : string) (vm : Runtime.Interp.vm) : int * int =
+  let check m fmt =
+    Fmt.kstr
+      (fun s ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s %s" what (Ir.Program.meth vm.prog m).m_name s)
+          true)
+      fmt
+  in
+  let filled = ref 0 and compiled = ref 0 in
+  Array.iteri
+    (fun m -> function
+      | None -> ()
+      | Some (e : Runtime.Interp.prepared_entry) ->
+          incr filled;
+          check m "has a slot only under the threaded backend"
+            (vm.backend = Runtime.Interp.Threaded);
+          check m "runs the body its slot was lowered from"
+            (match (Runtime.Interp.installed vm m, (Ir.Program.meth vm.prog m).body) with
+            | Some fn, _ | None, Some fn -> fn == e.src
+            | None, None -> false);
+          (* a count means a cell exists, so reading it creates none *)
+          let cell () =
+            Runtime.Profile.invocation_count vm.profiles m > 0
+            && e.inv == Runtime.Profile.invocation_cell vm.profiles m
+          in
+          if Option.is_some (Runtime.Interp.installed vm m) then begin
+            incr compiled;
+            check m "counts compiled calls into a private cell" (not (cell ()))
+          end
+          else check m "counts interpreted calls into its profile" (cell ()))
+    vm.code;
+  (!filled, !compiled)
 
 let check_same what (ref_ : snap) (thr : snap) =
   let s = Alcotest.(check string) and i = Alcotest.(check int) in
@@ -38,9 +75,9 @@ let check_same what (ref_ : snap) (thr : snap) =
   i (what ^ ": installed methods") ref_.installed thr.installed
 
 (* One engine run over a freshly compiled workload: main once, then the
-   bench entry [iters] times. *)
+   bench entry [iters] times. Also returns {!check_slots}' counts. *)
 let run_workload ?compiler ?spec_miss_threshold ~(hotness : int) ~(iters : int)
-    (backend : Runtime.Interp.backend) (w : Workloads.Defs.t) : snap =
+    (backend : Runtime.Interp.backend) (w : Workloads.Defs.t) : snap * (int * int) =
   let prog = Workloads.Registry.compile w in
   let engine =
     Jit.Engine.create ?spec_miss_threshold prog
@@ -59,15 +96,15 @@ let run_workload ?compiler ?spec_miss_threshold ~(hotness : int) ~(iters : int)
   for _ = 1 to iters do
     record (Jit.Engine.run_meth engine "bench" [ Runtime.Values.Vunit ])
   done;
-  {
-    output = Jit.Engine.output engine;
-    results = List.rev !results;
-    cycles = engine.vm.cycles;
-    steps = engine.vm.steps;
-    profile = Runtime.Profile.to_text engine.vm.profiles;
-    installed = Jit.Engine.installed_methods engine;
-    epoch = engine.vm.code_epoch;
-  }
+  ( {
+      output = Jit.Engine.output engine;
+      results = List.rev !results;
+      cycles = engine.vm.cycles;
+      steps = engine.vm.steps;
+      profile = Runtime.Profile.to_text engine.vm.profiles;
+      installed = Jit.Engine.installed_methods engine;
+    },
+    check_slots w.name engine.vm )
 
 (* ---------- every workload, interpreter only ---------- *)
 
@@ -75,10 +112,11 @@ let test_workloads_interp () =
   List.iter
     (fun (w : Workloads.Defs.t) ->
       let run b = run_workload ~hotness:max_int ~iters:6 b w in
-      let ref_ = run Runtime.Interp.Reference in
-      let thr = run Runtime.Interp.Threaded in
+      let ref_, _ = run Runtime.Interp.Reference in
+      let thr, (filled, compiled) = run Runtime.Interp.Threaded in
       check_same w.name ref_ thr;
-      Alcotest.(check int) (w.name ^ ": no installs, epoch stays 0") 0 thr.epoch)
+      Alcotest.(check bool) (w.name ^ ": calls filled code slots") true (filled > 0);
+      Alcotest.(check int) (w.name ^ ": no slot holds compiled code") 0 compiled)
     Workloads.Registry.all
 
 (* ---------- tiered engine: compile, install, invalidate ---------- *)
@@ -98,16 +136,16 @@ let test_workloads_tiered () =
           ~compiler:(Util.incremental ())
           ~spec_miss_threshold:4 ~hotness:3 ~iters:(min w.iters 12) b w
       in
-      let ref_ = run Runtime.Interp.Reference in
-      let thr = run Runtime.Interp.Threaded in
+      let ref_, _ = run Runtime.Interp.Reference in
+      let thr, (_, compiled) = run Runtime.Interp.Threaded in
       check_same (w.name ^ " (tiered)") ref_ thr;
       if thr.installed > 0 then
         Alcotest.(check bool)
-          (w.name ^ ": installs bumped the code epoch")
-          true (thr.epoch > 0))
+          (w.name ^ ": installed code runs from a code slot")
+          true (compiled > 0))
     subset
 
-(* ---------- cache invalidation drops stale prepared code ---------- *)
+(* ---------- code slots follow installs ---------- *)
 
 let test_invalidation () =
   let src =
@@ -127,34 +165,144 @@ def main(): Unit = {
   ignore (Jit.Engine.run_main engine);
   Alcotest.(check bool) "something compiled" true
     (Jit.Engine.installed_methods engine > 0);
-  Alcotest.(check bool) "install invalidated prepared code" true
-    (engine.vm.code_epoch > 0);
-  (* the cache must hold no entry translated from a body that is no longer
-     what the tier dispatch would execute *)
-  Array.iteri
-    (fun key entry ->
-      match entry with
-      | None -> ()
-      | Some (e : Runtime.Interp.prepared_entry) -> (
-          let m = key / 2 in
-          let current =
-            match Runtime.Interp.installed engine.vm m with
-            | Some fn -> Some fn
-            | None -> (Ir.Program.meth engine.vm.prog m).body
-          in
-          match current with
-          | Some fn
-            when key mod 2 = 1 || Option.is_none (Runtime.Interp.installed engine.vm m)
-            ->
-              Alcotest.(check bool) "cached entry matches live body" true
-                (e.src == fn)
-          | _ -> ()))
-    engine.vm.prepared_cache;
+  (* no slot holds an entry lowered from a body that is no longer what a
+     call of its method runs, and f's calls since its install ran its
+     compiled code from its slot *)
+  let _, compiled = check_slots "inv" engine.vm in
+  Alcotest.(check bool) "a slot holds compiled code" true (compiled > 0);
   let expected =
     String.concat "" (List.init 20 (fun i -> string_of_int (i * 2 + 1) ^ "\n"))
   in
   Alcotest.(check string) "output survives recompilation" expected
     (Jit.Engine.output engine)
+
+(* One method through every change of the body its calls run: [f] runs
+   interpreted, is installed, invalidated by speculation misses,
+   installed again, and evicted by a bounded code cache when [big]
+   installs. Every [set_installed] of [f] must leave its slot empty, seen
+   from the next method entry, and the next call of [f] must fill it from
+   the body of [f]'s tier. The whole run must observe what the walker
+   observes. *)
+let lifecycle_src =
+  {|abstract class Shape { def area(): Int }
+class Sq(s: Int) extends Shape { def area(): Int = this.s * this.s }
+class Rect(w: Int, h: Int) extends Shape { def area(): Int = this.w * this.h }
+def f(s: Shape): Int = s.area() + 1
+def big(n: Int): Int = {
+  var acc = 0;
+  var i = 0;
+  while (i < n) {
+    if (i % 3 == 0) { acc = acc + i * 7 } else { acc = acc - i };
+    if (acc > 1000) { acc = acc % 97 };
+    i = i + 1
+  };
+  acc
+}
+def main(): Unit = {}|}
+
+type transition = Installed | Retired
+
+let run_lifecycle (backend : Runtime.Interp.backend) : snap * transition list =
+  let prog = Util.compile lifecycle_src in
+  Opt.Driver.prepare_program prog;
+  let f = Option.get (Ir.Program.find_meth prog "f") in
+  let big_size = Ir.Fn.size (Util.body_of prog "big") in
+  (* only f (through the inliner, which speculates on its receiver) and
+     big (as it is) compile; any other method's compile bails out *)
+  let compiler : Jit.Engine.compiler =
+   fun p profiles m ->
+    match (Ir.Program.meth p m).m_name with
+    | "f" -> Util.incremental () p profiles m
+    | "big" -> Ir.Fn.copy (Util.body_of p "big")
+    | name -> failwith (name ^ " is not compiled here")
+  in
+  (* room for big, not for big and f *)
+  let e =
+    Jit.Engine.create ~osr:false ~spec_miss_threshold:2 ~cache_capacity:(big_size + 1)
+      prog
+      { name = "lifecycle"; compiler = Some compiler; hotness_threshold = 3;
+        compile_cost_per_node = 50; verify = true }
+  in
+  let vm = e.vm in
+  vm.backend <- backend;
+  let threaded = backend = Runtime.Interp.Threaded in
+  let seen = ref None and transitions = ref [] in
+  let observe () =
+    let now = Runtime.Interp.installed vm f in
+    let same =
+      match (now, !seen) with Some a, Some b -> a == b | None, None -> true | _ -> false
+    in
+    if not same then begin
+      transitions := (if Option.is_some now then Installed else Retired) :: !transitions;
+      seen := now;
+      Alcotest.(check bool) "set_installed empties f's slot" true
+        (f >= Array.length vm.code || Option.is_none vm.code.(f))
+    end
+  in
+  let hook = vm.on_entry in
+  vm.on_entry <- (fun m -> hook m; observe ());
+  let results = ref [] in
+  let call name args =
+    results := Runtime.Values.to_string (Jit.Engine.run_meth e name args) :: !results;
+    observe ()
+  in
+  let obj name fields =
+    let c =
+      List.find
+        (fun c -> (Ir.Program.cls prog c).c_name = name)
+        (List.init (Ir.Program.num_classes prog) Fun.id)
+    in
+    Runtime.Values.Vobj { o_cls = c; fields = Array.map (fun n -> Runtime.Values.Vint n) fields }
+  in
+  let sq = obj "Sq" [| 3 |] and rect = obj "Rect" [| 2; 5 |] in
+  (* a call of f, after which f is in the tier [installed] says and, unless
+     the call itself retired f's code, its slot holds an entry lowered
+     from the body of that tier *)
+  let call_f ?(filled = true) what arg ~installed =
+    call "f" [ Runtime.Values.Vunit; arg ];
+    Alcotest.(check bool) (what ^ ": f's tier") installed
+      (Option.is_some (Runtime.Interp.installed vm f));
+    if threaded then begin
+      ignore (check_slots what vm);
+      Alcotest.(check bool) (what ^ ": f's slot is filled") filled
+        (f < Array.length vm.code && Option.is_some vm.code.(f))
+    end
+  in
+  call_f "interpreted" sq ~installed:false;
+  call_f "interpreted" sq ~installed:false;
+  call_f "installed" sq ~installed:true;
+  call_f "one miss" rect ~installed:true;
+  (* the second miss retires f's code while the call runs it *)
+  call_f "invalidated" rect ~installed:false ~filled:false;
+  call_f "re-profiled" sq ~installed:false;
+  call_f "re-profiled" rect ~installed:false;
+  call_f "installed again" sq ~installed:true;
+  for _ = 1 to 3 do
+    call "big" [ Runtime.Values.Vunit; Runtime.Values.Vint 300 ]
+  done;
+  Alcotest.(check bool) "big is installed" true
+    (Option.is_some (Runtime.Interp.installed vm (Option.get (Ir.Program.find_meth prog "big"))));
+  call_f "evicted" rect ~installed:false;
+  Alcotest.(check int) "f was invalidated once" 1 (Jit.Engine.state e f).recompiles;
+  Alcotest.(check int) "f was evicted once" 1 (Jit.Engine.state e f).evicts;
+  ( {
+      output = Jit.Engine.output e;
+      results = List.rev !results;
+      cycles = vm.cycles;
+      steps = vm.steps;
+      profile = Runtime.Profile.to_text vm.profiles;
+      installed = Jit.Engine.installed_methods e;
+    },
+    List.rev !transitions )
+
+let test_slot_lifecycle () =
+  let ref_, ref_transitions = run_lifecycle Runtime.Interp.Reference in
+  let thr, transitions = run_lifecycle Runtime.Interp.Threaded in
+  check_same "lifecycle" ref_ thr;
+  Alcotest.(check bool) "installed, retired, installed again, retired" true
+    (transitions = [ Installed; Retired; Installed; Retired ]);
+  Alcotest.(check bool) "the walker sees the same installs" true
+    (ref_transitions = transitions)
 
 (* ---------- random programs ---------- *)
 
@@ -170,7 +318,6 @@ let vm_snap (backend : Runtime.Interp.backend) (src : string) : snap =
     steps = vm.steps;
     profile = Runtime.Profile.to_text vm.profiles;
     installed = 0;
-    epoch = vm.code_epoch;
   }
 
 let same what (ref_ : snap) (thr : snap) =
@@ -280,7 +427,6 @@ let test_boundaries () =
         steps = e.vm.steps;
         profile = Runtime.Profile.to_text e.vm.profiles;
         installed = Jit.Engine.installed_methods e;
-        epoch = e.vm.code_epoch;
       } )
   in
   let _, ref_ = tiered Runtime.Interp.Reference in
@@ -353,17 +499,17 @@ let test_ic_flush () =
   Alcotest.(check bool) "ic stats nonempty" true (stats <> []);
   let h0, m0, g0 = ic_totals stats in
   Alcotest.(check bool) "hits dominate misses" true (h0 > m0);
-  (* flush everything: the prepared cache must empty and every live
-     counter must survive into the retired table, exactly once *)
+  (* flush everything: every code slot must empty and every live counter
+     must survive into the retired table, exactly once *)
   Ir.Program.iter_meths
     (fun (m : Ir.Types.meth) ->
       Runtime.Interp.set_installed engine.vm m.m_id
         (Runtime.Interp.installed engine.vm m.m_id))
     engine.vm.prog;
-  Alcotest.(check int) "prepared cache flushed" 0
+  Alcotest.(check int) "code slots flushed" 0
     (Array.fold_left
        (fun acc e -> match e with Some _ -> acc + 1 | None -> acc)
-       0 engine.vm.prepared_cache);
+       0 engine.vm.code);
   let h1, m1, g1 = ic_totals (Jit.Engine.ic_stats engine) in
   Alcotest.(check int) "hits preserved across flush" h0 h1;
   Alcotest.(check int) "misses preserved across flush" m0 m1;
@@ -437,7 +583,6 @@ let trap_snap ?max_steps (backend : Runtime.Interp.backend) (src : string) :
       steps = vm.steps;
       profile = Runtime.Profile.to_text vm.profiles;
       installed = 0;
-      epoch = 0;
     } )
 
 let trap_cases =
@@ -471,6 +616,7 @@ let () =
           test "all workloads, interpreter only" test_workloads_interp;
           test "workload subset, tiered with invalidation" test_workloads_tiered;
           test "installs drop stale prepared code" test_invalidation;
+          test "a slot follows install, invalidation and eviction" test_slot_lifecycle;
         ] );
       ("random", [ QCheck_alcotest.to_alcotest prop_interp_differential ]);
       ( "frames",

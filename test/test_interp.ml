@@ -235,8 +235,7 @@ let op_coverage_tests =
     Ir.Fn.set_term fn b0 (Return r);
     let prog = compile "def main(): Unit = {}" in
     let vm = Runtime.Interp.create prog in
-    Runtime.Interp.exec vm ~mode:Runtime.Interp.Compiled ~meth:0 fn
-      [| Runtime.Values.Vint a; Runtime.Values.Vint b |]
+    Util.exec_compiled vm fn [ Runtime.Values.Vint a; Runtime.Values.Vint b ]
   in
   [
     test "integer binops match the reference" (fun () ->
@@ -312,8 +311,7 @@ let op_coverage_tests =
           let prog = compile "def main(): Unit = {}" in
           let vm = Runtime.Interp.create prog in
           Runtime.Values.as_bool
-            (Runtime.Interp.exec vm ~mode:Runtime.Interp.Compiled ~meth:0 fn
-               [| Runtime.Values.Vbool a; Runtime.Values.Vbool b |])
+            (Util.exec_compiled vm fn [ Runtime.Values.Vbool a; Runtime.Values.Vbool b ])
         in
         List.iter
           (fun (op, reference) ->

@@ -687,10 +687,7 @@ let parse_tests =
         check_verifies fn;
         let prog = compile "def main(): Unit = {}" in
         let vm = Runtime.Interp.create prog in
-        let v =
-          Runtime.Interp.exec vm ~mode:Runtime.Interp.Compiled ~meth:0 fn
-            [| Runtime.Values.Vunit; Runtime.Values.Vint 21 |]
-        in
+        let v = Util.exec_compiled vm fn [ Runtime.Values.Vunit; Runtime.Values.Vint 21 ] in
         Alcotest.(check int) "f(21)" 42 (Runtime.Values.as_int v));
   ]
 
@@ -788,6 +785,30 @@ let hierarchy_tests =
           Alcotest.failf "10,000 is_subclass calls allocated %.0f words" words);
   ]
 
+(* ---------- method bodies ---------- *)
+
+let program_tests =
+  [
+    (* the threaded tier keeps code lowered from a method's body without
+       re-checking which body it was, so a body, once set, stays *)
+    test "set_body fills an empty body and never replaces one" (fun () ->
+        let prog = compile "def f(x: Int): Int = x + 1\ndef main(): Unit = {}" in
+        let f = Option.get (Ir.Program.find_meth prog "f") in
+        let old = body_of prog "f" in
+        (match Ir.Program.set_body prog f (Ir.Fn.copy old) with
+        | () -> Alcotest.fail "set_body replaced f's body"
+        | exception Invalid_argument _ -> ());
+        Alcotest.(check bool) "f keeps its body" true (body_of prog "f" == old);
+        let g =
+          Ir.Program.add_meth prog ~name:"g" ~selector:"g" ~owner:None
+            ~param_tys:old.param_tys ~rty:old.rty
+        in
+        let fresh = Ir.Fn.copy old in
+        Ir.Program.set_body prog g fresh;
+        Alcotest.(check bool) "a fresh method gets its body" true
+          (match (Ir.Program.meth prog g).body with Some b -> b == fresh | None -> false));
+  ]
+
 let () =
   Alcotest.run "ir"
     [
@@ -800,4 +821,5 @@ let () =
       ("splice", splice_tests);
       ("parse", parse_tests);
       ("hierarchy", hierarchy_tests);
+      ("program", program_tests);
     ]

@@ -666,6 +666,23 @@ let attribution_tests =
         Alcotest.(check int) "cycles identical" c1 c2;
         Alcotest.(check int) "steps identical" s1 s2;
         Alcotest.(check int) "code size identical" z1 z2);
+    test "an abstract method traps before it is attributed" (fun () ->
+        List.iter
+          (fun backend ->
+            let prog =
+              compile
+                {|abstract class A { def m(): Int }
+                  class B() extends A { def m(): Int = 1 }
+                  def main(): Unit = println(new B().m())|}
+            in
+            let vm = Runtime.Interp.create ~backend prog in
+            let a = Runtime.Interp.enable_attribution vm in
+            (match Runtime.Interp.run_meth vm "A.m" [ Runtime.Values.Vnull ] with
+            | v -> Alcotest.failf "A.m returned %s" (Runtime.Values.to_string v)
+            | exception Runtime.Values.Trap msg ->
+                Alcotest.(check string) "the trap" "abstract method A.m invoked" msg);
+            Alcotest.(check int) "no row" 0 (List.length (Runtime.Attribution.rows a)))
+          [ Runtime.Interp.Threaded; Runtime.Interp.Reference ]);
   ]
 
 (* ---------- disabled hooks ---------- *)

@@ -654,10 +654,7 @@ let scalarrepl_tests =
         check_verifies fn;
         (* semantics: t(5) must return 5 *)
         let vm = Runtime.Interp.create prog in
-        let v =
-          Runtime.Interp.exec vm ~mode:Runtime.Interp.Compiled ~meth:0 fn
-            [| Runtime.Values.Vint 5 |]
-        in
+        let v = Util.exec_compiled vm fn [ Runtime.Values.Vint 5 ] in
         Alcotest.(check int) "t(5)" 5 (Runtime.Values.as_int v));
     test "self-storing object escapes" (fun () ->
         let open Ir.Types in

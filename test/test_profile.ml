@@ -120,11 +120,6 @@ let tests =
             | _ -> ())
           fn;
         ignore f);
-    test "clear resets everything" (fun () ->
-        let prog, vm = profiled "def g(): Int = 1\ndef main(): Unit = println(g())" in
-        Runtime.Profile.clear vm.profiles;
-        Alcotest.(check int) "zero" 0
-          (Runtime.Profile.invocation_count vm.profiles (meth prog "g")));
     test "text round trip preserves every query" (fun () ->
         let prog, vm =
           profiled

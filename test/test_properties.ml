@@ -187,8 +187,7 @@ let exec_ir_fn ?backend (fn : Ir.Types.fn) : Runtime.Interp.vm * string =
   let vm = Runtime.Interp.create ?backend ~max_steps:20_000 prog in
   ( vm,
     match
-      Runtime.Interp.exec vm ~mode:Runtime.Interp.Compiled ~meth:0 fn
-        [| Runtime.Values.Vint 13; Runtime.Values.Vint (-7) |]
+      Util.exec_compiled vm fn [ Runtime.Values.Vint 13; Runtime.Values.Vint (-7) ]
     with
     | Runtime.Values.Vint n -> Printf.sprintf "int:%d" n
     | v -> Printf.sprintf "other:%s" (Runtime.Values.to_string v)

@@ -482,8 +482,7 @@ let test_loop_into_entry () =
     in
     let outcome =
       match
-        Runtime.Interp.exec vm ~mode:Runtime.Interp.Compiled ~meth:0 fn
-          [| Runtime.Values.Vint 13; Runtime.Values.Vint (-7) |]
+        Util.exec_compiled vm fn [ Runtime.Values.Vint 13; Runtime.Values.Vint (-7) ]
       with
       | v -> Runtime.Values.to_string v
       | exception Runtime.Values.Trap msg -> msg
@@ -692,10 +691,10 @@ let test_ill_formed_refused () =
   in
   Alcotest.(check bool) "garbage in an unreachable block verifies" true
     (Ir.Verify.is_well_formed unreachable_garbage);
-  let args = [| Runtime.Values.Vbool true; Runtime.Values.Vint 1 |] in
+  let args = [ Runtime.Values.Vbool true; Runtime.Values.Vint 1 ] in
   let trap backend (fn : fn) =
     let vm = Runtime.Interp.create ~backend (Util.compile "def main(): Unit = {}") in
-    match Runtime.Interp.exec vm ~mode:Runtime.Interp.Compiled ~meth:0 fn args with
+    match Util.exec_compiled vm fn args with
     | _ -> Alcotest.failf "%s ran" fn.fname
     | exception Runtime.Values.Trap msg -> (msg, vm.steps)
   in

@@ -20,6 +20,14 @@ let run_main ?(prepare = false) (src : string) : string * Runtime.Values.value =
 
 let output_of ?prepare src = fst (run_main ?prepare src)
 
+(* Runs [fn] on [vm] as method 0's compiled code: installs it, then calls
+   method 0 by name, so the body is lowered into method 0's code slot like
+   any installed body. *)
+let exec_compiled (vm : Runtime.Interp.vm) (fn : Ir.Types.fn)
+    (args : Runtime.Values.value list) : Runtime.Values.value =
+  Runtime.Interp.set_installed vm 0 (Some fn);
+  Runtime.Interp.run_meth vm (Ir.Program.meth vm.prog 0).m_name args
+
 (* Runs a named 0-arg function and returns its Int result. *)
 let run_int ?(prepare = false) (src : string) (name : string) : int =
   let prog = compile src in
