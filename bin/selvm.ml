@@ -1150,7 +1150,7 @@ let diff_cmd =
       | Error e, _ -> fail (fa ^ ": " ^ e)
       | _, Error e -> fail (fb ^ ": " ^ e)
       | Ok ja, Ok jb ->
-          let ds = Obs.Diff.diff_metrics ja jb in
+          let ds = Obs.Diff.diff_json ja jb in
           emit (List.length ds) (Obs.Diff.render_deltas "metrics" ds)
     in
     let diff_timeline_files fa fb =

@@ -586,12 +586,18 @@ let osr_headers (t : t) (m : meth_id) (body : fn) (b : bid) : bool =
 (* Registers an extracted continuation as a first-class method of the
    program — compiled, profiled, invalidated and blacklisted by the very
    same machinery as source methods — and seeds its block profile from
-   the source's, so the inliner sees the loop as hot as it really is. *)
+   the source's, so the inliner sees the loop as hot as it really is.
+   The program outlives the engine, so a name an earlier engine's
+   continuation took on it is skipped. *)
 let register_extraction (t : t) ~(src_m : meth_id) ~(header : bid) ~(depth : int)
     ~(kind : string) (x : Ir.Osr.extraction) : Runtime.Interp.osr_transfer =
   let prog = t.vm.prog in
-  t.osr_uid <- t.osr_uid + 1;
-  let name = Printf.sprintf "%s@%s%d.b%d" (meth_name t src_m) kind t.osr_uid header in
+  let rec fresh_name () =
+    t.osr_uid <- t.osr_uid + 1;
+    let name = Printf.sprintf "%s@%s%d.b%d" (meth_name t src_m) kind t.osr_uid header in
+    if Ir.Program.find_meth prog name = None then name else fresh_name ()
+  in
+  let name = fresh_name () in
   let om =
     Ir.Program.add_meth prog ~name ~selector:name ~owner:None
       ~param_tys:x.Ir.Osr.x_fn.param_tys ~rty:x.Ir.Osr.x_fn.rty
@@ -925,8 +931,8 @@ let run_meth (t : t) (name : string) (args : Runtime.Values.value list) :
 
 let output (t : t) : string = Runtime.Interp.output t.vm
 
-(* Per-site inline-cache statistics (live + retired), for `selvm events`
-   and the bench smoke's hit-rate reporting. *)
+(* Per-site inline-cache statistics, for `selvm events` and the bench
+   smoke's hit-rate reporting. *)
 let ic_stats (t : t) : Runtime.Interp.ic_stat list = Runtime.Interp.ic_stats t.vm
 
 let superinst_stats (t : t) : Runtime.Interp.sstat list =

@@ -213,8 +213,7 @@ val installed_code_size : t -> int
 val installed_methods : t -> int
 
 val ic_stats : t -> Runtime.Interp.ic_stat list
-(** Per-site inline-cache statistics, live caches merged with counters
-    retired by installs/invalidations (see {!Runtime.Interp.ic_stats}). *)
+(** Per-site inline-cache statistics (see {!Runtime.Interp.ic_stats}). *)
 
 val superinst_stats : t -> Runtime.Interp.sstat list
 (** The threaded tier's mined superinstruction table, sorted by pattern

@@ -71,8 +71,9 @@ let run_benchmark ?(setup : string option) ~(iters : int) (engine : Engine.t)
   let window = Support.Stats.steady_state_window series in
   let meth_name m = (Ir.Program.meth engine.vm.prog m).m_name in
   (* inline-cache accounting: one ic_site event per dispatched-through
-     site (already merged across recompilations and ordered by site, so
-     identical runs emit identical traces), plus run-level totals *)
+     site (one record per site whatever code dispatched there, ordered by
+     site, so identical runs emit identical traces), plus run-level
+     totals *)
   let ics = Engine.ic_stats engine in
   List.iter
     (fun (st : Runtime.Interp.ic_stat) ->

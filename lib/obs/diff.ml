@@ -49,8 +49,6 @@ let diff_json (a : Support.Json.t) (b : Support.Json.t) : delta list =
   go "" a b;
   List.rev !out
 
-let diff_metrics = diff_json
-
 (* Timelines are byte-identical across same-seed runs, so the diff is
    line-oriented: every differing line number, plus a length mismatch. *)
 let diff_lines (a : string list) (b : string list) : delta list =

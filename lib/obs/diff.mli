@@ -14,9 +14,6 @@ val diff_json : Support.Json.t -> Support.Json.t -> delta list
     for a missing side), lists by index (plus a [length] delta), scalars
     by serialized value. Paths are dotted. *)
 
-val diff_metrics : Support.Json.t -> Support.Json.t -> delta list
-(** {!diff_json}, named for the metrics-export use. *)
-
 val diff_lines : string list -> string list -> delta list
 (** Line-oriented diff for byte-identical-by-contract streams
     (timelines, traces): one delta per differing line number plus a

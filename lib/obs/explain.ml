@@ -206,16 +206,9 @@ let of_events (events : Support.Json.t list) : compilation list =
   List.rev !done_
 
 let of_lines (lines : string list) : (compilation list, string) result =
-  let rec go lineno acc = function
-    | [] -> Ok (of_events (List.rev acc))
-    | line :: rest ->
-        if String.trim line = "" then go (lineno + 1) acc rest
-        else (
-          match Support.Json.of_string line with
-          | Ok j -> go (lineno + 1) (j :: acc) rest
-          | Error e -> Error (Printf.sprintf "line %d: %s" lineno e))
-  in
-  go 1 [] lines
+  match Summary.parse_lines lines with
+  | _, (n, e) :: _ -> Error (Printf.sprintf "line %d: %s" n e)
+  | events, [] -> Ok (of_events (List.map snd events))
 
 let of_file (path : string) : (compilation list, string) result =
   of_lines (In_channel.with_open_text path In_channel.input_lines)

@@ -6,33 +6,41 @@
 
     ICs cache {e resolution only} — the target still goes through the
     interpreter's [invoke], so tier dispatch and hotness detection
-    behave identically to the uncached path. Entries
-    carry the profile's receiver-histogram cell for their (site, class),
-    making a cached profiled dispatch's receiver record a single
-    increment. Coherence: {!Interp} drops a method's ICs (retiring their
-    counters) whenever its code is installed, replaced or invalidated. *)
+    behave identically to the uncached path. A cache's entries and
+    megamorphic state belong to the code object it was lowered in; its
+    dispatch counters are the call site's {!stat}, which every cache
+    lowered for the site shares (see {!Interp.ic_stats}). Entries of a
+    profiling cache carry the profile's receiver-histogram cell for their
+    (site, class), making a cached profiled dispatch's receiver record a
+    single increment. *)
 
 open Ir.Types
+
+type stat = {
+  st_site : site;
+  st_selector : string;
+  mutable st_hits : int;
+  mutable st_misses : int;
+  mutable st_mega : int;  (** slow-path dispatches while megamorphic *)
+}
+(** The dispatch counters of one call site. *)
 
 type entry = {
   e_cls : class_id;
   e_target : meth_id;
   e_count : int ref;
-      (** the profile's receiver cell for (site, class); a dummy cell in
-          non-profiling tiers *)
+      (** the profile's receiver cell for (site, class); one shared dummy
+          cell in non-profiling tiers *)
 }
 
 type t = {
-  ic_site : site;
-  selector : string;
+  stat : stat;  (** the site's counters, shared with its other caches *)
   mutable entries : entry array;  (** observed classes, oldest first *)
   mutable megamorphic : bool;     (** depth exhausted; entries still hit *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable mega : int;  (** slow-path dispatches while megamorphic *)
 }
 
-val create : site:site -> selector:string -> t
+val create : stat -> t
+(** An empty cache counting into the site's [stat]. *)
 
 val miss : entry
 (** The shared entry {!probe} returns when no cached entry matches. *)
@@ -48,9 +56,3 @@ val note_miss : t -> unit
 val add : t -> entry -> unit
 (** Installs a freshly resolved entry; past 4 entries the site turns
     megamorphic and keeps its existing entries. *)
-
-val dispatches : t -> int
-(** [hits + misses + mega]. *)
-
-val reset_stats : t -> unit
-(** Zeroes the counters (after folding them into retired stats). *)

@@ -103,21 +103,18 @@ type tcode = {
 
 (* The content of a method's code slot: the body it was lowered from
    ([src]: the installed code, or the program body when there is none),
-   prepared, and lowered once, with fusion planned over every block; its
-   [tcode] shares the [pcode]'s profile-cell holders and inline caches. *)
+   prepared and lowered once, with fusion planned over every block. *)
 type prepared_entry = {
   src : fn;
   inv : int ref;
       (* the method's invocation cell in [vm.profiles]; for a compiled
          entry, which does not profile, a private cell nothing reads *)
-  pcode : Prepared.code;
   tcode : tcode;
 }
 
-(* Accumulated counters of inline caches whose code object was dropped
-   (install/invalidate/replace), keyed by site so repeated recompilations
-   of a method fold into one row. *)
-type ic_stat = {
+(* The dispatch counters of one call site, which every inline cache
+   lowered for the site counts into. *)
+type ic_stat = Ic.stat = {
   st_site : site;
   st_selector : string;
   mutable st_hits : int;
@@ -177,8 +174,8 @@ type vm = {
          entry of the body a call runs now, or [None] until the next call
          lowers it. A threaded call reads it once; [set_installed] empties
          it. *)
-  ic_retired : (site, ic_stat) Hashtbl.t;
-      (* counters of ICs retired with their code objects *)
+  ic_sites : (site, ic_stat) Hashtbl.t;
+      (* the counters of each call site an inline cache was lowered for *)
   mutable attrib : Attribution.t option;
       (* per-method cycle attribution; None (default) costs nothing *)
   superinst : (string, sstat) Hashtbl.t;
@@ -210,7 +207,7 @@ let create ?(max_steps = 500_000_000) ?(backend = Threaded) (prog : program) :
     frames_used = 0;
     backend;
     code = Array.make (max 16 (Ir.Program.num_meths prog)) None;
-    ic_retired = Hashtbl.create 16;
+    ic_sites = Hashtbl.create 16;
     attrib = None;
     superinst = Hashtbl.create 16;
   }
@@ -243,48 +240,28 @@ let grown (a : 'a option array) (m : meth_id) : 'a option array =
     Array.blit a 0 a' 0 n;
     a'
 
-(* Folds a dropped code object's IC counters into [vm.ic_retired] so
-   install/invalidate cannot erase the dispatch statistics, then zeroes
-   them (a second retirement of the same object is a no-op). Methods
-   without virtual call sites have no ICs and skip retirement outright. *)
-let retire_ics (vm : vm) (pcode : Prepared.code) : unit =
-  if Array.length pcode.ics > 0 then
-  Array.iter
-    (fun (ic : Ic.t) ->
-      if Ic.dispatches ic > 0 then begin
-        let st =
-          match Hashtbl.find_opt vm.ic_retired ic.ic_site with
-          | Some st -> st
-          | None ->
-              let st =
-                { st_site = ic.ic_site; st_selector = ic.selector;
-                  st_hits = 0; st_misses = 0; st_mega = 0 }
-              in
-              Hashtbl.replace vm.ic_retired ic.ic_site st;
-              st
-        in
-        st.st_hits <- st.st_hits + ic.hits;
-        st.st_misses <- st.st_misses + ic.misses;
-        st.st_mega <- st.st_mega + ic.mega;
-        Ic.reset_stats ic
-      end)
-    pcode.ics
+(* The counters of [site], created when a cache is first lowered for
+   it. *)
+let site_stat (vm : vm) (site : site) (selector : string) : ic_stat =
+  match Hashtbl.find_opt vm.ic_sites site with
+  | Some st -> st
+  | None ->
+      let st =
+        { st_site = site; st_selector = selector; st_hits = 0; st_misses = 0; st_mega = 0 }
+      in
+      Hashtbl.replace vm.ic_sites site st;
+      st
 
 let installed (vm : vm) (m : meth_id) : fn option =
   let c = vm.installed in
   if m < Array.length c then c.(m) else None
 
 (* The one writer of installed code. The body a call of [m] runs changed,
-   so [m]'s code slot is emptied and the ICs of its entry retired. *)
+   so [m]'s code slot is emptied. *)
 let set_installed (vm : vm) (m : meth_id) (code : fn option) : unit =
   vm.installed <- grown vm.installed m;
   vm.installed.(m) <- code;
-  if m < Array.length vm.code then
-    match vm.code.(m) with
-    | Some e ->
-        retire_ics vm e.pcode;
-        vm.code.(m) <- None
-    | None -> ()
+  if m < Array.length vm.code then vm.code.(m) <- None
 
 (* ---------- superinstruction bookkeeping ---------- *)
 
@@ -394,38 +371,14 @@ let release_frames (vm : vm) : unit =
     vm.frames_used <- 0
   end
 
-(* Per-site IC statistics: live caches plus retired counters, merged by
-   site, ordered by (method, site ordinal). A site can contribute from
-   several live code objects once inlining copies it into other methods'
-   compiled bodies. *)
+(* A copy of each site's counters, ordered by (method, site ordinal),
+   leaving out sites with no dispatch. *)
 let ic_stats (vm : vm) : ic_stat list =
-  let acc = Hashtbl.create 16 in
-  let fold site selector h m g =
-    if h + m + g > 0 then
-      match Hashtbl.find_opt acc site with
-      | Some st ->
-          st.st_hits <- st.st_hits + h;
-          st.st_misses <- st.st_misses + m;
-          st.st_mega <- st.st_mega + g
-      | None ->
-          Hashtbl.replace acc site
-            { st_site = site; st_selector = selector;
-              st_hits = h; st_misses = m; st_mega = g }
-  in
-  Hashtbl.iter
-    (fun site (st : ic_stat) ->
-      fold site st.st_selector st.st_hits st.st_misses st.st_mega)
-    vm.ic_retired;
-  Array.iter
-    (function
-      | Some (e : prepared_entry) ->
-          Array.iter
-            (fun (ic : Ic.t) ->
-              fold ic.ic_site ic.selector ic.hits ic.misses ic.mega)
-            e.pcode.ics
-      | None -> ())
-    vm.code;
-  Hashtbl.fold (fun _ st acc -> st :: acc) acc []
+  Hashtbl.fold
+    (fun _ st acc ->
+      if st.st_hits + st.st_misses + st.st_mega > 0 then { st with st_hits = st.st_hits } :: acc
+      else acc)
+    vm.ic_sites []
   |> List.sort (fun a b ->
          compare (a.st_site.sm, a.st_site.sidx) (b.st_site.sm, b.st_site.sidx))
 
@@ -458,6 +411,11 @@ let eval_binop (op : binop) (a : value) (b : value) : value =
 
 let eval_unop (op : unop) (a : value) : value =
   match op with Neg -> Vint (-as_int a) | Not -> Vbool (not (as_bool a))
+
+(* The receiver cell of every entry of a non-profiling cache. A cache
+   lives in one code object, which profiles always or never, so nothing
+   reads or increments it. *)
+let no_count = ref 0
 
 (* The program body of [m]; an abstract method traps. *)
 let program_body (vm : vm) (m : meth_id) : fn =
@@ -499,7 +457,7 @@ let rec invoke (vm : vm) (m : meth_id) (st : tstate) (cargs : int array) : value
    slot is the one thing a threaded call reads to find its code. An
    interpreted entry's [inv] is the method's invocation counter, so the
    increment counts the activation. The reference walker looks the body
-   up and records the invocation by key. *)
+   and the counter up at every call. *)
 and run (vm : vm) (m : meth_id) (st : tstate) (cargs : int array) : value =
   match vm.backend with
   | Threaded ->
@@ -516,7 +474,7 @@ and run (vm : vm) (m : meth_id) (st : tstate) (cargs : int array) : value =
       | Some cfn -> exec_ref vm ~mode:Compiled ~meth:m cfn st cargs
       | None ->
           let fn = program_body vm m in
-          Profile.record_invocation vm.profiles m;
+          incr (Profile.invocation_cell vm.profiles m);
           exec_ref vm ~mode:Interpreted ~meth:m fn st cargs)
 
 (* One-way OSR transfer: charge like a direct call, marshal the frame
@@ -555,8 +513,8 @@ and lower_entry (vm : vm) (m : meth_id) : prepared_entry =
     | Some cfn -> (Compiled, cfn, ref 0)
     | None -> (Interpreted, program_body vm m, Profile.invocation_cell vm.profiles m)
   in
-  let pcode = Prepared.prepare ~cost:vm.cost vm.prog src in
-  let e = { src; inv; pcode; tcode = lower_threaded vm ~mode ~meth:m ~src pcode } in
+  let pcode = Prepared.prepare ~cost:vm.cost ~ic_stat:(site_stat vm) vm.prog src in
+  let e = { src; inv; tcode = lower_threaded vm ~mode ~meth:m ~src pcode } in
   vm.code <- grown vm.code m;
   vm.code.(m) <- Some e;
   e
@@ -1322,7 +1280,7 @@ and exec_ref (vm : vm) ~(mode : mode) ~(meth : meth_id) (fn : fn) (caller : tsta
        aggressive DCE) must still exhaust the step budget *)
     vm.steps <- vm.steps + 1;
     if vm.steps > vm.max_steps then trap "step budget exceeded";
-    if profiling then Profile.record_block vm.profiles meth b;
+    if profiling then incr (Profile.block_cell vm.profiles meth b);
     let blk = Ir.Fn.block fn b in
     (* phis evaluate simultaneously with respect to the incoming edge *)
     let rec eval_phis = function
@@ -1371,7 +1329,7 @@ and exec_ref (vm : vm) ~(mode : mode) ~(meth : meth_id) (fn : fn) (caller : tsta
     | Goto b' -> run b b'
     | If { cond; site; tb; fb } ->
         let taken = as_bool (get cond) in
-        if profiling then Profile.record_branch vm.profiles site ~taken;
+        if profiling then Profile.brec_record (Profile.branch_cell vm.profiles site) ~taken;
         run b (if taken then tb else fb)
     | Return v -> get v
     | Unreachable -> trap "reached an unreachable block in %s" fn.fname
@@ -1397,10 +1355,10 @@ and do_call (vm : vm) ?ic ~profiling ~(meth : meth_id) ~(callee : callee)
           if (not profiling) && site.sidx < 0 then vm.on_spec_miss meth site;
           match Ic.probe ic o.o_cls with
           | e when e != Ic.miss ->
-              (* cached: the scan resolved the target. The entry's count
-                 cell aliases the profile's receiver-histogram cell, so
-                 recording the receiver is one increment. *)
-              ic.hits <- ic.hits + 1;
+              (* cached: the scan resolved the target. A profiling
+                 entry's count cell is the profile's receiver-histogram
+                 cell, so recording the receiver is one increment. *)
+              ic.stat.st_hits <- ic.stat.st_hits + 1;
               if profiling then incr e.e_count;
               let observed = Profile.receiver_count vm.profiles site in
               charge vm
@@ -1409,35 +1367,24 @@ and do_call (vm : vm) ?ic ~profiling ~(meth : meth_id) ~(callee : callee)
           | _ -> (
               Ic.note_miss ic;
               let cell =
-                if profiling then begin
-                  let c =
-                    Profile.rsite_cell (Profile.receiver_site vm.profiles site) o.o_cls
-                  in
-                  incr c;
-                  Some c
-                end
-                else
-                  (* non-profiling tiers never create profile entries; an
-                     existing cell is still shared so a later profiled hit
-                     through this entry counts into the real histogram *)
-                  Option.bind
-                    (Profile.find_receiver_site vm.profiles site)
-                    (fun rs -> Profile.find_rsite_cell rs o.o_cls)
+                if profiling then
+                  Profile.rsite_cell (Profile.receiver_site vm.profiles site) o.o_cls
+                else no_count
               in
+              if profiling then incr cell;
               let observed = Profile.receiver_count vm.profiles site in
               charge vm
                 (Cost.call_overhead vm.cost ~virtual_:true ~targets:(max observed 1));
               match Ir.Program.resolve vm.prog o.o_cls sel with
               | Some m ->
-                  Ic.add ic
-                    { e_cls = o.o_cls; e_target = m;
-                      e_count = (match cell with Some c -> c | None -> ref 0) };
+                  Ic.add ic { e_cls = o.o_cls; e_target = m; e_count = cell };
                   invoke vm m st cargs
               | None ->
                   trap "class %s does not understand %s"
                     (Ir.Program.cls vm.prog o.o_cls).c_name sel))
       | None -> (
-          if profiling then Profile.record_receiver vm.profiles site o.o_cls;
+          if profiling then
+            incr (Profile.rsite_cell (Profile.receiver_site vm.profiles site) o.o_cls);
           (* synthetic sites are typeswitch fallbacks: reaching one in compiled
              code means the speculation missed *)
           if (not profiling) && site.sidx < 0 then vm.on_spec_miss meth site;

@@ -104,21 +104,20 @@ type prepared_entry = {
       (** every threaded activation increments it: the method's
           {!Profile.invocation_cell} for an interpreted entry, a private
           cell nothing reads for a compiled one *)
-  pcode : Prepared.code;
   tcode : tcode;
 }
-(** The content of a method's code slot, lowered once from its pcode,
-    with fusion planned over every block; its baked counter cells —
-    block, branch and invocation — point into [vm.profiles]. *)
+(** The content of a method's code slot, prepared and lowered once, with
+    fusion planned over every block; its baked counter cells — block,
+    branch and invocation — point into [vm.profiles]. *)
 
-type ic_stat = {
+type ic_stat = Ic.stat = {
   st_site : site;
   st_selector : string;
   mutable st_hits : int;
   mutable st_misses : int;
   mutable st_mega : int;
 }
-(** Accumulated inline-cache counters of one call site (see {!ic_stats}). *)
+(** The inline-cache counters of one call site (see {!ic_stats}). *)
 
 type sstat = {
   ss_pattern : string;
@@ -177,8 +176,11 @@ type vm = {
       that grows on demand: the threaded entry of the body a call of the
       method runs now, or [None] until the next threaded call lowers one.
       A threaded call reads it once; {!set_installed} empties it. *)
-  ic_retired : (site, ic_stat) Hashtbl.t;
-  (** counters of inline caches retired with their dropped code objects *)
+  ic_sites : (site, ic_stat) Hashtbl.t;
+  (** the counters of each call site an inline cache was lowered for,
+      which every cache of the site counts into: the cache of the
+      interpreted body, of each compiled body the site was inlined into,
+      and of code that already left its slot but still runs in a frame *)
   mutable attrib : Attribution.t option;
   (** per-method cycle attribution ({!enable_attribution}); [None] (the
       default) costs one option check per invocation *)
@@ -214,17 +216,15 @@ val installed : vm -> meth_id -> fn option
 
 val set_installed : vm -> meth_id -> fn option -> unit
 (** Writes the method's installed-code slot ([Some body] to install or
-    replace, [None] to remove) and empties its code slot, retiring the
-    inline caches of the entry there into {!ic_stats}; the method's next
-    call lowers the body of its new tier. The one writer of installed
+    replace, [None] to remove) and empties its code slot; the method's
+    next call lowers the body of its new tier. The one writer of installed
     code: {!Jit.Engine} calls this whenever it installs, replaces or
     removes compiled code, and a test that runs a hand-built body
     installs it this way. *)
 
 val ic_stats : vm -> ic_stat list
-(** Per-site inline-cache statistics: live caches merged with retired
-    counters, ordered by (method, site ordinal). Sites with zero
-    dispatches are omitted. *)
+(** A copy of [vm.ic_sites], ordered by (method, site ordinal). Sites
+    with zero dispatches are omitted. *)
 
 val superinst_stats : vm -> sstat list
 (** The mined superinstruction table, sorted by pattern — a

@@ -131,7 +131,6 @@ type code = {
   params : (int * int) array;  (* (parameter index, slot) per [Param] *)
   entry : int;          (* dense index of the entry block *)
   blocks : pblock array;
-  ics : Ic.t array;     (* every inline cache in [blocks], decode order *)
 }
 
 let fname (c : code) = c.fname
@@ -143,8 +142,8 @@ let ill_formed (fname : string) fmt =
 
 (* ---------- translation ---------- *)
 
-let decode_instr ~(cost : Cost.t) ~(ics : Ic.t list ref) ~(slot : vid -> int)
-    (prog : program) (fn : fn) (i : instr) : pinstr =
+let decode_instr ~(cost : Cost.t) ~(ic_stat : site -> string -> Ic.stat)
+    ~(slot : vid -> int) (prog : program) (fn : fn) (i : instr) : pinstr =
   let sc = Cost.instr_cost cost i.kind in
   let op, sc =
     match Ir.Instr.map_operands slot i.kind with
@@ -160,10 +159,7 @@ let decode_instr ~(cost : Cost.t) ~(ics : Ic.t list ref) ~(slot : vid -> int)
     | Call { callee; args; site; _ } ->
         let ic =
           match callee with
-          | Virtual sel ->
-              let ic = Ic.create ~site ~selector:sel in
-              ics := ic :: !ics;
-              Some ic
+          | Virtual sel -> Some (Ic.create (ic_stat site sel))
           | Direct _ -> None
         in
         (Pcall { callee; cargs = Array.of_list args; site; ic }, sc)
@@ -524,8 +520,8 @@ let allocate (fn : fn) ~(num : int array) ~(frame : int array) ~(blocks : bid ar
     color;
   (color, count.(0), count.(1))
 
-let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
-  let ics : Ic.t list ref = ref [] in
+let prepare ~(cost : Cost.t) ~(ic_stat : site -> string -> Ic.stat) (prog : program)
+    (fn : fn) : code =
   let nbids = Vec.length fn.blocks in
   (* dense indices for live blocks, in id order *)
   let index_of_bid = Array.make (max nbids 1) (-1) in
@@ -672,7 +668,7 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
       pred_bids = my_preds;
       body =
         Array.map
-          (fun v -> decode_instr ~cost ~ics ~slot prog fn (Ir.Fn.instr fn v))
+          (fun v -> decode_instr ~cost ~ic_stat ~slot prog fn (Ir.Fn.instr fn v))
           body.(bi);
       term;
       term_cost;
@@ -697,7 +693,6 @@ let prepare ~(cost : Cost.t) (prog : program) (fn : fn) : code =
     params = Array.of_list params;
     entry;
     blocks;
-    ics = Array.of_list (List.rev !ics);
   }
 
 (* ---------- superinstruction fusion ----------

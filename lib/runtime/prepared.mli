@@ -34,10 +34,11 @@
       the block's steps are charged.
 
     Prepared code snapshots the function *and* the class layouts its [New]
-    instructions allocate, against a fixed cost table. It must be dropped
-    when the underlying body is replaced — {!Interp} keys its cache by
-    physical identity of the source [fn] and {!Jit.Engine} invalidates on
-    every install, so stale code is unreachable. *)
+    instructions allocate, against a fixed cost table. {!Interp} prepares
+    a body when it fills a method's code slot and never again: a body
+    never changes once set, and {!Interp.set_installed}, the one writer
+    of a method's compiled code, empties the slot, so the method's next
+    call prepares the body of its new tier. *)
 
 open Ir.Types
 open Values
@@ -87,7 +88,8 @@ type pop =
   | Punop of unop * int
   | Pbinop of binop * int * int
   | Pcall of { callee : callee; cargs : int array; site : site; ic : Ic.t option }
-      (** virtual calls carry a polymorphic inline cache *)
+      (** virtual calls carry a polymorphic inline cache, which counts
+          into its site's {!Ic.stat} *)
   | Pnew of { cls : class_id; defaults : value array }
   | Pgetfield of { obj : int; slot : int; fname : string }
   | Psetfield of { obj : int; slot : int; fname : string; value : int }
@@ -164,7 +166,6 @@ type code = {
           nothing. *)
   entry : int;
   blocks : pblock array;
-  ics : Ic.t array;  (** every inline cache in [blocks], decode order *)
 }
 
 val fname : code -> string
@@ -174,9 +175,12 @@ val ill_formed : string -> ('a, Format.formatter, unit, 'b) format4 -> 'a
     contract above, ["internal: ill-formed IR in <fname>: <what>"].
     @raise Trap always. *)
 
-val prepare : cost:Cost.t -> program -> fn -> code
+val prepare :
+  cost:Cost.t -> ic_stat:(site -> string -> Ic.stat) -> program -> fn -> code
 (** Translates one function. Costs are baked against [cost]; class field
-    layouts referenced by [New] are snapshotted from the program.
+    layouts referenced by [New] are snapshotted from the program; the
+    inline cache of a virtual call at [site] with selector [sel] counts
+    into [ic_stat site sel].
     @raise Trap through {!ill_formed} on IR that breaks the contract. *)
 
 (** {1 Superinstruction fusion}

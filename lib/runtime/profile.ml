@@ -10,15 +10,16 @@
    Storage is slot-indexed: method ids, block ids and site ordinals are
    all dense (the lowering allocates them consecutively), so counters live
    in option arrays indexed directly by id instead of the tuple-keyed
-   hashtables of the seed implementation. Recording is an array read plus
-   an increment — no per-event key allocation, no hashing. The counter
-   cells themselves ([int ref] / {!brec} / {!rsite}) have stable identity
-   and are handed out to callers, which lets the prepared execution engine
-   bake them into pre-decoded code and its inline caches: a baked-cell
-   increment and a [record_*] call are indistinguishable in the folded
-   profile. Synthetic sites (negative [sidx], typeswitch fallbacks) cannot
-   index an array and fall back to keyed tables; they are rare and only
-   reachable from compiled code, which does not profile. *)
+   hashtables of the seed implementation. Recording finds (or creates) a
+   counter cell ([int ref] / {!brec} / {!rsite}) and increments it — no
+   per-event key allocation, no hashing. The cells have stable identity:
+   the reference walker looks one up per event, while the prepared
+   execution engine bakes them into pre-decoded code and its inline
+   caches and records with one increment, and the folded profile cannot
+   tell the two apart. Synthetic sites (negative [sidx], typeswitch
+   fallbacks) cannot index an array and fall back to keyed tables; they
+   are rare and only reachable from compiled code, which does not
+   profile. *)
 
 open Ir.Types
 
@@ -152,18 +153,6 @@ let rsite_cell (rs : rsite) (c : class_id) : int ref =
       let r = ref 0 in
       Hashtbl.replace rs.hist c r;
       r
-
-let find_rsite_cell (rs : rsite) (c : class_id) : int ref option =
-  Hashtbl.find_opt rs.hist c
-
-(* ---------- recording ---------- *)
-
-let record_invocation t m = incr (invocation_cell t m)
-let record_block t m b = incr (block_cell t m b)
-let record_receiver t (site : site) (c : class_id) =
-  incr (rsite_cell (receiver_site t site) c)
-let record_branch t (site : site) ~(taken : bool) =
-  brec_record (branch_cell t site) ~taken
 
 (* ---------- queries ---------- *)
 

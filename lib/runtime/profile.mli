@@ -6,10 +6,10 @@
 
     Counters are slot-indexed — dense arrays by method/block/site ordinal
     instead of tuple-keyed hashtables — so recording allocates nothing.
-    The counter cells have stable identity and can be handed out: the
+    Recording is an increment through a counter cell. The cells have
+    stable identity: the reference walker finds one per event, and the
     prepared execution engine bakes them into pre-decoded code and inline
-    caches, and an increment through a baked cell is indistinguishable
-    from the corresponding [record_*] call in the folded profile. *)
+    caches. *)
 
 open Ir.Types
 
@@ -23,36 +23,25 @@ type brec = { mutable taken : int; mutable not_taken : int }
 
 val create : unit -> t
 
-(** {1 Recording (used by the interpreter)} *)
+(** {1 Recording (used by the interpreter)}
 
-val record_invocation : t -> meth_id -> unit
-val record_block : t -> meth_id -> bid -> unit
-val record_receiver : t -> site -> class_id -> unit
-val record_branch : t -> site -> taken:bool -> unit
-
-(** {1 Counter cells (used by prepared code's baked profiling)}
-
-    Find-or-create accessors returning the underlying cell. A profile is
-    never reset, so a cell stays the profile's for its whole life. *)
+    Find-or-create accessors returning a counter cell; recording is an
+    increment through it. A profile is never reset, so a cell stays the
+    profile's for its whole life. *)
 
 val invocation_cell : t -> meth_id -> int ref
-(** An increment through it is {!record_invocation}. The threaded tier
-    binds it when it fills a method's code slot with interpreted code and
-    counts each activation with one increment; the reference walker
-    records by key. *)
+(** The threaded tier binds it when it fills a method's code slot with
+    interpreted code and counts each activation with one increment; the
+    reference walker looks it up at every call. *)
 
 val block_cell : t -> meth_id -> bid -> int ref
 val branch_cell : t -> site -> brec
 
 val brec_record : brec -> taken:bool -> unit
-(** [brec_record br ~taken] is [record_branch] through a bound cell. *)
+(** Counts one execution of the branch, taken or not. *)
 
 val receiver_site : t -> site -> rsite
-val find_receiver_site : t -> site -> rsite option
-(** Like {!receiver_site} but never creates the site. *)
-
 val rsite_cell : rsite -> class_id -> int ref
-val find_rsite_cell : rsite -> class_id -> int ref option
 
 (** {1 Queries (used by the inliner and cost model)} *)
 

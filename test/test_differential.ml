@@ -476,9 +476,10 @@ let ic_totals (stats : Runtime.Interp.ic_stat list) : int * int * int =
       (h + st.st_hits, m + st.st_misses, g + st.st_mega))
     (0, 0, 0) stats
 
-(* Installs and invalidations drop prepared code; the inline-cache
-   counters inside must be retired — never lost, never double-counted —
-   and fresh code must rebuild its caches from scratch. *)
+(* Installs and invalidations drop prepared code; the counters of its
+   inline caches belong to their call sites and survive it — never lost,
+   never double-counted — and fresh code rebuilds its caches from
+   scratch. *)
 let test_ic_flush () =
   let c1 : Jit.Engine.compiler =
    fun prog _ m ->
@@ -493,14 +494,12 @@ let test_ic_flush () =
   done;
   Alcotest.(check bool) "something compiled" true
     (Jit.Engine.installed_methods engine > 0);
-  Alcotest.(check bool) "installs retired inline caches" true
-    (Hashtbl.length engine.vm.ic_retired > 0);
   let stats = Jit.Engine.ic_stats engine in
   Alcotest.(check bool) "ic stats nonempty" true (stats <> []);
   let h0, m0, g0 = ic_totals stats in
   Alcotest.(check bool) "hits dominate misses" true (h0 > m0);
-  (* flush everything: every code slot must empty and every live counter
-     must survive into the retired table, exactly once *)
+  (* flush everything: every code slot must empty and every counter must
+     survive, exactly once *)
   Ir.Program.iter_meths
     (fun (m : Ir.Types.meth) ->
       Runtime.Interp.set_installed engine.vm m.m_id
@@ -520,6 +519,49 @@ let test_ic_flush () =
   done;
   let h2, _, _ = ic_totals (Jit.Engine.ic_stats engine) in
   Alcotest.(check bool) "totals grow after re-prepare" true (h2 > h1)
+
+(* A frame keeps running its code after the code left its method's slot.
+   [loop] gets compiled code at the 500th call of [B.m], while its one
+   interpreted frame is still in the loop: that frame keeps dispatching
+   through its own cache, and all 1,000 dispatches count at the site. *)
+let test_ic_outlives_slot () =
+  let src =
+    {|abstract class A { def m(x: Int): Int }
+class B() extends A { def m(x: Int): Int = x + 1 }
+class C() extends A { def m(x: Int): Int = x * 2 }
+def loop(a: A): Int = {
+  var s = 0;
+  var i = 0;
+  while (i < 1000) { s = s + a.m(i); i = i + 1 };
+  s
+}
+def main(): Unit = println(loop(new B()))|}
+  in
+  let prog = Util.compile src in
+  let vm = Runtime.Interp.create prog in
+  let loop = Option.get (Ir.Program.find_meth prog "loop") in
+  let bm = Option.get (Ir.Program.find_meth prog "B.m") in
+  let calls = ref 0 in
+  vm.on_entry <-
+    (fun m ->
+      if m = bm then begin
+        incr calls;
+        if !calls = 500 then
+          Runtime.Interp.set_installed vm loop
+            (Some (Ir.Fn.copy (Util.body_of prog "loop")))
+      end);
+  ignore (Runtime.Interp.run_main vm);
+  Alcotest.(check string) "output" "500500\n" (Runtime.Interp.output vm);
+  Alcotest.(check bool) "compiled code installed" true
+    (Runtime.Interp.installed vm loop <> None);
+  let sites =
+    List.filter
+      (fun (st : Runtime.Interp.ic_stat) -> st.st_site.sm = loop)
+      (Runtime.Interp.ic_stats vm)
+  in
+  Alcotest.(check int) "one site" 1 (List.length sites);
+  let h, m, g = ic_totals sites in
+  Alcotest.(check int) "dispatches at the site" 1000 (h + m + g)
 
 (* A site seeing more receiver classes than the cache depth must go
    megamorphic — new classes fall through to the slow path — while the
@@ -624,6 +666,7 @@ let () =
       ( "inline caches",
         [
           test "installs and invalidations retire ic counters" test_ic_flush;
+          test "a frame out of its slot counts at its site" test_ic_outlives_slot;
           test "megamorphic sites fall back, cached classes hit" test_ic_megamorphic;
         ] );
       ("traps", [ test "trapping programs trap identically" test_traps ]);

@@ -95,6 +95,44 @@ let extraction_tests =
 
 (* ---------- loop-entry OSR: enter + exactness ---------- *)
 
+(* A phase shift mid-loop: the speculated continuation is invalidated
+   while its compiled frame runs, which must exit to an interpreted
+   continuation (hotness 4, [~spec_miss_threshold:50]). *)
+let shift_src =
+  {|abstract class A { def m(x: Int): Int }
+    class B() extends A { def m(x: Int): Int = x + 1 }
+    class C() extends A { def m(x: Int): Int = x * 2 }
+    def pick(i: Int, k: Int): A = {
+      if (i < k) { new B() } else { new C() }
+    }
+    def bench(n: Int, k: Int): Int = {
+      var s = 0;
+      var i = 0;
+      while (i < n) { s = s + pick(i, k).m(i); i = i + 1 };
+      s
+    }
+    def main(): Unit = println(bench(4000, 2000))|}
+
+(* A division by zero inside an entered continuation (hotness 3). *)
+let trap_src =
+  {|def bench(n: Int): Int = {
+      var s = 0;
+      var i = 0 - 400;
+      while (i < n) { s = s + 1000 / i; i = i + 1 };
+      s
+    }
+    def main(): Unit = println(bench(100))|}
+
+(* The bench harness's engine: the incremental inliner at hotness 8. *)
+let bench_config : Jit.Engine.config =
+  {
+    name = "incremental";
+    compiler = Some (incremental ());
+    hotness_threshold = 8;
+    compile_cost_per_node = 50;
+    verify = false;
+  }
+
 (* The simulated cycle at which [bench] first runs compiled code in a full
    benchmark run of [w] at the bench harness's thresholds. With OSR the
    running invocation transfers at the loop header: the first
@@ -103,16 +141,7 @@ let extraction_tests =
 let time_to_peak (w : Workloads.Defs.t) ~(osr : bool) : int =
   let sink, lines = Obs.Trace.memory_sink () in
   Obs.Trace.scoped sink (fun () ->
-      let e =
-        Jit.Engine.create ~osr (Workloads.Registry.compile w)
-          {
-            name = "incremental";
-            compiler = Some (incremental ());
-            hotness_threshold = 8;
-            compile_cost_per_node = 50;
-            verify = false;
-          }
-      in
+      let e = Jit.Engine.create ~osr (Workloads.Registry.compile w) bench_config in
       ignore
         (Jit.Harness.run_benchmark ~iters:w.iters e ~entry:"bench" ~label:w.name));
   let kind = if osr then "osr_enter" else "install" in
@@ -178,48 +207,67 @@ let enter_tests =
               (reference_output src) out_on)
           [ "long-loop"; "nested-loop" ]);
     test "both backends agree under OSR" (fun () ->
+        (* long-loop's enter transfer, [shift_src]'s exit on an
+           invalidation and [trap_src]'s trap out of a continuation *)
+        let long_loop = Option.get (Workloads.Registry.find "long-loop") in
+        List.iter
+          (fun (name, src, hotness, spec_miss_threshold, benches, exits) ->
+            let run backend =
+              let e = osr_engine ~hotness ?spec_miss_threshold ~backend src in
+              let trap =
+                match
+                  ignore (Jit.Engine.run_main e);
+                  for _ = 1 to benches do
+                    ignore (Jit.Engine.run_meth e "bench" [ Runtime.Values.Vunit ])
+                  done
+                with
+                | () -> "none"
+                | exception Runtime.Values.Trap msg -> msg
+              in
+              ( (Jit.Engine.output e, trap),
+                [ ("cycles", e.vm.cycles); ("steps", e.vm.steps);
+                  ("osr_enters", e.osr_enters); ("osr_exits", e.osr_exits) ] )
+            in
+            let (ot, tt), t = run Runtime.Interp.Threaded in
+            let (or_, tr), r = run Runtime.Interp.Reference in
+            let same what = Printf.sprintf "%s: threaded = reference %s" name what in
+            Alcotest.(check string) (same "output") or_ ot;
+            Alcotest.(check string) (same "trap") tr tt;
+            List.iter2 (fun (k, a) (_, b) -> Alcotest.(check int) (same k) b a) t r;
+            Alcotest.(check bool) (name ^ ": entered") true (List.assoc "osr_enters" t > 0);
+            Alcotest.(check bool) (name ^ ": exited") exits (List.assoc "osr_exits" t > 0))
+          [
+            ("long-loop", long_loop.Workloads.Defs.source, 4, None, 2, false);
+            ("shift", shift_src, 4, Some 50, 0, true);
+            ("trap", trap_src, 3, None, 0, true);
+          ]);
+    test "a second engine on a program runs OSR as on a fresh one" (fun () ->
+        (* continuations become methods of the program, which outlives
+           its engines: a later engine on it must name its own without
+           colliding, and run as an engine on a fresh program does *)
         let w = Option.get (Workloads.Registry.find "long-loop") in
-        let run backend =
-          let e = osr_engine ~hotness:4 ~backend w.Workloads.Defs.source in
-          ignore (Jit.Engine.run_main e);
-          for _ = 1 to 2 do
-            ignore (Jit.Engine.run_meth e "bench" [ Runtime.Values.Vunit ])
-          done;
-          (Jit.Engine.output e, e.vm.cycles, e.vm.steps, e.osr_enters)
+        let run prog =
+          let e = Jit.Engine.create prog bench_config in
+          ignore (Jit.Harness.run_benchmark ~iters:w.iters e ~entry:"bench" ~label:w.name);
+          ( Jit.Engine.output e,
+            [ ("steps", e.vm.steps); ("cycles", e.vm.cycles);
+              ("osr_enters", e.osr_enters);
+              ("installed nodes", Jit.Engine.installed_code_size e) ] )
         in
-        let ot, ct, st, et = run Runtime.Interp.Threaded in
-        let or_, cr, sr, er = run Runtime.Interp.Reference in
-        Alcotest.(check string) "threaded = reference output" ot or_;
-        Alcotest.(check int) "threaded = reference cycles" ct cr;
-        Alcotest.(check int) "threaded = reference steps" st sr;
-        Alcotest.(check bool) "both entered" true (et > 0 && er > 0));
+        let fresh_out, fresh = run (Workloads.Registry.compile w) in
+        Alcotest.(check bool) "a fresh engine enters" true (List.assoc "osr_enters" fresh > 0);
+        let prog = Workloads.Registry.compile w in
+        List.iter
+          (fun engine ->
+            let out, counts = run prog in
+            Alcotest.(check string) (engine ^ ": output") fresh_out out;
+            List.iter2
+              (fun (k, f) (_, n) -> Alcotest.(check int) (engine ^ ": " ^ k) f n)
+              fresh counts)
+          [ "first engine"; "second engine" ]);
   ]
 
 (* ---------- OSR-exit: invalidation and trap deopt ---------- *)
-
-let shift_src =
-  {|abstract class A { def m(x: Int): Int }
-    class B() extends A { def m(x: Int): Int = x + 1 }
-    class C() extends A { def m(x: Int): Int = x * 2 }
-    def pick(i: Int, k: Int): A = {
-      if (i < k) { new B() } else { new C() }
-    }
-    def bench(n: Int, k: Int): Int = {
-      var s = 0;
-      var i = 0;
-      while (i < n) { s = s + pick(i, k).m(i); i = i + 1 };
-      s
-    }
-    def main(): Unit = println(bench(4000, 2000))|}
-
-let trap_src =
-  {|def bench(n: Int): Int = {
-      var s = 0;
-      var i = 0 - 400;
-      while (i < n) { s = s + 1000 / i; i = i + 1 };
-      s
-    }
-    def main(): Unit = println(bench(100))|}
 
 let exit_tests =
   [

@@ -343,6 +343,11 @@ let live_points (fn : Ir.Types.fn) : Vids.t list =
               (fst (walk b)))
        blocks
 
+(* A fresh inline-cache counter record per call site, for bodies
+   prepared outside a VM. *)
+let fresh_stat (site : Ir.Types.site) (selector : string) : Runtime.Ic.stat =
+  { st_site = site; st_selector = selector; st_hits = 0; st_misses = 0; st_mega = 0 }
+
 (* The slot allocator of [Prepared.prepare] against [live_points]: two
    vids live at one point never share a slot, every named vid's slot is
    in the frame of its static type, and each frame has exactly as many
@@ -403,7 +408,9 @@ let test_frame_slots () =
         e.vm.prog;
       List.iter
         (fun (name, fn) ->
-          let pcode = Runtime.Prepared.prepare ~cost:Runtime.Cost.default e.vm.prog fn in
+          let pcode =
+            Runtime.Prepared.prepare ~cost:Runtime.Cost.default ~ic_stat:fresh_stat e.vm.prog fn
+          in
           check_frames (Printf.sprintf "%s/%s" w.name name) fn pcode;
           if pcode.nregs + pcode.nints < Vids.cardinal (named_vids fn) then incr smaller)
         !bodies)
@@ -445,7 +452,10 @@ let test_prepare_memory () =
     minor +. major -. promoted
   in
   let before = words () in
-  let code = Runtime.Prepared.prepare ~cost:Runtime.Cost.default (Ir.Program.create ()) fn in
+  let code =
+    Runtime.Prepared.prepare ~cost:Runtime.Cost.default ~ic_stat:fresh_stat
+      (Ir.Program.create ()) fn
+  in
   let per_block = (words () -. before) /. float (Array.length code.blocks) in
   Alcotest.(check int) "blocks" ((3 * n) + 1) (Array.length code.blocks);
   Alcotest.(check int) "int frame" 3 code.nints;
