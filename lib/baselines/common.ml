@@ -42,9 +42,8 @@ let inline_at (st : state) ~(call_vid : vid) ~(callee : meth_id) : unit =
   let remap = Ir.Splice.inline_call ~caller:st.body ~call_vid ~callee:body in
   List.iter
     (fun v ->
-      match Hashtbl.find_opt remap.vmap v with
-      | Some v' -> Hashtbl.replace st.depth v' (d + 1)
-      | None -> ())
+      let v' = remap.vmap.(v) in
+      if v' <> Ir.Splice.unmapped then Hashtbl.replace st.depth v' (d + 1))
     callee_calls
 
 (* Monomorphic speculation: a virtual call whose receiver profile is

@@ -30,13 +30,18 @@ type kind =
   | Generic of string                  (* reason it cannot be inlined *)
   | Deleted
 
+(* P_I(n), Eq. 5, alone in an all-float record, which holds it unboxed:
+   a float field of a mixed record is a pointer to a box, so every update
+   would allocate one. *)
+type priority = { mutable p_i : float }
+
 (* A node's subtree aggregates for one expansion step (see [summarize]). *)
 type summary = {
   mutable s_ir : int;                  (* S_ir(n): attached and prospective size *)
   mutable s_b : int;                   (* S_b(n): size of the cutoff frontier *)
   mutable n_c : int;                   (* N_c(n): cutoffs in the subtree *)
   mutable candidate : bool;            (* holds a cutoff not declined this phase *)
-  mutable p_i : float;                 (* P_I(n), Eq. 5 *)
+  pi : priority;                       (* P_I(n) *)
 }
 
 type node = {
@@ -146,29 +151,57 @@ let node_size (t : t) (n : node) : int =
   | Poly _ -> 2 * max 1 (List.length n.children)  (* the typeswitch cascade *)
   | Generic _ | Deleted -> 0
 
+(* B_L(n) of a cutoff, Eq. 4. *)
+let[@inline] cutoff_benefit (n : node) : float = n.freq *. (1.0 +. float_of_int n.n_args_refined)
+
 (* B_L(n), Eq. 4 / Eq. 13. *)
 let rec local_benefit (t : t) (n : node) : float =
   match n.kind with
   | Deleted | Generic _ -> 0.0
-  | Cutoff _ -> n.freq *. (1.0 +. float_of_int n.n_args_refined)
+  | Cutoff _ -> cutoff_benefit n
   | Expanded { n_opts; _ } -> n.freq *. (1.0 +. float_of_int n_opts)
   | Poly _ ->
       List.fold_left (fun acc c -> acc +. (c.prob *. local_benefit t c)) 0.0 n.children
 
+(* Occurrences of [m] in a call path. *)
+let rec occurrences (m : meth_id) (acc : int) : meth_id list -> int = function
+  | [] -> acc
+  | m' :: rest -> occurrences m (if m' = m then acc + 1 else acc) rest
+
 (* Recursion depth d(n) for Eq. 14: occurrences of the cutoff's own target
    among its ancestors. *)
 let rec_depth (n : node) : int =
-  match n.kind with
-  | Cutoff (Known m) -> List.length (List.filter (( = ) m) n.ancestors)
-  | _ -> 0
+  match n.kind with Cutoff (Known m) -> occurrences m 0 n.ancestors | _ -> 0
 
 (* ψ_r(n), Eq. 14: pressure against monopolizing exploration with
-   recursion. d(n)=1 (first recursive occurrence) is free. *)
-let psi_r (n : node) : float =
-  let d = rec_depth n in
-  max 1.0 n.freq *. max 0.0 ((2.0 ** float_of_int d) -. 2.0)
+   recursion. d(n)=1 (first recursive occurrence) is free. Each maximum
+   is [Stdlib.max]'s [if a >= b then a else b], written out at type float
+   so that nothing is boxed. *)
+let[@inline] psi_r (n : node) : float =
+  let growth = (2.0 ** float_of_int (rec_depth n)) -. 2.0 in
+  (if 1.0 >= n.freq then 1.0 else n.freq) *. if 0.0 >= growth then 0.0 else growth
 
 (* ---------- the expansion summary ---------- *)
+
+let rec sum_s_ir (acc : int) : node list -> int = function
+  | [] -> acc
+  | c :: rest -> sum_s_ir (acc + c.sum.s_ir) rest
+
+(* Adds each child's S_ir, S_b and N_c into [s], marks [s] a candidate if
+   a child is one, and raises P_I to each candidate child's in list
+   order, as a fold of [Stdlib.max] would. *)
+let rec add_children (s : summary) : node list -> unit = function
+  | [] -> ()
+  | c :: rest ->
+      let cs = c.sum in
+      s.s_ir <- s.s_ir + cs.s_ir;
+      s.s_b <- s.s_b + cs.s_b;
+      s.n_c <- s.n_c + cs.n_c;
+      if cs.candidate then begin
+        s.candidate <- true;
+        if not (s.pi.p_i >= cs.pi.p_i) then s.pi.p_i <- cs.pi.p_i
+      end;
+      add_children s rest
 
 (* A node's summary from its own fields and its children's summaries:
    S_ir, S_b, N_c, whether the subtree holds a cutoff still worth
@@ -177,30 +210,27 @@ let psi_r (n : node) : float =
    poly node. *)
 let summarize_one (t : t) (n : node) : unit =
   let s = n.sum in
-  let sum f = List.fold_left (fun acc c -> acc + f c.sum) 0 n.children in
   match n.kind with
   | Deleted | Generic _ ->
       s.s_ir <- 0;
       s.s_b <- 0;
       s.n_c <- 0;
       s.candidate <- false;
-      s.p_i <- neg_infinity
+      s.pi.p_i <- neg_infinity
   | Cutoff _ ->
       let size = node_size t n in
-      s.s_ir <- size + sum (fun c -> c.s_ir);
+      s.s_ir <- sum_s_ir size n.children;
       s.s_b <- size;
       s.n_c <- 1;
       s.candidate <- not n.declined;
-      s.p_i <- (local_benefit t n /. float_of_int (max 1 size)) -. psi_r n
+      s.pi.p_i <- (cutoff_benefit n /. float_of_int (max 1 size)) -. psi_r n
   | Expanded _ | Poly _ ->
-      s.s_ir <- node_size t n + sum (fun c -> c.s_ir);
-      s.s_b <- sum (fun c -> c.s_b);
-      s.n_c <- sum (fun c -> c.n_c);
-      s.candidate <- List.exists (fun c -> c.sum.candidate) n.children;
-      s.p_i <-
-        List.fold_left
-          (fun acc c -> if c.sum.candidate then max acc c.sum.p_i else acc)
-          neg_infinity n.children
+      s.s_ir <- node_size t n;
+      s.s_b <- 0;
+      s.n_c <- 0;
+      s.candidate <- false;
+      s.pi.p_i <- neg_infinity;
+      add_children s n.children
 
 (* Bottom-up over a subtree. Nodes below a Deleted or Generic node are
    summarized too, though their parent ignores them. *)
@@ -402,7 +432,7 @@ let make_node (t : t) ~pnid ~tname ~kind ~call_vid ~owner ~site ~freq ~prob ~rec
     front = [];
     declined = false;
     unknown_size = None;
-    sum = { s_ir = 0; s_b = 0; n_c = 0; candidate = false; p_i = neg_infinity };
+    sum = { s_ir = 0; s_b = 0; n_c = 0; candidate = false; pi = { p_i = neg_infinity } };
   }
 
 (* Creates cutoff children for every call in [body] (the specialized copy
@@ -506,7 +536,7 @@ let expand_cutoff (t : t) (n : node) : bool =
   touch t;
   match n.kind with
   | Cutoff (Known m) ->
-      let depth = List.length (List.filter (( = ) m) n.ancestors) in
+      let depth = occurrences m 0 n.ancestors in
       if depth > t.params.rec_hard_limit then begin
         n.kind <- Generic "recursion depth limit";
         false

@@ -21,6 +21,9 @@ type kind =
   | Generic of string
   | Deleted
 
+(** P_I(n), Eq. 5, in an all-float record, which stores it unboxed. *)
+type priority = { mutable p_i : float }
+
 (** A node's subtree aggregates, refreshed bottom-up after each change to
     the tree (see {!summarize_path}). *)
 type summary = {
@@ -28,7 +31,7 @@ type summary = {
   mutable s_b : int;              (** S_b(n): size of the cutoff frontier *)
   mutable n_c : int;              (** N_c(n): cutoffs in the subtree *)
   mutable candidate : bool;       (** holds a cutoff not declined this phase *)
-  mutable p_i : float;            (** P_I(n), Eq. 5 *)
+  pi : priority;                  (** P_I(n) *)
 }
 
 type node = {

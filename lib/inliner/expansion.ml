@@ -25,16 +25,21 @@ open Calltree
 
 let psi_r = Calltree.psi_r
 
+(* The penalties and priorities are inlined where they are compared, so
+   their floats are never boxed; the maximum in ψ is [Stdlib.max]'s
+   [if a >= b then a else b], written out at type float. *)
+
 (* ψ(n), Eq. 7. *)
-let psi (t : t) (n : node) : float =
+let[@inline] psi (t : t) (n : node) : float =
   let p = t.params in
   let ncn = float_of_int (n_c t n) in
+  let softening = p.b2 -. (ncn *. ncn) in
   (p.p1 *. float_of_int (s_ir t n))
   +. (p.p2 *. float_of_int (s_b t n))
-  -. (p.b1 *. max 0.0 (p.b2 -. (ncn *. ncn)))
+  -. (p.b1 *. if 0.0 >= softening then 0.0 else softening)
 
-let intrinsic_priority (t : t) (n : node) : float = (summary t n).p_i
-let priority (t : t) (n : node) : float = intrinsic_priority t n -. psi t n
+let[@inline] intrinsic_priority (t : t) (n : node) : float = (summary t n).pi.p_i
+let[@inline] priority (t : t) (n : node) : float = intrinsic_priority t n -. psi t n
 
 (* The highest-priority child whose subtree holds a candidate cutoff; the
    first one wins ties. *)

@@ -85,11 +85,9 @@ let rec inline_node (t : t) (n : node) : int =
       let remap = Ir.Splice.inline_call ~caller:t.root_fn ~call_vid:n.call_vid ~callee:body in
       List.iter
         (fun (c : node) ->
-          (match Hashtbl.find_opt remap.vmap c.call_vid with
-          | Some v' -> c.call_vid <- v'
-          | None ->
-              (* the callsite was unreachable in the specialized body *)
-              c.kind <- Deleted);
+          let v' = remap.vmap.(c.call_vid) in
+          (* an unmapped callsite was unreachable in the specialized body *)
+          if v' = Ir.Splice.unmapped then c.kind <- Deleted else c.call_vid <- v';
           c.owner <- t.root_fn)
         n.children;
       record ();

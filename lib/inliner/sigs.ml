@@ -14,14 +14,6 @@ let strictly_more_precise (prog : program) ~(refined : ty) ~(declared : ty) : bo
   | Tobj a, Tobj b -> Ir.Program.is_subclass prog ~sub:a ~sup:b
   | _ -> false
 
-let digest (sg : spec) : string =
-  let part (cst, ty) =
-    Fmt.str "%a/%a"
-      (Fmt.option Ir.Printer.pp_const) cst
-      (Fmt.option Ir.Printer.pp_ty) ty
-  in
-  String.concat ";" (Array.to_list (Array.map part sg))
-
 (* Strictly better information: some parameter gained a constant or a more
    precise type, and none lost one. *)
 let improves (prog : program) ~(old_sig : spec) ~(new_sig : spec) : bool =

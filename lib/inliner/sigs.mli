@@ -9,9 +9,6 @@ type spec = (const option * ty option) array
 
 val strictly_more_precise : program -> refined:ty -> declared:ty -> bool
 
-val digest : spec -> string
-(** A stable printable key. *)
-
 val improves : program -> old_sig:spec -> new_sig:spec -> bool
 (** Strictly better information: some parameter gained a constant or a
     more precise type, and none lost one. *)

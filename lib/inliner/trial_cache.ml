@@ -9,17 +9,20 @@
    complete call graph is expensive"); this cache bounds the cost without
    changing any result — entries are immutable templates, copied on use.
 
-   Keys include the shallow/deep flag because the ablation variants
-   specialize differently. Sharing a cache across programs is invalid
-   (prepared bodies differ); the engine/benchmark layer creates one per
-   compiler instance. *)
+   An entry is keyed by the structure [(method, Some signature)], or
+   [(method, None)] for a disabled (shallow) trial, which ignores the
+   signature: the ablation variants specialize differently. The table
+   hashes and compares the signature itself, so a lookup prints and
+   allocates nothing beyond its key. Sharing a cache across programs is
+   invalid (prepared bodies differ); the engine/benchmark layer creates
+   one per compiler instance. *)
 
 open Ir.Types
 
 type entry = { template : fn; n_opts : int; n_a : int }
 
 type t = {
-  entries : (meth_id * string, entry) Hashtbl.t;
+  entries : (meth_id * Sigs.spec option, entry) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
   (* the cache binds to the first program it serves; templates from one
@@ -42,21 +45,23 @@ let bind (t : t) (prog : program) : unit =
 
 (* A disabled trial ignores the signature entirely, so all signatures
    share one entry. *)
-let key (m : meth_id) ~(enabled : bool) ~(sg : Sigs.spec) : meth_id * string =
-  (m, if enabled then "d:" ^ Sigs.digest sg else "s:")
+let key (m : meth_id) ~(enabled : bool) (sg : Sigs.spec) : meth_id * Sigs.spec option =
+  (m, if enabled then Some sg else None)
 
 let find (t : t) (m : meth_id) ~enabled ~sg : (fn * int * int) option =
-  match Hashtbl.find_opt t.entries (key m ~enabled ~sg) with
-  | Some { template; n_opts; n_a } ->
+  match Hashtbl.find t.entries (key m ~enabled sg) with
+  | { template; n_opts; n_a } ->
       t.hits <- t.hits + 1;
       Some (Ir.Fn.copy template, n_opts, n_a)
-  | None ->
+  | exception Not_found ->
       t.misses <- t.misses + 1;
       None
 
+(* The entry keeps its own copy of the signature: the caller's array is
+   not the cache's to hold. *)
 let store (t : t) (m : meth_id) ~enabled ~sg ~(body : fn) ~(n_opts : int) ~(n_a : int) :
     unit =
-  Hashtbl.replace t.entries (key m ~enabled ~sg)
+  Hashtbl.replace t.entries (key m ~enabled (Array.copy sg))
     { template = Ir.Fn.copy body; n_opts; n_a }
 
 let stats (t : t) = (t.hits, t.misses, Hashtbl.length t.entries)

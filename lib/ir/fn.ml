@@ -411,7 +411,8 @@ let iter_blocks f fn =
   Vec.iter (function Some blk -> f blk | None -> ()) fn.blocks
 
 let iter_instrs f fn =
-  iter_blocks (fun blk -> List.iter (fun v -> f (instr fn v)) blk.instrs) fn
+  let visit v = f (instr fn v) in
+  iter_blocks (fun blk -> List.iter visit blk.instrs) fn
 
 let fold_blocks f acc fn =
   Vec.fold_left (fun acc s -> match s with Some blk -> f acc blk | None -> acc) acc fn.blocks
@@ -508,19 +509,16 @@ let result_ty fn (k : instr_kind) = Instr.result_ty ~param_ty:(param_ty fn) k
    Kinds, terminators and the index's lists are immutable and shared. The
    copy starts with no cached analyses. *)
 let copy fn =
-  let copy_store f src =
-    let v = Vec.create ~dummy:None in
-    Vec.iter (fun s -> Vec.push v (Option.map f s)) src;
-    v
-  in
+  let copy_block (blk : block) = { blk with instrs = blk.instrs } in
+  let copy_instr (i : instr) = { i with kind = i.kind } in
   {
     fname = fn.fname;
     param_tys = Array.copy fn.param_tys;
     spec_tys = Array.copy fn.spec_tys;
     rty = fn.rty;
     entry = fn.entry;
-    blocks = copy_store (fun (blk : block) -> { blk with instrs = blk.instrs }) fn.blocks;
-    instrs = copy_store (fun (i : instr) -> { i with kind = i.kind }) fn.instrs;
+    blocks = Vec.map ~dummy:None (Option.map copy_block) fn.blocks;
+    instrs = Vec.map ~dummy:None (Option.map copy_instr) fn.instrs;
     has_users = fn.has_users;
     cfg = None;
     prepared = fn.prepared;

@@ -18,6 +18,12 @@ let operands (k : instr_kind) : vid list =
   | TypeTest { obj; _ } -> [ obj ]
   | Intrinsic (_, args) -> args
 
+let rec iter_inputs f = function
+  | [] -> ()
+  | (_, v) :: tl ->
+      f v;
+      iter_inputs f tl
+
 (* Calls [f] on each operand, in [operands] order, without allocating. *)
 let iter_operands (f : vid -> unit) (k : instr_kind) : unit =
   match k with
@@ -32,8 +38,23 @@ let iter_operands (f : vid -> unit) (k : instr_kind) : unit =
       f arr;
       f idx;
       f value
-  | Phi { inputs; _ } -> List.iter (fun (_, v) -> f v) inputs
+  | Phi { inputs; _ } -> iter_inputs f inputs
   | Call { args; _ } | Intrinsic (_, args) -> List.iter f args
+
+let rec for_all_inputs p = function [] -> true | (_, v) :: tl -> p v && for_all_inputs p tl
+
+(* [List.for_all p (operands k)], in the same order, without allocating. *)
+let for_all_operands (p : vid -> bool) (k : instr_kind) : bool =
+  match k with
+  | Const _ | Param _ | New _ -> true
+  | Unop (_, a) | GetField { obj = a; _ } | NewArray { len = a; _ } | ArrayLen a
+  | TypeTest { obj = a; _ } ->
+      p a
+  | Binop (_, a, b) | SetField { obj = a; value = b; _ } | ArrayGet { arr = a; idx = b; _ } ->
+      p a && p b
+  | ArraySet { arr; idx; value } -> p arr && p idx && p value
+  | Phi { inputs; _ } -> for_all_inputs p inputs
+  | Call { args; _ } | Intrinsic (_, args) -> List.for_all p args
 
 (* Rewrites every operand through [f], preserving structure. *)
 let map_operands (f : vid -> vid) (k : instr_kind) : instr_kind =
@@ -82,6 +103,17 @@ let is_removable (k : instr_kind) : bool =
 
 let has_side_effect (k : instr_kind) : bool = not (is_removable k)
 
+let unop_ty : unop -> ty = function Neg -> Tint | Not -> Tbool
+
+let binop_ty : binop -> ty = function
+  | Add | Sub | Mul | Div | Rem | Shl | Shr | Band | Bor | Bxor -> Tint
+  | Lt | Le | Gt | Ge | Eq | Ne | Andb | Orb | Xorb | Eqb -> Tbool
+
+let intrinsic_ty : intrinsic -> ty = function
+  | Iprint_int | Iprint_str | Iprint_bool -> Tunit
+  | Istr_len | Istr_get | Iabs | Imin | Imax -> Tint
+  | Istr_eq -> Tbool
+
 (* Result type of an instruction. [spec_tys] supplies parameter types;
    most kinds carry enough type information themselves. *)
 let result_ty ~(param_ty : int -> ty) (k : instr_kind) : ty =
@@ -92,12 +124,8 @@ let result_ty ~(param_ty : int -> ty) (k : instr_kind) : ty =
   | Const Cunit -> Tunit
   | Const Cnull -> Tobj (-1)  (* bottom-ish object type; refined by inference *)
   | Param i -> param_ty i
-  | Unop (Neg, _) -> Tint
-  | Unop (Not, _) -> Tbool
-  | Binop (op, _, _) -> (
-      match op with
-      | Add | Sub | Mul | Div | Rem | Shl | Shr | Band | Bor | Bxor -> Tint
-      | Lt | Le | Gt | Ge | Eq | Ne | Andb | Orb | Xorb | Eqb -> Tbool)
+  | Unop (op, _) -> unop_ty op
+  | Binop (op, _, _) -> binop_ty op
   | Phi { ty; _ } -> ty
   | Call { rty; _ } -> rty
   | New c -> Tobj c
@@ -108,11 +136,7 @@ let result_ty ~(param_ty : int -> ty) (k : instr_kind) : ty =
   | ArraySet _ -> Tunit
   | ArrayLen _ -> Tint
   | TypeTest _ -> Tbool
-  | Intrinsic (i, _) -> (
-      match i with
-      | Iprint_int | Iprint_str | Iprint_bool -> Tunit
-      | Istr_len | Istr_get | Iabs | Imin | Imax -> Tint
-      | Istr_eq -> Tbool)
+  | Intrinsic (i, _) -> intrinsic_ty i
 
 let is_call (k : instr_kind) : bool =
   match k with Call _ -> true | _ -> false

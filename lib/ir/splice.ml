@@ -21,11 +21,15 @@
 
 open Types
 
+(* The maps are indexed by callee id, which is dense; [unmapped] marks
+   an id with no counterpart (dead, or in an unreachable block). *)
 type remap = {
-  vmap : (vid, vid) Hashtbl.t;  (* callee vid -> caller vid *)
-  bmap : (bid, bid) Hashtbl.t;  (* callee bid -> caller bid *)
-  post : bid;                   (* the join block in the caller *)
+  vmap : vid array;  (* callee vid -> caller vid *)
+  bmap : bid array;  (* callee bid -> caller bid *)
+  post : bid;        (* the join block in the caller *)
 }
+
+let unmapped = -1
 
 let inline_call ~(caller : fn) ~(call_vid : vid) ~(callee : fn) : remap =
   let call_args, rty =
@@ -38,12 +42,10 @@ let inline_call ~(caller : fn) ~(call_vid : vid) ~(callee : fn) : remap =
   let post = Fn.split_block caller call_vid in
   (* 2. Copy callee blocks and instructions (reachable only). *)
   let reachable = Fn.reachable callee in
-  let bmap = Hashtbl.create 16 in
-  let vmap = Hashtbl.create 64 in
+  let bmap = Array.make (Support.Vec.length callee.blocks) unmapped in
+  let vmap = Array.make (Support.Vec.length callee.instrs) unmapped in
   Fn.iter_blocks
-    (fun b ->
-      if reachable b.b_id then
-        Hashtbl.replace bmap b.b_id (Fn.add_block caller))
+    (fun b -> if reachable b.b_id then bmap.(b.b_id) <- Fn.add_block caller)
     callee;
   (* pass 1: allocate ids; params map directly to arguments *)
   Fn.iter_blocks
@@ -55,21 +57,19 @@ let inline_call ~(caller : fn) ~(call_vid : vid) ~(callee : fn) : remap =
             | Param i ->
                 if i >= Array.length call_args then
                   invalid_arg "Splice.inline_call: arity mismatch";
-                Hashtbl.replace vmap v call_args.(i)
+                vmap.(v) <- call_args.(i)
             | _ ->
                 let fresh = Fn.fresh_instr caller (Const Cunit) (* placeholder kind *) in
-                Hashtbl.replace vmap v fresh.id)
+                vmap.(v) <- fresh.id)
           b.instrs)
     callee;
   let mv v =
-    match Hashtbl.find_opt vmap v with
-    | Some v' -> v'
-    | None -> invalid_arg (Printf.sprintf "Splice.inline_call: unmapped callee value v%d" v)
+    if v >= 0 && v < Array.length vmap && vmap.(v) <> unmapped then vmap.(v)
+    else invalid_arg (Printf.sprintf "Splice.inline_call: unmapped callee value v%d" v)
   in
   let mb b =
-    match Hashtbl.find_opt bmap b with
-    | Some b' -> b'
-    | None -> invalid_arg (Printf.sprintf "Splice.inline_call: unmapped callee block b%d" b)
+    if b >= 0 && b < Array.length bmap && bmap.(b) <> unmapped then bmap.(b)
+    else invalid_arg (Printf.sprintf "Splice.inline_call: unmapped callee block b%d" b)
   in
   (* pass 2: fill kinds with remapped operands and build block contents *)
   let returns = ref [] in

@@ -6,11 +6,17 @@
 
 open Types
 
+(** Both maps are indexed by callee id and hold {!unmapped} where the
+    callee id has no counterpart in the caller (a dead id, or one in an
+    unreachable block). *)
 type remap = {
-  vmap : (vid, vid) Hashtbl.t;  (** callee vid -> caller vid *)
-  bmap : (bid, bid) Hashtbl.t;  (** callee bid -> caller bid *)
-  post : bid;                   (** the join block created in the caller *)
+  vmap : vid array;  (** callee vid -> caller vid *)
+  bmap : bid array;  (** callee bid -> caller bid *)
+  post : bid;        (** the join block created in the caller *)
 }
+
+val unmapped : int
+(** [-1], the entry of a callee id with no counterpart. *)
 
 val inline_call : caller:fn -> call_vid:vid -> callee:fn -> remap
 (** Destroys [callee]'s independence (its reachable content is copied; the

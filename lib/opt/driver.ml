@@ -18,10 +18,30 @@ type stats = { mutable canon : int; mutable gvn : int; mutable dce : int }
    event. *)
 let simple_opt_count (s : stats) = s.canon + s.gvn
 
-(* A FIFO of ids with a membership bit per id, so an id is queued once. *)
-type queue = { q : int Queue.t; mutable member : Bytes.t }
+(* A FIFO of ids with a membership bit per id, so an id is queued once.
+   The ids wait in a ring buffer, oldest at [head], that doubles when
+   full. It starts at the body's size but at most [ring_start_max]
+   slots: an array over 256 words is allocated straight into the major
+   heap, where it outlives the call, and most bodies never queue that
+   many ids at once. *)
+type queue = {
+  mutable ring : int array;
+  mutable head : int;
+  mutable count : int;
+  mutable member : Bytes.t;
+}
 
-let queue () = { q = Queue.create (); member = Bytes.empty }
+let ring_start_max = 128
+
+let queue ~(size : int) =
+  {
+    ring = Array.make (max 1 (min ring_start_max size)) 0;
+    head = 0;
+    count = 0;
+    member = Bytes.make size '\000';
+  }
+
+let is_empty (w : queue) = w.count = 0
 
 let push (w : queue) (x : int) =
   let len = Bytes.length w.member in
@@ -32,11 +52,23 @@ let push (w : queue) (x : int) =
   end;
   if Bytes.get w.member x = '\000' then begin
     Bytes.set w.member x '\001';
-    Queue.add x w.q
+    let cap = Array.length w.ring in
+    if w.count = cap then begin
+      let ring = Array.make (2 * cap) 0 in
+      Array.blit w.ring w.head ring 0 (cap - w.head);
+      Array.blit w.ring 0 ring (cap - w.head) w.head;
+      w.ring <- ring;
+      w.head <- 0
+    end;
+    let tail = w.head + w.count in
+    w.ring.(if tail >= Array.length w.ring then tail - Array.length w.ring else tail) <- x;
+    w.count <- w.count + 1
   end
 
 let pop (w : queue) : int =
-  let x = Queue.pop w.q in
+  let x = w.ring.(w.head) in
+  w.head <- (if w.head + 1 = Array.length w.ring then 0 else w.head + 1);
+  w.count <- w.count - 1;
   Bytes.set w.member x '\000';
   x
 
@@ -51,16 +83,18 @@ let pop (w : queue) : int =
 let simplify (prog : program) (fn : fn) : stats =
   let stats = { canon = 0; gvn = 0; dce = 0 } in
   let env = Tyinfer.infer prog fn in
-  let instrs = queue () and blocks = queue () in
+  let instrs = queue ~size:(Support.Vec.length fn.instrs)
+  and blocks = queue ~size:(Support.Vec.length fn.blocks) in
+  let push_instr = push instrs and push_block = push blocks in
   Ir.Fn.iter_blocks
     (fun blk ->
-      List.iter (push instrs) blk.instrs;
-      push blocks blk.b_id)
+      List.iter push_instr blk.instrs;
+      push_block blk.b_id)
     fn;
   (* revisit what reads [v] *)
   let touch v =
-    List.iter (push instrs) (Ir.Fn.users fn v);
-    List.iter (push blocks) (Ir.Fn.term_users fn v)
+    List.iter push_instr (Ir.Fn.users fn v);
+    List.iter push_block (Ir.Fn.term_users fn v)
   in
   let retype seeds = List.iter touch (Tyinfer.retype prog fn env seeds) in
   (* a phase is dirty after an edit that may enable it *)
@@ -72,7 +106,7 @@ let simplify (prog : program) (fn : fn) : stats =
   let moved = ref [] and reinfer = ref [] in
   let replaced ~old_v ~new_v =
     let us = Ir.Fn.users fn old_v in
-    List.iter (push instrs) us;
+    List.iter push_instr us;
     let phis = List.filter is_phi us in
     (* a phi reading [new_v] on every edge is trivial *)
     if phis <> [] then cfg_dirty := true;
@@ -80,7 +114,7 @@ let simplify (prog : program) (fn : fn) : stats =
     moved := new_v :: !moved
   in
   let settle () =
-    List.iter (fun v -> List.iter (push blocks) (Ir.Fn.term_users fn v)) (List.rev !moved);
+    List.iter (fun v -> List.iter push_block (Ir.Fn.term_users fn v)) (List.rev !moved);
     moved := [];
     retype (List.rev !reinfer);
     reinfer := []
@@ -112,7 +146,7 @@ let simplify (prog : program) (fn : fn) : stats =
             Ir.Fn.delete_instr fn v
         | Op k ->
             Ir.Fn.set_kind fn v k;
-            push instrs v;
+            push_instr v;
             touch v;
             reinfer := v :: !reinfer);
         settle ()
@@ -130,12 +164,12 @@ let simplify (prog : program) (fn : fn) : stats =
     (* watchdog checkpoint: the fn is structurally consistent here *)
     Support.Fuel.spend 1;
     edits := 0;
-    while not (Queue.is_empty instrs.q && Queue.is_empty blocks.q) do
-      while not (Queue.is_empty instrs.q) do
+    while not (is_empty instrs && is_empty blocks) do
+      while not (is_empty instrs) do
         let v = pop instrs in
         if Ir.Fn.block_of fn v >= 0 then visit v
       done;
-      while Queue.is_empty instrs.q && not (Queue.is_empty blocks.q) do
+      while is_empty instrs && not (is_empty blocks) do
         let b = pop blocks in
         if Ir.Fn.block_live fn b then prune b
       done

@@ -33,32 +33,36 @@ let key_of (k : instr_kind) : key option =
   | Intrinsic (i, args) when Ir.Instr.is_pure k -> Some (Kintrinsic (i, args))
   | _ -> None
 
+(* The keys a block added to [table] sit on [scope] above the height it
+   found, and leave, newest first, once its dominator subtree is done. *)
 let run ?(replaced = fun ~old_v:_ ~new_v:_ -> ()) (fn : fn) : int =
   let doms = Ir.Dominators.compute fn in
   let table : (key, vid) Hashtbl.t = Hashtbl.create 64 in
+  let scope : key Support.Vec.t = Support.Vec.create ~dummy:(Karraylen (-1)) in
   let count = ref 0 in
+  let visit v =
+    if Ir.Fn.instr_live fn v then
+      match key_of (Ir.Fn.kind fn v) with
+      | Some key -> (
+          match Hashtbl.find table key with
+          | v' when v' <> v ->
+              replaced ~old_v:v ~new_v:v';
+              Ir.Fn.replace_uses fn ~old_v:v ~new_v:v';
+              Ir.Fn.delete_instr fn v;
+              incr count
+          | _ -> ()
+          | exception Not_found ->
+              Hashtbl.add table key v;
+              Support.Vec.push scope key)
+      | None -> ()
+  in
   let rec walk (b : bid) =
-    let blk = Ir.Fn.block fn b in
-    let added = ref [] in
-    List.iter
-      (fun v ->
-        if Ir.Fn.instr_live fn v then
-          match key_of (Ir.Fn.kind fn v) with
-          | Some key -> (
-              match Hashtbl.find_opt table key with
-              | Some v' when v' <> v ->
-                  replaced ~old_v:v ~new_v:v';
-                  Ir.Fn.replace_uses fn ~old_v:v ~new_v:v';
-                  Ir.Fn.delete_instr fn v;
-                  incr count
-              | Some _ -> ()
-              | None ->
-                  Hashtbl.add table key v;
-                  added := key :: !added)
-          | None -> ())
-      blk.instrs;
+    let height = Support.Vec.length scope in
+    List.iter visit (Ir.Fn.block fn b).instrs;
     List.iter walk (Ir.Dominators.children doms b);
-    List.iter (fun key -> Hashtbl.remove table key) !added
+    while Support.Vec.length scope > height do
+      Hashtbl.remove table (Support.Vec.pop scope)
+    done
   in
   walk fn.entry;
   !count

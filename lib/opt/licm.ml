@@ -73,6 +73,7 @@ let hoist_loop (fn : fn) (l : Ir.Loops.loop) : int =
   (* fixpoint: invariant = hoistable and all operands defined outside or
      invariant *)
   let invariant : (vid, unit) Hashtbl.t = Hashtbl.create 8 in
+  let outside_or_invariant o = (not (in_loop_def o)) || Hashtbl.mem invariant o in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -82,12 +83,7 @@ let hoist_loop (fn : fn) (l : Ir.Loops.loop) : int =
           (fun v ->
             if not (Hashtbl.mem invariant v) then
               let k = Ir.Fn.kind fn v in
-              if
-                hoistable k
-                && List.for_all
-                     (fun o -> (not (in_loop_def o)) || Hashtbl.mem invariant o)
-                     (Ir.Instr.operands k)
-              then begin
+              if hoistable k && Ir.Instr.for_all_operands outside_or_invariant k then begin
                 Hashtbl.replace invariant v ();
                 changed := true
               end)
@@ -102,6 +98,7 @@ let hoist_loop (fn : fn) (l : Ir.Loops.loop) : int =
         (* move in an order where operands precede users: repeatedly take
            instructions whose invariant operands have already moved *)
         let moved : (vid, unit) Hashtbl.t = Hashtbl.create 8 in
+        let ready o = (not (Hashtbl.mem invariant o)) || Hashtbl.mem moved o in
         let progress = ref true in
         while !progress do
           progress := false;
@@ -111,11 +108,7 @@ let hoist_loop (fn : fn) (l : Ir.Loops.loop) : int =
                 (fun v ->
                   if Hashtbl.mem invariant v && not (Hashtbl.mem moved v) then
                     let k = Ir.Fn.kind fn v in
-                    if
-                      List.for_all
-                        (fun o -> (not (Hashtbl.mem invariant o)) || Hashtbl.mem moved o)
-                        (Ir.Instr.operands k)
-                    then begin
+                    if Ir.Instr.for_all_operands ready k then begin
                       Ir.Fn.unplace fn v;
                       Ir.Fn.place fn ph [ v ];
                       Hashtbl.replace moved v ();

@@ -22,104 +22,109 @@ open Ir.Types
 
 type cell = { base : vid; slot : int }
 
+let default_const (t : ty) : const option =
+  match t with
+  | Tint -> Some (Cint 0)
+  | Tbool -> Some (Cbool false)
+  | Tstring -> Some (Cstring "")
+  | Tunit -> Some Cunit
+  | Tarray _ | Tobj _ -> Some Cnull
+
+(* The tables are made once per run and cleared per block: a round runs
+   this over the whole root, so a block with no field traffic should
+   allocate nothing. Only removals iterate [known] and [last_store], so
+   the clearing (which keeps the bucket arrays) and the in-place filters
+   leave exactly the contents that fresh tables and copies would. *)
 let run (prog : program) (fn : fn) : int =
   ignore prog;
   let eliminated = ref 0 in
+  let known : (cell, vid) Hashtbl.t = Hashtbl.create 16 in
+  (* fresh allocations in this block that have not escaped yet; maps the
+     vid to the set of slots that have been stored *)
+  let fresh : (vid, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
+  let last_store : (cell, vid) Hashtbl.t = Hashtbl.create 16 in
+  let dead_stores = ref [] in
+  let escape v = Hashtbl.remove fresh v in
+  let kill_slot ~(except : vid) slot =
+    Hashtbl.filter_map_inplace
+      (fun cell v ->
+        if cell.slot = slot && cell.base <> except && not (Hashtbl.mem fresh cell.base) then
+          None
+        else Some v)
+      known
+  in
+  let visit v =
+    if Ir.Fn.instr_live fn v then
+      let i = Ir.Fn.instr fn v in
+      match i.kind with
+      | New _ -> Hashtbl.replace fresh v (Hashtbl.create 4)
+      | SetField { obj; slot; value; _ } ->
+          let cell = { base = obj; slot } in
+          (* dead store: a previous store to the same cell with no
+             intervening load/call (calls clear [last_store]) *)
+          (match Hashtbl.find_opt last_store cell with
+          | Some prev -> dead_stores := prev :: !dead_stores
+          | None -> ());
+          Hashtbl.replace last_store cell v;
+          Hashtbl.replace known cell value;
+          kill_slot ~except:obj slot;
+          (match Hashtbl.find_opt fresh obj with
+          | Some written -> Hashtbl.replace written slot ()
+          | None -> ());
+          (* storing an object INTO a field lets it escape *)
+          escape value
+      | GetField { obj; slot; fty; _ } -> (
+          (* a load through any base may observe stores through an
+             aliasing base: keep earlier stores to this slot alive *)
+          Hashtbl.filter_map_inplace
+            (fun (cell : cell) prev -> if cell.slot = slot then None else Some prev)
+            last_store;
+          let cell = { base = obj; slot } in
+          match Hashtbl.find_opt known cell with
+          | Some stored ->
+              Ir.Fn.replace_uses fn ~old_v:v ~new_v:stored;
+              Ir.Fn.delete_instr fn v;
+              incr eliminated
+          | None -> (
+              match Hashtbl.find_opt fresh obj with
+              | Some written when not (Hashtbl.mem written slot) -> (
+                  match default_const fty with
+                  | Some c ->
+                      Ir.Fn.set_kind fn v (Const c);
+                      incr eliminated
+                  | None -> ())
+              | _ ->
+                  (* remember the loaded value; a second load forwards *)
+                  Hashtbl.replace known cell v))
+      | Call { args; _ } ->
+          List.iter escape args;
+          Hashtbl.clear known;
+          Hashtbl.clear fresh;
+          Hashtbl.clear last_store
+      | ArraySet { value; _ } -> escape value
+      | Phi { inputs; _ } -> List.iter (fun (_, pv) -> escape pv) inputs
+      | NewArray _ | ArrayGet _ | ArrayLen _ | Const _ | Param _ | Unop _
+      | Binop _ | TypeTest _ -> ()
+      | Intrinsic _ -> ()
+  in
+  let delete_dead v =
+    if Ir.Fn.instr_live fn v then begin
+      Ir.Fn.delete_instr fn v;
+      incr eliminated
+    end
+  in
   Ir.Fn.iter_blocks
     (fun blk ->
-      let known : (cell, vid) Hashtbl.t = Hashtbl.create 16 in
-      (* fresh allocations in this block that have not escaped yet; maps the
-         vid to the set of slots that have been stored *)
-      let fresh : (vid, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
-      let default_const (t : ty) : const option =
-        match t with
-        | Tint -> Some (Cint 0)
-        | Tbool -> Some (Cbool false)
-        | Tstring -> Some (Cstring "")
-        | Tunit -> Some Cunit
-        | Tarray _ | Tobj _ -> Some Cnull
-      in
-      let escape v =
-        Hashtbl.remove fresh v
-      in
-      let kill_all () =
-        Hashtbl.reset known;
-        Hashtbl.reset fresh
-      in
-      let kill_slot ~(except : vid) slot =
-        Hashtbl.iter
-          (fun cell _ ->
-            if cell.slot = slot && cell.base <> except && not (Hashtbl.mem fresh cell.base)
-            then Hashtbl.remove known cell)
-          (Hashtbl.copy known)
-      in
-      let dead_stores = ref [] in
-      let last_store : (cell, vid) Hashtbl.t = Hashtbl.create 16 in
-      List.iter
-        (fun v ->
-          if Ir.Fn.instr_live fn v then
-            let i = Ir.Fn.instr fn v in
-            match i.kind with
-            | New _ -> Hashtbl.replace fresh v (Hashtbl.create 4)
-            | SetField { obj; slot; value; _ } ->
-                (* dead store: a previous store to the same cell with no
-                   intervening load/call (calls reset [last_store]) *)
-                (match Hashtbl.find_opt last_store { base = obj; slot } with
-                | Some prev -> dead_stores := prev :: !dead_stores
-                | None -> ());
-                Hashtbl.replace last_store { base = obj; slot } v;
-                Hashtbl.replace known { base = obj; slot } value;
-                kill_slot ~except:obj slot;
-                (match Hashtbl.find_opt fresh obj with
-                | Some written -> Hashtbl.replace written slot ()
-                | None -> ());
-                (* storing an object INTO a field lets it escape *)
-                escape value
-            | GetField { obj; slot; fty; _ } -> (
-                (* a load through any base may observe stores through an
-                   aliasing base: keep earlier stores to this slot alive *)
-                Hashtbl.iter
-                  (fun (cell : cell) _ ->
-                    if cell.slot = slot then Hashtbl.remove last_store cell)
-                  (Hashtbl.copy last_store);
-                match Hashtbl.find_opt known { base = obj; slot } with
-                | Some stored ->
-                    Ir.Fn.replace_uses fn ~old_v:v ~new_v:stored;
-                    Ir.Fn.delete_instr fn v;
-                    incr eliminated
-                | None -> (
-                    match Hashtbl.find_opt fresh obj with
-                    | Some written when not (Hashtbl.mem written slot) -> (
-                        match default_const fty with
-                        | Some c ->
-                            Ir.Fn.set_kind fn v (Const c);
-                            incr eliminated
-                        | None -> ())
-                    | _ ->
-                        (* remember the loaded value; a second load forwards *)
-                        Hashtbl.replace known { base = obj; slot } v))
-            | Call { args; _ } ->
-                List.iter escape args;
-                kill_all ();
-                Hashtbl.reset last_store
-            | ArraySet { value; _ } -> escape value
-            | Phi { inputs; _ } -> List.iter (fun (_, pv) -> escape pv) inputs
-            | NewArray _ | ArrayGet _ | ArrayLen _ | Const _ | Param _ | Unop _
-            | Binop _ | TypeTest _ -> ()
-            | Intrinsic _ -> ())
-        blk.instrs;
+      Hashtbl.clear known;
+      Hashtbl.clear fresh;
+      Hashtbl.clear last_store;
+      dead_stores := [];
+      List.iter visit blk.instrs;
       (* a value still counted fresh at block end escapes via the
          terminator or later blocks; dead stores collected above are safe
          only if the cell was overwritten in the same block before any
-         call/load — which the [last_store] discipline guarantees *)
-      List.iter
-        (fun v ->
-          if Ir.Fn.instr_live fn v then begin
-            Ir.Fn.delete_instr fn v;
-            incr eliminated
-          end)
-        !dead_stores;
-      (* escaping via Return: nothing to do — freshness is block-local *)
-      ignore (Ir.Fn.term fn blk.b_id))
+         call/load — which the [last_store] discipline guarantees;
+         escaping via Return needs nothing: freshness is block-local *)
+      List.iter delete_dead !dead_stores)
     fn;
   !eliminated

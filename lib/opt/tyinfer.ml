@@ -25,9 +25,19 @@ type vt =
   | Vt_arr of ty
   | Vt_top
 
+(* One shared value per primitive lattice point, so typing a primitive
+   value allocates nothing. *)
+let vt_int = Vt_prim Tint
+let vt_bool = Vt_prim Tbool
+let vt_unit = Vt_prim Tunit
+let vt_string = Vt_prim Tstring
+
 let of_ty (t : ty) : vt =
   match t with
-  | Tint | Tbool | Tunit | Tstring -> Vt_prim t
+  | Tint -> vt_int
+  | Tbool -> vt_bool
+  | Tunit -> vt_unit
+  | Tstring -> vt_string
   | Tarray e -> Vt_arr e
   | Tobj c when c < 0 -> Vt_null
   | Tobj c -> Vt_obj { cls = c; exact = false; nonnull = false }
@@ -69,46 +79,48 @@ let get (env : env) (v : vid) : vt = if v < Array.length env.vts then env.vts.(v
 
 let transfer (prog : program) (fn : fn) (env : env) (i : instr) : vt =
   match i.kind with
-  | Const (Cint _) -> Vt_prim Tint
-  | Const (Cbool _) -> Vt_prim Tbool
-  | Const (Cstring _) -> Vt_prim Tstring
-  | Const Cunit -> Vt_prim Tunit
+  | Const (Cint _) -> vt_int
+  | Const (Cbool _) -> vt_bool
+  | Const (Cstring _) -> vt_string
+  | Const Cunit -> vt_unit
   | Const Cnull -> Vt_null
   | Param k ->
       if k < Array.length fn.spec_tys then of_ty fn.spec_tys.(k) else Vt_top
-  | Unop _ | Binop _ -> of_ty (Ir.Fn.result_ty fn i.kind)
+  | Unop (op, _) -> of_ty (Ir.Instr.unop_ty op)
+  | Binop (op, _, _) -> of_ty (Ir.Instr.binop_ty op)
   | Phi { inputs; _ } ->
       List.fold_left (fun acc (_, v) -> join prog acc (get env v)) Vt_bot inputs
   | Call { rty; _ } -> of_ty rty
   | New c -> Vt_obj { cls = c; exact = true; nonnull = true }
   | GetField { fty; _ } -> of_ty fty
-  | SetField _ -> Vt_prim Tunit
+  | SetField _ -> vt_unit
   | NewArray { ety; _ } -> Vt_arr ety
   | ArrayGet { ety; _ } -> of_ty ety
-  | ArraySet _ -> Vt_prim Tunit
-  | ArrayLen _ -> Vt_prim Tint
-  | TypeTest _ -> Vt_prim Tbool
-  | Intrinsic _ -> of_ty (Ir.Fn.result_ty fn i.kind)
+  | ArraySet _ -> vt_unit
+  | ArrayLen _ -> vt_int
+  | TypeTest _ -> vt_bool
+  | Intrinsic (f, _) -> of_ty (Ir.Instr.intrinsic_ty f)
 
 (* One sweep types every instruction; a non-phi's type depends only on its
    kind, so after it only phis can still rise, and they are re-joined from
-   a worklist fed by the users of values whose type rose. The lattice has
-   finite height (class hierarchy depth), so this terminates quickly. *)
+   a worklist fed by the phi users of values whose type rose. The lattice
+   has finite height (class hierarchy depth), so this terminates quickly. *)
 let infer (prog : program) (fn : fn) : env =
   let env = { vts = Array.make (Support.Vec.length fn.instrs) Vt_bot } in
   let work = Queue.create () in
+  let queue_phi u = if Ir.Instr.is_phi (Ir.Fn.kind fn u) then Queue.add u work in
   let raise_to (i : instr) =
     let ov = env.vts.(i.id) in
     let joined = join prog ov (transfer prog fn env i) in
     if joined <> ov then begin
       env.vts.(i.id) <- joined;
-      List.iter (fun u -> Queue.add u work) (Ir.Fn.users fn i.id)
+      List.iter queue_phi (Ir.Fn.users fn i.id)
     end
   in
   Ir.Fn.iter_instrs raise_to fn;
   while not (Queue.is_empty work) do
     let i = Ir.Fn.instr fn (Queue.pop work) in
-    if Ir.Instr.is_phi i.kind && i.block >= 0 then raise_to i
+    if i.block >= 0 then raise_to i
   done;
   env
 

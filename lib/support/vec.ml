@@ -77,3 +77,12 @@ let of_list ~dummy xs =
   v
 
 let copy v = { data = Array.sub v.data 0 (Array.length v.data); len = v.len; dummy = v.dummy }
+
+(* One array of the source's capacity, filled once: no growth by
+   doubling. *)
+let map ~dummy f v =
+  let data = Array.make (Array.length v.data) dummy in
+  for i = 0 to v.len - 1 do
+    data.(i) <- f v.data.(i)
+  done;
+  { data; len = v.len; dummy }

@@ -28,3 +28,7 @@ val exists : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
 val of_list : dummy:'a -> 'a list -> 'a t
 val copy : 'a t -> 'a t
+
+val map : dummy:'b -> ('a -> 'b) -> 'a t -> 'b t
+(** [map ~dummy f v] applies [f] to every element, in index order, into
+    one array of [v]'s capacity. *)

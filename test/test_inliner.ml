@@ -742,6 +742,39 @@ let cache_tests =
         | exception Invalid_argument msg ->
             Alcotest.(check bool) "message" true
               (contains_substring ~needle:"span programs" msg));
+    (* entries are keyed by the signature's structure, so a lookup builds
+       and hashes a small key and prints nothing *)
+    test "a trial-cache miss prints nothing" (fun () ->
+        let open Ir.Types in
+        let sg () =
+          [| (Some (Cint 3), None); (None, Some (Tobj 2)); (Some (Cstring "a;b"), Some Tstring) |]
+        in
+        let cache = Inliner.Trial_cache.create () in
+        let probe = sg () in
+        ignore (Inliner.Trial_cache.find cache 7 ~enabled:true ~sg:probe);
+        let before = Gc.minor_words () in
+        let miss = Inliner.Trial_cache.find cache 7 ~enabled:true ~sg:probe in
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check bool) "a miss" true (miss = None);
+        if words >= 16. then Alcotest.failf "a miss allocated %.0f words" words;
+        (* the entry keeps its own copy of the signature, and an equal
+           signature in another array finds it *)
+        let body = Ir.Fn.create ~fname:"t" ~param_tys:[| Tint; Tobj 2; Tstring |] ~rty:Tint in
+        let stored = sg () in
+        Inliner.Trial_cache.store cache 7 ~enabled:true ~sg:stored ~body ~n_opts:2 ~n_a:1;
+        stored.(0) <- (None, None);
+        let found ~enabled m sg = Inliner.Trial_cache.find cache m ~enabled ~sg <> None in
+        Alcotest.(check bool) "an equal signature hits" true (found ~enabled:true 7 (sg ()));
+        Alcotest.(check bool) "another signature misses" false
+          (found ~enabled:true 7 [| (Some (Cint 4), None); (None, Some (Tobj 2)); (None, None) |]);
+        Alcotest.(check bool) "another method misses" false (found ~enabled:true 8 (sg ()));
+        Alcotest.(check bool) "a disabled trial has its own entry" false
+          (found ~enabled:false 7 (sg ()));
+        Inliner.Trial_cache.store cache 7 ~enabled:false ~sg:(sg ()) ~body ~n_opts:0 ~n_a:0;
+        Alcotest.(check bool) "which ignores the signature" true
+          (found ~enabled:false 7 [||]);
+        Alcotest.(check (triple int int int)) "hits, misses, entries" (2, 5, 2)
+          (Inliner.Trial_cache.stats cache));
     test "cache templates are isolated from later mutation" (fun () ->
         let src =
           {|def g(x: Int): Int = x * 2 + 1

@@ -555,6 +555,29 @@ let rwelim_tests =
         let vm = Runtime.Interp.create prog in
         ignore (Runtime.Interp.run_main vm);
         Alcotest.(check string) "out" "3\n" (Runtime.Interp.output vm));
+    (* every inlining round runs the pass over the whole root, so a block
+       with no field traffic must cost no tables and no closures *)
+    test "read-write elimination makes no table per block" (fun () ->
+        let blocks = 1_000 in
+        let fn = Ir.Fn.create ~fname:"chain" ~param_tys:[||] ~rty:Tint in
+        let ids = Array.init blocks (fun _ -> Ir.Fn.add_block fn) in
+        fn.entry <- ids.(0);
+        let acc = ref (Ir.Fn.append fn ids.(0) (Const (Cint 0))) in
+        Array.iteri
+          (fun i b ->
+            let one = Ir.Fn.append fn b (Const (Cint 1)) in
+            acc := Ir.Fn.append fn b (Binop (Add, !acc, one));
+            Ir.Fn.set_term fn b (if i + 1 < blocks then Goto ids.(i + 1) else Return !acc))
+          ids;
+        check_verifies fn;
+        let prog = compile "def main(): Unit = ()" in
+        ignore (Opt.Rwelim.run prog fn);
+        let before = Gc.minor_words () in
+        let n = Opt.Rwelim.run prog fn in
+        let per_block = (Gc.minor_words () -. before) /. float_of_int blocks in
+        Alcotest.(check int) "nothing to eliminate" 0 n;
+        if per_block >= 16. then
+          Alcotest.failf "a second run allocated %.1f words a block" per_block);
   ]
 
 let scalarrepl_tests =
