@@ -128,8 +128,23 @@ type meth_state = {
      and the method re-profiles before recompiling *)
   mutable evicts : int;
   (* cache evictions: drives the re-hot backoff, so a cache-thrashing
-     method converges to the prepared tier instead of churning *)
+     method converges to the interpreted tier instead of churning *)
   mutable first_hot : int;   (* first hot trigger at [vm.cycles]; -1: never *)
+  mutable time_to_peak : int;
+  (* cycles from [first_hot] to the first install (includes queue wait);
+     -1: none yet *)
+  mutable origin : osr_origin option;  (* [Some] for a synthetic continuation *)
+}
+
+(* One OSR site, a loop header of a method, as both directions see it. *)
+type osr_site = {
+  mutable enter : Runtime.Interp.osr_transfer option;
+  (* the registered enter transfer; one per site, ever *)
+  mutable refused : bool;  (* memoized refusal of the enter direction *)
+  mutable gate : int;      (* block count gating the next enter/compile attempt *)
+  mutable exits : (fn * Runtime.Interp.osr_transfer option) list;
+  (* exit continuations keyed by the physical stale body; [None] memoizes
+     "not extractable — keep running stale code" *)
 }
 
 type t = {
@@ -147,24 +162,15 @@ type t = {
      None: unlimited *)
   compile_fuel : int option;
   (* --- on-stack replacement (the long-running-loop path) --- *)
-  osr : bool;                      (* enter/exit machinery armed *)
   osr_threshold : int;
   (* block (≈ backedge) count that makes a loop hot: OSR-enters an
      interpreted frame mid-invocation and, folded into [on_entry]'s
      trigger, promotes a single-invocation hot-loop method at its next
-     call. Finite even when [osr] is off (the trigger fix stands alone). *)
-  osr_sites : (meth_id * bid, Runtime.Interp.osr_transfer) Hashtbl.t;
-  (* (source, header) -> registered enter transfer; one per site, ever *)
-  osr_meta : (meth_id, osr_origin) Hashtbl.t;      (* synthetic -> origin *)
-  osr_no : (meth_id * bid, unit) Hashtbl.t;        (* memoized refusals *)
-  osr_cooldown : (meth_id * bid, int) Hashtbl.t;
-  (* block count gating the next enter/compile attempt at a site *)
+     call. Finite even when OSR is off (the trigger fix stands alone). *)
+  osr_sites : (meth_id * bid, osr_site) Hashtbl.t;  (* by (method, header) *)
   loop_cache : (meth_id, (fn * Ir.Loops.t) list) Hashtbl.t;
   (* loop forests per method, matched by physical body (a method has at
      most a handful of live bodies: interpreted, installed, stale) *)
-  exit_conts : (meth_id * bid, (fn * Runtime.Interp.osr_transfer option) list) Hashtbl.t;
-  (* per (method, header): exit continuations keyed by the physical stale
-     body; [None] memoizes "not extractable — keep running stale code" *)
   mutable osr_uid : int;           (* synthetic-name uniquifier *)
   mutable osr_enters : int;
   mutable osr_exits : int;
@@ -180,9 +186,6 @@ type t = {
   mutable evictions : int;
   mutable sheds : int;             (* compile requests shed by admission control *)
   mutable queue_waits : int list;  (* serviced requests' waits, most recent first *)
-  mutable ttp : (meth_id * int) list;
-  (* time-to-peak per method: cycles from first hot-trigger to first
-     install (includes queue wait) *)
   mutable timeline : timeline option;
   (* time-series sampling; [None] (default) costs one match per entry *)
 }
@@ -203,7 +206,7 @@ let default_osr_threshold (config : config) : int =
 
 let fresh_state () : meth_state =
   { blacklisted = false; failures = 0; recompiles = 0; cooldown = 0; misses = 0;
-    evicts = 0; first_hot = -1 }
+    evicts = 0; first_hot = -1; time_to_peak = -1; origin = None }
 
 (* [m]'s record. Methods can be added after the engine was created (OSR
    continuations, tests), so the table grows on demand. *)
@@ -277,7 +280,9 @@ let stats (t : t) : stats =
       List.filter (fun m -> t.meths.(m).blacklisted) (List.init (Array.length t.meths) Fun.id);
     osr_enters = t.osr_enters;
     osr_exits = t.osr_exits;
-    osr_methods = Hashtbl.length t.osr_meta;
+    osr_methods =
+      Array.fold_left (fun acc st -> if Option.is_some st.origin then acc + 1 else acc)
+        0 t.meths;
     sheds = t.sheds;
     evictions = t.evictions;
     evict_max = Array.fold_left (fun acc st -> max acc st.evicts) 0 t.meths;
@@ -286,7 +291,11 @@ let stats (t : t) : stats =
     cache_resident =
       (match t.serve_cache with Some c -> Codecache.resident c | None -> compiled);
     queue_waits = List.sort compare t.queue_waits;
-    ttp = List.sort compare (List.map snd t.ttp);
+    ttp =
+      List.sort compare
+        (Array.fold_left
+           (fun acc st -> if st.time_to_peak >= 0 then st.time_to_peak :: acc else acc)
+           [] t.meths);
   }
 
 let bailout_stats = stats
@@ -372,31 +381,37 @@ let settled (t : t) (m : meth_id) : bool = installed t m || (state t m).blacklis
 
 (* ---------- install and retire ---------- *)
 
+(* The OSR site of [key], a (method, loop header), created on first use. *)
+let site (t : t) (key : meth_id * bid) : osr_site =
+  match Hashtbl.find_opt t.osr_sites key with
+  | Some s -> s
+  | None ->
+      let s = { enter = None; refused = false; gate = 0; exits = [] } in
+      Hashtbl.replace t.osr_sites key s;
+      s
+
 (* The one retire path, shared by cache eviction and invalidation: drop
-   [m]'s installed code, send it back to the prepared tier with a clean
-   miss slate, and gate its recompilation [cooldown] invocations out.
-   With OSR armed, running compiled frames of [m] wake at their next loop
-   header (they re-validate against the moved epoch and take the
-   OSR-exit path); a synthetic continuation additionally backs its enter
-   site off so the loop does not thrash re-entering. *)
+   [m]'s installed code, send it back to the interpreted tier with a
+   clean miss slate, and gate its recompilation [cooldown] invocations
+   out. Running compiled frames of [m] now run stale code, which they
+   see at their next loop header (and, with OSR armed, take the OSR-exit
+   path); a synthetic continuation additionally backs its enter site off
+   so the loop does not thrash re-entering. *)
 let retire (t : t) (m : meth_id) ~(cooldown : int) : unit =
   Runtime.Interp.set_installed t.vm m None;
   let st = state t m in
   st.misses <- 0;
   st.cooldown <- Support.Sat.add (invocations t m) cooldown;
-  if t.osr then begin
-    t.vm.deopt_epoch <- t.vm.deopt_epoch + 1;
-    match Hashtbl.find_opt t.osr_meta m with
-    | Some o ->
-        Hashtbl.replace t.osr_cooldown (o.od_src, o.od_bid)
-          (Support.Sat.add (block_count t o.od_src o.od_bid) t.osr_threshold)
-    | None -> ()
-  end
+  match st.origin with
+  | Some o ->
+      (site t (o.od_src, o.od_bid)).gate <-
+        Support.Sat.add (block_count t o.od_src o.od_bid) t.osr_threshold
+  | None -> ()
 
 (* Bounded-cache retirement. Capacity pressure, not a speculation
    failure: it consumes no [max_recompiles] budget; instead the victim's
    recompilation gate backs off per eviction, so a method the cache
-   cannot hold converges to the prepared tier instead of churning. *)
+   cannot hold converges to the interpreted tier instead of churning. *)
 let evict (t : t) (v : meth_id) : unit =
   let size =
     match Runtime.Interp.installed t.vm v with Some fn -> Ir.Fn.size fn | None -> 0
@@ -428,7 +443,7 @@ let invalidate (t : t) (m : meth_id) ~(misses : int) : unit =
 
 let install (t : t) (m : meth_id) (body : fn) : unit =
   let size = Ir.Fn.size body in
-  (* the tier for this method changed: this also drops its prepared code *)
+  (* the tier for this method changed: this also empties its code slot *)
   Runtime.Interp.set_installed t.vm m (Some body);
   let st = state t m in
   (* a fresh body starts with a clean speculation slate: misses recorded
@@ -438,9 +453,9 @@ let install (t : t) (m : meth_id) (body : fn) : unit =
   t.compilations <- { cm = m; size; at_cycles = t.vm.cycles } :: t.compilations;
   (* ramp accounting: cycles from the method's first hot-trigger to its
      first install (covers queue wait) *)
-  if st.first_hot >= 0 && not (List.mem_assoc m t.ttp) then begin
+  if st.first_hot >= 0 && st.time_to_peak < 0 then begin
     let d = Support.Sat.sub t.vm.cycles st.first_hot in
-    t.ttp <- (m, d) :: t.ttp;
+    st.time_to_peak <- d;
     Obs.Metrics.observe m_ttp d
   end;
   Obs.Metrics.incr m_installs;
@@ -611,12 +626,12 @@ let register_extraction (t : t) ~(src_m : meth_id) ~(header : bid) ~(depth : int
         c := !c + n
       end)
     x.Ir.Osr.x_fn;
-  Hashtbl.replace t.osr_meta om { od_src = src_m; od_bid = header; od_depth = depth };
   (* the continuation inherits its parent's failure budget: a method that
      is backing off or blacklisted must not get a fresh budget by way of
      extraction — before this, a blacklisted method could keep burning
      compile fuel through its synthetic continuations *)
   let src = state t src_m and st = state t om in
+  st.origin <- Some { od_src = src_m; od_bid = header; od_depth = depth };
   st.failures <- src.failures;
   st.blacklisted <- src.blacklisted;
   { osr_target = om; osr_live_ins = x.Ir.Osr.x_live_ins; osr_phis = x.Ir.Osr.x_phis }
@@ -626,9 +641,7 @@ let register_extraction (t : t) ~(src_m : meth_id) ~(header : bid) ~(depth : int
    Shared by the enter (kind "osr") and exit (kind "deopt") directions. *)
 let continuation (t : t) ~(kind : string) (m : meth_id) (body : fn) (b : bid) :
     Runtime.Interp.osr_transfer option =
-  let depth =
-    match Hashtbl.find_opt t.osr_meta m with Some o -> o.od_depth | None -> 0
-  in
+  let depth = match (state t m).origin with Some o -> o.od_depth | None -> 0 in
   if depth >= max_osr_depth then None
   else
     match
@@ -639,14 +652,12 @@ let continuation (t : t) ~(kind : string) (m : meth_id) (body : fn) (b : bid) :
     | exception e when containable e -> None
     | x -> Some (register_extraction t ~src_m:m ~header:b ~depth:(depth + 1) ~kind x)
 
-let refuse (t : t) (key : meth_id * bid) : Runtime.Interp.osr_verdict =
-  Hashtbl.replace t.osr_no key ();
+let refuse (s : osr_site) : Runtime.Interp.osr_verdict =
+  s.refused <- true;
   Osr_no
 
-let below_cooldown (t : t) ((m, b) as key : meth_id * bid) : bool =
-  match Hashtbl.find_opt t.osr_cooldown key with
-  | Some gate -> block_count t m b < gate
-  | None -> false
+let below_gate (t : t) ((m, b) : meth_id * bid) (s : osr_site) : bool =
+  block_count t m b < s.gate
 
 let enter (t : t) ((m, b) : meth_id * bid) (tr : Runtime.Interp.osr_transfer) :
     Runtime.Interp.osr_verdict =
@@ -666,16 +677,16 @@ let enter (t : t) ((m, b) : meth_id * bid) (tr : Runtime.Interp.osr_transfer) :
 (* Compile the continuation, then enter it, or — compile failed — back
    the site off in block counts, doubling with the continuation's failure
    count. *)
-let compile_and_enter (t : t) ((m, b) as key : meth_id * bid)
+let compile_and_enter (t : t) ((m, b) as key : meth_id * bid) (s : osr_site)
     (tr : Runtime.Interp.osr_transfer) : Runtime.Interp.osr_verdict =
   let om = tr.osr_target in
   compile t om;
   if installed t om then enter t key tr
   else begin
     let failures = max 1 (state t om).failures in
-    Hashtbl.replace t.osr_cooldown key
-      (Support.Sat.add (block_count t m b)
-         (backoff_cooldown ~hotness:t.osr_threshold ~failures));
+    s.gate <-
+      Support.Sat.add (block_count t m b)
+        (backoff_cooldown ~hotness:t.osr_threshold ~failures);
     Osr_wait
   end
 
@@ -687,32 +698,33 @@ let compile_and_enter (t : t) ((m, b) as key : meth_id * bid)
 let on_osr (t : t) (m : meth_id) (b : bid) : Runtime.Interp.osr_verdict =
   let key = (m, b) in
   if t.compiling then Osr_wait
-  else if Hashtbl.mem t.osr_no key then Osr_no
   else
+    let s = site t key in
     match (Ir.Program.meth t.vm.prog m).body with
+    | _ when s.refused -> Osr_no
     | Some body when osr_headers t m body b -> (
-        match Hashtbl.find_opt t.osr_sites key with
+        match s.enter with
         | Some tr ->
             let om = tr.osr_target in
             if installed t om then enter t key tr
-            else if (state t om).blacklisted || not (can_recompile t om) then refuse t key
-            else if below_cooldown t key then Osr_wait
-            else compile_and_enter t key tr
+            else if (state t om).blacklisted || not (can_recompile t om) then refuse s
+            else if below_gate t key s then Osr_wait
+            else compile_and_enter t key s tr
         | None -> (
-            (* a site only ever has a cooldown once a continuation was
+            (* a site only ever has a gate once a continuation was
                extracted at it, i.e. below the depth cap, so this check
                may precede [continuation]'s cap check *)
-            if below_cooldown t key then Osr_wait
+            if below_gate t key s then Osr_wait
             else
               match continuation t ~kind:"osr" m body b with
-              | None -> refuse t key
+              | None -> refuse s
               | Some tr ->
-                  Hashtbl.replace t.osr_sites key tr;
+                  s.enter <- Some tr;
                   (* the inherited budget can already be spent: a
                      blacklisted parent's continuation never compiles *)
-                  if (state t tr.osr_target).blacklisted then refuse t key
-                  else compile_and_enter t key tr))
-    | _ -> refuse t key
+                  if (state t tr.osr_target).blacklisted then refuse s
+                  else compile_and_enter t key s tr))
+    | _ -> refuse s
 
 (* Every OSR exit — an invalidated frame transferring out, or a trap
    unwinding out of an entered continuation — is counted and traced
@@ -724,42 +736,36 @@ let osr_exit (t : t) ~(src : meth_id) ~(header : bid) ~(reason : string) (om : m
   emit t "osr_exit" src (fun () ->
       Support.Json.[ ("header", Int header); ("reason", String reason); ("osr_m", Int om) ])
 
-(* VM hook: a compiled frame saw the deopt epoch move at block [b]: if
-   its code object is still the installed one, re-snapshot and keep
-   going; if it is stale, transfer out into a freshly extracted
-   *interpreted* continuation at the next loop header. Extraction
-   failures memoize to Exit_stay — stale code is still correct code, it
-   just stops being preferred. *)
+(* VM hook: a compiled frame of [m] running [src], which is no longer
+   [m]'s installed code, reached block [b]. At a loop header, transfer it
+   into an *interpreted* continuation of [src] extracted there (once per
+   stale body and header). Elsewhere, and when extraction fails, [None]:
+   stale code is still correct code, it just stops being preferred. *)
 let on_osr_exit (t : t) (m : meth_id) (src : fn) (b : bid) :
-    Runtime.Interp.osr_exit_verdict =
-  match Runtime.Interp.installed t.vm m with
-  | Some cur when cur == src -> Exit_stay
-  | _ when not (osr_headers t m src b) -> Exit_watch
-  | _ -> (
-      let key = (m, b) in
-      let conts = Option.value ~default:[] (Hashtbl.find_opt t.exit_conts key) in
-      let cont =
-        match List.find_opt (fun (f, _) -> f == src) conts with
-        | Some (_, cont) -> cont
-        | None ->
-            let cont = continuation t ~kind:"deopt" m src b in
-            Hashtbl.replace t.exit_conts key ((src, cont) :: conts);
-            cont
-      in
-      match cont with
-      | Some tr ->
-          osr_exit t ~src:m ~header:b ~reason:"invalidate" tr.osr_target;
-          Exit_to tr
-      | None -> Exit_stay)
+    Runtime.Interp.osr_transfer option =
+  if not (osr_headers t m src b) then None
+  else
+    let s = site t (m, b) in
+    let cont =
+      match List.find_opt (fun (f, _) -> f == src) s.exits with
+      | Some (_, cont) -> cont
+      | None ->
+          let cont = continuation t ~kind:"deopt" m src b in
+          s.exits <- (src, cont) :: s.exits;
+          cont
+    in
+    Option.iter
+      (fun (tr : Runtime.Interp.osr_transfer) ->
+        osr_exit t ~src:m ~header:b ~reason:"invalidate" tr.osr_target)
+      cont;
+    cont
 
 (* VM hook: a trap is unwinding out of an entered continuation. Record
    the OSR-exit; the trap itself propagates unchanged — output parity
    with the no-OSR run is the exactness invariant. *)
 let on_osr_abort (t : t) (om : meth_id) : unit =
   let src, header =
-    match Hashtbl.find_opt t.osr_meta om with
-    | Some o -> (o.od_src, o.od_bid)
-    | None -> (om, -1)
+    match (state t om).origin with Some o -> (o.od_src, o.od_bid) | None -> (om, -1)
   in
   osr_exit t ~src ~header ~reason:"trap" om
 
@@ -890,11 +896,7 @@ let create ?(spec_miss_threshold = max_int) ?compile_fuel ?(osr = true) ?osr_thr
       meths = Array.init (Ir.Program.num_meths prog) (fun _ -> fresh_state ());
       compiling = false; compile_cycles = 0; compilations = [];
       spec_miss_threshold; invalidations = []; bailouts = []; compile_fuel;
-      osr = osr && compiles && osr_threshold < max_int;
-      osr_threshold;
-      osr_sites = Hashtbl.create 8; osr_meta = Hashtbl.create 8;
-      osr_no = Hashtbl.create 8; osr_cooldown = Hashtbl.create 8;
-      loop_cache = Hashtbl.create 8; exit_conts = Hashtbl.create 8;
+      osr_threshold; osr_sites = Hashtbl.create 8; loop_cache = Hashtbl.create 8;
       osr_uid = 0; osr_enters = 0; osr_exits = 0;
       serve_queue =
         (match queue_capacity with
@@ -905,11 +907,11 @@ let create ?(spec_miss_threshold = max_int) ?compile_fuel ?(osr = true) ?osr_thr
         (match cache_capacity with
         | Some cap when compiles -> Some (Codecache.create ~capacity:cap)
         | _ -> None);
-      evictions = 0; sheds = 0; queue_waits = []; ttp = []; timeline = None }
+      evictions = 0; sheds = 0; queue_waits = []; timeline = None }
   in
   Obs.Trace.set_clock (trace_clock vm);
   if compiles then begin
-    if t.osr then begin
+    if osr && osr_threshold < max_int then begin
       vm.osr_threshold <- t.osr_threshold;
       vm.on_osr <- on_osr t;
       vm.on_osr_exit <- on_osr_exit t;

@@ -6,7 +6,10 @@
     reads at every method entry. Compilation is synchronous
     but its simulated cost is metered on a separate clock; a produced body
     installs at once. The one model of a background compiler's occupancy
-    is the serve queue's busy window ({!Scheduler}). *)
+    is the serve queue's busy window ({!Scheduler}). OSR state is one
+    {!osr_site} per (method, loop header); retiring code signals nothing,
+    since a running compiled frame sees at a loop header that its code is
+    stale. *)
 
 open Ir.Types
 
@@ -74,9 +77,24 @@ type meth_state = {
       install and retirement *)
   mutable evicts : int;      (** code-cache evictions *)
   mutable first_hot : int;   (** [vm.cycles] at the first hot trigger; [-1]: never *)
+  mutable time_to_peak : int;
+  (** cycles from [first_hot] to the first install (includes queue
+      wait); [-1]: none yet *)
+  mutable origin : osr_origin option;  (** [Some] for a synthetic continuation *)
 }
 (** The engine's state for one method. Its installed code is not here:
     it lives in the VM's slot ({!Runtime.Interp.installed}). *)
+
+type osr_site = {
+  mutable enter : Runtime.Interp.osr_transfer option;  (** one per site, ever *)
+  mutable refused : bool;  (** memoized refusal of the enter direction *)
+  mutable gate : int;  (** block count gating the next enter/compile attempt *)
+  mutable exits : (fn * Runtime.Interp.osr_transfer option) list;
+  (** exit continuations keyed by the physical stale body; [None]
+      memoizes "not extractable, keep running" *)
+}
+(** The engine's state for one OSR site, a loop header of a method, in
+    both directions. *)
 
 type t = {
   vm : Runtime.Interp.vm;
@@ -93,25 +111,13 @@ type t = {
   (** contained compile failures, most recent first; see {!containable} *)
   compile_fuel : int option;
   (** per-compilation watchdog budget in {!Support.Fuel} checkpoints *)
-  osr : bool;
-  (** loop-entry OSR armed (a compiler is configured and the kill switch
-      was not thrown) *)
   osr_threshold : int;
   (** block (≈ backedge) count that makes a loop hot — triggers both the
       mid-invocation OSR transfer and the [on_entry] promotion of
-      single-invocation hot-loop methods. Finite even with [osr] off. *)
-  osr_sites : (meth_id * bid, Runtime.Interp.osr_transfer) Hashtbl.t;
-  (** (source method, header) -> registered enter transfer *)
-  osr_meta : (meth_id, osr_origin) Hashtbl.t;
-  (** synthetic continuation -> provenance *)
-  osr_no : (meth_id * bid, unit) Hashtbl.t;  (** memoized refusals *)
-  osr_cooldown : (meth_id * bid, int) Hashtbl.t;
-  (** block count gating the next enter/compile attempt at a site *)
+      single-invocation hot-loop methods. Finite even with OSR off. *)
+  osr_sites : (meth_id * bid, osr_site) Hashtbl.t;  (** by (method, header) *)
   loop_cache : (meth_id, (fn * Ir.Loops.t) list) Hashtbl.t;
   (** loop forests per method, matched by physical body *)
-  exit_conts : (meth_id * bid, (fn * Runtime.Interp.osr_transfer option) list) Hashtbl.t;
-  (** exit continuations per (method, header), keyed by the physical
-      stale body; [None] memoizes "not extractable, keep running" *)
   mutable osr_uid : int;
   mutable osr_enters : int;  (** OSR transfers taken (enter direction) *)
   mutable osr_exits : int;   (** OSR exits (invalidation transfers + trap unwinds) *)
@@ -125,10 +131,6 @@ type t = {
   (** compile requests shed by admission control *)
   mutable queue_waits : int list;
   (** queue waits of serviced requests, most recent first *)
-  mutable ttp : (meth_id * int) list;
-  (** time-to-peak per method: cycles from first hot-trigger to first
-      install (includes queue wait only: a produced body installs at
-      once) *)
   mutable timeline : timeline option;
   (** time-series sampling ({!attach_timeline}); [None] (default) costs
       one match per method entry *)
@@ -165,13 +167,12 @@ val create :
       [hotness_threshold * 64]; tests set it) at a loop header, the
       engine extracts the loop continuation ({!Ir.Osr}), compiles it
       through the normal pipeline and transfers the frame into it
-      mid-invocation; invalidations bump a deopt epoch that makes running
-      compiled frames OSR-exit into interpreted continuations at their
-      next loop header. Program outputs are bit-identical with OSR on,
-      off, and under the reference interpreter. [osr:false] is the kill
-      switch: no checkpoints fire and no epoch moves, but the
-      backedge-driven [on_entry] trigger (a bugfix, not a speculation)
-      stays active.
+      mid-invocation; a running compiled frame whose code was retired
+      (invalidated or evicted) OSR-exits into an interpreted continuation
+      at its next loop header. Program outputs are bit-identical with OSR
+      on, off, and under the reference interpreter. [osr:false] is the
+      kill switch: no checkpoints fire, but the backedge-driven
+      [on_entry] trigger (a bugfix, not a speculation) stays active.
     - [queue_capacity] / [queue_age_unit] (serving; default age unit
       1024 cycles): hot methods enqueue a prioritized compile request
       ({!Scheduler}: hotness × queue-age score, saturating) instead of
@@ -184,9 +185,10 @@ val create :
       installs at once.
     - [cache_capacity] (serving, IR nodes): installed code is bounded
       ({!Codecache}): installs evict lowest-retention residents, which
-      fall back to the prepared tier through the same deopt-epoch path as
-      invalidations — without consuming {!max_recompiles}; instead an
-      evicted method's recompilation backs off per eviction.
+      fall back to the interpreted tier through the same retire path as
+      invalidations, OSR exits of running frames included — without
+      consuming {!max_recompiles}; instead an evicted method's
+      recompilation backs off per eviction.
 
     Failure handling: an exception escaping the compiler or verifier (any
     {!containable} one) is a bailout — the method keeps interpreting, the

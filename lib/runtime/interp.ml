@@ -53,12 +53,12 @@ type backend = Threaded | Reference
      loop-carried phi values current after this header's phi moves), in
      order, as the continuation's arguments. The transfer is one-way: the
      continuation's result is the activation's result.
-   - Exit (compiled frames): each activation snapshots [vm.deopt_epoch];
-     when an invalidation bumps it, the frame consults [vm.on_osr_exit]
-     at the next loop header and either keeps running ([Exit_stay] —
-     still-current code re-snapshots, [Exit_watch] keeps probing) or
-     transfers into an interpreted continuation of the stale body
-     ([Exit_to], same frame-mapping contract). *)
+   - Exit (compiled frames): at a loop header, a frame whose code is no
+     longer its method's installed code consults [vm.on_osr_exit], which
+     hands back a transfer into an interpreted continuation of the stale
+     body (same frame-mapping contract) or [None]: keep running it. A
+     retired body is never installed again, so the threaded guard takes
+     a [None] as final (the block's [osr_skip]). *)
 type osr_transfer = {
   osr_target : meth_id;
   osr_live_ins : vid array;
@@ -66,22 +66,16 @@ type osr_transfer = {
 }
 
 type osr_verdict = Osr_no | Osr_wait | Osr_enter of osr_transfer
-type osr_exit_verdict = Exit_stay | Exit_watch | Exit_to of osr_transfer
 
 (* Threaded-tier activation state: the only values a handler closure
    cannot capture at lowering time (they are per-call, the closures are
-   per-method). Everything else — operand slots, static costs, bound
-   profile cells, jump targets as pc indices — lives in the closure
+   per-method). Everything else — operand slots, static costs, profile
+   cells, jump targets as pc indices — lives in the closure
    environments. The two frames follow [Prepared]'s slot encoding: Int
    and Bool values unboxed in [t_ints], the rest in [t_frame]. A record
    belongs to a call depth ([vm.frames]) and is reused by every threaded
    activation at that depth; its frames grow, never shrink. *)
-type tstate = {
-  mutable t_frame : value array;
-  mutable t_ints : int array;
-  mutable t_depoch : int;
-      (* the deopt epoch this activation last validated against *)
-}
+type tstate = { mutable t_frame : value array; mutable t_ints : int array }
 
 type thandler = tstate -> value
 (* A handler executes one pre-decoded instruction (or one fused
@@ -152,10 +146,8 @@ type vm = {
       (* lowering-time filter: which blocks get checkpoint guards in the
          threaded tier (loop headers only, so straight-line code and
          non-header blocks pay nothing per entry) *)
-  mutable deopt_epoch : int;
-      (* bumped by the engine on every invalidation while OSR is armed;
-         compiled frames re-validate at loop headers when it moved *)
-  mutable on_osr_exit : meth_id -> fn -> bid -> osr_exit_verdict;
+  mutable on_osr_exit : meth_id -> fn -> bid -> osr_transfer option;
+      (* asked at a loop header by a compiled frame whose code is stale *)
   mutable on_osr_abort : meth_id -> unit;
       (* a trap is unwinding out of an entered OSR continuation *)
   mutable steps : int;
@@ -196,8 +188,7 @@ let create ?(max_steps = 500_000_000) ?(backend = Threaded) (prog : program) :
     osr_threshold = max_int;
     on_osr = (fun _ _ -> Osr_no);
     osr_headers = (fun _ _ _ -> false);
-    deopt_epoch = 0;
-    on_osr_exit = (fun _ _ _ -> Exit_stay);
+    on_osr_exit = (fun _ _ _ -> None);
     on_osr_abort = (fun _ -> ());
     steps = 0;
     max_steps;
@@ -338,7 +329,7 @@ let move (src : tstate) (s : int) (dst : tstate) (d : int) : unit =
    transfer, a reference-walker call) is passed as a caller whose value
    frame it is, with the identity argument slots. *)
 let entry_state (args : value array) : tstate =
-  { t_frame = args; t_ints = [||]; t_depoch = 0 }
+  { t_frame = args; t_ints = [||] }
 
 let identity_slots = Array.init 9 (fun n -> Array.init n Fun.id)
 
@@ -354,7 +345,7 @@ let first_record (vm : vm) (d : int) : tstate =
   if d >= n then
     vm.frames <-
       Array.init (max (d + 1) (2 * n)) (fun i ->
-          if i < n then vm.frames.(i) else { t_frame = [||]; t_ints = [||]; t_depoch = 0 });
+          if i < n then vm.frames.(i) else { t_frame = [||]; t_ints = [||] });
   vm.frames_used <- d;
   vm.frames.(d)
 
@@ -527,10 +518,10 @@ and lower_entry (vm : vm) (m : meth_id) : prepared_entry =
    successor handler directly (direct threading: control never returns
    to a dispatch loop mid-method), with a dispatch loop's per-step
    [match pi.op], operand-field loads and cost additions all paid once
-   at lowering: operands, the summed dispatch+static cost, the bound
-   profile holders and jump-target handlers live in the closure
-   environments. A handler is bookkeeping ∘ effect ∘ goto-next, where
-   the effect ([op_effect]) is the instruction's bare semantic action.
+   at lowering: operands, the summed dispatch+static cost, the profile
+   cells and jump-target handlers live in the closure environments. A
+   handler is bookkeeping ∘ effect ∘ goto-next, where the effect
+   ([op_effect]) is the instruction's bare semantic action.
 
    Superinstructions go one step further: a fused segment's handler
    ([fused_handler], the Deegen-style combinator) strings the
@@ -916,26 +907,18 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
       end
   in
   (* block-entry prologue: the block step/budget tick, the profiling
-     tier's lazily-bound block-counter tick, then the phi parallel move
-     specialized for one incoming edge. Preparation puts each phi and its
-     inputs in one frame; an edge on which some phi has no input comes
-     from an unreachable predecessor and traps with the walker's
-     message. *)
-  let prologue_handler (b : Prepared.pblock) ~(edge : int) ~(nexth : thandler) :
-      thandler =
-    let holder = b.prof in
-    let src_bid = b.src_bid in
+     tier's block-counter tick on the block's [cell], then the phi
+     parallel move specialized for one incoming edge. Preparation puts
+     each phi and its inputs in one frame; an edge on which some phi has
+     no input comes from an unreachable predecessor and traps with the
+     walker's message. *)
+  let prologue_handler (b : Prepared.pblock) ~(cell : int ref) ~(edge : int)
+      ~(nexth : thandler) : thandler =
     let nphis = Array.length b.phi_dests in
     let tick_block () =
       vm.steps <- vm.steps + 1;
       if vm.steps > vm.max_steps then trap "step budget exceeded";
-      if profiling then
-        match holder.cell with
-        | Some c -> incr c
-        | None ->
-            let c = Profile.block_cell vm.profiles meth src_bid in
-            holder.cell <- Some c;
-            incr c
+      if profiling then incr cell
     in
     (* the common no-phi prologues inline the tick — they run once per
        block entry, squarely on the hot path *)
@@ -943,12 +926,7 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
       if profiling then fun st ->
         vm.steps <- vm.steps + 1;
         if vm.steps > vm.max_steps then trap "step budget exceeded";
-        (match holder.cell with
-        | Some c -> incr c
-        | None ->
-            let c = Profile.block_cell vm.profiles meth src_bid in
-            holder.cell <- Some c;
-            incr c);
+        incr cell;
         nexth st
       else fun st ->
         vm.steps <- vm.steps + 1;
@@ -1031,29 +1009,31 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
       let n = st.t_ints.(Prepared.index s) in
       if Prepared.kind s = Kint then box_int n else vbool (n <> 0)
   in
-  let enter_guard (b : Prepared.pblock) ~(nexth : thandler) : thandler =
-    let holder = b.prof in
+  let enter_guard (b : Prepared.pblock) ~(cell : int ref) ~(nexth : thandler) :
+      thandler =
     fun st ->
-      match holder.cell with
-      | Some c when (not b.osr_skip) && !c >= vm.osr_threshold -> (
-          match vm.on_osr meth b.src_bid with
-          | Osr_no ->
-              b.osr_skip <- true;
-              nexth st
-          | Osr_wait -> nexth st
-          | Osr_enter tr -> osr_call vm ~abort:true tr (read_vid st))
-      | _ -> nexth st
+      if (not b.osr_skip) && !cell >= vm.osr_threshold then (
+        match vm.on_osr meth b.src_bid with
+        | Osr_no ->
+            b.osr_skip <- true;
+            nexth st
+        | Osr_wait -> nexth st
+        | Osr_enter tr -> osr_call vm ~abort:true tr (read_vid st))
+      else nexth st
   in
+  (* a compiled frame asks only when its code is stale: [src] is no
+     longer [meth]'s installed code *)
   let exit_guard (b : Prepared.pblock) ~(nexth : thandler) : thandler =
     fun st ->
-      if vm.deopt_epoch <> st.t_depoch then (
-        match vm.on_osr_exit meth src b.src_bid with
-        | Exit_stay ->
-            st.t_depoch <- vm.deopt_epoch;
-            nexth st
-        | Exit_watch -> nexth st
-        | Exit_to tr -> osr_call vm tr (read_vid st))
-      else nexth st
+      match installed vm meth with
+      | Some cur when cur == src -> nexth st
+      | _ when b.osr_skip -> nexth st
+      | _ -> (
+          match vm.on_osr_exit meth src b.src_bid with
+          | Some tr -> osr_call vm tr (read_vid st)
+          | None ->
+              b.osr_skip <- true;
+              nexth st)
   in
   let term_handler (b : Prepared.pblock) : thandler =
     let tc = b.term_cost in
@@ -1078,23 +1058,20 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
         fun st ->
           vm.cycles <- vm.cycles + tc;
           (Array.unsafe_get handlers next) st
-    | Pif { cond; site; tb; tedge; fb; fedge; bprof } ->
+    | Pif { cond; site; tb; tedge; fb; fedge } ->
         let tpc = pc_of_edge tb tedge and fpc = pc_of_edge fb fedge in
         if Prepared.kind cond <> Kbool then
           Prepared.ill_formed pcode.fname "branch on a non-Bool condition in b%d"
             b.src_bid;
         let ci = Prepared.index cond in
-        if profiling then fun st ->
-          vm.cycles <- vm.cycles + tc;
-          let taken = Array.unsafe_get st.t_ints ci <> 0 in
-          (match bprof.brec with
-          | Some br -> Profile.brec_record br ~taken
-          | None ->
-              let br = Profile.branch_cell vm.profiles site in
-              bprof.brec <- Some br;
-              Profile.brec_record br ~taken);
-          if taken then (Array.unsafe_get handlers tpc) st
-          else (Array.unsafe_get handlers fpc) st
+        if profiling then
+          let br = Profile.branch_cell vm.profiles site in
+          fun st ->
+            vm.cycles <- vm.cycles + tc;
+            let taken = Array.unsafe_get st.t_ints ci <> 0 in
+            Profile.brec_record br ~taken;
+            if taken then (Array.unsafe_get handlers tpc) st
+            else (Array.unsafe_get handlers fpc) st
         else fun st ->
           vm.cycles <- vm.cycles + tc;
           if Array.unsafe_get st.t_ints ci <> 0 then
@@ -1127,18 +1104,23 @@ and lower_threaded (vm : vm) ~(mode : mode) ~(meth : meth_id) ~(src : fn)
              fused_handler ~nexth
                (Array.sub b.body seg.Prepared.seg_start seg.Prepared.seg_len))
       done;
+      let cell =
+        if profiling then Profile.block_cell vm.profiles meth b.src_bid else no_count
+      in
       let firsth = handlers.(first) in
       let firsth =
         if vm.osr_threshold < max_int && vm.osr_headers meth src b.src_bid then
-          if profiling then enter_guard b ~nexth:firsth else exit_guard b ~nexth:firsth
+          if profiling then enter_guard b ~cell ~nexth:firsth
+          else exit_guard b ~nexth:firsth
         else firsth
       in
       if has_phis b then
         Array.iteri
           (fun e _ ->
-            handlers.(prologue_base.(bi) + e) <- prologue_handler b ~edge:e ~nexth:firsth)
+            handlers.(prologue_base.(bi) + e) <-
+              prologue_handler b ~cell ~edge:e ~nexth:firsth)
           b.pred_bids
-      else handlers.(prologue_base.(bi)) <- prologue_handler b ~edge:0 ~nexth:firsth)
+      else handlers.(prologue_base.(bi)) <- prologue_handler b ~cell ~edge:0 ~nexth:firsth)
     blocks;
   List.iter (fun (p, sites) -> note_superinst vm p ~sites) plan.Prepared.fp_patterns;
   {
@@ -1164,7 +1146,6 @@ and exec_threaded (vm : vm) (t : tcode) (caller : tstate) (cargs : int array) :
   let st = if d <= vm.frames_used then Array.unsafe_get vm.frames d else first_record vm d in
   if Array.length st.t_frame < t.t_nregs then st.t_frame <- Array.make t.t_nregs Vunit;
   if Array.length st.t_ints < t.t_nints then st.t_ints <- Array.make t.t_nints 0;
-  st.t_depoch <- vm.deopt_epoch;
   let ps = t.t_params in
   let i = ref 0 in
   while !i < Array.length ps do
@@ -1272,9 +1253,6 @@ and exec_ref (vm : vm) ~(mode : mode) ~(meth : meth_id) (fn : fn) (caller : tsta
     in
     Hashtbl.replace env i.id result
   in
-  (* OSR: compiled activations re-validate against the engine at loop
-     headers only after an invalidation moved the deopt epoch *)
-  let depoch = ref vm.deopt_epoch in
   let rec run (prev : bid) (b : bid) : value =
     (* blocks count as steps too: an instruction-free cycle (possible after
        aggressive DCE) must still exhaust the step budget *)
@@ -1311,13 +1289,14 @@ and exec_ref (vm : vm) ~(mode : mode) ~(meth : meth_id) (fn : fn) (caller : tsta
         | Osr_no | Osr_wait -> finish b blk
         | Osr_enter tr -> osr_call vm ~abort:true tr get)
       else finish b blk
-    else if vm.deopt_epoch <> !depoch then (
+    else if
+      vm.osr_threshold < max_int
+      && match installed vm meth with Some cur -> cur != fn | None -> true
+    then (
+      (* a stale compiled frame asks at every block; [None] off headers *)
       match vm.on_osr_exit meth fn b with
-      | Exit_stay ->
-          depoch := vm.deopt_epoch;
-          finish b blk
-      | Exit_watch -> finish b blk
-      | Exit_to tr -> osr_call vm tr get)
+      | Some tr -> osr_call vm tr get
+      | None -> finish b blk)
     else finish b blk
   and finish (b : bid) (blk : block) : value =
     let non_phis =

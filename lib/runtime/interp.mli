@@ -26,7 +26,8 @@
     changes what a method's calls run without emptying it:
     {!set_installed} is the one writer of installed code,
     {!Ir.Program.set_body} only fills an empty body, and [vm.profiles],
-    whose counter cells an entry binds, is never replaced or cleared. *)
+    whose counter cells an interpreted entry binds when it is lowered,
+    is never replaced or cleared. *)
 
 open Ir.Types
 open Values
@@ -54,18 +55,13 @@ type osr_verdict = Osr_no | Osr_wait | Osr_enter of osr_transfer
 (** Engine's answer when an interpreted frame crosses [osr_threshold] at
     a block: never ask again / ask again later / transfer now. *)
 
-type osr_exit_verdict = Exit_stay | Exit_watch | Exit_to of osr_transfer
-(** Engine's answer when a compiled frame sees the deopt epoch move:
-    code is current (re-snapshot) / stale but keep probing until a
-    header / transfer into an interpreted continuation. *)
-
 type tstate
-(** Threaded-tier activation state: the value frame, the int frame that
-    holds the activation's Int and Bool values unboxed, and the deopt
-    epoch it last validated against. It is the record of one call depth
-    ([vm.frames]), which every threaded activation at that depth reuses:
-    a call allocates neither the record nor its frames, which are
-    replaced only by larger ones and never cleared between activations.
+(** Threaded-tier activation state: the value frame and the int frame
+    that holds the activation's Int and Bool values unboxed. It is the
+    record of one call depth ([vm.frames]), which every threaded
+    activation at that depth reuses: a call allocates neither the record
+    nor its frames, which are replaced only by larger ones and never
+    cleared between activations.
     A call hands the callee its caller's state and the slots of its
     arguments there; the callee copies each argument into its
     parameter's slot, with no argument array. *)
@@ -152,10 +148,11 @@ type vm = {
   mutable osr_headers : meth_id -> fn -> bid -> bool;
   (** lowering-time filter: which blocks of the given body get OSR
       checkpoint guards in the threaded tier (loop headers only) *)
-  mutable deopt_epoch : int;
-  (** bumped by the engine on every invalidation while OSR is armed;
-      compiled frames re-validate at loop headers when it moved *)
-  mutable on_osr_exit : meth_id -> fn -> bid -> osr_exit_verdict;
+  mutable on_osr_exit : meth_id -> fn -> bid -> osr_transfer option;
+  (** asked at a loop header by a compiled frame whose code [src] is
+      stale, no longer its method's installed code (a physical
+      comparison, no epoch): a transfer into an interpreted continuation
+      of [src], or [None] to keep running it *)
   mutable on_osr_abort : meth_id -> unit;
   (** a trap is unwinding out of an entered OSR continuation *)
   mutable steps : int;

@@ -40,16 +40,6 @@ open Ir.Types
 open Values
 module Vec = Support.Vec
 
-(* Lazily-bound profile cells. Prepared code carries one holder per
-   profiled event site (block entry, branch); the executing engine binds
-   the holder to the profile's counter cell on first use and then records
-   with a plain increment — no per-event key lookup. Holders belong to
-   the code object, so they are dropped with it; the VM's profile is
-   never replaced or reset, so a bound cell stays the profile's for as
-   long as the code that holds it. *)
-type cell_holder = { mutable cell : int ref option }
-type brec_holder = { mutable brec : Profile.brec option }
-
 (* Frame slots. A named value lives in one of two frames, chosen by its
    static type: Int and Bool values in the [int array] frame (a Bool as
    0/1), every other value in the [value array] frame. A slot is one
@@ -103,7 +93,6 @@ type pterm =
       tedge : int;
       fb : int;
       fedge : int;
-      bprof : brec_holder;    (* branch counters, bound on first record *)
     }
   | Preturn of int
   | Punreachable
@@ -117,10 +106,9 @@ type pblock = {
   body : pinstr array;         (* non-phi instructions, in order *)
   term : pterm;
   term_cost : int;
-  prof : cell_holder;          (* block counter, bound on first record *)
   mutable osr_skip : bool;
-      (* the engine's OSR hook answered "never" for this block: stop
-         consulting it (headers that can transfer keep [false]) *)
+      (* the engine's OSR hook answered "never" for this block for good:
+         stop consulting it *)
 }
 
 type code = {
@@ -654,7 +642,6 @@ let prepare ~(cost : Cost.t) ~(ic_stat : site -> string -> Ic.stat) (prog : prog
                 tedge = edge_of ~target:tb ~src:b;
                 fb = index_of_target fb;
                 fedge = edge_of ~target:fb ~src:b;
-                bprof = { brec = None };
               },
             Cost.term_cost cost blk.term )
       | Return v -> (Preturn (slot v), Cost.term_cost cost blk.term)
@@ -672,7 +659,6 @@ let prepare ~(cost : Cost.t) ~(ic_stat : site -> string -> Ic.stat) (prog : prog
           body.(bi);
       term;
       term_cost;
-      prof = { cell = None };
       osr_skip = false;
     }
   in

@@ -34,7 +34,8 @@
       the block's steps are charged.
 
     Prepared code snapshots the function *and* the class layouts its [New]
-    instructions allocate, against a fixed cost table. {!Interp} prepares
+    instructions allocate, against a fixed cost table, and no profile
+    state: {!Interp}'s lowering binds the counter cells. {!Interp} prepares
     a body when it fills a method's code slot and never again: a body
     never changes once set, and {!Interp.set_installed}, the one writer
     of a method's compiled code, empties the slot, so the method's next
@@ -42,12 +43,6 @@
 
 open Ir.Types
 open Values
-
-type cell_holder = { mutable cell : int ref option }
-(** A lazily-bound profile counter cell: the engine binds it to the
-    profile's cell on first record, then records with one increment. *)
-
-type brec_holder = { mutable brec : Profile.brec option }
 
 (** {1 Frame slots}
 
@@ -117,7 +112,6 @@ type pterm =
       tedge : int;
       fb : int;
       fedge : int;
-      bprof : brec_holder;
     }
   | Preturn of int
   | Punreachable
@@ -131,10 +125,10 @@ type pblock = {
   body : pinstr array;
   term : pterm;
   term_cost : int;
-  prof : cell_holder;
   mutable osr_skip : bool;
-      (** The engine's OSR hook answered "never" for this block; the
-          backends stop consulting it. *)
+      (** The engine's OSR hook answered "never" for this block for good
+          (a refused enter site, or a retired body's header with no exit
+          continuation); the threaded guard stops consulting it. *)
 }
 
 type code = {

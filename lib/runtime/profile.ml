@@ -13,13 +13,13 @@
    hashtables of the seed implementation. Recording finds (or creates) a
    counter cell ([int ref] / {!brec} / {!rsite}) and increments it — no
    per-event key allocation, no hashing. The cells have stable identity:
-   the reference walker looks one up per event, while the prepared
-   execution engine bakes them into pre-decoded code and its inline
-   caches and records with one increment, and the folded profile cannot
-   tell the two apart. Synthetic sites (negative [sidx], typeswitch
-   fallbacks) cannot index an array and fall back to keyed tables; they
-   are rare and only reachable from compiled code, which does not
-   profile. *)
+   the reference walker looks one up per event, while the threaded tier
+   binds them into the code it lowers and its inline caches and records
+   with one increment, and the folded profile cannot tell the two apart.
+   Synthetic sites (negative [sidx], typeswitch fallbacks) cannot index
+   an array and fall back to keyed tables; they are rare, and profiled
+   only in interpreted deoptimization continuations, which are extracted
+   from compiled code. *)
 
 open Ir.Types
 
@@ -234,13 +234,23 @@ let branch_prob t (site : site) : float option =
      c <meth> <sidx> <taken> <nottaken>  branch counts
 
    Ids are only meaningful against the same prepared program (same
-   sources); loaders of foreign profiles get whatever the ids say. *)
+   sources); loaders of foreign profiles get whatever the ids say.
+
+   A cell never counted prints nothing: the threaded tier binds the
+   cells of every block and branch it lowers, the walker only those it
+   counts, and both print the same text. *)
 
 let to_text (t : t) : string =
   let lines = ref [] in
   let add fmt = Printf.ksprintf (fun l -> lines := l :: !lines) fmt in
+  let branch m s (br : brec) =
+    if br.taken + br.not_taken > 0 then add "c %d %d %d %d" m s br.taken br.not_taken
+  in
+  let receivers m s (rs : rsite) =
+    Hashtbl.iter (fun c r -> if !r > 0 then add "r %d %d %d %d" m s c !r) rs.hist
+  in
   Array.iteri
-    (fun m c -> match c with Some c -> add "i %d %d" m !c | None -> ())
+    (fun m c -> match c with Some c when !c > 0 -> add "i %d %d" m !c | _ -> ())
     t.invocations;
   Array.iteri
     (fun m mp ->
@@ -248,28 +258,14 @@ let to_text (t : t) : string =
       | None -> ()
       | Some mp ->
           Array.iteri
-            (fun b c -> match c with Some c -> add "b %d %d %d" m b !c | None -> ())
+            (fun b c ->
+              match c with Some c when !c > 0 -> add "b %d %d %d" m b !c | _ -> ())
             mp.blocks;
-          Array.iteri
-            (fun s br ->
-              match br with
-              | Some br -> add "c %d %d %d %d" m s br.taken br.not_taken
-              | None -> ())
-            mp.branches;
-          Array.iteri
-            (fun s rs ->
-              match rs with
-              | Some rs -> Hashtbl.iter (fun c r -> add "r %d %d %d %d" m s c !r) rs.hist
-              | None -> ())
-            mp.rsites)
+          Array.iteri (fun s br -> Option.iter (branch m s) br) mp.branches;
+          Array.iteri (fun s rs -> Option.iter (receivers m s) rs) mp.rsites)
     t.mprofs;
-  Hashtbl.iter
-    (fun (m, s) (br : brec) -> add "c %d %d %d %d" m s br.taken br.not_taken)
-    t.synth_branches;
-  Hashtbl.iter
-    (fun (m, s) (rs : rsite) ->
-      Hashtbl.iter (fun c r -> add "r %d %d %d %d" m s c !r) rs.hist)
-    t.synth_rsites;
+  Hashtbl.iter (fun (m, s) br -> branch m s br) t.synth_branches;
+  Hashtbl.iter (fun (m, s) rs -> receivers m s rs) t.synth_rsites;
   let buf = Buffer.create 1024 in
   List.iter
     (fun l ->

@@ -8,7 +8,7 @@
     instead of tuple-keyed hashtables — so recording allocates nothing.
     Recording is an increment through a counter cell. The cells have
     stable identity: the reference walker finds one per event, and the
-    prepared execution engine bakes them into pre-decoded code and inline
+    threaded tier binds them into the code it lowers and into its inline
     caches. *)
 
 open Ir.Types
@@ -73,6 +73,9 @@ val branch_prob : t -> site -> float option
 exception Bad_profile of string
 
 val to_text : t -> string
+(** Prints counts above zero only: a cell created but never counted,
+    such as one the threaded tier bound when it lowered a block that
+    never ran, prints nothing, so both backends print the same text. *)
 
 val of_text : string -> t
 (** Duplicate records accumulate, so the concatenation of several dumps

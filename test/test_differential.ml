@@ -437,11 +437,14 @@ let test_boundaries () =
   Alcotest.(check bool) "an OSR transfer was taken" true (e.osr_enters > 0);
   let live_in_tys =
     Hashtbl.fold
-      (fun _ (tr : Runtime.Interp.osr_transfer) acc ->
-        match (Ir.Program.meth e.vm.prog tr.osr_target).body with
-        | Some fn ->
-            Array.to_list (Array.sub fn.param_tys 0 (Array.length tr.osr_live_ins))
-            @ acc
+      (fun _ (s : Jit.Engine.osr_site) acc ->
+        match s.enter with
+        | Some tr -> (
+            match (Ir.Program.meth e.vm.prog tr.osr_target).body with
+            | Some fn ->
+                Array.to_list (Array.sub fn.param_tys 0 (Array.length tr.osr_live_ins))
+                @ acc
+            | None -> acc)
         | None -> acc)
       e.osr_sites []
   in

@@ -113,6 +113,25 @@ let shift_src =
     }
     def main(): Unit = println(bench(4000, 2000))|}
 
+(* [shift_src]'s phase shift with the virtual call moved into [g]: when
+   [bench] compiles without inlining [g], the shift invalidates [g]'s
+   code, not the loop's (hotness 4, [~spec_miss_threshold:50]). *)
+let elsewhere_src =
+  {|abstract class A { def m(x: Int): Int }
+    class B() extends A { def m(x: Int): Int = x + 1 }
+    class C() extends A { def m(x: Int): Int = x * 2 }
+    def pick(i: Int, k: Int): A = {
+      if (i < k) { new B() } else { new C() }
+    }
+    def g(i: Int, k: Int): Int = pick(i, k).m(i)
+    def bench(n: Int, k: Int): Int = {
+      var s = 0;
+      var i = 0;
+      while (i < n) { s = s + g(i, k); i = i + 1 };
+      s
+    }
+    def main(): Unit = println(bench(4000, 2000))|}
+
 (* A division by zero inside an entered continuation (hotness 3). *)
 let trap_src =
   {|def bench(n: Int): Int = {
@@ -178,7 +197,7 @@ let enter_tests =
         ignore (Jit.Engine.run_main e);
         Alcotest.(check bool) "osr_enters > 0" true (e.osr_enters > 0);
         Alcotest.(check bool) "continuation registered" true
-          (Hashtbl.length e.osr_meta > 0);
+          ((Jit.Engine.stats e).osr_methods > 0);
         Alcotest.(check string) "output exact" w.Workloads.Defs.expected
           (Jit.Engine.output e));
     test "nested-loop enters and stays exact" (fun () ->
@@ -285,6 +304,52 @@ let exit_tests =
           (Jit.Engine.output e);
         Alcotest.(check string) "output = reference" (reference_output shift_src)
           (Jit.Engine.output e));
+    test "an invalidation elsewhere leaves a running compiled loop in its code"
+      (fun () ->
+        (* [bench] and its continuation compile without inlining, so the
+           compiled loop keeps calling [g], whose code the phase shift
+           invalidates mid-loop: the loop's own code is still installed,
+           so its frame stays in it *)
+        let compiler : Jit.Engine.compiler =
+         fun prog profiles m ->
+          let mm = Ir.Program.meth prog m in
+          if String.starts_with ~prefix:"bench" mm.m_name then Ir.Fn.copy (Option.get mm.body)
+          else incremental () prog profiles m
+        in
+        let run ~osr backend =
+          let e =
+            Jit.Engine.create ~osr ~spec_miss_threshold:50 (compile elsewhere_src)
+              {
+                name = "elsewhere";
+                compiler = Some compiler;
+                hotness_threshold = 4;
+                compile_cost_per_node = 50;
+                verify = true;
+              }
+          in
+          e.vm.backend <- backend;
+          ignore (Jit.Engine.run_main e);
+          e
+        in
+        let t = run ~osr:true Runtime.Interp.Threaded
+        and r = run ~osr:true Runtime.Interp.Reference in
+        let g = Option.get (Ir.Program.find_meth t.vm.prog "g") in
+        Alcotest.(check bool) "the loop entered compiled code" true (t.osr_enters > 0);
+        Alcotest.(check (list int)) "only g was invalidated" [ g ] (List.map fst t.invalidations);
+        List.iter
+          (fun (e : Jit.Engine.t) -> Alcotest.(check int) "no OSR exit" 0 e.osr_exits)
+          [ t; r ];
+        Alcotest.(check (triple string int int)) "threaded = reference"
+          (Jit.Engine.output r, r.vm.cycles, r.vm.steps)
+          (Jit.Engine.output t, t.vm.cycles, t.vm.steps);
+        List.iter
+          (fun backend ->
+            Alcotest.(check string) "output = no-OSR"
+              (Jit.Engine.output (run ~osr:false backend))
+              (Jit.Engine.output t))
+          Runtime.Interp.[ Threaded; Reference ];
+        Alcotest.(check string) "output = reference" (reference_output elsewhere_src)
+          (Jit.Engine.output t));
     test "a trap inside an OSR continuation unwinds exactly" (fun () ->
         let run osr =
           let e = osr_engine ~osr ~hotness:3 trap_src in

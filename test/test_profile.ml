@@ -159,6 +159,20 @@ let tests =
             | _ -> ())
           (Ir.Fn.calls fn);
         ignore call_m);
+    test "to_text prints observed counts only" (fun () ->
+        (* the threaded tier binds the cells of blocks and branches that
+           may never run, the walker only those it counts: cells created
+           but never counted, synthetic sites' included, print nothing *)
+        let p = Runtime.Profile.create () in
+        ignore (Runtime.Profile.block_cell p 0 3);
+        ignore (Runtime.Profile.branch_cell p { Ir.Types.sm = 0; sidx = 1 });
+        ignore (Runtime.Profile.branch_cell p { Ir.Types.sm = 0; sidx = -1 });
+        Alcotest.(check string) "uncounted cells" "" (Runtime.Profile.to_text p);
+        incr (Runtime.Profile.block_cell p 0 2);
+        let synthetic = Runtime.Profile.branch_cell p { Ir.Types.sm = 0; sidx = -1 } in
+        Runtime.Profile.brec_record synthetic ~taken:false;
+        Alcotest.(check string) "counted cells" "b 0 2 1\nc 0 -1 0 1\n"
+          (Runtime.Profile.to_text p));
     test "loading malformed text raises Bad_profile" (fun () ->
         List.iter
           (fun bad ->

@@ -536,6 +536,29 @@ def main(): Unit = {
     Alcotest.failf "a call allocates %.2f words beyond its inlined body (bound 2.5)"
       per_call
 
+(* An interpreted body's block and branch counters are bound when it is
+   lowered, so the first run of a block that has not run yet allocates
+   no more than a later run: [f(1)] lowers [f] and runs the then block,
+   and the first [f(-1)] is the first run of the else block. *)
+let test_cold_block_allocation () =
+  let vm =
+    Runtime.Interp.create
+      (Util.compile
+         {|def f(x: Int): Int = if (x > 0) { x + 1 } else { x - 1 }
+def main(): Unit = {}|})
+  in
+  let words x =
+    let before = Gc.minor_words () in
+    ignore (Runtime.Interp.run_meth vm "f" Runtime.Values.[ Vunit; Vint x ]);
+    Gc.minor_words () -. before
+  in
+  ignore (words 1);
+  let first = words (-1) in
+  let second = words (-1) in
+  if first > second then
+    Alcotest.failf "the first run of the else block allocates %.0f words, a later one %.0f"
+      first second
+
 (* Three methods with frames of different sizes call each other in a
    cycle, small -> mid -> big -> small, so runs that start at different
    ones put different methods at each depth: every record is reused by
@@ -746,6 +769,8 @@ let () =
             test_loop_into_entry;
           test "liveness memory follows what is live" test_prepare_memory;
           test "an interpreted call allocates at most 2.5 words" test_call_allocation;
+          test "the first run of a cold interpreted block allocates no more than later runs"
+            test_cold_block_allocation;
           test "records are reused across depths, sizes and traps" test_records_reused;
           test "a finished run's values are not kept by the records"
             test_records_released;
