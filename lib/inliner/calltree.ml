@@ -347,16 +347,17 @@ let signature_improves (prog : program) ~old_sig ~new_sig : bool =
 
 (* Copies the callee body and applies the specialization: constants replace
    Param instructions, refined types land in [spec_tys], and the copy is
-   canonicalized. Returns (copy, N_s, N_a). *)
+   canonicalized. Returns (copy, N_s, N_a). A copy still marked prepared
+   (no constant replaced a Param, as every [Fn] writer clears the mark)
+   with no refined type (written to [spec_tys], past [Fn]) is a prepared
+   body unchanged, which is a [simplify] fixpoint: it is returned with
+   N_s = 0 after the one unit of fuel that [simplify]'s single no-op round
+   spends. *)
 let specialize_uncached (t : t) ~(enabled : bool) ~(callee_body : fn)
     ~(sg : (const option * ty option) array) : fn * int * int =
   let copy = Ir.Fn.copy callee_body in
-  if not enabled then begin
-    let stats = Opt.Driver.simplify t.prog copy in
-    (copy, Opt.Driver.simple_opt_count stats, 0)
-  end
-  else begin
-    let n_a = ref 0 in
+  let n_a = ref 0 in
+  if enabled then
     Array.iteri
       (fun i (cst, refined) ->
         (match refined with
@@ -378,9 +379,13 @@ let specialize_uncached (t : t) ~(enabled : bool) ~(callee_body : fn)
             if !had_param && refined = None then incr n_a
         | None -> ())
       sg;
+  if copy.prepared && !n_a = 0 then begin
+    Support.Fuel.spend 1;
+    (copy, 0, 0)
+  end
+  else
     let stats = Opt.Driver.simplify t.prog copy in
     (copy, Opt.Driver.simple_opt_count stats, !n_a)
-  end
 
 (* Cached entry point: (callee, signature, flag) keys an immutable template
    in the per-compiler trial cache when one is installed. [callee_m] is the

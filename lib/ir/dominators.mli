@@ -1,5 +1,6 @@
 (** Dominator tree (Cooper–Harvey–Kennedy), over blocks reachable from the
-    entry. *)
+    entry. Its tables are indexed by reverse-postorder position, so they
+    are sized by the reachable blocks. *)
 
 open Types
 
@@ -8,11 +9,11 @@ type t
 val compute : fn -> t
 (** The tree of [fn]'s current graph; cached (see {!Fn.cached}). *)
 
-val build : n:int -> rpo:bid array -> preds:bid list array -> t
-(** The tree of a graph given by its block-id bound [n], its reverse
-    postorder [rpo] from the entry [rpo.(0)], and each block's
-    predecessors by block id, of which the unreachable ones are ignored. It reads
-    no cache; {!Verify} builds its own graph and calls it. *)
+val build : Fn.numbering -> preds:bid list array -> t
+(** The tree of a graph given by a reverse-postorder numbering of its
+    reachable blocks from the entry [order.(0)], and each block's
+    predecessors by block id, of which the unreachable ones are ignored.
+    It reads no cache; {!Verify} numbers its own graph and calls it. *)
 
 val idom : t -> bid -> bid option
 (** Immediate dominator; the entry maps to itself. [None] for unreachable
@@ -20,6 +21,10 @@ val idom : t -> bid -> bid option
 
 val dominates : t -> a:bid -> b:bid -> bool
 (** Reflexive: [dominates ~a ~b:a] holds. *)
+
+val iter_children : (bid -> unit) -> t -> bid -> unit
+(** Calls the function on each child of the block in the dominator tree,
+    ascending by block id; on none for an unreachable block. *)
 
 val children : t -> bid -> bid list
 (** Children in the dominator tree, ascending. *)

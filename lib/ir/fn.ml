@@ -358,14 +358,21 @@ let replace_uses fn ~(old_v : vid) ~(new_v : vid) =
 
 (* ---------- block surgery ---------- *)
 
-(* Renames [old_pred] to [new_pred] in the phi edges of [b]. *)
+(* Renames [old_pred] to [new_pred] in the phi edges of [b], keeping
+   each phi's input order. *)
+let rec has_edge p = function [] -> false | (pb, _) :: rest -> pb = p || has_edge p rest
+
+let rec renamed ~old_pred ~new_pred = function
+  | [] -> []
+  | ((pb, pv) as e) :: rest ->
+      (if pb = old_pred then (new_pred, pv) else e) :: renamed ~old_pred ~new_pred rest
+
 let rename_pred fn (b : bid) ~(old_pred : bid) ~(new_pred : bid) =
   List.iter
     (fun v ->
       match kind fn v with
-      | Phi { inputs; _ } when List.exists (fun (pb, _) -> pb = old_pred) inputs ->
-          set_phi_inputs fn v
-            (List.map (fun (pb, pv) -> ((if pb = old_pred then new_pred else pb), pv)) inputs)
+      | Phi { inputs; _ } when has_edge old_pred inputs ->
+          set_phi_inputs fn v (renamed ~old_pred ~new_pred inputs)
       | _ -> ())
     (block fn b).instrs
 
@@ -375,7 +382,12 @@ let move_term fn ~(src : bid) ~(dst : bid) =
   let t = term fn src in
   set_term fn src Unreachable;
   set_term fn dst t;
-  List.iter (fun s -> rename_pred fn s ~old_pred:src ~new_pred:dst) (succs_of_term t)
+  match t with
+  | Goto s -> rename_pred fn s ~old_pred:src ~new_pred:dst
+  | If { tb; fb; _ } ->
+      rename_pred fn tb ~old_pred:src ~new_pred:dst;
+      rename_pred fn fb ~old_pred:src ~new_pred:dst
+  | Return _ | Unreachable -> ()
 
 let split_block fn (v : vid) : bid =
   let b = block_of fn v in
@@ -439,7 +451,9 @@ let cached fn ~(find : analysis -> 'a option) ~(wrap : 'a -> analysis) (build : 
       c.analyses <- wrap a :: c.analyses;
       a
 
-type analysis += Preds of bid list array | Rpo of bid list | Reachable of (bid -> bool)
+type numbering = { order : bid array; index : int array }
+
+type analysis += Preds of bid list array | Numbering of numbering
 
 (* Predecessors by block id, ascending, one entry per edge. *)
 let preds fn : bid list array =
@@ -450,37 +464,54 @@ let preds fn : bid list array =
       let p = Array.make (Vec.length fn.blocks) [] in
       for b = Vec.length fn.blocks - 1 downto 0 do
         match Vec.get fn.blocks b with
-        | Some blk -> List.iter (fun s -> p.(s) <- b :: p.(s)) (succs_of_term blk.term)
-        | None -> ()
+        | Some { term = Goto s; _ } -> p.(s) <- b :: p.(s)
+        | Some { term = If { tb; fb; _ }; _ } ->
+            p.(tb) <- b :: p.(tb);
+            p.(fb) <- b :: p.(fb)
+        | Some { term = Return _ | Unreachable; _ } | None -> ()
       done;
       p)
 
-(* Reverse postorder over reachable blocks, entry first. *)
-let rpo fn : bid list =
-  cached fn
-    ~find:(function Rpo l -> Some l | _ -> None)
-    ~wrap:(fun l -> Rpo l)
-    (fun fn ->
-      let visited = Array.make (Vec.length fn.blocks) false in
-      let order = ref [] in
-      let rec go b =
-        if not visited.(b) then begin
-          visited.(b) <- true;
-          List.iter go (succs fn b);
-          order := b :: !order
-        end
-      in
-      go fn.entry;
-      !order)
+(* A depth-first walk from the entry, successors in [succs_of_term]'s
+   order, numbers each block when it finishes; [index] holds -2 while a
+   block is on the walk's path. Reversing the postorder numbers gives the
+   positions. *)
+let number fn : numbering =
+  let n = Vec.length fn.blocks in
+  let index = Array.make n (-1) and finished = ref 0 in
+  let rec visit b =
+    if index.(b) = -1 then begin
+      index.(b) <- -2;
+      (match (block fn b).term with
+      | Goto s -> visit s
+      | If { tb; fb; _ } ->
+          visit tb;
+          visit fb
+      | Return _ | Unreachable -> ());
+      index.(b) <- !finished;
+      incr finished
+    end
+  in
+  visit fn.entry;
+  let count = !finished in
+  let order = Array.make count 0 in
+  for b = 0 to n - 1 do
+    if index.(b) >= 0 then begin
+      let i = count - 1 - index.(b) in
+      order.(i) <- b;
+      index.(b) <- i
+    end
+  done;
+  { order; index }
+
+let numbering fn : numbering =
+  cached fn ~find:(function Numbering o -> Some o | _ -> None) ~wrap:(fun o -> Numbering o) number
+
+let rpo fn = (numbering fn).order
 
 let reachable fn : bid -> bool =
-  cached fn
-    ~find:(function Reachable r -> Some r | _ -> None)
-    ~wrap:(fun r -> Reachable r)
-    (fun fn ->
-      let r = Array.make (Vec.length fn.blocks) false in
-      List.iter (fun b -> r.(b) <- true) (rpo fn);
-      fun b -> b >= 0 && b < Array.length r && r.(b))
+  let index = (numbering fn).index in
+  fun b -> b >= 0 && b < Array.length index && index.(b) >= 0
 
 (* Number of live instructions — the paper's |ir(n)| size metric. Block
    terminators count 1 each so that control flow is not free. *)

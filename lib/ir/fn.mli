@@ -22,15 +22,15 @@
     verification. The SSA dominance invariant is checked there too, not
     here.
 
-    The control-flow analyses — {!preds}, {!rpo}, {!reachable},
-    [Dominators.compute] and [Loops.compute] — are cached on the body
-    and computed again only after its control-flow graph changes: the
-    writers that do that are {!add_block}, {!add_block_at},
-    {!delete_block}, a {!set_term} that changes the block's successor
-    list, and so {!split_block} and {!merge_blocks}; an assignment to
-    [entry] is noticed on the next query. A cached result is shared
-    between callers, who must not mutate it. {!Verify.check} reads none
-    of them. *)
+    The control-flow analyses — {!preds}, {!numbering} (and so {!rpo}
+    and {!reachable}), [Dominators.compute] and [Loops.compute] — are
+    cached on the body and computed again only after its control-flow
+    graph changes: the writers that do that are {!add_block},
+    {!add_block_at}, {!delete_block}, a {!set_term} that changes the
+    block's successor list, and so {!split_block} and {!merge_blocks};
+    an assignment to [entry] is noticed on the next query. A cached
+    result is shared between callers, who must not mutate it.
+    {!Verify.check} reads none of them. *)
 
 open Types
 
@@ -156,12 +156,28 @@ val preds : fn -> bid list array
 (** Each block's predecessors, by block id: the live blocks with an edge
     to it, ascending, one entry per edge ([] for a dead block). Cached. *)
 
-val rpo : fn -> bid list
-(** Reverse postorder over blocks reachable from the entry. Cached. *)
+type numbering = {
+  order : bid array;  (** the reachable blocks in reverse postorder, entry first *)
+  index : int array;
+      (** each block id's position in [order], -1 when it is unreachable
+          or dead; one entry per block id the body had *)
+}
+(** One reverse-postorder numbering of a graph's reachable blocks, from a
+    depth-first walk that takes each block's successors in
+    {!succs_of_term}'s order. The control-flow analyses are sized by it. *)
+
+val numbering : fn -> numbering
+(** The numbering of [fn]'s current graph from its entry. Cached. *)
+
+val number : fn -> numbering
+(** What {!numbering} caches, computed afresh: it reads no cache. *)
+
+val rpo : fn -> bid array
+(** [(numbering fn).order]. *)
 
 val reachable : fn -> bid -> bool
-(** Membership in {!rpo}'s blocks, from a bitmap over block ids.
-    Cached. *)
+(** Whether the block has a position in {!numbering}; false for ids past
+    the bound it was computed at. *)
 
 val cached :
   fn -> find:(analysis -> 'a option) -> wrap:('a -> analysis) -> (fn -> 'a) -> 'a

@@ -22,36 +22,31 @@ let loop_multiplier = 8.0
 let static (fn : fn) : (bid, float) Hashtbl.t =
   let loops = Loops.compute fn in
   let preds = Fn.preds fn in
-  let order = Fn.rpo fn in
-  let index = Hashtbl.create 16 in
-  List.iteri (fun i b -> Hashtbl.replace index b i) order;
+  let { Fn.order; index } = Fn.numbering fn in
   (* acyclic propagation: ignore edges that go backwards in RPO *)
   let freq = Hashtbl.create 16 in
-  List.iter
-    (fun b ->
+  Array.iteri
+    (fun i b ->
       let f =
         if b = fn.entry then 1.0
         else
-          preds.(b)
-          |> List.filter (fun p -> Hashtbl.mem index p)
-          |> List.fold_left
-               (fun acc p ->
-                 let back = Hashtbl.find index p >= Hashtbl.find index b in
-                 if back then acc
-                 else
-                   let pf = try Hashtbl.find freq p with Not_found -> 0.0 in
-                   let prob =
-                     match Fn.term fn p with
-                     | If _ -> 0.5
-                     | _ -> 1.0
-                   in
-                   acc +. (pf *. prob))
-               0.0
+          List.fold_left
+            (fun acc p ->
+              if index.(p) < 0 || index.(p) >= i then acc
+              else
+                let pf = try Hashtbl.find freq p with Not_found -> 0.0 in
+                let prob =
+                  match Fn.term fn p with
+                  | If _ -> 0.5
+                  | _ -> 1.0
+                in
+                acc +. (pf *. prob))
+            0.0 preds.(b)
       in
       Hashtbl.replace freq b f)
     order;
   (* amplify by loop nesting *)
-  List.iter
+  Array.iter
     (fun b ->
       let d = Loops.depth loops b in
       if d > 0 then

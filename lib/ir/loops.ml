@@ -27,15 +27,20 @@ let build (fn : fn) : t =
   let reachable = Fn.reachable fn in
   (* back edges grouped by header *)
   let by_header : (bid, bid list) Hashtbl.t = Hashtbl.create 8 in
+  let back_edge src h =
+    if reachable h && Dominators.dominates doms ~a:h ~b:src then
+      let old = try Hashtbl.find by_header h with Not_found -> [] in
+      Hashtbl.replace by_header h (src :: old)
+  in
   Fn.iter_blocks
     (fun blk ->
       if reachable blk.b_id then
-        List.iter
-          (fun s ->
-            if reachable s && Dominators.dominates doms ~a:s ~b:blk.b_id then
-              let old = try Hashtbl.find by_header s with Not_found -> [] in
-              Hashtbl.replace by_header s (blk.b_id :: old))
-          (Fn.succs fn blk.b_id))
+        match blk.term with
+        | Goto s -> back_edge blk.b_id s
+        | If { tb; fb; _ } ->
+            back_edge blk.b_id tb;
+            back_edge blk.b_id fb
+        | Return _ | Unreachable -> ())
     fn;
   let depth = Array.make (Support.Vec.length fn.blocks) 0 in
   let loops =

@@ -64,36 +64,39 @@ let check_index (fn : fn) ~(placed : vid -> bid) =
     fn.instrs
 
 (* The graph as the verifier sees it, computed from the block store with
-   no cached analysis: reachability from the entry, each reachable block's
-   reachable predecessors, and the dominator tree. [check] has tested that
-   every terminator target is live. *)
-let graph (fn : fn) : (bid -> bool) * bid list array * Dominators.t =
-  let n = Support.Vec.length fn.blocks in
-  let seen = Array.make n false and order = ref [] in
-  let rec visit b =
-    if not seen.(b) then begin
-      seen.(b) <- true;
-      List.iter visit (Fn.succs fn b);
-      order := b :: !order
-    end
-  in
-  visit fn.entry;
-  let rpo = Array.of_list !order in
-  let preds = Array.make n [] in
-  Array.iter (fun b -> List.iter (fun s -> preds.(s) <- b :: preds.(s)) (Fn.succs fn b)) rpo;
-  (Array.get seen, preds, Dominators.build ~n ~rpo ~preds)
+   no cached analysis: a fresh reverse-postorder numbering of the blocks
+   reachable from the entry, each reachable block's reachable
+   predecessors, and the dominator tree. [check] has tested that every
+   terminator target is live. *)
+let graph (fn : fn) : Fn.numbering * bid list array * Dominators.t =
+  let g = Fn.number fn in
+  let preds = Array.make (Support.Vec.length fn.blocks) [] in
+  Array.iter
+    (fun b ->
+      match Fn.term fn b with
+      | Goto s -> preds.(s) <- b :: preds.(s)
+      | If { tb; fb; _ } ->
+          preds.(tb) <- b :: preds.(tb);
+          preds.(fb) <- b :: preds.(fb)
+      | Return _ | Unreachable -> ())
+    g.order;
+  (g, preds, Dominators.build g ~preds)
 
 let check (fn : fn) : unit =
   if not (Fn.block_live fn fn.entry) then fail "entry block b%d is dead" fn.entry;
   (* validate all terminator targets up front: reachability and dominator
      computations below would crash on dangling edges *)
+  let target b s =
+    if not (Fn.block_live fn s) then fail "terminator of b%d targets dead block b%d" b s
+  in
   Fn.iter_blocks
     (fun blk ->
-      List.iter
-        (fun s ->
-          if not (Fn.block_live fn s) then
-            fail "terminator of b%d targets dead block b%d" blk.b_id s)
-        (Fn.succs_of_term blk.term))
+      match blk.term with
+      | Goto s -> target blk.b_id s
+      | If { tb; fb; _ } ->
+          target blk.b_id tb;
+          target blk.b_id fb
+      | Return _ | Unreachable -> ())
     fn;
   (* def_block: vid -> bid (-1 unplaced), and uniqueness of placement *)
   let def_block = Array.make (Support.Vec.length fn.instrs) (-1) in
@@ -108,15 +111,13 @@ let check (fn : fn) : unit =
           def_block.(v) <- blk.b_id)
         blk.instrs)
     fn;
-  let reachable, preds, doms = graph fn in
+  let g, preds, doms = graph fn in
+  let reachable b = g.index.(b) >= 0 in
   (* instruction-position index within its block, for same-block dominance *)
   let pos = Array.make (Array.length def_block) 0 in
   Fn.iter_blocks
     (fun blk -> List.iteri (fun i v -> pos.(v) <- i) blk.instrs)
     fn;
-  let check_target what b =
-    if not (Fn.block_live fn b) then fail "%s targets dead block b%d" what b
-  in
   let value_dominates_use ~(def : vid) ~(use_block : bid) ~(use_pos : int) =
     match def_block.(def) with
     | -1 -> fail "use of unplaced instruction v%d" def
@@ -177,10 +178,7 @@ let check (fn : fn) : unit =
           blk.instrs;
         (* terminator *)
         (match blk.term with
-        | Goto b -> check_target (Printf.sprintf "goto in b%d" blk.b_id) b
-        | If { cond; tb; fb; _ } ->
-            check_target (Printf.sprintf "if in b%d" blk.b_id) tb;
-            check_target (Printf.sprintf "if in b%d" blk.b_id) fb;
+        | If { cond; _ } ->
             if not (Fn.instr_live fn cond) then
               fail "if in b%d uses dead condition v%d" blk.b_id cond;
             value_dominates_use ~def:cond ~use_block:blk.b_id
@@ -190,7 +188,7 @@ let check (fn : fn) : unit =
               fail "return in b%d uses dead value v%d" blk.b_id v;
             value_dominates_use ~def:v ~use_block:blk.b_id
               ~use_pos:(List.length blk.instrs)
-        | Unreachable -> ())
+        | Goto _ | Unreachable -> ())
       end)
     fn;
   check_index fn ~placed:(fun v -> def_block.(v))

@@ -64,16 +64,17 @@ type rewrite =
   | Value of vid  (* the instruction computes this existing value *)
   | Op of instr_kind  (* the instruction becomes this op; a [Const] for a fold *)
 
+let const_of fn v = match Ir.Fn.kind fn v with Const c -> Some c | _ -> None
+let folded c = Some (Op (Const c))
+
 (* The peephole rewrite of one instruction, or [None]. [const c]
    materializes a constant right before the instruction (the shift amount
    of a strength-reduced multiply). *)
 let peephole (prog : program) (env : Tyinfer.env) (fn : fn) ~(const : const -> vid)
     (i : instr) : rewrite option =
-  let const_of v = match Ir.Fn.kind fn v with Const c -> Some c | _ -> None in
-  let folded c = Some (Op (Const c)) in
   match i.kind with
   | Binop (op, a, b) -> (
-      match (const_of a, const_of b) with
+      match (const_of fn a, const_of fn b) with
       | Some ca, Some cb -> Option.bind (fold_binop op ca cb) folded
       | ca, cb -> (
           match (op, ca, cb) with
@@ -108,14 +109,15 @@ let peephole (prog : program) (env : Tyinfer.env) (fn : fn) ~(const : const -> v
           | Sub, _, _ when a = b -> folded (Cint 0)
           | _ -> None))
   | Unop (op, a) -> (
-      match const_of a with
+      match const_of fn a with
       | Some ca -> Option.bind (fold_unop op ca) folded
       | None -> (
           (* double negation *)
           match (op, Ir.Fn.kind fn a) with
           | Neg, Unop (Neg, inner) | Not, Unop (Not, inner) -> Some (Value inner)
           | _ -> None))
-  | Intrinsic (intr, args) -> Option.bind (fold_intrinsic intr (List.map const_of args)) folded
+  | Intrinsic (intr, args) ->
+      Option.bind (fold_intrinsic intr (List.map (const_of fn) args)) folded
   | TypeTest { obj; cls } ->
       Option.bind (Tyinfer.typetest_result prog env obj cls) (fun b -> folded (Cbool b))
   | Call ({ callee = Virtual sel; args = recv :: _; _ } as call) ->

@@ -7,11 +7,13 @@ open Ir.Types
 
 let run (fn : fn) : int =
   let marked = Bytes.make (Support.Vec.length fn.instrs) '\000' in
-  let work = Queue.create () in
+  (* marked instructions whose operands are still to be marked; the
+     marked set does not depend on the order they are taken in *)
+  let work = Support.Vec.create ~dummy:0 in
   let mark v =
     if Ir.Fn.instr_live fn v && Bytes.get marked v = '\000' then begin
       Bytes.set marked v '\001';
-      Queue.add v work
+      Support.Vec.push work v
     end
   in
   Ir.Fn.iter_instrs
@@ -24,7 +26,7 @@ let run (fn : fn) : int =
       | Return v -> mark v
       | Goto _ | Unreachable -> ())
     fn;
-  while not (Queue.is_empty work) do
-    Ir.Instr.iter_operands mark (Ir.Fn.kind fn (Queue.pop work))
+  while not (Support.Vec.is_empty work) do
+    Ir.Instr.iter_operands mark (Ir.Fn.kind fn (Support.Vec.pop work))
   done;
   Ir.Fn.delete_instrs fn (fun v -> Bytes.get marked v = '\000')

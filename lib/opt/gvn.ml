@@ -6,10 +6,11 @@
 
 open Ir.Types
 
-(* The structural key of a numberable instruction. Phis are excluded
-   (their meaning depends on control flow); commutative operators are
-   normalized by sorting operands. *)
+(* The structural key of a numberable instruction, [Knone] for the
+   others. Phis are excluded (their meaning depends on control flow);
+   commutative operators are normalized by sorting operands. *)
 type key =
+  | Knone
   | Kconst of const
   | Kbinop of binop * vid * vid
   | Kunop of unop * vid
@@ -17,33 +18,34 @@ type key =
   | Karraylen of vid
   | Kintrinsic of intrinsic * vid list
 
-let key_of (k : instr_kind) : key option =
+let key_of (k : instr_kind) : key =
   let commutative = function
     | Add | Mul | Band | Bor | Bxor | Eq | Ne | Andb | Orb | Xorb | Eqb -> true
     | Sub | Div | Rem | Shl | Shr | Lt | Le | Gt | Ge -> false
   in
   match k with
-  | Const c -> Some (Kconst c)
+  | Const c -> Kconst c
   | Binop (op, a, b) ->
       let a, b = if commutative op && b < a then (b, a) else (a, b) in
-      Some (Kbinop (op, a, b))
-  | Unop (op, a) -> Some (Kunop (op, a))
-  | TypeTest { obj; cls } -> Some (Ktypetest (obj, cls))
-  | ArrayLen a -> Some (Karraylen a)
-  | Intrinsic (i, args) when Ir.Instr.is_pure k -> Some (Kintrinsic (i, args))
-  | _ -> None
+      Kbinop (op, a, b)
+  | Unop (op, a) -> Kunop (op, a)
+  | TypeTest { obj; cls } -> Ktypetest (obj, cls)
+  | ArrayLen a -> Karraylen a
+  | Intrinsic (i, args) when Ir.Instr.is_pure k -> Kintrinsic (i, args)
+  | _ -> Knone
 
 (* The keys a block added to [table] sit on [scope] above the height it
    found, and leave, newest first, once its dominator subtree is done. *)
 let run ?(replaced = fun ~old_v:_ ~new_v:_ -> ()) (fn : fn) : int =
   let doms = Ir.Dominators.compute fn in
   let table : (key, vid) Hashtbl.t = Hashtbl.create 64 in
-  let scope : key Support.Vec.t = Support.Vec.create ~dummy:(Karraylen (-1)) in
+  let scope : key Support.Vec.t = Support.Vec.create ~dummy:Knone in
   let count = ref 0 in
   let visit v =
     if Ir.Fn.instr_live fn v then
       match key_of (Ir.Fn.kind fn v) with
-      | Some key -> (
+      | Knone -> ()
+      | key -> (
           match Hashtbl.find table key with
           | v' when v' <> v ->
               replaced ~old_v:v ~new_v:v';
@@ -54,12 +56,11 @@ let run ?(replaced = fun ~old_v:_ ~new_v:_ -> ()) (fn : fn) : int =
           | exception Not_found ->
               Hashtbl.add table key v;
               Support.Vec.push scope key)
-      | None -> ()
   in
   let rec walk (b : bid) =
     let height = Support.Vec.length scope in
     List.iter visit (Ir.Fn.block fn b).instrs;
-    List.iter walk (Ir.Dominators.children doms b);
+    Ir.Dominators.iter_children walk doms b;
     while Support.Vec.length scope > height do
       Hashtbl.remove table (Support.Vec.pop scope)
     done

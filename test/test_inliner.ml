@@ -122,6 +122,39 @@ let calltree_tests =
           (match n.kind with
           | Calltree.Expanded { n_opts; _ } -> n_opts > 0
           | _ -> false));
+    (* the callee's argument is neither a constant nor refined, so the
+       trial copy is the prepared body unchanged, a simplify fixpoint *)
+    test "a trial with an all-None signature returns the callee as it is" (fun () ->
+        let t =
+          tree_of
+            {|def g(x: Int): Int = x * 3 + 1
+              def f(y: Int): Int = g(y)
+              def main(): Unit = println(f(4))|}
+            "f"
+        in
+        let n = List.hd t.children in
+        let callee =
+          match n.kind with
+          | Calltree.Cutoff (Calltree.Known m) -> Option.get (Calltree.prepared_body t m)
+          | _ -> Alcotest.fail "not a direct cutoff"
+        in
+        let fuel_left f =
+          Support.Fuel.with_budget 100 (fun () ->
+              f ();
+              Option.get (Support.Fuel.remaining ()))
+        in
+        let simplified =
+          fuel_left (fun () -> ignore (Opt.Driver.simplify t.prog (Ir.Fn.copy callee)))
+        in
+        let trial = fuel_left (fun () -> ignore (Calltree.expand_cutoff t n)) in
+        Alcotest.(check int) "the fuel simplify spends" simplified trial;
+        match n.kind with
+        | Calltree.Expanded { body; n_opts; _ } ->
+            Alcotest.(check int) "N_s" 0 n_opts;
+            Alcotest.(check int) "N_a" 0 n.n_args_refined;
+            Alcotest.(check string) "the callee's body" (Ir.Printer.fn_to_string callee)
+              (Ir.Printer.fn_to_string body)
+        | _ -> Alcotest.fail "not expanded");
     test "expansion creates grandchildren cutoffs" (fun () ->
         let t =
           tree_of

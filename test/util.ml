@@ -116,19 +116,22 @@ let greedy : Jit.Engine.compiler = fun p pr m -> Baselines.Greedy.compile p pr m
 let c2like : Jit.Engine.compiler = fun p pr m -> Baselines.C2like.compile p pr m
 
 (* Every control-flow analysis [Ir.Fn] caches for [fn] equals one computed
-   afresh on a copy, which starts with no cache: reverse postorder,
-   reachability, predecessors, the dominator tree, and the loop forest —
-   its loops, back edges and bodies in iteration order, which LICM's hoist
-   order follows, and every block's depth. Afterwards each analysis is
-   cached on [fn], so the next call catches a writer that left one
-   stale. *)
+   afresh on a copy, which starts with no cache: the reverse-postorder
+   numbering (its order and every block id's position), reachability,
+   predecessors, the dominator tree — [iter_children] visiting what
+   [children] lists — and the loop forest — its loops, back edges and
+   bodies in iteration order, which LICM's hoist order follows, and every
+   block's depth. Afterwards each analysis is cached on [fn], so the next
+   call catches a writer that left one stale. *)
 let check_cfg_cache (what : string) (fn : Ir.Types.fn) : unit =
   let fresh = Ir.Fn.copy fn in
   let n = Support.Vec.length fn.blocks in
   let differs fmt =
     Fmt.kstr (fun s -> Alcotest.failf "%s: the cached %s differs from a fresh one" what s) fmt
   in
-  if Ir.Fn.rpo fn <> Ir.Fn.rpo fresh then differs "reverse postorder";
+  let o = Ir.Fn.numbering fn and o' = Ir.Fn.numbering fresh in
+  if o.order <> o'.order then differs "reverse postorder";
+  if o.index <> o'.index then differs "reverse-postorder positions";
   let r = Ir.Fn.reachable fn and r' = Ir.Fn.reachable fresh in
   for b = -1 to n do
     if r b <> r' b then differs "reachability of b%d" b
@@ -136,9 +139,12 @@ let check_cfg_cache (what : string) (fn : Ir.Types.fn) : unit =
   if Ir.Fn.preds fn <> Ir.Fn.preds fresh then differs "predecessor map";
   let d = Ir.Dominators.compute fn and d' = Ir.Dominators.compute fresh in
   for b = 0 to n - 1 do
+    let visited = ref [] in
+    Ir.Dominators.iter_children (fun c -> visited := c :: !visited) d b;
     if
       Ir.Dominators.idom d b <> Ir.Dominators.idom d' b
       || Ir.Dominators.children d b <> Ir.Dominators.children d' b
+      || List.rev !visited <> Ir.Dominators.children d b
     then differs "dominator tree at b%d" b
   done;
   let shape (t : Ir.Loops.t) =
